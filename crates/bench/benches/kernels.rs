@@ -12,7 +12,7 @@ use lte_dsp::turbo::{TurboDecoder, TurboEncoder};
 use lte_dsp::zadoff_chu::ReferenceSequence;
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
-use lte_phy::receiver::process_user;
+use lte_phy::receiver::process_user_pooled;
 use lte_phy::tx::synthesize_user;
 
 fn random_block(n: usize, seed: u64) -> Vec<Complex32> {
@@ -89,9 +89,15 @@ fn bench_full_user(c: &mut Criterion) {
         let user = UserConfig::new(prbs, layers, Modulation::Qam16);
         let mut rng = Xoshiro256::seed_from_u64(11);
         let input = synthesize_user(&cell, &user, 30.0, &mut rng);
-        let _ = &planner;
         group.bench_function(format!("{prbs}prb_{layers}layer"), |b| {
-            b.iter(|| black_box(process_user(&cell, &input, TurboMode::Passthrough)))
+            b.iter(|| {
+                black_box(process_user_pooled(
+                    &cell,
+                    &input,
+                    TurboMode::Passthrough,
+                    &planner,
+                ))
+            })
         });
     }
     group.finish();

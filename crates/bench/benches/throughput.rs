@@ -1,7 +1,5 @@
-//! End-to-end receive throughput: the pooled zero-allocation path against
-//! the allocating reference path, across the steady-state user mix the
-//! `lte-sim perf` harness uses. The pooled/allocating split isolates how
-//! much of the per-subframe budget heap traffic was costing.
+//! End-to-end throughput of the serial receiver body across the
+//! steady-state user mix the `lte-sim perf` harness uses.
 
 use std::hint::black_box;
 
@@ -10,7 +8,7 @@ use lte_dsp::fft::FftPlanner;
 use lte_dsp::interleave::prewarm_subblock;
 use lte_dsp::{Modulation, Xoshiro256};
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
-use lte_phy::receiver::{process_user_pooled, process_user_with_planner, UserScratch};
+use lte_phy::receiver::{process_user_pooled, UserScratch};
 use lte_phy::tx::{prewarm_references, synthesize_user};
 
 /// The same 100-PRB user mix `lte-sim perf` replays each subframe.
@@ -33,16 +31,6 @@ fn bench_user_receive(c: &mut Criterion) {
         prewarm_subblock([user.bits_per_subframe()]);
         prewarm_references(&cell, &user);
         let label = format!("{prbs}prb_{layers}l_{modulation}");
-        group.bench_with_input(BenchmarkId::new("allocating", &label), &label, |b, _| {
-            b.iter(|| {
-                black_box(process_user_with_planner(
-                    &cell,
-                    &input,
-                    TurboMode::Passthrough,
-                    &planner,
-                ))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("pooled", &label), &label, |b, _| {
             b.iter(|| {
                 let result = process_user_pooled(&cell, &input, TurboMode::Passthrough, &planner);

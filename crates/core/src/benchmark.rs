@@ -465,24 +465,16 @@ impl UplinkBenchmark {
                             submit.clear();
                         }
                         OverloadPolicy::ShedUsers => {
-                            // Shed cheapest-first (lowest PRB count, then
-                            // index) until at most half the PRB load
-                            // remains; always shed one, always keep one.
-                            let sf = &subframes[sf_idx];
-                            let total: usize = sf.users.iter().map(|u| u.prbs).sum();
-                            submit.sort_by_key(|&i| (sf.users[i].prbs, i));
-                            let mut kept = total;
-                            let mut shed = 0usize;
-                            while submit.len() > 1 && (shed == 0 || kept * 2 > total) {
-                                kept -= sf.users[submit[0]].prbs;
-                                if let Some(t) = &telemetry {
-                                    t.ebler.record_dtx(t.stream_for(sf.users[submit[0]].layers));
+                            let users = &subframes[sf_idx].users;
+                            submit = kept_after_shed(users, None);
+                            if let Some(t) = &telemetry {
+                                for (i, user) in users.iter().enumerate() {
+                                    if !submit.contains(&i) {
+                                        t.ebler.record_dtx(t.stream_for(user.layers));
+                                    }
                                 }
-                                submit.remove(0);
-                                shed += 1;
                             }
-                            submit.sort_unstable();
-                            degradation.shed_users += shed as u64;
+                            degradation.shed_users += (users.len() - submit.len()) as u64;
                         }
                         OverloadPolicy::DegradeDemap => {
                             exact = false;
@@ -737,6 +729,33 @@ struct UserGraph {
     combine_remaining: AtomicUsize,
     /// Completion callback, taken exactly once by the join task.
     on_done: Mutex<Option<UserDone>>,
+}
+
+/// The `ShedUsers` overload policy: the users of a subframe that survive
+/// a shed, as ascending indices. Users go cheapest-first — lowest PRB
+/// count, then lowest index. With `count = None` the policy decides how
+/// many: until at most half the PRB load remains, always at least one,
+/// never the last one. `Some(n)` sheds `n` (at most everyone) in the same
+/// order, for the soak, whose DES has already decided the count from its
+/// cycle capacity.
+pub(crate) fn kept_after_shed(users: &[UserConfig], count: Option<usize>) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..users.len()).collect();
+    order.sort_by_key(|&i| (users[i].prbs, i));
+    let n_shed = match count {
+        Some(n) => n.min(users.len()),
+        None => {
+            let total: usize = users.iter().map(|u| u.prbs).sum();
+            let (mut kept, mut shed) = (total, 0);
+            while users.len() - shed > 1 && (shed == 0 || kept * 2 > total) {
+                kept -= users[order[shed]].prbs;
+                shed += 1;
+            }
+            shed
+        }
+    };
+    order.drain(..n_shed);
+    order.sort_unstable();
+    order
 }
 
 /// Spawns one user's dependency-ordered task graph onto the pool and
@@ -1130,6 +1149,68 @@ mod tests {
         let expected: usize = subframes.iter().map(SubframeConfig::n_users).sum();
         assert_eq!(delivered, expected, "HARQ must redeliver dropped users");
         assert!(d.harq.transmissions >= d.shed_users);
+    }
+
+    fn users_with_prbs(prbs: &[usize]) -> Vec<UserConfig> {
+        prbs.iter()
+            .map(|&p| UserConfig::new(p, 1, lte_dsp::Modulation::Qpsk))
+            .collect()
+    }
+
+    #[test]
+    fn shed_policy_invariants_hold_on_random_subframes() {
+        let mut rng = Xoshiro256::seed_from_u64(0x5ED);
+        for case in 0..200 {
+            let n = 2 + rng.next_below(9) as usize;
+            let prbs: Vec<usize> = (0..n).map(|_| 2 + rng.next_below(40) as usize).collect();
+            let users = users_with_prbs(&prbs);
+            let kept = kept_after_shed(&users, None);
+            let total: usize = prbs.iter().sum();
+            let kept_prbs: usize = kept.iter().map(|&i| prbs[i]).sum();
+            // Always shed one, always keep one.
+            assert!(
+                !kept.is_empty() && kept.len() < n,
+                "case {case}: {prbs:?} -> {kept:?}"
+            );
+            assert!(kept.windows(2).all(|w| w[0] < w[1]), "ascending indices");
+            // At most half the PRB load remains, unless only one is left.
+            assert!(
+                kept_prbs * 2 <= total || kept.len() == 1,
+                "case {case}: {prbs:?}"
+            );
+            // Cheapest first: every shed user sorts before every kept one,
+            // and shedding stopped as soon as the rule allowed.
+            let key = |i: usize| (prbs[i], i);
+            let cheapest_kept = kept.iter().map(|&i| key(i)).min().unwrap();
+            let shed: Vec<usize> = (0..n).filter(|i| !kept.contains(i)).collect();
+            let dearest_shed = shed.iter().map(|&i| key(i)).max().unwrap();
+            assert!(
+                dearest_shed < cheapest_kept,
+                "case {case}: {prbs:?} -> {kept:?}"
+            );
+            assert!(
+                shed.len() == 1 || (kept_prbs + dearest_shed.0) * 2 > total,
+                "case {case}: shed more than needed, {prbs:?} -> {kept:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shed_policy_edges() {
+        // A single user (or none) is never shed.
+        assert_eq!(kept_after_shed(&users_with_prbs(&[7]), None), [0]);
+        assert!(kept_after_shed(&[], None).is_empty());
+        // All-equal PRBs: the index breaks the tie, half the load goes.
+        assert_eq!(kept_after_shed(&users_with_prbs(&[5; 4]), None), [2, 3]);
+        assert_eq!(kept_after_shed(&users_with_prbs(&[5; 5]), None), [3, 4]);
+        // Two users: one is shed even though half the load already fits.
+        assert_eq!(kept_after_shed(&users_with_prbs(&[9, 9]), None), [1]);
+        // A count decided elsewhere sheds exactly that many, same order.
+        let users = users_with_prbs(&[8, 2, 8, 2, 30]);
+        assert_eq!(kept_after_shed(&users, Some(0)), [0, 1, 2, 3, 4]);
+        assert_eq!(kept_after_shed(&users, Some(3)), [2, 4]);
+        assert!(kept_after_shed(&users, Some(9)).is_empty());
+        assert_eq!(kept_after_shed(&users, None), [4]);
     }
 
     #[test]

@@ -878,7 +878,7 @@ fn run_perf_cmd(opts: &Options) {
         "running the scaling matrix: {} subframes at worker counts {:?} (host parallelism {}) …",
         scaling_cfg.subframes,
         scaling_cfg.worker_counts,
-        perf::host_parallelism()
+        lte_sched::host_parallelism()
     );
     let scaling = perf::run_scaling_with_stop(&scaling_cfg, &interrupted).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -1061,7 +1061,7 @@ fn run_soak_cmd(opts: &Options) {
         .workers
         .as_ref()
         .and_then(|w| w.first().copied())
-        .unwrap_or_else(|| 4.min(crate::perf::host_parallelism()));
+        .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()));
     println!(
         "soaking {} subframes in windows of {} (policy {}, overload {}, chaos {}, seed {}) …",
         cfg.subframes,
@@ -1162,7 +1162,7 @@ fn run_serve_cmd(opts: &Options) {
         .workers
         .as_ref()
         .and_then(|w| w.first().copied())
-        .unwrap_or_else(|| 4.min(crate::perf::host_parallelism()));
+        .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()));
     if let Some(text) = opts.policy.as_deref() {
         cfg.policy = text.parse().unwrap_or_else(|e| {
             eprintln!("--policy: {e}");
@@ -1387,7 +1387,7 @@ fn run_deploy_cmd(opts: &Options) {
         .workers
         .as_ref()
         .and_then(|w| w.first().copied())
-        .unwrap_or_else(|| 4.min(crate::perf::host_parallelism()));
+        .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()));
     cfg.coupling_milli = opts.coupling_milli.unwrap_or(0);
     if let Some(text) = opts.traffic.as_deref() {
         cfg.traffic = text.parse().unwrap_or_else(|e| {
@@ -1540,7 +1540,7 @@ fn run_govern_cmd(opts: &Options) {
         // Real-pool side: re-fit the Eq. 3 slopes from measured pool
         // activity, then run governed vs ungoverned under each policy and
         // require byte-identical decoded output.
-        let workers = 4.min(crate::perf::host_parallelism()).max(2);
+        let workers = 4.min(lte_sched::host_parallelism()).max(2);
         report.pool_workers = workers;
         let delta = Duration::from_millis(2);
         if interrupted() {

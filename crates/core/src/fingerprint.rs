@@ -20,7 +20,7 @@ use lte_dsp::Xoshiro256;
 use lte_model::{ParameterModel, RampModel};
 use lte_obs::{event_json, RingRecorder};
 use lte_phy::params::{CellConfig, TurboMode};
-use lte_phy::receiver::{process_user_with_planner, UserResult};
+use lte_phy::receiver::{process_user_pooled, UserResult};
 use lte_phy::tx::synthesize_user_with_mode;
 use lte_power::NapPolicy;
 use lte_sched::sim::Simulator;
@@ -99,7 +99,7 @@ pub fn canonical_fingerprint(seed: u64, subframes: usize) -> (u64, usize) {
                 users += 1;
                 let input =
                     synthesize_user_with_mode(&cell, u, TurboMode::Passthrough, 30.0, &mut rng);
-                process_user_with_planner(&cell, &input, TurboMode::Passthrough, &planner)
+                process_user_pooled(&cell, &input, TurboMode::Passthrough, &planner)
             })
             .collect();
         rows.push(row);

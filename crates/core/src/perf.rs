@@ -93,18 +93,11 @@ impl Default for PerfConfig {
     }
 }
 
-/// The host's available hardware parallelism (1 if unknown) — the
-/// scheduler crate's single source of truth, re-exported for report
-/// fields and the worker ladder.
-pub fn host_parallelism() -> usize {
-    lte_sched::host_parallelism()
-}
-
 /// Worker threads that can actually run concurrently for a request: the
 /// pool spawns every requested thread, but no more than the host's core
 /// count can execute at once — the honest denominator for efficiency.
 pub fn effective_workers(requested: usize) -> usize {
-    requested.min(host_parallelism()).max(1)
+    requested.min(lte_sched::host_parallelism()).max(1)
 }
 
 /// One measured perf run, serialisable to `BENCH_PR3.json`.
@@ -314,7 +307,7 @@ pub fn run_perf(cfg: &PerfConfig) -> Result<PerfReport, String> {
         subframes: cfg.subframes,
         workers: cfg.workers,
         workers_effective: effective_workers(cfg.workers),
-        host_parallelism: host_parallelism(),
+        host_parallelism: lte_sched::host_parallelism(),
         elapsed_s: run.elapsed.as_secs_f64(),
         subframes_per_sec: cfg.subframes as f64 / run.elapsed.as_secs_f64(),
         serial_subframes_per_sec: serial_n as f64 / serial_elapsed,
@@ -388,8 +381,7 @@ pub fn stage_breakdown(mode: TurboMode, seed: u64) -> Vec<StageShare> {
     let planner = FftPlanner::new();
     // Warm plan caches and decoder state outside the recorded window.
     for input in &inputs {
-        let result = process_user_traced(&cell, input, mode, &planner, &StageTimer::disabled());
-        std::hint::black_box(&result);
+        std::hint::black_box(process_user_pooled(&cell, input, mode, &planner));
     }
     let recorder = RingRecorder::new(1 << 20);
     let timer = StageTimer::new(&recorder);
@@ -636,7 +628,7 @@ impl Default for ScalingConfig {
 /// host this is just `[1]` — the matrix never pretends to parallelism
 /// the hardware cannot deliver.
 pub fn default_worker_ladder() -> Vec<usize> {
-    let host = host_parallelism();
+    let host = lte_sched::host_parallelism();
     let mut ladder = Vec::new();
     let mut w = 1;
     while w <= host {
@@ -873,7 +865,7 @@ pub fn run_scaling_with_stop(
 
     Ok(ScalingReport {
         subframes: cfg.subframes,
-        host_parallelism: host_parallelism(),
+        host_parallelism: lte_sched::host_parallelism(),
         window: cfg.window.unwrap_or(0),
         serial_subframes_per_sec: serial_rate,
         points,
@@ -1022,7 +1014,7 @@ mod tests {
         assert_eq!(report.subframes, 6);
         assert_eq!(report.workers, 4);
         assert_eq!(report.workers_effective, effective_workers(4));
-        assert_eq!(report.host_parallelism, host_parallelism());
+        assert_eq!(report.host_parallelism, lte_sched::host_parallelism());
         assert!(report.subframes_per_sec > 0.0);
         assert!(report.serial_subframes_per_sec > 0.0);
         assert_eq!(report.crc_pass_rate, 1.0);
@@ -1119,7 +1111,7 @@ mod tests {
     #[test]
     fn default_ladder_is_powers_of_two_ending_at_the_host() {
         let ladder = default_worker_ladder();
-        let host = host_parallelism();
+        let host = lte_sched::host_parallelism();
         assert_eq!(ladder[0], 1);
         assert_eq!(*ladder.last().unwrap(), host);
         assert!(ladder.windows(2).all(|w| w[0] < w[1]));
@@ -1195,7 +1187,7 @@ mod tests {
         };
         let report = run_scaling(&cfg).expect("scaling run");
         assert_eq!(report.points.len(), 2);
-        assert_eq!(report.host_parallelism, host_parallelism());
+        assert_eq!(report.host_parallelism, lte_sched::host_parallelism());
         for point in &report.points {
             assert!(point.byte_identical);
             assert!(point.subframes_per_sec > 0.0);

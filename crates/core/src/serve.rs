@@ -59,7 +59,7 @@ use lte_power::{
 use lte_sched::pool::{PoolConfig, TaskPool};
 use lte_sched::IngestQueue;
 
-use crate::benchmark::{pace_until, spawn_user_graph};
+use crate::benchmark::{kept_after_shed, pace_until, spawn_user_graph};
 use crate::fingerprint::fingerprint_results;
 
 /// The synthesis SNR for generated traffic (clean decodes, matching
@@ -773,25 +773,15 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                 miss_streak = 0;
             }
 
-            // Shed cheapest-first, identical to the batch path's
-            // ShedUsers policy: lowest PRB count (then index) goes
-            // first, until at most half the PRB load remains; always
-            // shed one, always keep one.
-            let mut submit: Vec<usize> = (0..item.sf.n_users()).collect();
-            if decision.shed_users && submit.len() > 1 {
-                let total: usize = item.sf.users.iter().map(|u| u.prbs).sum();
-                submit.sort_by_key(|&i| (item.sf.users[i].prbs, i));
-                let mut kept = total;
-                let mut shed = 0usize;
-                while submit.len() > 1 && (shed == 0 || kept * 2 > total) {
-                    kept -= item.sf.users[submit[0]].prbs;
-                    submit.remove(0);
-                    shed += 1;
-                }
-                submit.sort_unstable();
-                counters.shed(shed as u64);
-                accum.shed_jobs += shed as u64;
-            }
+            // The batch path's `ShedUsers` policy, cheapest-first.
+            let submit = if decision.shed_users {
+                kept_after_shed(&item.sf.users, None)
+            } else {
+                (0..item.sf.n_users()).collect()
+            };
+            let shed = (item.sf.n_users() - submit.len()) as u64;
+            counters.shed(shed);
+            accum.shed_jobs += shed;
             let exact = cfg.exact_demap && !decision.degrade_demap;
             if decision.degrade_demap {
                 counters.degraded();

@@ -38,7 +38,7 @@ use lte_obs::{
     OpenMetrics, SloSpec, SloTracker, WindowAggregate, WindowObservation, WindowVerdict,
 };
 use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
-use lte_phy::receiver::{process_user_traced, process_user_with_planner};
+use lte_phy::receiver::{process_user_pooled, process_user_traced};
 use lte_phy::trace::StageHists;
 use lte_phy::tx::synthesize_user;
 use lte_phy::StageTimer;
@@ -47,6 +47,7 @@ use lte_sched::sim::{SessionProgress, Simulator};
 use lte_sched::{PoolError, PoolTelemetry, TaskPool};
 use std::sync::Arc;
 
+use crate::benchmark::kept_after_shed;
 use crate::experiments::ExperimentContext;
 
 /// EBLER streams: one per layer count, so the surface separates
@@ -344,8 +345,7 @@ impl DecodeCache {
                 ^ u64::from(bursted),
         );
         let input = synthesize_user(&self.cell, user, snr, &mut rng);
-        let result =
-            process_user_with_planner(&self.cell, &input, TurboMode::Passthrough, &self.planner);
+        let result = process_user_pooled(&self.cell, &input, TurboMode::Passthrough, &self.planner);
         let outcome = DecodeOutcome {
             crc_ok: result.crc_ok,
             payload_bits: result.payload.len() as u64,
@@ -356,7 +356,7 @@ impl DecodeCache {
 }
 
 /// Feeds one dispatched subframe's users into the EBLER accumulators:
-/// `shed` of them (cheapest-first, mirroring the shed policy) as DTX,
+/// `shed` of them (cheapest-first, the shed policy's order) as DTX,
 /// the rest as their cached receiver decode.
 fn record_subframe_ebler(
     sf: &SubframeConfig,
@@ -366,13 +366,10 @@ fn record_subframe_ebler(
     cache: &mut DecodeCache,
     sinks: [&EblerAccumulator; 2],
 ) {
-    let mut order: Vec<usize> = (0..sf.users.len()).collect();
-    order.sort_by_key(|&i| (sf.users[i].prbs, i));
-    let shed = (shed as usize).min(order.len());
-    for (rank, &user_idx) in order.iter().enumerate() {
-        let user = &sf.users[user_idx];
+    let kept = kept_after_shed(&sf.users, Some(shed as usize));
+    for (user_idx, user) in sf.users.iter().enumerate() {
         let stream = (user.layers - 1).min(EBLER_STREAMS - 1);
-        if rank < shed {
+        if !kept.contains(&user_idx) {
             for sink in sinks {
                 sink.record_dtx(stream);
             }

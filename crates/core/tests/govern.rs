@@ -10,8 +10,8 @@
 use std::time::Duration;
 
 use lte_power::{NapPolicy, WorkloadEstimator};
+use lte_sched::host_parallelism;
 use lte_uplink::govern::run_pool_governed;
-use lte_uplink::perf::host_parallelism;
 
 #[test]
 fn governed_output_is_byte_identical_across_policies_and_worker_counts() {

@@ -9,7 +9,8 @@
 //! stays byte-identical, and skips the speedup assertion with a message
 //! rather than faking one.
 
-use lte_uplink::perf::{effective_workers, host_parallelism, run_scaling, ScalingConfig};
+use lte_sched::host_parallelism;
+use lte_uplink::perf::{effective_workers, run_scaling, ScalingConfig};
 
 #[test]
 fn four_workers_beat_serial_on_the_steady_state_load() {

@@ -279,7 +279,7 @@ mod tests {
                 } else {
                     Complex32::ZERO
                 };
-                est.set_path(rx, layer, vec![v; n_sc]);
+                *est.path_mut(rx, layer) = vec![v; n_sc];
             }
         }
         let w = CombinerWeights::mmse(&est, 1e-4);
@@ -303,7 +303,7 @@ mod tests {
         let mut est = ChannelEstimate::empty(4, 2, n_sc);
         for rx in 0..4 {
             for layer in 0..2 {
-                est.set_path(rx, layer, channel.frequency_response(rx, layer, n_sc));
+                *est.path_mut(rx, layer) = channel.frequency_response(rx, layer, n_sc);
             }
         }
         let w = CombinerWeights::mmse(&est, 1e-3);
@@ -378,7 +378,7 @@ mod tests {
             let mut est = ChannelEstimate::empty(n_rx, n_layers, n_sc);
             for rx in 0..n_rx {
                 for layer in 0..n_layers {
-                    est.set_path(rx, layer, channel.frequency_response(rx, layer, n_sc));
+                    *est.path_mut(rx, layer) = channel.frequency_response(rx, layer, n_sc);
                 }
             }
             let fresh = CombinerWeights::mmse(&est, 0.05);
@@ -389,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn combine_symbol_into_matches_allocating_path_bitwise() {
+    fn combine_symbol_into_is_independent_of_dirty_scratch() {
         let cell = CellConfig::with_antennas(4);
         let user = UserConfig::new(6, 2, Modulation::Qam16);
         let mut rng = Xoshiro256::seed_from_u64(5);

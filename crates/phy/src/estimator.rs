@@ -44,20 +44,6 @@ impl ChannelEstimate {
         }
     }
 
-    /// Stores one estimated path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range or the length mismatches.
-    pub fn set_path(&mut self, rx: usize, layer: usize, estimate: Vec<Complex32>) {
-        assert_eq!(
-            estimate.len(),
-            self.paths[rx][layer].len(),
-            "estimate length mismatch"
-        );
-        self.paths[rx][layer] = estimate;
-    }
-
     /// Reshapes to `n_rx × n_layers` paths of `n_sc` subcarriers, all
     /// zeroed, reusing every nested buffer whose shape already matches —
     /// the steady-state case, where this allocates nothing.
@@ -101,7 +87,8 @@ impl ChannelEstimate {
 }
 
 /// Estimates a single (rx, layer) path from one slot's reference symbol —
-/// the benchmark's channel-estimation *task*.
+/// the benchmark's channel-estimation *task* — into a fresh vector.
+/// Convenience over [`estimate_path_into`] for one-off callers.
 ///
 /// # Panics
 ///
@@ -114,46 +101,16 @@ pub fn estimate_path(
     layer: usize,
     planner: &FftPlanner,
 ) -> Vec<Complex32> {
-    estimate_path_traced(
-        cell,
-        input,
-        slot,
-        rx,
-        layer,
-        planner,
-        &StageTimer::disabled(),
-    )
+    let mut out = vec![Complex32::ZERO; input.slots[slot].reference.antenna(rx).len()];
+    let arena = &mut ScratchArena::new();
+    estimate_path_into(cell, input, slot, rx, layer, planner, arena, &mut out);
+    out
 }
 
-/// [`estimate_path`] with each kernel (matched filter → IFFT → window →
-/// FFT) wrapped in a wall-clock trace span.
-pub fn estimate_path_traced<R: Recorder>(
-    cell: &CellConfig,
-    input: &UserInput,
-    slot: usize,
-    rx: usize,
-    layer: usize,
-    planner: &FftPlanner,
-    timer: &StageTimer<'_, R>,
-) -> Vec<Complex32> {
-    let received = input.slots[slot].reference.antenna(rx);
-    let n = received.len();
-    let reference = reference_for_layer_cached(cell, &input.config, layer);
-    let mut work = vec![Complex32::ZERO; n];
-    timer.time(Stage::MatchedFilter, || {
-        matched_filter(received, reference.samples(), &mut work)
-    });
-    timer.time(Stage::Ifft, || planner.inverse(n).process(&mut work));
-    timer.time(Stage::Window, || ChannelWindow::for_len(n).apply(&mut work));
-    timer.time(Stage::Fft, || planner.forward(n).process(&mut work));
-    work
-}
-
-/// [`estimate_path`] into a caller-provided slice, with FFT working
-/// space drawn from `arena` and the DM-RS reference served from the
-/// global cache — the zero-allocation variant the worker pool runs in
-/// steady state. The kernel sequence and arithmetic are identical to
-/// the allocating path, so results are byte-for-byte equal.
+/// Estimates a single (rx, layer) path into a caller-provided slice,
+/// with FFT working space drawn from `arena` and the DM-RS reference
+/// served from the global cache — the zero-allocation kernel the worker
+/// pool runs as one task.
 ///
 /// Every element of `out` is overwritten.
 ///
@@ -172,48 +129,60 @@ pub fn estimate_path_into(
     arena: &mut ScratchArena,
     out: &mut [Complex32],
 ) {
+    let timer = &StageTimer::disabled();
+    estimate_path_timed(cell, input, slot, rx, layer, planner, arena, out, timer);
+}
+
+/// The one path-estimation body: each kernel (matched filter → IFFT →
+/// window → FFT) runs inside a `timer` span, which a disabled timer
+/// reduces to the bare call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn estimate_path_timed<R: Recorder>(
+    cell: &CellConfig,
+    input: &UserInput,
+    slot: usize,
+    rx: usize,
+    layer: usize,
+    planner: &FftPlanner,
+    arena: &mut ScratchArena,
+    out: &mut [Complex32],
+    timer: &StageTimer<'_, R>,
+) {
     let received = input.slots[slot].reference.antenna(rx);
     let n = received.len();
     let reference = reference_for_layer_cached(cell, &input.config, layer);
-    matched_filter(received, reference.samples(), out);
-    planner
-        .inverse(n)
-        .process_with_scratch(out, arena.fft_scratch(n));
-    ChannelWindow::for_len(n).apply(out);
-    planner
-        .forward(n)
-        .process_with_scratch(out, arena.fft_scratch(n));
+    timer.time(Stage::MatchedFilter, || {
+        matched_filter(received, reference.samples(), out)
+    });
+    timer.time(Stage::Ifft, || {
+        planner
+            .inverse(n)
+            .process_with_scratch(out, arena.fft_scratch(n))
+    });
+    timer.time(Stage::Window, || ChannelWindow::for_len(n).apply(out));
+    timer.time(Stage::Fft, || {
+        planner
+            .forward(n)
+            .process_with_scratch(out, arena.fft_scratch(n))
+    });
 }
 
-/// Estimates every path of one slot serially (the reference
-/// implementation; the parallel runtime spawns [`estimate_path`] tasks
-/// instead).
+/// Estimates every path of one slot serially into a fresh
+/// [`ChannelEstimate`] (the parallel runtime spawns
+/// [`estimate_path_into`] tasks instead).
 pub fn estimate_slot(
     cell: &CellConfig,
     input: &UserInput,
     slot: usize,
     planner: &FftPlanner,
 ) -> ChannelEstimate {
-    estimate_slot_traced(cell, input, slot, planner, &StageTimer::disabled())
-}
-
-/// [`estimate_slot`] with per-kernel trace spans.
-pub fn estimate_slot_traced<R: Recorder>(
-    cell: &CellConfig,
-    input: &UserInput,
-    slot: usize,
-    planner: &FftPlanner,
-    timer: &StageTimer<'_, R>,
-) -> ChannelEstimate {
     let n_sc = input.config.subcarriers();
     let mut est = ChannelEstimate::empty(cell.n_rx, input.config.layers, n_sc);
+    let arena = &mut ScratchArena::new();
     for rx in 0..cell.n_rx {
         for layer in 0..input.config.layers {
-            est.set_path(
-                rx,
-                layer,
-                estimate_path_traced(cell, input, slot, rx, layer, planner, timer),
-            );
+            let out = est.path_mut(rx, layer);
+            estimate_path_into(cell, input, slot, rx, layer, planner, arena, out);
         }
     }
     est
@@ -330,16 +299,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn set_path_length_checked() {
-        let mut est = ChannelEstimate::empty(1, 1, 12);
-        est.set_path(0, 0, vec![Complex32::ZERO; 13]);
-    }
-
-    #[test]
     fn reset_matches_empty_and_reuses_storage() {
         let mut est = ChannelEstimate::empty(4, 2, 36);
-        est.set_path(0, 1, vec![Complex32::ONE; 36]);
+        *est.path_mut(0, 1) = vec![Complex32::ONE; 36];
         est.reset(2, 4, 12);
         assert_eq!(est, ChannelEstimate::empty(2, 4, 12));
         // Shrinking then re-growing within capacity must not lose shape.
@@ -348,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn estimate_path_into_matches_allocating_path_bitwise() {
+    fn estimate_path_into_is_independent_of_dirty_scratch() {
         let cell = CellConfig::default();
         let user = UserConfig::new(6, 2, Modulation::Qam16);
         let mut rng = Xoshiro256::seed_from_u64(11);
@@ -378,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn noise_var_with_arena_matches_allocating_path_bitwise() {
+    fn noise_var_with_arena_is_independent_of_dirty_scratch() {
         let cell = CellConfig::with_antennas(2);
         let user = UserConfig::new(8, 2, Modulation::Qpsk);
         let mut rng = Xoshiro256::seed_from_u64(13);
@@ -390,20 +352,22 @@ mod tests {
             &mut rng,
         );
         let planner = FftPlanner::new();
-        let mut arena = lte_dsp::arena::ScratchArena::new();
+        let mut arena = ScratchArena::new();
         for slot in 0..2 {
             for rx in 0..2 {
-                let fresh = estimate_noise_var(&cell, &input, slot, rx, &planner);
-                let pooled =
+                let fresh = &mut ScratchArena::new();
+                let fresh = estimate_noise_var_with_arena(&cell, &input, slot, rx, &planner, fresh);
+                let warm =
                     estimate_noise_var_with_arena(&cell, &input, slot, rx, &planner, &mut arena);
-                assert_eq!(fresh.to_bits(), pooled.to_bits(), "slot {slot} rx {rx}");
+                assert_eq!(fresh.to_bits(), warm.to_bits(), "slot {slot} rx {rx}");
             }
         }
         assert!(arena.pooled_buffers() >= 2, "buffers must return to pool");
     }
 }
 
-/// Blind noise-variance estimation from one received reference symbol.
+/// Blind noise-variance estimation from one received reference symbol,
+/// with all working buffers drawn from `arena`.
 ///
 /// After the matched filter and IFFT, the channel energy of every layer
 /// is confined to a window around its cyclic-shift offset; the remaining
@@ -411,22 +375,6 @@ mod tests {
 /// `1/N` scaling). Averaging their power and scaling by `N` recovers the
 /// per-subcarrier noise variance — the receiver does not need the true
 /// value the synthesiser used.
-///
-/// # Panics
-///
-/// Panics if `slot` or `rx` is out of range.
-pub fn estimate_noise_var(
-    cell: &CellConfig,
-    input: &UserInput,
-    slot: usize,
-    rx: usize,
-    planner: &FftPlanner,
-) -> f32 {
-    estimate_noise_var_with_arena(cell, input, slot, rx, planner, &mut ScratchArena::new())
-}
-
-/// [`estimate_noise_var`] with all working buffers drawn from `arena` —
-/// the zero-allocation variant of the steady-state receive path.
 ///
 /// # Panics
 ///
@@ -490,6 +438,7 @@ mod noise_tests {
     fn noise_estimate_tracks_truth() {
         let cell = CellConfig::with_antennas(2);
         let planner = FftPlanner::new();
+        let arena = &mut ScratchArena::new();
         for snr_db in [0.0, 10.0, 20.0] {
             let user = UserConfig::new(16, 2, Modulation::Qpsk);
             let mut rng = Xoshiro256::seed_from_u64(42);
@@ -505,7 +454,7 @@ mod noise_tests {
                     snr_db,
                     &mut rng,
                 );
-                est += estimate_noise_var(&cell, &input, 0, 0, &planner) as f64;
+                est += estimate_noise_var_with_arena(&cell, &input, 0, 0, &planner, arena) as f64;
                 truth += input.noise_var as f64;
             }
             let ratio = est / truth;
@@ -520,10 +469,11 @@ mod noise_tests {
     fn estimate_is_positive_even_on_clean_channels() {
         let cell = CellConfig::with_antennas(2);
         let planner = FftPlanner::new();
+        let arena = &mut ScratchArena::new();
         let user = UserConfig::new(8, 1, Modulation::Qpsk);
         let mut rng = Xoshiro256::seed_from_u64(7);
         let input = synthesize_user_with_mode(&cell, &user, TurboMode::Passthrough, 50.0, &mut rng);
-        let est = estimate_noise_var(&cell, &input, 0, 0, &planner);
+        let est = estimate_noise_var_with_arena(&cell, &input, 0, 0, &planner, arena);
         assert!(est > 0.0 && est.is_finite());
     }
 }

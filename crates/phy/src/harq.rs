@@ -14,17 +14,17 @@
 //!   budget and campaign-level statistics.
 //!
 //! The combining boundary is deliberately *before* descrambling and
-//! deinterleaving ([`demodulate_user`] output order): both are fixed
+//! deinterleaving ([`demodulate_user_into`] output order): both are fixed
 //! per-allocation permutations/sign-flips, so combining commutes with
-//! them, and the serial tail ([`finish_user`]) runs once per decode
-//! attempt instead of once per transmission.
+//! them, and the serial tail ([`finish_user_with_arena`]) runs once per
+//! decode attempt instead of once per transmission.
 
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::llr::combine_llrs;
 
 use crate::grid::UserInput;
 use crate::params::{CellConfig, TurboMode};
-use crate::receiver::{demodulate_user, finish_user, UserResult};
+use crate::receiver::{demodulate_user_into, finish_user_with_arena, UserResult, UserScratch};
 
 /// One transport block's soft buffer across HARQ attempts.
 #[derive(Clone, Debug, Default)]
@@ -63,14 +63,19 @@ impl HarqProcess {
         mode: TurboMode,
         planner: &FftPlanner,
     ) -> UserResult {
-        let update = demodulate_user(cell, input, planner);
-        if self.combined.is_empty() {
-            self.combined = update;
-        } else {
-            combine_llrs(&mut self.combined, &update);
-        }
         self.attempts += 1;
-        finish_user(cell, input, mode, &self.combined)
+        UserScratch::with(|scratch| {
+            if self.combined.is_empty() {
+                demodulate_user_into(cell, input, planner, scratch, &mut self.combined);
+            } else {
+                let mut update = scratch.arena.take_f32(self.combined.len());
+                demodulate_user_into(cell, input, planner, scratch, &mut update);
+                combine_llrs(&mut self.combined, &update);
+                scratch.arena.recycle_f32(update);
+            }
+            let (arena, turbo) = (&mut scratch.arena, &mut scratch.turbo);
+            finish_user_with_arena(cell, input, mode, &self.combined, arena, turbo)
+        })
     }
 }
 

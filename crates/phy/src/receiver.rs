@@ -1,12 +1,16 @@
-//! The complete per-user receive pipeline (Fig. 3) and its serial
-//! reference implementation.
+//! The complete per-user receive pipeline (Fig. 3): one serial body.
 //!
-//! [`process_user`] runs every stage in order on one thread — this is the
-//! *serial version* the paper uses to verify the parallel benchmark
-//! (§IV-D). The parallel runtime in `lte-uplink` calls the same kernels
-//! ([`crate::estimator::estimate_path`], [`crate::combiner::combine_symbol`],
-//! [`finish_user`]) as work-stealing tasks; because every task computes an
-//! independent output block, serial and parallel results are bit-exact.
+//! [`process_user_pooled`] runs every stage in order on one thread — this
+//! is the *serial version* the paper uses to verify the parallel benchmark
+//! (§IV-D). It works entirely out of the calling thread's [`UserScratch`],
+//! so the reference path and the zero-allocation steady-state path are the
+//! same code; [`process_user_traced`] is that body with a live
+//! [`StageTimer`], [`process_user_blind`] the same body fed an estimated
+//! noise variance. The parallel runtime in `lte-uplink` calls the same
+//! kernels ([`crate::estimator::estimate_path_into`],
+//! [`crate::combiner::combine_symbol_into`], [`finish_user_with_arena`])
+//! as work-stealing tasks; because every task computes an independent
+//! output block, serial and parallel results are bit-exact.
 
 use std::cell::RefCell;
 
@@ -14,7 +18,7 @@ use lte_dsp::arena::ScratchArena;
 use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::interleave::{subblock_cached, Interleaver};
-use lte_dsp::llr::{demap_block, demap_block_into, hard_decisions, hard_decisions_into};
+use lte_dsp::llr::{demap_block_into, hard_decisions_into};
 use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::descramble_llrs;
 use lte_dsp::segmentation::Segmentation;
@@ -22,8 +26,8 @@ use lte_dsp::turbo::{TurboDecoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::Complex32;
 use lte_obs::{Recorder, Stage};
 
-use crate::combiner::{combine_symbol, combine_symbol_into, CombinerWeights, MmseScratch};
-use crate::estimator::{estimate_path_into, estimate_slot, estimate_slot_traced, ChannelEstimate};
+use crate::combiner::{combine_symbol_into, CombinerWeights, MmseScratch};
+use crate::estimator::{estimate_noise_var_with_arena, estimate_path_timed, ChannelEstimate};
 use crate::grid::UserInput;
 use crate::params::{CellConfig, TurboMode, DATA_SYMBOLS_PER_SLOT, SLOTS_PER_SUBFRAME};
 use crate::trace::StageTimer;
@@ -110,11 +114,9 @@ impl TurboScratch {
 /// deinterleave is fused into each block's rate-match gather through
 /// `interleaver`'s inverse permutation — no deinterleaved buffer is
 /// ever materialised, which removes a full store/reload pass over the
-/// allocation from the decode tail. Shared by the allocating and
-/// arena-backed tails so their results are byte-identical by
-/// construction. Per-block CRC-24B failures are absorbed here (a failed
-/// block CRC implies the transport CRC-24A will fail too, matching
-/// `desegment`'s contract).
+/// allocation from the decode tail. Per-block CRC-24B failures are
+/// absorbed here (a failed block CRC implies the transport CRC-24A will
+/// fail too, matching `desegment`'s contract).
 fn decode_transport(
     turbo: &mut TurboScratch,
     descrambled: &[f32],
@@ -145,100 +147,16 @@ fn decode_transport(
     }
 }
 
-/// Runs the final, non-parallelisable tail of the pipeline: deinterleave →
-/// soft demap has already produced `llrs` in transmission order; this
-/// performs deinterleaving, turbo decode (or pass-through), and the CRC.
+/// Runs the final, non-parallelisable tail of the pipeline on LLRs the
+/// soft demapper produced in transmission order: descramble →
+/// deinterleave → turbo decode (or pass-through hard decision) → CRC.
+/// Every working buffer is drawn from `arena`, so the steady-state tail
+/// allocates nothing. The returned payload's storage also comes from the
+/// arena; callers that want a fully allocation-free loop hand it back
+/// with [`ScratchArena::recycle_u8`] once they are done with it.
 ///
 /// `llrs` must be ordered exactly as the transmitter's
 /// [`crate::tx::split_bits`] chunks: slot-major, then symbol, then layer.
-///
-/// # Panics
-///
-/// Panics if `llrs.len()` does not equal the user's bits-per-subframe.
-pub fn finish_user(
-    cell: &CellConfig,
-    input: &UserInput,
-    mode: TurboMode,
-    llrs: &[f32],
-) -> UserResult {
-    finish_user_traced(cell, input, mode, llrs, &StageTimer::disabled())
-}
-
-/// [`finish_user`] with deinterleave / turbo / CRC trace spans.
-///
-/// # Panics
-///
-/// Panics if `llrs.len()` does not equal the user's bits-per-subframe.
-pub fn finish_user_traced<R: Recorder>(
-    cell: &CellConfig,
-    input: &UserInput,
-    mode: TurboMode,
-    llrs: &[f32],
-    timer: &StageTimer<'_, R>,
-) -> UserResult {
-    let user = &input.config;
-    let total = user.bits_per_subframe();
-    assert_eq!(llrs.len(), total, "LLR count must match the allocation");
-    let plan = FramePlan::for_user(user, mode);
-    let (mut frame_bits, expected_len) = match (mode, plan) {
-        (TurboMode::Passthrough, FramePlan::Passthrough { payload_bits }) => {
-            // Undo the Gold-sequence scrambling (sign flips), then
-            // deinterleave before the hard decision.
-            let deinterleaved = timer.time(Stage::Deinterleave, || {
-                let mut llrs = llrs.to_vec();
-                descramble_llrs(&mut llrs, crate::tx::scrambling_init(cell, user));
-                subblock_cached(total).invert(&llrs)
-            });
-            timer.time(Stage::Turbo, || {
-                (hard_decisions(&deinterleaved), payload_bits + 24)
-            })
-        }
-        (TurboMode::Decode { iterations }, FramePlan::Coded { transport_bits, .. }) => {
-            // Descramble only: the deinterleave is fused into the
-            // per-block rate-match gather inside `decode_transport`, so
-            // the deinterleaved buffer is never materialised. This
-            // reference path builds its turbo state fresh each call; the
-            // steady-state path reuses a per-worker [`TurboScratch`].
-            let descrambled = timer.time(Stage::Deinterleave, || {
-                let mut llrs = llrs.to_vec();
-                descramble_llrs(&mut llrs, crate::tx::scrambling_init(cell, user));
-                llrs
-            });
-            timer.time(Stage::Turbo, || {
-                let mut turbo = TurboScratch::new();
-                let mut bits = Vec::new();
-                decode_transport(
-                    &mut turbo,
-                    &descrambled,
-                    &subblock_cached(total),
-                    iterations,
-                    transport_bits,
-                    &mut bits,
-                );
-                (bits, transport_bits)
-            })
-        }
-        _ => unreachable!("plan always matches mode"),
-    };
-    let crc_ok = timer.time(Stage::Crc, || {
-        frame_bits.truncate(expected_len);
-        CRC24A.check_bits(&frame_bits)
-    });
-    frame_bits.truncate(expected_len - 24);
-    UserResult {
-        payload: frame_bits,
-        crc_ok,
-    }
-}
-
-/// [`finish_user`] with every working buffer drawn from `arena` — the
-/// zero-allocation tail of the steady-state path. The returned payload's
-/// storage also comes from the arena; callers that want a fully
-/// allocation-free loop hand it back with
-/// [`ScratchArena::recycle_u8`] once they are done with it.
-///
-/// Arithmetic and ordering match [`finish_user`] exactly, so results are
-/// byte-identical.
 ///
 /// # Panics
 ///
@@ -251,47 +169,72 @@ pub fn finish_user_with_arena(
     arena: &mut ScratchArena,
     turbo: &mut TurboScratch,
 ) -> UserResult {
+    let timer = &StageTimer::disabled();
+    finish_user_timed(cell, input, mode, llrs, arena, turbo, timer)
+}
+
+/// The one decode tail, with deinterleave / turbo / CRC spans on `timer`.
+fn finish_user_timed<R: Recorder>(
+    cell: &CellConfig,
+    input: &UserInput,
+    mode: TurboMode,
+    llrs: &[f32],
+    arena: &mut ScratchArena,
+    turbo: &mut TurboScratch,
+    timer: &StageTimer<'_, R>,
+) -> UserResult {
     let user = &input.config;
     let total = user.bits_per_subframe();
     assert_eq!(llrs.len(), total, "LLR count must match the allocation");
-    // Undo the Gold-sequence scrambling (sign flips).
+    let interleaver = subblock_cached(total);
+    // Descrambling (Gold-sequence sign flips) runs in place on a copy.
     let mut scrambled = arena.take_f32(total);
-    scrambled.extend_from_slice(llrs);
-    descramble_llrs(&mut scrambled, crate::tx::scrambling_init(cell, user));
-    let plan = FramePlan::for_user(user, mode);
-    let (mut frame_bits, expected_len) = match (mode, plan) {
+    let (mut frame_bits, expected_len) = match (mode, FramePlan::for_user(user, mode)) {
         (TurboMode::Passthrough, FramePlan::Passthrough { payload_bits }) => {
             let mut deinterleaved = arena.take_f32(total);
-            deinterleaved.resize(total, 0.0);
-            subblock_cached(total).invert_into(&scrambled, &mut deinterleaved);
+            timer.time(Stage::Deinterleave, || {
+                scrambled.extend_from_slice(llrs);
+                descramble_llrs(&mut scrambled, crate::tx::scrambling_init(cell, user));
+                deinterleaved.resize(total, 0.0);
+                interleaver.invert_into(&scrambled, &mut deinterleaved);
+            });
             let mut bits = arena.take_u8(total);
-            hard_decisions_into(&deinterleaved, &mut bits);
+            timer.time(Stage::Turbo, || {
+                hard_decisions_into(&deinterleaved, &mut bits)
+            });
             arena.recycle_f32(deinterleaved);
             (bits, payload_bits + 24)
         }
         (TurboMode::Decode { iterations }, FramePlan::Coded { transport_bits, .. }) => {
-            // Decode through the per-worker turbo scratch with the
-            // deinterleave fused into each block's rate-match gather:
-            // with a warm codec cache the whole tail — gather-dematch,
-            // SISO iterations, desegmentation — reuses held buffers and
-            // allocates nothing, and the separate deinterleave pass over
-            // the allocation is gone entirely.
+            // Descramble only: the deinterleave is fused into each
+            // block's rate-match gather inside `decode_transport`. With a
+            // warm codec cache the whole tail — gather-dematch, SISO
+            // iterations, desegmentation — reuses held buffers and
+            // allocates nothing.
+            timer.time(Stage::Deinterleave, || {
+                scrambled.extend_from_slice(llrs);
+                descramble_llrs(&mut scrambled, crate::tx::scrambling_init(cell, user));
+            });
             let mut bits = arena.take_u8(transport_bits);
-            decode_transport(
-                turbo,
-                &scrambled,
-                &subblock_cached(total),
-                iterations,
-                transport_bits,
-                &mut bits,
-            );
+            timer.time(Stage::Turbo, || {
+                decode_transport(
+                    turbo,
+                    &scrambled,
+                    &interleaver,
+                    iterations,
+                    transport_bits,
+                    &mut bits,
+                )
+            });
             (bits, transport_bits)
         }
         _ => unreachable!("plan always matches mode"),
     };
     arena.recycle_f32(scrambled);
-    frame_bits.truncate(expected_len);
-    let crc_ok = CRC24A.check_bits(&frame_bits);
+    let crc_ok = timer.time(Stage::Crc, || {
+        frame_bits.truncate(expected_len);
+        CRC24A.check_bits(&frame_bits)
+    });
     frame_bits.truncate(expected_len - 24);
     UserResult {
         payload: frame_bits,
@@ -299,131 +242,9 @@ pub fn finish_user_with_arena(
     }
 }
 
-/// Soft-demaps one combined (symbol, layer) block into LLRs.
-pub fn demap_symbol(input: &UserInput, combined: &[Complex32]) -> Vec<f32> {
-    demap_block(input.config.modulation, combined, input.noise_var)
-}
-
-/// [`demap_symbol`] appending into a caller-owned buffer.
-pub fn demap_symbol_into(input: &UserInput, combined: &[Complex32], out: &mut Vec<f32>) {
-    demap_block_into(input.config.modulation, combined, input.noise_var, out);
-}
-
-/// [`demap_symbol`] with the exact log-sum-exp demapper instead of the
-/// max-log approximation — the fidelity the `DegradeDemap` overload
-/// policy gives up when the receiver falls behind its deadline budget.
-pub fn demap_symbol_exact(input: &UserInput, combined: &[Complex32]) -> Vec<f32> {
-    lte_dsp::llr::demap_block_exact(input.config.modulation, combined, input.noise_var)
-}
-
-/// Processes one user end to end, serially — the reference path.
-///
-/// # Panics
-///
-/// Panics if `input` is internally inconsistent (see
-/// [`UserInput::validate`]).
-pub fn process_user(cell: &CellConfig, input: &UserInput, mode: TurboMode) -> UserResult {
-    let planner = FftPlanner::new();
-    process_user_with_planner(cell, input, mode, &planner)
-}
-
-/// [`process_user`] with a shared FFT planner (avoids replanning when many
-/// users share allocation sizes).
-pub fn process_user_with_planner(
-    cell: &CellConfig,
-    input: &UserInput,
-    mode: TurboMode,
-    planner: &FftPlanner,
-) -> UserResult {
-    process_user_traced(cell, input, mode, planner, &StageTimer::disabled())
-}
-
-/// The serial pipeline with every stage wrapped in a wall-clock trace
-/// span: the estimation kernels (matched filter, IFFT, window, FFT),
-/// combiner weights, per-symbol combining, demapping, and the serial
-/// tail (deinterleave, turbo, CRC).
-///
-/// # Panics
-///
-/// Panics if `input` is internally inconsistent (see
-/// [`UserInput::validate`]).
-pub fn process_user_traced<R: Recorder>(
-    cell: &CellConfig,
-    input: &UserInput,
-    mode: TurboMode,
-    planner: &FftPlanner,
-    timer: &StageTimer<'_, R>,
-) -> UserResult {
-    let llrs = demodulate_user_traced(cell, input, planner, timer);
-    // Stage 3: deinterleave → (turbo) decode → CRC.
-    finish_user_traced(cell, input, mode, &llrs, timer)
-}
-
-/// Runs the demodulation front half of the pipeline — estimation,
-/// combiner weights, antenna combining and soft demapping — and returns
-/// the raw (still scrambled/interleaved) LLRs in transmission order.
-///
-/// This is the HARQ soft-combining boundary: retransmissions of one
-/// transport block are scrambled identically, so their raw LLR streams
-/// add element-wise ([`lte_dsp::llr::combine_llrs`]) before a single
-/// [`finish_user`] pass descrambles and decodes the combination.
-///
-/// # Panics
-///
-/// Panics if `input` is internally inconsistent (see
-/// [`UserInput::validate`]).
-pub fn demodulate_user(cell: &CellConfig, input: &UserInput, planner: &FftPlanner) -> Vec<f32> {
-    demodulate_user_traced(cell, input, planner, &StageTimer::disabled())
-}
-
-/// [`demodulate_user`] with per-stage wall-clock trace spans.
-///
-/// # Panics
-///
-/// Panics if `input` is internally inconsistent (see
-/// [`UserInput::validate`]).
-pub fn demodulate_user_traced<R: Recorder>(
-    cell: &CellConfig,
-    input: &UserInput,
-    planner: &FftPlanner,
-    timer: &StageTimer<'_, R>,
-) -> Vec<f32> {
-    input.validate();
-    let user = &input.config;
-
-    // Stage 1: channel estimation per slot (rx × layer tasks), then
-    // combiner weights — data processing for a slot needs that slot's
-    // estimate (§II-C).
-    let weights: Vec<CombinerWeights> = (0..SLOTS_PER_SUBFRAME)
-        .map(|slot| {
-            let est = estimate_slot_traced(cell, input, slot, planner, timer);
-            timer.time(Stage::Weights, || {
-                CombinerWeights::mmse(&est, input.noise_var)
-            })
-        })
-        .collect();
-
-    // Stage 2: antenna combining + IFFT per (slot, symbol, layer), then
-    // soft demapping, keeping the transmitter's bit order.
-    let mut llrs = Vec::with_capacity(user.bits_per_subframe());
-    #[allow(clippy::needless_range_loop)] // slot indexes input and weights in parallel
-    for slot in 0..SLOTS_PER_SUBFRAME {
-        for sym in 0..DATA_SYMBOLS_PER_SLOT {
-            for layer in 0..user.layers {
-                let combined = timer.time(Stage::Combining, || {
-                    combine_symbol(input, &weights[slot], slot, sym, layer, planner)
-                });
-                let demapped = timer.time(Stage::Demap, || demap_symbol(input, &combined));
-                llrs.extend(demapped);
-            }
-        }
-    }
-    llrs
-}
-
-/// Per-thread reusable state for the zero-allocation receive path: the
-/// buffer arena plus the estimate, weight and matrix scratch the
-/// pipeline reshapes in place every subframe.
+/// Per-thread reusable state for the receive path: the buffer arena plus
+/// the estimate, weight and matrix scratch the pipeline reshapes in
+/// place every subframe.
 ///
 /// One instance lives per worker thread (see [`UserScratch::with`]);
 /// nothing here is shared, so there is no locking on the hot path.
@@ -495,10 +316,16 @@ impl UserScratch {
     }
 }
 
-/// [`demodulate_user`] with all working state drawn from `scratch`,
-/// appending the LLRs to `out` — the zero-allocation front half of the
-/// steady-state path. Kernel order and arithmetic match the allocating
-/// pipeline exactly, so the LLR stream is byte-identical.
+/// Runs the demodulation front half of the pipeline — estimation,
+/// combiner weights, antenna combining and soft demapping — with all
+/// working state drawn from `scratch`, writing the raw (still
+/// scrambled/interleaved) LLRs in transmission order to `out`.
+///
+/// This is the HARQ soft-combining boundary: retransmissions of one
+/// transport block are scrambled identically, so their raw LLR streams
+/// add element-wise ([`lte_dsp::llr::combine_llrs`]) before a single
+/// [`finish_user_with_arena`] pass descrambles and decodes the
+/// combination.
 ///
 /// `out` is cleared and refilled; its capacity is reused.
 ///
@@ -512,6 +339,22 @@ pub fn demodulate_user_into(
     planner: &FftPlanner,
     scratch: &mut UserScratch,
     out: &mut Vec<f32>,
+) {
+    let timer = &StageTimer::disabled();
+    demodulate_user_timed(cell, input, input.noise_var, planner, scratch, out, timer);
+}
+
+/// The one serial slot → symbol → layer demodulation loop. `noise_var`
+/// regularises the MMSE weights and scales the LLRs: the genie value
+/// carried by `input`, or the blind receiver's estimate.
+fn demodulate_user_timed<R: Recorder>(
+    cell: &CellConfig,
+    input: &UserInput,
+    noise_var: f32,
+    planner: &FftPlanner,
+    scratch: &mut UserScratch,
+    out: &mut Vec<f32>,
+    timer: &StageTimer<'_, R>,
 ) {
     input.validate();
     let user = &input.config;
@@ -527,19 +370,13 @@ pub fn demodulate_user_into(
         scratch.est.reset(cell.n_rx, user.layers, n_sc);
         for rx in 0..cell.n_rx {
             for layer in 0..user.layers {
-                estimate_path_into(
-                    cell,
-                    input,
-                    slot,
-                    rx,
-                    layer,
-                    planner,
-                    &mut scratch.arena,
-                    scratch.est.path_mut(rx, layer),
-                );
+                let (arena, path) = (&mut scratch.arena, scratch.est.path_mut(rx, layer));
+                estimate_path_timed(cell, input, slot, rx, layer, planner, arena, path, timer);
             }
         }
-        scratch.weights[slot].compute(&scratch.est, input.noise_var, &mut scratch.mmse);
+        timer.time(Stage::Weights, || {
+            scratch.weights[slot].compute(&scratch.est, noise_var, &mut scratch.mmse)
+        });
     }
 
     // Stage 2: antenna combining + IFFT per (slot, symbol, layer), then
@@ -549,26 +386,50 @@ pub fn demodulate_user_into(
     for slot in 0..SLOTS_PER_SUBFRAME {
         for sym in 0..DATA_SYMBOLS_PER_SLOT {
             for layer in 0..user.layers {
-                combine_symbol_into(
-                    input,
-                    &scratch.weights[slot],
-                    slot,
-                    sym,
-                    layer,
-                    planner,
-                    &mut scratch.arena,
-                    &mut scratch.combined,
-                );
-                demap_block_into(user.modulation, &scratch.combined, input.noise_var, out);
+                timer.time(Stage::Combining, || {
+                    combine_symbol_into(
+                        input,
+                        &scratch.weights[slot],
+                        slot,
+                        sym,
+                        layer,
+                        planner,
+                        &mut scratch.arena,
+                        &mut scratch.combined,
+                    )
+                });
+                timer.time(Stage::Demap, || {
+                    demap_block_into(user.modulation, &scratch.combined, noise_var, out)
+                });
             }
         }
     }
 }
 
-/// [`process_user_with_planner`] running entirely on this thread's
-/// [`UserScratch`] — the zero-allocation serial pipeline. After warmup
-/// the only heap traffic is the returned payload, whose storage cycles
-/// through the arena when the caller recycles it.
+/// The one serial receiver body: demodulate, then the decode tail, on
+/// this thread's [`UserScratch`].
+fn process_user_timed<R: Recorder>(
+    cell: &CellConfig,
+    input: &UserInput,
+    mode: TurboMode,
+    noise_var: f32,
+    planner: &FftPlanner,
+    timer: &StageTimer<'_, R>,
+) -> UserResult {
+    UserScratch::with(|scratch| {
+        let mut llrs = std::mem::take(&mut scratch.llrs);
+        demodulate_user_timed(cell, input, noise_var, planner, scratch, &mut llrs, timer);
+        let (arena, turbo) = (&mut scratch.arena, &mut scratch.turbo);
+        let result = finish_user_timed(cell, input, mode, &llrs, arena, turbo, timer);
+        scratch.llrs = llrs;
+        result
+    })
+}
+
+/// Processes one user end to end, serially — the reference path, on this
+/// thread's [`UserScratch`]. After warmup the only heap traffic is the
+/// returned payload, whose storage cycles through the arena when the
+/// caller recycles it.
 ///
 /// # Panics
 ///
@@ -580,20 +441,62 @@ pub fn process_user_pooled(
     mode: TurboMode,
     planner: &FftPlanner,
 ) -> UserResult {
-    UserScratch::with(|scratch| {
-        let mut llrs = std::mem::take(&mut scratch.llrs);
-        demodulate_user_into(cell, input, planner, scratch, &mut llrs);
-        let result = finish_user_with_arena(
-            cell,
-            input,
-            mode,
-            &llrs,
-            &mut scratch.arena,
-            &mut scratch.turbo,
-        );
-        scratch.llrs = llrs;
-        result
-    })
+    let timer = &StageTimer::disabled();
+    process_user_timed(cell, input, mode, input.noise_var, planner, timer)
+}
+
+/// [`process_user_pooled`] with a private FFT planner, for one-off calls.
+///
+/// # Panics
+///
+/// Panics if `input` is internally inconsistent (see
+/// [`UserInput::validate`]).
+pub fn process_user(cell: &CellConfig, input: &UserInput, mode: TurboMode) -> UserResult {
+    process_user_pooled(cell, input, mode, &FftPlanner::new())
+}
+
+/// [`process_user_pooled`] with every stage wrapped in a wall-clock trace
+/// span: the estimation kernels (matched filter, IFFT, window, FFT),
+/// combiner weights, per-symbol combining, demapping, and the serial
+/// tail (deinterleave, turbo, CRC).
+///
+/// # Panics
+///
+/// Panics if `input` is internally inconsistent (see
+/// [`UserInput::validate`]).
+pub fn process_user_traced<R: Recorder>(
+    cell: &CellConfig,
+    input: &UserInput,
+    mode: TurboMode,
+    planner: &FftPlanner,
+    timer: &StageTimer<'_, R>,
+) -> UserResult {
+    process_user_timed(cell, input, mode, input.noise_var, planner, timer)
+}
+
+/// Processes one user end to end *without* genie knowledge of the noise
+/// variance: the receiver estimates it blindly from the out-of-window
+/// taps of the reference symbol's channel impulse response (see
+/// [`crate::estimator::estimate_noise_var_with_arena`]) and uses the
+/// estimate for MMSE regularisation and LLR scaling.
+pub fn process_user_blind(cell: &CellConfig, input: &UserInput, mode: TurboMode) -> UserResult {
+    let planner = FftPlanner::new();
+    input.validate();
+    // Average the blind estimate over both slots and all antennas.
+    let noise = UserScratch::with(|scratch| {
+        let mut noise = 0.0f64;
+        for slot in 0..SLOTS_PER_SUBFRAME {
+            for rx in 0..cell.n_rx {
+                let arena = &mut scratch.arena;
+                noise +=
+                    estimate_noise_var_with_arena(cell, input, slot, rx, &planner, arena) as f64;
+            }
+        }
+        noise
+    });
+    let noise_var = (noise / (SLOTS_PER_SUBFRAME * cell.n_rx) as f64).max(1e-9) as f32;
+    let timer = &StageTimer::disabled();
+    process_user_timed(cell, input, mode, noise_var, &planner, timer)
 }
 
 #[cfg(test)]
@@ -727,59 +630,21 @@ mod tests {
     }
 
     #[test]
-    fn pooled_pipeline_matches_allocating_pipeline_bitwise() {
-        let cell = CellConfig::default();
-        let planner = FftPlanner::new();
-        let mut rng = Xoshiro256::seed_from_u64(31);
-        for (prbs, layers, modulation) in [
-            (4, 1, Modulation::Qpsk),
-            (10, 2, Modulation::Qam16),
-            (25, 4, Modulation::Qam64),
-        ] {
-            let user = UserConfig::new(prbs, layers, modulation);
-            let input = synthesize_user(&cell, &user, 35.0, &mut rng);
-            let fresh = process_user_with_planner(&cell, &input, TurboMode::Passthrough, &planner);
-            let pooled = process_user_pooled(&cell, &input, TurboMode::Passthrough, &planner);
-            assert_eq!(fresh, pooled, "{modulation} x{layers} prbs {prbs}");
-        }
-    }
-
-    #[test]
-    fn pooled_pipeline_matches_in_decode_mode() {
-        let cell = CellConfig::default();
-        let planner = FftPlanner::new();
-        let user = UserConfig::new(6, 2, Modulation::Qam16);
-        let mode = TurboMode::Decode { iterations: 4 };
-        let mut rng = Xoshiro256::seed_from_u64(8);
-        let input = synthesize_user_with_mode(&cell, &user, mode, 25.0, &mut rng);
-        let fresh = process_user_with_planner(&cell, &input, mode, &planner);
-        let pooled = process_user_pooled(&cell, &input, mode, &planner);
-        assert_eq!(fresh, pooled);
-        assert!(pooled.matches(&input.ground_truth));
-    }
-
-    #[test]
-    fn finish_user_with_arena_matches_and_recycles() {
+    fn finish_user_with_arena_is_repeatable_and_recycles() {
         let cell = CellConfig::default();
         let user = UserConfig::new(8, 2, Modulation::Qam16);
         let mut rng = Xoshiro256::seed_from_u64(17);
         let input = synthesize_user(&cell, &user, 35.0, &mut rng);
         let planner = FftPlanner::new();
-        let llrs = demodulate_user(&cell, &input, &planner);
-        let fresh = finish_user(&cell, &input, TurboMode::Passthrough, &llrs);
-        let mut arena = ScratchArena::new();
-        let mut turbo = TurboScratch::new();
+        let mut scratch = UserScratch::new();
+        let mut llrs = Vec::new();
+        demodulate_user_into(&cell, &input, &planner, &mut scratch, &mut llrs);
+        let UserScratch { arena, turbo, .. } = &mut scratch;
         for _ in 0..3 {
-            let pooled = finish_user_with_arena(
-                &cell,
-                &input,
-                TurboMode::Passthrough,
-                &llrs,
-                &mut arena,
-                &mut turbo,
-            );
-            assert_eq!(fresh, pooled);
-            arena.recycle_u8(pooled.payload);
+            let result =
+                finish_user_with_arena(&cell, &input, TurboMode::Passthrough, &llrs, arena, turbo);
+            assert!(result.matches(&input.ground_truth));
+            arena.recycle_u8(result.payload);
         }
         assert!(arena.pooled_buffers() >= 3, "buffers must return to pool");
     }
@@ -790,7 +655,15 @@ mod tests {
         let cell = CellConfig::default();
         let user = UserConfig::new(2, 1, Modulation::Qpsk);
         let input = synthesize_user(&cell, &user, 30.0, &mut Xoshiro256::seed_from_u64(1));
-        finish_user(&cell, &input, TurboMode::Passthrough, &[0.0; 10]);
+        let UserScratch { arena, turbo, .. } = &mut UserScratch::new();
+        finish_user_with_arena(
+            &cell,
+            &input,
+            TurboMode::Passthrough,
+            &[0.0; 10],
+            arena,
+            turbo,
+        );
     }
 
     #[test]
@@ -799,78 +672,49 @@ mod tests {
 
         let cell = CellConfig::default();
         let user = UserConfig::new(6, 2, Modulation::Qam16);
-        let input = synthesize_user(&cell, &user, 30.0, &mut Xoshiro256::seed_from_u64(21));
-        let plain = process_user(&cell, &input, TurboMode::Passthrough);
-
-        let recorder = RingRecorder::new(1 << 16);
-        let timer = StageTimer::new(&recorder);
         let planner = FftPlanner::new();
-        let traced = process_user_traced(&cell, &input, TurboMode::Passthrough, &planner, &timer);
-        assert_eq!(plain, traced, "tracing must not change results");
+        for mode in [TurboMode::Passthrough, TurboMode::Decode { iterations: 4 }] {
+            let mut rng = Xoshiro256::seed_from_u64(21);
+            let input = synthesize_user_with_mode(&cell, &user, mode, 30.0, &mut rng);
+            let plain = process_user_pooled(&cell, &input, mode, &planner);
+            assert!(plain.matches(&input.ground_truth), "{mode:?}");
 
-        let mut seen = std::collections::BTreeSet::new();
-        for ev in recorder.events() {
-            if let Event::StageSpan {
-                stage,
-                start_ns,
-                end_ns,
-            } = ev
-            {
-                assert!(end_ns >= start_ns);
-                seen.insert(stage.name());
+            let recorder = RingRecorder::new(1 << 16);
+            let timer = StageTimer::new(&recorder);
+            let traced = process_user_traced(&cell, &input, mode, &planner, &timer);
+            assert_eq!(plain, traced, "tracing must not change results ({mode:?})");
+
+            let mut seen = std::collections::BTreeSet::new();
+            for ev in recorder.events() {
+                if let Event::StageSpan {
+                    stage,
+                    start_ns,
+                    end_ns,
+                } = ev
+                {
+                    assert!(end_ns >= start_ns);
+                    seen.insert(stage.name());
+                }
             }
-        }
-        for stage in [
-            Stage::MatchedFilter,
-            Stage::Ifft,
-            Stage::Window,
-            Stage::Fft,
-            Stage::Weights,
-            Stage::Combining,
-            Stage::Demap,
-            Stage::Deinterleave,
-            Stage::Turbo,
-            Stage::Crc,
-        ] {
-            assert!(seen.contains(stage.name()), "no span for {stage}");
-        }
-    }
-}
-
-/// Processes one user end to end *without* genie knowledge of the noise
-/// variance: the receiver estimates it blindly from the out-of-window
-/// taps of the reference symbol's channel impulse response (see
-/// [`crate::estimator::estimate_noise_var`]) and uses the estimate for
-/// MMSE regularisation and LLR scaling.
-pub fn process_user_blind(cell: &CellConfig, input: &UserInput, mode: TurboMode) -> UserResult {
-    let planner = FftPlanner::new();
-    input.validate();
-    let user = &input.config;
-    // Average the blind estimate over both slots and all antennas.
-    let mut noise = 0.0f64;
-    for slot in 0..SLOTS_PER_SUBFRAME {
-        for rx in 0..cell.n_rx {
-            noise += crate::estimator::estimate_noise_var(cell, input, slot, rx, &planner) as f64;
-        }
-    }
-    let noise_var = (noise / (SLOTS_PER_SUBFRAME * cell.n_rx) as f64).max(1e-9) as f32;
-
-    let weights: Vec<CombinerWeights> = (0..SLOTS_PER_SUBFRAME)
-        .map(|slot| {
-            let est = estimate_slot(cell, input, slot, &planner);
-            CombinerWeights::mmse(&est, noise_var)
-        })
-        .collect();
-    let mut llrs = Vec::with_capacity(user.bits_per_subframe());
-    for (slot, w) in weights.iter().enumerate() {
-        for sym in 0..DATA_SYMBOLS_PER_SLOT {
-            for layer in 0..user.layers {
-                let combined = combine_symbol(input, w, slot, sym, layer, &planner);
-                llrs.extend(demap_block(user.modulation, &combined, noise_var));
+            for stage in [
+                Stage::MatchedFilter,
+                Stage::Ifft,
+                Stage::Window,
+                Stage::Fft,
+                Stage::Weights,
+                Stage::Combining,
+                Stage::Demap,
+                Stage::Deinterleave,
+                Stage::Turbo,
+                Stage::Crc,
+            ] {
+                assert!(
+                    seen.contains(stage.name()),
+                    "no span for {stage} ({mode:?})"
+                );
             }
         }
     }
-    finish_user(cell, input, mode, &llrs)
 }
 
 #[cfg(test)]

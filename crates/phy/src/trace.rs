@@ -2,10 +2,12 @@
 //!
 //! [`StageTimer`] wraps each PHY kernel invocation in a timed span and
 //! records it as an [`lte_obs::Event::StageSpan`] (nanoseconds from the
-//! timer's creation). With a disabled recorder the closure runs bare —
-//! no `Instant::now()` calls, no event construction — so the untraced
-//! entry points ([`crate::receiver::process_user`] and friends) pay
-//! nothing for the instrumentation hooks.
+//! timer's creation). A [`StageTimer::disabled`] timer carries no epoch
+//! and runs the closure bare — no `Instant::now()` at construction or per
+//! stage, no event construction — which is what lets the untraced entry
+//! points ([`crate::receiver::process_user_pooled`], the pool's per-task
+//! kernels) share one body with [`crate::receiver::process_user_traced`]
+//! and pay nothing for the instrumentation hooks.
 //!
 //! For continuous telemetry, a timer can additionally feed per-stage
 //! duration **histograms** ([`StageHists`]): one lock-free
@@ -86,16 +88,18 @@ impl StageHists {
 /// Times named pipeline stages against a shared epoch.
 pub struct StageTimer<'a, R: Recorder> {
     recorder: &'a R,
-    epoch: Instant,
+    /// `None` only for [`StageTimer::disabled`], which never reads a clock.
+    epoch: Option<Instant>,
     hists: Option<&'a StageHists>,
 }
 
 impl StageTimer<'static, NoopRecorder> {
-    /// A timer that records nothing and adds no timing overhead.
+    /// A timer that records nothing and never reads a clock — neither
+    /// here nor in [`time`](Self::time).
     pub fn disabled() -> Self {
         StageTimer {
             recorder: &NOOP,
-            epoch: Instant::now(),
+            epoch: None,
             hists: None,
         }
     }
@@ -107,7 +111,7 @@ impl StageTimer<'static, NoopRecorder> {
     pub fn histograms_only(hists: &StageHists) -> StageTimer<'_, NoopRecorder> {
         StageTimer {
             recorder: &NOOP,
-            epoch: Instant::now(),
+            epoch: Some(Instant::now()),
             hists: Some(hists),
         }
     }
@@ -119,18 +123,8 @@ impl<'a, R: Recorder> StageTimer<'a, R> {
     pub fn new(recorder: &'a R) -> Self {
         StageTimer {
             recorder,
-            epoch: Instant::now(),
+            epoch: Some(Instant::now()),
             hists: None,
-        }
-    }
-
-    /// Like [`new`](Self::new), but also feeding per-stage duration
-    /// histograms.
-    pub fn with_hists(recorder: &'a R, hists: &'a StageHists) -> Self {
-        StageTimer {
-            recorder,
-            epoch: Instant::now(),
-            hists: Some(hists),
         }
     }
 
@@ -138,12 +132,12 @@ impl<'a, R: Recorder> StageTimer<'a, R> {
     #[inline]
     pub fn time<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
         let spans = self.recorder.enabled();
-        if !spans && self.hists.is_none() {
+        let Some(epoch) = self.epoch.filter(|_| spans || self.hists.is_some()) else {
             return f();
-        }
-        let start_ns = self.epoch.elapsed().as_nanos() as u64;
+        };
+        let start_ns = epoch.elapsed().as_nanos() as u64;
         let out = f();
-        let end_ns = self.epoch.elapsed().as_nanos() as u64;
+        let end_ns = epoch.elapsed().as_nanos() as u64;
         if let Some(hists) = self.hists {
             hists.record(stage, end_ns - start_ns);
         }

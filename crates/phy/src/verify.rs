@@ -15,7 +15,7 @@ use lte_dsp::fft::FftPlanner;
 
 use crate::grid::UserInput;
 use crate::params::{CellConfig, TurboMode};
-use crate::receiver::{process_user_with_planner, UserResult};
+use crate::receiver::{process_user_pooled, UserResult};
 
 /// Serial reference results for a predetermined subframe sequence.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -164,7 +164,7 @@ impl GoldenRecord {
             .map(|users| {
                 users
                     .iter()
-                    .map(|u| process_user_with_planner(cell, u, mode, &planner))
+                    .map(|u| process_user_pooled(cell, u, mode, &planner))
                     .collect()
             })
             .collect();

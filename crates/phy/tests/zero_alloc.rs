@@ -7,37 +7,52 @@
 //! steady-state path fails this test with the exact allocation count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::interleave::prewarm_subblock;
 use lte_dsp::{Modulation, Xoshiro256};
-use lte_obs::{Counter, EblerAccumulator, Histogram, Stage};
+use lte_obs::{Counter, EblerAccumulator, Histogram, RingRecorder, Stage};
+use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
-use lte_phy::receiver::{process_user_pooled, UserScratch};
-use lte_phy::trace::StageHists;
-use lte_phy::tx::{prewarm_references, synthesize_user, synthesize_user_with_mode};
+use lte_phy::receiver::{process_user_pooled, process_user_traced, UserResult, UserScratch};
+use lte_phy::trace::{StageHists, StageTimer};
+use lte_phy::tx::{prewarm_references, synthesize_user_with_mode};
 
 /// Forwards to the system allocator, counting every allocation (fresh,
 /// zeroed, and growing reallocations — the three ways the hot path could
-/// touch the heap).
+/// touch the heap) made *by the calling thread*: the tests of this
+/// binary run concurrently, and one test's warmup must not show up in
+/// another's steady-state window.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator is still called while a thread tears
+    // its locals down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,49 +64,52 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn run_once_with_mode(
-    cell: &CellConfig,
-    input: &lte_phy::grid::UserInput,
-    mode: TurboMode,
-    planner: &FftPlanner,
-) {
-    let result = process_user_pooled(cell, input, mode, planner);
+/// A 25-PRB user synthesized for `mode`, with every cache the hot path
+/// reads — FFT plans, sub-block interleaver, reference sequences — warm.
+fn warm_input(mode: TurboMode, seed: u64) -> (CellConfig, FftPlanner, UserInput) {
+    let cell = CellConfig::default();
+    let user = UserConfig::new(25, 2, Modulation::Qam16);
+    let planner = FftPlanner::new();
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let input = synthesize_user_with_mode(&cell, &user, mode, 35.0, &mut rng);
+    planner.prewarm([user.prbs]);
+    prewarm_subblock([user.bits_per_subframe()]);
+    prewarm_references(&cell, &user);
+    (cell, planner, input)
+}
+
+/// Checks a steady-state result and returns its payload buffer to the
+/// pool so the next subframe can reuse it — exactly what the benchmark
+/// worker loop does.
+fn recycle(result: UserResult) {
     assert!(result.crc_ok, "steady-state subframe must pass CRC");
-    // Return the payload buffer to the pool so the next subframe can
-    // reuse it — exactly what the benchmark worker loop does.
     UserScratch::with(|s| s.arena.recycle_u8(result.payload));
 }
 
-fn run_once(cell: &CellConfig, input: &lte_phy::grid::UserInput, planner: &FftPlanner) {
-    run_once_with_mode(cell, input, TurboMode::Passthrough, planner);
+/// Runs `subframe` three times to let the scratch pools (and the turbo
+/// codec cache, whose QPP interleavers are built on the first decode)
+/// grow to their steady-state sizes, then five more times that must not
+/// touch the heap.
+fn assert_allocation_free(what: &str, mut subframe: impl FnMut()) {
+    for _ in 0..3 {
+        subframe();
+    }
+    let before = allocations();
+    assert!(before > 0, "the counter must have seen the warmup allocate");
+    for _ in 0..5 {
+        subframe();
+    }
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "{what} hit the heap {delta} times");
 }
 
 #[test]
 fn steady_state_subframe_is_allocation_free() {
-    let cell = CellConfig::default();
-    let user = UserConfig::new(25, 2, Modulation::Qam16);
-    let planner = FftPlanner::new();
-    let mut rng = Xoshiro256::seed_from_u64(42);
-    let input = synthesize_user(&cell, &user, 35.0, &mut rng);
-
-    // Warm every cache the hot path reads, then let the scratch pools
-    // grow to their steady-state sizes.
-    planner.prewarm([user.prbs]);
-    prewarm_subblock([user.bits_per_subframe()]);
-    prewarm_references(&cell, &user);
-    for _ in 0..3 {
-        run_once(&cell, &input, &planner);
-    }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        run_once(&cell, &input, &planner);
-    }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state subframe processing hit the heap {delta} times"
-    );
+    let mode = TurboMode::Passthrough;
+    let (cell, planner, input) = warm_input(mode, 42);
+    assert_allocation_free("steady-state subframe processing", || {
+        recycle(process_user_pooled(&cell, &input, mode, &planner))
+    });
 }
 
 /// The same guarantee in turbo-decode mode: once the per-worker
@@ -102,31 +120,34 @@ fn steady_state_subframe_is_allocation_free() {
 /// branch used to perform.
 #[test]
 fn steady_state_turbo_subframe_is_allocation_free() {
-    let cell = CellConfig::default();
-    let user = UserConfig::new(25, 2, Modulation::Qam16);
     let mode = TurboMode::Decode { iterations: 4 };
-    let planner = FftPlanner::new();
-    let mut rng = Xoshiro256::seed_from_u64(44);
-    let input = synthesize_user_with_mode(&cell, &user, mode, 35.0, &mut rng);
+    let (cell, planner, input) = warm_input(mode, 44);
+    assert_allocation_free("steady-state turbo subframe processing", || {
+        recycle(process_user_pooled(&cell, &input, mode, &planner))
+    });
+}
 
-    // Warm every cache the hot path reads — including the turbo codec
-    // cache, whose QPP interleavers are built on the first decode.
-    planner.prewarm([user.prbs]);
-    prewarm_subblock([user.bits_per_subframe()]);
-    prewarm_references(&cell, &user);
-    for _ in 0..3 {
-        run_once_with_mode(&cell, &input, mode, &planner);
+/// Tracing is the same receiver body with a live timer, so it must be
+/// just as allocation-free: every span of a steady-state
+/// `process_user_traced` run lands in a ring the warmup has already
+/// wrapped (a wrapped [`RingRecorder`] overwrites in place), which leaves
+/// the receiver itself as the only possible source of heap traffic.
+#[test]
+fn steady_state_traced_subframe_is_allocation_free() {
+    let recorder = RingRecorder::new(64);
+    let timer = StageTimer::new(&recorder);
+    for (mode, seed) in [
+        (TurboMode::Passthrough, 45),
+        (TurboMode::Decode { iterations: 4 }, 46),
+    ] {
+        let (cell, planner, input) = warm_input(mode, seed);
+        let recorded = recorder.total_recorded();
+        assert_allocation_free(&format!("traced subframe ({mode:?})"), || {
+            recycle(process_user_traced(&cell, &input, mode, &planner, &timer))
+        });
+        let spans = recorder.total_recorded() - recorded;
+        assert!(spans > 8 * 64, "live spans must wrap the ring: {spans}");
     }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        run_once_with_mode(&cell, &input, mode, &planner);
-    }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state turbo subframe processing hit the heap {delta} times"
-    );
 }
 
 /// The soak path records continuous telemetry around every subframe:
@@ -135,43 +156,25 @@ fn steady_state_turbo_subframe_is_allocation_free() {
 /// heap too, or long soaks would slowly churn the allocator.
 #[test]
 fn telemetry_recording_is_allocation_free() {
-    let cell = CellConfig::default();
-    let user = UserConfig::new(25, 2, Modulation::Qam16);
-    let planner = FftPlanner::new();
-    let mut rng = Xoshiro256::seed_from_u64(43);
-    let input = synthesize_user(&cell, &user, 35.0, &mut rng);
-
-    planner.prewarm([user.prbs]);
-    prewarm_subblock([user.bits_per_subframe()]);
-    prewarm_references(&cell, &user);
-
+    let mode = TurboMode::Passthrough;
+    let (cell, planner, input) = warm_input(mode, 43);
     // Construct every telemetry sink up front (construction allocates;
     // recording must not).
     let latency = Histogram::new();
     let stage_hists = StageHists::new();
     let ebler = EblerAccumulator::new(1);
     let subframes = Counter::new();
-
-    for _ in 0..3 {
-        run_once(&cell, &input, &planner);
-    }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..5u64 {
-        let result = process_user_pooled(&cell, &input, TurboMode::Passthrough, &planner);
+    assert_allocation_free("telemetry-instrumented subframe processing", || {
+        let result = process_user_pooled(&cell, &input, mode, &planner);
+        let round = subframes.get();
         latency.record(1_000 * (round + 1));
         stage_hists.record(Stage::Turbo, 500 + round);
         stage_hists.record(Stage::Crc, 50 + round);
         ebler.record_decode(0, result.crc_ok, (result.payload.len() * 8) as u64);
         subframes.add(1);
-        UserScratch::with(|s| s.arena.recycle_u8(result.payload));
-    }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(
-        delta, 0,
-        "telemetry-instrumented subframe processing hit the heap {delta} times"
-    );
-    assert_eq!(latency.snapshot().count, 5);
-    assert_eq!(ebler.snapshot().total.ack, 5);
-    assert_eq!(subframes.get(), 5);
+        recycle(result);
+    });
+    assert_eq!(latency.snapshot().count, 8);
+    assert_eq!(ebler.snapshot().total.ack, 8);
+    assert_eq!(subframes.get(), 8);
 }

@@ -55,6 +55,24 @@ use parking_lot::{Condvar, Mutex};
 type Job = Box<dyn FnOnce(&TaskPool) + Send + 'static>;
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
+/// What a finished task releases. [`run_timed`] does the release *after*
+/// the task's accounting, so whoever it unblocks — `wait_all`, a scope
+/// barrier — reads counters that already include the task.
+enum Release {
+    /// A detached task: one unit of `pending_jobs`.
+    Pending,
+    /// A scope member: one unit of that scope's barrier.
+    Barrier(Arc<AtomicUsize>),
+    /// Nobody waits on it (the injected worker kill).
+    Nothing,
+}
+
+/// A task as the deques hold it.
+struct Queued {
+    run: Task,
+    release: Release,
+}
+
 /// Consecutive empty work searches a worker tolerates (yielding between
 /// attempts) before it parks on the idle condvar.
 const SPIN_RETRIES: u32 = 3;
@@ -185,11 +203,11 @@ pub fn silence_injected_panics() {
 
 thread_local! {
     /// The local deque of the worker thread currently running, if any.
-    static LOCAL_DEQUE: RefCell<Option<Worker<Task>>> = const { RefCell::new(None) };
+    static LOCAL_DEQUE: RefCell<Option<Worker<Queued>>> = const { RefCell::new(None) };
     /// The bounded (one-element) LIFO slot holding this worker's most
     /// recently spawned task. Private to the worker — never stolen — so
     /// a continuation chain keeps its working set in cache.
-    static LIFO_SLOT: RefCell<Option<Task>> = const { RefCell::new(None) };
+    static LIFO_SLOT: RefCell<Option<Queued>> = const { RefCell::new(None) };
     /// Index of the worker thread currently running, if any — used to
     /// attribute counters per worker.
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
@@ -258,9 +276,9 @@ impl PoolTelemetry {
 struct Inner {
     jobs: Injector<Job>,
     /// Tasks submitted from threads without a local deque.
-    overflow: Injector<Task>,
+    overflow: Injector<Queued>,
     /// Stealers for every worker's local deque.
-    stealers: Vec<Stealer<Task>>,
+    stealers: Vec<Stealer<Queued>>,
     shutdown: AtomicBool,
     pending_jobs: AtomicUsize,
     busy_nanos: AtomicU64,
@@ -300,6 +318,14 @@ struct Inner {
 }
 
 impl Inner {
+    /// Drops one unit of `pending_jobs`, waking `wait_all` on the last.
+    /// Callers account the finished job or task *before* this.
+    fn finish_pending(&self) {
+        if self.pending_jobs.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.done_cv.notify_all();
+        }
+    }
+
     /// Wakes parked workers if — and only if — any worker is parked.
     fn wake_idle(&self) {
         if self.idle_workers.load(Ordering::SeqCst) > 0 {
@@ -311,7 +337,7 @@ impl Inner {
     /// workers' deques (round-robin from `start`). A steal from a deque
     /// takes up to half the victim's queue when the calling thread has a
     /// local deque to unload the batch into.
-    fn steal_task(&self, start: usize) -> Option<Task> {
+    fn steal_task(&self, start: usize) -> Option<Queued> {
         loop {
             match self.overflow.steal() {
                 Steal::Success(t) => return Some(t),
@@ -370,7 +396,7 @@ impl Inner {
 
 /// Takes the next locally available task: the LIFO slot first (hot
 /// continuation), then the worker's own deque.
-fn pop_local(inner: &Inner) -> Option<Task> {
+fn pop_local(inner: &Inner) -> Option<Queued> {
     if let Some(task) = LIFO_SLOT.with(|slot| slot.borrow_mut().take()) {
         inner.lifo_slot_hits.fetch_add(1, Ordering::Relaxed);
         if let Some(w) = WORKER_INDEX.with(Cell::get) {
@@ -386,21 +412,12 @@ fn pop_local(inner: &Inner) -> Option<Task> {
 /// Enqueues a detached task: into the calling worker's LIFO slot when on
 /// a worker thread (displacing any previous occupant onto the stealable
 /// deque), or onto the shared overflow queue otherwise.
-fn spawn_inner(inner: &Arc<Inner>, task: Task) {
+fn spawn_inner(inner: &Inner, task: Task) {
     inner.pending_jobs.fetch_add(1, Ordering::SeqCst);
-    let done_inner = Arc::clone(inner);
-    let wrapped: Task = Box::new(move || {
-        // The pending count must drop even when the task panics —
-        // otherwise one poisoned continuation would hang `wait_all`.
-        // The panic is re-raised for `run_timed` to account and contain.
-        let result = catch_unwind(AssertUnwindSafe(task));
-        if done_inner.pending_jobs.fetch_sub(1, Ordering::SeqCst) == 1 {
-            done_inner.done_cv.notify_all();
-        }
-        if let Err(payload) = result {
-            resume_unwind(payload);
-        }
-    });
+    let wrapped = Queued {
+        run: task,
+        release: Release::Pending,
+    };
     if WORKER_INDEX.with(Cell::get).is_some() {
         let displaced = LIFO_SLOT.with(|slot| slot.borrow_mut().replace(wrapped));
         if let Some(old) = displaced {
@@ -504,7 +521,7 @@ impl TaskPool {
         if n_workers == 0 {
             return Err(PoolError::ZeroWorkers);
         }
-        let deques: Vec<Worker<Task>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
+        let deques: Vec<Worker<Queued>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let inner = Arc::new(Inner {
             jobs: Injector::new(),
@@ -624,18 +641,10 @@ impl TaskPool {
         LOCAL_DEQUE.with(|local| {
             let local = local.borrow();
             for task in tasks {
-                let remaining = Arc::clone(&remaining);
-                // The barrier decrement must happen even when the task
-                // panics — otherwise one poisoned task would hang the
-                // scope forever. The panic itself is re-raised for
-                // [`run_timed`] to account and contain.
-                let wrapped: Task = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(task));
-                    remaining.fetch_sub(1, Ordering::SeqCst);
-                    if let Err(payload) = result {
-                        resume_unwind(payload);
-                    }
-                });
+                let wrapped = Queued {
+                    run: task,
+                    release: Release::Barrier(Arc::clone(&remaining)),
+                };
                 match local.as_ref() {
                     Some(deque) => deque.push(wrapped),
                     None => self.inner.overflow.push(wrapped),
@@ -731,9 +740,10 @@ impl TaskPool {
     /// executes it. The supervision loop revives the worker in place
     /// (same deque, so no queued task is lost) and counts the respawn.
     pub fn inject_worker_kill(&self) {
-        self.inner.overflow.push(Box::new(|| {
-            std::panic::panic_any(WorkerKill);
-        }));
+        self.inner.overflow.push(Queued {
+            run: Box::new(|| std::panic::panic_any(WorkerKill)),
+            release: Release::Nothing,
+        });
         self.inner.idle_cv.notify_all();
     }
 
@@ -873,13 +883,16 @@ impl Drop for TaskPool {
 
 /// Executes one task with cycle accounting and panic containment: a
 /// panicking task is counted under `poisoned_tasks` and swallowed — the
-/// worker (or helping user thread) survives. The one exception is the
-/// [`WorkerKill`] chaos payload, which is re-raised after accounting so
-/// it fail-stops the executing worker (the supervision loop in
-/// [`worker_entry`] then revives it).
-fn run_timed(inner: &Inner, task: Task) {
+/// worker (or helping user thread) survives. Accounting comes first,
+/// then the task's [`Release`] (which therefore happens even when the
+/// task panicked, so a poisoned task can hang neither a scope nor
+/// `wait_all`), and last the one exception to containment: the
+/// [`WorkerKill`] chaos payload is re-raised so it fail-stops the
+/// executing worker (the supervision loop in [`worker_entry`] then
+/// revives it).
+fn run_timed(inner: &Inner, task: Queued) {
     let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(task));
+    let result = catch_unwind(AssertUnwindSafe(task.run));
     let nanos = start.elapsed().as_nanos() as u64;
     inner.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
     inner.executed_tasks.fetch_add(1, Ordering::Relaxed);
@@ -888,8 +901,17 @@ fn run_timed(inner: &Inner, task: Task) {
         s.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
         s.executed_tasks.fetch_add(1, Ordering::Relaxed);
     }
-    if let Err(payload) = result {
+    if result.is_err() {
         inner.poisoned_tasks.fetch_add(1, Ordering::Relaxed);
+    }
+    match task.release {
+        Release::Pending => inner.finish_pending(),
+        Release::Barrier(remaining) => {
+            remaining.fetch_sub(1, Ordering::SeqCst);
+        }
+        Release::Nothing => {}
+    }
+    if let Err(payload) = result {
         if payload.is::<WorkerKill>() && WORKER_INDEX.with(Cell::get).is_some() {
             resume_unwind(payload);
         }
@@ -901,7 +923,7 @@ fn run_timed(inner: &Inner, task: Task) {
 /// the supervisor counts the respawn and re-enters the loop on the same
 /// thread with the same deque — and the same LIFO slot — so queued tasks
 /// survive the "death".
-fn worker_entry(inner: Arc<Inner>, index: usize, deque: Worker<Task>) {
+fn worker_entry(inner: Arc<Inner>, index: usize, deque: Worker<Queued>) {
     LOCAL_DEQUE.with(|local| *local.borrow_mut() = Some(deque));
     WORKER_INDEX.with(|w| w.set(Some(index)));
     if inner.pin_workers {
@@ -979,21 +1001,25 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
                 let scope_before = SCOPE_NANOS.with(Cell::get);
                 let start = Instant::now();
                 // Contain job panics so one poisoned user cannot hang
-                // `wait_all`: the pending count always drops, then a
-                // WorkerKill (raised while this job helped at a barrier)
-                // still fail-stops the worker.
+                // `wait_all`: the pending count always drops (after the
+                // accounting, as in `run_timed`), then a WorkerKill
+                // (raised while this job helped at a barrier) still
+                // fail-stops the worker.
                 let result = catch_unwind(AssertUnwindSafe(|| job(&pool_handle)));
                 let scoped = SCOPE_NANOS.with(Cell::get) - scope_before;
                 let useful = (start.elapsed().as_nanos() as u64).saturating_sub(scoped);
                 inner.busy_nanos.fetch_add(useful, Ordering::Relaxed);
-                if inner.pending_jobs.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    inner.done_cv.notify_all();
-                }
-                if let Err(payload) = result {
-                    if payload.is::<WorkerKill>() {
-                        resume_unwind(payload);
+                let kill = match result {
+                    Err(payload) if payload.is::<WorkerKill>() => Some(payload),
+                    Err(_) => {
+                        inner.poisoned_jobs.fetch_add(1, Ordering::Relaxed);
+                        None
                     }
-                    inner.poisoned_jobs.fetch_add(1, Ordering::Relaxed);
+                    Ok(()) => None,
+                };
+                inner.finish_pending();
+                if let Some(payload) = kill {
+                    resume_unwind(payload);
                 }
                 continue;
             }
@@ -1374,6 +1400,13 @@ mod tests {
         pool.submit_job(|_| {});
         pool.wait_all();
         if cfg!(target_os = "linux") {
+            // Each worker pins itself as its thread starts; one job
+            // finishing says nothing about the *other* worker having
+            // started, so give the stragglers a bounded moment.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while pool.pinned_workers() < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             assert_eq!(pool.pinned_workers(), 2, "both workers must pin on Linux");
         } else {
             assert_eq!(pool.pinned_workers(), 0);
@@ -1406,6 +1439,58 @@ mod tests {
         assert_eq!(pool.poisoned_tasks(), 1);
         // The panic stayed inside the pool: no worker died for it.
         assert_eq!(pool.worker_respawns(), 0);
+    }
+
+    /// Regression for the accounting race: a task used to release its
+    /// scope barrier (or its `pending_jobs` unit) *before* `run_timed`
+    /// counted it, so `wait_all` could return while a stolen task's
+    /// `poisoned_tasks` / `executed_tasks` adds were still in flight and
+    /// the caller read counters one task short. Each round is the
+    /// seeded-panic property case (jobs fanning scopes out over 4
+    /// workers) plus detached spawns; the counters must be exact the
+    /// moment `wait_all` returns, every round.
+    #[test]
+    fn accounting_lands_before_wait_all_returns_under_seeded_panics() {
+        use lte_fault::FaultPlan;
+        silence_injected_panics();
+        const ROUNDS: usize = 250;
+        const JOBS: usize = 4;
+        const TASKS: usize = 8;
+        let plan = FaultPlan {
+            task_panic_permille: 150,
+            ..FaultPlan::quiet(0xFA17)
+        };
+        let pool = TaskPool::new(4).unwrap();
+        let body = |panics: bool| {
+            move || {
+                if panics {
+                    std::panic::panic_any(InjectedPanic);
+                }
+            }
+        };
+        let (mut planned, mut executed) = (0u64, 0u64);
+        for round in 0..ROUNDS {
+            for job in 0..JOBS {
+                let panics: Vec<bool> = (0..TASKS)
+                    .map(|task| plan.task_panics(round, job * TASKS + task))
+                    .collect();
+                planned += panics.iter().filter(|&&p| p).count() as u64;
+                executed += TASKS as u64;
+                // The job's last task goes out detached instead of
+                // through the scope, so both release kinds are covered.
+                let detached = panics[TASKS - 1];
+                pool.spawn(body(detached));
+                pool.submit_job(move |p| {
+                    let scoped = &panics[..TASKS - 1];
+                    p.scope(scoped.iter().map(|&x| Box::new(body(x)) as Task).collect());
+                });
+            }
+            pool.wait_all();
+            assert_eq!(pool.poisoned_tasks(), planned, "round {round}");
+            assert_eq!(pool.executed_tasks(), executed, "round {round}");
+        }
+        assert!(planned > 0, "the plan must actually inject panics");
+        assert_eq!(pool.poisoned_jobs(), 0);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! ```
 
 use lte_uplink_repro::dsp::fft::FftPlanner;
+use lte_uplink_repro::dsp::llr::demap_block;
 use lte_uplink_repro::dsp::{Modulation, Xoshiro256};
 use lte_uplink_repro::phy::combiner::{combine_symbol, CombinerWeights};
 use lte_uplink_repro::phy::estimator::estimate_slot;
 use lte_uplink_repro::phy::params::{CellConfig, TurboMode, UserConfig};
-use lte_uplink_repro::phy::receiver::{demap_symbol, finish_user};
+use lte_uplink_repro::phy::receiver::{finish_user_with_arena, UserScratch};
 use lte_uplink_repro::phy::tx::synthesize_user;
 
 fn main() {
@@ -68,7 +69,7 @@ fn main() {
         for sym in 0..6 {
             for layer in 0..user.layers {
                 let combined = combine_symbol(&input, &weights[slot], slot, sym, layer, &planner);
-                llrs.extend(demap_symbol(&input, &combined));
+                llrs.extend(demap_block(user.modulation, &combined, input.noise_var));
             }
         }
     }
@@ -78,8 +79,12 @@ fn main() {
         llrs.len()
     );
 
-    // Stage 3: deinterleave → turbo (pass-through) → CRC.
-    let result = finish_user(&cell, &input, TurboMode::Passthrough, &llrs);
+    // Stage 3: descramble → deinterleave → turbo (pass-through) → CRC,
+    // on this thread's scratch like the pool's finish task.
+    let mode = TurboMode::Passthrough;
+    let result = UserScratch::with(|s| {
+        finish_user_with_arena(&cell, &input, mode, &llrs, &mut s.arena, &mut s.turbo)
+    });
     println!(
         "CRC: {} — decoded payload of {} bits matches ground truth: {}",
         if result.crc_ok { "OK" } else { "FAILED" },

@@ -22,6 +22,19 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo test -q ${scope[*]:-}"
 cargo test --offline -q "${scope[@]}"
 
+echo "==> frozen harness (examples/lte_bench) builds and tests against this tree"
+# lte_bench is a package of its own that BENCHMARK.json freezes: it is
+# never edited alongside the workspace, so an API break against it only
+# shows up when it is compiled here.
+cargo build --release --offline --manifest-path examples/lte_bench/Cargo.toml
+cargo test -q --release --offline --manifest-path examples/lte_bench/Cargo.toml
+
+echo "==> receiver entry-point budget"
+# One serial receiver body: a seventh process_user*/demodulate_user*/
+# finish_user* entry point is a fork growing back.
+[[ "$(grep -c 'pub fn \(process\|demodulate\|finish\)_user' crates/phy/src/receiver.rs)" -le 6 ]] \
+    || { echo "receiver.rs exposes more than 6 process/demodulate/finish_user entry points"; exit 1; }
+
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
 # against conformance/golden.json, once on the runtime-detected SIMD
