@@ -1,16 +1,22 @@
 //! Micro-benchmarks of the DSP kernels the receiver pipeline is built
 //! from: FFTs across LTE sizes, the matched filter, soft demapping,
-//! MMSE weights, turbo decoding, and the full serial per-user receive.
+//! MMSE weights, turbo decoding, the serial tail's CRC and Gold-sequence
+//! descrambling, and the full serial per-user receive.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lte_dsp::channel::MimoChannel;
+use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::{FftPlan, FftPlanner};
 use lte_dsp::llr::demap_block;
 use lte_dsp::matched_filter::matched_filter;
+use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
 use lte_dsp::turbo::{TurboDecoder, TurboEncoder};
 use lte_dsp::zadoff_chu::ReferenceSequence;
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
+use lte_phy::combiner::{CombinerWeights, MmseScratch};
+use lte_phy::estimator::ChannelEstimate;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
 use lte_phy::receiver::process_user_pooled;
 use lte_phy::tx::synthesize_user;
@@ -80,6 +86,44 @@ fn bench_turbo(c: &mut Criterion) {
     });
 }
 
+/// The serial tail at the 100-PRB 64-QAM single-layer allocation size
+/// (86 400 bits), and the per-user Gold warm-up on its own.
+fn bench_serial_tail(c: &mut Criterion) {
+    let n = 86_400;
+    let mut rng = Xoshiro256::seed_from_u64(14);
+    let bits: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 1) as u8).collect();
+    c.bench_function("crc24a_86400", |b| {
+        b.iter(|| black_box(CRC24A.compute_bits(black_box(&bits))))
+    });
+    let mut llrs: Vec<f32> = (0..n).map(|_| rng.next_f32() - 0.5).collect();
+    c.bench_function("descramble_86400", |b| {
+        b.iter(|| descramble_llrs(black_box(&mut llrs), 0x1234_5678))
+    });
+    c.bench_function("gold_warmup", |b| {
+        b.iter(|| black_box(GoldSequence::new(black_box(0x1234_5678))))
+    });
+}
+
+/// One slot's MMSE weights over 600 subcarriers (50 PRB) at 4 antennas.
+fn bench_mmse_weights(c: &mut Criterion) {
+    let (n_rx, n_sc) = (4, 600);
+    let mut rng = Xoshiro256::seed_from_u64(15);
+    for layers in [1usize, 2, 4] {
+        let channel = MimoChannel::randomize(n_rx, layers, 3, &mut rng);
+        let mut est = ChannelEstimate::empty(n_rx, layers, n_sc);
+        for rx in 0..n_rx {
+            for layer in 0..layers {
+                *est.path_mut(rx, layer) = channel.frequency_response(rx, layer, n_sc);
+            }
+        }
+        let mut weights = CombinerWeights::empty();
+        let mut scratch = MmseScratch::new();
+        c.bench_function(format!("mmse_weights_{layers}layer_600sc"), |b| {
+            b.iter(|| weights.compute(black_box(&est), 0.05, &mut scratch))
+        });
+    }
+}
+
 fn bench_full_user(c: &mut Criterion) {
     let cell = CellConfig::default();
     let planner = FftPlanner::new();
@@ -109,6 +153,8 @@ criterion_group!(
     bench_matched_filter,
     bench_demap,
     bench_turbo,
+    bench_serial_tail,
+    bench_mmse_weights,
     bench_full_user
 );
 criterion_main!(benches);

@@ -29,14 +29,15 @@ use lte_dsp::fft::FftPlanner;
 use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::rate_match::RateMatcher;
+use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::turbo::{siso_probe, TurboDecoder, TurboEncoder, TurboWorkspace};
 use lte_dsp::zadoff_chu::{layer_cyclic_shift, ReferenceSequence};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::combiner::{CombinerWeights, MmseScratch};
-use lte_phy::estimator::estimate_slot;
+use lte_phy::estimator::{estimate_slot, ChannelEstimate};
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
-use lte_phy::tx::synthesize_user_over_channel;
+use lte_phy::tx::{scrambling_init, synthesize_user_over_channel};
 
 /// Schema tag written into the golden file.
 pub const SCHEMA: &str = "lte-sim-vectors-v1";
@@ -197,6 +198,96 @@ fn mmse_vector() -> KernelVector {
     }
     KernelVector {
         kernel: "mmse-weights".to_string(),
+        hash: h.finish(),
+    }
+}
+
+/// MMSE weights at every antenna × layer shape the receiver admits,
+/// each on a seeded multipath estimate and on the all-zero estimate that
+/// takes the matched-filter fallback, through one reused scratch and
+/// output.
+fn mmse_shapes_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x3A5E);
+    let mut h = Fnv1a::new();
+    let mut weights = CombinerWeights::empty();
+    let mut scratch = MmseScratch::new();
+    let n_sc = 24;
+    for n_rx in [1, 2, 4, 8] {
+        for n_layers in 1..=4 {
+            let channel = MimoChannel::randomize(n_rx, n_layers, 3, &mut rng);
+            let mut est = ChannelEstimate::empty(n_rx, n_layers, n_sc);
+            for rx in 0..n_rx {
+                for layer in 0..n_layers {
+                    *est.path_mut(rx, layer) = channel.frequency_response(rx, layer, n_sc);
+                }
+            }
+            // A zero estimate under noise below the pivot floor (1e-20
+            // in power) is the one input that takes the fallback.
+            let zero = ChannelEstimate::empty(n_rx, n_layers, n_sc);
+            for (est, noise_var) in [(&est, 0.01 + rng.next_f32() * 0.2), (&zero, 1e-12)] {
+                weights.compute(est, noise_var, &mut scratch);
+                h.write_u64(n_rx as u64);
+                h.write_u64(n_layers as u64);
+                for sc in 0..n_sc {
+                    for layer in 0..n_layers {
+                        hash_c32(&mut h, weights.row(sc, layer));
+                    }
+                }
+                for layer in 0..n_layers {
+                    for rx in 0..n_rx {
+                        hash_c32(&mut h, weights.lane(layer, rx));
+                    }
+                }
+            }
+        }
+    }
+    KernelVector {
+        kernel: "mmse-weights-shapes".to_string(),
+        hash: h.finish(),
+    }
+}
+
+/// The Gold sequence at seeds covering the register corners and the
+/// four steady-state users, at lengths straddling every word boundary,
+/// plus LLR descrambling over every class of f32 bit pattern (±0,
+/// subnormals, ±∞, NaN payloads) — a sign flip must move the sign bit
+/// and nothing else.
+fn scrambling_vector() -> KernelVector {
+    let cell = CellConfig::default();
+    let mut seeds = vec![0, 1];
+    seeds.extend(
+        crate::perf::steady_state_subframe()
+            .users
+            .iter()
+            .map(|user| scrambling_init(&cell, user)),
+    );
+    seeds.push(0x7FFF_FFFF);
+    let mut rng = Xoshiro256::seed_from_u64(0x601D);
+    let mut h = Fnv1a::new();
+    for &c_init in &seeds {
+        for n in [1, 31, 32, 33, 576, 86_400] {
+            h.write_u64(c_init as u64);
+            h.write_u64(n as u64);
+            h.write(&GoldSequence::new(c_init).bits(n));
+        }
+        let mut llrs: Vec<f32> = (0..1000)
+            .map(|_| {
+                f32::from_bits(match rng.next_below(8) {
+                    0 => 0x0000_0000,                      // +0
+                    1 => 0x8000_0000,                      // −0
+                    2 => 0x7F80_0000,                      // +∞
+                    3 => 0xFF80_0000,                      // −∞
+                    4 => rng.next_u32() & 0x807F_FFFF,     // subnormal
+                    5 => rng.next_u32() | 0x7F80_0000 | 1, // NaN payload
+                    _ => rng.next_u32(),
+                })
+            })
+            .collect();
+        descramble_llrs(&mut llrs, c_init);
+        hash_f32(&mut h, &llrs);
+    }
+    KernelVector {
+        kernel: "scrambling".to_string(),
         hash: h.finish(),
     }
 }
@@ -397,6 +488,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         zadoff_chu_vector(),
         estimate_vector(),
         mmse_vector(),
+        mmse_shapes_vector(),
         demap_vector(false),
         demap_vector(true),
         segmentation_rate_match_vector(),
@@ -405,6 +497,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         turbo_siso_vector(),
         matched_filter_vector(),
         crc_vector(),
+        scrambling_vector(),
         receiver_vector(),
     ]
 }

@@ -9,78 +9,123 @@
 //! registers start at zero (LTE uses all-zero initial state, unlike
 //! Ethernet-style CRCs).
 
-/// A CRC generator polynomial of up to 24 bits.
+/// One of the LTE CRC generator polynomials, 8 to 24 bits wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Crc {
     /// Polynomial without the leading `x^width` term.
     poly: u32,
     /// CRC width in bits.
     width: u32,
+    /// `table[b]`: the register after shifting byte `b` (MSB first) into
+    /// a zero register.
+    table: &'static [u32; 256],
 }
 
-/// CRC-24A (`gCRC24A`, transport-block CRC): `0x864CFB`.
-pub const CRC24A: Crc = Crc::new(0x86_4C_FB, 24);
-/// CRC-24B (`gCRC24B`, code-block CRC): `0x800063`.
-pub const CRC24B: Crc = Crc::new(0x80_00_63, 24);
-/// CRC-16 (`gCRC16`): `0x1021` (CCITT).
-pub const CRC16: Crc = Crc::new(0x1021, 16);
-/// CRC-8 (`gCRC8`): `0x9B`.
-pub const CRC8: Crc = Crc::new(0x9B, 8);
+/// Advances a `width`-bit register by one message bit, MSB-first.
+#[inline]
+const fn shift_bit(reg: u32, bit: bool, poly: u32, width: u32) -> u32 {
+    let feedback = (reg >> (width - 1)) & 1 != 0;
+    let shifted = (reg << 1) & ((1 << width) - 1);
+    if feedback != bit {
+        shifted ^ poly
+    } else {
+        shifted
+    }
+}
+
+const fn byte_table(poly: u32, width: u32) -> [u32; 256] {
+    assert!(width >= 8 && width <= 24, "width must be in 8..=24");
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut reg = 0;
+        let mut k = 8;
+        while k > 0 {
+            k -= 1;
+            reg = shift_bit(reg, (byte >> k) & 1 != 0, poly, width);
+        }
+        table[byte] = reg;
+        byte += 1;
+    }
+    table
+}
+
+// One const-evaluated table per polynomial, in read-only data shared by
+// every thread.
+macro_rules! lte_crc {
+    ($(#[$doc:meta])* $name:ident = ($poly:expr, $width:expr)) => {
+        $(#[$doc])*
+        pub const $name: Crc = {
+            static TABLE: [u32; 256] = byte_table($poly, $width);
+            Crc {
+                poly: $poly,
+                width: $width,
+                table: &TABLE,
+            }
+        };
+    };
+}
+
+lte_crc!(
+    /// CRC-24A (`gCRC24A`, transport-block CRC): `0x864CFB`.
+    CRC24A = (0x86_4C_FB, 24)
+);
+lte_crc!(
+    /// CRC-24B (`gCRC24B`, code-block CRC): `0x800063`.
+    CRC24B = (0x80_00_63, 24)
+);
+lte_crc!(
+    /// CRC-16 (`gCRC16`): `0x1021` (CCITT).
+    CRC16 = (0x1021, 16)
+);
+lte_crc!(
+    /// CRC-8 (`gCRC8`): `0x9B`.
+    CRC8 = (0x9B, 8)
+);
+
+/// Packs eight one-bit-per-byte elements into a byte, first element in
+/// the MSB, keeping only each element's low bit. The multiply sums eight
+/// shifted copies whose set bits never collide (bit `8(7−i)` of the input
+/// lands on `63−i` only through the `7(i+1)` shift), so no carry can
+/// reach the top byte.
+#[inline]
+fn pack_bits(bits: &[u8; 8]) -> u8 {
+    let lows = u64::from_be_bytes(*bits) & 0x0101_0101_0101_0101;
+    (lows.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+}
 
 impl Crc {
-    /// Defines a CRC with the given polynomial (sans leading term) and width.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time for const uses) if `width` is 0 or > 24.
-    pub const fn new(poly: u32, width: u32) -> Self {
-        assert!(width >= 1 && width <= 24, "width must be in 1..=24");
-        Crc { poly, width }
-    }
-
     /// CRC width in bits.
     pub const fn width(&self) -> u32 {
         self.width
     }
 
-    /// Computes the CRC of a bit slice (elements must be 0 or 1, MSB-first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any element is not 0 or 1 (debug builds only; release
-    /// builds mask to the low bit).
+    /// Advances the register by one whole message byte.
+    #[inline]
+    fn shift_byte(&self, reg: u32, byte: u8) -> u32 {
+        let mask = (1u32 << self.width) - 1;
+        let index = (reg >> (self.width - 8)) as u8 ^ byte;
+        ((reg << 8) & mask) ^ self.table[index as usize]
+    }
+
+    /// Computes the CRC of a bit slice (one bit per element, MSB-first).
+    /// Only the low bit of each element is read.
     pub fn compute_bits(&self, bits: &[u8]) -> u32 {
-        let mut reg: u32 = 0;
-        let top = 1u32 << (self.width - 1);
-        let mask = (1u64 << self.width) as u32 - 1;
-        for &b in bits {
-            debug_assert!(b <= 1, "bits must be 0 or 1");
-            let fb = ((reg & top) != 0) ^ ((b & 1) != 0);
-            reg = (reg << 1) & mask;
-            if fb {
-                reg ^= self.poly;
-            }
-        }
-        reg
+        let (octets, tail) = bits.as_chunks::<8>();
+        let reg = octets
+            .iter()
+            .fold(0, |reg, octet| self.shift_byte(reg, pack_bits(octet)));
+        tail.iter().fold(reg, |reg, &b| {
+            shift_bit(reg, b & 1 != 0, self.poly, self.width)
+        })
     }
 
     /// Computes the CRC of a byte slice (bits taken MSB-first within each
     /// byte).
     pub fn compute_bytes(&self, bytes: &[u8]) -> u32 {
-        let mut reg: u32 = 0;
-        let top = 1u32 << (self.width - 1);
-        let mask = (1u64 << self.width) as u32 - 1;
-        for &byte in bytes {
-            for k in (0..8).rev() {
-                let b = (byte >> k) & 1;
-                let fb = ((reg & top) != 0) ^ (b != 0);
-                reg = (reg << 1) & mask;
-                if fb {
-                    reg ^= self.poly;
-                }
-            }
-        }
-        reg
+        bytes
+            .iter()
+            .fold(0, |reg, &byte| self.shift_byte(reg, byte))
     }
 
     /// Appends the CRC parity bits (MSB-first) to a bit vector.
@@ -127,10 +172,48 @@ mod tests {
         }
     }
 
+    /// The bit-serial shift register of TS 36.212 §5.1.1, one step per
+    /// message bit — the oracle the table path must match.
+    fn bit_loop(crc: &Crc, bits: &[u8]) -> u32 {
+        bits.iter()
+            .fold(0, |reg, &b| shift_bit(reg, b & 1 != 0, crc.poly, crc.width))
+    }
+
     #[test]
-    fn crc16_known_vector() {
-        // CCITT "123456789" with zero initial value → 0x31C3.
-        assert_eq!(CRC16.compute_bytes(b"123456789"), 0x31C3);
+    fn catalogue_check_values() {
+        // The CRC catalogue's check values over "123456789" (zero
+        // initial register, no reflection, no final XOR).
+        for (crc, check) in [
+            (CRC24A, 0xCDE703),
+            (CRC24B, 0x23EF52),
+            (CRC16, 0x31C3),
+            (CRC8, 0xEA),
+        ] {
+            assert_eq!(crc.compute_bytes(b"123456789"), check, "{crc:?}");
+            assert_eq!(crc.compute_bits(&bytes_to_bits(b"123456789")), check);
+        }
+    }
+
+    #[test]
+    fn table_path_matches_the_bit_loop_at_every_length() {
+        let mut rng = Xoshiro256::seed_from_u64(6);
+        for crc in [CRC24A, CRC24B, CRC16, CRC8] {
+            for len in (0..=70).chain([511, 512, 513, 6143, 6144, 6200]) {
+                let bits: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 1) as u8).collect();
+                assert_eq!(crc.compute_bits(&bits), bit_loop(&crc, &bits), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_low_bit_of_each_element_is_read() {
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        for len in [5, 8, 64, 67] {
+            let wild: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+            let masked: Vec<u8> = wild.iter().map(|b| b & 1).collect();
+            assert_eq!(CRC24A.compute_bits(&wild), CRC24A.compute_bits(&masked));
+            assert_eq!(CRC24A.compute_bits(&wild), bit_loop(&CRC24A, &masked));
+        }
     }
 
     #[test]

@@ -4,10 +4,52 @@
 //! from the UE identity and slot number, whitening the transmitted
 //! spectrum and decorrelating inter-cell interference. The receiver
 //! descrambles by flipping the signs of the corresponding LLRs.
+//!
+//! Both 31-bit shift registers advance up to [`WORD`] = 28 positions per
+//! step: every feedback tap sits at most 3 above the bit it produces, so
+//! one register value already holds the inputs of its next 28 bits and a
+//! step is three shifts and a few XORs (DESIGN.md §17).
 
 /// Offset discarding the Gold sequence's low-correlation warm-up
 /// (`N_C` in the standard).
 const NC: usize = 1600;
+
+/// Sequence bits one register step produces: 31 register bits minus the
+/// highest feedback tap (3).
+const WORD: usize = 28;
+
+/// `x1` after the `N_C` warm-up. Its seed (0…01) is the same for every
+/// `c_init`, so the state is a constant of the standard.
+const X1_AFTER_NC: u32 = 0x5E48_5840;
+
+const REGISTER_MASK: u32 = 0x7FFF_FFFF;
+
+#[cfg(test)]
+thread_local! {
+    /// Register steps taken on this thread, for the construction-cost test.
+    static REGISTER_STEPS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// `x1(n+31) = x1(n+3) + x1(n)`: bit `j ≤ 27` of the result is
+/// `x1(n+31+j)` when bit `i` of `x` is `x1(n+i)`.
+#[inline]
+fn x1_feedback(x: u32) -> u32 {
+    x ^ (x >> 3)
+}
+
+/// `x2(n+31) = x2(n+3) + x2(n+2) + x2(n+1) + x2(n)`, same layout.
+#[inline]
+fn x2_feedback(x: u32) -> u32 {
+    x ^ (x >> 1) ^ (x >> 2) ^ (x >> 3)
+}
+
+/// Shifts a register `k ∈ 1..=WORD` positions, filling from `feedback`.
+#[inline]
+fn advance(x: u32, feedback: u32, k: usize) -> u32 {
+    #[cfg(test)]
+    REGISTER_STEPS.with(|s| s.set(s.get() + 1));
+    ((x >> k) | (feedback << (31 - k))) & REGISTER_MASK
+}
 
 /// The LTE pseudo-random (Gold) sequence generator.
 ///
@@ -32,38 +74,49 @@ impl GoldSequence {
     /// Creates the generator with initialisation value `c_init`
     /// (truncated to 31 bits), advanced past the `N_C = 1600` warm-up.
     pub fn new(c_init: u32) -> Self {
-        let mut g = GoldSequence {
-            x1: 1, // x1 starts at 0…01 per the standard
-            x2: c_init & 0x7FFF_FFFF,
-        };
-        for _ in 0..NC {
-            g.step();
+        let mut x2 = c_init & REGISTER_MASK;
+        for _ in 0..NC / WORD {
+            x2 = advance(x2, x2_feedback(x2), WORD);
         }
-        g
+        x2 = advance(x2, x2_feedback(x2), NC % WORD);
+        GoldSequence {
+            x1: X1_AFTER_NC,
+            x2,
+        }
     }
 
-    /// Advances both LFSRs one step.
+    /// The next `k ∈ 1..=WORD` scrambling bits `c(n) = (x1(n) + x2(n))
+    /// mod 2`, earliest in bit 0.
     #[inline]
-    fn step(&mut self) {
-        // x1(n+31) = (x1(n+3) + x1(n)) mod 2
-        let new_x1 = ((self.x1 >> 3) ^ self.x1) & 1;
-        // x2(n+31) = (x2(n+3) + x2(n+2) + x2(n+1) + x2(n)) mod 2
-        let new_x2 = ((self.x2 >> 3) ^ (self.x2 >> 2) ^ (self.x2 >> 1) ^ self.x2) & 1;
-        self.x1 = (self.x1 >> 1) | (new_x1 << 30);
-        self.x2 = (self.x2 >> 1) | (new_x2 << 30);
+    fn take(&mut self, k: usize) -> u32 {
+        debug_assert!((1..=WORD).contains(&k));
+        let c = (self.x1 ^ self.x2) & ((1 << k) - 1);
+        self.x1 = advance(self.x1, x1_feedback(self.x1), k);
+        self.x2 = advance(self.x2, x2_feedback(self.x2), k);
+        c
     }
 
-    /// The next scrambling bit `c(n) = (x1(n) + x2(n)) mod 2`.
+    /// The next scrambling bit.
     #[inline]
     pub fn next_bit(&mut self) -> u8 {
-        let c = ((self.x1 ^ self.x2) & 1) as u8;
-        self.step();
-        c
+        self.take(1) as u8
     }
 
     /// Generates `n` scrambling bits.
     pub fn bits(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next_bit()).collect()
+        let mut out = vec![0; n];
+        self.scramble(&mut out);
+        out
+    }
+
+    /// XORs the next `bits.len()` scrambling bits onto `bits`.
+    fn scramble(&mut self, bits: &mut [u8]) {
+        for chunk in bits.chunks_mut(WORD) {
+            let word = self.take(chunk.len());
+            for (i, b) in chunk.iter_mut().enumerate() {
+                *b ^= ((word >> i) & 1) as u8;
+            }
+        }
     }
 }
 
@@ -78,26 +131,150 @@ pub fn pusch_c_init(n_rnti: u16, codeword: u8, subframe: u32, cell_id: u16) -> u
 
 /// Scrambles a bit vector in place (XOR with the sequence).
 pub fn scramble_bits(bits: &mut [u8], c_init: u32) {
-    let mut g = GoldSequence::new(c_init);
-    for b in bits.iter_mut() {
-        *b ^= g.next_bit();
-    }
+    GoldSequence::new(c_init).scramble(bits);
+}
+
+/// `llr` negated when bit 0 of `c` is set. XOR on the sign bit is exactly
+/// `-llr` for every input, ±0 and NaN payloads included, with no branch
+/// for a 50/50 sequence to mispredict.
+#[inline]
+fn flip_sign(llr: f32, c: u32) -> f32 {
+    f32::from_bits(llr.to_bits() ^ (c << 31))
 }
 
 /// Descrambles soft values in place: flips the sign of every LLR whose
 /// scrambling bit was 1.
 pub fn descramble_llrs(llrs: &mut [f32], c_init: u32) {
     let mut g = GoldSequence::new(c_init);
-    for l in llrs.iter_mut() {
-        if g.next_bit() == 1 {
-            *l = -*l;
+    for chunk in llrs.chunks_mut(WORD) {
+        let word = g.take(chunk.len());
+        for (i, l) in chunk.iter_mut().enumerate() {
+            *l = flip_sign(*l, word >> i);
         }
+    }
+}
+
+/// [`descramble_llrs`] from `llrs` into `out` (cleared first, capacity
+/// reused) in one pass, for callers that must keep the scrambled stream.
+pub fn descramble_llrs_into(llrs: &[f32], c_init: u32, out: &mut Vec<f32>) {
+    let mut g = GoldSequence::new(c_init);
+    out.clear();
+    out.reserve(llrs.len());
+    for chunk in llrs.chunks(WORD) {
+        let word = g.take(chunk.len());
+        out.extend(
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| flip_sign(l, word >> i)),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256;
+
+    /// TS 36.211 §7.2 written out as the standard states it: `x1` and
+    /// `x2` as plain bit arrays, one recurrence step per element.
+    fn spec_sequence(c_init: u32, n: usize) -> Vec<u8> {
+        let len = NC + n + 31;
+        let mut x1 = vec![0u8; len];
+        let mut x2 = vec![0u8; len];
+        x1[0] = 1;
+        for (i, bit) in x2.iter_mut().enumerate().take(31) {
+            *bit = ((c_init >> i) & 1) as u8;
+        }
+        for i in 0..len - 31 {
+            x1[i + 31] = x1[i + 3] ^ x1[i];
+            x2[i + 31] = x2[i + 3] ^ x2[i + 2] ^ x2[i + 1] ^ x2[i];
+        }
+        (0..n).map(|i| x1[i + NC] ^ x2[i + NC]).collect()
+    }
+
+    #[test]
+    fn word_generator_matches_the_spec_arrays() {
+        let mut rng = Xoshiro256::seed_from_u64(0x36_211);
+        let corners = [(0, 0), (1, 4099), (REGISTER_MASK, 4099), (u32::MAX, 29)];
+        let random = (0..1000).map(|_| (rng.next_u32(), rng.next_below(4100) as usize));
+        for (c_init, n) in corners.into_iter().chain(random) {
+            assert_eq!(
+                GoldSequence::new(c_init).bits(n),
+                spec_sequence(c_init & REGISTER_MASK, n),
+                "c_init {c_init:#x} n {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn bit_and_word_reads_interleave() {
+        // The state is just the two registers: single-bit reads, word
+        // reads and partial words can be mixed freely.
+        let reference = spec_sequence(0x0BAD_CAFE, 300);
+        let mut g = GoldSequence::new(0x0BAD_CAFE);
+        let mut got = vec![g.next_bit(), g.next_bit(), g.next_bit()];
+        got.extend(g.bits(61));
+        got.push(g.next_bit());
+        got.extend(g.bits(235));
+        assert_eq!(got, reference);
+    }
+
+    #[test]
+    fn x1_constant_is_the_warmed_up_seed() {
+        let mut x1 = 1u32;
+        for _ in 0..NC {
+            x1 = advance(x1, x1_feedback(x1), 1);
+        }
+        assert_eq!(x1, X1_AFTER_NC);
+    }
+
+    #[test]
+    fn construction_takes_at_most_64_register_steps() {
+        let before = REGISTER_STEPS.with(|s| s.get());
+        let g = GoldSequence::new(0x1234_5678);
+        let steps = REGISTER_STEPS.with(|s| s.get()) - before;
+        assert!(steps <= 64, "{steps} register steps to construct {g:?}");
+    }
+
+    /// Every class of f32 bit pattern: ±0, ±∞, subnormals, NaN payloads.
+    fn wild_llrs(rng: &mut Xoshiro256, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                f32::from_bits(match rng.next_below(8) {
+                    0 => 0x0000_0000,
+                    1 => 0x8000_0000,
+                    2 => 0x7F80_0000,
+                    3 => 0xFF80_0000,
+                    4 => rng.next_u32() & 0x807F_FFFF,
+                    5 => rng.next_u32() | 0x7F80_0001,
+                    _ => rng.next_u32(),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn descrambling_is_negation_for_every_bit_pattern() {
+        let mut rng = Xoshiro256::seed_from_u64(31);
+        for n in [0, 1, 27, 28, 29, 56, 1000] {
+            let c_init = rng.next_u32();
+            let llrs = wild_llrs(&mut rng, n);
+            let expect: Vec<u32> = llrs
+                .iter()
+                .zip(spec_sequence(c_init, n))
+                .map(|(&l, c)| if c == 1 { (-l).to_bits() } else { l.to_bits() })
+                .collect();
+            let mut in_place = llrs.clone();
+            descramble_llrs(&mut in_place, c_init);
+            let mut copied = vec![f32::NAN; 7]; // dirty, wrong-sized
+            descramble_llrs_into(&llrs, c_init, &mut copied);
+            for got in [&in_place, &copied] {
+                let got: Vec<u32> = got.iter().map(|l| l.to_bits()).collect();
+                assert_eq!(got, expect, "n {n}");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_and_seed_sensitive() {

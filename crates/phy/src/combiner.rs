@@ -19,44 +19,71 @@ use lte_dsp::Complex32;
 
 use crate::estimator::ChannelEstimate;
 use crate::grid::UserInput;
-use crate::linalg::CMatrix;
+use crate::linalg::inverse;
+use crate::params::MAX_LAYERS;
 
-/// Reusable working matrices for [`CombinerWeights::compute`].
-///
-/// The MMSE solve needs six small matrices per subcarrier (`H`, `Hᴴ`,
-/// the Gram matrix, the Gauss–Jordan workspace, the inverse, and the
-/// weight product); allocating them fresh for every subcarrier of every
-/// slot dominated the combiner's runtime. One scratch lives per worker
-/// and is reshaped in place each subcarrier.
-#[derive(Clone, Debug)]
-pub struct MmseScratch {
-    h: CMatrix,
-    hh: CMatrix,
-    gram: CMatrix,
-    work: CMatrix,
-    inv: CMatrix,
-    wmat: CMatrix,
-}
+/// Most receive antennas a cell can have (see
+/// [`CellConfig::with_antennas`](crate::params::CellConfig::with_antennas)).
+const MAX_RX: usize = 8;
+
+/// The scratch argument of [`CombinerWeights::compute`]. The solve now
+/// works on stack arrays sized by the layer count, so this holds nothing;
+/// the type stays because `compute`'s signature is part of the frozen
+/// benchmark harness's interface.
+#[derive(Clone, Debug, Default)]
+pub struct MmseScratch;
 
 impl MmseScratch {
-    /// A minimal scratch; buffers grow on first use.
+    /// The (empty) scratch.
     pub fn new() -> Self {
-        let m = || CMatrix::zeros(1, 1);
-        MmseScratch {
-            h: m(),
-            hh: m(),
-            gram: m(),
-            work: m(),
-            inv: m(),
-            wmat: m(),
-        }
+        MmseScratch
     }
 }
 
-impl Default for MmseScratch {
-    fn default() -> Self {
-        Self::new()
+/// One subcarrier's `L × n_rx` MMSE weights from its `n_rx × L` channel
+/// matrix, or the matched-filter rows `Hᴴ` when the regularised Gram
+/// matrix is numerically singular. Zero factors are skipped, not
+/// multiplied: `0·∞` must not turn a weight into NaN.
+#[allow(clippy::needless_range_loop)] // (row, column) index notation throughout
+fn solve<const L: usize>(h: &[[Complex32; L]], noise_var: f32) -> [[Complex32; MAX_RX]; L] {
+    let n_rx = h.len();
+    let mut hh = [[Complex32::ZERO; MAX_RX]; L];
+    for (rx, row) in h.iter().enumerate() {
+        for (layer, &z) in row.iter().enumerate() {
+            hh[layer][rx] = z.conj();
+        }
     }
+    let mut gram = [[Complex32::ZERO; L]; L];
+    for r in 0..L {
+        for k in 0..n_rx {
+            let a = hh[r][k];
+            if a == Complex32::ZERO {
+                continue;
+            }
+            for c in 0..L {
+                gram[r][c] = gram[r][c].mul_add(a, h[k][c]);
+            }
+        }
+    }
+    for (i, row) in gram.iter_mut().enumerate() {
+        row[i] += Complex32::new(noise_var, 0.0);
+    }
+    let Some(inv) = inverse(gram) else {
+        return hh;
+    };
+    let mut weights = [[Complex32::ZERO; MAX_RX]; L];
+    for r in 0..L {
+        for k in 0..L {
+            let a = inv[r][k];
+            if a == Complex32::ZERO {
+                continue;
+            }
+            for c in 0..n_rx {
+                weights[r][c] = weights[r][c].mul_add(a, hh[k][c]);
+            }
+        }
+    }
+    weights
 }
 
 /// Per-subcarrier MMSE weights for one slot: row `(sc, layer)` holds the
@@ -86,7 +113,7 @@ impl CombinerWeights {
     /// Panics if `noise_var <= 0`.
     pub fn mmse(estimate: &ChannelEstimate, noise_var: f32) -> Self {
         let mut out = Self::empty();
-        out.compute(estimate, noise_var, &mut MmseScratch::new());
+        out.compute(estimate, noise_var, &mut MmseScratch);
         out
     }
 
@@ -103,55 +130,57 @@ impl CombinerWeights {
     }
 
     /// [`mmse`](Self::mmse) into this existing value, reusing its weight
-    /// storage and the caller's [`MmseScratch`]. Performs the exact
-    /// arithmetic of the allocating path in the exact order, so serial
-    /// and arena-backed runs stay byte-identical.
+    /// storage. Every subcarrier is solved on stack arrays sized by the
+    /// layer count; nothing is allocated once the storage has grown.
     ///
     /// # Panics
     ///
-    /// Panics if `noise_var <= 0`.
+    /// Panics if `noise_var <= 0`, or the estimate has more than 8
+    /// antennas or more than [`MAX_LAYERS`] layers.
     pub fn compute(
         &mut self,
         estimate: &ChannelEstimate,
         noise_var: f32,
-        scratch: &mut MmseScratch,
+        _scratch: &mut MmseScratch,
     ) {
         assert!(noise_var > 0.0, "noise variance must be positive");
+        assert!(estimate.n_rx() <= MAX_RX, "at most {MAX_RX} antennas");
+        match estimate.n_layers() {
+            1 => self.fill::<1>(estimate, noise_var),
+            2 => self.fill::<2>(estimate, noise_var),
+            3 => self.fill::<3>(estimate, noise_var),
+            4 => self.fill::<4>(estimate, noise_var),
+            _ => panic!("at most {MAX_LAYERS} layers"),
+        }
+    }
+
+    fn fill<const L: usize>(&mut self, estimate: &ChannelEstimate, noise_var: f32) {
         let n_rx = estimate.n_rx();
-        let n_layers = estimate.n_layers();
         let n_sc = estimate.n_sc();
-        self.w.clear();
-        self.w.resize(n_sc * n_layers * n_rx, Complex32::ZERO);
-        self.wt.clear();
-        self.wt.resize(n_sc * n_layers * n_rx, Complex32::ZERO);
+        // Every element is overwritten below.
+        self.w.resize(n_sc * L * n_rx, Complex32::ZERO);
+        self.wt.resize(n_sc * L * n_rx, Complex32::ZERO);
         self.n_sc = n_sc;
-        self.n_layers = n_layers;
+        self.n_layers = L;
         self.n_rx = n_rx;
+        let mut paths: [[&[Complex32]; L]; MAX_RX] = [[&[]; L]; MAX_RX];
+        for (rx, row) in paths.iter_mut().enumerate().take(n_rx) {
+            for (layer, path) in row.iter_mut().enumerate() {
+                *path = estimate.path(rx, layer);
+            }
+        }
+        let mut h = [[Complex32::ZERO; L]; MAX_RX];
         for sc in 0..n_sc {
-            // H: n_rx × n_layers for this subcarrier.
-            let h = &mut scratch.h;
-            h.reset(n_rx, n_layers);
-            for rx in 0..n_rx {
-                for layer in 0..n_layers {
-                    h[(rx, layer)] = estimate.path(rx, layer)[sc];
+            for (row, paths) in h.iter_mut().zip(&paths).take(n_rx) {
+                for (z, path) in row.iter_mut().zip(paths) {
+                    *z = path[sc];
                 }
             }
-            h.hermitian_into(&mut scratch.hh);
-            scratch.hh.mul_into(&scratch.h, &mut scratch.gram);
-            scratch.gram.add_diagonal(noise_var);
-            let weights = if scratch
-                .gram
-                .inverse_into(&mut scratch.work, &mut scratch.inv)
-            {
-                scratch.inv.mul_into(&scratch.hh, &mut scratch.wmat);
-                &scratch.wmat
-            } else {
-                &scratch.hh // matched-filter fallback
-            };
-            for layer in 0..n_layers {
-                for rx in 0..n_rx {
-                    self.w[(sc * n_layers + layer) * n_rx + rx] = weights[(layer, rx)];
-                    self.wt[(layer * n_rx + rx) * n_sc + sc] = weights[(layer, rx)];
+            let weights = solve(&h[..n_rx], noise_var);
+            for (layer, row) in weights.iter().enumerate() {
+                for (rx, &weight) in row.iter().enumerate().take(n_rx) {
+                    self.w[(sc * L + layer) * n_rx + rx] = weight;
+                    self.wt[(layer * n_rx + rx) * n_sc + sc] = weight;
                 }
             }
         }

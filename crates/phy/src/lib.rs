@@ -51,7 +51,7 @@ pub mod estimator;
 pub mod frontend;
 pub mod grid;
 pub mod harq;
-pub mod linalg;
+mod linalg;
 pub mod params;
 pub mod receiver;
 pub mod trace;

@@ -1,269 +1,63 @@
-//! Small complex matrix operations for MMSE combining.
+//! Fixed-size complex matrix inversion for MMSE combining.
 //!
 //! Combiner-weight computation needs, per subcarrier, the inverse of an
-//! `L×L` Gram matrix with `L ≤ 4` layers. A dense row-major matrix with
-//! Gaussian elimination and partial pivoting is exact enough at these
-//! sizes and keeps the crate dependency-free.
+//! `L×L` Gram matrix with `L ≤ 4` layers. Gauss–Jordan elimination with
+//! partial pivoting on a stack array is exact enough at these sizes,
+//! keeps the crate dependency-free, and — with the size a const generic —
+//! compiles to straight-line code with no heap traffic.
 
 use lte_dsp::Complex32;
 
-/// A dense row-major complex matrix.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<Complex32>,
-}
+/// A square row-major complex matrix on the stack.
+pub(crate) type Square<const N: usize> = [[Complex32; N]; N];
 
-impl CMatrix {
-    /// An all-zero `rows × cols` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "dimensions must be positive");
-        CMatrix {
-            rows,
-            cols,
-            data: vec![Complex32::ZERO; rows * cols],
+/// Inverse via Gauss–Jordan elimination with partial pivoting.
+///
+/// Returns `None` if the matrix is numerically singular (a pivot's power
+/// below `1e-20`).
+#[allow(clippy::needless_range_loop)] // (row, column) index notation throughout
+pub(crate) fn inverse<const N: usize>(mut a: Square<N>) -> Option<Square<N>> {
+    let mut inv = [[Complex32::ZERO; N]; N];
+    for (i, row) in inv.iter_mut().enumerate() {
+        row[i] = Complex32::ONE;
+    }
+    for col in 0..N {
+        // Partial pivot: largest magnitude in this column.
+        let mut pivot = col;
+        let mut best = a[col][col].norm_sqr();
+        for r in col + 1..N {
+            let mag = a[r][col].norm_sqr();
+            if mag > best {
+                best = mag;
+                pivot = r;
+            }
         }
-    }
-
-    /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Complex32::ONE;
+        if best < 1e-20 {
+            return None;
         }
-        m
-    }
-
-    /// Builds from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<Complex32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        assert!(rows > 0 && cols > 0, "dimensions must be positive");
-        CMatrix { rows, cols, data }
-    }
-
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Reshapes to an all-zero `rows × cols` matrix, reusing the backing
-    /// storage (no allocation once grown to the largest size seen).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn reset(&mut self, rows: usize, cols: usize) {
-        assert!(rows > 0 && cols > 0, "dimensions must be positive");
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, Complex32::ZERO);
-    }
-
-    /// Reshapes to the `n × n` identity, reusing the backing storage.
-    pub fn reset_identity(&mut self, n: usize) {
-        self.reset(n, n);
-        for i in 0..n {
-            self[(i, i)] = Complex32::ONE;
+        a.swap(pivot, col);
+        inv.swap(pivot, col);
+        let scale = a[col][col].inv();
+        for c in 0..N {
+            a[col][c] *= scale;
+            inv[col][c] *= scale;
         }
-    }
-
-    /// Becomes a copy of `src`, reusing the backing storage.
-    pub fn copy_from(&mut self, src: &CMatrix) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
-    /// Conjugate transpose.
-    pub fn hermitian(&self) -> CMatrix {
-        let mut out = CMatrix::zeros(self.cols, self.rows);
-        self.hermitian_into(&mut out);
-        out
-    }
-
-    /// [`hermitian`](Self::hermitian) written into a reusable output
-    /// matrix (identical arithmetic, no allocation once `out` has grown).
-    pub fn hermitian_into(&self, out: &mut CMatrix) {
-        out.reset(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)].conj();
+        for r in 0..N {
+            if r == col {
+                continue;
+            }
+            let factor = a[r][col];
+            if factor == Complex32::ZERO {
+                continue;
+            }
+            for c in 0..N {
+                let (ac, ic) = (a[col][c], inv[col][c]);
+                a[r][c] -= factor * ac;
+                inv[r][c] -= factor * ic;
             }
         }
     }
-
-    /// Matrix product `self · rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn mul(&self, rhs: &CMatrix) -> CMatrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        let mut out = CMatrix::zeros(self.rows, rhs.cols);
-        self.mul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`mul`](Self::mul) written into a reusable output matrix. The
-    /// accumulation order is identical to `mul`, so arena-path results
-    /// stay bit-exact with the allocating path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn mul_into(&self, rhs: &CMatrix, out: &mut CMatrix) {
-        assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        out.reset(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == Complex32::ZERO {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    out[(r, c)] = out[(r, c)].mul_add(a, rhs[(k, c)]);
-                }
-            }
-        }
-    }
-
-    /// Adds `lambda` to every diagonal entry (diagonal loading / noise
-    /// regularisation).
-    pub fn add_diagonal(&mut self, lambda: f32) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] += Complex32::new(lambda, 0.0);
-        }
-    }
-
-    /// Inverse via Gauss–Jordan elimination with partial pivoting.
-    ///
-    /// Returns `None` if the matrix is numerically singular.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn inverse(&self) -> Option<CMatrix> {
-        let mut work = CMatrix::zeros(self.rows, self.cols);
-        let mut out = CMatrix::zeros(self.rows, self.cols);
-        self.inverse_into(&mut work, &mut out).then_some(out)
-    }
-
-    /// [`inverse`](Self::inverse) using reusable elimination (`work`) and
-    /// output (`out`) matrices; both are reshaped as needed. Returns
-    /// `false` for a numerically singular matrix (with `work`/`out` in an
-    /// unspecified state). The elimination order is identical to
-    /// `inverse`, so results stay bit-exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn inverse_into(&self, work: &mut CMatrix, out: &mut CMatrix) -> bool {
-        assert_eq!(self.rows, self.cols, "inverse needs a square matrix");
-        let n = self.rows;
-        let a = work;
-        a.copy_from(self);
-        let inv = out;
-        inv.reset_identity(n);
-        for col in 0..n {
-            // Partial pivot: largest magnitude in this column.
-            let mut pivot = col;
-            let mut best = a[(col, col)].norm_sqr();
-            for r in col + 1..n {
-                let mag = a[(r, col)].norm_sqr();
-                if mag > best {
-                    best = mag;
-                    pivot = r;
-                }
-            }
-            if best < 1e-20 {
-                return false;
-            }
-            if pivot != col {
-                a.swap_rows(pivot, col);
-                inv.swap_rows(pivot, col);
-            }
-            let scale = a[(col, col)].inv();
-            for c in 0..n {
-                a[(col, c)] *= scale;
-                inv[(col, c)] *= scale;
-            }
-            for r in 0..n {
-                if r == col {
-                    continue;
-                }
-                let factor = a[(r, col)];
-                if factor == Complex32::ZERO {
-                    continue;
-                }
-                for c in 0..n {
-                    let ac = a[(col, c)];
-                    let ic = inv[(col, c)];
-                    a[(r, c)] -= factor * ac;
-                    inv[(r, c)] -= factor * ic;
-                }
-            }
-        }
-        true
-    }
-
-    fn swap_rows(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(i * self.cols + c, j * self.cols + c);
-        }
-    }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols`.
-    pub fn mul_vec(&self, v: &[Complex32]) -> Vec<Complex32> {
-        assert_eq!(v.len(), self.cols, "vector length mismatch");
-        (0..self.rows)
-            .map(|r| {
-                let mut acc = Complex32::ZERO;
-                for c in 0..self.cols {
-                    acc = acc.mul_add(self[(r, c)], v[c]);
-                }
-                acc
-            })
-            .collect()
-    }
-}
-
-impl std::ops::Index<(usize, usize)> for CMatrix {
-    type Output = Complex32;
-    #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &Complex32 {
-        &self.data[r * self.cols + c]
-    }
-}
-
-impl std::ops::IndexMut<(usize, usize)> for CMatrix {
-    #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Complex32 {
-        &mut self.data[r * self.cols + c]
-    }
+    Some(inv)
 }
 
 #[cfg(test)]
@@ -271,129 +65,83 @@ mod tests {
     use super::*;
     use lte_dsp::Xoshiro256;
 
-    fn random_matrix(n: usize, seed: u64) -> CMatrix {
+    fn random_matrix<const N: usize>(seed: u64) -> Square<N> {
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let data = (0..n * n)
-            .map(|_| Complex32::new(rng.next_f32() - 0.5, rng.next_f32() - 0.5))
-            .collect();
-        CMatrix::from_rows(n, n, data)
+        let mut m = [[Complex32::ZERO; N]; N];
+        for z in m.iter_mut().flatten() {
+            *z = Complex32::new(rng.next_f32() - 0.5, rng.next_f32() - 0.5);
+        }
+        m
     }
 
-    fn assert_identity(m: &CMatrix, tol: f32) {
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
+    fn mul<const N: usize>(a: &Square<N>, b: &Square<N>) -> Square<N> {
+        let mut out = [[Complex32::ZERO; N]; N];
+        for r in 0..N {
+            for c in 0..N {
+                for k in 0..N {
+                    out[r][c] = out[r][c].mul_add(a[r][k], b[k][c]);
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_identity<const N: usize>(m: &Square<N>, tol: f32) {
+        for (r, row) in m.iter().enumerate() {
+            for (c, &z) in row.iter().enumerate() {
                 let expect = if r == c {
                     Complex32::ONE
                 } else {
                     Complex32::ZERO
                 };
-                assert!(
-                    (m[(r, c)] - expect).abs() < tol,
-                    "({r},{c}) = {:?}",
-                    m[(r, c)]
-                );
+                assert!((z - expect).abs() < tol, "({r},{c}) = {z:?}");
             }
         }
     }
 
-    #[test]
-    fn identity_inverse_is_identity() {
-        let i4 = CMatrix::identity(4);
-        assert_identity(&i4.inverse().unwrap(), 1e-6);
+    fn check_random_inverses<const N: usize>() {
+        for seed in 0..20 {
+            let mut m = random_matrix::<N>(seed);
+            for (i, row) in m.iter_mut().enumerate() {
+                row[i] += Complex32::new(0.5, 0.0); // keep well-conditioned
+            }
+            let inv = inverse(m).expect("invertible");
+            assert_identity(&mul(&m, &inv), 1e-4);
+            assert_identity(&mul(&inv, &m), 1e-4);
+        }
     }
 
     #[test]
     fn inverse_of_random_matrices() {
-        for n in 1..=4 {
-            for seed in 0..20 {
-                let mut m = random_matrix(n, seed);
-                m.add_diagonal(0.5); // keep well-conditioned
-                let inv = m.inverse().expect("invertible");
-                assert_identity(&m.mul(&inv), 1e-4);
-                assert_identity(&inv.mul(&m), 1e-4);
-            }
+        check_random_inverses::<1>();
+        check_random_inverses::<2>();
+        check_random_inverses::<3>();
+        check_random_inverses::<4>();
+    }
+
+    #[test]
+    fn identity_inverse_is_identity() {
+        let mut i4 = [[Complex32::ZERO; 4]; 4];
+        for (i, row) in i4.iter_mut().enumerate() {
+            row[i] = Complex32::ONE;
         }
+        assert_eq!(inverse(i4), Some(i4));
     }
 
     #[test]
     fn singular_matrix_returns_none() {
-        let mut m = CMatrix::zeros(2, 2);
-        m[(0, 0)] = Complex32::ONE;
-        m[(1, 0)] = Complex32::ONE; // rank 1
-        assert!(m.inverse().is_none());
+        let mut m = [[Complex32::ZERO; 2]; 2];
+        m[0][0] = Complex32::ONE;
+        m[1][0] = Complex32::ONE; // rank 1
+        assert!(inverse(m).is_none());
     }
 
     #[test]
-    fn hermitian_transpose() {
-        let m = CMatrix::from_rows(
-            1,
-            2,
-            vec![Complex32::new(1.0, 2.0), Complex32::new(3.0, -4.0)],
-        );
-        let h = m.hermitian();
-        assert_eq!(h.rows(), 2);
-        assert_eq!(h[(0, 0)], Complex32::new(1.0, -2.0));
-        assert_eq!(h[(1, 0)], Complex32::new(3.0, 4.0));
-    }
-
-    #[test]
-    fn mul_vec_matches_mul() {
-        let m = random_matrix(3, 3);
-        let v = vec![Complex32::ONE, Complex32::I, Complex32::new(0.5, 0.5)];
-        let as_mat = m.mul(&CMatrix::from_rows(3, 1, v.clone()));
-        let as_vec = m.mul_vec(&v);
-        for r in 0..3 {
-            assert!((as_mat[(r, 0)] - as_vec[r]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn diagonal_loading() {
-        let mut m = CMatrix::zeros(2, 2);
-        m.add_diagonal(2.5);
-        assert_eq!(m[(0, 0)], Complex32::new(2.5, 0.0));
-        assert_eq!(m[(1, 1)], Complex32::new(2.5, 0.0));
-        assert_eq!(m[(0, 1)], Complex32::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "square")]
-    fn inverse_requires_square() {
-        CMatrix::zeros(2, 3).inverse();
-    }
-
-    #[test]
-    fn into_variants_match_allocating_ops_bitwise() {
-        // Reused (wrong-shaped, dirty) outputs must produce exactly the
-        // allocating results — the zero-alloc receive path depends on it.
-        let mut h = CMatrix::zeros(1, 1);
-        let mut p = CMatrix::zeros(1, 1);
-        let mut work = CMatrix::zeros(1, 1);
-        let mut inv = CMatrix::zeros(1, 1);
-        for seed in 0..10 {
-            for n in 1..=4 {
-                let m = random_matrix(n, seed);
-                m.hermitian_into(&mut h);
-                assert_eq!(h, m.hermitian());
-                let rhs = random_matrix(n, seed + 100);
-                m.mul_into(&rhs, &mut p);
-                assert_eq!(p, m.mul(&rhs));
-                let mut g = m.clone();
-                g.add_diagonal(0.5);
-                assert!(g.inverse_into(&mut work, &mut inv));
-                assert_eq!(inv, g.inverse().expect("invertible"));
-            }
-        }
-    }
-
-    #[test]
-    fn reset_reuses_storage_and_zeroes() {
-        let mut m = random_matrix(4, 1);
-        m.reset(2, 3);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m, CMatrix::zeros(2, 3));
-        m.reset_identity(3);
-        assert_eq!(m, CMatrix::identity(3));
+    fn pivoting_handles_a_zero_leading_entry() {
+        // [[0, 1], [1, 0]] is its own inverse but needs the row swap.
+        let mut m = [[Complex32::ZERO; 2]; 2];
+        m[0][1] = Complex32::ONE;
+        m[1][0] = Complex32::ONE;
+        assert_eq!(inverse(m), Some(m));
     }
 }

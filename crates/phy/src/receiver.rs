@@ -20,7 +20,7 @@ use lte_dsp::fft::FftPlanner;
 use lte_dsp::interleave::{subblock_cached, Interleaver};
 use lte_dsp::llr::{demap_block_into, hard_decisions_into};
 use lte_dsp::rate_match::RateMatcher;
-use lte_dsp::scrambling::descramble_llrs;
+use lte_dsp::scrambling::descramble_llrs_into;
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::turbo::{TurboDecoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::Complex32;
@@ -187,16 +187,17 @@ fn finish_user_timed<R: Recorder>(
     let total = user.bits_per_subframe();
     assert_eq!(llrs.len(), total, "LLR count must match the allocation");
     let interleaver = subblock_cached(total);
-    // Descrambling (Gold-sequence sign flips) runs in place on a copy.
-    let mut scrambled = arena.take_f32(total);
+    // Gold-sequence sign flips, straight from the caller's stream into
+    // an arena buffer.
+    let mut descrambled = arena.take_f32(total);
+    let c_init = crate::tx::scrambling_init(cell, user);
     let (mut frame_bits, expected_len) = match (mode, FramePlan::for_user(user, mode)) {
         (TurboMode::Passthrough, FramePlan::Passthrough { payload_bits }) => {
             let mut deinterleaved = arena.take_f32(total);
             timer.time(Stage::Deinterleave, || {
-                scrambled.extend_from_slice(llrs);
-                descramble_llrs(&mut scrambled, crate::tx::scrambling_init(cell, user));
+                descramble_llrs_into(llrs, c_init, &mut descrambled);
                 deinterleaved.resize(total, 0.0);
-                interleaver.invert_into(&scrambled, &mut deinterleaved);
+                interleaver.invert_into(&descrambled, &mut deinterleaved);
             });
             let mut bits = arena.take_u8(total);
             timer.time(Stage::Turbo, || {
@@ -212,14 +213,13 @@ fn finish_user_timed<R: Recorder>(
             // iterations, desegmentation — reuses held buffers and
             // allocates nothing.
             timer.time(Stage::Deinterleave, || {
-                scrambled.extend_from_slice(llrs);
-                descramble_llrs(&mut scrambled, crate::tx::scrambling_init(cell, user));
+                descramble_llrs_into(llrs, c_init, &mut descrambled)
             });
             let mut bits = arena.take_u8(transport_bits);
             timer.time(Stage::Turbo, || {
                 decode_transport(
                     turbo,
-                    &scrambled,
+                    &descrambled,
                     &interleaver,
                     iterations,
                     transport_bits,
@@ -230,7 +230,7 @@ fn finish_user_timed<R: Recorder>(
         }
         _ => unreachable!("plan always matches mode"),
     };
-    arena.recycle_f32(scrambled);
+    arena.recycle_f32(descrambled);
     let crc_ok = timer.time(Stage::Crc, || {
         frame_bits.truncate(expected_len);
         CRC24A.check_bits(&frame_bits)
@@ -243,8 +243,8 @@ fn finish_user_timed<R: Recorder>(
 }
 
 /// Per-thread reusable state for the receive path: the buffer arena plus
-/// the estimate, weight and matrix scratch the pipeline reshapes in
-/// place every subframe.
+/// the estimate and weight storage the pipeline reshapes in place every
+/// subframe.
 ///
 /// One instance lives per worker thread (see [`UserScratch::with`]);
 /// nothing here is shared, so there is no locking on the hot path.
@@ -256,7 +256,6 @@ pub struct UserScratch {
     pub turbo: TurboScratch,
     est: ChannelEstimate,
     weights: Vec<CombinerWeights>,
-    mmse: MmseScratch,
     combined: Vec<Complex32>,
     llrs: Vec<f32>,
 }
@@ -284,9 +283,9 @@ impl UserScratch {
 
     /// Computes one slot's combiner weights from a flat
     /// `[rx][layer][subcarrier]` path buffer through this scratch's
-    /// matrices — the parallel runtime's estimation tasks write such a
-    /// buffer, and the user thread turns it into weights here without
-    /// allocating any intermediates.
+    /// estimate storage — the parallel runtime's estimation tasks write
+    /// such a buffer, and the user thread turns it into weights here
+    /// without allocating any intermediates.
     ///
     /// # Panics
     ///
@@ -311,7 +310,7 @@ impl UserScratch {
             }
         }
         let mut weights = CombinerWeights::empty();
-        weights.compute(&self.est, noise_var, &mut self.mmse);
+        weights.compute(&self.est, noise_var, &mut MmseScratch);
         weights
     }
 }
@@ -375,7 +374,7 @@ fn demodulate_user_timed<R: Recorder>(
             }
         }
         timer.time(Stage::Weights, || {
-            scratch.weights[slot].compute(&scratch.est, noise_var, &mut scratch.mmse)
+            scratch.weights[slot].compute(&scratch.est, noise_var, &mut MmseScratch)
         });
     }
 

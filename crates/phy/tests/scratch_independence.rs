@@ -65,3 +65,45 @@ fn output_is_independent_of_dirty_scratch_across_random_configs() {
         );
     }
 }
+
+#[test]
+fn mmse_weights_are_independent_of_a_larger_previous_shape() {
+    use lte_dsp::channel::MimoChannel;
+    use lte_phy::combiner::{CombinerWeights, MmseScratch};
+    use lte_phy::estimator::ChannelEstimate;
+
+    let mut rng = Xoshiro256::seed_from_u64(0x33E5);
+    let mut estimate = |n_rx: usize, n_layers: usize, n_sc: usize| {
+        let channel = MimoChannel::randomize(n_rx, n_layers, 3, &mut rng);
+        let mut est = ChannelEstimate::empty(n_rx, n_layers, n_sc);
+        for rx in 0..n_rx {
+            for layer in 0..n_layers {
+                *est.path_mut(rx, layer) = channel.frequency_response(rx, layer, n_sc);
+            }
+        }
+        est
+    };
+    // The largest admissible shape first, so every later solve runs over
+    // weight storage (and a scratch) that held more antennas, more layers
+    // and more subcarriers.
+    let mut scratch = MmseScratch::new();
+    let mut reused = CombinerWeights::empty();
+    reused.compute(&estimate(8, 4, 48), 0.05, &mut scratch);
+    for (n_rx, n_layers, n_sc) in [(4, 3, 36), (2, 2, 24), (1, 1, 12), (8, 1, 12), (4, 4, 48)] {
+        let est = estimate(n_rx, n_layers, n_sc);
+        reused.compute(&est, 0.05, &mut scratch);
+        let fresh = CombinerWeights::mmse(&est, 0.05);
+        assert_eq!(reused, fresh, "{n_rx}x{n_layers}x{n_sc}");
+        for layer in 0..n_layers {
+            for rx in 0..n_rx {
+                for sc in 0..n_sc {
+                    let (lane, row) = (reused.lane(layer, rx)[sc], reused.row(sc, layer)[rx]);
+                    assert_eq!(
+                        (lane.re.to_bits(), lane.im.to_bits()),
+                        (row.re.to_bits(), row.im.to_bits())
+                    );
+                }
+            }
+        }
+    }
+}

@@ -14,26 +14,38 @@
 //! * **exactness divergences** — the differential targets run the same
 //!   input through the SIMD and forced-scalar dispatch paths and
 //!   require byte-identical output, the same contract `lte-sim vectors
-//!   --check --scalar` gates at coarser granularity.
+//!   --check --scalar` gates at coarser granularity; the serial-tail
+//!   targets (`gold-word`, `crc-table`, `descramble`, `mmse-fixed`) hold
+//!   the word-parallel, table-driven and fixed-size kernels to the
+//!   one-step-at-a-time forms kept in [`oracle`].
 //!
 //! ```text
 //! lte-fuzz [TARGET] [--iters N] [--seed S]
 //! TARGET: demap | fft | segmentation | rate-match | turbo |
 //!         turbo-simd | turbo-early-term | matched-filter |
-//!         calibration | all (default)
+//!         calibration | gold-word | crc-table | descramble |
+//!         mmse-fixed | all (default)
 //! ```
+
+mod oracle;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
+use lte_dsp::crc::{CRC16, CRC24A, CRC24B, CRC8};
 use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::rate_match::RateMatcher;
+use lte_dsp::scrambling::{descramble_llrs, descramble_llrs_into, GoldSequence};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::simd::force_scalar;
 use lte_dsp::turbo::{supported_block_sizes, TurboDecoder, TurboEncoder, TurboLlrs};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
+use lte_phy::combiner::{CombinerWeights, MmseScratch};
+use lte_phy::estimator::ChannelEstimate;
 use lte_power::WorkloadEstimator;
+
+use oracle::{crc_bit_loop, mmse_weights_dynamic, BitStepGold};
 
 type Target = (&'static str, fn(u64));
 
@@ -47,6 +59,10 @@ const TARGETS: &[Target] = &[
     ("turbo-early-term", fuzz_turbo_early_term),
     ("matched-filter", fuzz_matched_filter),
     ("calibration", fuzz_calibration),
+    ("gold-word", fuzz_gold_word),
+    ("crc-table", fuzz_crc_table),
+    ("descramble", fuzz_descramble),
+    ("mmse-fixed", fuzz_mmse_fixed),
 ];
 
 fn main() -> ExitCode {
@@ -119,7 +135,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
-         turbo-early-term|matched-filter|calibration|all] [--iters N] [--seed S]"
+         turbo-early-term|matched-filter|calibration|gold-word|crc-table|\
+         descramble|mmse-fixed|all] [--iters N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -413,4 +430,131 @@ fn fuzz_calibration(seed: u64) {
     }
     let text = String::from_utf8_lossy(&text).into_owned();
     let _ = WorkloadEstimator::from_json(&text);
+}
+
+/// The word-parallel Gold generator against the one-bit-per-step
+/// registers: any seed (bit 31 must be ignored), any starting offset
+/// reached bit by bit, any length read as words, then bits again.
+fn fuzz_gold_word(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let c_init = rng.next_u32();
+    let offset = rng.next_below(120) as usize;
+    let n = rng.next_below(5000) as usize;
+    let mut word = GoldSequence::new(c_init);
+    let mut bit = BitStepGold::new(c_init);
+    for i in 0..offset {
+        assert_eq!(word.next_bit(), bit.next_bit(), "offset bit {i}");
+    }
+    let expect: Vec<u8> = (0..n).map(|_| bit.next_bit()).collect();
+    assert_eq!(word.bits(n), expect, "c_init {c_init:#x} +{offset} n {n}");
+    for i in 0..40 {
+        assert_eq!(word.next_bit(), bit.next_bit(), "trailing bit {i}");
+    }
+}
+
+/// The byte-table CRC against the bit loop for all four polynomials:
+/// every `len % 8`, elements drawn from the whole byte range (only the
+/// low bit may count), and the packed-byte entry point on the same bits.
+fn fuzz_crc_table(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let len = rng.next_below(6201) as usize;
+    let bits: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+    let bytes: Vec<u8> = bits
+        .chunks_exact(8)
+        .map(|octet| octet.iter().fold(0, |byte, b| (byte << 1) | (b & 1)))
+        .collect();
+    for (crc, poly) in [
+        (CRC24A, 0x86_4C_FB),
+        (CRC24B, 0x80_00_63),
+        (CRC16, 0x1021),
+        (CRC8, 0x9B),
+    ] {
+        let width = crc.width();
+        assert_eq!(
+            crc.compute_bits(&bits),
+            crc_bit_loop(poly, width, &bits),
+            "crc{width} poly {poly:#x} len {len}"
+        );
+        assert_eq!(
+            crc.compute_bytes(&bytes),
+            crc_bit_loop(poly, width, &bits[..8 * bytes.len()]),
+            "crc{width} poly {poly:#x} {} bytes",
+            bytes.len()
+        );
+    }
+}
+
+/// The branch-free sign flip against `if bit { -l }`, in place and
+/// copying, over wild LLRs salted with signed zeros, infinities and NaN
+/// payloads — compared as bits.
+fn fuzz_descramble(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let c_init = rng.next_u32();
+    let n = rng.next_below(3000) as usize;
+    let mut llrs = wild_llrs(&mut rng, n);
+    for l in llrs.iter_mut() {
+        match rng.next_below(12) {
+            0 => *l = -0.0,
+            1 => *l = f32::INFINITY,
+            2 => *l = f32::NEG_INFINITY,
+            3 => *l = f32::from_bits(rng.next_u32() | 0x7F80_0001), // NaN, any payload/sign
+            _ => {}
+        }
+    }
+    let mut gold = BitStepGold::new(c_init);
+    let expect: Vec<f32> = llrs
+        .iter()
+        .map(|&l| if gold.next_bit() == 1 { -l } else { l })
+        .collect();
+    let mut in_place = llrs.clone();
+    descramble_llrs(&mut in_place, c_init);
+    assert_bits_equal(&in_place, &expect, "descramble in place");
+    let mut copied = vec![1.0; rng.next_below(8) as usize];
+    descramble_llrs_into(&llrs, c_init, &mut copied);
+    assert_bits_equal(&copied, &expect, "descramble into");
+}
+
+/// The fixed-size stack MMSE solve against the dynamic-matrix
+/// formulation it replaced, at every antenna × layer shape, on channels
+/// spanning 60 decades with exact zeros, rank-deficient columns and
+/// all-zero `H` (the matched-filter fallback) — compared as bits, the
+/// NaNs and infinities of overflowing solves included.
+fn fuzz_mmse_fixed(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let n_rx = 1 + rng.next_below(8) as usize;
+    let n_layers = 1 + rng.next_below(4) as usize;
+    let n_sc = 1 + rng.next_below(40) as usize;
+    let shape = rng.next_below(8);
+    let mut est = ChannelEstimate::empty(n_rx, n_layers, n_sc);
+    if shape != 0 {
+        for rx in 0..n_rx {
+            for layer in 0..n_layers {
+                *est.path_mut(rx, layer) = if shape == 1 && layer > 0 {
+                    est.path(rx, 0).to_vec() // rank one: every layer alike
+                } else {
+                    wild_symbols(&mut rng, n_sc)
+                };
+            }
+        }
+    }
+    // From far below the pivot floor to far above any channel power.
+    let noise_var = 10f32.powi(rng.next_below(61) as i32 - 30);
+    let expect = mmse_weights_dynamic(&est, noise_var);
+    let mut weights = CombinerWeights::empty();
+    weights.compute(&est, noise_var, &mut MmseScratch::new());
+    for sc in 0..n_sc {
+        for layer in 0..n_layers {
+            for rx in 0..n_rx {
+                let want = expect[(sc * n_layers + layer) * n_rx + rx];
+                for got in [weights.row(sc, layer)[rx], weights.lane(layer, rx)[sc]] {
+                    assert!(
+                        got.re.to_bits() == want.re.to_bits()
+                            && got.im.to_bits() == want.im.to_bits(),
+                        "mmse {n_rx}x{n_layers} shape {shape} noise {noise_var:e} \
+                         sc {sc} layer {layer} rx {rx}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+    }
 }

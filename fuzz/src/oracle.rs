@@ -1,0 +1,236 @@
+//! Differential oracles: the serial-tail kernels as they stood before
+//! their word-parallel / table-driven / fixed-size rewrites, moved here
+//! verbatim so the fuzzer can hold the fast forms to the old bits.
+
+use lte_dsp::Complex32;
+use lte_phy::estimator::ChannelEstimate;
+
+/// The Gold sequence one register bit per step, warm-up included.
+pub struct BitStepGold {
+    x1: u32,
+    x2: u32,
+}
+
+impl BitStepGold {
+    pub fn new(c_init: u32) -> Self {
+        let mut g = BitStepGold {
+            x1: 1, // x1 starts at 0…01 per the standard
+            x2: c_init & 0x7FFF_FFFF,
+        };
+        for _ in 0..1600 {
+            g.step();
+        }
+        g
+    }
+
+    fn step(&mut self) {
+        // x1(n+31) = (x1(n+3) + x1(n)) mod 2
+        let new_x1 = ((self.x1 >> 3) ^ self.x1) & 1;
+        // x2(n+31) = (x2(n+3) + x2(n+2) + x2(n+1) + x2(n)) mod 2
+        let new_x2 = ((self.x2 >> 3) ^ (self.x2 >> 2) ^ (self.x2 >> 1) ^ self.x2) & 1;
+        self.x1 = (self.x1 >> 1) | (new_x1 << 30);
+        self.x2 = (self.x2 >> 1) | (new_x2 << 30);
+    }
+
+    pub fn next_bit(&mut self) -> u8 {
+        let c = ((self.x1 ^ self.x2) & 1) as u8;
+        self.step();
+        c
+    }
+}
+
+/// The bit-at-a-time CRC shift register over one-bit-per-byte input,
+/// masking each element to its low bit as the release build did.
+pub fn crc_bit_loop(poly: u32, width: u32, bits: &[u8]) -> u32 {
+    let mut reg: u32 = 0;
+    let top = 1u32 << (width - 1);
+    let mask = (1u64 << width) as u32 - 1;
+    for &b in bits {
+        let fb = ((reg & top) != 0) ^ ((b & 1) != 0);
+        reg = (reg << 1) & mask;
+        if fb {
+            reg ^= poly;
+        }
+    }
+    reg
+}
+
+/// A dense row-major complex matrix on the heap.
+pub struct CMatrix {
+    rows: usize,
+    cols: usize,
+    data: Vec<Complex32>,
+}
+
+impl CMatrix {
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        assert!(rows > 0 && cols > 0, "dimensions must be positive");
+        CMatrix {
+            rows,
+            cols,
+            data: vec![Complex32::ZERO; rows * cols],
+        }
+    }
+
+    fn reset(&mut self, rows: usize, cols: usize) {
+        assert!(rows > 0 && cols > 0, "dimensions must be positive");
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, Complex32::ZERO);
+    }
+
+    fn reset_identity(&mut self, n: usize) {
+        self.reset(n, n);
+        for i in 0..n {
+            self[(i, i)] = Complex32::ONE;
+        }
+    }
+
+    fn copy_from(&mut self, src: &CMatrix) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
+    fn hermitian_into(&self, out: &mut CMatrix) {
+        out.reset(self.cols, self.rows);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                out[(c, r)] = self[(r, c)].conj();
+            }
+        }
+    }
+
+    fn mul_into(&self, rhs: &CMatrix, out: &mut CMatrix) {
+        assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
+        out.reset(self.rows, rhs.cols);
+        for r in 0..self.rows {
+            for k in 0..self.cols {
+                let a = self[(r, k)];
+                if a == Complex32::ZERO {
+                    continue;
+                }
+                for c in 0..rhs.cols {
+                    out[(r, c)] = out[(r, c)].mul_add(a, rhs[(k, c)]);
+                }
+            }
+        }
+    }
+
+    fn add_diagonal(&mut self, lambda: f32) {
+        let n = self.rows.min(self.cols);
+        for i in 0..n {
+            self[(i, i)] += Complex32::new(lambda, 0.0);
+        }
+    }
+
+    /// Gauss–Jordan elimination with partial pivoting; `false` for a
+    /// numerically singular matrix.
+    fn inverse_into(&self, work: &mut CMatrix, out: &mut CMatrix) -> bool {
+        assert_eq!(self.rows, self.cols, "inverse needs a square matrix");
+        let n = self.rows;
+        let a = work;
+        a.copy_from(self);
+        let inv = out;
+        inv.reset_identity(n);
+        for col in 0..n {
+            // Partial pivot: largest magnitude in this column.
+            let mut pivot = col;
+            let mut best = a[(col, col)].norm_sqr();
+            for r in col + 1..n {
+                let mag = a[(r, col)].norm_sqr();
+                if mag > best {
+                    best = mag;
+                    pivot = r;
+                }
+            }
+            if best < 1e-20 {
+                return false;
+            }
+            if pivot != col {
+                a.swap_rows(pivot, col);
+                inv.swap_rows(pivot, col);
+            }
+            let scale = a[(col, col)].inv();
+            for c in 0..n {
+                a[(col, c)] *= scale;
+                inv[(col, c)] *= scale;
+            }
+            for r in 0..n {
+                if r == col {
+                    continue;
+                }
+                let factor = a[(r, col)];
+                if factor == Complex32::ZERO {
+                    continue;
+                }
+                for c in 0..n {
+                    let ac = a[(col, c)];
+                    let ic = inv[(col, c)];
+                    a[(r, c)] -= factor * ac;
+                    inv[(r, c)] -= factor * ic;
+                }
+            }
+        }
+        true
+    }
+
+    fn swap_rows(&mut self, i: usize, j: usize) {
+        if i == j {
+            return;
+        }
+        for c in 0..self.cols {
+            self.data.swap(i * self.cols + c, j * self.cols + c);
+        }
+    }
+}
+
+impl std::ops::Index<(usize, usize)> for CMatrix {
+    type Output = Complex32;
+    fn index(&self, (r, c): (usize, usize)) -> &Complex32 {
+        &self.data[r * self.cols + c]
+    }
+}
+
+impl std::ops::IndexMut<(usize, usize)> for CMatrix {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Complex32 {
+        &mut self.data[r * self.cols + c]
+    }
+}
+
+/// MMSE weights through dynamic matrices, flattened `[sc][layer][rx]`:
+/// `W = (ĤᴴĤ + σ²I)⁻¹Ĥᴴ`, or `Ĥᴴ` where the Gram matrix is singular.
+pub fn mmse_weights_dynamic(estimate: &ChannelEstimate, noise_var: f32) -> Vec<Complex32> {
+    let n_rx = estimate.n_rx();
+    let n_layers = estimate.n_layers();
+    let n_sc = estimate.n_sc();
+    let m = || CMatrix::zeros(1, 1);
+    let (mut h, mut hh, mut gram, mut work, mut inv, mut wmat) = (m(), m(), m(), m(), m(), m());
+    let mut w = vec![Complex32::ZERO; n_sc * n_layers * n_rx];
+    for sc in 0..n_sc {
+        // H: n_rx × n_layers for this subcarrier.
+        h.reset(n_rx, n_layers);
+        for rx in 0..n_rx {
+            for layer in 0..n_layers {
+                h[(rx, layer)] = estimate.path(rx, layer)[sc];
+            }
+        }
+        h.hermitian_into(&mut hh);
+        hh.mul_into(&h, &mut gram);
+        gram.add_diagonal(noise_var);
+        let weights = if gram.inverse_into(&mut work, &mut inv) {
+            inv.mul_into(&hh, &mut wmat);
+            &wmat
+        } else {
+            &hh // matched-filter fallback
+        };
+        for layer in 0..n_layers {
+            for rx in 0..n_rx {
+                w[(sc * n_layers + layer) * n_rx + rx] = weights[(layer, rx)];
+            }
+        }
+    }
+    w
+}
