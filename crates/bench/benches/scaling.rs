@@ -18,31 +18,22 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lte_dsp::fft::FftPlanner;
-use lte_dsp::{Modulation, Xoshiro256};
+use lte_dsp::Xoshiro256;
 use lte_phy::grid::UserInput;
-use lte_phy::params::{CellConfig, TurboMode, UserConfig};
+use lte_phy::params::{CellConfig, TurboMode};
 use lte_phy::receiver::{process_user_pooled, UserScratch};
 use lte_sched::TaskPool;
 use lte_uplink::benchmark::spawn_user_graph;
-
-/// The same 100-PRB user mix `lte-sim perf` replays each subframe.
-const STEADY_STATE_USERS: [(usize, usize, Modulation); 4] = [
-    (25, 2, Modulation::Qam16),
-    (10, 1, Modulation::Qpsk),
-    (50, 2, Modulation::Qam64),
-    (15, 4, Modulation::Qam16),
-];
+use lte_uplink::perf::steady_state_subframe;
 
 fn bench_task_granularity(c: &mut Criterion) {
     let cell = CellConfig::default();
     let planner = Arc::new(FftPlanner::new());
     let mut rng = Xoshiro256::seed_from_u64(42);
-    let inputs: Vec<Arc<UserInput>> = STEADY_STATE_USERS
+    let inputs: Vec<Arc<UserInput>> = steady_state_subframe()
+        .users
         .iter()
-        .map(|&(prbs, layers, modulation)| {
-            let user = UserConfig::new(prbs, layers, modulation);
-            Arc::new(lte_phy::tx::synthesize_user(&cell, &user, 35.0, &mut rng))
-        })
+        .map(|user| Arc::new(lte_phy::tx::synthesize_user(&cell, user, 35.0, &mut rng)))
         .collect();
 
     let workers = lte_sched::host_parallelism();

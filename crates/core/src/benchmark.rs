@@ -44,7 +44,7 @@ use lte_phy::params::{
 use lte_phy::receiver::{finish_user_with_arena, UserResult, UserScratch};
 use lte_phy::tx::{prewarm_references, synthesize_retransmission, synthesize_user_with_mode};
 use lte_phy::verify::{GoldenRecord, VerifyError};
-use lte_sched::{PoolConfig, PoolError, PoolHandle, TaskPool};
+use lte_sched::{PoolError, PoolHandle, TaskPool};
 
 /// A power-governance hook invoked at every subframe dispatch boundary,
 /// before the subframe's jobs are submitted (see
@@ -124,16 +124,12 @@ pub struct BenchmarkConfig {
     /// as a later dispatch stamp, not as hidden queueing. `None` keeps
     /// the paper's blind dispatch.
     pub max_in_flight: Option<usize>,
-    /// Pin worker `i` to CPU `i % host_cpus` (Linux only), removing OS
-    /// migration noise from scaling measurements.
-    pub pin_workers: bool,
 }
 
 impl Default for BenchmarkConfig {
     fn default() -> Self {
         BenchmarkConfig {
-            // Same helper (and same fallback) as PoolConfig::default, so
-            // the benchmark and the pool can never disagree on workers.
+            // The one helper (and fallback) every worker default uses.
             workers: lte_sched::host_parallelism(),
             delta: Duration::from_millis(5),
             snr_db: 30.0,
@@ -143,7 +139,6 @@ impl Default for BenchmarkConfig {
             harq: 0,
             exact_demap: false,
             max_in_flight: None,
-            pin_workers: false,
         }
     }
 }
@@ -181,8 +176,6 @@ pub struct PoolActivity {
     pub lifo_slot_hits: u64,
     /// Times any worker parked on the idle condvar.
     pub parks: u64,
-    /// Workers successfully pinned to a CPU at startup.
-    pub pinned_workers: u64,
 }
 
 impl PoolActivity {
@@ -194,7 +187,6 @@ impl PoolActivity {
             batch_stolen_tasks: pool.batch_stolen_tasks(),
             lifo_slot_hits: pool.lifo_slot_hits(),
             parks: pool.parks(),
-            pinned_workers: pool.pinned_workers(),
         }
     }
 }
@@ -246,6 +238,15 @@ pub(crate) fn pace_until(deadline: Instant) {
     while Instant::now() < deadline {
         std::hint::spin_loop();
     }
+}
+
+/// Offset of dispatch boundary `tick` from the run start at interval
+/// `delta`, in 64-bit nanoseconds: exact for any tick count a
+/// run-until-drained service can reach, saturating (≈ 584 years) rather
+/// than wrapping or panicking beyond that.
+pub(crate) fn tick_offset(delta: Duration, tick: u64) -> Duration {
+    let delta_ns = u64::try_from(delta.as_nanos()).unwrap_or(u64::MAX);
+    Duration::from_nanos(delta_ns.saturating_mul(tick))
 }
 
 /// The benchmark: input synthesis, dispatch, parallel processing and
@@ -356,10 +357,7 @@ impl UplinkBenchmark {
         subframes: &[SubframeConfig],
         mut governed: Option<GovernHook<'_>>,
     ) -> Result<BenchmarkRun, PoolError> {
-        let pool = TaskPool::with_config(PoolConfig {
-            n_workers: self.cfg.workers,
-            pin_workers: self.cfg.pin_workers,
-        })?;
+        let pool = TaskPool::new(self.cfg.workers)?;
         let handle = pool.handle();
         let planner = Arc::new(FftPlanner::new());
         let cell = self.cell;
@@ -421,7 +419,7 @@ impl UplinkBenchmark {
         let mut dispatched_at = vec![0u64; subframes.len()];
         // Maintenance loop: dispatch each subframe at its deadline.
         for (sf_idx, sf_inputs) in inputs.iter().enumerate() {
-            pace_until(start + self.cfg.delta * sf_idx as u32);
+            pace_until(start + tick_offset(self.cfg.delta, sf_idx as u64));
             // In-flight window: hold this subframe at the door until
             // fewer than `window` earlier subframes remain open. The
             // wait lands in the dispatch stamp below, so the latency
@@ -957,6 +955,23 @@ mod tests {
             seed: 7,
             ..BenchmarkConfig::default()
         }
+    }
+
+    #[test]
+    fn tick_offset_neither_truncates_nor_overflows() {
+        let ms = Duration::from_millis(1);
+        assert_eq!(tick_offset(ms, 0), Duration::ZERO);
+        assert_eq!(tick_offset(ms, 7), Duration::from_millis(7));
+        assert_eq!(tick_offset(Duration::ZERO, u64::MAX), Duration::ZERO);
+        // Past 2^32 ticks (49.7 days at 1 ms) the offset keeps growing;
+        // a 32-bit tick would wrap this one back to 1 ms.
+        let tick = u32::MAX as u64 + 2;
+        assert_eq!(tick_offset(ms, tick), Duration::from_millis(tick));
+        // Beyond 64-bit nanoseconds the offset saturates.
+        let cap = Duration::from_nanos(u64::MAX);
+        assert_eq!(tick_offset(Duration::from_secs(1), u64::MAX / 2), cap);
+        assert_eq!(tick_offset(Duration::MAX, 1), cap);
+        assert_eq!(tick_offset(Duration::MAX, 0), Duration::ZERO);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!   fingerprint      one-line fingerprint of a canonical run's bytes
 //!   vectors          check (or --write) the golden kernel vectors
 //!   bench            run the real parallel benchmark briefly
-//!   perf             steady-state throughput harness (BENCH_PR3.json)
 //!   all              everything above, written to --out
 //! ```
 //!
 //! Run `lte-sim --help` for the full command and flag reference.
+//! Performance is not measured here: `examples/lte_bench` is the one
+//! harness (`run` / `trace` / `compare`, see `BENCHMARK.json`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -53,14 +54,9 @@ struct Options {
     chaos: bool,
     quick: bool,
     subframes_override: Option<usize>,
-    seed_override: Option<u64>,
-    baseline: Option<PathBuf>,
-    workers: Option<Vec<usize>>,
+    /// soak, serve, deploy: worker threads of the real pool.
+    workers: Option<usize>,
     window: Option<usize>,
-    pin: bool,
-    scaling_baseline: Option<PathBuf>,
-    /// perf: BENCH_PR9.json baseline for the decode-tail gate.
-    decode_baseline: Option<PathBuf>,
     traffic: Option<String>,
     config: Option<PathBuf>,
     /// vectors: regenerate the golden file instead of checking it.
@@ -106,16 +102,6 @@ COMMANDS:
                       and Eq. 3 slope re-calibration from real runs
                       (GOVERN.json + governor trace/metrics)
     bench             run the real parallel benchmark briefly
-    perf              throughput harness: steady-state Fig. 8 load at
-                      zero dispatch interval, serial-vs-parallel
-                      byte-identity check, BENCH_PR3.json under --out,
-                      a turbo-decode leg run twice in the same process
-                      (SIMD dispatch, then forced-scalar) for the
-                      decode-tail speedup, per-stage time-breakdown
-                      tables for both modes (BENCH_PR9.json), then the
-                      worker-scaling matrix (BENCH_PR4.json):
-                      throughput/speedup/efficiency per worker count,
-                      byte-identity verified at every point
     soak              continuous-telemetry soak: N subframes through the
                       governed DES in rolling windows of W, with
                       per-window latency histograms (p50/p99/p999),
@@ -197,26 +183,12 @@ FLAGS:
                       govern: load the estimator's fitted slopes from
                       this JSON file when it exists; otherwise fit the
                       Fig. 11 sweep and save the table here
-    --baseline FILE   perf: compare against this BENCH_PR3.json and exit
-                      1 on a >10% subframes/sec regression
-    --workers LIST    perf: comma-separated worker counts for the
-                      scaling matrix (default: powers of two up to the
-                      host's available parallelism)
-    --window N        perf: multi-subframe pipelining window — admit
-                      subframe n+1 while up to N earlier subframes are
-                      still in flight (0 = unbounded; default 4 for the
-                      scaling matrix)
-                      soak: telemetry window length in subframes
+    --workers N       soak, serve, deploy: worker threads of the real
+                      pool, one positive count (default: the host's
+                      available parallelism, at most 4)
+    --window N        soak: telemetry window length in subframes
                       (default 1000)
                       serve: SLO window length in ticks (default 40)
-    --pin             perf: pin workers to CPUs round-robin
-    --scaling-baseline FILE
-                      perf: compare against this BENCH_PR4.json and exit
-                      1 on a >10% max-workers speedup regression
-    --decode-baseline FILE
-                      perf: compare against this BENCH_PR9.json and exit
-                      1 on a >10% regression of either the pass-through
-                      or the turbo-mode subframes/sec
     --traffic MODEL   serve: built-in traffic generator — full-buffer |
                       bursty-iot | voip (default: full-buffer)
     --write           vectors: write the recomputed vectors to the
@@ -243,7 +215,7 @@ FLAGS:
     -h, --help        print this help
 
 Parse errors exit with status 2; runtime failures exit with status 1.
-The long-running commands (serve, soak, perf, govern) latch SIGINT and
+The long-running commands (serve, soak, govern) latch SIGINT and
 SIGTERM: they stop admitting work, flush complete artifacts for what
 ran, and exit with status 3.
 ";
@@ -260,13 +232,8 @@ fn parse_args() -> Options {
     let mut chaos = false;
     let mut quick = false;
     let mut subframes_override = None;
-    let mut seed_override = None;
-    let mut baseline = None;
     let mut workers = None;
     let mut window = None;
-    let mut pin = false;
-    let mut scaling_baseline = None;
-    let mut decode_baseline = None;
     let mut traffic = None;
     let mut config = None;
     let mut write_vectors = false;
@@ -309,7 +276,6 @@ fn parse_args() -> Options {
             }
             "--seed" => {
                 ctx.seed = parse_number(&value_of(&args, i, "--seed"), "--seed");
-                seed_override = Some(ctx.seed);
                 i += 1;
             }
             "--out" => {
@@ -333,34 +299,17 @@ fn parse_args() -> Options {
                 i += 1;
             }
             "--chaos" => chaos = true,
-            "--baseline" => {
-                baseline = Some(PathBuf::from(value_of(&args, i, "--baseline")));
-                i += 1;
-            }
             "--workers" => {
-                let text = value_of(&args, i, "--workers");
-                let counts: Vec<usize> = text
-                    .split(',')
-                    .map(|part| parse_number(part.trim(), "--workers") as usize)
-                    .collect();
-                if counts.contains(&0) {
-                    eprintln!("--workers counts must be positive, got '{text}'");
+                let n = parse_number(&value_of(&args, i, "--workers"), "--workers") as usize;
+                if n == 0 {
+                    eprintln!("--workers must be positive");
                     std::process::exit(2);
                 }
-                workers = Some(counts);
+                workers = Some(n);
                 i += 1;
             }
             "--window" => {
                 window = Some(parse_number(&value_of(&args, i, "--window"), "--window") as usize);
-                i += 1;
-            }
-            "--pin" => pin = true,
-            "--scaling-baseline" => {
-                scaling_baseline = Some(PathBuf::from(value_of(&args, i, "--scaling-baseline")));
-                i += 1;
-            }
-            "--decode-baseline" => {
-                decode_baseline = Some(PathBuf::from(value_of(&args, i, "--decode-baseline")));
                 i += 1;
             }
             "--traffic" => {
@@ -425,13 +374,8 @@ fn parse_args() -> Options {
         chaos,
         quick,
         subframes_override,
-        seed_override,
-        baseline,
         workers,
         window,
-        pin,
-        scaling_baseline,
-        decode_baseline,
         traffic,
         config,
         write_vectors,
@@ -460,6 +404,13 @@ fn write(path: &Path, contents: &str) {
 /// poll this at phase boundaries and drain instead of dying.
 fn interrupted() -> bool {
     crate::signals::termination_requested().is_some()
+}
+
+/// Worker threads for the real pool: `--workers`, or the host's
+/// parallelism capped at four.
+fn pool_workers(opts: &Options) -> usize {
+    opts.workers
+        .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()))
 }
 
 fn run_traces(opts: &Options, which: &str) {
@@ -733,204 +684,6 @@ fn run_bench(opts: &Options) {
     }
 }
 
-fn run_perf_cmd(opts: &Options) {
-    use crate::perf;
-    let subframes = opts.subframes_override.unwrap_or(if opts.quick {
-        perf::QUICK_SUBFRAMES
-    } else {
-        perf::FULL_SUBFRAMES
-    });
-    // The harness scenario is fixed, and so is its default seed —
-    // reports stay comparable across machines and sessions unless the
-    // operator explicitly overrides the channel realisations.
-    let mut cfg = perf::PerfConfig {
-        subframes,
-        pin_workers: opts.pin,
-        ..perf::PerfConfig::default()
-    };
-    if let Some(seed) = opts.seed_override {
-        cfg.seed = seed;
-    }
-    // --window 0 means unbounded (no admission limit).
-    if let Some(w) = opts.window {
-        cfg.window = if w == 0 { None } else { Some(w) };
-    }
-    let turbo_subframes = if opts.quick {
-        perf::TURBO_QUICK_SUBFRAMES
-    } else {
-        perf::TURBO_FULL_SUBFRAMES
-    };
-    println!(
-        "running the throughput harness: {} steady-state subframes on {} workers, \
-         then a {}-subframe turbo leg (SIMD and forced-scalar) …",
-        cfg.subframes, cfg.workers, turbo_subframes
-    );
-    let decode = perf::run_decode_perf(&cfg, turbo_subframes).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let report = &decode.passthrough;
-    write(&opts.out.join("BENCH_PR3.json"), &report.to_json());
-    write(&opts.out.join("BENCH_PR9.json"), &decode.to_json());
-    println!(
-        "parallel {:.1} subframes/sec (serial {:.1}, speedup {:.2}x)",
-        report.subframes_per_sec,
-        report.serial_subframes_per_sec,
-        report.speedup()
-    );
-    println!(
-        "subframe latency p50 {:.0} us, p99 {:.0} us; CRC pass rate {:.1}%",
-        report.p50_latency_us,
-        report.p99_latency_us,
-        100.0 * report.crc_pass_rate
-    );
-    println!(
-        "arena buffers: {} fresh, {} reused ({:.1}% reuse)",
-        report.arena_fresh,
-        report.arena_reused,
-        100.0 * report.arena_reused as f64
-            / (report.arena_fresh + report.arena_reused).max(1) as f64
-    );
-    println!("serial-vs-parallel byte-identity: OK");
-    println!(
-        "turbo decode ({} iterations, {}): {:.1} subframes/sec parallel, \
-         {:.1} serial; forced-scalar {:.1} serial → SIMD speedup {:.2}x",
-        decode.turbo_iterations,
-        decode.dispatch,
-        decode.turbo.subframes_per_sec,
-        decode.turbo.serial_subframes_per_sec,
-        decode.turbo_scalar.serial_subframes_per_sec,
-        decode.turbo_simd_speedup()
-    );
-    for (label, stages) in [
-        ("pass-through", &decode.passthrough_stages),
-        ("turbo-decode", &decode.turbo_stages),
-    ] {
-        println!("per-stage breakdown ({label} mode):");
-        println!("  {:>16} | {:>11} | {:>6}", "stage", "total us", "share");
-        for s in stages {
-            println!(
-                "  {:>16} | {:>11.1} | {:>5.1}%",
-                s.stage,
-                s.total_us,
-                100.0 * s.share
-            );
-        }
-    }
-    if let Some(baseline_path) = &opts.baseline {
-        let baseline = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-            std::process::exit(1);
-        });
-        match perf::check_against_baseline(report, &baseline) {
-            Ok(()) => println!(
-                "throughput holds against the baseline in {}",
-                baseline_path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(baseline_path) = &opts.decode_baseline {
-        let baseline = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read decode baseline {}: {e}",
-                baseline_path.display()
-            );
-            std::process::exit(1);
-        });
-        match perf::check_decode_against_baseline(&decode, &baseline) {
-            Ok(()) => println!(
-                "decode-tail throughput holds against the baseline in {}",
-                baseline_path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if interrupted() {
-        println!("interrupted by signal: BENCH_PR3.json flushed, skipping the scaling matrix");
-        std::process::exit(crate::signals::EXIT_INTERRUPTED);
-    }
-
-    // The worker-scaling matrix: same load at a ladder of worker counts,
-    // byte-identity verified at every point.
-    let scaling_cfg = perf::ScalingConfig {
-        subframes,
-        worker_counts: opts
-            .workers
-            .clone()
-            .unwrap_or_else(perf::default_worker_ladder),
-        seed: cfg.seed,
-        window: match opts.window {
-            Some(0) => None,
-            Some(w) => Some(w),
-            None => perf::ScalingConfig::default().window,
-        },
-        pin_workers: opts.pin,
-    };
-    println!(
-        "running the scaling matrix: {} subframes at worker counts {:?} (host parallelism {}) …",
-        scaling_cfg.subframes,
-        scaling_cfg.worker_counts,
-        lte_sched::host_parallelism()
-    );
-    let scaling = perf::run_scaling_with_stop(&scaling_cfg, &interrupted).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    write(&opts.out.join("BENCH_PR4.json"), &scaling.to_json());
-    if interrupted() {
-        println!(
-            "interrupted by signal: BENCH_PR4.json flushed with the {} point(s) that ran",
-            scaling.points.len(),
-        );
-        std::process::exit(crate::signals::EXIT_INTERRUPTED);
-    }
-    println!(
-        "serial reference {:.1} subframes/sec; byte-identity OK at every point",
-        scaling.serial_subframes_per_sec
-    );
-    println!("  workers (eff) |    sf/sec | speedup | efficiency |  steals | batches | slot hits");
-    for p in &scaling.points {
-        println!(
-            "  {:7} ({:3}) | {:9.1} | {:7.2} | {:10.2} | {:7} | {:7} | {:9}",
-            p.workers_requested,
-            p.workers_effective,
-            p.subframes_per_sec,
-            p.speedup,
-            p.efficiency,
-            p.pool.steals,
-            p.pool.steal_batches,
-            p.pool.lifo_slot_hits
-        );
-    }
-    if let Some(baseline_path) = &opts.scaling_baseline {
-        let baseline = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read scaling baseline {}: {e}",
-                baseline_path.display()
-            );
-            std::process::exit(1);
-        });
-        match perf::check_scaling_against_baseline(&scaling, &baseline) {
-            Ok(()) => println!(
-                "scaling holds against the baseline in {}",
-                baseline_path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
 fn run_trace_cmd(opts: &Options) {
     use crate::trace;
     println!(
@@ -1057,11 +810,7 @@ fn run_soak_cmd(opts: &Options) {
             std::process::exit(2);
         });
     }
-    cfg.host_workers = opts
-        .workers
-        .as_ref()
-        .and_then(|w| w.first().copied())
-        .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()));
+    cfg.host_workers = pool_workers(opts);
     println!(
         "soaking {} subframes in windows of {} (policy {}, overload {}, chaos {}, seed {}) …",
         cfg.subframes,
@@ -1158,11 +907,7 @@ fn run_serve_cmd(opts: &Options) {
     // free-running for tests and drills.)
     cfg.delta = Duration::from_millis(1);
     cfg.window = opts.window.unwrap_or(40).max(1) as u64;
-    cfg.workers = opts
-        .workers
-        .as_ref()
-        .and_then(|w| w.first().copied())
-        .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()));
+    cfg.workers = pool_workers(opts);
     if let Some(text) = opts.policy.as_deref() {
         cfg.policy = text.parse().unwrap_or_else(|e| {
             eprintln!("--policy: {e}");
@@ -1383,11 +1128,7 @@ fn run_deploy_cmd(opts: &Options) {
         opts.subframes_override.unwrap_or(32) as u64,
         opts.ctx.seed,
     );
-    cfg.workers = opts
-        .workers
-        .as_ref()
-        .and_then(|w| w.first().copied())
-        .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()));
+    cfg.workers = pool_workers(opts);
     cfg.coupling_milli = opts.coupling_milli.unwrap_or(0);
     if let Some(text) = opts.traffic.as_deref() {
         cfg.traffic = text.parse().unwrap_or_else(|e| {
@@ -1658,14 +1399,14 @@ fn run_govern_cmd(opts: &Options) {
     }
 }
 
-/// Parses `std::env::args` and runs the selected command. The two
-/// `lte-sim`/`lte_sim` binaries are thin wrappers around this.
+/// Parses `std::env::args` and runs the selected command. The
+/// `lte-sim` binary is a thin wrapper around this.
 pub fn run() {
     let opts = parse_args();
     // The long-running commands drain and flush complete artifacts on
     // SIGINT/SIGTERM (exit 3) instead of dying mid-write. Short
     // commands keep the default die-on-signal behaviour.
-    if matches!(opts.command.as_str(), "serve" | "soak" | "perf" | "govern") {
+    if matches!(opts.command.as_str(), "serve" | "soak" | "govern") {
         crate::signals::install_termination_handlers();
     }
     match opts.command.as_str() {
@@ -1681,7 +1422,6 @@ pub fn run() {
         "fingerprint" => run_fingerprint_cmd(&opts),
         "vectors" => run_vectors_cmd(&opts),
         "bench" => run_bench(&opts),
-        "perf" => run_perf_cmd(&opts),
         "ablation" => run_ablations(&opts),
         "diurnal" => run_diurnal(&opts),
         "golden" => run_golden(&opts),
@@ -1695,7 +1435,7 @@ pub fn run() {
         }
         other => {
             eprintln!("unknown command: {other}");
-            eprintln!("commands: fig7 fig8 fig9 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 concurrency trace chaos govern soak serve deploy fingerprint vectors ablation diurnal golden bench perf all");
+            eprintln!("commands: fig7 fig8 fig9 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 concurrency trace chaos govern soak serve deploy fingerprint vectors ablation diurnal golden bench all");
             eprintln!("run 'lte-sim --help' for details");
             std::process::exit(2);
         }

@@ -72,7 +72,7 @@ use lte_phy::params::{
 use lte_phy::receiver::UserResult;
 use lte_phy::tx::{prewarm_cell, synthesize_retransmission, synthesize_user_with_mode};
 use lte_power::{CoreController, WorkloadEstimator};
-use lte_sched::pool::{PoolConfig, TaskPool};
+use lte_sched::pool::TaskPool;
 use lte_sched::{interleave_shards, ShardCounters};
 
 use crate::benchmark::spawn_user_graph;
@@ -490,11 +490,8 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     if cfg.workers == 0 {
         return Err("a deployment needs at least one worker".into());
     }
-    let pool = TaskPool::with_config(PoolConfig {
-        n_workers: cfg.workers,
-        pin_workers: false,
-    })
-    .map_err(|e| format!("failed to start the worker pool: {e}"))?;
+    let pool =
+        TaskPool::new(cfg.workers).map_err(|e| format!("failed to start the worker pool: {e}"))?;
     let handle = pool.handle();
     let planner = Arc::new(FftPlanner::new());
     let turbo = TurboMode::Passthrough;

@@ -82,7 +82,6 @@ pub use fingerprint::{
     Fnv1a,
 };
 pub use govern::{DesGovernRun, GovernReport, PoolGovernRun};
-pub use perf::{PerfConfig, PerfReport, ScalingConfig, ScalingPoint, ScalingReport};
 pub use serve::{
     run_serve, DrainReason, LifecycleEvent, ServeConfig, ServeControl, ServeOutcome, ServeParams,
     ServeWindow, TrafficModel,

@@ -1,6 +1,6 @@
 //! `lte-sim serve`: the continuously-running ingest service.
 //!
-//! The batch commands (`bench`, `soak`, `perf`) process a subframe
+//! The batch commands (`bench`, `soak`) process a subframe
 //! sequence that is fully known before the first dispatch. `serve`
 //! removes that assumption: subframe work *arrives* — from a built-in
 //! deterministic traffic generator or a localhost socket — flows
@@ -56,10 +56,10 @@ use lte_power::{
     governed_boundary, CoreController, NapPolicy, PolicyGovernor, PressureGovernor, UserLoad,
     WorkloadEstimator,
 };
-use lte_sched::pool::{PoolConfig, TaskPool};
+use lte_sched::pool::TaskPool;
 use lte_sched::IngestQueue;
 
-use crate::benchmark::{kept_after_shed, pace_until, spawn_user_graph};
+use crate::benchmark::{kept_after_shed, pace_until, spawn_user_graph, tick_offset};
 use crate::fingerprint::fingerprint_results;
 
 /// The synthesis SNR for generated traffic (clean decodes, matching
@@ -542,11 +542,8 @@ struct DispatchRow {
 /// watchdog exhausts its restart budget, or (with `verify`) the
 /// decoded bytes diverge from the serial reference.
 pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutcome, String> {
-    let pool = TaskPool::with_config(PoolConfig {
-        n_workers: cfg.workers,
-        pin_workers: false,
-    })
-    .map_err(|e| format!("failed to start the worker pool: {e}"))?;
+    let pool =
+        TaskPool::new(cfg.workers).map_err(|e| format!("failed to start the worker pool: {e}"))?;
     let handle = pool.handle();
     let planner = Arc::new(FftPlanner::new());
     let cell = CellConfig::with_antennas(2);
@@ -651,7 +648,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             drain_reason = DrainReason::CampaignComplete;
             break;
         }
-        pace_until(start + cfg.delta.saturating_mul(tick as u32));
+        pace_until(start + tick_offset(cfg.delta, tick));
 
         let staged = control.take_reload().or_else(|| {
             cfg.reload_at

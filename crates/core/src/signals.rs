@@ -1,5 +1,5 @@
 //! Minimal dependency-free POSIX signal latching for the long-running
-//! commands (`serve`, `soak`, `perf`, `govern`).
+//! commands (`serve`, `soak`, `govern`).
 //!
 //! A signal handler may only do async-signal-safe work, so the handler
 //! here does the one safe thing: store the signal number into a static

@@ -99,17 +99,23 @@ fn help_lists_every_command_and_flag() {
             "--metrics",
             "--workers",
             "--window",
-            "--pin",
-            "--scaling-baseline",
             "--traffic",
             "--config",
             "--policy",
             "--chaos",
             "--calibration",
-            "--baseline",
         ] {
             assert!(stdout.contains(f), "help missing flag {f}:\n{stdout}");
         }
+        // `lte-sim perf` and its flags are retired (`baseline` also
+        // covers --scaling-baseline and --decode-baseline).
+        for gone in ["baseline", "--pin"] {
+            assert!(!stdout.contains(gone), "help still lists {gone}");
+        }
+        assert!(
+            !stdout.lines().any(|l| l.trim_start().starts_with("perf ")),
+            "help still lists the perf command:\n{stdout}"
+        );
     }
 }
 
@@ -123,10 +129,11 @@ fn parse_errors_exit_status_2() {
         vec!["fig7", "--subframes"],
         vec!["fig7", "--subframes", "many"],
         vec!["fig7", "--seed", "1.5"],
-        vec!["perf", "--workers"],
-        vec!["perf", "--workers", "1,x"],
-        vec!["perf", "--workers", "1,0"],
-        vec!["perf", "--window", "soon"],
+        vec!["serve", "--workers"],
+        vec!["serve", "--workers", "x"],
+        vec!["serve", "--workers", "0"],
+        vec!["serve", "--workers", "2,4"],
+        vec!["soak", "--window", "soon"],
         vec!["serve", "--traffic", "nonsense"],
         vec!["serve", "--config"],
     ] {
@@ -175,65 +182,27 @@ fn trace_writes_perfetto_and_metrics() {
 }
 
 #[test]
-fn perf_writes_both_reports_and_the_scaling_matrix() {
-    let dir = std::env::temp_dir().join("lte_sim_cli_perf");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = lte_sim()
-        .args([
-            "perf",
-            "--subframes",
-            "24",
-            "--workers",
-            "1,2",
-            "--window",
-            "2",
-            "--out",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("run lte-sim");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let pr3 = std::fs::read_to_string(dir.join("BENCH_PR3.json")).expect("BENCH_PR3.json exists");
-    assert!(pr3.contains("\"schema\": \"lte-sim-perf-v1\""));
-    assert!(pr3.contains("\"workers_effective\""));
-    assert!(pr3.contains("\"host_parallelism\""));
-    let pr4 = std::fs::read_to_string(dir.join("BENCH_PR4.json")).expect("BENCH_PR4.json exists");
-    assert!(pr4.contains("\"schema\": \"lte-sim-scaling-v1\""));
-    assert!(pr4.contains("\"max_workers\": 2"));
-    assert!(pr4.contains("\"max_workers_speedup\""));
-    assert!(pr4.contains("\"workers_requested\": 1"));
-    assert!(pr4.contains("\"workers_requested\": 2"));
-    assert!(pr4.contains("\"byte_identical\": true"));
-    // The committed matrix doubles as its own baseline: re-checking a
-    // fresh run against it through the CLI gate must succeed.
-    let out = lte_sim()
-        .args([
-            "perf",
-            "--subframes",
-            "24",
-            "--workers",
-            "1,2",
-            "--window",
-            "2",
-            "--scaling-baseline",
-        ])
-        .arg(dir.join("BENCH_PR4.json"))
-        .arg("--out")
-        .arg(&dir)
-        .output()
-        .expect("run lte-sim");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{}\n{}",
-        stdout,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("scaling holds against the baseline"));
+fn perf_and_its_flags_are_gone() {
+    // Performance is measured by examples/lte_bench alone: the old
+    // command is unknown, and so is each flag only it understood.
+    let out = lte_sim().arg("perf").output().expect("run lte-sim");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command: perf"), "{stderr}");
+    for args in [
+        vec!["bench", "--baseline", "x.json"],
+        vec!["bench", "--scaling-baseline", "x.json"],
+        vec!["bench", "--decode-baseline", "x.json"],
+        vec!["bench", "--pin"],
+    ] {
+        let out = lte_sim().args(&args).output().expect("run lte-sim");
+        assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag: {}", args[1])),
+            "args {args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

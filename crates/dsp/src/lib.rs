@@ -13,9 +13,6 @@
 //! * block (de)interleaving ([`interleave`]),
 //! * CRC-8/16/24A/24B generators used by LTE transport channels ([`crc`]),
 //! * FIR filtering for the receive front-end ([`fir`]),
-//! * Q15 fixed-point arithmetic and a block-scaled fixed-point FFT
-//!   ([`q15`]) — the substrate a fixed-point port of the benchmark would
-//!   use on FPU-less silicon like the TILEPro64,
 //! * Gold-sequence scrambling ([`scrambling`]), transport-block
 //!   code-block segmentation ([`segmentation`]) and circular-buffer rate
 //!   matching ([`rate_match`]),
@@ -50,7 +47,6 @@ pub mod llr;
 pub mod matched_filter;
 pub mod math;
 pub mod modulation;
-pub mod q15;
 pub mod rate_match;
 pub mod rng;
 pub mod scrambling;

@@ -24,7 +24,7 @@ use lte_obs::{Recorder, Stage};
 use crate::grid::UserInput;
 use crate::params::CellConfig;
 use crate::trace::StageTimer;
-use crate::tx::{reference_for_layer, reference_for_layer_cached};
+use crate::tx::reference_for_layer_cached;
 
 /// Channel estimates for one slot: `paths[rx][layer][subcarrier]`.
 ///
@@ -192,7 +192,7 @@ pub fn estimate_slot(
 mod tests {
     use super::*;
     use crate::params::{TurboMode, UserConfig};
-    use crate::tx::synthesize_user_over_channel;
+    use crate::tx::{reference_for_layer, synthesize_user_over_channel};
     use lte_dsp::channel::MimoChannel;
     use lte_dsp::{Modulation, Xoshiro256};
 
@@ -475,148 +475,5 @@ mod noise_tests {
         let input = synthesize_user_with_mode(&cell, &user, TurboMode::Passthrough, 50.0, &mut rng);
         let est = estimate_noise_var_with_arena(&cell, &input, 0, 0, &planner, arena);
         assert!(est > 0.0 && est.is_finite());
-    }
-}
-
-/// Fixed-point (Q15) variant of [`estimate_path`] — the "modules can
-/// easily be replaced to model different algorithms" extension point of
-/// the paper, here swapping the float kernels for the arithmetic an
-/// FPU-less tile core would actually run: the matched filter and both
-/// transforms execute in Q15 with block scaling.
-///
-/// Accuracy: within the quantisation noise floor of the float path (the
-/// companion test measures > 35 dB agreement), which is far below the
-/// channel noise at any practical SNR.
-pub fn estimate_path_q15(
-    cell: &CellConfig,
-    input: &UserInput,
-    slot: usize,
-    rx: usize,
-    layer: usize,
-) -> Vec<Complex32> {
-    use lte_dsp::fft::Direction;
-    use lte_dsp::q15::{dequantize_block, quantize_block, FixedFft, CQ15};
-
-    let received = input.slots[slot].reference.antenna(rx);
-    let n = received.len();
-    let reference = reference_for_layer(cell, &input.config, layer);
-
-    // Scale the block into [-1, 1) with headroom.
-    let peak = received
-        .iter()
-        .map(|z| z.re.abs().max(z.im.abs()))
-        .fold(1e-9f32, f32::max);
-    let scale = 0.5 / peak;
-    let rx_q = quantize_block(received, scale);
-    let ref_q = quantize_block(reference.samples(), 0.999);
-
-    // Matched filter in Q15: y · conj(x).
-    let mut work: Vec<CQ15> = rx_q
-        .iter()
-        .zip(&ref_q)
-        .map(|(y, x)| {
-            let conj = CQ15 {
-                re: x.re,
-                im: lte_dsp::q15::Q15(x.im.0.saturating_neg()),
-            };
-            y.mul(conj)
-        })
-        .collect();
-
-    // IFFT (scaled by 1/n), window, FFT (scaled by 1/n again).
-    let ifft = FixedFft::new(n, Direction::Inverse);
-    ifft.process(&mut work);
-    let window = ChannelWindow::for_len(n);
-    // Apply the window on the fixed-point samples directly.
-    {
-        let head = window.head;
-        let tail = window.tail;
-        if head + tail < n {
-            for q in work[head..n - tail].iter_mut() {
-                *q = CQ15::ZERO;
-            }
-        }
-    }
-    // Re-amplify between transforms to preserve precision (block
-    // floating point): scale the sparse windowed CIR so its peak sits at
-    // half range. The forward transform spreads that energy over n bins,
-    // so the peak cannot saturate the output either.
-    let cir = dequantize_block(&work, 1.0);
-    let cir_peak = cir
-        .iter()
-        .map(|z| z.re.abs().max(z.im.abs()))
-        .fold(1e-9f32, f32::max);
-    let gain = 0.5 / cir_peak;
-    let mut boosted: Vec<CQ15> = cir
-        .into_iter()
-        .map(|z| CQ15::from_c32(z.scale(gain)))
-        .collect();
-    let fft = FixedFft::new(n, Direction::Forward);
-    fft.process(&mut boosted);
-
-    // Undo all scalings: quantize scale, two 1/n FFT scalings (the
-    // inverse plan already includes the conventional 1/n), and the
-    // inter-transform gain.
-    let undo = n as f32 / (scale * gain);
-    dequantize_block(&boosted, 1.0)
-        .into_iter()
-        .map(|z| z.scale(undo * 0.999))
-        .collect()
-}
-
-#[cfg(test)]
-mod q15_estimator_tests {
-    use super::*;
-    use crate::params::{TurboMode, UserConfig};
-    use crate::tx::synthesize_user_over_channel;
-    use lte_dsp::channel::MimoChannel;
-    use lte_dsp::q15::quantization_snr_db;
-    use lte_dsp::{Modulation, Xoshiro256};
-
-    #[test]
-    fn fixed_point_estimator_matches_float_path() {
-        let cell = CellConfig::with_antennas(2);
-        let user = UserConfig::new(16, 1, Modulation::Qpsk);
-        let mut rng = Xoshiro256::seed_from_u64(77);
-        let channel = MimoChannel::randomize(2, 1, 3, &mut rng);
-        let input = synthesize_user_over_channel(
-            &cell,
-            &user,
-            TurboMode::Passthrough,
-            30.0,
-            &channel,
-            &mut rng,
-        );
-        let planner = FftPlanner::new();
-        let float_est = estimate_path(&cell, &input, 0, 0, 0, &planner);
-        let fixed_est = estimate_path_q15(&cell, &input, 0, 0, 0);
-        let snr = quantization_snr_db(&float_est, &fixed_est);
-        assert!(snr > 30.0, "fixed/float agreement only {snr:.1} dB");
-    }
-
-    #[test]
-    fn fixed_point_estimator_tracks_the_true_channel() {
-        let cell = CellConfig::with_antennas(2);
-        let user = UserConfig::new(16, 1, Modulation::Qpsk);
-        let mut rng = Xoshiro256::seed_from_u64(78);
-        let channel = MimoChannel::randomize(2, 1, 2, &mut rng);
-        let input = synthesize_user_over_channel(
-            &cell,
-            &user,
-            TurboMode::Passthrough,
-            35.0,
-            &channel,
-            &mut rng,
-        );
-        let est = estimate_path_q15(&cell, &input, 0, 0, 0);
-        let truth = channel.frequency_response(0, 0, user.subcarriers());
-        let mut err = 0.0f64;
-        let mut energy = 0.0f64;
-        for (e, t) in est.iter().zip(&truth) {
-            err += (*e - *t).norm_sqr() as f64;
-            energy += t.norm_sqr() as f64;
-        }
-        let rel = err / energy.max(1e-12);
-        assert!(rel < 0.05, "relative error {rel:.4}");
     }
 }

@@ -118,56 +118,14 @@ impl std::error::Error for PoolError {
 /// when it cannot be determined.
 ///
 /// This is the single source of truth for every default-worker
-/// decision — pool defaults, benchmark defaults, CPU pinning and the
-/// perf harness all route through here, so two layers can never
-/// disagree on the worker count when `available_parallelism` fails.
+/// decision — pool defaults, benchmark defaults and the CLI all route
+/// through here, so two layers can never disagree on the worker count
+/// when `available_parallelism` fails.
 /// The fallback is 1 (not some optimistic core count): on a host whose
 /// parallelism is unknowable, spawning extra threads only adds
 /// contention noise to the measurements the pool exists to make.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Pool construction parameters beyond the worker count.
-#[derive(Clone, Copy, Debug)]
-pub struct PoolConfig {
-    /// Worker threads to spawn.
-    pub n_workers: usize,
-    /// Pin worker `i` to CPU `i % host_cpus` (Linux only; a no-op that
-    /// reports zero pinned workers elsewhere). Pinning removes OS
-    /// migration noise from scaling measurements.
-    pub pin_workers: bool,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            n_workers: host_parallelism(),
-            pin_workers: false,
-        }
-    }
-}
-
-/// Best-effort thread pinning. Linux: `sched_setaffinity` on the calling
-/// thread (glibc is already linked by `std`, so no extra dependency);
-/// other platforms: a no-op returning `false`.
-#[cfg(target_os = "linux")]
-fn pin_current_thread(cpu: usize) -> bool {
-    // A fixed 1024-bit mask matches glibc's `cpu_set_t`.
-    const MASK_WORDS: usize = 16;
-    let mut mask = [0u64; MASK_WORDS];
-    let cpu = cpu % (MASK_WORDS * 64);
-    mask[cpu / 64] |= 1u64 << (cpu % 64);
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    // SAFETY: the mask outlives the call and cpusetsize matches it.
-    unsafe { sched_setaffinity(0, MASK_WORDS * 8, mask.as_ptr()) == 0 }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_current_thread(_cpu: usize) -> bool {
-    false
 }
 
 /// Panic payload that fail-stops the worker executing it; the pool's
@@ -289,7 +247,6 @@ struct Inner {
     batch_stolen_tasks: AtomicU64,
     lifo_slot_hits: AtomicU64,
     parks: AtomicU64,
-    pinned_workers: AtomicU64,
     poisoned_tasks: AtomicU64,
     poisoned_jobs: AtomicU64,
     worker_respawns: AtomicU64,
@@ -310,7 +267,6 @@ struct Inner {
     boundary: Mutex<(Instant, u64)>,
     /// Distribution telemetry, attached at most once after construction.
     telemetry: OnceLock<Arc<PoolTelemetry>>,
-    pin_workers: bool,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
     done_lock: Mutex<()>,
@@ -497,7 +453,7 @@ pub struct TaskPool {
 }
 
 impl TaskPool {
-    /// Spawns a pool with `n_workers` OS threads (no pinning).
+    /// Spawns a pool with `n_workers` OS threads.
     ///
     /// # Errors
     ///
@@ -505,19 +461,6 @@ impl TaskPool {
     /// [`PoolError::Spawn`] when the OS refuses a worker thread (any
     /// already-spawned workers are shut down and joined first).
     pub fn new(n_workers: usize) -> Result<Self, PoolError> {
-        Self::with_config(PoolConfig {
-            n_workers,
-            pin_workers: false,
-        })
-    }
-
-    /// Spawns a pool from a full [`PoolConfig`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TaskPool::new`].
-    pub fn with_config(cfg: PoolConfig) -> Result<Self, PoolError> {
-        let n_workers = cfg.n_workers;
         if n_workers == 0 {
             return Err(PoolError::ZeroWorkers);
         }
@@ -537,7 +480,6 @@ impl TaskPool {
             batch_stolen_tasks: AtomicU64::new(0),
             lifo_slot_hits: AtomicU64::new(0),
             parks: AtomicU64::new(0),
-            pinned_workers: AtomicU64::new(0),
             poisoned_tasks: AtomicU64::new(0),
             poisoned_jobs: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
@@ -547,7 +489,6 @@ impl TaskPool {
             governor_parked_nanos: AtomicU64::new(0),
             boundary: Mutex::new((Instant::now(), 0)),
             telemetry: OnceLock::new(),
-            pin_workers: cfg.pin_workers,
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             done_lock: Mutex::new(()),
@@ -716,11 +657,6 @@ impl TaskPool {
         self.inner.parks.load(Ordering::Relaxed)
     }
 
-    /// Workers successfully pinned to a CPU at startup.
-    pub fn pinned_workers(&self) -> u64 {
-        self.inner.pinned_workers.load(Ordering::Relaxed)
-    }
-
     /// Tasks that panicked and were contained by the pool.
     pub fn poisoned_tasks(&self) -> u64 {
         self.inner.poisoned_tasks.load(Ordering::Relaxed)
@@ -776,7 +712,6 @@ impl TaskPool {
         metrics.set_counter("pool.batch_stolen_tasks", self.batch_stolen_tasks());
         metrics.set_counter("pool.lifo_slot_hits", self.lifo_slot_hits());
         metrics.set_counter("pool.parks", self.parks());
-        metrics.set_counter("pool.pinned_workers", self.pinned_workers());
         metrics.set_counter("pool.poisoned_tasks", self.poisoned_tasks());
         metrics.set_counter("pool.poisoned_jobs", self.poisoned_jobs());
         metrics.set_counter("pool.worker_respawns", self.worker_respawns());
@@ -926,12 +861,6 @@ fn run_timed(inner: &Inner, task: Queued) {
 fn worker_entry(inner: Arc<Inner>, index: usize, deque: Worker<Queued>) {
     LOCAL_DEQUE.with(|local| *local.borrow_mut() = Some(deque));
     WORKER_INDEX.with(|w| w.set(Some(index)));
-    if inner.pin_workers {
-        let cpus = host_parallelism();
-        if pin_current_thread(index % cpus) {
-            inner.pinned_workers.fetch_add(1, Ordering::Relaxed);
-        }
-    }
     loop {
         let result = catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index)));
         match result {
@@ -1281,13 +1210,6 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         assert!(matches!(TaskPool::new(0), Err(PoolError::ZeroWorkers)));
-        assert!(matches!(
-            TaskPool::with_config(PoolConfig {
-                n_workers: 0,
-                pin_workers: true
-            }),
-            Err(PoolError::ZeroWorkers)
-        ));
     }
 
     #[test]
@@ -1388,32 +1310,6 @@ mod tests {
         // Give the workers time to exhaust their spin retries.
         std::thread::sleep(Duration::from_millis(30));
         assert!(pool.parks() > 0, "an empty pool must park its workers");
-    }
-
-    #[test]
-    fn pinning_is_counted_when_requested() {
-        let pool = TaskPool::with_config(PoolConfig {
-            n_workers: 2,
-            pin_workers: true,
-        })
-        .unwrap();
-        pool.submit_job(|_| {});
-        pool.wait_all();
-        if cfg!(target_os = "linux") {
-            // Each worker pins itself as its thread starts; one job
-            // finishing says nothing about the *other* worker having
-            // started, so give the stragglers a bounded moment.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while pool.pinned_workers() < 2 && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            assert_eq!(pool.pinned_workers(), 2, "both workers must pin on Linux");
-        } else {
-            assert_eq!(pool.pinned_workers(), 0);
-        }
-        // And an unpinned pool reports zero.
-        let plain = TaskPool::new(2).unwrap();
-        assert_eq!(plain.pinned_workers(), 0);
     }
 
     #[test]
@@ -1618,7 +1514,6 @@ mod tests {
             "pool.batch_stolen_tasks",
             "pool.lifo_slot_hits",
             "pool.parks",
-            "pool.pinned_workers",
         ] {
             assert!(metrics.get(key).is_some(), "missing {key}");
         }

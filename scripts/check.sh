@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, and the test suite.
+# Repository gate: formatting, lints, the test suite, the frozen
+# benchmark harness, two code-shape budgets, conformance vectors on both
+# dispatch paths, the fuzz corpus, and a smoke run of every driver
+# (chaos, govern, lte_bench, soak, deploy, serve) plus two bench gates.
 #
-#   scripts/check.sh            # fmt + clippy + workspace tests
-#   scripts/check.sh --tier1    # fmt + clippy + root-package tests only
+#   scripts/check.sh            # everything, tests over the workspace
+#   scripts/check.sh --tier1    # same, tests over the root package only
 #
 # Every step must pass; the script stops at the first failure.
 set -euo pipefail
@@ -34,6 +37,13 @@ echo "==> receiver entry-point budget"
 # finish_user* entry point is a fork growing back.
 [[ "$(grep -c 'pub fn \(process\|demodulate\|finish\)_user' crates/phy/src/receiver.rs)" -le 6 ]] \
     || { echo "receiver.rs exposes more than 6 process/demodulate/finish_user entry points"; exit 1; }
+
+echo "==> one performance harness budget"
+# lte_bench is the only yardstick: core's perf.rs names the steady-state
+# subframe and nothing else, so a second `pub fn` there is `lte-sim
+# perf` growing back.
+[[ "$(grep -c 'pub fn' crates/core/src/perf.rs)" -le 1 ]] \
+    || { echo "crates/core/src/perf.rs exposes more than one pub fn"; exit 1; }
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
@@ -93,20 +103,18 @@ echo "==> governor decision-cost gate (governor_overhead bench)"
 cargo bench -q --offline -p lte-bench --bench governor_overhead | grep "governor_overhead:" \
     || { echo "governor decision-cost gate failed"; exit 1; }
 
-echo "==> throughput + scaling + decode-tail smoke (lte-sim perf)"
-# Release build: the regression gates compare against numbers measured
-# in release mode; a debug run would trip the 10 % tolerance instantly.
-# The same worker ladder as the committed matrix keeps the speedup gate
-# apples-to-apples; the gate defends the max-workers *speedup* ratio, so
-# it transfers across hosts with different absolute rates. The decode
-# baseline additionally gates the turbo-mode leg (SIMD dispatch)
-# against the committed BENCH_PR9.json within the same 10 % tolerance.
-cargo run -q --offline --release -p lte-uplink --bin lte-sim -- \
-    perf --quick --out target/perf-smoke \
-    --baseline results/BENCH_PR3.json \
-    --decode-baseline results/BENCH_PR9.json \
-    --workers 1,2,4 --scaling-baseline results/BENCH_PR4.json \
-    || { echo "perf smoke: throughput, turbo decode, or max-workers speedup regressed versus results/BENCH_PR3.json / BENCH_PR9.json / BENCH_PR4.json"; exit 1; }
+echo "==> benchmark smoke (lte_bench run: steady100, turbo100)"
+# Two seconds of each receiver workload through the one harness (built
+# by the frozen-harness step above). No stored number is compared here —
+# `lte_bench compare A B` does that between two result files of the same
+# host — but the run exits non-zero when the pooled output leaves the
+# serial reference (`UplinkBenchmark::verify`) or a golden kernel vector
+# drifts, so a fast wrong receiver cannot pass.
+for workload in steady100 turbo100; do
+    cargo run -q --release --offline --manifest-path examples/lte_bench/Cargo.toml -- \
+        run --workload "$workload" --seconds 2 --out target/bench-smoke \
+        || { echo "benchmark smoke: $workload failed a post-run correctness check"; exit 1; }
+done
 
 echo "==> soak smoke (lte-sim soak)"
 # A healthy low-load prefix must pass every SLO window (exit 0), and the
