@@ -11,7 +11,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use lte_bench::bench;
 use lte_dsp::Modulation;
 use lte_power::{
     CoreController, Governor, NapPolicy, PolicyGovernor, SubframeObservation, UserLoad,
@@ -37,7 +37,7 @@ fn governor() -> PolicyGovernor {
     )
 }
 
-fn governor_overhead(c: &mut Criterion) {
+fn main() {
     let users = users();
 
     // One-shot gate: mean cost of a decision over a long governed run,
@@ -64,21 +64,14 @@ fn governor_overhead(c: &mut Criterion) {
          got {per_decision:?}"
     );
 
-    let mut group = c.benchmark_group("governor_overhead");
-    group.bench_function("decide_10_users", |b| {
-        let mut gov = governor();
-        let mut subframe = 0usize;
-        b.iter(|| {
-            subframe += 1;
-            black_box(gov.decide(&SubframeObservation {
-                subframe,
-                users: &users,
-                measured_activity: Some(0.3),
-            }))
+    let mut gov = governor();
+    let mut subframe = 0usize;
+    bench("governor_overhead/decide_10_users", || {
+        subframe += 1;
+        gov.decide(&SubframeObservation {
+            subframe,
+            users: &users,
+            measured_activity: Some(0.3),
         })
     });
-    group.finish();
 }
-
-criterion_group!(benches, governor_overhead);
-criterion_main!(benches);

@@ -3,9 +3,7 @@
 //! demapper fidelities the `DegradeDemap` overload policy switches
 //! between (exact log-sum-exp vs. max-log).
 
-use std::hint::black_box;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lte_bench::bench;
 use lte_dsp::llr::{combine_llrs, demap_block, demap_block_exact};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 
@@ -21,41 +19,33 @@ fn random_symbols(n: usize, seed: u64) -> Vec<Complex32> {
         .collect()
 }
 
-fn bench_combine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("harq_combine_llrs");
+fn bench_combine() {
     // QPSK payload bits for 2, 20 and 100 PRBs over one subframe.
     for prbs in [2usize, 20, 100] {
         let n = 12 * prbs * 12 * 2;
         let acc = random_llrs(n, 1);
         let update = random_llrs(n, 2);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut work = acc.clone();
-                combine_llrs(&mut work, &update);
-                black_box(work[0])
-            })
+        bench(&format!("harq_combine_llrs/{n}"), || {
+            let mut work = acc.clone();
+            combine_llrs(&mut work, &update);
+            work[0]
         });
     }
-    group.finish();
 }
 
-fn bench_demap_fidelity(c: &mut Criterion) {
-    let mut group = c.benchmark_group("harq_demap_fidelity");
+fn bench_demap_fidelity() {
     let symbols = random_symbols(1200, 3);
-    for modulation in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
-        group.bench_with_input(
-            BenchmarkId::new("max_log", format!("{modulation:?}")),
-            &modulation,
-            |b, &m| b.iter(|| black_box(demap_block(m, &symbols, 0.1))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("exact", format!("{modulation:?}")),
-            &modulation,
-            |b, &m| b.iter(|| black_box(demap_block_exact(m, &symbols, 0.1))),
-        );
+    for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
+        bench(&format!("harq_demap_fidelity/max_log/{m:?}"), || {
+            demap_block(m, &symbols, 0.1)
+        });
+        bench(&format!("harq_demap_fidelity/exact/{m:?}"), || {
+            demap_block_exact(m, &symbols, 0.1)
+        });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_combine, bench_demap_fidelity);
-criterion_main!(benches);
+fn main() {
+    bench_combine();
+    bench_demap_fidelity();
+}

@@ -5,7 +5,7 @@
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lte_bench::bench;
 use lte_dsp::channel::MimoChannel;
 use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::{FftPlan, FftPlanner};
@@ -28,84 +28,68 @@ fn random_block(n: usize, seed: u64) -> Vec<Complex32> {
         .collect()
 }
 
-fn bench_fft(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft");
+fn bench_fft() {
     for prbs in [2usize, 10, 50, 100, 200] {
         let n = 12 * prbs;
         let plan = FftPlan::forward(n);
         let data = random_block(n, n as u64);
         let mut scratch = vec![Complex32::ZERO; n];
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut work = data.clone();
-                plan.process_with_scratch(&mut work, &mut scratch);
-                black_box(work[0])
-            })
+        bench(&format!("fft/{n}"), || {
+            let mut work = data.clone();
+            plan.process_with_scratch(&mut work, &mut scratch);
+            work[0]
         });
     }
-    group.finish();
 }
 
-fn bench_matched_filter(c: &mut Criterion) {
+fn bench_matched_filter() {
     let n = 1200;
     let reference = ReferenceSequence::new(n, 7);
     let received = random_block(n, 3);
     let mut out = vec![Complex32::ZERO; n];
-    c.bench_function("matched_filter_1200", |b| {
-        b.iter(|| {
-            matched_filter(&received, reference.samples(), &mut out);
-            black_box(out[0])
-        })
+    bench("matched_filter_1200", || {
+        matched_filter(&received, reference.samples(), &mut out);
+        out[0]
     });
 }
 
-fn bench_demap(c: &mut Criterion) {
+fn bench_demap() {
     let symbols = random_block(1200, 9);
-    let mut group = c.benchmark_group("soft_demap_1200");
     for m in Modulation::ALL {
-        group.bench_function(m.to_string(), |b| {
-            b.iter(|| black_box(demap_block(m, &symbols, 0.1)))
+        bench(&format!("soft_demap_1200/{m}"), || {
+            demap_block(m, &symbols, 0.1)
         });
     }
-    group.finish();
 }
 
-fn bench_turbo(c: &mut Criterion) {
+fn bench_turbo() {
     let k = 1024;
     let mut rng = Xoshiro256::seed_from_u64(5);
     let bits: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
     let encoder = TurboEncoder::new(k);
     let code = encoder.encode(&bits);
     let llrs = code.to_llrs(4.0);
-    c.bench_function("turbo_encode_1024", |b| {
-        b.iter(|| black_box(encoder.encode(&bits)))
-    });
+    bench("turbo_encode_1024", || encoder.encode(&bits));
     let decoder = TurboDecoder::new(k, 5);
-    c.bench_function("turbo_decode_1024_5it", |b| {
-        b.iter(|| black_box(decoder.decode(&llrs)))
-    });
+    bench("turbo_decode_1024_5it", || decoder.decode(&llrs));
 }
 
 /// The serial tail at the 100-PRB 64-QAM single-layer allocation size
 /// (86 400 bits), and the per-user Gold warm-up on its own.
-fn bench_serial_tail(c: &mut Criterion) {
+fn bench_serial_tail() {
     let n = 86_400;
     let mut rng = Xoshiro256::seed_from_u64(14);
     let bits: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 1) as u8).collect();
-    c.bench_function("crc24a_86400", |b| {
-        b.iter(|| black_box(CRC24A.compute_bits(black_box(&bits))))
-    });
+    bench("crc24a_86400", || CRC24A.compute_bits(black_box(&bits)));
     let mut llrs: Vec<f32> = (0..n).map(|_| rng.next_f32() - 0.5).collect();
-    c.bench_function("descramble_86400", |b| {
-        b.iter(|| descramble_llrs(black_box(&mut llrs), 0x1234_5678))
+    bench("descramble_86400", || {
+        descramble_llrs(black_box(&mut llrs), 0x1234_5678)
     });
-    c.bench_function("gold_warmup", |b| {
-        b.iter(|| black_box(GoldSequence::new(black_box(0x1234_5678))))
-    });
+    bench("gold_warmup", || GoldSequence::new(black_box(0x1234_5678)));
 }
 
 /// One slot's MMSE weights over 600 subcarriers (50 PRB) at 4 antennas.
-fn bench_mmse_weights(c: &mut Criterion) {
+fn bench_mmse_weights() {
     let (n_rx, n_sc) = (4, 600);
     let mut rng = Xoshiro256::seed_from_u64(15);
     for layers in [1usize, 2, 4] {
@@ -118,43 +102,32 @@ fn bench_mmse_weights(c: &mut Criterion) {
         }
         let mut weights = CombinerWeights::empty();
         let mut scratch = MmseScratch::new();
-        c.bench_function(format!("mmse_weights_{layers}layer_600sc"), |b| {
-            b.iter(|| weights.compute(black_box(&est), 0.05, &mut scratch))
+        bench(&format!("mmse_weights_{layers}layer_600sc"), || {
+            weights.compute(black_box(&est), 0.05, &mut scratch)
         });
     }
 }
 
-fn bench_full_user(c: &mut Criterion) {
+fn bench_full_user() {
     let cell = CellConfig::default();
     let planner = FftPlanner::new();
-    let mut group = c.benchmark_group("serial_user_receive");
-    group.sample_size(20);
     for (prbs, layers) in [(10usize, 1usize), (50, 2), (100, 4)] {
         let user = UserConfig::new(prbs, layers, Modulation::Qam16);
         let mut rng = Xoshiro256::seed_from_u64(11);
         let input = synthesize_user(&cell, &user, 30.0, &mut rng);
-        group.bench_function(format!("{prbs}prb_{layers}layer"), |b| {
-            b.iter(|| {
-                black_box(process_user_pooled(
-                    &cell,
-                    &input,
-                    TurboMode::Passthrough,
-                    &planner,
-                ))
-            })
-        });
+        bench(
+            &format!("serial_user_receive/{prbs}prb_{layers}layer"),
+            || process_user_pooled(&cell, &input, TurboMode::Passthrough, &planner),
+        );
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_fft,
-    bench_matched_filter,
-    bench_demap,
-    bench_turbo,
-    bench_serial_tail,
-    bench_mmse_weights,
-    bench_full_user
-);
-criterion_main!(benches);
+fn main() {
+    bench_fft();
+    bench_matched_filter();
+    bench_demap();
+    bench_turbo();
+    bench_serial_tail();
+    bench_mmse_weights();
+    bench_full_user();
+}

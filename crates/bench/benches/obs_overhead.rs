@@ -10,14 +10,19 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use lte_bench::bench;
 use lte_obs::{Histogram, NoopRecorder, RingRecorder, Stage};
 use lte_phy::trace::{StageHists, StageTimer};
 use lte_power::NapPolicy;
 use lte_sched::sim::Simulator;
+use lte_uplink::experiments::ExperimentContext;
 
-fn obs_overhead(c: &mut Criterion) {
-    let ctx = lte_bench::tiny_context();
+fn main() {
+    // 200 subframes (one simulated second) of the paper's ramp.
+    let ctx = ExperimentContext {
+        n_subframes: 200,
+        ..ExperimentContext::paper()
+    };
     let subframes = ctx.subframes();
     let targets = vec![ctx.controller.max_cores; subframes.len()];
     let cfg = ctx.sim_config(NapPolicy::Nap);
@@ -97,32 +102,18 @@ fn obs_overhead(c: &mut Criterion) {
         "histogram record {record_ns:.1} ns/op breaches the 50 ns budget"
     );
 
-    let mut group = c.benchmark_group("obs_overhead");
-    group.sample_size(10);
-    group.bench_function("recorder_absent", |b| {
-        b.iter(|| black_box(Simulator::new(cfg).run(&loads).end_time))
+    bench("obs_overhead/recorder_absent", || {
+        Simulator::new(cfg).run(&loads).end_time
     });
-    group.bench_function("noop_recorder", |b| {
-        b.iter(|| {
-            black_box(
-                Simulator::with_recorder(cfg, NoopRecorder)
-                    .run(&loads)
-                    .end_time,
-            )
-        })
+    bench("obs_overhead/noop_recorder", || {
+        Simulator::with_recorder(cfg, NoopRecorder)
+            .run(&loads)
+            .end_time
     });
-    group.bench_function("ring_recorder", |b| {
-        b.iter(|| {
-            let recorder = RingRecorder::new(1_000_000);
-            black_box(
-                Simulator::with_recorder(cfg, &recorder)
-                    .run(&loads)
-                    .end_time,
-            )
-        })
+    bench("obs_overhead/ring_recorder", || {
+        let recorder = RingRecorder::new(1_000_000);
+        Simulator::with_recorder(cfg, &recorder)
+            .run(&loads)
+            .end_time
     });
-    group.finish();
 }
-
-criterion_group!(benches, obs_overhead);
-criterion_main!(benches);

@@ -8,9 +8,7 @@
 //! `scalar/` and `simd/` groups is the kernel-level counterpart of the
 //! `turbo_simd_speedup` figure in `BENCH_PR9.json`.
 
-use std::hint::black_box;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lte_bench::bench;
 use lte_dsp::simd::force_scalar;
 use lte_dsp::turbo::{TurboDecoder, TurboEncoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::Xoshiro256;
@@ -39,8 +37,7 @@ fn encoded_llrs(k: usize, seed: u64) -> TurboLlrs {
     llrs
 }
 
-fn bench_dispatch(c: &mut Criterion, label: &str, scalar: bool) {
-    let mut group = c.benchmark_group(format!("turbo_decode/{label}"));
+fn bench_dispatch(label: &str, scalar: bool) {
     for &k in &SIZES {
         let llrs = encoded_llrs(k, k as u64);
         let decoder = TurboDecoder::new(k, ITERATIONS);
@@ -48,27 +45,19 @@ fn bench_dispatch(c: &mut Criterion, label: &str, scalar: bool) {
         let mut ws = TurboWorkspace::new();
         let mut out = Vec::new();
         force_scalar(scalar);
-        group.bench_with_input(BenchmarkId::new("full", k), &k, |b, _| {
-            b.iter(|| {
-                decoder.decode_into(&llrs, &mut ws, &mut out);
-                black_box(out.first().copied())
-            })
+        bench(&format!("turbo_decode/{label}/full/{k}"), || {
+            decoder.decode_into(&llrs, &mut ws, &mut out);
+            out.first().copied()
         });
-        group.bench_with_input(BenchmarkId::new("early-term", k), &k, |b, _| {
-            b.iter(|| {
-                early.decode_into(&llrs, &mut ws, &mut out);
-                black_box(out.first().copied())
-            })
+        bench(&format!("turbo_decode/{label}/early-term/{k}"), || {
+            early.decode_into(&llrs, &mut ws, &mut out);
+            out.first().copied()
         });
         force_scalar(false);
     }
-    group.finish();
 }
 
-fn bench_turbo_decode(c: &mut Criterion) {
-    bench_dispatch(c, "simd", false);
-    bench_dispatch(c, "scalar", true);
+fn main() {
+    bench_dispatch("simd", false);
+    bench_dispatch("scalar", true);
 }
-
-criterion_group!(turbo_decode, bench_turbo_decode);
-criterion_main!(turbo_decode);

@@ -1,50 +1,56 @@
-//! Shared helpers for the Criterion benchmark harness.
+//! The micro-benchmark timer, and nothing else.
 //!
-//! Every figure and table of the paper has a dedicated bench target (see
-//! `benches/`); each prints the series/rows it reproduces once, then
-//! measures the cost of regenerating them at a reduced scale so `cargo
-//! bench` stays tractable. The full-scale experiments are run by the
-//! `lte-sim` binary.
+//! `examples/lte_bench` is the repository's performance yardstick. The
+//! five targets under `benches/` cover what it cannot name — per-kernel
+//! timings, the SIMD-vs-scalar turbo ratio, HARQ combining and the two
+//! cost gates `scripts/check.sh` greps — each a plain `fn main` over
+//! [`bench()`]. There are no statistics here: a line is for reading next
+//! to its neighbours on one host, not for claiming a gain.
 
-use lte_uplink::experiments::ExperimentContext;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-/// A reduced experiment context sized for benchmarking: 600 subframes
-/// (3 simulated seconds) and a coarse calibration sweep.
-pub fn bench_context() -> ExperimentContext {
-    ExperimentContext {
-        n_subframes: 600,
-        cal_subframes: 16,
-        cal_prb_step: 50,
-        ..ExperimentContext::paper()
+/// Most samples one [`bench()`] call takes.
+pub const SAMPLES: usize = 10;
+/// Sampling stops early once this much time is spent after the first
+/// sample.
+pub const BUDGET: Duration = Duration::from_millis(500);
+
+/// Times `routine`, one call per sample, until [`SAMPLES`] are taken or
+/// [`BUDGET`] is spent, and prints one `bench <id> median … best …` line.
+/// The first call is the warm-up and the first sample, so a routine
+/// slower than the budget still reports.
+pub fn bench<O>(id: &str, mut routine: impl FnMut() -> O) {
+    let mut sample = || {
+        let start = Instant::now();
+        black_box(routine());
+        start.elapsed()
+    };
+    let mut samples = vec![sample()];
+    let budget_start = Instant::now();
+    while samples.len() < SAMPLES && budget_start.elapsed() < BUDGET {
+        samples.push(sample());
     }
-}
-
-/// An even smaller context for the per-iteration hot loops.
-pub fn tiny_context() -> ExperimentContext {
-    ExperimentContext {
-        n_subframes: 200,
-        cal_subframes: 12,
-        cal_prb_step: 100,
-        ..ExperimentContext::paper()
-    }
-}
-
-/// Prints a short preview of a series (first/last few points).
-pub fn preview(name: &str, series: &[f64]) {
-    let head: Vec<String> = series.iter().take(4).map(|v| format!("{v:.3}")).collect();
-    let tail: Vec<String> = series
-        .iter()
-        .rev()
-        .take(2)
-        .rev()
-        .map(|v| format!("{v:.3}"))
-        .collect();
+    samples.sort_unstable();
     println!(
-        "{name}: {} points [{} … {}]",
-        series.len(),
-        head.join(", "),
-        tail.join(", ")
+        "bench {id:<40} median {:>12}  best {:>12}  ({} samples)",
+        human(samples[samples.len() / 2]),
+        human(samples[0]),
+        samples.len()
     );
+}
+
+fn human(d: Duration) -> String {
+    let ns = d.as_nanos();
+    if ns < 1_000 {
+        format!("{ns} ns")
+    } else if ns < 1_000_000 {
+        format!("{:.2} µs", ns as f64 / 1e3)
+    } else if ns < 1_000_000_000 {
+        format!("{:.2} ms", ns as f64 / 1e6)
+    } else {
+        format!("{:.2} s", ns as f64 / 1e9)
+    }
 }
 
 #[cfg(test)]
@@ -52,8 +58,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn contexts_are_reduced() {
-        assert!(bench_context().n_subframes < 68_000);
-        assert!(tiny_context().n_subframes < bench_context().n_subframes);
+    fn routine_runs_at_least_once_and_at_most_ten_times() {
+        let mut calls = 0;
+        bench("noop", || calls += 1);
+        assert!((1..=SAMPLES).contains(&calls), "{calls} calls");
     }
 }

@@ -13,7 +13,7 @@
 //! 4. the serial join: deinterleave, turbo (pass-through), CRC.
 //!
 //! No thread ever blocks at a phase barrier: each stage's completion
-//! *spawns* the next stage (see [`spawn_user_graph`]), so independent
+//! *spawns* the next stage (see `spawn_user_graph`), so independent
 //! users — and independent subframes — pipeline freely through the
 //! pool. The maintenance loop bounds that freedom with a configurable
 //! in-flight window ([`BenchmarkConfig::max_in_flight`]) so latency
@@ -767,7 +767,7 @@ pub(crate) fn kept_after_shed(users: &[UserConfig], count: Option<usize>) -> Vec
 /// buffers from its worker's thread-local [`UserScratch`] arena and
 /// writes results into a shared flat buffer; the per-user cost is the
 /// graph node (two flat buffers) and the boxed task closures.
-pub fn spawn_user_graph(
+pub(crate) fn spawn_user_graph(
     handle: &PoolHandle,
     cell: &CellConfig,
     input: &Arc<UserInput>,

@@ -2,8 +2,8 @@
 //!
 //! Performance is measured by one harness, `examples/lte_bench` (see
 //! `BENCHMARK.json`); this module only names the load it, the
-//! conformance vectors, the soak decode cache and the Criterion benches
-//! all replay, so "the steady-state subframe" means one thing.
+//! conformance vectors and the soak decode cache all replay, so "the
+//! steady-state subframe" means one thing.
 
 use lte_dsp::Modulation;
 use lte_phy::params::{SubframeConfig, UserConfig};

@@ -2,11 +2,12 @@
 //!
 //! Two execution substrates back the benchmark:
 //!
-//! * [`pool`] — a real work-stealing thread pool (crossbeam deques, one OS
-//!   thread per worker) mirroring the paper's Pthreads runtime: a global
-//!   user queue checked before stealing, per-scope task sets, and
-//!   cycle-accounting instrumentation (the `get_cycle_count()` analogue).
-//!   This is what the *benchmark* deliverable runs on.
+//! * [`pool`] — a real work-stealing thread pool (one OS thread per
+//!   worker, mutex-guarded `VecDeque` queues on `std` — not lock-free)
+//!   mirroring the paper's Pthreads runtime: a global user queue checked
+//!   before stealing, per-scope task sets, and cycle-accounting
+//!   instrumentation (the `get_cycle_count()` analogue). This is what
+//!   the *benchmark* deliverable runs on.
 //!
 //! * [`sim`] — a deterministic discrete-event simulator of a 64-core tile
 //!   processor (the TILEPro64 substitute): per-core queues, work stealing
@@ -29,6 +30,7 @@
 //! paper's measured rate on the TILEPro64.
 
 pub mod cycles;
+mod deque;
 pub mod ingest;
 pub mod pool;
 pub mod shard;

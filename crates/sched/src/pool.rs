@@ -6,18 +6,21 @@
 //!   stealing fine-grained tasks, so new subframes start promptly;
 //! * **per-worker task deques** — a user thread (the worker that dequeued
 //!   a job) spawns its tasks onto *its own* deque and pops them LIFO;
-//!   idle workers steal FIFO from other workers' deques (Chase–Lev via
-//!   `crossbeam::deque`), exactly the paper's "each worker thread has a
-//!   local task queue, and if no work exists in its own queue, it tries
-//!   to steal work from another worker thread";
+//!   idle workers steal FIFO from other workers' deques — the paper's
+//!   "each worker thread has a local task queue, and if no work exists
+//!   in its own queue, it tries to steal work from another worker
+//!   thread". Every queue here, the global one included, is a
+//!   mutex-guarded `VecDeque` on `std` (the private `deque` module), as
+//!   plain as the paper's Pthreads queues: correct and ordered, not
+//!   lock-free;
 //! * **a bounded per-worker LIFO slot** — the most recently spawned
 //!   continuation task is kept in a one-element slot private to the
 //!   worker, so a dependency chain (estimate → weights → combine →
 //!   finish) runs back-to-back on one core with hot caches instead of
 //!   round-tripping through the deque;
 //! * **batched steals** — a thief takes up to half the victim's deque in
-//!   one operation ([`crossbeam::deque::MAX_BATCH`] cap), amortising the
-//!   steal synchronisation over many fine-grained tasks;
+//!   one operation (at most 32 tasks), amortising the steal
+//!   synchronisation over many fine-grained tasks;
 //! * **spin-then-park idling** — a worker that finds no work anywhere
 //!   retries briefly, then parks on a condvar with exponentially growing
 //!   timeouts instead of burning a core, and is woken by the next
@@ -42,15 +45,13 @@
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use std::sync::OnceLock;
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use lte_obs::{Histogram, MetricsRegistry};
-use parking_lot::{Condvar, Mutex};
+
+use crate::deque::Deque;
 
 type Job = Box<dyn FnOnce(&TaskPool) + Send + 'static>;
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -78,7 +79,9 @@ struct Queued {
 const SPIN_RETRIES: u32 = 3;
 /// First parking timeout; doubles on every consecutive park up to
 /// [`PARK_MAX`]. Timeouts (rather than indefinite parks) also paper over
-/// the shim condvar's benign missed-wakeup window.
+/// the pool's own missed-wakeup window: [`Inner::wake_idle`] notifies
+/// without taking `idle_lock`, so a worker that has checked the queues
+/// but not yet parked sleeps through that notify.
 const PARK_BASE: Duration = Duration::from_micros(50);
 /// Parking timeout ceiling.
 const PARK_MAX: Duration = Duration::from_millis(2);
@@ -160,15 +163,15 @@ pub fn silence_injected_panics() {
 }
 
 thread_local! {
-    /// The local deque of the worker thread currently running, if any.
-    static LOCAL_DEQUE: RefCell<Option<Worker<Queued>>> = const { RefCell::new(None) };
     /// The bounded (one-element) LIFO slot holding this worker's most
     /// recently spawned task. Private to the worker — never stolen — so
     /// a continuation chain keeps its working set in cache.
     static LIFO_SLOT: RefCell<Option<Queued>> = const { RefCell::new(None) };
-    /// Index of the worker thread currently running, if any — used to
-    /// attribute counters per worker.
-    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
+    /// `(pool, index)` of the worker thread currently running, if any —
+    /// the pool as the address of its [`Inner`], which the worker keeps
+    /// alive (and so unique) for as long as the thread runs. Read only
+    /// through [`worker_of`].
+    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
     /// Nanoseconds this thread has spent inside [`TaskPool::scope`] for
     /// the job currently executing — subtracted from the job's own
     /// elapsed time so barrier waits and helping are not double-counted
@@ -232,11 +235,12 @@ impl PoolTelemetry {
 }
 
 struct Inner {
-    jobs: Injector<Job>,
-    /// Tasks submitted from threads without a local deque.
-    overflow: Injector<Queued>,
-    /// Stealers for every worker's local deque.
-    stealers: Vec<Stealer<Queued>>,
+    /// The global user queue.
+    jobs: Deque<Job>,
+    /// Tasks submitted from threads that are not workers of this pool.
+    overflow: Deque<Queued>,
+    /// Every worker's local deque, indexed by worker.
+    deques: Vec<Deque<Queued>>,
     shutdown: AtomicBool,
     pending_jobs: AtomicUsize,
     busy_nanos: AtomicU64,
@@ -278,6 +282,13 @@ impl Inner {
     /// Callers account the finished job or task *before* this.
     fn finish_pending(&self) {
         if self.pending_jobs.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // `wait_all` holds `done_lock` from its read of
+            // `pending_jobs` until the condvar wait releases it. So the
+            // decrement above either precedes that read (the waiter sees
+            // zero and never parks) or falls inside that span — then
+            // this acquire blocks until the waiter is parked, and the
+            // notify below cannot be missed.
+            drop(lock(&self.done_lock));
             self.done_cv.notify_all();
         }
     }
@@ -289,106 +300,113 @@ impl Inner {
         }
     }
 
-    /// Grabs one task from anywhere: the overflow queue, then other
+    /// Grabs one task from anywhere: the overflow queue, then the
     /// workers' deques (round-robin from `start`). A steal from a deque
-    /// takes up to half the victim's queue when the calling thread has a
-    /// local deque to unload the batch into.
+    /// takes up to half the victim's queue when the calling thread is a
+    /// worker of this pool, with a deque of its own to unload the batch
+    /// into.
     fn steal_task(&self, start: usize) -> Option<Queued> {
-        loop {
-            match self.overflow.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
+        if let Some(t) = self.overflow.steal() {
+            return Some(t);
         }
-        let n = self.stealers.len();
+        let me = worker_of(self);
+        let n = self.deques.len();
         for i in 0..n {
-            let victim = (start + i) % n;
-            loop {
-                let stolen = LOCAL_DEQUE.with(|local| {
-                    let local = local.borrow();
-                    match local.as_ref() {
-                        // Batched steal: the oldest task comes back for
-                        // immediate execution, the rest of the batch
-                        // lands on our own deque.
-                        Some(dest) => {
-                            let before = dest.len();
-                            let result = self.stealers[victim].steal_batch_and_pop(dest);
-                            let moved = dest.len().saturating_sub(before);
-                            (result, moved)
-                        }
-                        None => (self.stealers[victim].steal(), 0),
-                    }
-                });
-                match stolen {
-                    (Steal::Success(t), moved) => {
-                        self.steal_count.fetch_add(1, Ordering::Relaxed);
-                        if moved > 0 {
-                            self.steal_batches.fetch_add(1, Ordering::Relaxed);
-                            self.batch_stolen_tasks
-                                .fetch_add(moved as u64, Ordering::Relaxed);
-                        }
-                        if let Some(t) = self.telemetry.get() {
-                            t.steal_batch_tasks.record(moved as u64 + 1);
-                        }
-                        if let Some(w) = WORKER_INDEX.with(Cell::get) {
-                            self.worker_stats[w].steals.fetch_add(1, Ordering::Relaxed);
-                            if moved > 0 {
-                                self.worker_stats[w]
-                                    .steal_batches
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        return Some(t);
-                    }
-                    (Steal::Retry, _) => continue,
-                    (Steal::Empty, _) => break,
+            let victim = &self.deques[(start + i) % n];
+            let stolen = match me {
+                // Batched steal: the oldest task comes back for
+                // immediate execution, the rest of the batch lands on
+                // our own deque.
+                Some(w) => victim.steal_half_into(&self.deques[w]),
+                None => victim.steal().map(|t| (t, 0)),
+            };
+            let Some((task, moved)) = stolen else {
+                continue;
+            };
+            self.steal_count.fetch_add(1, Ordering::Relaxed);
+            if moved > 0 {
+                self.steal_batches.fetch_add(1, Ordering::Relaxed);
+                self.batch_stolen_tasks
+                    .fetch_add(moved as u64, Ordering::Relaxed);
+            }
+            if let Some(t) = self.telemetry.get() {
+                t.steal_batch_tasks.record(moved as u64 + 1);
+            }
+            if let Some(w) = me {
+                self.worker_stats[w].steals.fetch_add(1, Ordering::Relaxed);
+                if moved > 0 {
+                    self.worker_stats[w]
+                        .steal_batches
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
+            return Some(task);
         }
         None
     }
 }
 
+/// Locks ignoring poison: the pool's mutexes guard `()` or one plain
+/// `(Instant, u64)` pair, which no panic can leave half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One bounded condvar wait, poison ignored as in [`lock`].
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
+
+/// The calling thread's worker index in *this* pool. `None` on every
+/// foreign thread — another pool's worker included, which must not put
+/// this pool's tasks in its own LIFO slot or index this pool's
+/// per-worker state with its own index.
+fn worker_of(inner: &Inner) -> Option<usize> {
+    let (pool, index) = WORKER.with(Cell::get)?;
+    (pool == inner as *const Inner as usize).then_some(index)
+}
+
 /// Takes the next locally available task: the LIFO slot first (hot
 /// continuation), then the worker's own deque.
 fn pop_local(inner: &Inner) -> Option<Queued> {
+    let w = worker_of(inner)?;
     if let Some(task) = LIFO_SLOT.with(|slot| slot.borrow_mut().take()) {
         inner.lifo_slot_hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(w) = WORKER_INDEX.with(Cell::get) {
-            inner.worker_stats[w]
-                .slot_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        inner.worker_stats[w]
+            .slot_hits
+            .fetch_add(1, Ordering::Relaxed);
         return Some(task);
     }
-    LOCAL_DEQUE.with(|local| local.borrow().as_ref().and_then(|d| d.pop()))
+    inner.deques[w].pop()
 }
 
 /// Enqueues a detached task: into the calling worker's LIFO slot when on
-/// a worker thread (displacing any previous occupant onto the stealable
-/// deque), or onto the shared overflow queue otherwise.
+/// one of this pool's worker threads (displacing any previous occupant
+/// onto the stealable deque), or onto the shared overflow queue
+/// otherwise.
 fn spawn_inner(inner: &Inner, task: Task) {
     inner.pending_jobs.fetch_add(1, Ordering::SeqCst);
     let wrapped = Queued {
         run: task,
         release: Release::Pending,
     };
-    if WORKER_INDEX.with(Cell::get).is_some() {
-        let displaced = LIFO_SLOT.with(|slot| slot.borrow_mut().replace(wrapped));
-        if let Some(old) = displaced {
-            // The displaced task becomes stealable: other workers may be
-            // hungry for it.
-            LOCAL_DEQUE.with(|local| match local.borrow().as_ref() {
-                Some(deque) => deque.push(old),
-                None => inner.overflow.push(old),
-            });
+    match worker_of(inner) {
+        Some(w) => {
+            let displaced = LIFO_SLOT.with(|slot| slot.borrow_mut().replace(wrapped));
+            if let Some(old) = displaced {
+                // The displaced task becomes stealable: other workers may
+                // be hungry for it.
+                inner.deques[w].push(old);
+                inner.wake_idle();
+            }
+            // A task in the slot needs no wakeup: this worker is running.
+        }
+        None => {
+            inner.overflow.push(wrapped);
             inner.wake_idle();
         }
-        // A task in the slot needs no wakeup: this worker is running.
-    } else {
-        inner.overflow.push(wrapped);
-        inner.wake_idle();
     }
 }
 
@@ -464,12 +482,10 @@ impl TaskPool {
         if n_workers == 0 {
             return Err(PoolError::ZeroWorkers);
         }
-        let deques: Vec<Worker<Queued>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
         let inner = Arc::new(Inner {
-            jobs: Injector::new(),
-            overflow: Injector::new(),
-            stealers,
+            jobs: Deque::new(),
+            overflow: Deque::new(),
+            deques: (0..n_workers).map(|_| Deque::new()).collect(),
             shutdown: AtomicBool::new(false),
             pending_jobs: AtomicUsize::new(0),
             busy_nanos: AtomicU64::new(0),
@@ -495,11 +511,11 @@ impl TaskPool {
             done_cv: Condvar::new(),
         });
         let mut workers = Vec::with_capacity(n_workers);
-        for (i, deque) in deques.into_iter().enumerate() {
+        for i in 0..n_workers {
             let thread_inner = Arc::clone(&inner);
             match std::thread::Builder::new()
                 .name(format!("lte-worker-{i}"))
-                .spawn(move || worker_entry(thread_inner, i, deque))
+                .spawn(move || worker_entry(thread_inner, i))
             {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
@@ -551,15 +567,11 @@ impl TaskPool {
         self.inner.telemetry.set(telemetry).is_ok()
     }
 
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&Arc<PoolTelemetry>> {
-        self.inner.telemetry.get()
-    }
-
     /// Spawns a detached task: no thread blocks on its completion, but
-    /// [`TaskPool::wait_all`] counts it. On a worker thread the task goes
-    /// into the worker's bounded LIFO slot (displacing any previous
-    /// occupant onto the stealable deque) — the building block of
+    /// [`TaskPool::wait_all`] counts it. On one of this pool's worker
+    /// threads the task goes into the worker's bounded LIFO slot
+    /// (displacing any previous occupant onto the stealable deque), on
+    /// any other thread onto the overflow queue — the building block of
     /// dependency-ordered task graphs where each task spawns its
     /// successors instead of a user thread standing at a barrier.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
@@ -569,9 +581,10 @@ impl TaskPool {
     /// Runs a set of tasks to completion, helping execute them from the
     /// calling thread (fork-join barrier).
     ///
-    /// When called from a worker thread the tasks go onto *that worker's*
-    /// deque (LIFO for the owner, stealable FIFO by others), as in the
-    /// paper. The caller may also pick up *other* pending tasks while it
+    /// When called from one of this pool's worker threads the tasks go
+    /// onto *that worker's* deque (LIFO for the owner, stealable FIFO by
+    /// others), as in the paper; from any other thread, onto the overflow
+    /// queue. The caller may also pick up *other* pending tasks while it
     /// waits — a benign deviation from the paper's pure spin wait that
     /// can only improve core utilisation.
     pub fn scope(&self, tasks: Vec<Task>) {
@@ -579,19 +592,16 @@ impl TaskPool {
             return;
         }
         let remaining = Arc::new(AtomicUsize::new(tasks.len()));
-        LOCAL_DEQUE.with(|local| {
-            let local = local.borrow();
-            for task in tasks {
-                let wrapped = Queued {
-                    run: task,
-                    release: Release::Barrier(Arc::clone(&remaining)),
-                };
-                match local.as_ref() {
-                    Some(deque) => deque.push(wrapped),
-                    None => self.inner.overflow.push(wrapped),
-                }
-            }
-        });
+        let queue = match worker_of(&self.inner) {
+            Some(w) => &self.inner.deques[w],
+            None => &self.inner.overflow,
+        };
+        for task in tasks {
+            queue.push(Queued {
+                run: task,
+                release: Release::Barrier(Arc::clone(&remaining)),
+            });
+        }
         self.inner.wake_idle();
         // Help until the barrier resolves: slot and own deque first,
         // then steal.
@@ -608,11 +618,11 @@ impl TaskPool {
 
     /// Blocks until every submitted job and spawned task has completed.
     pub fn wait_all(&self) {
-        let mut guard = self.inner.done_lock.lock();
-        while self.inner.pending_jobs.load(Ordering::SeqCst) > 0 {
-            self.inner
-                .done_cv
-                .wait_for(&mut guard, Duration::from_millis(10));
+        let inner = &self.inner;
+        let mut guard = lock(&inner.done_lock);
+        while inner.pending_jobs.load(Ordering::SeqCst) > 0 {
+            // `finish_pending` wakes this wait; the timeout is a backstop.
+            guard = wait(&inner.done_cv, guard, Duration::from_millis(10));
         }
     }
 
@@ -737,13 +747,6 @@ impl TaskPool {
         }
     }
 
-    /// Activity over a wall-clock window per Eq. 2: useful time divided
-    /// by `n_workers × window`.
-    pub fn activity_since(&self, busy_start: u64, window: Duration) -> f64 {
-        let busy = self.busy_nanos().saturating_sub(busy_start) as f64;
-        busy / (self.n_workers as f64 * window.as_nanos() as f64)
-    }
-
     /// Caps execution to the first `n` workers (clamped to
     /// `[1, n_workers]`) — the elastic-control analogue of the paper's
     /// proactive core deactivation. Workers at or above the cap finish
@@ -762,17 +765,6 @@ impl TaskPool {
         self.inner.active_limit.load(Ordering::SeqCst)
     }
 
-    /// Parks `n` additional workers (never below one active) — the
-    /// `nap` analogue.
-    pub fn park_workers(&self, n: usize) {
-        self.set_active_workers(self.active_workers().saturating_sub(n));
-    }
-
-    /// Returns `n` parked workers to service (never above `n_workers`).
-    pub fn unpark_workers(&self, n: usize) {
-        self.set_active_workers(self.active_workers().saturating_add(n));
-    }
-
     /// Total nanoseconds workers have spent parked under the governor
     /// cap — the real-pool "deactivated core time" of Tables I–II.
     pub fn governor_parked_nanos(&self) -> u64 {
@@ -785,7 +777,7 @@ impl TaskPool {
     /// it is the measured side of the Fig. 12 estimated-vs-measured
     /// comparison.
     pub fn boundary_activity(&self) -> f64 {
-        let mut last = self.inner.boundary.lock();
+        let mut last = lock(&self.inner.boundary);
         let now = Instant::now();
         let busy = self.busy_nanos();
         let (t0, busy0) = *last;
@@ -831,7 +823,8 @@ fn run_timed(inner: &Inner, task: Queued) {
     let nanos = start.elapsed().as_nanos() as u64;
     inner.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
     inner.executed_tasks.fetch_add(1, Ordering::Relaxed);
-    if let Some(w) = WORKER_INDEX.with(Cell::get) {
+    let me = worker_of(inner);
+    if let Some(w) = me {
         let s = &inner.worker_stats[w];
         s.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
         s.executed_tasks.fetch_add(1, Ordering::Relaxed);
@@ -847,7 +840,7 @@ fn run_timed(inner: &Inner, task: Queued) {
         Release::Nothing => {}
     }
     if let Err(payload) = result {
-        if payload.is::<WorkerKill>() && WORKER_INDEX.with(Cell::get).is_some() {
+        if payload.is::<WorkerKill>() && me.is_some() {
             resume_unwind(payload);
         }
     }
@@ -856,11 +849,10 @@ fn run_timed(inner: &Inner, task: Queued) {
 /// Worker thread body: a supervision loop around [`worker_loop`]. A
 /// [`WorkerKill`] unwinding out of the work loop models a core dying;
 /// the supervisor counts the respawn and re-enters the loop on the same
-/// thread with the same deque — and the same LIFO slot — so queued tasks
-/// survive the "death".
-fn worker_entry(inner: Arc<Inner>, index: usize, deque: Worker<Queued>) {
-    LOCAL_DEQUE.with(|local| *local.borrow_mut() = Some(deque));
-    WORKER_INDEX.with(|w| w.set(Some(index)));
+/// thread with the same LIFO slot and — by index — the same deque, so
+/// queued tasks survive the "death".
+fn worker_entry(inner: Arc<Inner>, index: usize) {
+    WORKER.with(|w| w.set(Some((Arc::as_ptr(&inner) as usize, index))));
     loop {
         let result = catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index)));
         match result {
@@ -873,7 +865,7 @@ fn worker_entry(inner: Arc<Inner>, index: usize, deque: Worker<Queued>) {
 }
 
 fn worker_loop(inner: &Arc<Inner>, index: usize) {
-    let n_workers = inner.stealers.len();
+    let n_workers = inner.deques.len();
     let pool_handle = TaskPool {
         inner: Arc::clone(inner),
         workers: Vec::new(), // handle owns no threads; Drop join is a no-op
@@ -900,11 +892,11 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
             }
             let park_start = Instant::now();
             inner.idle_workers.fetch_add(1, Ordering::SeqCst);
-            let mut guard = inner.idle_lock.lock();
+            let mut guard = lock(&inner.idle_lock);
             if index >= inner.active_limit.load(Ordering::SeqCst)
                 && !inner.shutdown.load(Ordering::SeqCst)
             {
-                inner.idle_cv.wait_for(&mut guard, GOVERNOR_PARK);
+                guard = wait(&inner.idle_cv, guard, GOVERNOR_PARK);
             }
             drop(guard);
             inner.idle_workers.fetch_sub(1, Ordering::SeqCst);
@@ -924,36 +916,32 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
             continue;
         }
         // … then the global user queue (§IV-C: checked before stealing), …
-        match inner.jobs.steal() {
-            Steal::Success(job) => {
-                idle_streak = 0;
-                let scope_before = SCOPE_NANOS.with(Cell::get);
-                let start = Instant::now();
-                // Contain job panics so one poisoned user cannot hang
-                // `wait_all`: the pending count always drops (after the
-                // accounting, as in `run_timed`), then a WorkerKill
-                // (raised while this job helped at a barrier) still
-                // fail-stops the worker.
-                let result = catch_unwind(AssertUnwindSafe(|| job(&pool_handle)));
-                let scoped = SCOPE_NANOS.with(Cell::get) - scope_before;
-                let useful = (start.elapsed().as_nanos() as u64).saturating_sub(scoped);
-                inner.busy_nanos.fetch_add(useful, Ordering::Relaxed);
-                let kill = match result {
-                    Err(payload) if payload.is::<WorkerKill>() => Some(payload),
-                    Err(_) => {
-                        inner.poisoned_jobs.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                    Ok(()) => None,
-                };
-                inner.finish_pending();
-                if let Some(payload) = kill {
-                    resume_unwind(payload);
+        if let Some(job) = inner.jobs.steal() {
+            idle_streak = 0;
+            let scope_before = SCOPE_NANOS.with(Cell::get);
+            let start = Instant::now();
+            // Contain job panics so one poisoned user cannot hang
+            // `wait_all`: the pending count always drops (after the
+            // accounting, as in `run_timed`), then a WorkerKill (raised
+            // while this job helped at a barrier) still fail-stops the
+            // worker.
+            let result = catch_unwind(AssertUnwindSafe(|| job(&pool_handle)));
+            let scoped = SCOPE_NANOS.with(Cell::get) - scope_before;
+            let useful = (start.elapsed().as_nanos() as u64).saturating_sub(scoped);
+            inner.busy_nanos.fetch_add(useful, Ordering::Relaxed);
+            let kill = match result {
+                Err(payload) if payload.is::<WorkerKill>() => Some(payload),
+                Err(_) => {
+                    inner.poisoned_jobs.fetch_add(1, Ordering::Relaxed);
+                    None
                 }
-                continue;
+                Ok(()) => None,
+            };
+            inner.finish_pending();
+            if let Some(payload) = kill {
+                resume_unwind(payload);
             }
-            Steal::Retry => continue,
-            Steal::Empty => {}
+            continue;
         }
         // … then steal tasks from anyone (batched when possible).
         if let Some(t) = inner.steal_task(index + 1) {
@@ -977,7 +965,7 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
         let exp = (idle_streak - SPIN_RETRIES - 1).min(10);
         let timeout = PARK_MAX.min(PARK_BASE * 2u32.saturating_pow(exp));
         inner.idle_workers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = inner.idle_lock.lock();
+        let mut guard = lock(&inner.idle_lock);
         if inner.jobs.is_empty()
             && inner.overflow.is_empty()
             && !inner.shutdown.load(Ordering::SeqCst)
@@ -987,7 +975,7 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
                 .parks
                 .fetch_add(1, Ordering::Relaxed);
             let park_start = Instant::now();
-            inner.idle_cv.wait_for(&mut guard, timeout);
+            guard = wait(&inner.idle_cv, guard, timeout);
             if let Some(t) = inner.telemetry.get() {
                 t.park_nanos.record(park_start.elapsed().as_nanos() as u64);
             }
@@ -1545,15 +1533,15 @@ mod tests {
     fn governor_cap_clamps_and_parks() {
         let pool = TaskPool::new(4).unwrap();
         assert_eq!(pool.active_workers(), 4);
-        pool.park_workers(3);
+        pool.set_active_workers(1);
         assert_eq!(pool.active_workers(), 1);
         // Can never drop below one active worker.
-        pool.park_workers(10);
+        pool.set_active_workers(0);
         assert_eq!(pool.active_workers(), 1);
         // Give the gated workers a moment to accumulate parked time.
         std::thread::sleep(Duration::from_millis(5));
         assert!(pool.governor_parked_nanos() > 0, "parked time must accrue");
-        pool.unpark_workers(10);
+        pool.set_active_workers(14);
         assert_eq!(pool.active_workers(), 4);
     }
 
@@ -1575,6 +1563,37 @@ mod tests {
         pool.wait_all();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
         pool.set_active_workers(4);
+    }
+
+    /// Worker identity is per pool: a task on pool A that spawns through
+    /// B's handle used to land in A's LIFO slot — A's worker then
+    /// finished it against A's `pending_jobs` (which wrapped below zero)
+    /// while B's never dropped, and neither `wait_all` returned. The
+    /// pools run on a helper thread so that hang fails the test instead.
+    #[test]
+    fn spawning_onto_another_pool_from_a_worker_lands_on_that_pool() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let a = TaskPool::new(4).unwrap();
+            let b = Arc::new(TaskPool::new(2).unwrap());
+            let handle = b.handle();
+            a.spawn(move || handle.spawn(|| ()));
+            // From A's worker 2 or 3 this also used to index B's
+            // two-entry per-worker stats out of range.
+            let scoped = Arc::clone(&b);
+            a.submit_job(move |_| {
+                scoped.scope((0..8).map(|_| Box::new(|| ()) as Task).collect());
+            });
+            a.wait_all();
+            b.wait_all();
+            let _ = done.send((a.executed_tasks(), b.executed_tasks()));
+        });
+        let (on_a, on_b) = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a cross-pool spawn must strand neither pool's wait_all");
+        helper.join().unwrap();
+        assert_eq!(on_a, 1, "A ran its own task and nothing of B's");
+        assert_eq!(on_b, 9, "B's spawned task and its 8 scoped tasks");
     }
 
     #[test]

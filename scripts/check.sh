@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, two code-shape budgets, conformance vectors on both
-# dispatch paths, the fuzz corpus, and a smoke run of every driver
-# (chaos, govern, lte_bench, soak, deploy, serve) plus two bench gates.
+# benchmark harness, three budgets (receiver entry points, one
+# performance harness, a first-party std-only workspace), conformance
+# vectors on both dispatch paths, the fuzz corpus, and a smoke run of
+# every driver (chaos, govern, lte_bench, soak, deploy, serve) plus the
+# two cost gates among the `crates/bench` micro-benchmarks.
 #
 #   scripts/check.sh            # everything, tests over the workspace
 #   scripts/check.sh --tier1    # same, tests over the root package only
@@ -44,6 +46,18 @@ echo "==> one performance harness budget"
 # perf` growing back.
 [[ "$(grep -c 'pub fn' crates/core/src/perf.rs)" -le 1 ]] \
     || { echo "crates/core/src/perf.rs exposes more than one pub fn"; exit 1; }
+
+echo "==> first-party, std-only budget"
+# The workspace owns its whole substrate on `std`: no vendored stand-in
+# directory, no package in the lock that is not one of ours, and no
+# mention of the three crates the stand-ins once imitated.
+[[ ! -e vendor ]] \
+    || { echo "vendor/ exists: the workspace is first-party only"; exit 1; }
+[[ -z "$(grep '^name = ' Cargo.lock | grep -v '^name = "lte-' || true)" ]] \
+    || { echo "Cargo.lock names a package that is not lte-*"; exit 1; }
+[[ -z "$(grep -rn 'crossbeam\|parking_lot\|criterion' --include='*.rs' --include='*.toml' \
+    crates fuzz src tests Cargo.toml || true)" ]] \
+    || { echo "a source or manifest file names crossbeam, parking_lot or criterion"; exit 1; }
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
@@ -176,7 +190,7 @@ echo "$serve_out" | grep -q "SLO: all .* calm windows within budget" \
     || { echo "serve smoke: a calm window violated its SLO"; exit 1; }
 
 echo "==> telemetry record-cost gate (obs_overhead bench)"
-cargo bench -q --offline -p lte-bench --bench obs_overhead -- --test | grep "hist_record:" \
+cargo bench -q --offline -p lte-bench --bench obs_overhead | grep "hist_record:" \
     || { echo "telemetry record-cost gate failed"; exit 1; }
 
 echo "all checks passed"
