@@ -28,8 +28,13 @@ fn random_block(n: usize, seed: u64) -> Vec<Complex32> {
         .collect()
 }
 
+/// Smooth LTE widths, then three the ramp model schedules whose last
+/// radix is a prime (41, 97, 197 PRB: n = 492, 1164, 2364). The prime
+/// widths go last: their FMA-dense butterfly leaves the core clocked
+/// lower for a few milliseconds, which would land on the width timed
+/// next.
 fn bench_fft() {
-    for prbs in [2usize, 10, 50, 100, 200] {
+    for prbs in [2usize, 10, 50, 100, 200, 41, 97, 197] {
         let n = 12 * prbs;
         let plan = FftPlan::forward(n);
         let data = random_block(n, n as u64);

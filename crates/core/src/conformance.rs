@@ -3,7 +3,8 @@
 //!
 //! The SIMD hot path ([`lte_dsp::simd`]) promises bit-identity with the
 //! scalar reference. This module turns that promise into a gate: each
-//! kernel — the FFT at every 100-PRB grid size, Zadoff–Chu reference
+//! kernel — the FFT at every 100-PRB grid size and at every width up to
+//! 200 PRBs with a prime factor of 7 or more, Zadoff–Chu reference
 //! generation, channel estimation per slot × antenna, the matched
 //! filter, MMSE weights, exact and max-log demap LLRs, segmentation +
 //! rate matching, turbo decode (including the SISO alpha/beta/extrinsic
@@ -36,7 +37,7 @@ use lte_dsp::zadoff_chu::{layer_cyclic_shift, ReferenceSequence};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::{estimate_slot, ChannelEstimate};
-use lte_phy::params::{CellConfig, TurboMode, UserConfig};
+use lte_phy::params::{CellConfig, TurboMode, UserConfig, MAX_PRB};
 use lte_phy::tx::{scrambling_init, synthesize_user_over_channel};
 
 /// Schema tag written into the golden file.
@@ -58,17 +59,18 @@ pub struct KernelVector {
 /// 100 whose DFT size `12·prbs` factors into 2, 3 and 5 (the LTE
 /// transform-precoding constraint).
 pub fn lte_prb_counts() -> Vec<usize> {
-    (1..=100)
-        .filter(|&prbs| {
-            let mut n = prbs;
-            for f in [2, 3, 5] {
-                while n % f == 0 {
-                    n /= f;
-                }
-            }
-            n == 1
-        })
-        .collect()
+    (1..=100).filter(|&prbs| is_smooth(prbs)).collect()
+}
+
+/// `true` when `prbs` factors into 2, 3 and 5 only.
+fn is_smooth(prbs: usize) -> bool {
+    let mut n = prbs;
+    for f in [2, 3, 5] {
+        while n.is_multiple_of(f) {
+            n /= f;
+        }
+    }
+    n == 1
 }
 
 fn hash_c32(h: &mut Fnv1a, data: &[Complex32]) {
@@ -117,6 +119,28 @@ fn fft_vector(forward: bool) -> KernelVector {
             "fft-inverse"
         }
         .to_string(),
+        hash: h.finish(),
+    }
+}
+
+/// Forward and inverse transforms at every width `12·prbs`, `prbs` up to
+/// [`MAX_PRB`], with a prime factor of 7 or more — the widths the ramp
+/// model's divided PRB draws schedule and no LTE grant would, each
+/// ending in a generic-radix butterfly of that prime.
+fn fft_prime_radix_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x2FF7);
+    let mut h = Fnv1a::new();
+    for plan_for in [FftPlan::forward, FftPlan::inverse] {
+        for prbs in (1..=MAX_PRB).filter(|&prbs| !is_smooth(prbs)) {
+            let n = 12 * prbs;
+            let mut data = random_block(&mut rng, n);
+            plan_for(n).process(&mut data);
+            h.write_u64(n as u64);
+            hash_c32(&mut h, &data);
+        }
+    }
+    KernelVector {
+        kernel: "fft-prime-radix".to_string(),
         hash: h.finish(),
     }
 }
@@ -485,6 +509,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
     vec![
         fft_vector(true),
         fft_vector(false),
+        fft_prime_radix_vector(),
         zadoff_chu_vector(),
         estimate_vector(),
         mmse_vector(),

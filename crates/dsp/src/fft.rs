@@ -1,12 +1,16 @@
 //! Mixed-radix fast Fourier transforms.
 //!
-//! LTE uplink transform sizes are `12 × N_PRB` subcarriers (with `N_PRB`
-//! restricted to 2,3,5-smooth values in the standard), plus power-of-two
-//! front-end sizes. A recursive Cooley–Tukey decomposition with specialised
-//! radix-2/3/4 butterflies and a table-driven generic radix (used for 5 and,
-//! defensively, any other prime) covers every size the benchmark needs in
-//! `O(n log n)`; non-smooth sizes still work via the generic-prime path
-//! (at `O(p²)` per prime factor `p`, which never occurs on the hot path).
+//! LTE uplink transform sizes are `12 × N_PRB` subcarriers, plus
+//! power-of-two front-end sizes. A recursive Cooley–Tukey decomposition
+//! with specialised radix-2/3/4 butterflies and a table-driven generic
+//! radix for every larger prime factor covers them all. The standard
+//! restricts `N_PRB` to 2,3,5-smooth values, which run in `O(n log n)`;
+//! the paper's Fig. 6 load model does not — it divides uniform PRB draws
+//! by 8, 4 or 2 — so on the ramp model's hot path a large share of the
+//! transforms end in one generic butterfly of a prime `p` up to 199, at
+//! `O(p²)` for that factor. That butterfly advances its `p` output
+//! accumulators together, which keeps it throughput-bound (see
+//! `generic_butterflies`).
 //!
 //! Plans are immutable and [`Sync`], so one [`FftPlanner`] can serve all
 //! worker threads.
@@ -342,42 +346,89 @@ fn combine4(out: &mut [Complex32], m: usize, tw: &[Complex32], direction: Direct
     }
 }
 
-/// Table-driven radix used for 5 and any other prime factor.
+/// Table-driven radix for every prime factor above 3: 5 in every smooth
+/// LTE width and, because the paper's Fig. 6 model divides uniform PRB
+/// draws by 8, 4 or 2, any prime up to 199 as the last radix (`m = 1`,
+/// where the vector path never runs) of every width whose PRB count has
+/// a prime factor of 7 or more. Kept out of [`FftPlan::recurse`]: inlined
+/// there, its loop made the radix-2/3/4-only transforms (`fft/24`) about
+/// 5 % slower.
+#[inline(never)]
 fn combine_generic(out: &mut [Complex32], r: usize, m: usize, stage: &StageTwiddles, simd: bool) {
     debug_assert!(r >= 2);
-    let tw = &stage.packed;
-    let root = &stage.root;
     let mut k0 = 0;
     #[cfg(target_arch = "x86_64")]
     if simd && m >= 4 && r <= avx::MAX_GENERIC_RADIX {
         k0 = m & !3;
         // SAFETY: dispatch verified AVX2+FMA; slices are in bounds.
-        unsafe { avx::combine_generic(out, r, m, tw, root, k0) };
+        unsafe { avx::combine_generic(out, r, m, &stage.packed, &stage.root, k0) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    // LTE sizes are 2/3/5-smooth so r = 5 in practice; a stack buffer
-    // keeps the hot path allocation-free, with a heap fallback for
-    // exotic prime lengths.
-    const STACK_RADIX: usize = 16;
-    let mut stack = [Complex32::ZERO; STACK_RADIX];
+    // One accumulator per output, on the stack at every schedulable
+    // width. Radix 5 (every smooth width) and 7 keep theirs in this
+    // frame; wider radices take a frame of their own, because a 1.6 KB
+    // array in this one slowed the smooth 600- to 2400-point transforms
+    // by about a tenth.
+    if r <= 8 {
+        generic_butterflies(out, m, k0, stage, &mut [Complex32::ZERO; 8][..r]);
+    } else {
+        wide_generic_butterflies(out, r, m, k0, stage);
+    }
+}
+
+/// Largest generic radix kept on the stack: a width `12·prb` has no
+/// prime factor above `prb`, so this covers every schedulable width.
+const MAX_STACK_RADIX: usize = DENSE_PRBS;
+
+/// [`generic_butterflies`] for `r > 8`; only arbitrary public plan
+/// lengths beyond [`MAX_STACK_RADIX`] reach the heap.
+#[inline(never)]
+fn wide_generic_butterflies(
+    out: &mut [Complex32],
+    r: usize,
+    m: usize,
+    k0: usize,
+    stage: &StageTwiddles,
+) {
+    let mut stack = [Complex32::ZERO; MAX_STACK_RADIX];
     let mut heap = Vec::new();
-    let t: &mut [Complex32] = if r <= STACK_RADIX {
+    let acc: &mut [Complex32] = if r <= MAX_STACK_RADIX {
         &mut stack[..r]
     } else {
         heap.resize(r, Complex32::ZERO);
         &mut heap
     };
+    generic_butterflies(out, m, k0, stage, acc);
+}
+
+/// The scalar generic butterflies for `k ∈ k0..m`, radix `r = acc.len()`.
+/// j outer, q inner: all r outputs advance together, so the r
+/// independent `mul_add` chains interleave (and vectorize over q) instead
+/// of each running r − 1 dependent steps alone. Every output still sees
+/// t0, then t1·root[r + q], t2·root[2r + q], … in that order, so the bits
+/// are those of the one-chain-at-a-time loop.
+#[inline(always)]
+fn generic_butterflies(
+    out: &mut [Complex32],
+    m: usize,
+    k0: usize,
+    stage: &StageTwiddles,
+    acc: &mut [Complex32],
+) {
+    let r = acc.len();
+    let tw = &stage.packed;
+    let root = &stage.root;
     for k in k0..m {
-        for (j, tj) in t.iter_mut().enumerate() {
-            *tj = out[j * m + k] * tw[j * m + k];
-        }
-        for q in 0..r {
-            let mut acc = t[0];
-            for (j, &tj) in t.iter().enumerate().skip(1) {
-                acc = acc.mul_add(tj, root[j * r + q]);
+        acc.fill(out[k] * tw[k]);
+        for j in 1..r {
+            let tj = out[j * m + k] * tw[j * m + k];
+            for (a, &w) in acc.iter_mut().zip(&root[j * r..(j + 1) * r]) {
+                *a = a.mul_add(tj, w);
             }
-            out[q * m + k] = acc;
+        }
+        for (q, &a) in acc.iter().enumerate() {
+            out[q * m + k] = a;
         }
     }
 }
@@ -552,6 +603,11 @@ pub(crate) fn radix_schedule(mut n: usize) -> Vec<usize> {
     factors
 }
 
+/// Largest PRB allocation with a dedicated lock-free plan slot:
+/// `lte_phy::params::MAX_PRB`, the most the ramp model schedules to one
+/// user — above the 110 PRBs of a 20 MHz LTE uplink.
+const DENSE_PRBS: usize = 200;
+
 /// A thread-safe cache of [`FftPlan`]s keyed by `(length, direction)`.
 ///
 /// The receiver pipeline needs transforms of many sizes (one per PRB
@@ -568,15 +624,11 @@ pub(crate) fn radix_schedule(mut n: usize) -> Vec<usize> {
 /// let b = planner.plan(120, Direction::Forward);
 /// assert!(std::sync::Arc::ptr_eq(&a, &b)); // cached
 /// ```
-/// Largest PRB allocation with a dedicated lock-free plan slot (the
-/// 20 MHz LTE uplink schedules at most 110 PRBs).
-const DENSE_PRBS: usize = 110;
-
 #[derive(Debug)]
 pub struct FftPlanner {
-    /// Lock-free slots for the LTE transform sizes `n = 12·prb`,
-    /// `prb ∈ 1..=110`, indexed `(prb − 1) + 110·direction`. A steady
-    /// state lookup is one atomic load — no lock, no hashing.
+    /// Lock-free slots for the transform sizes `n = 12·prb`,
+    /// `prb ∈ 1..=DENSE_PRBS`, indexed `(prb − 1) + DENSE_PRBS·direction`.
+    /// A steady state lookup is one atomic load — no lock, no hashing.
     dense: Vec<OnceLock<Arc<FftPlan>>>,
     /// Read-mostly fallback for every other size; the write lock is only
     /// taken the first time a cold size is planned.
@@ -611,10 +663,10 @@ impl FftPlanner {
 
     /// Returns a (shared) plan for the given length and direction.
     ///
-    /// LTE subcarrier counts (multiples of 12 up to 110 PRBs) resolve
-    /// through a dense lock-free table; other sizes fall back to a
-    /// read-mostly map whose write lock is only held while a cold size
-    /// is planned for the first time.
+    /// Subcarrier counts of every schedulable allocation (multiples of 12
+    /// up to 200 PRBs) resolve through a dense lock-free table; other
+    /// sizes fall back to a read-mostly map whose write lock is only held
+    /// while a cold size is planned for the first time.
     ///
     /// # Panics
     ///
@@ -842,13 +894,14 @@ mod tests {
     #[test]
     fn simd_and_scalar_paths_are_bit_identical() {
         // Covers every butterfly: radix 2 (n=24=4·3·2), 3, 4, 5 via the
-        // LTE grid sizes, plus a prime (generic radix, 71 > MAX tail-only,
-        // 7 within the vector block) and power-of-two front-end sizes.
-        let mut sizes: Vec<usize> = [1, 2, 4, 10, 15, 25, 50, 75, 100, 110]
+        // LTE grid sizes, primes (generic radix, 71 > MAX tail-only, 7
+        // within the vector block, 41 and 197 as the ramp model's last
+        // radix, 7³ at m ≥ 4) and power-of-two front-end sizes.
+        let mut sizes: Vec<usize> = [1, 2, 4, 10, 15, 25, 41, 50, 75, 100, 110, 197]
             .iter()
             .map(|p| 12 * p)
             .collect();
-        sizes.extend([1, 2, 3, 5, 7, 8, 71, 128, 2048]);
+        sizes.extend([1, 2, 3, 5, 7, 8, 71, 128, 343, 2048]);
         for direction in [Direction::Forward, Direction::Inverse] {
             for &n in &sizes {
                 let plan = FftPlan::new(n, direction);
@@ -913,11 +966,23 @@ mod tests {
         let a = planner.forward(17);
         let b = planner.forward(17);
         assert!(Arc::ptr_eq(&a, &b));
-        // 1332 = 12 × 111 exceeds the dense PRB range.
-        let c = planner.inverse(1332);
-        let d = planner.inverse(1332);
+        // 2412 = 12 × 201 exceeds the dense PRB range.
+        let c = planner.inverse(2412);
+        let d = planner.inverse(2412);
         assert!(Arc::ptr_eq(&c, &d));
         assert_eq!(planner.cached_plans(), 2);
+    }
+
+    #[test]
+    fn max_prb_plans_are_dense() {
+        // The ramp model schedules up to `lte_phy::params::MAX_PRB` = 200
+        // PRBs to one user; its lookups must never take the cold lock.
+        let planner = FftPlanner::new();
+        planner.prewarm([197, 200]);
+        let slot = planner.dense_slot(12 * 200, Direction::Inverse);
+        assert!(slot.and_then(OnceLock::get).is_some());
+        assert!(planner.cold.read().expect("planner lock").is_empty());
+        assert_eq!(planner.cached_plans(), 4);
     }
 
     #[test]
@@ -933,7 +998,7 @@ mod tests {
     #[test]
     fn planner_survives_sixteen_thread_hammer() {
         let planner = Arc::new(FftPlanner::new());
-        let sizes = [12, 120, 300, 600, 1200, 17, 1332];
+        let sizes = [12, 120, 300, 600, 1200, 17, 2412];
         std::thread::scope(|scope| {
             for t in 0..16 {
                 let planner = Arc::clone(&planner);

@@ -64,11 +64,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A 25-PRB user synthesized for `mode`, with every cache the hot path
-/// reads — FFT plans, sub-block interleaver, reference sequences — warm.
-fn warm_input(mode: TurboMode, seed: u64) -> (CellConfig, FftPlanner, UserInput) {
+/// The smooth 25-PRB 2-layer 16-QAM user most tests receive.
+fn smooth_user() -> UserConfig {
+    UserConfig::new(25, 2, Modulation::Qam16)
+}
+
+/// `user` synthesized for `mode`, with every cache the hot path reads —
+/// FFT plans, sub-block interleaver, reference sequences — warm.
+fn warm_input(user: UserConfig, mode: TurboMode, seed: u64) -> (CellConfig, FftPlanner, UserInput) {
     let cell = CellConfig::default();
-    let user = UserConfig::new(25, 2, Modulation::Qam16);
     let planner = FftPlanner::new();
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let input = synthesize_user_with_mode(&cell, &user, mode, 35.0, &mut rng);
@@ -106,7 +110,7 @@ fn assert_allocation_free(what: &str, mut subframe: impl FnMut()) {
 #[test]
 fn steady_state_subframe_is_allocation_free() {
     let mode = TurboMode::Passthrough;
-    let (cell, planner, input) = warm_input(mode, 42);
+    let (cell, planner, input) = warm_input(smooth_user(), mode, 42);
     assert_allocation_free("steady-state subframe processing", || {
         recycle(process_user_pooled(&cell, &input, mode, &planner))
     });
@@ -121,10 +125,35 @@ fn steady_state_subframe_is_allocation_free() {
 #[test]
 fn steady_state_turbo_subframe_is_allocation_free() {
     let mode = TurboMode::Decode { iterations: 4 };
-    let (cell, planner, input) = warm_input(mode, 44);
+    let (cell, planner, input) = warm_input(smooth_user(), mode, 44);
     assert_allocation_free("steady-state turbo subframe processing", || {
         recycle(process_user_pooled(&cell, &input, mode, &planner))
     });
+}
+
+/// Both receive modes of `user` must be allocation-free once warm.
+fn assert_user_allocation_free(user: UserConfig, seed: u64) {
+    for mode in [TurboMode::Passthrough, TurboMode::Decode { iterations: 4 }] {
+        let (cell, planner, input) = warm_input(user, mode, seed);
+        assert_allocation_free(&format!("{user:?} {mode:?} subframe"), || {
+            recycle(process_user_pooled(&cell, &input, mode, &planner))
+        });
+    }
+}
+
+/// The ramp model divides uniform PRB draws by 8, 4 or 2, so it schedules
+/// widths no LTE grant would: 12·41 ends in a radix-41 butterfly, wider
+/// than the generic butterfly's small accumulator array.
+#[test]
+fn prime_radix_41_prb_user_is_allocation_free() {
+    assert_user_allocation_free(UserConfig::new(41, 2, Modulation::Qam16), 47);
+}
+
+/// 12·197 ends in a radix-197 butterfly, the widest below `MAX_PRB`, on a
+/// plan above the 110 PRBs of a 20 MHz LTE carrier.
+#[test]
+fn prime_radix_197_prb_user_is_allocation_free() {
+    assert_user_allocation_free(UserConfig::new(197, 1, Modulation::Qpsk), 48);
 }
 
 /// Tracing is the same receiver body with a live timer, so it must be
@@ -140,7 +169,7 @@ fn steady_state_traced_subframe_is_allocation_free() {
         (TurboMode::Passthrough, 45),
         (TurboMode::Decode { iterations: 4 }, 46),
     ] {
-        let (cell, planner, input) = warm_input(mode, seed);
+        let (cell, planner, input) = warm_input(smooth_user(), mode, seed);
         let recorded = recorder.total_recorded();
         assert_allocation_free(&format!("traced subframe ({mode:?})"), || {
             recycle(process_user_traced(&cell, &input, mode, &planner, &timer))
@@ -157,7 +186,7 @@ fn steady_state_traced_subframe_is_allocation_free() {
 #[test]
 fn telemetry_recording_is_allocation_free() {
     let mode = TurboMode::Passthrough;
-    let (cell, planner, input) = warm_input(mode, 43);
+    let (cell, planner, input) = warm_input(smooth_user(), mode, 43);
     // Construct every telemetry sink up front (construction allocates;
     // recording must not).
     let latency = Histogram::new();

@@ -17,14 +17,15 @@
 //!   --check --scalar` gates at coarser granularity; the serial-tail
 //!   targets (`gold-word`, `crc-table`, `descramble`, `mmse-fixed`) hold
 //!   the word-parallel, table-driven and fixed-size kernels to the
-//!   one-step-at-a-time forms kept in [`oracle`].
+//!   one-step-at-a-time forms kept in [`oracle`], and `fft-prime` holds
+//!   the FFT's generic butterfly to the one-chain-per-output form.
 //!
 //! ```text
 //! lte-fuzz [TARGET] [--iters N] [--seed S]
 //! TARGET: demap | fft | segmentation | rate-match | turbo |
 //!         turbo-simd | turbo-early-term | matched-filter |
 //!         calibration | gold-word | crc-table | descramble |
-//!         mmse-fixed | all (default)
+//!         mmse-fixed | fft-prime | all (default)
 //! ```
 
 mod oracle;
@@ -45,7 +46,7 @@ use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::ChannelEstimate;
 use lte_power::WorkloadEstimator;
 
-use oracle::{crc_bit_loop, mmse_weights_dynamic, BitStepGold};
+use oracle::{crc_bit_loop, mmse_weights_dynamic, BitStepGold, ChainFft};
 
 type Target = (&'static str, fn(u64));
 
@@ -63,6 +64,7 @@ const TARGETS: &[Target] = &[
     ("crc-table", fuzz_crc_table),
     ("descramble", fuzz_descramble),
     ("mmse-fixed", fuzz_mmse_fixed),
+    ("fft-prime", fuzz_fft_prime),
 ];
 
 fn main() -> ExitCode {
@@ -136,7 +138,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
          turbo-early-term|matched-filter|calibration|gold-word|crc-table|\
-         descramble|mmse-fixed|all] [--iters N] [--seed S]"
+         descramble|mmse-fixed|fft-prime|all] [--iters N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -555,6 +557,67 @@ fn fuzz_mmse_fixed(seed: u64) {
                     );
                 }
             }
+        }
+    }
+}
+
+/// `FftPlan::process` on both dispatch paths against the
+/// one-chain-per-output FFT in [`oracle`], compared as bits: widths
+/// `12·p` for every prime `p ≤ 199` (the prime is the last radix, at
+/// `m = 1`), and lengths with a repeated prime so radix 7, 11 and 13 also
+/// run at `m ≥ 4`, on wild symbols — a quarter of them salted with a few
+/// infinities and NaNs. A NaN output must be NaN on both sides but its
+/// sign and payload are not compared: x86 propagates whichever NaN
+/// operand sits first in the instruction, and the operand order is the
+/// register allocator's choice — the verbatim copy and the kernel it was
+/// copied from already disagree there.
+fn fuzz_fft_prime(seed: u64) {
+    const PRIMES: [usize; 46] = [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
+        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+        191, 193, 197, 199,
+    ];
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let n = if rng.next_below(3) == 0 {
+        [49, 121, 169, 343][rng.next_below(4) as usize] * [1, 2, 12][rng.next_below(3) as usize]
+    } else {
+        12 * PRIMES[rng.next_below(PRIMES.len() as u64) as usize]
+    };
+    let mut input = wild_symbols(&mut rng, n);
+    if rng.next_below(4) == 0 {
+        for _ in 0..1 + rng.next_below(3) {
+            let z = &mut input[rng.next_below(n as u64) as usize];
+            let part = if rng.next_below(2) == 0 {
+                &mut z.re
+            } else {
+                &mut z.im
+            };
+            *part = match rng.next_below(3) {
+                0 => f32::INFINITY,
+                1 => f32::NEG_INFINITY,
+                _ => f32::from_bits(rng.next_u32() | 0x7F80_0001), // NaN, any payload/sign
+            };
+        }
+    }
+    let direction = if rng.next_below(2) == 0 {
+        lte_dsp::fft::Direction::Forward
+    } else {
+        lte_dsp::fft::Direction::Inverse
+    };
+    let mut expect = input.clone();
+    ChainFft::new(n, direction).process(&mut expect);
+    let plan = lte_dsp::fft::FftPlan::new(n, direction);
+    let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    for scalar in [false, true] {
+        let mut got = input.clone();
+        force_scalar(scalar);
+        plan.process(&mut got);
+        force_scalar(false);
+        for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
+            assert!(
+                same(a.re, b.re) && same(a.im, b.im),
+                "fft-prime n={n} {direction:?} scalar={scalar}: divergence at {i}: {a:?} vs {b:?}"
+            );
         }
     }
 }

@@ -1,9 +1,210 @@
 //! Differential oracles: the serial-tail kernels as they stood before
-//! their word-parallel / table-driven / fixed-size rewrites, moved here
-//! verbatim so the fuzzer can hold the fast forms to the old bits.
+//! their word-parallel / table-driven / fixed-size rewrites, and the FFT
+//! as it stood before its generic butterfly advanced all output chains
+//! together, moved here verbatim so the fuzzer can hold the fast forms
+//! to the old bits.
 
+use std::f64::consts::TAU;
+
+use lte_dsp::fft::Direction;
 use lte_dsp::Complex32;
 use lte_phy::estimator::ChannelEstimate;
+
+/// The mixed-radix FFT with one serial accumulator chain per generic
+/// butterfly output — plan, recursion and the four combines, scalar only
+/// (the AVX butterflies were bit-identical to these loops).
+pub(crate) struct ChainFft {
+    n: usize,
+    direction: Direction,
+    factors: Vec<usize>,
+    stages: Vec<StageTwiddles>,
+}
+
+struct StageTwiddles {
+    packed: Vec<Complex32>,
+    m: usize,
+    root: Vec<Complex32>,
+}
+
+impl ChainFft {
+    pub(crate) fn new(n: usize, direction: Direction) -> Self {
+        assert!(n > 0, "transform length must be positive");
+        let sign = match direction {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
+        };
+        let twiddles: Vec<Complex32> = (0..n)
+            .map(|k| {
+                let theta = sign * TAU * k as f64 / n as f64;
+                Complex32::new(theta.cos() as f32, theta.sin() as f32)
+            })
+            .collect();
+        let factors = radix_schedule(n);
+        let mut stages = Vec::with_capacity(factors.len());
+        let mut sub = n;
+        for &r in &factors {
+            let m = sub / r;
+            let tw_step = n / sub;
+            let mut packed = Vec::with_capacity(r * m);
+            for j in 0..r {
+                for k in 0..m {
+                    packed.push(twiddles[j * k * tw_step]);
+                }
+            }
+            let root_step = n / r;
+            let mut root = Vec::new();
+            if !matches!(r, 2..=4) {
+                root.reserve(r * r);
+                for j in 0..r {
+                    for q in 0..r {
+                        root.push(twiddles[(j * q * root_step) % n]);
+                    }
+                }
+            }
+            stages.push(StageTwiddles { packed, m, root });
+            sub = m;
+        }
+        ChainFft {
+            n,
+            direction,
+            factors,
+            stages,
+        }
+    }
+
+    pub(crate) fn process(&self, data: &mut [Complex32]) {
+        assert_eq!(data.len(), self.n, "data length must equal plan length");
+        let scratch = data.to_vec();
+        self.recurse(&scratch, 1, data, 0);
+        if self.direction == Direction::Inverse {
+            let k = 1.0 / self.n as f32;
+            for z in data.iter_mut() {
+                *z = z.scale(k);
+            }
+        }
+    }
+
+    fn recurse(&self, input: &[Complex32], stride: usize, out: &mut [Complex32], level: usize) {
+        let n = out.len();
+        if n == 1 {
+            out[0] = input[0];
+            return;
+        }
+        let r = self.factors[level];
+        let m = n / r;
+        for j in 0..r {
+            self.recurse(
+                &input[j * stride..],
+                stride * r,
+                &mut out[j * m..(j + 1) * m],
+                level + 1,
+            );
+        }
+        let stage = &self.stages[level];
+        debug_assert_eq!(stage.m, m);
+        match r {
+            2 => combine2(out, m, &stage.packed),
+            3 => combine3(out, m, &stage.packed, self.direction),
+            4 => combine4(out, m, &stage.packed, self.direction),
+            _ => combine_generic(out, r, m, stage),
+        }
+    }
+}
+
+fn combine2(out: &mut [Complex32], m: usize, tw: &[Complex32]) {
+    for k in 0..m {
+        let a = out[k];
+        let b = out[m + k] * tw[m + k];
+        out[k] = a + b;
+        out[m + k] = a - b;
+    }
+}
+
+fn combine3(out: &mut [Complex32], m: usize, tw: &[Complex32], direction: Direction) {
+    let s3 = match direction {
+        Direction::Forward => -0.866_025_4_f32,
+        Direction::Inverse => 0.866_025_4_f32,
+    };
+    for k in 0..m {
+        let t0 = out[k];
+        let t1 = out[m + k] * tw[m + k];
+        let t2 = out[2 * m + k] * tw[2 * m + k];
+        let sum = t1 + t2;
+        let diff = (t1 - t2).scale(s3).mul_i();
+        let base = t0 - sum.scale(0.5);
+        out[k] = t0 + sum;
+        out[m + k] = base + diff;
+        out[2 * m + k] = base - diff;
+    }
+}
+
+fn combine4(out: &mut [Complex32], m: usize, tw: &[Complex32], direction: Direction) {
+    let forward = direction == Direction::Forward;
+    for k in 0..m {
+        let t0 = out[k];
+        let t1 = out[m + k] * tw[m + k];
+        let t2 = out[2 * m + k] * tw[2 * m + k];
+        let t3 = out[3 * m + k] * tw[3 * m + k];
+        let a = t0 + t2;
+        let b = t0 - t2;
+        let c = t1 + t3;
+        let d = if forward {
+            (t1 - t3).mul_neg_i()
+        } else {
+            (t1 - t3).mul_i()
+        };
+        out[k] = a + c;
+        out[m + k] = b + d;
+        out[2 * m + k] = a - c;
+        out[3 * m + k] = b - d;
+    }
+}
+
+/// One dependent `mul_add` chain per output `q`, each finished before
+/// the next starts.
+fn combine_generic(out: &mut [Complex32], r: usize, m: usize, stage: &StageTwiddles) {
+    let tw = &stage.packed;
+    let root = &stage.root;
+    let mut t = vec![Complex32::ZERO; r];
+    for k in 0..m {
+        for (j, tj) in t.iter_mut().enumerate() {
+            *tj = out[j * m + k] * tw[j * m + k];
+        }
+        for q in 0..r {
+            let mut acc = t[0];
+            for (j, &tj) in t.iter().enumerate().skip(1) {
+                acc = acc.mul_add(tj, root[j * r + q]);
+            }
+            out[q * m + k] = acc;
+        }
+    }
+}
+
+fn radix_schedule(mut n: usize) -> Vec<usize> {
+    let mut factors = Vec::new();
+    while n.is_multiple_of(4) {
+        factors.push(4);
+        n /= 4;
+    }
+    for p in [2usize, 3, 5] {
+        while n.is_multiple_of(p) {
+            factors.push(p);
+            n /= p;
+        }
+    }
+    let mut p = 7;
+    while p * p <= n {
+        while n.is_multiple_of(p) {
+            factors.push(p);
+            n /= p;
+        }
+        p += 2;
+    }
+    if n > 1 {
+        factors.push(n);
+    }
+    factors
+}
 
 /// The Gold sequence one register bit per step, warm-up included.
 pub struct BitStepGold {
