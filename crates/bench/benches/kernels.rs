@@ -8,7 +8,7 @@ use std::hint::black_box;
 use lte_bench::bench;
 use lte_dsp::channel::MimoChannel;
 use lte_dsp::crc::CRC24A;
-use lte_dsp::fft::{FftPlan, FftPlanner};
+use lte_dsp::fft::{Direction, FftPlan, FftPlanner};
 use lte_dsp::llr::demap_block;
 use lte_dsp::matched_filter::matched_filter;
 use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
@@ -28,19 +28,35 @@ fn random_block(n: usize, seed: u64) -> Vec<Complex32> {
         .collect()
 }
 
-/// Smooth LTE widths, then three the ramp model schedules whose last
-/// radix is a prime (41, 97, 197 PRB: n = 492, 1164, 2364). The prime
-/// widths go last: their FMA-dense butterfly leaves the core clocked
-/// lower for a few milliseconds, which would land on the width timed
-/// next.
+/// Smooth LTE widths — every width `steady100` runs (10, 15, 25 and
+/// 50 PRB; the inverse at 50) among them — then three the ramp model
+/// schedules whose last radix is a prime (41, 97, 197 PRB: n = 492,
+/// 1164, 2364). The prime widths go last: their FMA-dense butterfly
+/// leaves the core clocked lower for a few milliseconds, which would land
+/// on the width timed next.
 fn bench_fft() {
-    for prbs in [2usize, 10, 50, 100, 200, 41, 97, 197] {
+    let forward = |prbs| ("fft", Direction::Forward, prbs);
+    let widths = [
+        forward(2),
+        forward(10),
+        forward(15),
+        forward(25),
+        forward(50),
+        ("ifft", Direction::Inverse, 50),
+        forward(100),
+        forward(200),
+        forward(41),
+        forward(97),
+        forward(197),
+    ];
+    for (name, direction, prbs) in widths {
         let n = 12 * prbs;
-        let plan = FftPlan::forward(n);
+        let plan = FftPlan::new(n, direction);
         let data = random_block(n, n as u64);
+        let mut work = data.clone();
         let mut scratch = vec![Complex32::ZERO; n];
-        bench(&format!("fft/{n}"), || {
-            let mut work = data.clone();
+        bench(&format!("{name}/{n}"), || {
+            work.copy_from_slice(&data);
             plan.process_with_scratch(&mut work, &mut scratch);
             work[0]
         });

@@ -3,8 +3,9 @@
 //!
 //! The SIMD hot path ([`lte_dsp::simd`]) promises bit-identity with the
 //! scalar reference. This module turns that promise into a gate: each
-//! kernel — the FFT at every 100-PRB grid size and at every width up to
-//! 200 PRBs with a prime factor of 7 or more, Zadoff–Chu reference
+//! kernel — the FFT at every width up to 200 PRBs (smooth and prime-
+//! factored, plus signed-zero / subnormal / large-value edge inputs at
+//! every smooth width), Zadoff–Chu reference
 //! generation, channel estimation per slot × antenna, the matched
 //! filter, MMSE weights, exact and max-log demap LLRs, segmentation +
 //! rate matching, turbo decode (including the SISO alpha/beta/extrinsic
@@ -141,6 +142,54 @@ fn fft_prime_radix_vector() -> KernelVector {
     }
     KernelVector {
         kernel: "fft-prime-radix".to_string(),
+        hash: h.finish(),
+    }
+}
+
+/// Forward and inverse transforms at every 2·3·5-smooth width `12·prbs`
+/// with `100 < prbs ≤ MAX_PRB` — the smooth widths the ramp model
+/// schedules above the 100-PRB grid — then every smooth width up to
+/// [`MAX_PRB`] once per direction on an edge input: a real impulse at
+/// index 0 (a large finite or a subnormal value) over a field of signed
+/// zeros. Every output's imaginary part is then an exact ±0 whose sign
+/// depends on each multiply on its path, the butterflies' ×1 twiddles
+/// included (`(−0, −2)·(1 + 0i)` has real part `+0`), so dropping one
+/// moves a bit here. No ±∞ or NaN: which NaN payload survives follows
+/// the compiler's operand order, not the kernel.
+fn fft_wide_smooth_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x3FF7);
+    let mut h = Fnv1a::new();
+    let smooth: Vec<usize> = (1..=MAX_PRB).filter(|&prbs| is_smooth(prbs)).collect();
+    for plan_for in [FftPlan::forward, FftPlan::inverse] {
+        for &prbs in smooth.iter().filter(|&&prbs| prbs > 100) {
+            let n = 12 * prbs;
+            let mut data = random_block(&mut rng, n);
+            plan_for(n).process(&mut data);
+            h.write_u64(n as u64);
+            hash_c32(&mut h, &data);
+        }
+    }
+    let signed_zero = |rng: &mut Xoshiro256| if rng.next_below(2) == 0 { 0.0 } else { -0.0 };
+    for plan_for in [FftPlan::forward, FftPlan::inverse] {
+        for (i, &prbs) in smooth.iter().enumerate() {
+            let n = 12 * prbs;
+            let mut data: Vec<Complex32> = (0..n)
+                .map(|_| Complex32::new(signed_zero(&mut rng), signed_zero(&mut rng)))
+                .collect();
+            let sign = if rng.next_below(2) == 0 { 1.0 } else { -1.0 };
+            data[0].re = sign
+                * if i % 2 == 0 {
+                    1.0e30 + rng.next_f32() * 2.0e30
+                } else {
+                    f32::from_bits(1 + rng.next_below(0x007F_FFFF) as u32) // subnormal
+                };
+            plan_for(n).process(&mut data);
+            h.write_u64(n as u64);
+            hash_c32(&mut h, &data);
+        }
+    }
+    KernelVector {
+        kernel: "fft-wide-smooth".to_string(),
         hash: h.finish(),
     }
 }
@@ -510,6 +559,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         fft_vector(true),
         fft_vector(false),
         fft_prime_radix_vector(),
+        fft_wide_smooth_vector(),
         zadoff_chu_vector(),
         estimate_vector(),
         mmse_vector(),

@@ -1,15 +1,24 @@
 //! Mixed-radix fast Fourier transforms.
 //!
 //! LTE uplink transform sizes are `12 × N_PRB` subcarriers, plus
-//! power-of-two front-end sizes. A recursive Cooley–Tukey decomposition
-//! with specialised radix-2/3/4 butterflies and a table-driven generic
-//! radix for every larger prime factor covers them all. The standard
-//! restricts `N_PRB` to 2,3,5-smooth values, which run in `O(n log n)`;
-//! the paper's Fig. 6 load model does not — it divides uniform PRB draws
-//! by 8, 4 or 2 — so on the ramp model's hot path a large share of the
-//! transforms end in one generic butterfly of a prime `p` up to 199, at
-//! `O(p²)` for that factor. That butterfly advances its `p` output
-//! accumulators together, which keeps it throughput-bound (see
+//! power-of-two front-end sizes. A mixed-radix decimation-in-time
+//! Cooley–Tukey decomposition with specialised radix-2/3/4 butterflies
+//! and a table-driven generic radix for every larger prime factor covers
+//! them all. It runs iteratively, bottom up: a leaf stage performs every
+//! butterfly of the last radix, reading its inputs straight from the
+//! digit-reversed positions of the input — four butterflies per AVX
+//! vector for radix 3, 5 and 7 (every smooth `12·N_PRB` width ends in a
+//! 3 or a 5) — and then one flat pass per upper level combines
+//! contiguous blocks, smallest first. Each output sees the operations of
+//! the textbook recursion in the same order; only independent butterflies
+//! run in a different order, so the bits are the recursion's.
+//!
+//! The standard restricts `N_PRB` to 2,3,5-smooth values, which run in
+//! `O(n log n)`; the paper's Fig. 6 load model does not — it divides
+//! uniform PRB draws by 8, 4 or 2 — so on the ramp model's hot path a
+//! large share of the transforms end in generic butterflies of a prime
+//! `p` up to 199, at `O(p²)` for that factor. That butterfly advances its
+//! `p` output accumulators together, which keeps it throughput-bound (see
 //! `generic_butterflies`).
 //!
 //! Plans are immutable and [`Sync`], so one [`FftPlanner`] can serve all
@@ -54,23 +63,28 @@ pub enum Direction {
 pub struct FftPlan {
     n: usize,
     direction: Direction,
-    /// Radix schedule, product equals `n` (empty for `n == 1`).
+    /// Radix schedule, product equals `n` (empty for `n == 1`). Level
+    /// `l` combines blocks of `factors[l]·stages[l].m` points; the last
+    /// entry is the leaf radix.
     factors: Vec<usize>,
-    /// Per-recursion-level butterfly twiddles, packed contiguously so the
-    /// innermost loops walk unit-stride lanes (see [`StageTwiddles`]).
+    /// Per-level butterfly twiddles, packed contiguously so the innermost
+    /// loops walk unit-stride lanes (see [`StageTwiddles`]).
     stages: Vec<StageTwiddles>,
+    /// Leaf table: the leaf butterfly whose inputs start at offset `b`
+    /// (and step by `n / r` for the leaf radix `r`) writes output block
+    /// `leaf_pos[b]`, i.e. points `leaf_pos[b]·r ..` — the digit reversal
+    /// of `b` over `factors[..L−1]`. A permutation of `0..n / r`.
+    leaf_pos: Vec<u32>,
 }
 
-/// Packed twiddle tables for one recursion level of the mixed-radix
-/// decomposition.
+/// Packed twiddle tables for one level of the mixed-radix decomposition.
 ///
-/// The recursive schedule visits a fixed sub-length per level (every
-/// sibling call at level `l` combines blocks of the same size), so the
-/// strided lookups `twiddles[j·k·tw_step]` of the original butterflies
-/// can be gathered once at plan time into `r` contiguous rows of `m`
-/// entries each. The butterflies then stream rows with unit stride — the
-/// layout the SIMD lanes want — and the scalar path reads the exact same
-/// values, so packing cannot change results.
+/// Every block at level `l` has the same size, so the strided lookups
+/// `twiddles[j·k·tw_step]` of the textbook butterflies can be gathered
+/// once at plan time into `r` contiguous rows of `m` entries each. The
+/// butterflies then stream rows with unit stride — the layout the SIMD
+/// lanes want — and the scalar path reads the exact same values, so
+/// packing cannot change results.
 #[derive(Debug)]
 struct StageTwiddles {
     /// Row-major `[j][k]`: `packed[j·m + k] = twiddles[j·k·tw_step]`,
@@ -145,11 +159,28 @@ impl FftPlan {
             stages.push(StageTwiddles { packed, m, root });
             sub = m;
         }
+        let leaf_pos = match factors.split_last() {
+            None => Vec::new(),
+            Some((&r, upper)) => (0..n / r)
+                .map(|b| {
+                    // Digit j_l of b (radix factors[l], least significant
+                    // first) picks sub-block j_l at level l, which starts
+                    // j_l·m_l points — j_l·m_l / r leaf blocks — further in.
+                    let (mut rest, mut pos) = (b, 0);
+                    for (&radix, stage) in upper.iter().zip(&stages) {
+                        pos += rest % radix * (stage.m / r);
+                        rest /= radix;
+                    }
+                    u32::try_from(pos).expect("leaf block index fits in u32")
+                })
+                .collect(),
+        };
         FftPlan {
             n,
             direction,
             factors,
             stages,
+            leaf_pos,
         }
     }
 
@@ -159,7 +190,8 @@ impl FftPlan {
         self.n
     }
 
-    /// `true` for the degenerate length-1 transform.
+    /// Always `false`: a plan has at least one point (`n == 0` panics at
+    /// construction).
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
@@ -215,7 +247,17 @@ impl FftPlan {
         );
         let scratch = &mut scratch[..self.n];
         scratch.copy_from_slice(data);
-        self.recurse(scratch, 1, data, 0, simd);
+        if let Some((&r, upper)) = self.factors.split_last() {
+            self.leaves(scratch, data, r, simd);
+            // Upper levels, smallest blocks first: level l combines r_l
+            // finished sub-transforms of m_l points into each block.
+            for (level, &r) in upper.iter().enumerate().rev() {
+                let stage = &self.stages[level];
+                for block in data.chunks_exact_mut(r * stage.m) {
+                    self.combine(block, r, stage, simd);
+                }
+            }
+        }
         if self.direction == Direction::Inverse {
             let k = 1.0 / self.n as f32;
             for z in data.iter_mut() {
@@ -224,43 +266,64 @@ impl FftPlan {
         }
     }
 
-    /// Recursive decimation-in-time step: transforms `input` (viewed with
-    /// `stride`) into `out` (contiguous, length `out.len()`). `level`
-    /// indexes [`FftPlan::factors`] / [`FftPlan::stages`]; every sibling
-    /// call at one level combines blocks of the same size, so the packed
-    /// per-level twiddle tables apply to all of them.
-    fn recurse(
-        &self,
-        input: &[Complex32],
-        stride: usize,
-        out: &mut [Complex32],
-        level: usize,
-        simd: bool,
-    ) {
-        let n = out.len();
-        if n == 1 {
-            out[0] = input[0];
-            return;
+    /// The leaf stage: every radix-`r` butterfly of the last level. In
+    /// decimation-in-time order, output block `leaf_pos[b]` of `out` is
+    /// the transform of `input[b + j·nb]`, `j ∈ 0..r`, `nb = n / r`; each
+    /// leaf runs at `m = 1`, its ×1 twiddle multiplies included.
+    /// Leaves `b` and `b + 1` read adjacent inputs, so four of them fill
+    /// one AVX vector for radix 3, 5 and 7; the rest (the `nb % 4` tail,
+    /// radix 2 and 4, primes above 7, the scalar dispatch) run one block
+    /// at a time through [`FftPlan::combine`].
+    fn leaves(&self, input: &[Complex32], out: &mut [Complex32], r: usize, simd: bool) {
+        let stage = &self.stages[self.factors.len() - 1];
+        let nb = self.leaf_pos.len();
+        let mut vectored = 0;
+        #[cfg(target_arch = "x86_64")]
+        if simd && nb >= 4 && matches!(r, 3 | 5 | 7) {
+            vectored = nb & !3;
+            let pos = &self.leaf_pos[..vectored];
+            let (tw, root) = (&stage.packed, &stage.root);
+            let s3 = radix3_sine(self.direction);
+            // SAFETY: dispatch verified AVX2+FMA; `input` and `out` hold
+            // `r·nb` points, `pos` is a multiple-of-4 prefix of the leaf
+            // table, whose entries are all below `nb` (a permutation of
+            // `0..nb`, checked by `leaf_positions_are_a_permutation`), and
+            // the leaf stage's tables hold `r` twiddles and `r²` roots.
+            unsafe {
+                match r {
+                    3 => avx::leaves::<3>(input, out, pos, tw, root, s3),
+                    5 => avx::leaves::<5>(input, out, pos, tw, root, s3),
+                    _ => avx::leaves::<7>(input, out, pos, tw, root, s3),
+                }
+            }
         }
-        let r = self.factors[level];
-        let m = n / r;
-        for j in 0..r {
-            self.recurse(
-                &input[j * stride..],
-                stride * r,
-                &mut out[j * m..(j + 1) * m],
-                level + 1,
-                simd,
-            );
+        for (b, &pos) in self.leaf_pos.iter().enumerate().skip(vectored) {
+            let block = &mut out[pos as usize * r..][..r];
+            for (j, z) in block.iter_mut().enumerate() {
+                *z = input[b + j * nb];
+            }
+            self.combine(block, r, stage, simd);
         }
-        let stage = &self.stages[level];
-        debug_assert_eq!(stage.m, m);
+    }
+
+    /// One radix-`r` butterfly pass over a block of `r·stage.m` points.
+    #[inline]
+    fn combine(&self, out: &mut [Complex32], r: usize, stage: &StageTwiddles, simd: bool) {
+        let m = stage.m;
         match r {
             2 => combine2(out, m, &stage.packed, simd),
             3 => combine3(out, m, &stage.packed, self.direction, simd),
             4 => combine4(out, m, &stage.packed, self.direction, simd),
             _ => combine_generic(out, r, m, stage, simd),
         }
+    }
+}
+
+/// sin(2π/3), sign-flipped for the inverse transform.
+fn radix3_sine(direction: Direction) -> f32 {
+    match direction {
+        Direction::Forward => -0.866_025_4,
+        Direction::Inverse => 0.866_025_4,
     }
 }
 
@@ -286,11 +349,7 @@ fn combine2(out: &mut [Complex32], m: usize, tw: &[Complex32], simd: bool) {
 }
 
 fn combine3(out: &mut [Complex32], m: usize, tw: &[Complex32], direction: Direction, simd: bool) {
-    // sin(2π/3), sign-flipped for the inverse transform.
-    let s3 = match direction {
-        Direction::Forward => -0.866_025_4_f32,
-        Direction::Inverse => 0.866_025_4_f32,
-    };
+    let s3 = radix3_sine(direction);
     let mut k = 0;
     #[cfg(target_arch = "x86_64")]
     if simd && m >= 4 {
@@ -348,11 +407,10 @@ fn combine4(out: &mut [Complex32], m: usize, tw: &[Complex32], direction: Direct
 
 /// Table-driven radix for every prime factor above 3: 5 in every smooth
 /// LTE width and, because the paper's Fig. 6 model divides uniform PRB
-/// draws by 8, 4 or 2, any prime up to 199 as the last radix (`m = 1`,
-/// where the vector path never runs) of every width whose PRB count has
-/// a prime factor of 7 or more. Kept out of [`FftPlan::recurse`]: inlined
-/// there, its loop made the radix-2/3/4-only transforms (`fft/24`) about
-/// 5 % slower.
+/// draws by 8, 4 or 2, any prime up to 199 as the leaf radix (`m = 1`,
+/// one block per call) of every width whose PRB count has a prime factor
+/// of 7 or more. Not inlined: inlined into the radix dispatch, its loop
+/// made the radix-2/3/4-only transforms (`fft/24`) about 5 % slower.
 #[inline(never)]
 fn combine_generic(out: &mut [Complex32], r: usize, m: usize, stage: &StageTwiddles, simd: bool) {
     debug_assert!(r >= 2);
@@ -442,7 +500,7 @@ mod avx {
     use core::arch::x86_64::*;
 
     use super::Complex32;
-    use crate::simd::x86::{cfma_broadcast, cmul, load, mul_i, mul_neg_i, store};
+    use crate::simd::x86::{broadcast, cfma_broadcast, cmul, load, mul_i, mul_neg_i, store};
 
     /// Largest generic radix the fixed vector register block supports.
     pub(super) const MAX_GENERIC_RADIX: usize = 8;
@@ -572,12 +630,97 @@ mod avx {
             }
         }
     }
+
+    /// Four leaf butterflies of radix `R` per vector (see
+    /// `FftPlan::leaves`): lane `i` of group `g` is leaf `b = 4g + i`,
+    /// whose input `j` is `input[b + j·nb]`, so each input row of a group
+    /// is one unaligned load. Radix 3 repeats [`combine3`]'s arithmetic,
+    /// radix 5 and 7 [`combine_generic`]'s, on the leaf level's twiddle
+    /// row `tw[j]` broadcast — ×1 factors, multiplied all the same, since
+    /// a multiply by `1 + 0i` can flip the sign of a zero. Lane `i`'s `R`
+    /// outputs then go to `out[pos[b]·R + q]`, one 64-bit store each.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; `input.len() == out.len() == R·nb` with
+    /// `pos.len() ≤ nb` a multiple of 4 and every `pos[b] < nb`;
+    /// `tw.len() >= R`; `root.len() >= R²` unless `R == 3`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn leaves<const R: usize>(
+        input: &[Complex32],
+        out: &mut [Complex32],
+        pos: &[u32],
+        tw: &[Complex32],
+        root: &[Complex32],
+        s3: f32,
+    ) {
+        let nb = input.len() / R;
+        debug_assert!(out.len() == R * nb && pos.len() <= nb && pos.len().is_multiple_of(4));
+        unsafe {
+            let i = input.as_ptr();
+            let o = out.as_mut_ptr();
+            let mut w = [_mm256_setzero_ps(); R];
+            for (j, wj) in w.iter_mut().enumerate() {
+                *wj = broadcast(tw[j]);
+            }
+            let s3v = _mm256_set1_ps(s3);
+            let half = _mm256_set1_ps(0.5);
+            for (g, lanes) in pos.chunks_exact(4).enumerate() {
+                let b = 4 * g;
+                let mut t = [_mm256_setzero_ps(); R];
+                for (j, tj) in t.iter_mut().enumerate() {
+                    let x = load(i.add(b + j * nb));
+                    // combine3 takes its j = 0 input as is.
+                    *tj = if R == 3 && j == 0 { x } else { cmul(x, w[j]) };
+                }
+                let mut y = [_mm256_setzero_ps(); R];
+                if R == 3 {
+                    let sum = _mm256_add_ps(t[1], t[2]);
+                    let diff = mul_i(_mm256_mul_ps(_mm256_sub_ps(t[1], t[2]), s3v));
+                    let base = _mm256_sub_ps(t[0], _mm256_mul_ps(sum, half));
+                    y[0] = _mm256_add_ps(t[0], sum);
+                    y[1] = _mm256_add_ps(base, diff);
+                    y[2] = _mm256_sub_ps(base, diff);
+                } else {
+                    for (q, yq) in y.iter_mut().enumerate() {
+                        let mut acc = t[0];
+                        for (j, &tj) in t.iter().enumerate().skip(1) {
+                            acc = cfma_broadcast(acc, tj, root[j * R + q]);
+                        }
+                        *yq = acc;
+                    }
+                }
+                let mut dst = [o; 4];
+                for (d, &p) in dst.iter_mut().zip(lanes) {
+                    debug_assert!((p as usize) < nb, "leaf block {p} out of 0..{nb}");
+                    *d = o.add(p as usize * R);
+                }
+                for (q, &yq) in y.iter().enumerate() {
+                    let lo = _mm256_castps256_ps128(yq);
+                    let hi = _mm256_extractf128_ps::<1>(yq);
+                    store_low(dst[0].add(q), lo);
+                    store_low(dst[1].add(q), _mm_movehl_ps(lo, lo));
+                    store_low(dst[2].add(q), hi);
+                    store_low(dst[3].add(q), _mm_movehl_ps(hi, hi));
+                }
+            }
+        }
+    }
+
+    /// Stores the low complex of `v` (one 64-bit store) to `p`.
+    #[inline]
+    unsafe fn store_low(p: *mut Complex32, v: __m128) {
+        unsafe {
+            p.cast::<f64>()
+                .write_unaligned(_mm_cvtsd_f64(_mm_castps_pd(v)))
+        }
+    }
 }
 
 /// Builds the radix schedule for `n`: 4s first (fewest operations), then
-/// 2, 3, 5, then any remaining primes. Shared with the fixed-point FFT so
-/// both transforms always decompose identically.
-pub(crate) fn radix_schedule(mut n: usize) -> Vec<usize> {
+/// 2, 3, 5, then any remaining primes in ascending order, so the leaf
+/// radix is the largest prime factor (or 2 or 4 for a power of two).
+fn radix_schedule(mut n: usize) -> Vec<usize> {
     let mut factors = Vec::new();
     while n.is_multiple_of(4) {
         factors.push(4);
@@ -891,17 +1034,43 @@ mod tests {
         }
     }
 
+    /// Every `12·PRB` width the planner's dense table holds, then lengths
+    /// with no leaf (1) or a single leaf block of radix 2, 3, 4, 5 or 7,
+    /// odd lengths whose leaf count is not a multiple of 4 (15, 45, 105,
+    /// 7³ — radix 7 also at m ≥ 4), a prime above the vector block and
+    /// powers of two.
+    fn planned_widths() -> Vec<usize> {
+        let mut sizes: Vec<usize> = (1..=DENSE_PRBS).map(|p| 12 * p).collect();
+        sizes.extend([1, 2, 3, 4, 5, 7, 8, 15, 45, 71, 105, 128, 343, 2048]);
+        sizes
+    }
+
+    #[test]
+    fn leaf_positions_are_a_permutation() {
+        // The AVX leaf kernel scatters to `leaf_pos[b]·r` unchecked: every
+        // entry must be below n / r, each exactly once.
+        let mut sizes = planned_widths();
+        sizes.extend(1..=600);
+        for n in sizes {
+            let plan = FftPlan::forward(n);
+            let nb = plan.factors.last().map_or(0, |&r| n / r);
+            assert_eq!(plan.leaf_pos.len(), nb, "n={n}");
+            let mut seen = vec![false; nb];
+            for &p in &plan.leaf_pos {
+                let slot = seen.get_mut(p as usize).expect("leaf block in range");
+                assert!(!*slot, "n={n}: leaf block {p} written twice");
+                *slot = true;
+            }
+        }
+    }
+
     #[test]
     fn simd_and_scalar_paths_are_bit_identical() {
-        // Covers every butterfly: radix 2 (n=24=4·3·2), 3, 4, 5 via the
-        // LTE grid sizes, primes (generic radix, 71 > MAX tail-only, 7
-        // within the vector block, 41 and 197 as the ramp model's last
-        // radix, 7³ at m ≥ 4) and power-of-two front-end sizes.
-        let mut sizes: Vec<usize> = [1, 2, 4, 10, 15, 25, 41, 50, 75, 100, 110, 197]
-            .iter()
-            .map(|p| 12 * p)
-            .collect();
-        sizes.extend([1, 2, 3, 5, 7, 8, 71, 128, 343, 2048]);
+        // Covers every butterfly and both leaf paths: radix 3, 5 and 7
+        // leaves four to a vector plus their `nb % 4` tails, radix
+        // 2/3/4/5 upper levels, primes above 7 as the ramp model's leaf
+        // radix (one block at a time) and power-of-two front-end sizes.
+        let sizes = planned_widths();
         for direction in [Direction::Forward, Direction::Inverse] {
             for &n in &sizes {
                 let plan = FftPlan::new(n, direction);

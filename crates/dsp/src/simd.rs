@@ -349,15 +349,17 @@ pub(crate) mod x86 {
         }
     }
 
+    /// `b` in all four complex lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn broadcast(b: Complex32) -> __m256 {
+        let packed = f64::from_bits((u64::from(b.im.to_bits()) << 32) | u64::from(b.re.to_bits()));
+        _mm256_castpd_ps(_mm256_set1_pd(packed))
+    }
+
     /// [`cfma`] with a broadcast complex constant `b`.
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn cfma_broadcast(acc: __m256, a: __m256, b: Complex32) -> __m256 {
-        unsafe {
-            let packed =
-                f64::from_bits((u64::from(b.im.to_bits()) << 32) | u64::from(b.re.to_bits()));
-            let b_pair = _mm256_castpd_ps(_mm256_set1_pd(packed));
-            cfma(acc, a, b_pair)
-        }
+        unsafe { cfma(acc, a, broadcast(b)) }
     }
 
     /// Rotate each pair by −90°: `(re, im) → (im, −re)` (`mul_neg_i`).

@@ -17,15 +17,16 @@
 //!   --check --scalar` gates at coarser granularity; the serial-tail
 //!   targets (`gold-word`, `crc-table`, `descramble`, `mmse-fixed`) hold
 //!   the word-parallel, table-driven and fixed-size kernels to the
-//!   one-step-at-a-time forms kept in [`oracle`], and `fft-prime` holds
-//!   the FFT's generic butterfly to the one-chain-per-output form.
+//!   one-step-at-a-time forms kept in [`oracle`], and `fft-prime` and
+//!   `fft-order` hold the FFT's generic butterfly and its iterative
+//!   driver to the recursive, one-chain-per-output form.
 //!
 //! ```text
 //! lte-fuzz [TARGET] [--iters N] [--seed S]
 //! TARGET: demap | fft | segmentation | rate-match | turbo |
 //!         turbo-simd | turbo-early-term | matched-filter |
 //!         calibration | gold-word | crc-table | descramble |
-//!         mmse-fixed | fft-prime | all (default)
+//!         mmse-fixed | fft-prime | fft-order | all (default)
 //! ```
 
 mod oracle;
@@ -34,6 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
 use lte_dsp::crc::{CRC16, CRC24A, CRC24B, CRC8};
+use lte_dsp::fft::{Direction, FftPlan};
 use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::rate_match::RateMatcher;
@@ -65,6 +67,7 @@ const TARGETS: &[Target] = &[
     ("descramble", fuzz_descramble),
     ("mmse-fixed", fuzz_mmse_fixed),
     ("fft-prime", fuzz_fft_prime),
+    ("fft-order", fuzz_fft_order),
 ];
 
 fn main() -> ExitCode {
@@ -138,7 +141,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
          turbo-early-term|matched-filter|calibration|gold-word|crc-table|\
-         descramble|mmse-fixed|fft-prime|all] [--iters N] [--seed S]"
+         descramble|mmse-fixed|fft-prime|fft-order|all] [--iters N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -210,9 +213,9 @@ fn fuzz_fft(seed: u64) {
     let input = wild_symbols(&mut rng, n);
     let forward = rng.next_below(2) == 0;
     let plan = if forward {
-        lte_dsp::fft::FftPlan::forward(n)
+        FftPlan::forward(n)
     } else {
-        lte_dsp::fft::FftPlan::inverse(n)
+        FftPlan::inverse(n)
     };
     let mut scratch = vec![Complex32::ZERO; n];
     let mut simd = input.clone();
@@ -561,29 +564,16 @@ fn fuzz_mmse_fixed(seed: u64) {
     }
 }
 
-/// `FftPlan::process` on both dispatch paths against the
-/// one-chain-per-output FFT in [`oracle`], compared as bits: widths
-/// `12·p` for every prime `p ≤ 199` (the prime is the last radix, at
-/// `m = 1`), and lengths with a repeated prime so radix 7, 11 and 13 also
-/// run at `m ≥ 4`, on wild symbols — a quarter of them salted with a few
+/// `FftPlan::process` on both dispatch paths against the recursive,
+/// one-chain-per-output FFT in [`oracle`], compared as bits, on wild
+/// symbols of length `n` — a quarter of them salted with a few
 /// infinities and NaNs. A NaN output must be NaN on both sides but its
 /// sign and payload are not compared: x86 propagates whichever NaN
 /// operand sits first in the instruction, and the operand order is the
 /// register allocator's choice — the verbatim copy and the kernel it was
 /// copied from already disagree there.
-fn fuzz_fft_prime(seed: u64) {
-    const PRIMES: [usize; 46] = [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
-        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-        191, 193, 197, 199,
-    ];
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let n = if rng.next_below(3) == 0 {
-        [49, 121, 169, 343][rng.next_below(4) as usize] * [1, 2, 12][rng.next_below(3) as usize]
-    } else {
-        12 * PRIMES[rng.next_below(PRIMES.len() as u64) as usize]
-    };
-    let mut input = wild_symbols(&mut rng, n);
+fn check_fft_against_chain(target: &str, rng: &mut Xoshiro256, n: usize) {
+    let mut input = wild_symbols(rng, n);
     if rng.next_below(4) == 0 {
         for _ in 0..1 + rng.next_below(3) {
             let z = &mut input[rng.next_below(n as u64) as usize];
@@ -600,13 +590,13 @@ fn fuzz_fft_prime(seed: u64) {
         }
     }
     let direction = if rng.next_below(2) == 0 {
-        lte_dsp::fft::Direction::Forward
+        Direction::Forward
     } else {
-        lte_dsp::fft::Direction::Inverse
+        Direction::Inverse
     };
     let mut expect = input.clone();
     ChainFft::new(n, direction).process(&mut expect);
-    let plan = lte_dsp::fft::FftPlan::new(n, direction);
+    let plan = FftPlan::new(n, direction);
     let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
     for scalar in [false, true] {
         let mut got = input.clone();
@@ -616,8 +606,41 @@ fn fuzz_fft_prime(seed: u64) {
         for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
             assert!(
                 same(a.re, b.re) && same(a.im, b.im),
-                "fft-prime n={n} {direction:?} scalar={scalar}: divergence at {i}: {a:?} vs {b:?}"
+                "{target} n={n} {direction:?} scalar={scalar}: divergence at {i}: {a:?} vs {b:?}"
             );
         }
     }
+}
+
+/// The generic butterfly's interleaved output chains: widths `12·p` for
+/// every prime `p ≤ 199` (the prime is the leaf radix, at `m = 1`), and
+/// lengths with a repeated prime so radix 7, 11 and 13 also run at
+/// `m ≥ 4`.
+fn fuzz_fft_prime(seed: u64) {
+    const PRIMES: [usize; 46] = [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
+        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+        191, 193, 197, 199,
+    ];
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let n = if rng.next_below(3) == 0 {
+        [49, 121, 169, 343][rng.next_below(4) as usize] * [1, 2, 12][rng.next_below(3) as usize]
+    } else {
+        12 * PRIMES[rng.next_below(PRIMES.len() as u64) as usize]
+    };
+    check_fft_against_chain("fft-prime", &mut rng, n);
+}
+
+/// The iterative driver's order — the leaf stage, four butterflies per
+/// vector, then one pass per level — against the recursion: every
+/// `12·PRB` width up to 200 PRB, powers of two up to 2048 and arbitrary
+/// lengths.
+fn fuzz_fft_order(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let n = match rng.next_below(3) {
+        0 => 12 * (1 + rng.next_below(200) as usize),
+        1 => 1 << (1 + rng.next_below(11)),
+        _ => 1 + rng.next_below(1400) as usize,
+    };
+    check_fft_against_chain("fft-order", &mut rng, n);
 }

@@ -1,7 +1,8 @@
 //! Differential oracles: the serial-tail kernels as they stood before
 //! their word-parallel / table-driven / fixed-size rewrites, and the FFT
 //! as it stood before its generic butterfly advanced all output chains
-//! together, moved here verbatim so the fuzzer can hold the fast forms
+//! together and before its recursion became a leaf stage plus one pass
+//! per level, moved here verbatim so the fuzzer can hold the fast forms
 //! to the old bits.
 
 use std::f64::consts::TAU;
@@ -10,9 +11,10 @@ use lte_dsp::fft::Direction;
 use lte_dsp::Complex32;
 use lte_phy::estimator::ChannelEstimate;
 
-/// The mixed-radix FFT with one serial accumulator chain per generic
-/// butterfly output — plan, recursion and the four combines, scalar only
-/// (the AVX butterflies were bit-identical to these loops).
+/// The mixed-radix FFT as a depth-first recursion with one serial
+/// accumulator chain per generic butterfly output — plan, recursion and
+/// the four combines, scalar only (the AVX butterflies were bit-identical
+/// to these loops).
 pub(crate) struct ChainFft {
     n: usize,
     direction: Direction,

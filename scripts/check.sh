@@ -77,10 +77,11 @@ echo "==> fuzz smoke (lte-fuzz)"
 cargo run -q --offline --release -p lte-fuzz -- all --iters 120 \
     || { echo "fuzz smoke: a kernel panicked or the SIMD/scalar paths diverged"; exit 1; }
 # The serial-tail rewrites (word-parallel Gold sequence, table CRC,
-# branch-free descramble, fixed-size MMSE solve) and the FFT's generic
-# butterfly (all output chains advanced together) against the
+# branch-free descramble, fixed-size MMSE solve), the FFT's generic
+# butterfly (all output chains advanced together) and its iterative
+# driver (vectorized leaf stage, one pass per level) against the
 # one-at-a-time oracles in fuzz/src/oracle.rs, by name and deeper.
-for target in gold-word crc-table descramble mmse-fixed fft-prime; do
+for target in gold-word crc-table descramble mmse-fixed fft-prime fft-order; do
     for seed in 1 2 3; do
         cargo run -q --offline --release -p lte-fuzz -- "$target" --iters 2000 --seed "$seed" \
             || { echo "fuzz: $target diverged from its oracle (seed $seed)"; exit 1; }
