@@ -13,9 +13,10 @@
 //! 4. the serial join: deinterleave, turbo (pass-through), CRC.
 //!
 //! No thread ever blocks at a phase barrier: each stage's completion
-//! *spawns* the next stage (see `spawn_user_graph`), so independent
-//! users — and independent subframes — pipeline freely through the
-//! pool. The maintenance loop bounds that freedom with a configurable
+//! *spawns* the next stage (see the `dispatch` module, the one path from
+//! the benchmark, serve and deploy loops to the pool), so independent
+//! users — and independent subframes — pipeline freely through the pool.
+//! The maintenance loop bounds that freedom with a configurable
 //! in-flight window ([`BenchmarkConfig::max_in_flight`]) so latency
 //! percentiles stay honest under backlog.
 //!
@@ -23,70 +24,26 @@
 //! configuration and reused (§IV-B1: data sets are "created for multiple
 //! subframes and then reused across all dispatched subframes").
 
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use lte_dsp::fft::FftPlanner;
-use lte_dsp::interleave::prewarm_subblock;
-use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
-use lte_dsp::{Complex32, Xoshiro256};
+use lte_dsp::Xoshiro256;
 use lte_fault::{DeadlineBudget, OverloadPolicy};
-use lte_phy::combiner::{combine_symbol_into, CombinerWeights};
-use lte_phy::estimator::estimate_path_into;
 use lte_phy::grid::UserInput;
 use lte_phy::harq::{HarqDecision, HarqEntity, HarqStats};
-use lte_phy::params::{
-    CellConfig, SubframeConfig, TurboMode, UserConfig, DATA_SYMBOLS_PER_SLOT, SLOTS_PER_SUBFRAME,
-};
-use lte_phy::receiver::{finish_user_with_arena, UserResult, UserScratch};
-use lte_phy::tx::{prewarm_references, synthesize_retransmission, synthesize_user_with_mode};
+use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
+use lte_phy::receiver::UserResult;
+use lte_phy::tx::{synthesize_retransmission, synthesize_user_with_mode};
 use lte_phy::verify::{GoldenRecord, VerifyError};
-use lte_sched::{PoolError, PoolHandle, TaskPool};
+use lte_sched::{PoolError, TaskPool};
+
+use crate::dispatch::Dispatcher;
 
 /// A power-governance hook invoked at every subframe dispatch boundary,
 /// before the subframe's jobs are submitted (see
 /// [`UplinkBenchmark::try_run_governed`]).
 pub type GovernHook<'a> = &'a mut dyn FnMut(&TaskPool, usize, &SubframeConfig);
-
-/// Live telemetry sinks for a benchmark run, recorded from worker-side
-/// completion callbacks with no locking and no allocation.
-///
-/// * `latency` — subframe completion latency in nanoseconds (dispatch to
-///   last user done), recorded by the worker that closes the subframe.
-/// * `ebler` — per-user decode outcomes keyed by layer count, mirroring
-///   the R&S BLER measurement surface: every delivered user records
-///   ack/nack from its *first* transmission (HARQ recoveries are a
-///   separate counter), every shed user records dtx at shed time.
-///
-/// Attach one instance across several runs to aggregate, or snapshot and
-/// reset between runs to window.
-pub struct BenchmarkTelemetry {
-    /// Subframe completion latency histogram (nanoseconds).
-    pub latency: lte_obs::Histogram,
-    /// Decode-outcome surface, streams keyed by `layers - 1`.
-    pub ebler: lte_obs::EblerAccumulator,
-}
-
-impl BenchmarkTelemetry {
-    /// A sink with one EBLER stream per spatial-multiplexing order.
-    #[must_use]
-    pub fn new(streams: usize) -> Self {
-        BenchmarkTelemetry {
-            latency: lte_obs::Histogram::new(),
-            ebler: lte_obs::EblerAccumulator::new(streams),
-        }
-    }
-
-    /// The EBLER stream for a user: its spatial-multiplexing order,
-    /// clamped to the surface width.
-    #[must_use]
-    pub fn stream_for(&self, layers: usize) -> usize {
-        layers.saturating_sub(1).min(self.ebler.streams() - 1)
-    }
-}
 
 /// Benchmark configuration.
 #[derive(Clone, Copy, Debug)]
@@ -218,37 +175,6 @@ pub struct BenchmarkRun {
     pub pool: PoolActivity,
 }
 
-/// Waits for a dispatch deadline without pegging a host CPU: sleeps to
-/// within `SPIN_SLACK` of the deadline (OS timers overshoot by up to a
-/// timer tick), then spins the final stretch for precision.
-pub(crate) fn pace_until(deadline: Instant) {
-    const SPIN_SLACK: Duration = Duration::from_micros(200);
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let left = deadline - now;
-        if left > SPIN_SLACK {
-            std::thread::sleep(left - SPIN_SLACK);
-        } else {
-            break;
-        }
-    }
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
-    }
-}
-
-/// Offset of dispatch boundary `tick` from the run start at interval
-/// `delta`, in 64-bit nanoseconds: exact for any tick count a
-/// run-until-drained service can reach, saturating (≈ 584 years) rather
-/// than wrapping or panicking beyond that.
-pub(crate) fn tick_offset(delta: Duration, tick: u64) -> Duration {
-    let delta_ns = u64::try_from(delta.as_nanos()).unwrap_or(u64::MAX);
-    Duration::from_nanos(delta_ns.saturating_mul(tick))
-}
-
 /// The benchmark: input synthesis, dispatch, parallel processing and
 /// golden-reference verification.
 ///
@@ -275,8 +201,6 @@ pub struct UplinkBenchmark {
     /// configurations.
     input_cache: HashMap<UserConfig, Arc<UserInput>>,
     rng: Xoshiro256,
-    /// Optional live telemetry sinks, shared with completion callbacks.
-    telemetry: Option<Arc<BenchmarkTelemetry>>,
 }
 
 impl UplinkBenchmark {
@@ -287,16 +211,7 @@ impl UplinkBenchmark {
             cfg,
             input_cache: HashMap::new(),
             rng: Xoshiro256::seed_from_u64(cfg.seed),
-            telemetry: None,
         }
-    }
-
-    /// Attaches live telemetry sinks. Completion callbacks record each
-    /// subframe's latency and every user's decode outcome into the
-    /// shared sinks as they happen — atomic stores only, no allocation,
-    /// no effect on the decoded output.
-    pub fn attach_telemetry(&mut self, sinks: Arc<BenchmarkTelemetry>) {
-        self.telemetry = Some(sinks);
     }
 
     /// The input data used for a user configuration (synthesised once,
@@ -357,211 +272,98 @@ impl UplinkBenchmark {
         subframes: &[SubframeConfig],
         mut governed: Option<GovernHook<'_>>,
     ) -> Result<BenchmarkRun, PoolError> {
-        let pool = TaskPool::new(self.cfg.workers)?;
-        let handle = pool.handle();
-        let planner = Arc::new(FftPlanner::new());
         let cell = self.cell;
         let turbo = self.cfg.turbo;
-        let telemetry = self.telemetry.clone();
         let mut degradation = DegradationReport::default();
 
-        // Result slots, one per (subframe, user), plus per-subframe open
-        // counters and completion stamps for the deadline accounting.
-        let results: Arc<Vec<Vec<OnceLock<UserResult>>>> = Arc::new(
-            subframes
-                .iter()
-                .map(|sf| (0..sf.n_users()).map(|_| OnceLock::new()).collect())
-                .collect(),
-        );
-        let open: Arc<Vec<AtomicUsize>> = Arc::new(
-            subframes
-                .iter()
-                .map(|_| AtomicUsize::new(0))
-                .collect::<Vec<_>>(),
-        );
-        let done_at: Arc<Vec<OnceLock<u64>>> = Arc::new(
-            subframes
-                .iter()
-                .map(|_| OnceLock::new())
-                .collect::<Vec<_>>(),
-        );
-
         // Pre-synthesise inputs on the maintenance thread (the paper does
-        // this at initialisation).
+        // this at initialisation); the dispatcher prewarms every cache
+        // they touch before its clock starts.
         let inputs: Vec<Vec<Arc<UserInput>>> = subframes
             .iter()
             .map(|sf| sf.users.iter().map(|u| self.input_for(u)).collect())
             .collect();
+        let warm: Vec<(CellConfig, &[UserConfig])> =
+            subframes.iter().map(|sf| (cell, &sf.users[..])).collect();
+        let mut d = Dispatcher::new(self.cfg.workers, turbo, &warm)?;
 
-        // Prewarm every cache the steady-state path reads — FFT plans,
-        // sub-block interleavers and DM-RS reference sequences — so no
-        // worker ever takes a cache's write lock after the first
-        // dispatch.
-        for sf in subframes {
-            planner.prewarm(sf.users.iter().map(|u| u.prbs));
-            prewarm_subblock(sf.users.iter().map(|u| u.bits_per_subframe()));
-            for u in &sf.users {
-                prewarm_references(&cell, u);
-            }
-        }
-
-        // In-flight accounting for the pipelining window: a counter of
-        // dispatched-but-incomplete subframes guarded by a mutex, with a
-        // condvar the completion callbacks signal. A condvar sleep (not
-        // a poll) keeps the maintenance thread off the CPU while it
-        // waits — on small hosts a polling dispatcher would steal cycles
-        // from the very workers it is waiting for.
         let window = self.cfg.max_in_flight.map(|w| w.max(1));
-        let in_flight: Arc<(Mutex<usize>, Condvar)> = Arc::new((Mutex::new(0), Condvar::new()));
-
-        let start = Instant::now();
-        let busy_start = pool.busy_nanos();
-        let mut dispatched_at = vec![0u64; subframes.len()];
+        let busy_start = d.pool().busy_nanos();
+        // The users each subframe actually submitted, for the harvest.
+        let mut kept: Vec<Vec<usize>> = Vec::with_capacity(subframes.len());
         // Maintenance loop: dispatch each subframe at its deadline.
-        for (sf_idx, sf_inputs) in inputs.iter().enumerate() {
-            pace_until(start + tick_offset(self.cfg.delta, sf_idx as u64));
+        for (sf_idx, (sf, sf_inputs)) in subframes.iter().zip(&inputs).enumerate() {
+            d.pace(self.cfg.delta, sf_idx as u64);
             // In-flight window: hold this subframe at the door until
             // fewer than `window` earlier subframes remain open. The
-            // wait lands in the dispatch stamp below, so the latency
+            // wait lands in the dispatch stamp, so the latency
             // percentiles see the queueing delay instead of hiding it.
             if let Some(window) = window {
-                let (lock, cv) = &*in_flight;
-                let mut count = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                while *count >= window {
-                    count = cv.wait(count).unwrap_or_else(PoisonError::into_inner);
-                }
+                d.wait_below(window, Duration::MAX);
             }
             if let Some(hook) = governed.as_deref_mut() {
-                hook(&pool, sf_idx, &subframes[sf_idx]);
+                hook(d.pool(), sf_idx, sf);
             }
-            dispatched_at[sf_idx] = start.elapsed().as_nanos() as u64;
 
             // Overload policy: "behind" means an earlier subframe has
             // already reached its deadline budget and is still open at
             // this dispatch instant — benign pipelining inside the
             // budget does not engage the policy (same trigger as the
             // DES).
-            let mut submit: Vec<usize> = (0..sf_inputs.len()).collect();
+            let mut submit: Vec<usize> = (0..sf.n_users()).collect();
             let mut exact = self.cfg.exact_demap;
             if let Some(budget) = self.cfg.deadline {
-                let behind = (0..sf_idx).any(|i| {
-                    open[i].load(Ordering::SeqCst) > 0
-                        && dispatched_at[sf_idx].saturating_sub(dispatched_at[i]) >= budget.budget
-                });
-                if behind && !sf_inputs.is_empty() {
+                let behind = d
+                    .oldest_open()
+                    .is_some_and(|t| d.now_ns().saturating_sub(t) >= budget.budget);
+                if behind && !submit.is_empty() {
                     match budget.policy {
                         OverloadPolicy::DropSubframe => {
                             degradation.dropped_subframes += 1;
-                            degradation.shed_users += submit.len() as u64;
-                            if let Some(t) = &telemetry {
-                                for &i in &submit {
-                                    t.ebler.record_dtx(
-                                        t.stream_for(subframes[sf_idx].users[i].layers),
-                                    );
-                                }
-                            }
                             submit.clear();
                         }
-                        OverloadPolicy::ShedUsers => {
-                            let users = &subframes[sf_idx].users;
-                            submit = kept_after_shed(users, None);
-                            if let Some(t) = &telemetry {
-                                for (i, user) in users.iter().enumerate() {
-                                    if !submit.contains(&i) {
-                                        t.ebler.record_dtx(t.stream_for(user.layers));
-                                    }
-                                }
-                            }
-                            degradation.shed_users += (users.len() - submit.len()) as u64;
-                        }
+                        OverloadPolicy::ShedUsers => submit = kept_after_shed(&sf.users, None),
                         OverloadPolicy::DegradeDemap => {
                             exact = false;
                             degradation.degraded_subframes += 1;
                         }
                     }
+                    degradation.shed_users += (sf.n_users() - submit.len()) as u64;
                 }
             }
-
-            // The open count must be in place before any graph can finish.
-            open[sf_idx].store(submit.len(), Ordering::SeqCst);
-            let tracked = window.is_some() && !submit.is_empty();
-            if tracked {
-                *in_flight.0.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-            }
-            for user_idx in submit {
-                let results = Arc::clone(&results);
-                let open = Arc::clone(&open);
-                let done_at = Arc::clone(&done_at);
-                let in_flight = tracked.then(|| Arc::clone(&in_flight));
-                let tel = telemetry.clone();
-                let dispatched = dispatched_at[sf_idx];
-                let layers = subframes[sf_idx].users[user_idx].layers;
-                spawn_user_graph(
-                    &handle,
-                    &cell,
-                    &sf_inputs[user_idx],
-                    turbo,
-                    &planner,
-                    exact,
-                    Box::new(move |result| {
-                        if let Some(t) = &tel {
-                            t.ebler.record_decode(
-                                t.stream_for(layers),
-                                result.crc_ok,
-                                result.payload.len() as u64,
-                            );
-                        }
-                        results[sf_idx][user_idx]
-                            .set(result)
-                            .expect("each user slot is written once");
-                        if open[sf_idx].fetch_sub(1, Ordering::SeqCst) == 1 {
-                            let completed = start.elapsed().as_nanos() as u64;
-                            let _ = done_at[sf_idx].set(completed);
-                            if let Some(t) = &tel {
-                                t.latency.record(completed.saturating_sub(dispatched));
-                            }
-                            if let Some(in_flight) = &in_flight {
-                                let (lock, cv) = &**in_flight;
-                                *lock.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-                                cv.notify_one();
-                            }
-                        }
-                    }),
-                );
-            }
+            d.dispatch(submit.iter().map(|&u| (&cell, &sf_inputs[u])), exact);
+            kept.push(submit);
         }
-        pool.wait_all();
+        let finished = d.finish();
         if governed.is_some() {
-            pool.set_active_workers(self.cfg.workers);
+            d.pool().set_active_workers(self.cfg.workers);
         }
-        let elapsed = start.elapsed();
-        let busy = Duration::from_nanos(pool.busy_nanos() - busy_start);
+        let elapsed = Duration::from_nanos(d.now_ns());
+        let busy = Duration::from_nanos(d.pool().busy_nanos() - busy_start);
         let activity = busy.as_secs_f64() / (self.cfg.workers as f64 * elapsed.as_secs_f64());
 
+        // Subframes that submitted no user carry no latency.
+        let closed = finished.iter().filter(|row| !row.results.is_empty());
+        let latencies_ns: Vec<u64> = closed
+            .clone()
+            .map(|row| row.done_ns.saturating_sub(row.dispatched_ns))
+            .collect();
+        let completions_ns: Vec<u64> = closed.map(|row| row.done_ns).collect();
         if let Some(budget) = self.cfg.deadline {
-            for (sf_idx, done) in done_at.iter().enumerate() {
-                if let Some(&completed) = done.get() {
-                    if completed.saturating_sub(dispatched_at[sf_idx]) > budget.budget {
-                        degradation.overruns += 1;
-                    }
-                }
-            }
+            degradation.overruns =
+                latencies_ns.iter().filter(|&&l| l > budget.budget).count() as u64;
         }
-        let latencies_ns: Vec<u64> = done_at
-            .iter()
-            .enumerate()
-            .filter_map(|(i, done)| {
-                done.get()
-                    .map(|&completed| completed.saturating_sub(dispatched_at[i]))
-            })
-            .collect();
-        let completions_ns: Vec<u64> = done_at.iter().filter_map(|d| d.get().copied()).collect();
 
-        let mut rows: Vec<Vec<Option<UserResult>>> = Arc::try_unwrap(results)
-            .expect("pool drained, no outstanding references")
-            .into_iter()
-            .map(|row| row.into_iter().map(OnceLock::into_inner).collect())
-            .collect();
+        // One slot per scheduled user: shed users, and users lost to a
+        // panicking task, stay empty.
+        let mut rows: Vec<Vec<Option<UserResult>>> = Vec::with_capacity(subframes.len());
+        for ((row, kept), sf) in finished.into_iter().zip(&kept).zip(subframes) {
+            let mut slots: Vec<Option<UserResult>> = sf.users.iter().map(|_| None).collect();
+            kept.iter()
+                .zip(row.results)
+                .for_each(|(&u, result)| slots[u] = result);
+            rows.push(slots);
+        }
 
         // HARQ pass: every failed or shed transport block is retried
         // with chase combining, up to the retransmission budget. Shed
@@ -574,8 +376,7 @@ impl UplinkBenchmark {
                         continue;
                     }
                     let input = &inputs[sf_idx][user_idx];
-                    let mut decision =
-                        entity.on_reception(0, &cell, input, turbo, planner.as_ref());
+                    let mut decision = entity.on_reception(0, &cell, input, turbo, d.planner());
                     while matches!(decision, HarqDecision::Retransmit { .. }) {
                         let retx = synthesize_retransmission(
                             &cell,
@@ -585,7 +386,7 @@ impl UplinkBenchmark {
                             self.cfg.snr_db,
                             &mut self.rng,
                         );
-                        decision = entity.on_reception(0, &cell, &retx, turbo, planner.as_ref());
+                        decision = entity.on_reception(0, &cell, &retx, turbo, d.planner());
                     }
                     if let HarqDecision::Delivered { result, .. } = decision {
                         *slot = Some(result);
@@ -618,7 +419,7 @@ impl UplinkBenchmark {
             latencies_ns,
             completions_ns,
             degradation,
-            pool: PoolActivity::snapshot(&pool),
+            pool: PoolActivity::snapshot(d.pool()),
         })
     }
 
@@ -645,88 +446,6 @@ impl UplinkBenchmark {
         let golden = GoldenRecord::build(&self.cell, &inputs, self.cfg.turbo);
         golden.verify(&run.results)
     }
-}
-
-/// A flat buffer whose disjoint ranges are written concurrently by pool
-/// tasks and read only after a completion counter joins every writer.
-///
-/// The paper's task decomposition makes the ranges disjoint by
-/// construction — every (slot, rx, layer) or (slot, symbol, layer)
-/// tuple maps to its own block — so tasks need neither a mutex to park
-/// results in nor a per-task allocation to hold them.
-struct SharedBuf<T> {
-    cells: Vec<UnsafeCell<T>>,
-}
-
-// SAFETY: writers touch disjoint ranges (enforced by the dispatcher's
-// index arithmetic), and readers only run after the pool scope joins
-// all writers, which synchronises the stores.
-unsafe impl<T: Send> Sync for SharedBuf<T> {}
-
-impl<T: Copy> SharedBuf<T> {
-    fn new(len: usize, fill: T) -> Self {
-        let mut cells = Vec::new();
-        cells.resize_with(len, || UnsafeCell::new(fill));
-        SharedBuf { cells }
-    }
-
-    /// A mutable view of `start..start + len`.
-    ///
-    /// # Safety
-    ///
-    /// No other live reference may overlap the range for the lifetime
-    /// of the returned slice.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        assert!(start + len <= self.cells.len(), "range out of bounds");
-        let base = UnsafeCell::raw_get(self.cells.as_ptr().add(start));
-        std::slice::from_raw_parts_mut(base, len)
-    }
-}
-
-/// Shared state of one user's dependency-ordered task graph.
-///
-/// This replaces the old two-barrier design (estimate tasks → scope
-/// join → weights on the user thread → combine tasks → scope join →
-/// serial tail), where each user *blocked a worker* for its whole
-/// pipeline. Here the last task of each stage spawns the next stage, so
-/// no thread ever waits:
-///
-/// ```text
-/// est(slot 0, rx, layer) ┐
-///        …               ├─ last one → weights(0) → combine(0, sym, layer) ┐
-/// est(slot 0, rx, layer) ┘                                  …              ├─┐
-/// est(slot 1, rx, layer) ┐                                                 ┘ │
-///        …               ├─ last one → weights(1) → combine(1, sym, layer) ┐ ├─ last → finish
-/// est(slot 1, rx, layer) ┘                                  …              ├─┘
-///                                                                          ┘
-/// ```
-///
-/// Byte-identity with the serial reference holds because every task
-/// computes the same arithmetic on the same inputs into its own
-/// disjoint output range; the counters only decide *when* stages run,
-/// never *what* they compute.
-type UserDone = Box<dyn FnOnce(UserResult) + Send>;
-
-struct UserGraph {
-    cell: CellConfig,
-    input: Arc<UserInput>,
-    turbo: TurboMode,
-    exact_demap: bool,
-    planner: Arc<FftPlanner>,
-    /// Flat `[slot][rx][layer][subcarrier]` channel-estimate buffer.
-    est_buf: SharedBuf<Complex32>,
-    /// Estimation tasks still outstanding, per slot.
-    est_remaining: [AtomicUsize; SLOTS_PER_SUBFRAME],
-    /// Per-slot combiner weights, set by the slot's last estimation task
-    /// before any of the slot's combine tasks exist.
-    weights: [OnceLock<CombinerWeights>; SLOTS_PER_SUBFRAME],
-    /// Flat LLR buffer in the transmitter's bit order.
-    llr_buf: SharedBuf<f32>,
-    /// Combine tasks still outstanding across both slots.
-    combine_remaining: AtomicUsize,
-    /// Completion callback, taken exactly once by the join task.
-    on_done: Mutex<Option<UserDone>>,
 }
 
 /// The `ShedUsers` overload policy: the users of a subframe that survive
@@ -756,191 +475,6 @@ pub(crate) fn kept_after_shed(users: &[UserConfig], count: Option<usize>) -> Vec
     order
 }
 
-/// Spawns one user's dependency-ordered task graph onto the pool and
-/// returns immediately; `on_done` runs on a worker thread once the
-/// user's result is ready. [`TaskPool::wait_all`] covers every task of
-/// the graph, including ones spawned after the call returns.
-///
-/// `exact_demap` selects the log-sum-exp demapper over max-log.
-///
-/// Steady-state allocation discipline: every task draws its working
-/// buffers from its worker's thread-local [`UserScratch`] arena and
-/// writes results into a shared flat buffer; the per-user cost is the
-/// graph node (two flat buffers) and the boxed task closures.
-pub(crate) fn spawn_user_graph(
-    handle: &PoolHandle,
-    cell: &CellConfig,
-    input: &Arc<UserInput>,
-    turbo: TurboMode,
-    planner: &Arc<FftPlanner>,
-    exact_demap: bool,
-    on_done: Box<dyn FnOnce(UserResult) + Send>,
-) {
-    // The graph (and its two flat buffers) is built by a small *root*
-    // task on whichever worker picks the user up, not at dispatch time:
-    // under a deep admission backlog the dispatcher may queue hundreds
-    // of subframes ahead of the workers, and eager construction would
-    // hold every queued user's estimate and LLR buffers live at once.
-    let cell = *cell;
-    let input = Arc::clone(input);
-    let planner = Arc::clone(planner);
-    let root = handle.clone();
-    handle.spawn(move || {
-        let user = input.config;
-        let n_rx = cell.n_rx;
-        let n_layers = user.layers;
-        let n_sc = user.subcarriers();
-        let chunk_bits = n_sc * user.modulation.bits_per_symbol();
-        let n_chunks = SLOTS_PER_SUBFRAME * DATA_SYMBOLS_PER_SLOT * n_layers;
-        let graph = Arc::new(UserGraph {
-            cell,
-            input,
-            turbo,
-            exact_demap,
-            planner,
-            est_buf: SharedBuf::new(SLOTS_PER_SUBFRAME * n_rx * n_layers * n_sc, Complex32::ZERO),
-            est_remaining: std::array::from_fn(|_| AtomicUsize::new(n_rx * n_layers)),
-            weights: std::array::from_fn(|_| OnceLock::new()),
-            llr_buf: SharedBuf::new(n_chunks * chunk_bits, 0f32),
-            combine_remaining: AtomicUsize::new(n_chunks),
-            on_done: Mutex::new(Some(on_done)),
-        });
-        for slot in 0..SLOTS_PER_SUBFRAME {
-            for rx in 0..n_rx {
-                for layer in 0..n_layers {
-                    let graph = Arc::clone(&graph);
-                    let inner = root.clone();
-                    root.spawn(move || estimate_task(&inner, &graph, slot, rx, layer));
-                }
-            }
-        }
-    });
-}
-
-/// One channel-estimation task: (slot, rx, layer). The slot's last
-/// estimator also computes the combiner weights — cache-hot over the
-/// estimates it just joined — and fans out the slot's combine tasks.
-fn estimate_task(
-    handle: &PoolHandle,
-    graph: &Arc<UserGraph>,
-    slot: usize,
-    rx: usize,
-    layer: usize,
-) {
-    let user = &graph.input.config;
-    let n_rx = graph.cell.n_rx;
-    let n_layers = user.layers;
-    let n_sc = user.subcarriers();
-    let idx = (slot * n_rx + rx) * n_layers + layer;
-    // SAFETY: each (slot, rx, layer) tuple owns its range.
-    let out = unsafe { graph.est_buf.slice_mut(idx * n_sc, n_sc) };
-    UserScratch::with(|s| {
-        estimate_path_into(
-            &graph.cell,
-            &graph.input,
-            slot,
-            rx,
-            layer,
-            &graph.planner,
-            &mut s.arena,
-            out,
-        );
-    });
-    if graph.est_remaining[slot].fetch_sub(1, Ordering::SeqCst) == 1 {
-        let base = slot * n_rx * n_layers * n_sc;
-        // SAFETY: the counter joined every writer of this slot's range;
-        // other slots' writers touch disjoint ranges.
-        let flat = unsafe { graph.est_buf.slice_mut(base, n_rx * n_layers * n_sc) };
-        let w = UserScratch::with(|s| {
-            s.weights_from_flat_estimate(n_rx, n_layers, n_sc, flat, graph.input.noise_var)
-        });
-        assert!(
-            graph.weights[slot].set(w).is_ok(),
-            "weights are computed once per slot"
-        );
-        for sym in 0..DATA_SYMBOLS_PER_SLOT {
-            for layer in 0..n_layers {
-                let graph = Arc::clone(graph);
-                let inner = handle.clone();
-                handle.spawn(move || combine_task(&inner, &graph, slot, sym, layer));
-            }
-        }
-    }
-}
-
-/// One combine + demap task: (slot, symbol, layer), writing straight
-/// into the flat LLR buffer in the transmitter's bit order. The last
-/// one spawns the serial join.
-fn combine_task(
-    handle: &PoolHandle,
-    graph: &Arc<UserGraph>,
-    slot: usize,
-    sym: usize,
-    layer: usize,
-) {
-    let user = &graph.input.config;
-    let n_sc = user.subcarriers();
-    let chunk_bits = n_sc * user.modulation.bits_per_symbol();
-    let idx = (slot * DATA_SYMBOLS_PER_SLOT + sym) * user.layers + layer;
-    let weights = graph.weights[slot]
-        .get()
-        .expect("weights are set before the slot's combines are spawned");
-    // SAFETY: each (slot, symbol, layer) tuple owns its range.
-    let out = unsafe { graph.llr_buf.slice_mut(idx * chunk_bits, chunk_bits) };
-    UserScratch::with(|s| {
-        let mut combined = s.arena.take_c32(n_sc);
-        combine_symbol_into(
-            &graph.input,
-            weights,
-            slot,
-            sym,
-            layer,
-            &graph.planner,
-            &mut s.arena,
-            &mut combined,
-        );
-        let mut llrs = s.arena.take_f32(chunk_bits);
-        if graph.exact_demap {
-            demap_block_exact_into(user.modulation, &combined, graph.input.noise_var, &mut llrs);
-        } else {
-            demap_block_into(user.modulation, &combined, graph.input.noise_var, &mut llrs);
-        }
-        out.copy_from_slice(&llrs);
-        s.arena.recycle_f32(llrs);
-        s.arena.recycle_c32(combined);
-    });
-    if graph.combine_remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-        let graph = Arc::clone(graph);
-        handle.spawn(move || finish_task(&graph));
-    }
-}
-
-/// The serial join: deinterleave → turbo (pass-through) → CRC on the
-/// completed LLR buffer, then the completion callback.
-fn finish_task(graph: &UserGraph) {
-    let total = graph.input.config.bits_per_subframe();
-    // SAFETY: the combine counter joined every writer; this task is the
-    // only remaining accessor.
-    let llrs = unsafe { graph.llr_buf.slice_mut(0, total) };
-    let result = UserScratch::with(|s| {
-        finish_user_with_arena(
-            &graph.cell,
-            &graph.input,
-            graph.turbo,
-            llrs,
-            &mut s.arena,
-            &mut s.turbo,
-        )
-    });
-    let cb = graph
-        .on_done
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-        .expect("the join task runs once");
-    cb(result);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,23 +489,6 @@ mod tests {
             seed: 7,
             ..BenchmarkConfig::default()
         }
-    }
-
-    #[test]
-    fn tick_offset_neither_truncates_nor_overflows() {
-        let ms = Duration::from_millis(1);
-        assert_eq!(tick_offset(ms, 0), Duration::ZERO);
-        assert_eq!(tick_offset(ms, 7), Duration::from_millis(7));
-        assert_eq!(tick_offset(Duration::ZERO, u64::MAX), Duration::ZERO);
-        // Past 2^32 ticks (49.7 days at 1 ms) the offset keeps growing;
-        // a 32-bit tick would wrap this one back to 1 ms.
-        let tick = u32::MAX as u64 + 2;
-        assert_eq!(tick_offset(ms, tick), Duration::from_millis(tick));
-        // Beyond 64-bit nanoseconds the offset saturates.
-        let cap = Duration::from_nanos(u64::MAX);
-        assert_eq!(tick_offset(Duration::from_secs(1), u64::MAX / 2), cap);
-        assert_eq!(tick_offset(Duration::MAX, 1), cap);
-        assert_eq!(tick_offset(Duration::MAX, 0), Duration::ZERO);
     }
 
     #[test]
@@ -1083,6 +600,45 @@ mod tests {
         }
     }
 
+    /// A user whose task graph panics — a truncated reference symbol
+    /// trips the matched filter's length check in its slot-0 estimation
+    /// tasks — is lost, not waited for: a window of one must still
+    /// admit the next subframe, and the lost user is absent from its
+    /// row. The run goes on a helper thread so a hang fails the test.
+    #[test]
+    fn panicking_user_graph_does_not_wedge_a_windowed_run() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let mut bench = UplinkBenchmark::new(
+                CellConfig::with_antennas(2),
+                BenchmarkConfig {
+                    max_in_flight: Some(1),
+                    ..quick_cfg()
+                },
+            );
+            let bad = UserConfig::new(4, 1, lte_dsp::Modulation::Qpsk);
+            let mut input = (*bench.input_for(&bad)).clone();
+            let reference = &input.slots[0].reference;
+            let (n_rx, n_sc) = (reference.n_rx(), reference.n_sc());
+            input.slots[0].reference = lte_phy::grid::RxSymbol::zeros(n_rx, n_sc - 1);
+            bench.input_cache.insert(bad, Arc::new(input));
+            let good = UserConfig::new(6, 1, lte_dsp::Modulation::Qpsk);
+            let subframes = [
+                SubframeConfig::new(vec![bad]),
+                SubframeConfig::new(vec![good]),
+            ];
+            let run = bench.try_run(&subframes).expect("the pool starts");
+            let rows: Vec<usize> = run.results.iter().map(Vec::len).collect();
+            let _ = done.send((rows, run.completions_ns.len()));
+        });
+        let (rows, closed) = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a lost user must not hang a windowed run");
+        helper.join().unwrap();
+        assert_eq!(rows, [0, 1], "the lost user is absent, the next decodes");
+        assert_eq!(closed, 2, "both subframes close");
+    }
+
     #[test]
     fn exact_demap_decodes_at_high_snr() {
         let mut bench = UplinkBenchmark::new(
@@ -1099,24 +655,6 @@ mod tests {
         )])];
         let run = bench.run(&subframes);
         assert_eq!(run.crc_pass_rate, 1.0);
-    }
-
-    #[test]
-    fn telemetry_sinks_see_every_user_and_subframe() {
-        let sinks = Arc::new(BenchmarkTelemetry::new(4));
-        let mut bench = UplinkBenchmark::new(CellConfig::with_antennas(2), quick_cfg());
-        bench.attach_telemetry(Arc::clone(&sinks));
-        let subframes = RampModel::new(2).subframes(4);
-        let run = bench.run(&subframes);
-        bench
-            .verify(&subframes, &run)
-            .expect("telemetry must not change the decoded output");
-        let latency = sinks.latency.snapshot();
-        assert_eq!(latency.count, run.latencies_ns.len() as u64);
-        let surface = sinks.ebler.snapshot();
-        let expected: u64 = subframes.iter().map(|sf| sf.n_users() as u64).sum();
-        assert_eq!(surface.total.measured(), expected);
-        assert_eq!(surface.total.dtx, 0);
     }
 
     /// Overload setup: zero dispatch interval means every subframe after
@@ -1249,24 +787,6 @@ mod tests {
                 assert!(!row.is_empty(), "shedding must keep at least one user");
             }
         }
-    }
-
-    #[test]
-    fn telemetry_counts_shed_users_as_dtx() {
-        let sinks = Arc::new(BenchmarkTelemetry::new(4));
-        let mut bench = UplinkBenchmark::new(
-            CellConfig::with_antennas(2),
-            pressured_cfg(OverloadPolicy::ShedUsers),
-        );
-        bench.attach_telemetry(Arc::clone(&sinks));
-        let run = bench.run(&pressured_subframes());
-        let surface = sinks.ebler.snapshot();
-        assert_eq!(surface.total.dtx, run.degradation.shed_users);
-        let expected: u64 = pressured_subframes()
-            .iter()
-            .map(|sf| sf.n_users() as u64)
-            .sum();
-        assert_eq!(surface.total.measured(), expected);
     }
 
     #[test]

@@ -1,31 +1,8 @@
 //! `lte-sim` — command-line runner for every experiment in the paper.
 //!
-//! ```text
-//! lte-sim <command> [--quick] [--subframes N] [--seed S] [--out DIR]
-//!         [--perfetto FILE] [--metrics FILE]
-//!
-//! Commands:
-//!   fig7 fig8 fig9   input parameter traces
-//!   fig11            activity/PRB calibration sweep
-//!   fig12            estimator validation
-//!   fig13            estimated active cores
-//!   fig14 fig15 fig16 power traces (all run the full power study)
-//!   table1 table2    average power tables
-//!   trace            instrumented run: Perfetto trace + metrics JSON
-//!   chaos            deterministic fault-injection campaign
-//!   govern           closed-loop power governance on both substrates
-//!   soak             continuous-telemetry soak with SLO windows
-//!   serve            continuously-running ingest service with
-//!                    admission control, backpressure and graceful drain
-//!   fingerprint      one-line fingerprint of a canonical run's bytes
-//!   vectors          check (or --write) the golden kernel vectors
-//!   bench            run the real parallel benchmark briefly
-//!   all              everything above, written to --out
-//! ```
-//!
-//! Run `lte-sim --help` for the full command and flag reference.
-//! Performance is not measured here: `examples/lte_bench` is the one
-//! harness (`run` / `trace` / `compare`, see `BENCHMARK.json`).
+//! `lte-sim --help` prints the one command and flag reference (`USAGE`
+//! below). Performance is not measured here: `examples/lte_bench` is
+//! the one harness (`run` / `trace` / `compare`, see `BENCHMARK.json`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -252,12 +229,15 @@ fn parse_args() -> Options {
             std::process::exit(2);
         })
     };
-    let parse_number = |text: &str, flag: &str| -> u64 {
-        text.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} takes a number, got '{text}'");
+    // A numeric flag's value in the type the flag feeds: anything that
+    // type cannot hold (a sign, a fraction, an overflow) exits 2 rather
+    // than being truncated into range.
+    fn parse_number<T: std::str::FromStr<Err: std::fmt::Display>>(text: &str, flag: &str) -> T {
+        text.parse().unwrap_or_else(|e| {
+            eprintln!("{flag} takes a number, got '{text}' ({e})");
             std::process::exit(2);
         })
-    };
+    }
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" | "help" => {
@@ -269,8 +249,7 @@ fn parse_args() -> Options {
                 quick = true;
             }
             "--subframes" => {
-                ctx.n_subframes =
-                    parse_number(&value_of(&args, i, "--subframes"), "--subframes") as usize;
+                ctx.n_subframes = parse_number(&value_of(&args, i, "--subframes"), "--subframes");
                 subframes_override = Some(ctx.n_subframes);
                 i += 1;
             }
@@ -300,7 +279,7 @@ fn parse_args() -> Options {
             }
             "--chaos" => chaos = true,
             "--workers" => {
-                let n = parse_number(&value_of(&args, i, "--workers"), "--workers") as usize;
+                let n: usize = parse_number(&value_of(&args, i, "--workers"), "--workers");
                 if n == 0 {
                     eprintln!("--workers must be positive");
                     std::process::exit(2);
@@ -309,7 +288,7 @@ fn parse_args() -> Options {
                 i += 1;
             }
             "--window" => {
-                window = Some(parse_number(&value_of(&args, i, "--window"), "--window") as usize);
+                window = Some(parse_number(&value_of(&args, i, "--window"), "--window"));
                 i += 1;
             }
             "--traffic" => {
@@ -330,7 +309,7 @@ fn parse_args() -> Options {
                 i += 1;
             }
             "--cells" => {
-                let n = parse_number(&value_of(&args, i, "--cells"), "--cells") as usize;
+                let n: usize = parse_number(&value_of(&args, i, "--cells"), "--cells");
                 if n == 0 {
                     eprintln!("--cells must be positive");
                     std::process::exit(2);
@@ -339,14 +318,14 @@ fn parse_args() -> Options {
                 i += 1;
             }
             "--ues" => {
-                ues = Some(parse_number(&value_of(&args, i, "--ues"), "--ues") as usize);
+                ues = Some(parse_number(&value_of(&args, i, "--ues"), "--ues"));
                 i += 1;
             }
             "--coupling-milli" => {
                 coupling_milli = Some(parse_number(
                     &value_of(&args, i, "--coupling-milli"),
                     "--coupling-milli",
-                ) as u32);
+                ));
                 i += 1;
             }
             "--cell-kind" => {
@@ -1435,8 +1414,7 @@ pub fn run() {
         }
         other => {
             eprintln!("unknown command: {other}");
-            eprintln!("commands: fig7 fig8 fig9 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 concurrency trace chaos govern soak serve deploy fingerprint vectors ablation diurnal golden bench all");
-            eprintln!("run 'lte-sim --help' for details");
+            eprintln!("run 'lte-sim --help' for the full command list");
             std::process::exit(2);
         }
     }

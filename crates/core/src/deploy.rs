@@ -10,10 +10,10 @@
 //! the per-cell scheduler grants at most [`MAX_USERS`] allocations
 //! within the cell's PRB budget, and the rest of the offered load is
 //! counted as deferred (DTX at the measurement box). One receiver runs
-//! per cell; all of them shard onto the *same* work-stealing pool, with
-//! [`interleave_shards`] releasing work round-robin across cells so no
-//! wide cell monopolises the queue head and [`ShardCounters`] proving
-//! every cell drained.
+//! per cell; all of them shard onto the *same* work-stealing pool: each
+//! tick of every cell is one dispatcher row, released round-robin across
+//! cells by [`interleave_shards`] so no wide cell monopolises the queue
+//! head, and the row's open count proves every `(cell, user)` drained.
 //!
 //! # Determinism
 //!
@@ -59,9 +59,8 @@
 //! purposes the repetitions occupy distinct narrowband carriers
 //! (multi-tone first-fit), keeping the field construction uniform.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use lte_dsp::fft::FftPlanner;
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_obs::{f64_json, EblerBank, EblerSurface, OpenMetrics};
 use lte_phy::grid::UserInput;
@@ -70,12 +69,11 @@ use lte_phy::params::{
     N_CELL_IDENTITIES, SLOTS_PER_SUBFRAME,
 };
 use lte_phy::receiver::UserResult;
-use lte_phy::tx::{prewarm_cell, synthesize_retransmission, synthesize_user_with_mode};
+use lte_phy::tx::{synthesize_retransmission, synthesize_user_with_mode};
 use lte_power::{CoreController, WorkloadEstimator};
-use lte_sched::pool::TaskPool;
-use lte_sched::{interleave_shards, ShardCounters};
+use lte_sched::interleave_shards;
 
-use crate::benchmark::spawn_user_graph;
+use crate::dispatch::{Dispatcher, Finished};
 use crate::fingerprint::Fnv1a;
 use crate::serve::TrafficModel;
 
@@ -260,21 +258,8 @@ fn schedule_tick(
 /// the prewarm set, so reference/interleaver/FFT caches are populated
 /// before the first tick.
 fn prewarm_palette(kind: CellKind, traffic: TrafficModel) -> Vec<UserConfig> {
-    let base = match traffic {
-        TrafficModel::FullBuffer => vec![
-            UserConfig::new(16, 2, Modulation::Qam16),
-            UserConfig::new(20, 2, Modulation::Qam16),
-            UserConfig::new(25, 2, Modulation::Qam16),
-            UserConfig::new(12, 1, Modulation::Qpsk),
-            UserConfig::new(4, 1, Modulation::Qpsk),
-        ],
-        TrafficModel::BurstyIot | TrafficModel::Voip => vec![
-            UserConfig::new(2, 1, Modulation::Qpsk),
-            UserConfig::new(3, 1, Modulation::Qpsk),
-        ],
-    };
     let mut out: Vec<UserConfig> = Vec::new();
-    for u in base {
+    for u in traffic.palette() {
         let u = match kind {
             CellKind::Macro => u,
             CellKind::NbIot => nbiot_grant(u),
@@ -490,10 +475,6 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     if cfg.workers == 0 {
         return Err("a deployment needs at least one worker".into());
     }
-    let pool =
-        TaskPool::new(cfg.workers).map_err(|e| format!("failed to start the worker pool: {e}"))?;
-    let handle = pool.handle();
-    let planner = Arc::new(FftPlanner::new());
     let turbo = TurboMode::Passthrough;
     let reps = match cfg.kind {
         CellKind::Macro => 1,
@@ -506,7 +487,6 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
         .map(|i| {
             let cell_id = cfg.first_cell + i;
             let config = CellConfig::with_identity(2, cell_id);
-            prewarm_cell(&config, &palette, &planner);
             CellState {
                 config,
                 population: cfg.ues / cfg.cells + usize::from(i < cfg.ues % cfg.cells),
@@ -519,8 +499,13 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
         })
         .collect();
 
+    let configs: Vec<CellConfig> = cells.iter().map(|c| c.config).collect();
+    let warm: Vec<(CellConfig, &[UserConfig])> =
+        configs.iter().map(|&c| (c, &palette[..])).collect();
+    let mut d = Dispatcher::new(cfg.workers, turbo, &warm)
+        .map_err(|e| format!("failed to start the worker pool: {e}"))?;
+
     let bank = EblerBank::new(cells.iter().map(|c| format!("cell{}", c.config.cell_id)), 1);
-    let shards = Arc::new(ShardCounters::new(cfg.cells));
     // Eq. 3 slopes: the flat library calibration serve uses; the Eq. 5
     // controller stays on the paper's 62-core machine so the estimate —
     // and hence the report — is independent of the host's worker count.
@@ -620,57 +605,24 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
         target_max = target_max.max(target);
 
         // ---- Sharded dispatch onto the shared pool. -----------------
-        let arcs: Vec<Vec<Arc<UserInput>>> = tick_inputs
+        let inputs: Vec<Vec<Arc<UserInput>>> = tick_inputs
             .into_iter()
             .map(|inputs| inputs.into_iter().map(Arc::new).collect())
             .collect();
-        let counts: Vec<usize> = arcs.iter().map(Vec::len).collect();
-        let slots: Vec<Vec<Arc<OnceLock<UserResult>>>> = counts
-            .iter()
-            .map(|&n| (0..n).map(|_| Arc::new(OnceLock::new())).collect())
-            .collect();
-        for (ci, item) in interleave_shards(&counts) {
-            shards.record_spawned(ci, 1);
-            let slot = Arc::clone(&slots[ci][item]);
-            let counters = Arc::clone(&shards);
-            spawn_user_graph(
-                &handle,
-                &cells[ci].config,
-                &arcs[ci][item],
-                turbo,
-                &planner,
-                false,
-                Box::new(move |result| {
-                    slot.set(result)
-                        .expect("each (cell, user) slot is written once");
-                    counters.record_completed(ci);
-                }),
-            );
-        }
-        pool.wait_all();
-        if !shards.all_drained() {
-            return Err(format!("tick {tick}: shard accounting failed to drain"));
-        }
+        let row = dispatch_tick(&mut d, &configs, &inputs);
+        let tick_results = harvest_tick(&inputs, row)
+            .ok_or_else(|| format!("tick {tick}: shard accounting failed to drain"))?;
 
         // ---- Deterministic harvest, (cell, user) order. -------------
-        for (ci, cell) in cells.iter_mut().enumerate() {
+        for (ci, (cell, results)) in cells.iter_mut().zip(&tick_results).enumerate() {
             let sched = &tick_sched[ci];
             cell.offered += sched.offered;
             cell.deferred += sched.deferred;
             cell.scheduled += sched.subframe.users.len() as u64;
-            for ui in 0..sched.subframe.users.len() {
-                let chunk = &slots[ci][ui * reps..(ui + 1) * reps];
-                let results: Vec<&UserResult> = chunk
-                    .iter()
-                    .map(|s| s.get().expect("slot is set after the pool drained"))
-                    .collect();
+            for (ui, copies) in results.chunks_exact(reps).enumerate() {
                 // Selection combining: the first repetition that
                 // survives its CRC wins; otherwise report the first.
-                let selected = results
-                    .iter()
-                    .copied()
-                    .find(|r| r.crc_ok)
-                    .unwrap_or(results[0]);
+                let selected = copies.iter().find(|r| r.crc_ok).unwrap_or(&copies[0]);
                 bank.record_decode(ci, 0, selected.crc_ok, selected.payload.len() as u64);
                 cell.hash.write_u64(tick);
                 cell.hash.write_u64(ui as u64);
@@ -713,6 +665,41 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     })
 }
 
+/// Hands one tick of every cell to the pool as one dispatcher row and
+/// waits for it. Users are spawned in the fair [`interleave_shards`]
+/// order — user 0 of every cell, then user 1, … — and the row comes
+/// back in that order.
+fn dispatch_tick(
+    d: &mut Dispatcher,
+    configs: &[CellConfig],
+    inputs: &[Vec<Arc<UserInput>>],
+) -> Finished {
+    let counts: Vec<usize> = inputs.iter().map(Vec::len).collect();
+    let order = interleave_shards(&counts);
+    d.dispatch(
+        order.iter().map(|&(c, u)| (&configs[c], &inputs[c][u])),
+        false,
+    );
+    d.finish().pop().expect("one row per tick")
+}
+
+/// A tick's row back in `(cell, user)` order, whatever order the
+/// workers finished in. `None` when a decode was lost.
+fn harvest_tick(inputs: &[Vec<Arc<UserInput>>], row: Finished) -> Option<Vec<Vec<UserResult>>> {
+    let counts: Vec<usize> = inputs.iter().map(Vec::len).collect();
+    let mut cells: Vec<Vec<Option<UserResult>>> = counts
+        .iter()
+        .map(|&n| (0..n).map(|_| None).collect())
+        .collect();
+    for ((c, u), result) in interleave_shards(&counts).into_iter().zip(row.results) {
+        cells[c][u] = result;
+    }
+    cells
+        .into_iter()
+        .map(|cell| cell.into_iter().collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,6 +738,48 @@ mod tests {
         assert_ne!(cell_seed(7, 0), cell_seed(7, 1));
         assert_ne!(cell_seed(7, 0), cell_seed(8, 0));
         assert_eq!(cell_seed(7, 3), cell_seed(7, 3));
+    }
+
+    #[test]
+    fn ticks_spawn_interleaved_and_harvest_by_cell() {
+        // Three cells with 2, 0 and 3 users, each user's payload its own:
+        // a result matches only the input it was decoded from.
+        let configs = [0, 1, 2].map(|id| CellConfig::with_identity(2, id));
+        let user = UserConfig::new(2, 1, Modulation::Qpsk);
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        let inputs: Vec<Vec<Arc<UserInput>>> = configs
+            .iter()
+            .zip([2, 0, 3])
+            .map(|(cell, n)| {
+                (0..n)
+                    .map(|_| {
+                        let turbo = TurboMode::Passthrough;
+                        Arc::new(synthesize_user_with_mode(
+                            cell, &user, turbo, 30.0, &mut rng,
+                        ))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
+        let row = dispatch_tick(&mut d, &configs, &inputs);
+        // Slot k of the row is the k-th user spawned.
+        let spawned = interleave_shards(&[2, 0, 3]);
+        assert_eq!(spawned, [(0, 0), (2, 0), (0, 1), (2, 1), (2, 2)]);
+        for (&(c, u), result) in spawned.iter().zip(&row.results) {
+            let result = result.as_ref().expect("nothing lost");
+            assert!(
+                result.matches(&inputs[c][u].ground_truth),
+                "slot of ({c}, {u})"
+            );
+        }
+        let cells = harvest_tick(&inputs, row).expect("nothing lost");
+        for (c, (results, inputs)) in cells.iter().zip(&inputs).enumerate() {
+            assert_eq!(results.len(), inputs.len());
+            for (u, (result, input)) in results.iter().zip(inputs).enumerate() {
+                assert!(result.matches(&input.ground_truth), "harvest of ({c}, {u})");
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod chaos;
 pub mod cli;
 pub mod conformance;
 pub mod deploy;
+mod dispatch;
 pub mod experiments;
 pub mod fingerprint;
 pub mod govern;
@@ -70,8 +71,7 @@ pub mod svg;
 pub mod trace;
 
 pub use benchmark::{
-    BenchmarkConfig, BenchmarkRun, BenchmarkTelemetry, DegradationReport, PoolActivity,
-    UplinkBenchmark,
+    BenchmarkConfig, BenchmarkRun, DegradationReport, PoolActivity, UplinkBenchmark,
 };
 pub use chaos::{ChaosArtifacts, ChaosSummary};
 pub use conformance::{compute_vectors, diff_vectors, parse_golden, render_golden, KernelVector};

@@ -34,13 +34,10 @@
 //! wall clock only influences *when* work runs and the host-telemetry
 //! section of the report.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use lte_dsp::fft::FftPlanner;
-use lte_dsp::interleave::prewarm_subblock;
 use lte_dsp::{Modulation, Xoshiro256};
 use lte_fault::{EscalationLadder, EscalationState, IngestFaults, TokenBucket};
 use lte_obs::{
@@ -50,7 +47,6 @@ use lte_obs::{
 use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
 use lte_phy::receiver::UserResult;
-use lte_phy::tx::{prewarm_references, synthesize_user_with_mode};
 use lte_phy::verify::GoldenRecord;
 use lte_power::{
     governed_boundary, CoreController, NapPolicy, PolicyGovernor, PressureGovernor, UserLoad,
@@ -59,12 +55,9 @@ use lte_power::{
 use lte_sched::pool::TaskPool;
 use lte_sched::IngestQueue;
 
-use crate::benchmark::{kept_after_shed, pace_until, spawn_user_graph, tick_offset};
+use crate::benchmark::{kept_after_shed, BenchmarkConfig, UplinkBenchmark};
+use crate::dispatch::Dispatcher;
 use crate::fingerprint::fingerprint_results;
-
-/// The synthesis SNR for generated traffic (clean decodes, matching
-/// the batch benchmark's default).
-const SERVE_SNR_DB: f64 = 30.0;
 
 /// Built-in deterministic traffic generators.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -144,6 +137,24 @@ impl TrafficModel {
                     Vec::new()
                 }
             }
+        }
+    }
+
+    /// Every user configuration [`arrivals`](TrafficModel::arrivals) can
+    /// emit: the set to prewarm before the first tick.
+    pub(crate) fn palette(self) -> Vec<UserConfig> {
+        match self {
+            TrafficModel::FullBuffer => vec![
+                UserConfig::new(16, 2, Modulation::Qam16),
+                UserConfig::new(20, 2, Modulation::Qam16),
+                UserConfig::new(25, 2, Modulation::Qam16),
+                UserConfig::new(12, 1, Modulation::Qpsk),
+                UserConfig::new(4, 1, Modulation::Qpsk),
+            ],
+            TrafficModel::BurstyIot | TrafficModel::Voip => vec![
+                UserConfig::new(2, 1, Modulation::Qpsk),
+                UserConfig::new(3, 1, Modulation::Qpsk),
+            ],
         }
     }
 }
@@ -523,16 +534,6 @@ struct WindowAccum {
     chaos_active: bool,
 }
 
-/// A dispatched subframe's bookkeeping row.
-struct DispatchRow {
-    /// The inputs actually decoded.
-    inputs: Vec<Arc<UserInput>>,
-    /// Result slots, filled by completion callbacks.
-    results: Vec<Arc<OnceLock<UserResult>>>,
-    /// Whether the row was demapped exactly.
-    exact: bool,
-}
-
 /// Runs one serve campaign to drain. See the module docs for the
 /// loop's structure.
 ///
@@ -542,11 +543,18 @@ struct DispatchRow {
 /// watchdog exhausts its restart budget, or (with `verify`) the
 /// decoded bytes diverge from the serial reference.
 pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutcome, String> {
-    let pool =
-        TaskPool::new(cfg.workers).map_err(|e| format!("failed to start the worker pool: {e}"))?;
-    let handle = pool.handle();
-    let planner = Arc::new(FftPlanner::new());
     let cell = CellConfig::with_antennas(2);
+    let turbo = TurboMode::Passthrough;
+    // A reload may switch to any traffic model: prewarm them all.
+    let palettes = [
+        TrafficModel::FullBuffer,
+        TrafficModel::BurstyIot,
+        TrafficModel::Voip,
+    ]
+    .map(TrafficModel::palette);
+    let warm = palettes.each_ref().map(|p| (cell, &p[..]));
+    let mut d = Dispatcher::new(cfg.workers, turbo, &warm)
+        .map_err(|e| format!("failed to start the worker pool: {e}"))?;
 
     let mut params = cfg.params.clone();
     let mut escalation =
@@ -555,7 +563,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     let mut tracker = SloTracker::new(params.spec);
 
     let queue: IngestQueue<Admitted> = IngestQueue::new(cfg.queue_capacity);
-    let counters = Arc::new(ServiceCounters::new());
+    let counters = ServiceCounters::new();
     let faults = cfg
         .faults
         .clone()
@@ -577,42 +585,22 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         cfg.workers,
     );
 
-    // Input pool: synthesised once per distinct user config, in
-    // encounter order from the campaign seed — the same unique-input
-    // pool discipline as the batch benchmark, so admission order (which
-    // is deterministic) fully determines every payload bit.
-    let mut input_cache: HashMap<UserConfig, Arc<UserInput>> = HashMap::new();
-    let mut synth_rng = Xoshiro256::seed_from_u64(cfg.seed);
-    let turbo = TurboMode::Passthrough;
-    let input_for = |user: &UserConfig,
-                     cache: &mut HashMap<UserConfig, Arc<UserInput>>,
-                     rng: &mut Xoshiro256|
-     -> Arc<UserInput> {
-        if let Some(input) = cache.get(user) {
-            return Arc::clone(input);
-        }
-        planner.prewarm(std::iter::once(user.prbs));
-        prewarm_subblock(std::iter::once(user.bits_per_subframe()));
-        prewarm_references(&cell, user);
-        let input = Arc::new(synthesize_user_with_mode(
-            &cell,
-            user,
+    // Input pool: the batch benchmark's unique-input cache (at its
+    // default, clean-decode SNR), synthesised once per distinct user
+    // config in encounter order from the campaign seed, so admission
+    // order (which is deterministic) fully determines every payload bit.
+    let mut inputs = UplinkBenchmark::new(
+        cell,
+        BenchmarkConfig {
+            seed: cfg.seed,
             turbo,
-            SERVE_SNR_DB,
-            rng,
-        ));
-        cache.insert(*user, Arc::clone(&input));
-        input
-    };
+            ..BenchmarkConfig::default()
+        },
+    );
 
-    // Shared completion-side state.
-    let in_flight: Arc<(Mutex<usize>, Condvar)> = Arc::new((Mutex::new(0), Condvar::new()));
-    let crc_pass = Arc::new(AtomicU64::new(0));
-    let jobs_completed = Arc::new(AtomicU64::new(0));
-    let completed_rows = Arc::new(AtomicU64::new(0));
-    let latency = Arc::new(Histogram::new());
-
-    let mut rows: Vec<DispatchRow> = Vec::new();
+    // The inputs each dispatched row decoded, for the golden check.
+    let mut rows: Vec<Vec<Arc<UserInput>>> = Vec::new();
+    let mut all_max_log = true;
     let mut windows: Vec<ServeWindow> = Vec::new();
     let mut accum = WindowAccum::default();
     let mut lifecycle = vec![LifecycleEvent {
@@ -626,7 +614,6 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         ),
     }];
     let mut first_tier_tick: [Option<u64>; 3] = [None; 3];
-    let mut restarts = 0u64;
     // Consecutive deadline-missed pops. With service rate equal to the
     // nominal arrival rate, a flood leaves a stale backlog at constant
     // depth — below every fill watermark, yet missing every deadline.
@@ -635,7 +622,6 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     let mut miss_streak: u64 = 0;
     let window_len = cfg.window.max(1);
 
-    let start = Instant::now();
     let mut tick: u64 = 0;
     let drain_reason;
     loop {
@@ -648,7 +634,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             drain_reason = DrainReason::CampaignComplete;
             break;
         }
-        pace_until(start + tick_offset(cfg.delta, tick));
+        d.pace(cfg.delta, tick);
 
         let staged = control.take_reload().or_else(|| {
             cfg.reload_at
@@ -679,11 +665,10 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         if cfg.kill_worker_at == Some(tick) {
             // Self-healing drill: one worker panics, supervision
             // respawns it; no admitted work is lost.
-            pool.inject_worker_kill();
+            d.pool().inject_worker_kill();
         }
         if cfg.force_restart_at == Some(tick) {
-            restart_pipeline(&pool, cfg.workers);
-            restarts += 1;
+            restart_pipeline(d.pool(), cfg.workers);
             counters.watchdog_restart();
             lifecycle.push(LifecycleEvent {
                 tick,
@@ -792,91 +777,59 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                 .map(|&i| UserLoad::from(&item.sf.users[i]))
                 .collect();
             governor.set_pressure(fill);
-            let mut substrate = &pool;
+            let mut substrate = d.pool();
             governed_boundary(&mut substrate, &mut governor, tick as usize, &loads);
 
             // Bound the dispatch pipeline; a stall here is what the
             // watchdog turns into a bounded restart.
-            wait_for_slot(
-                &in_flight,
-                cfg.max_in_flight.max(1),
-                cfg.stall_timeout,
-                &completed_rows,
-                &mut restarts,
-                cfg.max_restarts,
-                &pool,
-                cfg.workers,
-                &counters,
-                &mut lifecycle,
-                tick,
-            )?;
+            loop {
+                let progress = d.closed_rows();
+                let waited_from = Instant::now();
+                if d.wait_below(cfg.max_in_flight.max(1), cfg.stall_timeout) {
+                    break;
+                }
+                match watchdog_verdict(
+                    waited_from.elapsed(),
+                    cfg.stall_timeout,
+                    progress,
+                    d.closed_rows(),
+                    counters.snapshot().watchdog_restarts,
+                    cfg.max_restarts,
+                ) {
+                    WatchdogVerdict::Wait => {}
+                    WatchdogVerdict::Restart => {
+                        restart_pipeline(d.pool(), cfg.workers);
+                        counters.watchdog_restart();
+                        lifecycle.push(LifecycleEvent {
+                            tick,
+                            state: "watchdog-restart".into(),
+                            reason: format!("no completion progress in {:?}", cfg.stall_timeout),
+                        });
+                    }
+                    WatchdogVerdict::Abort => {
+                        return Err(format!(
+                            "pipeline stalled: no completion progress after {} \
+                             watchdog restarts",
+                            cfg.max_restarts
+                        ));
+                    }
+                }
+            }
 
-            let inputs: Vec<Arc<UserInput>> = submit
+            let row: Vec<Arc<UserInput>> = submit
                 .iter()
-                .map(|&i| input_for(&item.sf.users[i], &mut input_cache, &mut synth_rng))
+                .map(|&i| inputs.input_for(&item.sf.users[i]))
                 .collect();
-            let results: Vec<Arc<OnceLock<UserResult>>> =
-                submit.iter().map(|_| Arc::new(OnceLock::new())).collect();
-            accum.jobs += submit.len() as u64;
-
-            let open = Arc::new(AtomicU64::new(submit.len() as u64));
-            let dispatched_ns = start.elapsed().as_nanos() as u64;
-            if !submit.is_empty() {
-                *in_flight.0.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-            }
-            for (slot, input) in results.iter().zip(&inputs) {
-                let slot = Arc::clone(slot);
-                let open = Arc::clone(&open);
-                let in_flight = Arc::clone(&in_flight);
-                let crc_pass = Arc::clone(&crc_pass);
-                let jobs_completed = Arc::clone(&jobs_completed);
-                let completed_rows = Arc::clone(&completed_rows);
-                let latency = Arc::clone(&latency);
-                let counters_cb = Arc::clone(&counters);
-                let start_cb = start;
-                spawn_user_graph(
-                    &handle,
-                    &cell,
-                    input,
-                    turbo,
-                    &planner,
-                    exact,
-                    Box::new(move |result| {
-                        if result.crc_ok {
-                            crc_pass.fetch_add(1, Ordering::Relaxed);
-                        }
-                        jobs_completed.fetch_add(1, Ordering::Relaxed);
-                        slot.set(result).expect("each user slot is written once");
-                        if open.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            counters_cb.completed();
-                            completed_rows.fetch_add(1, Ordering::SeqCst);
-                            latency.record(
-                                (start_cb.elapsed().as_nanos() as u64)
-                                    .saturating_sub(dispatched_ns),
-                            );
-                            let (lock, cv) = &*in_flight;
-                            *lock.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-                            cv.notify_one();
-                        }
-                    }),
-                );
-            }
-            rows.push(DispatchRow {
-                inputs,
-                results,
-                exact,
-            });
-            if submit.is_empty() {
-                // A fully-shed row still completes immediately.
-                counters.completed();
-                completed_rows.fetch_add(1, Ordering::SeqCst);
-            }
+            accum.jobs += row.len() as u64;
+            d.dispatch(row.iter().map(|input| (&cell, input)), exact);
+            rows.push(row);
+            all_max_log &= !exact;
         }
 
         // ---- Window close. -----------------------------------------
         tick += 1;
         if tick.is_multiple_of(window_len) {
-            close_window(&mut tracker, &mut windows, &mut accum, &latency);
+            close_window(&mut tracker, &mut windows, &mut accum, d.latency());
         }
     }
 
@@ -894,13 +847,13 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         // than overrun the drain deadline decoding a backlog.
         counters.drain_shed(leftover.len() as u64);
     }
-    pool.wait_all();
+    let finished = d.finish();
     if accum.subframes > 0 || accum.jobs > 0 || accum.chaos_active {
-        close_window(&mut tracker, &mut windows, &mut accum, &latency);
+        close_window(&mut tracker, &mut windows, &mut accum, d.latency());
     }
     governor.inner_mut().close(None);
     let drain_elapsed = drain_start.elapsed();
-    let elapsed = start.elapsed();
+    let elapsed = Duration::from_nanos(d.now_ns());
     lifecycle.push(LifecycleEvent {
         tick,
         state: "drained".into(),
@@ -908,24 +861,21 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     });
 
     // ---- Assemble results, fingerprint, verify. --------------------
-    let result_rows: Vec<Vec<UserResult>> = rows
-        .iter()
-        .map(|row| {
-            row.results
-                .iter()
-                .map(|slot| slot.get().expect("pool drained").clone())
-                .collect()
-        })
-        .collect();
+    let mut result_rows: Vec<Vec<UserResult>> = Vec::with_capacity(finished.len());
+    for row in finished {
+        let results: Option<Vec<UserResult>> = row.results.into_iter().collect();
+        result_rows.push(results.ok_or("a user's task graph panicked and its decode was lost")?);
+        counters.completed();
+    }
     let fingerprint = fingerprint_results(&result_rows);
+    let decodes = || result_rows.iter().flatten();
 
     let mut verify_error = None;
-    let all_max_log = rows.iter().all(|r| !r.exact);
     let verified = cfg.verify && all_max_log;
     if verified {
         let golden_inputs: Vec<Vec<UserInput>> = rows
             .iter()
-            .map(|row| row.inputs.iter().map(|i| (**i).clone()).collect())
+            .map(|row| row.iter().map(|i| (**i).clone()).collect())
             .collect();
         let golden = GoldenRecord::build(&cell, &golden_inputs, turbo);
         if let Err(e) = golden.verify(&result_rows) {
@@ -933,7 +883,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         }
     }
 
-    let latency_snapshot = latency.snapshot();
+    let latency_snapshot = d.latency().snapshot();
     let snapshot = counters.snapshot();
     let outcome = ServeOutcome {
         snapshot,
@@ -947,9 +897,9 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         drain_reason,
         ticks_run: tick,
         dispatched: rows.len() as u64,
-        crc_pass: crc_pass.load(Ordering::Relaxed),
-        jobs_completed: jobs_completed.load(Ordering::Relaxed),
-        worker_respawns: pool.worker_respawns(),
+        crc_pass: decodes().filter(|r| r.crc_ok).count() as u64,
+        jobs_completed: decodes().count() as u64,
+        worker_respawns: d.pool().worker_respawns(),
         boosted_boundaries: governor.boosted_boundaries(),
         elapsed,
         drain_elapsed,
@@ -996,65 +946,6 @@ fn close_window(
 fn restart_pipeline(pool: &TaskPool, workers: usize) {
     pool.inject_worker_kill();
     pool.set_active_workers(workers);
-}
-
-/// Waits for an in-flight dispatch slot, escalating to the watchdog
-/// when no completion progress happens within `stall_timeout`.
-#[allow(clippy::too_many_arguments)]
-fn wait_for_slot(
-    in_flight: &Arc<(Mutex<usize>, Condvar)>,
-    window: usize,
-    stall_timeout: Duration,
-    completed_rows: &AtomicU64,
-    restarts: &mut u64,
-    max_restarts: u64,
-    pool: &TaskPool,
-    workers: usize,
-    counters: &ServiceCounters,
-    lifecycle: &mut Vec<LifecycleEvent>,
-    tick: u64,
-) -> Result<(), String> {
-    let (lock, cv) = &**in_flight;
-    let mut count = lock.lock().unwrap_or_else(PoisonError::into_inner);
-    while *count >= window {
-        let progress_before = completed_rows.load(Ordering::SeqCst);
-        let waited_from = Instant::now();
-        let (next, timeout) = cv
-            .wait_timeout(count, stall_timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        count = next;
-        if !timeout.timed_out() {
-            continue;
-        }
-        let progress_now = completed_rows.load(Ordering::SeqCst);
-        match watchdog_verdict(
-            waited_from.elapsed(),
-            stall_timeout,
-            progress_before,
-            progress_now,
-            *restarts,
-            max_restarts,
-        ) {
-            WatchdogVerdict::Wait => {}
-            WatchdogVerdict::Restart => {
-                restart_pipeline(pool, workers);
-                *restarts += 1;
-                counters.watchdog_restart();
-                lifecycle.push(LifecycleEvent {
-                    tick,
-                    state: "watchdog-restart".into(),
-                    reason: format!("no completion progress in {stall_timeout:?}"),
-                });
-            }
-            WatchdogVerdict::Abort => {
-                return Err(format!(
-                    "pipeline stalled: no completion progress after {max_restarts} \
-                     watchdog restarts"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Renders SERVE.json (schema `lte-sim-serve-v1`). Everything outside

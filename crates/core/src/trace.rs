@@ -22,8 +22,8 @@ use lte_phy::trace::StageTimer;
 use lte_phy::tx::synthesize_user;
 use lte_power::NapPolicy;
 use lte_sched::sim::{SimReport, Simulator};
-use lte_sched::TaskPool;
 
+use crate::dispatch::Dispatcher;
 use crate::experiments::ExperimentContext;
 
 /// Cap on the traced run length: 500 subframes = 2.5 s of simulated
@@ -96,23 +96,12 @@ pub fn run_trace(ctx: &ExperimentContext) -> TraceArtifacts {
     // The real work-stealing pool's counters: process the same sample
     // input as parallel task graphs (the paper's task decomposition)
     // so the per-worker counters carry genuine PHY work.
-    let pool = TaskPool::new(4).expect("spawn the trace sample pool");
-    let handle = pool.handle();
-    let shared = std::sync::Arc::new(input.clone());
-    let planner = std::sync::Arc::new(FftPlanner::new());
-    for _ in 0..8 {
-        crate::benchmark::spawn_user_graph(
-            &handle,
-            &cell,
-            &shared,
-            TurboMode::Passthrough,
-            &planner,
-            false,
-            Box::new(|_| {}),
-        );
-    }
-    pool.wait_all();
-    pool.export_metrics(&metrics);
+    let mut d =
+        Dispatcher::new(4, TurboMode::Passthrough, &[]).expect("spawn the trace sample pool");
+    let shared = std::sync::Arc::new(input);
+    d.dispatch((0..8).map(|_| (&cell, &shared)), false);
+    d.finish();
+    d.pool().export_metrics(&metrics);
 
     let events = recorder.events();
     let dropped = recorder.total_recorded() - events.len() as u64;

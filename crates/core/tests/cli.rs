@@ -78,7 +78,9 @@ fn help_lists_every_command_and_flag() {
             "govern",
             "soak",
             "serve",
+            "deploy",
             "fingerprint",
+            "vectors",
             "bench",
             "ablation",
             "diurnal",
@@ -104,6 +106,14 @@ fn help_lists_every_command_and_flag() {
             "--policy",
             "--chaos",
             "--calibration",
+            "--write",
+            "--check",
+            "--scalar",
+            "--golden",
+            "--cells",
+            "--ues",
+            "--coupling-milli",
+            "--cell-kind",
         ] {
             assert!(stdout.contains(f), "help missing flag {f}:\n{stdout}");
         }
@@ -136,6 +146,9 @@ fn parse_errors_exit_status_2() {
         vec!["soak", "--window", "soon"],
         vec!["serve", "--traffic", "nonsense"],
         vec!["serve", "--config"],
+        // 2^32 + 1 would wrap to a coupling of 1 if truncated to u32.
+        vec!["deploy", "--coupling-milli", "4294967297"],
+        vec!["deploy", "--coupling-milli", "-1"],
     ] {
         let out = lte_sim().args(&args).output().expect("run lte-sim");
         assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");

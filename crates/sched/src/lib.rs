@@ -19,10 +19,9 @@
 //! explicit rejection and close-to-drain semantics, feeding the pool
 //! from live sources instead of a closed batch loop.
 //!
-//! [`shard`] adds the multi-cell bookkeeping: per-shard (per-cell)
-//! spawned/completed counters and the fair round-robin dispatch order
-//! the deployment layer uses to release every cell's work onto one
-//! shared pool without a wide cell monopolising the queue head.
+//! [`shard`] adds the fair round-robin dispatch order the deployment
+//! layer uses to release every cell's work onto one shared pool without
+//! a wide cell monopolising the queue head.
 //!
 //! [`cycles`] supplies the per-kernel cycle cost model that converts a
 //! user's subframe parameters into the simulator's task costs, calibrated
@@ -42,5 +41,5 @@ pub use pool::{
     host_parallelism, silence_injected_panics, InjectedPanic, PoolError, PoolHandle, PoolTelemetry,
     TaskPool, WorkerKill, WorkerSnapshot,
 };
-pub use shard::{interleave_shards, ShardCounters, ShardSnapshot};
+pub use shard::interleave_shards;
 pub use sim::{NapMode, SimBoundary, SimConfig, SimReport, SimSession, Simulator, SubframeLoad};

@@ -1,95 +1,14 @@
-//! Per-shard (per-cell) work accounting and fair dispatch order.
+//! Fair dispatch order across shards (cells).
 //!
 //! The multi-cell deployment layer runs one receiver per cell on the
 //! *shared* work-stealing pool: tasks from every cell mix freely, and
 //! the stealing machinery balances them. What the pool cannot see is
-//! which cell a task belonged to — this module adds that bookkeeping:
-//!
-//! * [`ShardCounters`] — lock-free per-shard spawned/completed tallies,
-//!   recordable from any worker thread;
-//! * [`interleave_shards`] — the fair dispatch order: instead of
-//!   spawning cell 0's users, then cell 1's, …, which would let an
-//!   early wide cell monopolise the queue head, work is released
-//!   round-robin across shards (user 0 of every cell, then user 1 of
-//!   every cell, …), so no cell waits behind another's whole subframe.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One shard's tallies.
-#[derive(Debug, Default)]
-struct ShardSlot {
-    spawned: AtomicU64,
-    completed: AtomicU64,
-}
-
-/// Lock-free per-shard work counters, one slot per cell.
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    slots: Vec<ShardSlot>,
-}
-
-/// A point-in-time copy of one shard's counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Tasks handed to the pool for this shard.
-    pub spawned: u64,
-    /// Tasks whose completion callback ran for this shard.
-    pub completed: u64,
-}
-
-impl ShardCounters {
-    /// Counters for `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        Self {
-            slots: (0..shards).map(|_| ShardSlot::default()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Records `n` tasks spawned for `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[inline]
-    pub fn record_spawned(&self, shard: usize, n: u64) {
-        self.slots[shard].spawned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one task completed for `shard` (called from worker
-    /// threads; relaxed atomics, no locks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[inline]
-    pub fn record_completed(&self, shard: usize) {
-        self.slots[shard].completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time snapshot of one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn snapshot(&self, shard: usize) -> ShardSnapshot {
-        ShardSnapshot {
-            spawned: self.slots[shard].spawned.load(Ordering::Relaxed),
-            completed: self.slots[shard].completed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// `true` once every spawned task of every shard has completed.
-    pub fn all_drained(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| s.spawned.load(Ordering::Acquire) == s.completed.load(Ordering::Acquire))
-    }
-}
+//! which cell a task belonged to, so [`interleave_shards`] decides the
+//! release order: instead of spawning cell 0's users, then cell 1's, …,
+//! which would let an early wide cell monopolise the queue head, work is
+//! released round-robin across shards (user 0 of every cell, then user
+//! 1 of every cell, …), so no cell waits behind another's whole
+//! subframe.
 
 /// The fair cross-shard dispatch order: given per-shard work-item
 /// counts, yields `(shard, item_index)` pairs round-robin — item 0 of
@@ -114,46 +33,6 @@ pub fn interleave_shards(counts: &[usize]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_tally_and_drain() {
-        let c = ShardCounters::new(3);
-        c.record_spawned(0, 2);
-        c.record_spawned(2, 1);
-        assert!(!c.all_drained());
-        c.record_completed(0);
-        c.record_completed(0);
-        c.record_completed(2);
-        assert!(c.all_drained());
-        assert_eq!(
-            c.snapshot(0),
-            ShardSnapshot {
-                spawned: 2,
-                completed: 2
-            }
-        );
-        assert_eq!(c.snapshot(1).spawned, 0);
-    }
-
-    #[test]
-    fn counters_survive_concurrent_hammer() {
-        let c = ShardCounters::new(4);
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let c = &c;
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        let shard = (t + i) % 4;
-                        c.record_spawned(shard, 1);
-                        c.record_completed(shard);
-                    }
-                });
-            }
-        });
-        assert!(c.all_drained());
-        let total: u64 = (0..4).map(|s| c.snapshot(s).spawned).sum();
-        assert_eq!(total, 8_000);
-    }
 
     #[test]
     fn interleave_is_fair_and_complete() {

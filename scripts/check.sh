@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, three budgets (receiver entry points, one
-# performance harness, a first-party std-only workspace), conformance
-# vectors on both dispatch paths, the fuzz corpus, and a smoke run of
+# benchmark harness, four budgets (receiver entry points, one subframe
+# dispatcher, one performance harness, a first-party std-only
+# workspace), conformance vectors on both dispatch paths, the fuzz
+# corpus, and a smoke run of
 # every driver (chaos, govern, lte_bench, soak, deploy, serve) plus the
 # two cost gates among the `crates/bench` micro-benchmarks.
 #
@@ -39,6 +40,20 @@ echo "==> receiver entry-point budget"
 # finish_user* entry point is a fork growing back.
 [[ "$(grep -c 'pub fn \(process\|demodulate\|finish\)_user' crates/phy/src/receiver.rs)" -le 6 ]] \
     || { echo "receiver.rs exposes more than 6 process/demodulate/finish_user entry points"; exit 1; }
+
+echo "==> one subframe dispatcher budget"
+# Benchmark, serve and deploy hand subframes to the pool through
+# dispatch.rs alone: an in-flight condvar or a task-graph spawn in one
+# of their loops, or per-shard counters back in lte-sched, is a second
+# dispatch path growing back.
+for loop_rs in benchmark serve deploy; do
+    ! grep -q 'Condvar' "crates/core/src/$loop_rs.rs" \
+        || { echo "crates/core/src/$loop_rs.rs waits on its own Condvar"; exit 1; }
+done
+[[ "$(grep -rl 'spawn_user_graph' crates/core/src)" == "crates/core/src/dispatch.rs" ]] \
+    || { echo "spawn_user_graph is named outside crates/core/src/dispatch.rs"; exit 1; }
+! grep -q 'ShardCounters' crates/sched/src/lib.rs \
+    || { echo "crates/sched/src/lib.rs exports ShardCounters"; exit 1; }
 
 echo "==> one performance harness budget"
 # lte_bench is the only yardstick: core's perf.rs names the steady-state
