@@ -20,11 +20,17 @@ pub const BUDGET: Duration = Duration::from_millis(500);
 /// [`BUDGET`] is spent, and prints one `bench <id> median … best …` line.
 /// The first call is the warm-up and the first sample, so a routine
 /// slower than the budget still reports.
-pub fn bench<O>(id: &str, mut routine: impl FnMut() -> O) {
+pub fn bench<O>(id: &str, routine: impl FnMut() -> O) {
+    bench_per(id, 1, routine);
+}
+
+/// [`bench()`] for a routine that processes `items` units per call: the
+/// line reports the time per unit.
+pub fn bench_per<O>(id: &str, items: u32, mut routine: impl FnMut() -> O) {
     let mut sample = || {
         let start = Instant::now();
         black_box(routine());
-        start.elapsed()
+        start.elapsed() / items
     };
     let mut samples = vec![sample()];
     let budget_start = Instant::now();

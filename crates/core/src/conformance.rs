@@ -33,7 +33,7 @@ use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
 use lte_dsp::segmentation::Segmentation;
-use lte_dsp::turbo::{siso_probe, TurboDecoder, TurboEncoder, TurboWorkspace};
+use lte_dsp::turbo::{siso_probe, TurboDecoder, TurboEncoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::zadoff_chu::{layer_cyclic_shift, ReferenceSequence};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::combiner::{CombinerWeights, MmseScratch};
@@ -443,6 +443,76 @@ fn turbo_siso_vector() -> KernelVector {
     }
 }
 
+/// Channel LLRs for one block of `k` random bits: the codeword at ±4
+/// plus seeded noise of up to `spread`, with one entry in sixteen
+/// replaced by an exact ±0 or a ± subnormal and, when `huge`, one more
+/// in sixteen by a ±1e20-scale finite value (large, yet far below the
+/// point where the recursions' `NEG` sentinel would stop absorbing it).
+fn turbo_group_llrs(rng: &mut Xoshiro256, k: usize, spread: f32, huge: bool) -> TurboLlrs {
+    let bits = random_bits(rng, k);
+    let mut llrs = TurboEncoder::new(k).encode(&bits).to_llrs(4.0);
+    let mut perturb = |v: &mut f32| {
+        *v = match rng.next_below(64) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::MIN_POSITIVE / 3.0,
+            3 => -f32::MIN_POSITIVE / 5.0,
+            4..=7 if huge => (rng.next_f32() * 2.0 - 1.0) * 1.0e20,
+            _ => *v + (rng.next_f32() - 0.5) * spread,
+        }
+    };
+    llrs.systematic.iter_mut().for_each(&mut perturb);
+    llrs.parity1.iter_mut().for_each(&mut perturb);
+    llrs.parity2.iter_mut().for_each(&mut perturb);
+    for t in llrs.tail1.iter_mut().chain(llrs.tail2.iter_mut()) {
+        perturb(&mut t.0);
+        perturb(&mut t.1);
+    }
+    llrs
+}
+
+/// Pins lockstep group decodes: groups of 1–5 equal-K blocks at the
+/// block sizes the receiver workloads segment into, each block's soft
+/// APP output hashed. The blocks of a group cycle through three inputs
+/// — noiseless (a bitwise fixed point after 3–6 iterations at some K),
+/// with ±1e20 values (after 1–3, the huge terms swamp the rest) and
+/// noisy (none within the cap) — and the odd-sized groups decode with
+/// early termination, so their blocks stop at different iterations.
+/// The hash was computed with every block decoded alone; a group decode
+/// must reproduce each block's one-block output bit for bit.
+fn turbo_groups_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x6_0095);
+    let mut h = Fnv1a::new();
+    let mut ws = vec![TurboWorkspace::new(); 5];
+    for k in [40, 960, 4864, 5824, 6144] {
+        for group in 1..=5 {
+            let decoder = TurboDecoder::new(k, 3 + group % 4);
+            let decoder = if group % 2 == 1 {
+                decoder.with_early_termination()
+            } else {
+                decoder
+            };
+            let llrs: Vec<TurboLlrs> = (0..group)
+                .map(|b| match b % 3 {
+                    0 => turbo_group_llrs(&mut rng, k, 0.0, false),
+                    1 => turbo_group_llrs(&mut rng, k, 3.0, true),
+                    _ => turbo_group_llrs(&mut rng, k, 2.0, false),
+                })
+                .collect();
+            decoder.decode_group(&llrs, &mut ws);
+            h.write_u64(k as u64);
+            h.write_u64(group as u64);
+            for w in &ws[..group] {
+                hash_f32(&mut h, w.app());
+            }
+        }
+    }
+    KernelVector {
+        kernel: "turbo-groups".to_string(),
+        hash: h.finish(),
+    }
+}
+
 /// The channel-estimation matched filter (conjugate multiply), out of
 /// place and in place, across lengths that cover the AVX2 body and the
 /// scalar tail.
@@ -492,7 +562,6 @@ fn segmentation_rate_match_vector() -> KernelVector {
 
 fn rate_match_fused_vector() -> KernelVector {
     use lte_dsp::interleave::subblock_cached;
-    use lte_dsp::turbo::TurboLlrs;
     // The fused gather path: sub-block deinterleaving folded into the
     // rate-match accumulation, exactly as the receiver's turbo tail
     // drives it — a 2-block transport whose interleaver permutation is
@@ -570,6 +639,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         rate_match_fused_vector(),
         turbo_vector(),
         turbo_siso_vector(),
+        turbo_groups_vector(),
         matched_filter_vector(),
         crc_vector(),
         scrambling_vector(),

@@ -133,12 +133,30 @@ impl RateMatcher {
         assert!(e > 0, "output length must be positive");
         let streams = self.streams(code);
         let k0 = self.rv_offset(rv);
-        (0..e)
-            .map(|j| {
-                let (s, i) = self.buffer[(k0 + j) % self.buffer.len()];
-                streams[s as usize][i as usize]
-            })
+        self.buffer[k0..]
+            .iter()
+            .chain(self.buffer.iter().cycle())
+            .take(e)
+            .map(|&(s, i)| streams[s as usize][i as usize])
             .collect()
+    }
+
+    /// Calls `f(item, entry)` for `items[j]` and circular-buffer entry
+    /// `(k0 + j) % len`, `j = 0, 1, …` in order — walking the buffer
+    /// slice by slice (the rest of the first lap from `k0`, then whole
+    /// laps) instead of dividing per element.
+    #[inline]
+    fn zip_circular<T>(&self, items: &[T], k0: usize, mut f: impl FnMut(&T, (u8, u32))) {
+        let len = self.buffer.len();
+        let (first_lap, laps) = items.split_at(items.len().min(len - k0));
+        for (x, &entry) in first_lap.iter().zip(&self.buffer[k0..]) {
+            f(x, entry);
+        }
+        for lap in laps.chunks(len) {
+            for (x, &entry) in lap.iter().zip(&self.buffer) {
+                f(x, entry);
+            }
+        }
     }
 
     /// Accumulates received LLRs back into mother-code positions:
@@ -201,11 +219,9 @@ impl RateMatcher {
             stream.resize(d, 0.0);
         }
         let acc = [&mut out.systematic, &mut out.parity1, &mut out.parity2];
-        let len = self.buffer.len();
-        for (j, &g) in gather.iter().enumerate() {
-            let (s, i) = self.buffer[j % len];
+        self.zip_circular(gather, 0, |&g, (s, i)| {
             acc[s as usize][i as usize] += src[g as usize];
-        }
+        });
         self.extract_tails(out);
     }
 
@@ -252,11 +268,9 @@ impl RateMatcher {
         }
         let acc = [&mut out.systematic, &mut out.parity1, &mut out.parity2];
         for &(llrs, rv) in transmissions {
-            let k0 = self.rv_offset(rv);
-            for (j, &l) in llrs.iter().enumerate() {
-                let (s, i) = self.buffer[(k0 + j) % self.buffer.len()];
+            self.zip_circular(llrs, self.rv_offset(rv), |&l, (s, i)| {
                 acc[s as usize][i as usize] += l;
-            }
+            });
         }
         self.extract_tails(out);
     }
@@ -416,6 +430,22 @@ mod tests {
                 assert_eq!(two_step.tail1, fused.tail1, "k={k}");
                 assert_eq!(two_step.tail2, fused.tail2, "k={k}");
                 cursor += share;
+            }
+        }
+    }
+
+    #[test]
+    fn circular_walk_visits_modulo_positions_in_order() {
+        let rm = RateMatcher::new(40);
+        let len = rm.buffer_len();
+        for rv in 0..4 {
+            let k0 = rm.rv_offset(rv);
+            for e in [1, len - k0 - 1, len - k0, len - k0 + 1, len, 2 * len + 7] {
+                let items: Vec<usize> = (0..e).collect();
+                let mut visited = Vec::new();
+                rm.zip_circular(&items, k0, |&j, entry| visited.push((j, entry)));
+                let expect: Vec<_> = (0..e).map(|j| (j, rm.buffer[(k0 + j) % len])).collect();
+                assert_eq!(visited, expect, "rv {rv} e {e}");
             }
         }
     }

@@ -26,6 +26,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::complex::Complex32;
 use crate::modulation::Modulation;
+use crate::turbo::SisoBlock;
+#[cfg(target_arch = "x86_64")]
+use crate::turbo::STATES;
 
 const UNDECIDED: u8 = 0;
 const SCALAR: u8 = 1;
@@ -176,60 +179,87 @@ pub fn cmul_conj_assign(y: &mut [Complex32], x: &[Complex32]) {
 }
 
 /// State-parallel forward (alpha) and backward (beta) recursions of the
-/// max-log-MAP SISO over the information section, interleaved in one
-/// loop: each 8-state trellis row is one AVX2 vector, and because the
-/// two walks are independent the fused loop keeps two dependency chains
-/// in flight where the separate passes were each latency-bound on one.
-/// `alpha` row 0 and `beta` row `sys.len()` must already be seeded;
-/// alpha rows `1..=sys.len()` and beta rows `sys.len()-1..=0` are
+/// max-log-MAP SISO over the information section of `G` equal-K blocks
+/// in one loop: each 8-state trellis row is one AVX2 vector, and because
+/// all `2·G` walks are independent the loop keeps that many dependency
+/// chains in flight where one walk alone is latency-bound. First fills
+/// each block's branch-metric arrays (`half_sys`, `half_par`) with the
+/// scalar recursions' exact expressions, which the loop then broadcasts
+/// from memory. Alpha row 0 and beta row `k` of every block must
+/// already be seeded; alpha rows `1..=k` and beta rows `k-1..=0` are
 /// written. Returns `false` when the caller should run the scalar
 /// reference passes.
-pub(crate) fn turbo_alpha_beta(
-    sys: &[f32],
-    par: &[f32],
-    apriori: &[f32],
-    alpha: &mut [f32],
-    beta: &mut [f32],
-) -> bool {
+pub(crate) fn turbo_alpha_beta<const G: usize>(blocks: &mut [SisoBlock<'_>; G]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         if !simd_enabled() {
             return false;
         }
-        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`.
-        unsafe { x86::turbo_alpha_beta(sys, par, apriori, alpha, beta) };
+        let k = blocks[0].sys.len();
+        for b in blocks.iter_mut() {
+            assert_eq!(b.sys.len(), k, "a lockstep group shares one block size");
+            for ((h, &s), &a) in b.half_sys.iter_mut().zip(b.sys).zip(b.apriori) {
+                *h = 0.5 * (s + a);
+            }
+            for (h, &p) in b.half_par.iter_mut().zip(b.par) {
+                *h = 0.5 * p;
+            }
+            assert!(b.half_sys.len() == k && b.half_par.len() == k);
+            assert!(b.alpha.len() > k * STATES && b.beta.len() > k * STATES);
+        }
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`; every
+        // block has `k` branch metrics and at least `k + 1` rows in each
+        // plane (asserted above), which is all the kernel touches.
+        unsafe { x86::turbo_alpha_beta(blocks, k) };
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (sys, par, apriori, alpha, beta);
+        let _ = blocks;
         false
     }
 }
 
-/// State-parallel branch-metric/LLR extraction of the max-log-MAP SISO.
-/// Returns `false` when the caller should run the scalar reference.
-pub(crate) fn turbo_extrinsic(
+/// Branch-metric/LLR extraction of the max-log-MAP SISO, eight trellis
+/// steps per vector (see `x86::turbo_extrinsic8`). Returns how many
+/// leading steps it wrote — `sys.len()` rounded down to a multiple of 8
+/// on the vector path, 0 on the scalar dispatch — and leaves the rest to
+/// the scalar reference.
+pub(crate) fn turbo_extrinsic8(
     sys: &[f32],
     par: &[f32],
     apriori: &[f32],
     alpha: &[f32],
     beta: &[f32],
     extrinsic: &mut [f32],
-) -> bool {
+) -> usize {
     #[cfg(target_arch = "x86_64")]
     {
         if !simd_enabled() {
-            return false;
+            return 0;
         }
-        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`.
-        unsafe { x86::turbo_extrinsic(sys, par, apriori, alpha, beta, extrinsic) };
-        true
+        let steps = sys.len() & !7;
+        assert!(par.len() >= steps && apriori.len() >= steps && extrinsic.len() >= steps);
+        assert!(alpha.len() >= steps * STATES && beta.len() >= (steps + 1) * STATES);
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`; the
+        // slices hold `steps` steps and `steps` alpha rows / `steps + 1`
+        // beta rows (asserted above), which is all the kernel reads.
+        unsafe {
+            x86::turbo_extrinsic8(
+                &sys[..steps],
+                &par[..steps],
+                &apriori[..steps],
+                alpha,
+                beta,
+                &mut extrinsic[..steps],
+            )
+        };
+        steps
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (sys, par, apriori, alpha, beta, extrinsic);
-        false
+        0
     }
 }
 
@@ -469,10 +499,13 @@ pub(crate) mod x86 {
     // beta[i][0..8]); the recursions become two `permutevar` gathers,
     // sign-flipped branch-metric adds, and a max chain seeded at the NEG
     // sentinel — lane `t` computes exactly the scalar gather expression
-    // for state `t`, so the paths are bit-identical by construction.
+    // for state `t`, so the paths are bit-identical by construction. The
+    // extrinsic pass transposes eight rows instead, so lane `r` is trellis
+    // step `r` and each register one state: lane `r` then computes the
+    // scalar expression for step `r`.
 
     use crate::turbo::{
-        ALPHA_INPUT, ALPHA_PARITY, ALPHA_PRED, BRANCH_PARITY, NEG, NEXT_STATE, STATES,
+        SisoBlock, ALPHA_INPUT, ALPHA_PARITY, ALPHA_PRED, BRANCH_PARITY, NEG, NEXT_STATE, STATES,
     };
 
     /// Lane-gather indices for `_mm256_permutevar8x32_ps`.
@@ -507,28 +540,44 @@ pub(crate) mod x86 {
         )
     }
 
-    /// Vector twin of `turbo::scalar_alpha` + `turbo::scalar_beta`, fused:
-    /// both recursions walk the information section in one loop (alpha
-    /// forward from row 0, beta backward from row `n`). Each row's
-    /// operation DAG is exactly the separate scalar pass's — the walks
-    /// never read each other's planes — but fusing them keeps two
+    /// Vector twin of `turbo::scalar_alpha` + `turbo::scalar_beta` for a
+    /// group of `G` equal-K blocks: every recursion of every block walks
+    /// the information section in one loop (alpha forward from row 0,
+    /// beta backward from row `k`). Each row's operation DAG is exactly
+    /// the separate scalar pass's — no walk reads another's plane, and no
+    /// block another block's — but advancing them together keeps `2·G`
     /// independent permute→add→max dependency chains in flight, which is
     /// what the latency-bound trellis recursion needs to fill the vector
-    /// ports.
+    /// ports. Branch metrics come from the blocks' `half_sys`/`half_par`
+    /// arrays by memory broadcast.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2+FMA support; `alpha` and `beta`
-    /// must each hold at least `(sys.len() + 1) * 8` elements, with
-    /// alpha row 0 and beta row `sys.len()` seeded.
+    /// Caller must have verified AVX2+FMA support; every block must hold
+    /// `k` entries in `half_sys` and `half_par` and at least `(k + 1) * 8`
+    /// elements in `alpha` and `beta`, with alpha row 0 and beta row `k`
+    /// seeded.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn turbo_alpha_beta(
-        sys: &[f32],
-        par: &[f32],
-        apriori: &[f32],
-        alpha: &mut [f32],
-        beta: &mut [f32],
+    pub(super) unsafe fn turbo_alpha_beta<const G: usize>(
+        blocks: &mut [SisoBlock<'_>; G],
+        k: usize,
     ) {
+        let mut hs = [std::ptr::null::<f32>(); G];
+        let mut hp = [std::ptr::null::<f32>(); G];
+        let mut ap = [std::ptr::null_mut::<f32>(); G];
+        let mut bp = [std::ptr::null_mut::<f32>(); G];
+        for (g, b) in blocks.iter_mut().enumerate() {
+            debug_assert!(b.half_sys.len() == k && b.half_par.len() == k);
+            debug_assert!(b.alpha.len() > k * STATES && b.beta.len() > k * STATES);
+            hs[g] = b.half_sys.as_ptr();
+            hp[g] = b.half_par.as_ptr();
+            ap[g] = b.alpha.as_mut_ptr();
+            bp[g] = b.beta.as_mut_ptr();
+        }
+        // SAFETY: the loop reads branch metrics 0..k and writes alpha
+        // rows 1..=k and beta rows 0..k of each block, all inside the
+        // lengths the caller guarantees (debug-asserted above); the
+        // planes of different blocks are distinct allocations.
         unsafe {
             let p0 = perm_index(ALPHA_PRED[0]);
             let p1 = perm_index(ALPHA_PRED[1]);
@@ -542,81 +591,152 @@ pub(crate) mod x86 {
             let bq1 = sign_mask(BRANCH_PARITY[1]);
             let neg_zero = _mm256_set1_ps(-0.0);
             let negv = _mm256_set1_ps(NEG);
-            let n = sys.len();
-            let ap = alpha.as_mut_ptr();
-            let bp = beta.as_mut_ptr();
-            let mut prev = _mm256_loadu_ps(ap);
-            let mut next = _mm256_loadu_ps(bp.add(n * STATES));
-            for i in 0..n {
-                let j = n - 1 - i;
-                // Alpha step i: predecessors gathered by state, branch
-                // metric signs applied per lane.
-                let hs = _mm256_set1_ps(0.5 * (sys[i] + apriori[i]));
-                let hp = _mm256_set1_ps(0.5 * par[i]);
-                let c0 = _mm256_add_ps(
-                    _mm256_add_ps(_mm256_permutevar8x32_ps(prev, p0), _mm256_xor_ps(hs, u0)),
-                    _mm256_xor_ps(hp, aq0),
-                );
-                let c1 = _mm256_add_ps(
-                    _mm256_add_ps(_mm256_permutevar8x32_ps(prev, p1), _mm256_xor_ps(hs, u1)),
-                    _mm256_xor_ps(hp, aq1),
-                );
-                // max(c1, max(c0, NEG)): candidate-first operand order so
-                // MAXPS tie/NaN semantics match the scalar `if c > best`.
-                let arow = _mm256_max_ps(c1, _mm256_max_ps(c0, negv));
-                _mm256_storeu_ps(ap.add((i + 1) * STATES), arow);
-                prev = arow;
-                // Beta step j: successors gathered by state; u = 0 adds
-                // +hs on every lane, u = 1 adds −hs.
-                let hs = _mm256_set1_ps(0.5 * (sys[j] + apriori[j]));
-                let hp = _mm256_set1_ps(0.5 * par[j]);
-                let d0 = _mm256_add_ps(
-                    _mm256_add_ps(_mm256_permutevar8x32_ps(next, n0), hs),
-                    _mm256_xor_ps(hp, bq0),
-                );
-                let d1 = _mm256_add_ps(
-                    _mm256_add_ps(
-                        _mm256_permutevar8x32_ps(next, n1),
-                        _mm256_xor_ps(hs, neg_zero),
-                    ),
-                    _mm256_xor_ps(hp, bq1),
-                );
-                let brow = _mm256_max_ps(d1, _mm256_max_ps(d0, negv));
-                _mm256_storeu_ps(bp.add(j * STATES), brow);
-                next = brow;
+            let mut prev = [negv; G];
+            let mut next = [negv; G];
+            for g in 0..G {
+                prev[g] = _mm256_loadu_ps(ap[g]);
+                next[g] = _mm256_loadu_ps(bp[g].add(k * STATES));
+            }
+            for i in 0..k {
+                let j = k - 1 - i;
+                for g in 0..G {
+                    // Alpha step i: predecessors gathered by state,
+                    // branch metric signs applied per lane.
+                    let hs_i = _mm256_broadcast_ss(&*hs[g].add(i));
+                    let hp_i = _mm256_broadcast_ss(&*hp[g].add(i));
+                    let c0 = _mm256_add_ps(
+                        _mm256_add_ps(
+                            _mm256_permutevar8x32_ps(prev[g], p0),
+                            _mm256_xor_ps(hs_i, u0),
+                        ),
+                        _mm256_xor_ps(hp_i, aq0),
+                    );
+                    let c1 = _mm256_add_ps(
+                        _mm256_add_ps(
+                            _mm256_permutevar8x32_ps(prev[g], p1),
+                            _mm256_xor_ps(hs_i, u1),
+                        ),
+                        _mm256_xor_ps(hp_i, aq1),
+                    );
+                    // max(c1, max(c0, NEG)): candidate-first operand
+                    // order so MAXPS tie/NaN semantics match the scalar
+                    // `if c > best`.
+                    prev[g] = _mm256_max_ps(c1, _mm256_max_ps(c0, negv));
+                    _mm256_storeu_ps(ap[g].add((i + 1) * STATES), prev[g]);
+                    // Beta step j: successors gathered by state; u = 0
+                    // adds +hs on every lane, u = 1 adds −hs.
+                    let hs_j = _mm256_broadcast_ss(&*hs[g].add(j));
+                    let hp_j = _mm256_broadcast_ss(&*hp[g].add(j));
+                    let d0 = _mm256_add_ps(
+                        _mm256_add_ps(_mm256_permutevar8x32_ps(next[g], n0), hs_j),
+                        _mm256_xor_ps(hp_j, bq0),
+                    );
+                    let d1 = _mm256_add_ps(
+                        _mm256_add_ps(
+                            _mm256_permutevar8x32_ps(next[g], n1),
+                            _mm256_xor_ps(hs_j, neg_zero),
+                        ),
+                        _mm256_xor_ps(hp_j, bq1),
+                    );
+                    next[g] = _mm256_max_ps(d1, _mm256_max_ps(d0, negv));
+                    _mm256_storeu_ps(bp[g].add(j * STATES), next[g]);
+                }
             }
         }
     }
 
-    /// In-register twin of `turbo::reduce_states`: the same balanced tree
-    /// (adjacent pairs, quads, halves, then the NEG seed), built from
-    /// candidate-first MAXPS so every node has the scalar `pick`
-    /// semantics. Lane 0 of the result holds the reduction.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn reduce_states_lane0(m: __m256, negv: __m256) -> __m256 {
-        // Pairs: lane 2t ← pick(m[2t], m[2t+1]).
-        let r1 = _mm256_max_ps(_mm256_movehdup_ps(m), _mm256_moveldup_ps(m));
-        // Quads: lane 4t ← pick(pair 4t, pair 4t+2).
-        let r2 = _mm256_max_ps(_mm256_permute_ps(r1, 0b01_00_11_10), r1);
-        // Halves: lane 0 ← pick(quad 0, quad 4).
-        let r3 = _mm256_max_ps(_mm256_permute2f128_ps(r2, r2, 0x01), r2);
-        // Seed: pick(NEG, tree) with the tree as the candidate.
-        _mm256_max_ps(r3, negv)
-    }
-
-    /// Vector twin of `turbo::scalar_extrinsic`: the two 8-branch metric
-    /// rows are formed vectorized and reduced in-register by the same
-    /// balanced tree `finish_llr` uses (`turbo::reduce_states`), so the
-    /// reduction never round-trips through memory and the max order is
-    /// identical on both paths by construction. The final APP assembly
-    /// repeats `finish_llr`'s scalar arithmetic on the extracted maxima.
+    /// `[row r | row r + 4]`, four states from state `4·h` of each: the
+    /// two 128-bit halves one in-lane 4×4 transpose turns into lanes of
+    /// four states across the eight rows.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2+FMA support; `alpha`/`beta` must
-    /// hold at least `(sys.len() + 1) * 8` elements.
+    /// Caller must have verified AVX2+FMA support; `rows` must point at
+    /// eight readable 8-state rows, `r < 4` and `h < 2`.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn turbo_extrinsic(
+    unsafe fn row_pair(rows: *const f32, r: usize, h: usize) -> __m256 {
+        // SAFETY: the caller's eight rows at `rows` cover rows r and
+        // r + 4 (r < 4), states 4h..4h + 4 (h < 2).
+        unsafe {
+            debug_assert!(r < 4 && h < 2);
+            let lo = _mm_loadu_ps(rows.add(r * STATES + 4 * h));
+            let hi = _mm_loadu_ps(rows.add((r + 4) * STATES + 4 * h));
+            _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1)
+        }
+    }
+
+    /// Transposes eight consecutive 8-state rows at `rows` into one
+    /// vector per state whose lane `r` is row `r`'s metric: register
+    /// `s` of the result is state `s` across the eight trellis steps.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2+FMA support; `rows` must point at
+    /// eight readable 8-state rows (64 floats).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn transpose_rows(rows: *const f32) -> [__m256; STATES] {
+        let mut out = [_mm256_setzero_ps(); STATES];
+        debug_assert!(rows.is_aligned());
+        for h in 0..2 {
+            // SAFETY: the caller guarantees eight readable rows at
+            // `rows`; `row_pair` reads only inside them.
+            unsafe {
+                let r0 = row_pair(rows, 0, h);
+                let r1 = row_pair(rows, 1, h);
+                let r2 = row_pair(rows, 2, h);
+                let r3 = row_pair(rows, 3, h);
+                let t0 = _mm256_unpacklo_ps(r0, r1);
+                let t1 = _mm256_unpackhi_ps(r0, r1);
+                let t2 = _mm256_unpacklo_ps(r2, r3);
+                let t3 = _mm256_unpackhi_ps(r2, r3);
+                out[4 * h] = _mm256_shuffle_ps(t0, t2, 0x44);
+                out[4 * h + 1] = _mm256_shuffle_ps(t0, t2, 0xEE);
+                out[4 * h + 2] = _mm256_shuffle_ps(t1, t3, 0x44);
+                out[4 * h + 3] = _mm256_shuffle_ps(t1, t3, 0xEE);
+            }
+        }
+        out
+    }
+
+    /// `turbo::reduce_states` on eight steps at once, one step per lane:
+    /// the same balanced tree (adjacent pairs, quads, halves, then the
+    /// NEG seed) as vertical candidate-first MAXPS, `max(cand, acc)` for
+    /// every `pick(acc, cand)`, so each lane is the scalar reduction.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2+FMA support.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn reduce_states8(m: &[__m256; STATES], negv: __m256) -> __m256 {
+        let x01 = _mm256_max_ps(m[1], m[0]);
+        let x23 = _mm256_max_ps(m[3], m[2]);
+        let x45 = _mm256_max_ps(m[5], m[4]);
+        let x67 = _mm256_max_ps(m[7], m[6]);
+        let lo = _mm256_max_ps(x23, x01);
+        let hi = _mm256_max_ps(x67, x45);
+        _mm256_max_ps(_mm256_max_ps(hi, lo), negv)
+    }
+
+    /// Vector twin of `turbo::scalar_extrinsic` over `sys.len()` steps (a
+    /// multiple of 8), eight steps per vector: alpha rows `i..i + 8` and
+    /// beta rows `i + 1..i + 9` are transposed so each register holds
+    /// one state across the eight steps. The successor gather then is
+    /// register selection (`NEXT_STATE`), each branch metric is the
+    /// scalar `(a + b) + ±hp` per lane, `reduce_states8` is the scalar
+    /// tree per lane, and the APP assembly repeats `finish_llr`'s
+    /// arithmetic lane-wise — every lane is one step's scalar DAG.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2+FMA support; `sys.len()` must be a
+    /// multiple of 8, `par`, `apriori` and `extrinsic` as long, `alpha`
+    /// at least `sys.len() * 8` and `beta` at least `(sys.len() + 1) * 8`
+    /// elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn turbo_extrinsic8(
         sys: &[f32],
         par: &[f32],
         apriori: &[f32],
@@ -624,29 +744,43 @@ pub(crate) mod x86 {
         beta: &[f32],
         extrinsic: &mut [f32],
     ) {
+        let steps = sys.len();
+        debug_assert!(steps.is_multiple_of(8));
+        debug_assert!(par.len() == steps && apriori.len() == steps && extrinsic.len() == steps);
+        debug_assert!(alpha.len() >= steps * STATES && beta.len() >= (steps + 1) * STATES);
+        // SAFETY: step block i..i + 8 reads alpha rows i..i + 8, beta
+        // rows i + 1..i + 9 and eight entries of each per-step slice,
+        // all inside the lengths debug-asserted above.
         unsafe {
-            let n0 = perm_index(NEXT_STATE[0]);
-            let n1 = perm_index(NEXT_STATE[1]);
-            let q0 = sign_mask(BRANCH_PARITY[0]);
-            let q1 = sign_mask(BRANCH_PARITY[1]);
+            let half = _mm256_set1_ps(0.5);
+            let neg_zero = _mm256_set1_ps(-0.0);
             let negv = _mm256_set1_ps(NEG);
-            for i in 0..sys.len() {
-                let a = _mm256_loadu_ps(alpha.as_ptr().add(i * STATES));
-                let b = _mm256_loadu_ps(beta.as_ptr().add((i + 1) * STATES));
-                let hp = _mm256_set1_ps(0.5 * par[i]);
-                let v0 = _mm256_add_ps(
-                    _mm256_add_ps(a, _mm256_permutevar8x32_ps(b, n0)),
-                    _mm256_xor_ps(hp, q0),
+            let mut m0 = [negv; STATES];
+            let mut m1 = [negv; STATES];
+            for i in (0..steps).step_by(8) {
+                let a = transpose_rows(alpha.as_ptr().add(i * STATES));
+                let b = transpose_rows(beta.as_ptr().add((i + 1) * STATES));
+                let hp = _mm256_mul_ps(half, _mm256_loadu_ps(par.as_ptr().add(i)));
+                let signed_hp = [hp, _mm256_xor_ps(hp, neg_zero)];
+                for s in 0..STATES {
+                    m0[s] = _mm256_add_ps(
+                        _mm256_add_ps(a[s], b[NEXT_STATE[0][s]]),
+                        signed_hp[BRANCH_PARITY[0][s] as usize],
+                    );
+                    m1[s] = _mm256_add_ps(
+                        _mm256_add_ps(a[s], b[NEXT_STATE[1][s]]),
+                        signed_hp[BRANCH_PARITY[1][s] as usize],
+                    );
+                }
+                let best0 = reduce_states8(&m0, negv);
+                let best1 = reduce_states8(&m1, negv);
+                let ls = _mm256_add_ps(
+                    _mm256_loadu_ps(sys.as_ptr().add(i)),
+                    _mm256_loadu_ps(apriori.as_ptr().add(i)),
                 );
-                let v1 = _mm256_add_ps(
-                    _mm256_add_ps(a, _mm256_permutevar8x32_ps(b, n1)),
-                    _mm256_xor_ps(hp, q1),
-                );
-                let best0 = _mm256_cvtss_f32(reduce_states_lane0(v0, negv));
-                let best1 = _mm256_cvtss_f32(reduce_states_lane0(v1, negv));
-                let ls = sys[i] + apriori[i];
-                let app = (best0 + 0.5 * ls) - (best1 - 0.5 * ls);
-                extrinsic[i] = app - ls;
+                let hs = _mm256_mul_ps(half, ls);
+                let app = _mm256_sub_ps(_mm256_add_ps(best0, hs), _mm256_sub_ps(best1, hs));
+                _mm256_storeu_ps(extrinsic.as_mut_ptr().add(i), _mm256_sub_ps(app, ls));
             }
         }
     }

@@ -389,11 +389,14 @@ fn signed(h: f32, bit: u8) -> f32 {
     }
 }
 
-/// Reusable scratch for the iterative decoder: the per-iteration LLR
-/// vectors plus the flat state-major `alpha`/`beta` metric planes
+/// Reusable scratch for decoding one block: the per-iteration LLR
+/// vectors, the per-pass branch-metric arrays the vector recursions
+/// broadcast from, the flat state-major `alpha`/`beta` metric planes
 /// (`metric[i * 8 + state]`, one cache-aligned-enough 8-lane row per
-/// trellis step). Grown on first use per block size and then reused, so
-/// a warm workspace makes [`TurboDecoder::decode_into`] allocation-free.
+/// trellis step), and the block's a-posteriori output. Grown on first
+/// use per block size and then reused, so a warm workspace makes
+/// [`TurboDecoder::decode_into`] allocation-free; a group decode
+/// ([`TurboDecoder::decode_group`]) takes one workspace per block.
 #[derive(Clone, Debug, Default)]
 pub struct TurboWorkspace {
     sys_interleaved: Vec<f32>,
@@ -402,15 +405,31 @@ pub struct TurboWorkspace {
     extrinsic1: Vec<f32>,
     extrinsic2: Vec<f32>,
     next_apriori: Vec<f32>,
+    half_sys: Vec<f32>,
+    half_par: Vec<f32>,
     alpha: Vec<f32>,
     beta: Vec<f32>,
     app: Vec<f32>,
+    converged: bool,
 }
 
 impl TurboWorkspace {
     /// Creates an empty workspace; buffers grow on first decode.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The a-posteriori LLRs of the information bits left by the last
+    /// [`TurboDecoder::decode_group`] that used this workspace.
+    pub fn app(&self) -> &[f32] {
+        &self.app
+    }
+
+    /// Hard decisions on [`app`](Self::app) into `out` (`0` where the
+    /// LLR is `>= 0`, else `1`), replacing its contents.
+    pub fn hard_bits_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend(self.app.iter().map(|&l| if l >= 0.0 { 0u8 } else { 1 }));
     }
 
     fn prepare(&mut self, k: usize) {
@@ -420,7 +439,67 @@ impl TurboWorkspace {
         self.extrinsic1.resize(k, 0.0);
         self.extrinsic2.resize(k, 0.0);
         self.next_apriori.resize(k, 0.0);
+        self.half_sys.resize(k, 0.0);
+        self.half_par.resize(k, 0.0);
+        self.converged = false;
         // alpha/beta are sized inside the SISO pass.
+    }
+
+    /// This block's operands for SISO pass 1 (natural order) or pass 2
+    /// (interleaved order).
+    fn siso_view<'a>(&'a mut self, llrs: &'a TurboLlrs, second: bool) -> SisoBlock<'a> {
+        let TurboWorkspace {
+            sys_interleaved,
+            apriori1,
+            apriori2,
+            extrinsic1,
+            extrinsic2,
+            half_sys,
+            half_par,
+            alpha,
+            beta,
+            ..
+        } = self;
+        let (sys, par, apriori, tail, extrinsic) = if second {
+            (
+                &sys_interleaved[..],
+                &llrs.parity2[..],
+                &apriori2[..],
+                &llrs.tail2,
+                extrinsic2,
+            )
+        } else {
+            (
+                &llrs.systematic[..],
+                &llrs.parity1[..],
+                &apriori1[..],
+                &llrs.tail1,
+                extrinsic1,
+            )
+        };
+        SisoBlock {
+            sys,
+            par,
+            apriori,
+            tail,
+            half_sys,
+            half_par,
+            alpha,
+            beta,
+            extrinsic,
+        }
+    }
+}
+
+/// Size of the first lockstep group of `remaining` equal-K blocks:
+/// blocks go in pairs, a lone block alone, and three remaining blocks
+/// form one group, so an odd count ends in a group of three
+/// (`5 → 2, 3`). It depends on the block count alone.
+pub fn lockstep_group_len(remaining: usize) -> usize {
+    if remaining == 3 {
+        3
+    } else {
+        remaining.min(2)
     }
 }
 
@@ -507,11 +586,8 @@ impl TurboDecoder {
     ///
     /// Panics if the LLR block sizes do not match `k`.
     pub fn decode_into(&self, llrs: &TurboLlrs, ws: &mut TurboWorkspace, out: &mut Vec<u8>) {
-        let mut app = std::mem::take(&mut ws.app);
-        self.decode_soft_into(llrs, ws, &mut app);
-        out.clear();
-        out.extend(app.iter().map(|&l| if l >= 0.0 { 0u8 } else { 1 }));
-        ws.app = app;
+        self.decode_group(std::slice::from_ref(llrs), std::slice::from_mut(ws));
+        ws.hard_bits_into(out);
     }
 
     /// [`decode_soft`](Self::decode_soft) into caller-provided buffers;
@@ -522,63 +598,68 @@ impl TurboDecoder {
     ///
     /// Panics if the LLR block sizes do not match `k`.
     pub fn decode_soft_into(&self, llrs: &TurboLlrs, ws: &mut TurboWorkspace, out: &mut Vec<f32>) {
-        let k = self.block_size();
-        assert_eq!(llrs.systematic.len(), k, "systematic length mismatch");
-        assert_eq!(llrs.parity1.len(), k, "parity1 length mismatch");
-        assert_eq!(llrs.parity2.len(), k, "parity2 length mismatch");
+        self.decode_group(std::slice::from_ref(llrs), std::slice::from_mut(ws));
+        out.clear();
+        out.extend_from_slice(&ws.app);
+    }
 
-        ws.prepare(k);
-        let TurboWorkspace {
-            sys_interleaved,
-            apriori1,
-            apriori2,
-            extrinsic1,
-            extrinsic2,
-            next_apriori,
-            alpha,
-            beta,
-            ..
-        } = ws;
-        self.interleaver
-            .apply_into(&llrs.systematic, sys_interleaved);
-        apriori1.fill(0.0);
+    /// Decodes a group of equal-K blocks in lockstep, block `b` from
+    /// `llrs[b]` in workspace `ws[b]`, leaving its a-posteriori LLRs in
+    /// [`TurboWorkspace::app`]. Each SISO pass advances the blocks
+    /// together ([`lockstep_group_len`] blocks per vector loop), but no
+    /// block reads another's state, so every block's output is bit for
+    /// bit its one-block decode. With early termination each block stops
+    /// at its own bitwise fixed point and the group at the last of them.
+    /// With warm workspaces this allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's LLR lengths do not match `k`, or if there are
+    /// fewer workspaces than blocks.
+    pub fn decode_group(&self, llrs: &[TurboLlrs], ws: &mut [TurboWorkspace]) {
+        let k = self.block_size();
+        assert!(ws.len() >= llrs.len(), "one workspace per block");
+        let ws = &mut ws[..llrs.len()];
+        for (w, l) in ws.iter_mut().zip(llrs) {
+            assert_eq!(l.systematic.len(), k, "systematic length mismatch");
+            assert_eq!(l.parity1.len(), k, "parity1 length mismatch");
+            assert_eq!(l.parity2.len(), k, "parity2 length mismatch");
+            w.prepare(k);
+            self.interleaver
+                .apply_into(&l.systematic, &mut w.sys_interleaved);
+            w.apriori1.fill(0.0);
+        }
 
         for _ in 0..self.iterations {
-            siso_maxlog_into(
-                &llrs.systematic,
-                &llrs.parity1,
-                apriori1,
-                &llrs.tail1,
-                alpha,
-                beta,
-                extrinsic1,
-            );
-            self.interleaver.apply_into(extrinsic1, apriori2);
-            siso_maxlog_into(
-                sys_interleaved,
-                &llrs.parity2,
-                apriori2,
-                &llrs.tail2,
-                alpha,
-                beta,
-                extrinsic2,
-            );
-            self.interleaver.invert_into(extrinsic2, next_apriori);
-            let converged = self.early_termination
-                && next_apriori
-                    .iter()
-                    .zip(apriori1.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            std::mem::swap(apriori1, next_apriori);
-            if converged {
+            siso_pass(llrs, ws, false);
+            for w in ws.iter_mut().filter(|w| !w.converged) {
+                self.interleaver.apply_into(&w.extrinsic1, &mut w.apriori2);
+            }
+            siso_pass(llrs, ws, true);
+            for w in ws.iter_mut().filter(|w| !w.converged) {
+                self.interleaver
+                    .invert_into(&w.extrinsic2, &mut w.next_apriori);
+                w.converged = self.early_termination
+                    && w.next_apriori
+                        .iter()
+                        .zip(&w.apriori1)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                std::mem::swap(&mut w.apriori1, &mut w.next_apriori);
+            }
+            if ws.iter().all(|w| w.converged) {
                 break;
             }
         }
 
-        out.clear();
-        out.reserve(k);
-        for i in 0..k {
-            out.push(llrs.systematic[i] + apriori1[i] + extrinsic1[i]);
+        for (w, l) in ws.iter_mut().zip(llrs) {
+            w.app.clear();
+            w.app.extend(
+                l.systematic
+                    .iter()
+                    .zip(&w.apriori1)
+                    .zip(&w.extrinsic1)
+                    .map(|((&s, &a), &e)| s + a + e),
+            );
         }
     }
 }
@@ -594,70 +675,100 @@ pub fn siso_probe<'w>(
     let k = llrs.systematic.len();
     assert_eq!(llrs.parity1.len(), k, "parity1 length mismatch");
     ws.prepare(k);
-    let TurboWorkspace {
-        apriori1,
-        extrinsic1,
-        alpha,
-        beta,
-        ..
-    } = ws;
-    apriori1.fill(0.0);
-    siso_maxlog_into(
-        &llrs.systematic,
-        &llrs.parity1,
-        apriori1,
-        &llrs.tail1,
-        alpha,
-        beta,
-        extrinsic1,
-    );
-    (alpha.as_slice(), beta.as_slice(), extrinsic1.as_slice())
+    ws.apriori1.fill(0.0);
+    siso_maxlog([ws.siso_view(llrs, false)]);
+    (&ws.alpha, &ws.beta, &ws.extrinsic1)
 }
 
-/// One max-log-MAP (BCJR) pass over a terminated RSC trellis, writing
-/// into workspace buffers.
+/// One block's operands and outputs for one SISO pass. `half_sys` and
+/// `half_par` are the vector path's branch-metric arrays
+/// (`0.5·(sys + apriori)` and `0.5·par` per step), filled by
+/// [`crate::simd::turbo_alpha_beta`].
+pub(crate) struct SisoBlock<'a> {
+    pub(crate) sys: &'a [f32],
+    pub(crate) par: &'a [f32],
+    pub(crate) apriori: &'a [f32],
+    pub(crate) tail: &'a [(f32, f32); TAIL],
+    pub(crate) half_sys: &'a mut [f32],
+    pub(crate) half_par: &'a mut [f32],
+    pub(crate) alpha: &'a mut Vec<f32>,
+    pub(crate) beta: &'a mut Vec<f32>,
+    pub(crate) extrinsic: &'a mut [f32],
+}
+
+/// SISO pass 1 (`second == false`) or 2 over every block of the group
+/// that has not converged, [`lockstep_group_len`] blocks at a time.
+fn siso_pass(llrs: &[TurboLlrs], ws: &mut [TurboWorkspace], second: bool) {
+    let mut remaining = ws.iter().filter(|w| !w.converged).count();
+    let mut blocks = ws
+        .iter_mut()
+        .zip(llrs)
+        .filter(|(w, _)| !w.converged)
+        .map(|(w, l)| w.siso_view(l, second));
+    let mut next = || blocks.next().expect("counted above");
+    while remaining > 0 {
+        let group = lockstep_group_len(remaining);
+        match group {
+            1 => siso_maxlog([next()]),
+            2 => siso_maxlog([next(), next()]),
+            _ => siso_maxlog([next(), next(), next()]),
+        }
+        remaining -= group;
+    }
+}
+
+/// One max-log-MAP (BCJR) pass over a terminated RSC trellis for each
+/// of `G` equal-K blocks, writing into workspace buffers.
 ///
 /// Inputs and outputs use the `ln P(0)/P(1)` convention; `sys`/`apriori`
 /// refer to the information bit, `par` to the branch parity. The three
 /// hot loops (forward, backward, extrinsic) are gather-form over the
-/// 8-state rows — [`crate::simd`] runs the same operation DAG with each
-/// row in one AVX2 register — while the three tail steps stay scalar.
-fn siso_maxlog_into(
-    sys: &[f32],
-    par: &[f32],
-    apriori: &[f32],
-    tail: &[(f32, f32); TAIL],
-    alpha: &mut Vec<f32>,
-    beta: &mut Vec<f32>,
-    extrinsic: &mut [f32],
-) {
-    let k = sys.len();
-    let n = k + TAIL;
-    debug_assert_eq!(par.len(), k);
-    debug_assert_eq!(apriori.len(), k);
-    debug_assert_eq!(extrinsic.len(), k);
-
+/// 8-state rows — [`crate::simd`] runs the same operation DAG per row
+/// and per step, the recursions with each row in one AVX2 register and
+/// the extrinsic pass with one step per lane — while the three tail
+/// steps stay scalar.
+fn siso_maxlog<const G: usize>(mut blocks: [SisoBlock<'_>; G]) {
+    for b in blocks.iter_mut() {
+        let k = b.sys.len();
+        debug_assert_eq!(b.par.len(), k);
+        debug_assert_eq!(b.apriori.len(), k);
+        debug_assert_eq!(b.extrinsic.len(), k);
+        b.alpha.resize((k + TAIL + 1) * STATES, 0.0);
+        b.alpha[..STATES].copy_from_slice(&[0.0, NEG, NEG, NEG, NEG, NEG, NEG, NEG]);
+        b.beta.resize((k + 1) * STATES, 0.0);
+        beta_tail(b.beta, b.tail, k);
+    }
     // Both recursions over the information section: alpha rows 1..=k
     // forward, beta rows k-1..=0 backward. The walks are completely
     // independent (alpha reads only earlier alpha rows, beta only later
-    // beta rows), so the vector kernel interleaves them in one loop —
-    // two dependency chains in flight instead of one, with each row's
-    // operation DAG unchanged. The scalar reference keeps the two
-    // separate loops; independence makes the results identical.
-    alpha.resize((n + 1) * STATES, 0.0);
-    alpha[..STATES].copy_from_slice(&[0.0, NEG, NEG, NEG, NEG, NEG, NEG, NEG]);
-    beta.resize((k + 1) * STATES, 0.0);
-    beta_tail(beta, tail, k);
-    if !crate::simd::turbo_alpha_beta(sys, par, apriori, alpha, beta) {
-        scalar_alpha(sys, par, apriori, alpha);
-        scalar_beta(sys, par, apriori, beta);
+    // beta rows, and no block reads another's), so the vector kernel
+    // advances all 2·G of them in one loop, each row's operation DAG
+    // unchanged. The scalar reference keeps the two separate loops per
+    // block; independence makes the results identical.
+    if !crate::simd::turbo_alpha_beta(&mut blocks) {
+        for b in blocks.iter_mut() {
+            scalar_alpha(b.sys, b.par, b.apriori, b.alpha);
+            scalar_beta(b.sys, b.par, b.apriori, b.beta);
+        }
     }
-    // The three forced-flush tail steps extend alpha past row k; they
-    // only read row k, so they run after the fused kernel.
-    alpha_tail(alpha, tail, k);
-
-    if !crate::simd::turbo_extrinsic(sys, par, apriori, alpha, beta, extrinsic) {
-        scalar_extrinsic(sys, par, apriori, alpha, beta, extrinsic);
+    for b in blocks.iter_mut() {
+        let k = b.sys.len();
+        // The three forced-flush tail steps extend alpha past row k;
+        // they only read row k, so they run after the recursions.
+        alpha_tail(b.alpha, b.tail, k);
+        // The vector pass takes eight steps at a time; the `k % 8`
+        // steps after them (all of them on the scalar dispatch) run the
+        // scalar reference on the same rows.
+        let s =
+            crate::simd::turbo_extrinsic8(b.sys, b.par, b.apriori, b.alpha, b.beta, b.extrinsic);
+        scalar_extrinsic(
+            &b.sys[s..],
+            &b.par[s..],
+            &b.apriori[s..],
+            &b.alpha[s * STATES..],
+            &b.beta[s * STATES..],
+            &mut b.extrinsic[s..],
+        );
     }
 }
 
@@ -1113,6 +1224,63 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         assert_eq!(early.decode(&llrs), bits);
+    }
+
+    #[test]
+    fn lockstep_groups_are_pairs_with_one_three_for_odd_counts() {
+        for n in 1..=12 {
+            let mut groups = Vec::new();
+            let mut left = n;
+            while left > 0 {
+                let g = lockstep_group_len(left);
+                groups.push(g);
+                left -= g;
+            }
+            let threes = usize::from(n % 2 == 1 && n > 1);
+            assert_eq!(groups.iter().sum::<usize>(), n, "{groups:?}");
+            assert_eq!(
+                groups.iter().filter(|&&g| g == 3).count(),
+                threes,
+                "{groups:?}"
+            );
+            assert_eq!(groups.contains(&1), n == 1, "{groups:?}");
+            assert_eq!(groups.last(), Some(&if threes == 1 { 3 } else { n.min(2) }));
+        }
+    }
+
+    #[test]
+    fn group_decodes_match_one_block_decodes() {
+        // Noiseless blocks reach their fixed point within a few
+        // iterations, noisy ones never do, so with early termination
+        // the blocks of one group stop at different iterations. 100 is
+        // not a multiple of 8: its last four steps take the scalar tail.
+        let mut ws = vec![TurboWorkspace::new(); 5];
+        for k in [40, 100, 1088] {
+            let llrs: Vec<TurboLlrs> = (0..5u64)
+                .map(|b| {
+                    if b % 2 == 0 {
+                        TurboEncoder::new(k).encode(&random_bits(k, b)).to_llrs(8.0)
+                    } else {
+                        noisy_llrs(k, 0.8, b).1
+                    }
+                })
+                .collect();
+            for dec in [
+                TurboDecoder::new(k, 6),
+                TurboDecoder::new(k, 6).with_early_termination(),
+            ] {
+                for group in 1..=5 {
+                    dec.decode_group(&llrs[..group], &mut ws);
+                    for (b, (l, w)) in llrs.iter().zip(&ws[..group]).enumerate() {
+                        let alone = dec.decode_soft(l);
+                        assert_eq!(w.app().len(), k);
+                        for (x, y) in w.app().iter().zip(&alone) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "k={k} group={group} block {b}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

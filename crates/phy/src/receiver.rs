@@ -22,7 +22,7 @@ use lte_dsp::llr::{demap_block_into, hard_decisions_into};
 use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::descramble_llrs_into;
 use lte_dsp::segmentation::Segmentation;
-use lte_dsp::turbo::{TurboDecoder, TurboLlrs, TurboWorkspace};
+use lte_dsp::turbo::{lockstep_group_len, TurboDecoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::Complex32;
 use lte_obs::{Recorder, Stage};
 
@@ -52,14 +52,15 @@ impl UserResult {
 /// Per-worker turbo-decode state: a small cache of constructed
 /// decoder/rate-matcher pairs keyed on `(block size, iterations)` (QPP
 /// interleaver construction is far too expensive to repeat per subframe),
-/// the reusable SISO workspace, and the LLR/bit staging buffers. With a
-/// warm cache the whole decode tail allocates nothing — the fix for
-/// turbo mode having been outside PR 3's zero-alloc guarantee.
+/// one SISO workspace and LLR staging buffer per block of the largest
+/// lockstep group seen, and the bit staging buffer. With a warm cache
+/// the whole decode tail allocates nothing, so turbo mode keeps the
+/// receiver's zero-allocation guarantee.
 #[derive(Default)]
 pub struct TurboScratch {
     codecs: Vec<(usize, usize, TurboDecoder, RateMatcher)>,
-    workspace: TurboWorkspace,
-    llrs: TurboLlrs,
+    workspaces: Vec<TurboWorkspace>,
+    llrs: Vec<TurboLlrs>,
     block_bits: Vec<u8>,
 }
 
@@ -69,23 +70,9 @@ impl TurboScratch {
         Self::default()
     }
 
-    /// Rate-dematches and turbo-decodes one code block's share of the
-    /// descrambled allocation, returning the decoded bits (borrowed
-    /// from the internal staging buffer, valid until the next call).
-    ///
-    /// The deinterleave is fused into the rate-match scatter-add:
-    /// `gather` is this block's slice of the allocation interleaver's
-    /// inverse permutation, and the accumulator reads `src` through it
-    /// instead of a pre-deinterleaved buffer — bit-exact versus the
-    /// two-step path, minus one full pass over the allocation.
-    fn decode_block_gathered(
-        &mut self,
-        k: usize,
-        iterations: usize,
-        src: &[f32],
-        gather: &[u32],
-    ) -> &[u8] {
-        let pos = match self
+    /// Index of the cached `(k, iterations)` codec, built on first use.
+    fn codec(&mut self, k: usize, iterations: usize) -> usize {
+        match self
             .codecs
             .iter()
             .position(|&(ck, ci, ..)| ck == k && ci == iterations)
@@ -100,11 +87,7 @@ impl TurboScratch {
                 ));
                 self.codecs.len() - 1
             }
-        };
-        let (_, _, decoder, matcher) = &self.codecs[pos];
-        matcher.accumulate_llrs_gather_into(src, gather, &mut self.llrs);
-        decoder.decode_into(&self.llrs, &mut self.workspace, &mut self.block_bits);
-        &self.block_bits
+        }
     }
 }
 
@@ -114,9 +97,11 @@ impl TurboScratch {
 /// deinterleave is fused into each block's rate-match gather through
 /// `interleaver`'s inverse permutation — no deinterleaved buffer is
 /// ever materialised, which removes a full store/reload pass over the
-/// allocation from the decode tail. Per-block CRC-24B failures are
-/// absorbed here (a failed block CRC implies the transport CRC-24A will
-/// fail too, matching `desegment`'s contract).
+/// allocation from the decode tail. The code blocks (all of one size)
+/// are decoded in lockstep groups of [`lockstep_group_len`] blocks.
+/// Per-block CRC-24B failures are absorbed here (a failed block CRC
+/// implies the transport CRC-24A will fail too, matching `desegment`'s
+/// contract).
 fn decode_transport(
     turbo: &mut TurboScratch,
     descrambled: &[f32],
@@ -134,16 +119,40 @@ fn decode_transport(
     debug_assert_eq!(inverse.len(), total);
     let base = total / n_blocks;
     let rem = total % n_blocks;
+    let pos = turbo.codec(k, iterations);
+    let TurboScratch {
+        codecs,
+        workspaces,
+        llrs,
+        block_bits,
+    } = turbo;
+    let (_, _, decoder, matcher) = &codecs[pos];
     let mut cursor = 0usize;
-    for b in 0..n_blocks {
-        let e = base + usize::from(b < rem);
-        let gather = &inverse[cursor..cursor + e];
-        cursor += e;
-        let _block_ok = shape.desegment_block_into(
-            b,
-            turbo.decode_block_gathered(k, iterations, descrambled, gather),
-            bits,
-        );
+    let mut first = 0usize;
+    while first < n_blocks {
+        let group = lockstep_group_len(n_blocks - first);
+        if llrs.len() < group {
+            llrs.resize_with(group, TurboLlrs::default);
+            workspaces.resize_with(group, TurboWorkspace::new);
+        }
+        // The deinterleave is fused into the rate-match scatter-add:
+        // each block's `gather` is its slice of the allocation
+        // interleaver's inverse permutation.
+        for (b, block_llrs) in (first..).zip(&mut llrs[..group]) {
+            let e = base + usize::from(b < rem);
+            matcher.accumulate_llrs_gather_into(
+                descrambled,
+                &inverse[cursor..cursor + e],
+                block_llrs,
+            );
+            cursor += e;
+        }
+        decoder.decode_group(&llrs[..group], &mut workspaces[..group]);
+        for (b, ws) in (first..).zip(&workspaces[..group]) {
+            ws.hard_bits_into(block_bits);
+            let _block_ok = shape.desegment_block_into(b, block_bits, bits);
+        }
+        first += group;
     }
 }
 

@@ -17,7 +17,7 @@ use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
 use lte_phy::receiver::{process_user_pooled, process_user_traced, UserResult, UserScratch};
 use lte_phy::trace::{StageHists, StageTimer};
-use lte_phy::tx::{prewarm_references, synthesize_user_with_mode};
+use lte_phy::tx::{prewarm_references, synthesize_user_with_mode, FramePlan};
 
 /// Forwards to the system allocator, counting every allocation (fresh,
 /// zeroed, and growing reallocations — the three ways the hot path could
@@ -129,6 +129,34 @@ fn steady_state_turbo_subframe_is_allocation_free() {
     assert_allocation_free("steady-state turbo subframe processing", || {
         recycle(process_user_pooled(&cell, &input, mode, &planner))
     });
+}
+
+/// Code blocks `user` segments into in turbo-decode mode.
+fn code_blocks(user: &UserConfig) -> usize {
+    match FramePlan::for_user(user, TurboMode::Decode { iterations: 4 }) {
+        FramePlan::Coded { n_blocks, .. } => n_blocks,
+        FramePlan::Passthrough { .. } => unreachable!("decode mode plans coded frames"),
+    }
+}
+
+/// The 25-PRB user decodes its two code blocks as one lockstep pair; a
+/// 50-PRB 2-layer 64-QAM user has five, decoded as a pair and then a
+/// group of three. Every workspace and LLR staging buffer of both groups
+/// must come from the thread's warm `TurboScratch`, never from a
+/// per-subframe allocation.
+#[test]
+fn lockstep_turbo_groups_are_allocation_free() {
+    let mode = TurboMode::Decode { iterations: 4 };
+    for (user, blocks, seed) in [
+        (smooth_user(), 2, 49),
+        (UserConfig::new(50, 2, Modulation::Qam64), 5, 50),
+    ] {
+        assert_eq!(code_blocks(&user), blocks, "{user:?}");
+        let (cell, planner, input) = warm_input(user, mode, seed);
+        assert_allocation_free(&format!("{blocks}-block turbo subframe"), || {
+            recycle(process_user_pooled(&cell, &input, mode, &planner))
+        });
+    }
 }
 
 /// Both receive modes of `user` must be allocation-free once warm.

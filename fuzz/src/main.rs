@@ -19,14 +19,17 @@
 //!   the word-parallel, table-driven and fixed-size kernels to the
 //!   one-step-at-a-time forms kept in [`oracle`], and `fft-prime` and
 //!   `fft-order` hold the FFT's generic butterfly and its iterative
-//!   driver to the recursive, one-chain-per-output form.
+//!   driver to the recursive, one-chain-per-output form; `turbo-group`
+//!   holds the turbo decoder's lockstep group decode (vector path) to
+//!   one-block decodes (scalar path).
 //!
 //! ```text
 //! lte-fuzz [TARGET] [--iters N] [--seed S]
 //! TARGET: demap | fft | segmentation | rate-match | turbo |
-//!         turbo-simd | turbo-early-term | matched-filter |
-//!         calibration | gold-word | crc-table | descramble |
-//!         mmse-fixed | fft-prime | fft-order | all (default)
+//!         turbo-simd | turbo-early-term | turbo-group |
+//!         matched-filter | calibration | gold-word | crc-table |
+//!         descramble | mmse-fixed | fft-prime | fft-order |
+//!         all (default)
 //! ```
 
 mod oracle;
@@ -42,7 +45,9 @@ use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::{descramble_llrs, descramble_llrs_into, GoldSequence};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::simd::force_scalar;
-use lte_dsp::turbo::{supported_block_sizes, TurboDecoder, TurboEncoder, TurboLlrs};
+use lte_dsp::turbo::{
+    supported_block_sizes, TurboDecoder, TurboEncoder, TurboLlrs, TurboWorkspace,
+};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::ChannelEstimate;
@@ -60,6 +65,7 @@ const TARGETS: &[Target] = &[
     ("turbo", fuzz_turbo),
     ("turbo-simd", fuzz_turbo_simd),
     ("turbo-early-term", fuzz_turbo_early_term),
+    ("turbo-group", fuzz_turbo_group),
     ("matched-filter", fuzz_matched_filter),
     ("calibration", fuzz_calibration),
     ("gold-word", fuzz_gold_word),
@@ -140,8 +146,9 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
-         turbo-early-term|matched-filter|calibration|gold-word|crc-table|\
-         descramble|mmse-fixed|fft-prime|fft-order|all] [--iters N] [--seed S]"
+         turbo-early-term|turbo-group|matched-filter|calibration|gold-word|\
+         crc-table|descramble|mmse-fixed|fft-prime|fft-order|all] [--iters N] \
+         [--seed S]"
     );
     std::process::exit(2);
 }
@@ -301,6 +308,21 @@ fn wild_llrs(rng: &mut Xoshiro256, n: usize) -> Vec<f32> {
         .collect()
 }
 
+/// A whole turbo block of [`wild_llrs`], tails included.
+fn wild_turbo_llrs(rng: &mut Xoshiro256, k: usize) -> TurboLlrs {
+    let mut llrs = TurboLlrs {
+        systematic: wild_llrs(rng, k),
+        parity1: wild_llrs(rng, k),
+        parity2: wild_llrs(rng, k),
+        ..TurboLlrs::default()
+    };
+    for t in llrs.tail1.iter_mut().chain(llrs.tail2.iter_mut()) {
+        t.0 = wild_llrs(rng, 1)[0];
+        t.1 = wild_llrs(rng, 1)[0];
+    }
+    llrs
+}
+
 /// Sizes the differential turbo targets draw from: the full supported
 /// ladder capped at 1088 so a fuzz run stays fast while still covering
 /// tabulated and dense-ladder interleavers.
@@ -319,16 +341,7 @@ fn fuzz_turbo_size(rng: &mut Xoshiro256) -> usize {
 fn fuzz_turbo_simd(seed: u64) {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let k = fuzz_turbo_size(&mut rng);
-    let mut llrs = TurboLlrs {
-        systematic: wild_llrs(&mut rng, k),
-        parity1: wild_llrs(&mut rng, k),
-        parity2: wild_llrs(&mut rng, k),
-        ..TurboLlrs::default()
-    };
-    for t in llrs.tail1.iter_mut().chain(llrs.tail2.iter_mut()) {
-        t.0 = wild_llrs(&mut rng, 1)[0];
-        t.1 = wild_llrs(&mut rng, 1)[0];
-    }
+    let llrs = wild_turbo_llrs(&mut rng, k);
     let decoder = TurboDecoder::new(k, 1 + rng.next_below(3) as usize);
     force_scalar(false);
     let simd_soft = decoder.decode_soft(&llrs);
@@ -374,6 +387,99 @@ fn fuzz_turbo_early_term(seed: u64) {
         full.decode(&llrs),
         "turbo-early-term: hard decisions diverged (k={k} iters={iterations})"
     );
+}
+
+/// Lockstep group decodes against one-block decodes: a group of 1–5
+/// equal-K blocks decoded together on the vector dispatch must give each
+/// block the soft output of its own decode on the scalar reference,
+/// compared as bits — except that a NaN output is compared as NaN (x86
+/// propagates whichever NaN operand sits first in the instruction, and
+/// the compiler picks that order). K comes from the whole supported
+/// ladder plus a few sizes that are not a multiple of 8, whose last
+/// `k % 8` steps take the extrinsic pass's scalar tail; iterations 1–6,
+/// early termination on or off, and each block either wild LLRs (half
+/// of them salted with a few infinities and NaNs) or a codeword with
+/// noise from none (a block that converges early) up to its own
+/// magnitude.
+fn fuzz_turbo_group(seed: u64) {
+    const RAGGED: [usize; 4] = [12, 44, 100, 1020];
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let k = if rng.next_below(5) == 0 {
+        RAGGED[rng.next_below(RAGGED.len() as u64) as usize]
+    } else {
+        let sizes = supported_block_sizes();
+        sizes[rng.next_below(sizes.len() as u64) as usize]
+    };
+    let group = 1 + rng.next_below(5) as usize;
+    let iterations = 1 + rng.next_below(6) as usize;
+    let early = rng.next_below(2) == 0;
+    let decoder = TurboDecoder::new(k, iterations);
+    let decoder = if early {
+        decoder.with_early_termination()
+    } else {
+        decoder
+    };
+    let llrs: Vec<TurboLlrs> = (0..group)
+        .map(|_| {
+            if rng.next_below(2) == 0 {
+                let mut llrs = wild_turbo_llrs(&mut rng, k);
+                // Now and then a few non-finite channel values, so NaN
+                // metrics reach the extrinsic pass's max tree.
+                if rng.next_below(2) == 0 {
+                    for _ in 0..1 + rng.next_below(3) {
+                        let i = rng.next_below(k as u64) as usize;
+                        let stream = match rng.next_below(3) {
+                            0 => &mut llrs.systematic,
+                            1 => &mut llrs.parity1,
+                            _ => &mut llrs.parity2,
+                        };
+                        stream[i] = match rng.next_below(3) {
+                            0 => f32::INFINITY,
+                            1 => f32::NEG_INFINITY,
+                            _ => f32::from_bits(rng.next_u32() | 0x7F80_0001), // NaN, any payload/sign
+                        };
+                    }
+                }
+                return llrs;
+            }
+            let bits: Vec<u8> = (0..k).map(|_| (rng.next_u32() & 1) as u8).collect();
+            let mag = 0.25 + rng.next_f32() * 8.0;
+            let sigma = if rng.next_below(3) == 0 {
+                0.0
+            } else {
+                rng.next_f32() * mag
+            };
+            let mut llrs = TurboEncoder::new(k).encode(&bits).to_llrs(mag);
+            for v in llrs
+                .systematic
+                .iter_mut()
+                .chain(&mut llrs.parity1)
+                .chain(&mut llrs.parity2)
+            {
+                *v += (rng.next_f32() * 2.0 - 1.0) * sigma;
+            }
+            llrs
+        })
+        .collect();
+    let mut ws = vec![TurboWorkspace::new(); group];
+    force_scalar(false);
+    decoder.decode_group(&llrs, &mut ws);
+    force_scalar(true);
+    let alone: Vec<Vec<f32>> = llrs.iter().map(|l| decoder.decode_soft(l)).collect();
+    force_scalar(false);
+    let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    for (b, (w, want)) in ws.iter().zip(&alone).enumerate() {
+        assert_eq!(w.app().len(), k, "turbo-group k={k}: block {b} length");
+        for (i, (&x, &y)) in w.app().iter().zip(want).enumerate() {
+            assert!(
+                same(x, y),
+                "turbo-group k={k} group={group} iterations={iterations} early={early}: \
+                 block {b} diverged at {i}: {x:e} ({:08x}) vs {y:e} ({:08x})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        }
+    }
 }
 
 /// The matched filter's conjugate multiply, out of place and in place,

@@ -95,8 +95,10 @@ cargo run -q --offline --release -p lte-fuzz -- all --iters 120 \
 # branch-free descramble, fixed-size MMSE solve), the FFT's generic
 # butterfly (all output chains advanced together) and its iterative
 # driver (vectorized leaf stage, one pass per level) against the
-# one-at-a-time oracles in fuzz/src/oracle.rs, by name and deeper.
-for target in gold-word crc-table descramble mmse-fixed fft-prime fft-order; do
+# one-at-a-time oracles in fuzz/src/oracle.rs, and the turbo decoder's
+# lockstep group decode against one-block scalar decodes, by name and
+# deeper.
+for target in gold-word crc-table descramble mmse-fixed fft-prime fft-order turbo-group; do
     for seed in 1 2 3; do
         cargo run -q --offline --release -p lte-fuzz -- "$target" --iters 2000 --seed "$seed" \
             || { echo "fuzz: $target diverged from its oracle (seed $seed)"; exit 1; }
