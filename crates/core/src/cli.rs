@@ -9,20 +9,17 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::ablation;
+use crate::artifacts::{Artifact, Inputs, ARTIFACTS};
 use crate::experiments::ExperimentContext;
-use crate::report;
-use crate::{BenchmarkConfig, UplinkBenchmark};
 use lte_fault::OverloadPolicy;
-use lte_model::{ParameterModel, RampModel};
-use lte_phy::params::CellConfig;
 
+#[derive(Default)]
 struct Options {
     command: String,
     ctx: ExperimentContext,
     out: PathBuf,
     perfetto: Option<PathBuf>,
     metrics: Option<PathBuf>,
-    stride: usize,
     /// Raw `--policy` value: an overload policy for `chaos`, a nap
     /// policy (or `all`) for `govern`. Parsed at the use site because
     /// the two commands accept different vocabularies.
@@ -59,81 +56,51 @@ USAGE:
     lte-sim [COMMAND] [FLAGS]
 
 COMMANDS:
+  Paper artifacts — each writes its files, checks the paper's claim and
+  exits 1 when the claim fails; claims about the ramp peak need the full
+  68 000 subframes and are otherwise reported as not checked:
     fig7 fig8 fig9    input parameter traces (users, PRBs, layers) as CSV
     fig11             activity/PRB calibration sweep (CSV + SVG)
     fig12             workload-estimator validation (CSV + SVG)
     fig13             estimated active-core targets (CSV)
     fig14 fig15 fig16 power traces for all nap policies (CSV + SVG)
     table1 table2     average dynamic / total power tables (markdown)
+    iv-d              §IV-D: ten ramp subframes decoded on the real pool,
+                      verified bit-exact against the serial reference
+    all               every artifact above, in order (default command)
+  Studies and drivers:
     concurrency       subframe concurrency and job latency percentiles
+    ablation          sweep the design constants the paper fixes
+    diurnal           the diurnal-day power study
     trace             record an instrumented NAP+IDLE run: Perfetto
                       trace-event JSON plus a flat metrics snapshot
     chaos             deterministic fault-injection campaign: DES chaos
                       under an overload policy, real-pool conservation,
                       link-level HARQ recovery (trace + metrics JSON)
-    govern            closed-loop power governance on both substrates:
-                      governed DES bursts with an estimated-vs-measured
-                      activity audit (Fig. 12 per subframe), governed
-                      real-pool runs verified byte-identical against
-                      ungoverned ones with parked-core-time accounting,
-                      and Eq. 3 slope re-calibration from real runs
-                      (GOVERN.json + governor trace/metrics)
-    bench             run the real parallel benchmark briefly
-    soak              continuous-telemetry soak: N subframes through the
-                      governed DES in rolling windows of W, with
-                      per-window latency histograms (p50/p99/p999),
-                      an EBLER surface from real receiver decodes,
-                      per-window energy and governor target-vs-achieved
-                      cores, and SLO budgets (deadline-miss rate, shed
-                      rate). Writes SOAK.json + the rolling SOAK.jsonl
-                      stream + an OpenMetrics exposition (all byte-
-                      deterministic) plus a separate wall-clock host-
-                      metrics file; exits 1 when any window violates
-                      its SLO
-    serve             continuously-running ingest service: deterministic
-                      traffic (full-buffer, bursty-IoT or VoIP duty
-                      cycles) arrives through a bounded ring with
-                      token-bucket admission and a reject → shed →
-                      degrade escalation ladder, while the pressure-
-                      wrapped governor closes its power loop on live
-                      queue depth. Drains gracefully on SIGINT/SIGTERM,
-                      hot-reloads --config at a tick boundary, self-
-                      heals worker crashes, and a watchdog restarts a
-                      stalled pipeline. Writes SERVE.json + SERVE.om;
-                      exits 0 on a clean drain, 1 when a calm (chaos-
-                      free) window violates its SLO, 3 when drained by
-                      a signal
-    deploy            multi-cell deployment: provision --cells cells
-                      (each with its own physical-cell identity,
-                      Zadoff-Chu root and scrambling sequence) and
-                      split --ues UEs across them; every tick each
-                      cell's traffic model offers population-scaled
-                      load, the per-cell scheduler grants within its
-                      PRB budget, and one receiver per cell shards
-                      onto the shared pool with fair round-robin
-                      dispatch. Nonzero --coupling-milli injects
-                      deterministic inter-cell interference; at zero
-                      coupling cells are provably independent. Writes
-                      DEPLOY.json + DEPLOY.om, byte-deterministic
-                      under a fixed seed for every worker count
-    fingerprint       print a one-line FNV-1a 64 fingerprint of the
-                      canonical run's decoded bytes plus the canonical
-                      trace-event stream (seed, subframes, user count,
-                      hash, trace_events, trace) for byte-identity
-                      diffing
+    govern            closed-loop power governance: governed DES bursts
+                      with an estimated-vs-measured activity audit,
+                      governed real-pool runs verified byte-identical,
+                      Eq. 3 re-calibration (GOVERN.json + trace/metrics)
+    soak              N subframes through the governed DES in rolling
+                      windows with latency, EBLER, energy and SLO
+                      telemetry (SOAK.json, SOAK.jsonl, SOAK.om; exits 1
+                      when a window violates its SLO)
+    serve             continuously-running ingest service: bounded ring,
+                      token-bucket admission, reject → shed → degrade
+                      escalation, governor on live queue depth, hot
+                      reload of --config, watchdog (SERVE.json +
+                      SERVE.om; exits 1 when a calm window violates its
+                      SLO, 3 when drained by a signal)
+    deploy            multi-cell deployment: --cells cells share one pool
+                      and --ues UEs; --coupling-milli injects inter-cell
+                      interference (DEPLOY.json + DEPLOY.om, byte-
+                      deterministic for every worker count)
+    fingerprint       one-line FNV-1a 64 fingerprint of the canonical
+                      run's decoded bytes and trace-event stream
     vectors           conformance gate: recompute the golden kernel
-                      vectors (FFT, Zadoff-Chu, channel estimate, MMSE
-                      weights, demap LLRs, segmentation/rate matching,
-                      turbo, CRC, end-to-end receiver) and compare them
-                      against conformance/golden.json, failing on any
-                      byte drift; --write regenerates the file,
-                      --scalar forces the scalar reference path so the
-                      SIMD and fallback kernels are both gated
-    ablation          sweep the design constants the paper fixes
-    diurnal           the diurnal-day power study
-    golden            store and verify a serial golden record
-    all               every figure and table, written to --out
-                      (default command)
+                      vectors and compare them with conformance/
+                      golden.json (--write regenerates, --scalar forces
+                      the scalar kernels)
 
 FLAGS:
     --quick           reduced setup for smoke tests (4 000 subframes,
@@ -198,173 +165,80 @@ ran, and exit with status 3.
 ";
 
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = String::from("all");
-    let mut ctx = ExperimentContext::paper();
-    let mut out = PathBuf::from("results");
-    let mut perfetto = None;
-    let mut metrics = None;
-    let mut policy = None;
-    let mut calibration = None;
-    let mut chaos = false;
-    let mut quick = false;
-    let mut subframes_override = None;
-    let mut workers = None;
-    let mut window = None;
-    let mut traffic = None;
-    let mut config = None;
-    let mut write_vectors = false;
-    let mut scalar = false;
-    let mut golden = None;
-    let mut cells = None;
-    let mut ues = None;
-    let mut coupling_milli = None;
-    let mut cell_kind = None;
-    let mut i = 0;
-    // Fetch the value of `--flag value`, exiting with a clear message if
-    // it is missing.
-    let value_of = |args: &[String], i: usize, flag: &str| -> String {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
+    let mut o = Options {
+        command: String::from("all"),
+        out: PathBuf::from("results"),
+        ..Options::default()
     };
+    let mut seed = None;
     // A numeric flag's value in the type the flag feeds: anything that
     // type cannot hold (a sign, a fraction, an overflow) exits 2 rather
     // than being truncated into range.
-    fn parse_number<T: std::str::FromStr<Err: std::fmt::Display>>(text: &str, flag: &str) -> T {
-        text.parse().unwrap_or_else(|e| {
-            eprintln!("{flag} takes a number, got '{text}' ({e})");
-            std::process::exit(2);
-        })
+    fn number<T: std::str::FromStr<Err: std::fmt::Display>>(text: &str, flag: &str) -> T {
+        text.parse()
+            .unwrap_or_else(|e| fail(2, format!("{flag} takes a number, got '{text}' ({e})")))
     }
-    while i < args.len() {
-        match args[i].as_str() {
+    fn positive(text: &str, flag: &str) -> usize {
+        match number(text, flag) {
+            0 => fail(2, format!("{flag} must be positive")),
+            n => n,
+        }
+    }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        // The value of `--flag value`, exiting with a clear message if
+        // it is missing.
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| fail(2, format!("{arg} requires a value")))
+        };
+        match arg.as_str() {
             "--help" | "-h" | "help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
-            "--quick" => {
-                ctx = ExperimentContext::quick();
-                quick = true;
-            }
-            "--subframes" => {
-                ctx.n_subframes = parse_number(&value_of(&args, i, "--subframes"), "--subframes");
-                subframes_override = Some(ctx.n_subframes);
-                i += 1;
-            }
-            "--seed" => {
-                ctx.seed = parse_number(&value_of(&args, i, "--seed"), "--seed");
-                i += 1;
-            }
-            "--out" => {
-                out = PathBuf::from(value_of(&args, i, "--out"));
-                i += 1;
-            }
-            "--perfetto" => {
-                perfetto = Some(PathBuf::from(value_of(&args, i, "--perfetto")));
-                i += 1;
-            }
-            "--metrics" => {
-                metrics = Some(PathBuf::from(value_of(&args, i, "--metrics")));
-                i += 1;
-            }
-            "--policy" => {
-                policy = Some(value_of(&args, i, "--policy"));
-                i += 1;
-            }
-            "--calibration" => {
-                calibration = Some(PathBuf::from(value_of(&args, i, "--calibration")));
-                i += 1;
-            }
-            "--chaos" => chaos = true,
-            "--workers" => {
-                let n: usize = parse_number(&value_of(&args, i, "--workers"), "--workers");
-                if n == 0 {
-                    eprintln!("--workers must be positive");
-                    std::process::exit(2);
-                }
-                workers = Some(n);
-                i += 1;
-            }
-            "--window" => {
-                window = Some(parse_number(&value_of(&args, i, "--window"), "--window"));
-                i += 1;
-            }
-            "--traffic" => {
-                traffic = Some(value_of(&args, i, "--traffic"));
-                i += 1;
-            }
-            "--config" => {
-                config = Some(PathBuf::from(value_of(&args, i, "--config")));
-                i += 1;
-            }
-            "--write" => write_vectors = true,
+            "--quick" => o.quick = true,
+            "--subframes" => o.subframes_override = Some(number(&value(), &arg)),
+            "--seed" => seed = Some(number(&value(), &arg)),
+            "--out" => o.out = value().into(),
+            "--perfetto" => o.perfetto = Some(value().into()),
+            "--metrics" => o.metrics = Some(value().into()),
+            "--policy" => o.policy = Some(value()),
+            "--calibration" => o.calibration = Some(value().into()),
+            "--chaos" => o.chaos = true,
+            "--workers" => o.workers = Some(positive(&value(), &arg)),
+            "--window" => o.window = Some(number(&value(), &arg)),
+            "--traffic" => o.traffic = Some(value()),
+            "--config" => o.config = Some(value().into()),
+            "--write" => o.write_vectors = true,
             // Checking is the vectors default; the explicit flag is
             // accepted so scripts can spell out their intent.
-            "--check" => write_vectors = false,
-            "--scalar" => scalar = true,
-            "--golden" => {
-                golden = Some(PathBuf::from(value_of(&args, i, "--golden")));
-                i += 1;
-            }
-            "--cells" => {
-                let n: usize = parse_number(&value_of(&args, i, "--cells"), "--cells");
-                if n == 0 {
-                    eprintln!("--cells must be positive");
-                    std::process::exit(2);
-                }
-                cells = Some(n);
-                i += 1;
-            }
-            "--ues" => {
-                ues = Some(parse_number(&value_of(&args, i, "--ues"), "--ues"));
-                i += 1;
-            }
-            "--coupling-milli" => {
-                coupling_milli = Some(parse_number(
-                    &value_of(&args, i, "--coupling-milli"),
-                    "--coupling-milli",
-                ));
-                i += 1;
-            }
-            "--cell-kind" => {
-                cell_kind = Some(value_of(&args, i, "--cell-kind"));
-                i += 1;
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag: {flag}");
-                eprintln!("run 'lte-sim --help' for the full flag list");
-                std::process::exit(2);
-            }
-            cmd => command = cmd.to_string(),
+            "--check" => o.write_vectors = false,
+            "--scalar" => o.scalar = true,
+            "--golden" => o.golden = Some(value().into()),
+            "--cells" => o.cells = Some(positive(&value(), &arg)),
+            "--ues" => o.ues = Some(number(&value(), &arg)),
+            "--coupling-milli" => o.coupling_milli = Some(number(&value(), &arg)),
+            "--cell-kind" => o.cell_kind = Some(value()),
+            flag if flag.starts_with('-') => fail(
+                2,
+                format!("unknown flag: {flag}\nrun 'lte-sim --help' for the full flag list"),
+            ),
+            _ => o.command = arg.clone(),
         }
-        i += 1;
     }
-    Options {
-        command,
-        ctx,
-        out,
-        perfetto,
-        metrics,
-        stride: 25,
-        policy,
-        calibration,
-        chaos,
-        quick,
-        subframes_override,
-        workers,
-        window,
-        traffic,
-        config,
-        write_vectors,
-        scalar,
-        golden,
-        cells,
-        ues,
-        coupling_milli,
-        cell_kind,
+    // `--quick` picks the base setup; `--seed` and `--subframes` overlay
+    // it wherever they appear on the line.
+    if o.quick {
+        o.ctx = ExperimentContext::quick();
     }
+    if let Some(seed) = seed {
+        o.ctx.seed = seed;
+    }
+    if let Some(n) = o.subframes_override {
+        o.ctx.n_subframes = n;
+    }
+    o
 }
 
 /// Writes an artifact atomically: the contents land in a `.tmp`
@@ -372,11 +246,36 @@ fn parse_args() -> Options {
 /// never leaves a truncated SOAK.json/GOVERN.json/SERVE.json behind —
 /// the file either has the old contents or the complete new ones.
 fn write(path: &Path, contents: &str) {
-    if let Err(e) = crate::report::write_atomic(path, contents) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
+    crate::report::write_atomic(path, contents)
+        .or_exit(&format!("cannot write {}", path.display()), 1);
     println!("wrote {}", path.display());
+}
+
+/// Writes a trace-event JSON and a metrics snapshot to `--perfetto` and
+/// `--metrics`, or under `--out` with the command's default names.
+fn write_trace_pair(opts: &Options, defaults: [&str; 2], [trace, metrics]: [&str; 2]) {
+    let or_default = |path: &Option<PathBuf>, name| path.clone().unwrap_or(opts.out.join(name));
+    write(&or_default(&opts.perfetto, defaults[0]), trace);
+    write(&or_default(&opts.metrics, defaults[1]), metrics);
+}
+
+/// `Result::unwrap_or_else` that prints `what: error` and exits with
+/// `code`: 2 for a bad flag value, 1 for a runtime failure.
+trait OrExit<T> {
+    fn or_exit(self, what: &str, code: i32) -> T;
+}
+
+impl<T, E: std::fmt::Display> OrExit<T> for Result<T, E> {
+    fn or_exit(self, what: &str, code: i32) -> T {
+        self.unwrap_or_else(|e| fail(code, format!("{what}: {e}")))
+    }
+}
+
+/// Prints `message` and exits with `code`: 2 for bad input, 1 for a
+/// runtime failure.
+fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code)
 }
 
 /// Has a termination signal been latched? The long-running commands
@@ -392,138 +291,63 @@ fn pool_workers(opts: &Options) -> usize {
         .unwrap_or_else(|| 4.min(lte_sched::host_parallelism()))
 }
 
-fn run_traces(opts: &Options, which: &str) {
-    let trace = opts.ctx.trace();
-    match which {
-        "fig7" => write(
-            &opts.out.join("fig7_users.csv"),
-            &report::fig7_csv(&trace, opts.stride),
-        ),
-        "fig8" => write(
-            &opts.out.join("fig8_prbs.csv"),
-            &report::fig8_csv(&trace, opts.stride),
-        ),
-        "fig9" => write(
-            &opts.out.join("fig9_layers.csv"),
-            &report::fig9_csv(&trace, opts.stride),
-        ),
-        _ => {
-            write(
-                &opts.out.join("fig7_users.csv"),
-                &report::fig7_csv(&trace, opts.stride),
-            );
-            write(
-                &opts.out.join("fig8_prbs.csv"),
-                &report::fig8_csv(&trace, opts.stride),
-            );
-            write(
-                &opts.out.join("fig9_layers.csv"),
-                &report::fig9_csv(&trace, opts.stride),
-            );
+/// Runs artifact-table rows in order: writes each row's files (a file
+/// two rows share is written once), prints each row's verdict, and exits
+/// 1 when a check fails.
+fn run_artifacts(opts: &Options, rows: &[Artifact]) {
+    let inputs = Inputs::new(opts.ctx);
+    let mut written = Vec::new();
+    let mut failed = 0;
+    for row in rows {
+        for (name, contents) in (row.produce)(&inputs) {
+            if !written.contains(&name) {
+                write(&opts.out.join(name), &contents);
+                written.push(name);
+            }
         }
+        let verdict = match row.judge(&inputs) {
+            None => format!(
+                "not checked: needs {} subframes",
+                match row.needs {
+                    n if n >= 1000 => format!("{} {:03}", n / 1000, n % 1000),
+                    n => n.to_string(),
+                }
+            ),
+            Some(Ok(values)) => format!("ok — {values}"),
+            Some(Err(values)) => {
+                failed += 1;
+                format!("FAILED — {values}")
+            }
+        };
+        println!("{} ({}): {verdict}", row.id, row.paper);
     }
-    println!(
-        "trace: {} subframes, mean users {:.2}, mean PRBs {:.1}",
-        trace.len(),
-        trace.mean_users(),
-        trace.mean_total_prbs()
-    );
+    if failed > 0 {
+        fail(1, format!("{failed} paper artifact check(s) failed"));
+    }
 }
 
-fn run_power_study(opts: &Options, emit: &[&str]) {
-    let ctx = &opts.ctx;
-    println!(
-        "running power study: {} subframes, calibration step {} PRBs …",
-        ctx.n_subframes, ctx.cal_prb_step
-    );
-    let study = ctx.run_power_study();
-    let window_s = ctx.activity_window as f64
-        * ctx
-            .sim_config(lte_power::NapPolicy::NoNap)
-            .dispatch_seconds();
-    let rms_s = ctx.rms_window as f64
-        * ctx
-            .sim_config(lte_power::NapPolicy::NoNap)
-            .dispatch_seconds();
-    for e in emit {
-        match *e {
-            "fig11" => {
-                write(
-                    &opts.out.join("fig11_calibration.csv"),
-                    &report::fig11_csv(&study.curves),
-                );
-                write(
-                    &opts.out.join("fig11_calibration.svg"),
-                    &report::fig11_svg(&study.curves),
-                );
-            }
-            "fig12" => {
-                write(
-                    &opts.out.join("fig12_estimation.csv"),
-                    &report::fig12_csv(&study.validation, window_s),
-                );
-                write(
-                    &opts.out.join("fig12_estimation.svg"),
-                    &report::fig12_svg(&study.validation, window_s),
-                );
-                println!(
-                    "fig12: mean |err| {:.2}% (paper 1.2%), max |err| {:.2}% (paper 5.4%)",
-                    100.0 * study.validation.mean_abs_err,
-                    100.0 * study.validation.max_abs_err
-                );
-            }
-            "fig13" => write(
-                &opts.out.join("fig13_active_cores.csv"),
-                &report::fig13_csv(&study.targets, opts.stride),
-            ),
-            "fig14" | "fig15" | "fig16" => {
-                write(
-                    &opts.out.join("fig14_15_16_power.csv"),
-                    &report::power_traces_csv(&study, rms_s),
-                );
-                write(
-                    &opts.out.join("fig14_15_16_power.svg"),
-                    &report::power_svg(&study, rms_s),
-                );
-            }
-            "table1" => {
-                let md = report::table1_markdown(&study.table1());
-                write(&opts.out.join("table1_dynamic_power.md"), &md);
-                println!("\nTable I — average dynamic power (base subtracted)\n{md}");
-            }
-            "concurrency" => {
-                // The paper's "no more than two to three subframes
-                // concurrently" describes a real base station's
-                // responsiveness budget (1 ms dispatch, ~3 ms deadline);
-                // the benchmark's stress ramp deliberately drives the
-                // 5 ms-dispatch TILEPro64 model to saturation, where the
-                // backlog grows deeper at the load peak.
-                let clock = ctx.sim_config(lte_power::NapPolicy::NoNap).clock_hz;
-                let to_ms = |c: u64| c as f64 / clock * 1e3;
-                let nonap = study.run(lte_power::NapPolicy::NoNap);
-                println!(
-                    "NONAP: max concurrent subframes {} | job latency p50 {:.1} ms, p95 {:.1} ms, max {:.1} ms",
-                    nonap.report.max_concurrent_subframes,
-                    to_ms(nonap.report.latency_percentile(50)),
-                    to_ms(nonap.report.latency_percentile(95)),
-                    to_ms(nonap.report.latency_percentile(100)),
-                );
-                let napidle = study.run(lte_power::NapPolicy::NapIdle);
-                println!(
-                    "NAP+IDLE: max concurrent subframes {} | job latency p50 {:.1} ms, p95 {:.1} ms, max {:.1} ms",
-                    napidle.report.max_concurrent_subframes,
-                    to_ms(napidle.report.latency_percentile(50)),
-                    to_ms(napidle.report.latency_percentile(95)),
-                    to_ms(napidle.report.latency_percentile(100)),
-                );
-            }
-            "table2" => {
-                let md = report::table2_markdown(&study.table2());
-                write(&opts.out.join("table2_total_power.md"), &md);
-                println!("\nTable II — average total power\n{md}");
-            }
-            _ => {}
-        }
+fn run_concurrency(opts: &Options) {
+    // The paper's "no more than two to three subframes concurrently"
+    // describes a real base station's responsiveness budget (1 ms
+    // dispatch, ~3 ms deadline); the benchmark's stress ramp deliberately
+    // drives the 5 ms-dispatch TILEPro64 model to saturation, where the
+    // backlog grows deeper at the load peak.
+    let inputs = Inputs::new(opts.ctx);
+    let study = inputs.study();
+    let clock = opts.ctx.sim_config(lte_power::NapPolicy::NoNap).clock_hz;
+    let to_ms = |c: u64| c as f64 / clock * 1e3;
+    for (label, policy) in [
+        ("NONAP", lte_power::NapPolicy::NoNap),
+        ("NAP+IDLE", lte_power::NapPolicy::NapIdle),
+    ] {
+        let report = &study.run(policy).report;
+        println!(
+            "{label}: max concurrent subframes {} | job latency p50 {:.1} ms, p95 {:.1} ms, max {:.1} ms",
+            report.max_concurrent_subframes,
+            to_ms(report.latency_percentile(50)),
+            to_ms(report.latency_percentile(95)),
+            to_ms(report.latency_percentile(100)),
+        );
     }
 }
 
@@ -568,45 +392,6 @@ fn run_ablations(opts: &Options) {
     );
 }
 
-fn run_golden(opts: &Options) {
-    use lte_phy::verify::GoldenRecord;
-    // Build the predetermined sequence, store the serial record, then
-    // verify a parallel run against the stored file — the paper's §IV-D
-    // methodology including the "recording and storing" step.
-    let subframes = RampModel::new(opts.ctx.seed).subframes(10);
-    let mut bench = UplinkBenchmark::new(CellConfig::with_antennas(2), BenchmarkConfig::default());
-    let inputs: Vec<Vec<lte_phy::grid::UserInput>> = subframes
-        .iter()
-        .map(|sf| {
-            sf.users
-                .iter()
-                .map(|u| (*bench.input_for(u)).clone())
-                .collect()
-        })
-        .collect();
-    let golden = GoldenRecord::build(
-        &CellConfig::with_antennas(2),
-        &inputs,
-        lte_phy::params::TurboMode::Passthrough,
-    );
-    let path = opts.out.join("golden_record.txt");
-    write(&path, &golden.to_text());
-    let restored =
-        GoldenRecord::from_text(&fs::read_to_string(&path).expect("read back golden record"))
-            .expect("parse stored record");
-    let run = bench.try_run(&subframes).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    match restored.verify(&run.results) {
-        Ok(()) => println!("parallel run verified against the stored golden record"),
-        Err(e) => {
-            eprintln!("verification FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn run_diurnal(opts: &Options) {
     println!(
         "running the diurnal-day study ({} subframes) …",
@@ -633,36 +418,6 @@ fn run_diurnal(opts: &Options) {
     );
 }
 
-fn run_bench(opts: &Options) {
-    let subframes = RampModel::new(opts.ctx.seed).subframes(20);
-    let mut bench = UplinkBenchmark::new(
-        CellConfig::default(),
-        BenchmarkConfig {
-            delta: Duration::from_millis(5),
-            ..BenchmarkConfig::default()
-        },
-    );
-    println!("running the real parallel benchmark on 20 subframes …");
-    let run = bench.try_run(&subframes).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "processed {} subframes in {:?}; activity {:.1}%, CRC pass rate {:.1}%",
-        run.results.len(),
-        run.elapsed,
-        100.0 * run.activity,
-        100.0 * run.crc_pass_rate
-    );
-    match bench.verify(&subframes, &run) {
-        Ok(()) => println!("golden-reference verification: OK (bit-exact with serial)"),
-        Err(e) => {
-            eprintln!("golden-reference verification FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn run_trace_cmd(opts: &Options) {
     use crate::trace;
     println!(
@@ -670,16 +425,11 @@ fn run_trace_cmd(opts: &Options) {
         opts.ctx.n_subframes.min(trace::TRACE_SUBFRAME_CAP)
     );
     let art = trace::run_trace(&opts.ctx);
-    let perfetto_path = opts
-        .perfetto
-        .clone()
-        .unwrap_or_else(|| opts.out.join("trace.perfetto.json"));
-    let metrics_path = opts
-        .metrics
-        .clone()
-        .unwrap_or_else(|| opts.out.join("metrics.json"));
-    write(&perfetto_path, &art.perfetto_json);
-    write(&metrics_path, &art.metrics_json);
+    write_trace_pair(
+        opts,
+        ["trace.perfetto.json", "metrics.json"],
+        [&art.perfetto_json, &art.metrics_json],
+    );
     let cfg = opts.ctx.sim_config(lte_power::NapPolicy::NapIdle);
     println!(
         "traced {} subframes: activity {:.1}% (Eq. 2), {} jobs",
@@ -710,10 +460,7 @@ fn run_trace_cmd(opts: &Options) {
 fn overload_policy(opts: &Options) -> OverloadPolicy {
     match opts.policy.as_deref() {
         None => OverloadPolicy::ShedUsers,
-        Some(text) => text.parse().unwrap_or_else(|e| {
-            eprintln!("--policy: {e}");
-            std::process::exit(2);
-        }),
+        Some(text) => text.parse().or_exit("--policy", 2),
     }
 }
 
@@ -726,20 +473,12 @@ fn run_chaos_cmd(opts: &Options) {
         policy.name(),
         opts.ctx.seed,
     );
-    let art = chaos::run_chaos(&opts.ctx, policy).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let perfetto_path = opts
-        .perfetto
-        .clone()
-        .unwrap_or_else(|| opts.out.join("chaos.perfetto.json"));
-    let metrics_path = opts
-        .metrics
-        .clone()
-        .unwrap_or_else(|| opts.out.join("chaos.metrics.json"));
-    write(&perfetto_path, &art.perfetto_json);
-    write(&metrics_path, &art.metrics_json);
+    let art = chaos::run_chaos(&opts.ctx, policy).or_exit("error", 1);
+    write_trace_pair(
+        opts,
+        ["chaos.perfetto.json", "chaos.metrics.json"],
+        [&art.perfetto_json, &art.metrics_json],
+    );
     let s = &art.summary;
     println!(
         "DES ({} subframes): overruns {}, dropped subframes {}, shed jobs {}, degraded subframes {}, poisoned tasks {}, adopted jobs {}",
@@ -767,8 +506,7 @@ fn run_chaos_cmd(opts: &Options) {
     println!("lost tasks: {}", s.lost_tasks);
     println!("duplicated tasks: {}", s.duplicated_tasks);
     if !s.conserved() {
-        eprintln!("chaos campaign LOST OR DUPLICATED tasks");
-        std::process::exit(1);
+        fail(1, "chaos campaign LOST OR DUPLICATED tasks");
     }
 }
 
@@ -784,10 +522,7 @@ fn run_soak_cmd(opts: &Options) {
     );
     cfg.chaos = opts.chaos;
     if let Some(text) = opts.policy.as_deref() {
-        cfg.policy = text.parse().unwrap_or_else(|e| {
-            eprintln!("--policy: {e}");
-            std::process::exit(2);
-        });
+        cfg.policy = text.parse().or_exit("--policy", 2);
     }
     cfg.host_workers = pool_workers(opts);
     println!(
@@ -823,10 +558,7 @@ fn run_soak_cmd(opts: &Options) {
         );
     };
     let art =
-        soak::run_soak_with_stop(&cfg, Some(&mut on_window), &interrupted).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+        soak::run_soak_with_stop(&cfg, Some(&mut on_window), &interrupted).or_exit("error", 1);
     drop(jsonl_file);
     println!("wrote {}", jsonl_path.display());
     write(&opts.out.join("SOAK.json"), &art.report.to_json());
@@ -888,29 +620,17 @@ fn run_serve_cmd(opts: &Options) {
     cfg.window = opts.window.unwrap_or(40).max(1) as u64;
     cfg.workers = pool_workers(opts);
     if let Some(text) = opts.policy.as_deref() {
-        cfg.policy = text.parse().unwrap_or_else(|e| {
-            eprintln!("--policy: {e}");
-            std::process::exit(2);
-        });
+        cfg.policy = text.parse().or_exit("--policy", 2);
     }
     if opts.chaos {
         cfg.faults = Some(lte_fault::IngestFaults::smoke(opts.ctx.seed));
     }
     if let Some(path) = &opts.config {
-        let text = fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        cfg.params = serve::ServeParams::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{}: {e}", path.display());
-            std::process::exit(2);
-        });
+        let text = fs::read_to_string(path).or_exit(&format!("cannot read {}", path.display()), 2);
+        cfg.params = serve::ServeParams::parse(&text).or_exit(&path.display().to_string(), 2);
     }
     if let Some(text) = opts.traffic.as_deref() {
-        cfg.params.traffic = text.parse().unwrap_or_else(|e| {
-            eprintln!("--traffic: {e}");
-            std::process::exit(2);
-        });
+        cfg.params.traffic = text.parse().or_exit("--traffic", 2);
     }
 
     println!(
@@ -963,10 +683,7 @@ fn run_serve_cmd(opts: &Options) {
         })
     };
 
-    let outcome = serve::run_serve(&cfg, &control).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let outcome = serve::run_serve(&cfg, &control).or_exit("error", 1);
     monitor_stop.store(true, Ordering::Relaxed);
     monitor.join().ok();
 
@@ -1018,8 +735,7 @@ fn run_serve_cmd(opts: &Options) {
         outcome.elapsed,
     );
     if let Some(e) = &outcome.verify_error {
-        eprintln!("golden-reference verification FAILED: {e}");
-        std::process::exit(1);
+        fail(1, format!("golden-reference verification FAILED: {e}"));
     }
     let healthy = outcome.calm_windows_healthy();
     if healthy {
@@ -1063,13 +779,10 @@ fn run_vectors_cmd(opts: &Options) {
     }
     let text = fs::read_to_string(&golden_path).unwrap_or_else(|e| {
         eprintln!("cannot read {}: {e}", golden_path.display());
-        eprintln!("generate the golden set with 'lte-sim vectors --write'");
-        std::process::exit(1);
+        fail(1, "generate the golden set with 'lte-sim vectors --write'");
     });
-    let golden = conformance::parse_golden(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {}: {e}", golden_path.display());
-        std::process::exit(1);
-    });
+    let golden = conformance::parse_golden(&text)
+        .or_exit(&format!("cannot parse {}", golden_path.display()), 1);
     let drift = conformance::diff_vectors(&golden, &vectors);
     if drift.is_empty() {
         println!(
@@ -1110,16 +823,10 @@ fn run_deploy_cmd(opts: &Options) {
     cfg.workers = pool_workers(opts);
     cfg.coupling_milli = opts.coupling_milli.unwrap_or(0);
     if let Some(text) = opts.traffic.as_deref() {
-        cfg.traffic = text.parse().unwrap_or_else(|e| {
-            eprintln!("--traffic: {e}");
-            std::process::exit(2);
-        });
+        cfg.traffic = text.parse().or_exit("--traffic", 2);
     }
     if let Some(text) = opts.cell_kind.as_deref() {
-        cfg.kind = text.parse().unwrap_or_else(|e| {
-            eprintln!("--cell-kind: {e}");
-            std::process::exit(2);
-        });
+        cfg.kind = text.parse().or_exit("--cell-kind", 2);
     }
 
     println!(
@@ -1133,10 +840,7 @@ fn run_deploy_cmd(opts: &Options) {
         cfg.workers,
         cfg.seed,
     );
-    let report = run_deploy(&cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let report = run_deploy(&cfg).or_exit("error", 1);
     write(&opts.out.join("DEPLOY.json"), &report.to_json());
     write(&opts.out.join("DEPLOY.om"), &report.openmetrics());
     let agg = &report.aggregate.total;
@@ -1167,10 +871,7 @@ fn run_govern_cmd(opts: &Options) {
     // The `govern` reading of `--policy`: one nap policy, or `all`.
     let policies: Vec<NapPolicy> = match opts.policy.as_deref() {
         None | Some("all") => NapPolicy::ALL.to_vec(),
-        Some(text) => vec![text.parse().unwrap_or_else(|e| {
-            eprintln!("--policy: {e}");
-            std::process::exit(2);
-        })],
+        Some(text) => vec![text.parse().or_exit("--policy", 2)],
     };
 
     // Calibration: load a saved table when --calibration names an
@@ -1178,14 +879,10 @@ fn run_govern_cmd(opts: &Options) {
     // path was given.
     let estimator = match &opts.calibration {
         Some(path) if path.exists() => {
-            let text = fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read calibration {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            let est = WorkloadEstimator::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse calibration {}: {e}", path.display());
-                std::process::exit(1);
-            });
+            let text = fs::read_to_string(path)
+                .or_exit(&format!("cannot read calibration {}", path.display()), 1);
+            let est = WorkloadEstimator::from_json(&text)
+                .or_exit(&format!("cannot parse calibration {}", path.display()), 1);
             println!("loaded calibration from {}", path.display());
             est
         }
@@ -1267,10 +964,7 @@ fn run_govern_cmd(opts: &Options) {
             break 'phases;
         }
         println!("re-fitting Eq. 3 slopes from real pool runs ({workers} workers) …");
-        let real = govern::calibrate_real(workers, delta, 8, &[25, 100]).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+        let real = govern::calibrate_real(workers, delta, 8, &[25, 100]).or_exit("error", 1);
         println!(
             "  k(1, QPSK): DES {:.6} vs real {:.6} activity per PRB",
             estimator.k(1, lte_dsp::Modulation::Qpsk),
@@ -1281,10 +975,7 @@ fn run_govern_cmd(opts: &Options) {
                 break 'phases;
             }
             let run = govern::run_pool_governed(workers, 30, delta, opts.ctx.seed, &real, policy)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
+                .or_exit("error", 1);
             let slug = govern::policy_slug(policy);
             metrics.set_counter(
                 &format!("governor.pool.{slug}.parked_nanos"),
@@ -1307,8 +998,7 @@ fn run_govern_cmd(opts: &Options) {
                 },
             );
             if !run.identical {
-                eprintln!("governed pool output diverged from the ungoverned run");
-                std::process::exit(1);
+                fail(1, "governed pool output diverged from the ungoverned run");
             }
             report.pool.push(run);
         }
@@ -1322,10 +1012,7 @@ fn run_govern_cmd(opts: &Options) {
         let low = govern::low_load_subframes(20);
         let low_run =
             govern::run_pool_governed_subframes(&low, workers, delta, &real, NapPolicy::NapIdle)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
+                .or_exit("error", 1);
         metrics.set_counter("governor.pool.low_load.parked_nanos", low_run.parked_nanos);
         println!(
         "govern pool NAP+IDLE low load: {} workers, parked {:.2} ms over {} subframes, output {}",
@@ -1339,30 +1026,23 @@ fn run_govern_cmd(opts: &Options) {
         },
     );
         if !low_run.identical {
-            eprintln!("governed pool output diverged from the ungoverned run");
-            std::process::exit(1);
+            fail(1, "governed pool output diverged from the ungoverned run");
         }
         if low_run.parked_nanos == 0 {
-            eprintln!("NAP+IDLE parked no worker time at low load");
-            std::process::exit(1);
+            fail(1, "NAP+IDLE parked no worker time at low load");
         }
         report.pool.push(low_run);
     }
 
     let events = recorder.events();
-    let perfetto_path = opts
-        .perfetto
-        .clone()
-        .unwrap_or_else(|| opts.out.join("govern.perfetto.json"));
-    let metrics_path = opts
-        .metrics
-        .clone()
-        .unwrap_or_else(|| opts.out.join("govern.metrics.json"));
-    write(
-        &perfetto_path,
-        &PerfettoExporter::new(cfg.clock_hz).export(&events, cfg.n_workers),
+    write_trace_pair(
+        opts,
+        ["govern.perfetto.json", "govern.metrics.json"],
+        [
+            &PerfettoExporter::new(cfg.clock_hz).export(&events, cfg.n_workers),
+            &metrics.to_json(),
+        ],
     );
-    write(&metrics_path, &metrics.to_json());
     write(&opts.out.join("GOVERN.json"), &report.to_json());
     if interrupted() {
         println!(
@@ -1373,8 +1053,7 @@ fn run_govern_cmd(opts: &Options) {
         std::process::exit(crate::signals::EXIT_INTERRUPTED);
     }
     if gate_failed {
-        eprintln!("estimator error gate failed");
-        std::process::exit(1);
+        fail(1, "estimator error gate failed");
     }
 }
 
@@ -1388,10 +1067,21 @@ pub fn run() {
     if matches!(opts.command.as_str(), "serve" | "soak" | "govern") {
         crate::signals::install_termination_handlers();
     }
+    // The power study needs at least one subframe.
+    let power_study =
+        "fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 all concurrency diurnal ablation";
+    if opts.ctx.n_subframes == 0 && power_study.split(' ').any(|c| c == opts.command) {
+        let command = &opts.command;
+        fail(
+            2,
+            format!("{command}: --subframes must be positive for the power study"),
+        );
+    }
+    if let Some(row) = ARTIFACTS.iter().find(|row| row.id == opts.command) {
+        return run_artifacts(&opts, std::slice::from_ref(row));
+    }
     match opts.command.as_str() {
-        "fig7" | "fig8" | "fig9" => run_traces(&opts, &opts.command),
-        "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "table1" | "table2"
-        | "concurrency" => run_power_study(&opts, &[opts.command.as_str()]),
+        "concurrency" => run_concurrency(&opts),
         "trace" => run_trace_cmd(&opts),
         "chaos" => run_chaos_cmd(&opts),
         "govern" => run_govern_cmd(&opts),
@@ -1400,22 +1090,12 @@ pub fn run() {
         "deploy" => run_deploy_cmd(&opts),
         "fingerprint" => run_fingerprint_cmd(&opts),
         "vectors" => run_vectors_cmd(&opts),
-        "bench" => run_bench(&opts),
         "ablation" => run_ablations(&opts),
         "diurnal" => run_diurnal(&opts),
-        "golden" => run_golden(&opts),
-        "all" => {
-            run_traces(&opts, "all");
-            run_power_study(
-                &opts,
-                &["fig11", "fig12", "fig13", "fig14", "table1", "table2"],
-            );
-            run_bench(&opts);
-        }
-        other => {
-            eprintln!("unknown command: {other}");
-            eprintln!("run 'lte-sim --help' for the full command list");
-            std::process::exit(2);
-        }
+        "all" => run_artifacts(&opts, &ARTIFACTS),
+        other => fail(
+            2,
+            format!("unknown command: {other}\nrun 'lte-sim --help' for the full command list"),
+        ),
     }
 }

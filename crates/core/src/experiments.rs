@@ -2,19 +2,9 @@
 //! evaluation (§V–§VI), driven by the discrete-event simulator and the
 //! calibrated power model.
 //!
-//! | Experiment | Paper | Runner |
-//! |---|---|---|
-//! | Users per subframe | Fig. 7 | [`ExperimentContext::trace`] |
-//! | PRB allocation | Fig. 8 | [`ExperimentContext::trace`] |
-//! | Layers | Fig. 9 | [`ExperimentContext::trace`] |
-//! | Activity vs PRBs | Fig. 11 | [`ExperimentContext::run_calibration`] |
-//! | Estimated vs measured activity | Fig. 12 | [`ExperimentContext::run_estimation_validation`] |
-//! | Estimated active cores | Fig. 13 | [`ExperimentContext::estimated_targets`] |
-//! | NONAP vs NAP power | Fig. 14 | [`ExperimentContext::run_power_study`] |
-//! | All four policies | Fig. 15 | [`ExperimentContext::run_power_study`] |
-//! | Power gating | Fig. 16 | [`ExperimentContext::run_power_study`] |
-//! | Average dynamic power | Table I | [`PowerStudy::table1`] |
-//! | Average total power | Table II | [`PowerStudy::table2`] |
+//! The paper-artifact table ([`crate::artifacts::ARTIFACTS`]) names,
+//! for each figure and table, what it writes from these runs and the
+//! claim it checks.
 
 use lte_dsp::Modulation;
 use lte_model::trace::Trace;
@@ -425,71 +415,6 @@ mod tests {
     fn trace_has_requested_length() {
         let ctx = tiny();
         assert_eq!(ctx.trace().len(), 600);
-    }
-
-    #[test]
-    fn calibration_curves_are_increasing_and_ordered() {
-        let ctx = tiny();
-        let (curves, estimator) = ctx.run_calibration();
-        assert_eq!(curves.len(), 12);
-        assert!(estimator.is_calibrated());
-        for c in &curves {
-            // Activity grows with PRBs within each curve (Fig. 11).
-            for w in c.points.windows(2) {
-                assert!(
-                    w[1].activity > w[0].activity,
-                    "{} x{}: {:?}",
-                    c.modulation,
-                    c.layers,
-                    w
-                );
-            }
-        }
-        // Slopes increase with layers for fixed modulation.
-        for m in Modulation::ALL {
-            let mut last = 0.0;
-            for l in 1..=4 {
-                let k = estimator.k(l, m);
-                assert!(k > last, "{m} x{l}: k={k} last={last}");
-                last = k;
-            }
-        }
-    }
-
-    #[test]
-    fn estimation_validation_tracks_measured() {
-        let ctx = tiny();
-        let (_, estimator) = ctx.run_calibration();
-        let subframes = ctx.subframes();
-        let v = ctx.run_estimation_validation(&estimator, &subframes);
-        assert_eq!(v.estimated.len(), v.measured.len());
-        assert!(
-            v.mean_abs_err < 0.08,
-            "mean error {:.3} too large",
-            v.mean_abs_err
-        );
-    }
-
-    #[test]
-    fn power_study_reproduces_paper_ordering() {
-        let ctx = tiny();
-        let study = ctx.run_power_study();
-        let nonap = study.run(NapPolicy::NoNap).mean_total;
-        let idle = study.run(NapPolicy::Idle).mean_total;
-        let nap = study.run(NapPolicy::Nap).mean_total;
-        let napidle = study.run(NapPolicy::NapIdle).mean_total;
-        // Table II ordering: NONAP > IDLE, NAP > NAP+IDLE > gated.
-        assert!(nonap > idle, "NONAP {nonap} !> IDLE {idle}");
-        assert!(nonap > nap, "NONAP {nonap} !> NAP {nap}");
-        assert!(idle > napidle, "IDLE {idle} !> NAP+IDLE {napidle}");
-        assert!(nap > napidle, "NAP {nap} !> NAP+IDLE {napidle}");
-        assert!(
-            napidle > study.gated_mean,
-            "NAP+IDLE {napidle} !> gated {}",
-            study.gated_mean
-        );
-        // Everything sits above base power minus the maximum gating saving.
-        assert!(study.gated_mean > study.base_watts - 3.5);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! * [`experiments`] — deterministic reproductions of every figure and
 //!   table in the paper's evaluation, driven by the 64-core discrete-
 //!   event simulator and the calibrated power model.
+//! * [`artifacts`] — the paper-artifact table: one row per figure, table
+//!   and the §IV-D check, each with the files it writes and the paper's
+//!   claim it is checked against.
 //! * [`ablation`] — sweeps of the design constants the paper fixes
 //!   (Eq. 5 margin, power-domain group size, nap wake period) plus the
 //!   estimator-driven DVFS extension the paper names as future work.
@@ -47,12 +50,14 @@
 //! The `lte-sim` binary exposes all experiments from the command line:
 //!
 //! ```text
-//! lte-sim all --out results/     # every figure and table
+//! lte-sim all --out results/     # every artifact-table row, checked
 //! lte-sim fig12                  # estimator validation only
 //! lte-sim table2 --quick         # reduced run for smoke testing
+//! lte-sim iv-d                   # §IV-D serial/parallel verification
 //! ```
 
 pub mod ablation;
+pub mod artifacts;
 pub mod benchmark;
 pub mod chaos;
 pub mod cli;

@@ -1,6 +1,6 @@
 //! `lte-sim serve`: the continuously-running ingest service.
 //!
-//! The batch commands (`bench`, `soak`) process a subframe
+//! The batch drivers (the benchmark, `soak`) process a subframe
 //! sequence that is fully known before the first dispatch. `serve`
 //! removes that assumption: subframe work *arrives* — from a built-in
 //! deterministic traffic generator or a localhost socket — flows

@@ -5,9 +5,9 @@
 //! predetermined sequence of subframes, recording and storing the results
 //! from each subframe."
 //!
-//! [`GoldenRecord`] is that store: the serial receiver's per-user results
-//! for a subframe sequence. Any parallel execution replays the same
-//! sequence and checks its results bit-for-bit.
+//! [`GoldenRecord`] is that record, held in memory: the serial receiver's
+//! per-user results for a subframe sequence. Any parallel execution
+//! replays the same sequence and checks its results bit-for-bit.
 
 use std::fmt;
 
@@ -79,83 +79,6 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 impl GoldenRecord {
-    /// Serialises the record to a compact text format: one line per
-    /// subframe, users separated by `;`, each user as `crc:hexbits` —
-    /// the paper's "recording and storing the results from each
-    /// subframe" so a later run (possibly on another architecture) can
-    /// verify against it.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for sf in &self.results {
-            let line: Vec<String> = sf
-                .iter()
-                .map(|r| {
-                    let mut bits = String::with_capacity(r.payload.len().div_ceil(4));
-                    for chunk in r.payload.chunks(4) {
-                        let mut nibble = 0u8;
-                        for (i, &b) in chunk.iter().enumerate() {
-                            nibble |= b << (3 - i);
-                        }
-                        bits.push(char::from_digit(nibble as u32, 16).expect("nibble"));
-                    }
-                    format!("{}:{}:{}", u8::from(r.crc_ok), r.payload.len(), bits)
-                })
-                .collect();
-            out.push_str(&line.join(";"));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a record written by [`GoldenRecord::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive string on malformed input.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut results = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let mut subframe = Vec::new();
-            if !line.is_empty() {
-                for field in line.split(';') {
-                    let mut parts = field.splitn(3, ':');
-                    let crc = parts
-                        .next()
-                        .ok_or_else(|| format!("line {lineno}: missing crc"))?;
-                    let len: usize = parts
-                        .next()
-                        .ok_or_else(|| format!("line {lineno}: missing length"))?
-                        .parse()
-                        .map_err(|e| format!("line {lineno}: bad length: {e}"))?;
-                    let hex = parts
-                        .next()
-                        .ok_or_else(|| format!("line {lineno}: missing payload"))?;
-                    let mut payload = Vec::with_capacity(len);
-                    for c in hex.chars() {
-                        let nibble = c
-                            .to_digit(16)
-                            .ok_or_else(|| format!("line {lineno}: bad hex digit {c}"))?
-                            as u8;
-                        for i in (0..4).rev() {
-                            if payload.len() < len {
-                                payload.push((nibble >> i) & 1);
-                            }
-                        }
-                    }
-                    if payload.len() != len {
-                        return Err(format!("line {lineno}: payload shorter than declared"));
-                    }
-                    subframe.push(UserResult {
-                        payload,
-                        crc_ok: crc == "1",
-                    });
-                }
-            }
-            results.push(subframe);
-        }
-        Ok(GoldenRecord { results })
-    }
-
     /// Builds the golden record by processing every subframe serially.
     pub fn build(cell: &CellConfig, subframes: &[Vec<UserInput>], mode: TurboMode) -> Self {
         let planner = FftPlanner::new();
@@ -297,52 +220,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("subframe 0"));
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use crate::params::{CellConfig, TurboMode, UserConfig};
-    use crate::tx::synthesize_user;
-    use lte_dsp::{Modulation, Xoshiro256};
-
-    #[test]
-    fn text_round_trip_preserves_the_record() {
-        let cell = CellConfig::with_antennas(2);
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        let subframes: Vec<Vec<crate::grid::UserInput>> = (0..3)
-            .map(|i| {
-                (0..=(i % 2))
-                    .map(|j| {
-                        let user = UserConfig::new(2 + 2 * j, 1, Modulation::Qpsk);
-                        synthesize_user(&cell, &user, 30.0, &mut rng)
-                    })
-                    .collect()
-            })
-            .collect();
-        let golden = GoldenRecord::build(&cell, &subframes, TurboMode::Passthrough);
-        let text = golden.to_text();
-        let restored = GoldenRecord::from_text(&text).expect("parse");
-        assert_eq!(golden, restored);
-    }
-
-    #[test]
-    fn empty_subframes_round_trip() {
-        let golden = GoldenRecord::build(
-            &CellConfig::default(),
-            &[vec![], vec![]],
-            TurboMode::Passthrough,
-        );
-        let restored = GoldenRecord::from_text(&golden.to_text()).expect("parse");
-        assert_eq!(golden, restored);
-        assert_eq!(restored.len(), 2);
-    }
-
-    #[test]
-    fn malformed_text_is_rejected() {
-        assert!(GoldenRecord::from_text("1:banana:ff").is_err());
-        assert!(GoldenRecord::from_text("1:8:zz").is_err());
-        assert!(GoldenRecord::from_text("1:800:ff").is_err());
     }
 }
