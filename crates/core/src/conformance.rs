@@ -38,8 +38,12 @@ use lte_dsp::zadoff_chu::{layer_cyclic_shift, ReferenceSequence};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::{estimate_slot, ChannelEstimate};
+use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig, MAX_PRB};
-use lte_phy::tx::{scrambling_init, synthesize_user_over_channel};
+use lte_phy::tx::{
+    scrambling_init, synthesize_retransmission, synthesize_user_over_channel,
+    synthesize_user_with_mode,
+};
 
 /// Schema tag written into the golden file.
 pub const SCHEMA: &str = "lte-sim-vectors-v1";
@@ -612,6 +616,60 @@ fn crc_vector() -> KernelVector {
     }
 }
 
+fn hash_user_input(h: &mut Fnv1a, input: &UserInput) {
+    for slot in &input.slots {
+        for symbol in std::iter::once(&slot.reference).chain(&slot.data) {
+            for rx in 0..symbol.n_rx() {
+                hash_c32(h, symbol.antenna(rx));
+            }
+        }
+    }
+    hash_f32(h, &[input.noise_var]);
+    h.write(&input.ground_truth);
+}
+
+/// The transmitter: every f32 of synthesized inputs (reference and data
+/// symbols on every antenna, the noise variance) and their payloads over
+/// 1/2/4/8 antennas × 1–4 layers × QPSK/16/64-QAM × pass-through/turbo
+/// framing, then one payload sent four times through
+/// `synthesize_retransmission`. The generator's next output closes the
+/// hash, so a change in how many draws synthesis takes shows too.
+fn tx_synthesis_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x7A5);
+    let mut h = Fnv1a::new();
+    let modulations = [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64];
+    let modes = [TurboMode::Passthrough, TurboMode::Decode { iterations: 4 }];
+    for (id, n_rx) in [1usize, 2, 4, 8].into_iter().enumerate() {
+        let cell = CellConfig::with_identity(n_rx, id);
+        for layers in 1..=4 {
+            for (m, &modulation) in modulations.iter().enumerate() {
+                for mode in modes {
+                    // 24, 36, 60 and 192 subcarriers: 1, 2, 3 and 6 taps.
+                    let prbs = [2, 3, 5, 16][(layers + m) % 4];
+                    let user = UserConfig::new(prbs, layers, modulation);
+                    let input = synthesize_user_with_mode(&cell, &user, mode, 12.0, &mut rng);
+                    hash_user_input(&mut h, &input);
+                }
+            }
+        }
+    }
+    let cell = CellConfig::with_identity(2, 5);
+    let user = UserConfig::new(6, 2, Modulation::Qam16);
+    let mode = TurboMode::Decode { iterations: 4 };
+    let first = synthesize_user_with_mode(&cell, &user, mode, 3.0, &mut rng);
+    hash_user_input(&mut h, &first);
+    for _ in 1..4 {
+        let again =
+            synthesize_retransmission(&cell, &user, mode, &first.ground_truth, 3.0, &mut rng);
+        hash_user_input(&mut h, &again);
+    }
+    h.write_u64(rng.next_u64());
+    KernelVector {
+        kernel: "tx-synthesis".to_string(),
+        hash: h.finish(),
+    }
+}
+
 fn receiver_vector() -> KernelVector {
     let (hash, _users) = crate::fingerprint::canonical_fingerprint(0x901D, 6);
     KernelVector {
@@ -643,6 +701,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         matched_filter_vector(),
         crc_vector(),
         scrambling_vector(),
+        tx_synthesis_vector(),
         receiver_vector(),
     ]
 }

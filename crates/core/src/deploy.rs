@@ -25,8 +25,17 @@
 //!   *identity*, not its index, so cell `i` of an N-cell deployment and
 //!   a 1-cell deployment with `first_cell = i` synthesize identical
 //!   subframes;
-//! * synthesis and interference injection run coordinator-serially in
-//!   cell order before any task is spawned;
+//! * each scheduled user is synthesized by its own pool task from its
+//!   exact offset in the cell's stream: the coordinator walks the cell's
+//!   generator user by user, handing each task a clone and skipping
+//!   [`synthesis_draws`] outputs past it — the count synthesis takes —
+//!   so the task draws what a serial loop over the cell's users would
+//!   have drawn for it. Each task hands back its final generator, and
+//!   the coordinator asserts that it equals the state the walk reached;
+//! * the interference fields are built one task per cell, and injection
+//!   runs one task per cell after every field exists; each task writes
+//!   only its own cell's inputs and sums neighbours in cell order, the
+//!   serial order of every sample's sum;
 //! * each `(cell, user)` decode writes its own result slot, and results
 //!   are harvested in `(cell, user)` order after the pool drains, so
 //!   counters and fingerprints never see a worker interleaving;
@@ -39,13 +48,14 @@
 //!
 //! All cells share the same spectrum: each cell lays its grants out
 //! first-fit from subcarrier 0, so allocations in different cells
-//! overlap. With a nonzero coupling, the coordinator sums each cell's
-//! radiated frequency-domain field over the deployment band and adds
-//! `coupling × Σ_{d≠c} field_d` into every one of cell `c`'s received
-//! symbols before dispatch. The injection is plain f32 arithmetic in a
-//! fixed order — deterministic — and is *skipped entirely* at zero
-//! coupling, so an isolated deployment is bit-identical to independent
-//! single-cell runs (the equivalence the zero-coupling test proves).
+//! overlap. With a nonzero coupling, each cell's radiated
+//! frequency-domain field is summed over the deployment band, on every
+//! one of the cell's antennas, and `coupling × Σ_{d≠c} field_d` is added
+//! into every one of cell `c`'s received symbols before dispatch. The
+//! injection is plain f32 arithmetic in a fixed order — deterministic —
+//! and is *skipped entirely* at zero coupling, so an isolated deployment
+//! is bit-identical to independent single-cell runs (the equivalence the
+//! zero-coupling test proves).
 //!
 //! # NB-IoT cells
 //!
@@ -69,7 +79,7 @@ use lte_phy::params::{
     N_CELL_IDENTITIES, SLOTS_PER_SUBFRAME,
 };
 use lte_phy::receiver::UserResult;
-use lte_phy::tx::{synthesize_retransmission, synthesize_user_with_mode};
+use lte_phy::tx::{synthesis_draws, synthesize_retransmission, synthesize_user_with_mode};
 use lte_power::{CoreController, WorkloadEstimator};
 use lte_sched::interleave_shards;
 
@@ -516,82 +526,22 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     let mut target_max = 0usize;
 
     for tick in 0..cfg.ticks {
-        // ---- Coordinator-serial synthesis, cell by cell. ------------
-        let mut tick_sched: Vec<TickSchedule> = Vec::with_capacity(cfg.cells);
-        let mut tick_inputs: Vec<Vec<UserInput>> = Vec::with_capacity(cfg.cells);
-        for cell in cells.iter_mut() {
-            let sched = schedule_tick(
-                cfg.kind,
-                cfg.traffic,
-                cell.population,
-                cell_seed(cfg.seed, cell.config.cell_id as u64),
-                tick,
-            );
-            let mut inputs = Vec::with_capacity(sched.subframe.users.len() * reps);
-            for user in &sched.subframe.users {
-                let first = synthesize_user_with_mode(
-                    &cell.config,
-                    user,
-                    turbo,
-                    DEPLOY_SNR_DB,
-                    &mut cell.rng,
-                );
-                let payload = first.ground_truth.clone();
-                inputs.push(first);
-                for _ in 1..reps {
-                    inputs.push(synthesize_retransmission(
-                        &cell.config,
-                        user,
-                        turbo,
-                        &payload,
-                        DEPLOY_SNR_DB,
-                        &mut cell.rng,
-                    ));
-                }
-            }
-            tick_sched.push(sched);
-            tick_inputs.push(inputs);
-        }
+        let tick_sched: Vec<TickSchedule> = cells
+            .iter()
+            .map(|cell| {
+                let seed = cell_seed(cfg.seed, cell.config.cell_id as u64);
+                schedule_tick(cfg.kind, cfg.traffic, cell.population, seed, tick)
+            })
+            .collect();
+
+        // ---- Synthesis: one pool task per scheduled user. -----------
+        let mut tick_inputs = synthesize_tick(&d, &mut cells, &tick_sched, turbo, reps)
+            .map_err(|e| format!("tick {tick}: {e}"))?;
 
         // ---- Inter-cell interference (skipped when isolated). -------
         if coupling > 0.0 && cfg.cells > 1 {
-            let offsets: Vec<Vec<usize>> = tick_inputs
-                .iter()
-                .map(|inputs| {
-                    let mut cursor = 0usize;
-                    inputs
-                        .iter()
-                        .map(|input| {
-                            let at = cursor;
-                            cursor += input.config.subcarriers();
-                            at
-                        })
-                        .collect()
-                })
-                .collect();
-            let band = tick_inputs
-                .iter()
-                .map(|inputs| inputs.iter().map(|i| i.config.subcarriers()).sum::<usize>())
-                .max()
-                .unwrap_or(0);
-            if band > 0 {
-                let fields: Vec<CellField> = tick_inputs
-                    .iter()
-                    .zip(&offsets)
-                    .map(|(inputs, offs)| CellField::radiated(inputs, offs, 2, band))
-                    .collect();
-                for (ci, inputs) in tick_inputs.iter_mut().enumerate() {
-                    let neighbours: Vec<&CellField> = fields
-                        .iter()
-                        .enumerate()
-                        .filter(|(di, _)| *di != ci)
-                        .map(|(_, f)| f)
-                        .collect();
-                    for (input, &offset) in inputs.iter_mut().zip(&offsets[ci]) {
-                        inject_interference(input, offset, &neighbours, coupling);
-                    }
-                }
-            }
+            tick_inputs = interfere(&d, &configs, tick_inputs, coupling)
+                .map_err(|e| format!("tick {tick}: {e}"))?;
         }
 
         // ---- Eq. 3/5 on the aggregate multi-cell mix. ---------------
@@ -663,6 +613,132 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
         mean_target_cores: target_sum as f64 / ticks,
         max_target_cores: target_max,
     })
+}
+
+/// Synthesizes one tick of every cell, one pool task per scheduled user
+/// (an NB-IoT user's repetitions run inside its task), and returns each
+/// cell's inputs in user order.
+///
+/// A cell draws from one generator. The coordinator walks it user by
+/// user: the user's task starts from a clone, and the generator skips
+/// [`synthesis_draws`] ahead — exactly the outputs that user's
+/// transmissions take — so every input is bit-identical to drawing the
+/// cell's users one after another from the one stream. Each task hands
+/// its generator back, and the walk is asserted to have landed where the
+/// task did.
+fn synthesize_tick(
+    d: &Dispatcher,
+    cells: &mut [CellState],
+    schedules: &[TickSchedule],
+    turbo: TurboMode,
+    reps: usize,
+) -> Result<Vec<Vec<UserInput>>, String> {
+    let mut users = schedules
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, s)| s.subframe.users.iter().map(move |&user| (ci, user)));
+    let mut walked = Vec::new();
+    // Lazy, so each user's task is on the pool while the walk goes on.
+    let tasks = std::iter::from_fn(|| {
+        let (ci, user) = users.next()?;
+        let cell = &mut cells[ci];
+        let config = cell.config;
+        let mut rng = cell.rng.clone();
+        cell.rng
+            .discard(synthesis_draws(&config, &user, turbo, reps));
+        walked.push((ci, cell.rng.clone()));
+        Some(move || {
+            let snr = DEPLOY_SNR_DB;
+            let first = synthesize_user_with_mode(&config, &user, turbo, snr, &mut rng);
+            let payload = first.ground_truth.clone();
+            let mut inputs = vec![first];
+            for _ in 1..reps {
+                let again =
+                    synthesize_retransmission(&config, &user, turbo, &payload, snr, &mut rng);
+                inputs.push(again);
+            }
+            (inputs, rng)
+        })
+    });
+    let done = d.run_tasks(tasks);
+    let mut out: Vec<Vec<UserInput>> = schedules
+        .iter()
+        .map(|s| Vec::with_capacity(s.subframe.users.len() * reps))
+        .collect();
+    for ((ci, walked), done) in walked.into_iter().zip(done) {
+        let (inputs, rng) = done.ok_or("a synthesis task was lost")?;
+        assert_eq!(rng, walked, "a user's synthesis left its stream offset");
+        out[ci].extend(inputs);
+    }
+    Ok(out)
+}
+
+/// Adds `coupling ×` the other cells' radiated fields into every cell's
+/// inputs. Each cell lays its inputs out first-fit from subcarrier 0; one
+/// pool task per cell builds its [`CellField`] over the widest cell's
+/// band, then, once every field exists, one task per cell injects its
+/// neighbours' fields — in cell order, so each sample's sum runs in the
+/// same order whichever worker runs it.
+fn interfere(
+    d: &Dispatcher,
+    configs: &[CellConfig],
+    tick_inputs: Vec<Vec<UserInput>>,
+    coupling: f32,
+) -> Result<Vec<Vec<UserInput>>, String> {
+    let band = tick_inputs
+        .iter()
+        .map(|inputs| inputs.iter().map(|i| i.config.subcarriers()).sum::<usize>())
+        .max()
+        .unwrap_or(0);
+    if band == 0 {
+        return Ok(tick_inputs);
+    }
+    let radiate = tick_inputs.into_iter().zip(configs).map(|(inputs, cell)| {
+        let n_rx = cell.n_rx;
+        move || {
+            let mut cursor = 0usize;
+            let offsets: Vec<usize> = inputs
+                .iter()
+                .map(|input| {
+                    let at = cursor;
+                    cursor += input.config.subcarriers();
+                    at
+                })
+                .collect();
+            let field = CellField::radiated(&inputs, &offsets, n_rx, band);
+            (inputs, offsets, field)
+        }
+    });
+    let mut fields = Vec::with_capacity(configs.len());
+    let mut cells = Vec::with_capacity(configs.len());
+    for done in d.run_tasks(radiate) {
+        let (inputs, offsets, field) = done.ok_or("a field task was lost")?;
+        fields.push(field);
+        cells.push((inputs, offsets));
+    }
+    let fields = Arc::new(fields);
+    let inject = cells
+        .into_iter()
+        .enumerate()
+        .map(|(ci, (mut inputs, offsets))| {
+            let fields = Arc::clone(&fields);
+            move || {
+                let neighbours: Vec<&CellField> = fields
+                    .iter()
+                    .enumerate()
+                    .filter(|(di, _)| *di != ci)
+                    .map(|(_, f)| f)
+                    .collect();
+                for (input, &offset) in inputs.iter_mut().zip(&offsets) {
+                    inject_interference(input, offset, &neighbours, coupling);
+                }
+                inputs
+            }
+        });
+    d.run_tasks(inject)
+        .into_iter()
+        .map(|done| done.ok_or_else(|| "an interference task was lost".to_string()))
+        .collect()
 }
 
 /// Hands one tick of every cell to the pool as one dispatcher row and
@@ -738,6 +814,141 @@ mod tests {
         assert_ne!(cell_seed(7, 0), cell_seed(7, 1));
         assert_ne!(cell_seed(7, 0), cell_seed(8, 0));
         assert_eq!(cell_seed(7, 3), cell_seed(7, 3));
+    }
+
+    /// A deployment cell's starting state, as `run_deploy` builds it.
+    fn cell_state(config: CellConfig, population: usize, seed: u64) -> CellState {
+        CellState {
+            config,
+            population,
+            rng: Xoshiro256::seed_from_u64(cell_seed(seed, config.cell_id as u64)),
+            hash: Fnv1a::new(),
+            offered: 0,
+            scheduled: 0,
+            deferred: 0,
+        }
+    }
+
+    #[test]
+    fn users_synthesized_on_the_pool_draw_one_stream_in_order() {
+        // Every pooled input equals the one drawn by synthesizing the
+        // cell's users one after another from the cell's one generator,
+        // NB-IoT repetitions included, and the walk ends where that
+        // serial draw does.
+        let turbo = TurboMode::Passthrough;
+        let d = Dispatcher::new(2, turbo, &[]).unwrap();
+        for (kind, reps) in [(CellKind::Macro, 1), (CellKind::NbIot, NBIOT_REPETITIONS)] {
+            let mut cells: Vec<CellState> = (0..2)
+                .map(|id| cell_state(CellConfig::with_identity(2, id), 3000, 5))
+                .collect();
+            let mut streams: Vec<Xoshiro256> = cells.iter().map(|c| c.rng.clone()).collect();
+            for tick in 0..2 {
+                let schedules: Vec<TickSchedule> = cells
+                    .iter()
+                    .map(|c| schedule_tick(kind, TrafficModel::FullBuffer, c.population, 5, tick))
+                    .collect();
+                let pooled = synthesize_tick(&d, &mut cells, &schedules, turbo, reps).unwrap();
+                for ((cell, sched), (inputs, rng)) in cells
+                    .iter()
+                    .zip(&schedules)
+                    .zip(pooled.iter().zip(&mut streams))
+                {
+                    let mut drawn = Vec::new();
+                    for user in &sched.subframe.users {
+                        let first = synthesize_user_with_mode(&cell.config, user, turbo, 30.0, rng);
+                        let payload = first.ground_truth.clone();
+                        drawn.push(first);
+                        for _ in 1..reps {
+                            let again = synthesize_retransmission(
+                                &cell.config,
+                                user,
+                                turbo,
+                                &payload,
+                                30.0,
+                                rng,
+                            );
+                            drawn.push(again);
+                        }
+                    }
+                    assert!(!drawn.is_empty());
+                    assert!(*inputs == drawn, "{kind:?} tick {tick}");
+                    assert_eq!(cell.rng, *rng, "{kind:?} tick {tick}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interference_reaches_every_antenna_of_a_four_antenna_cell() {
+        // Two 4-antenna cells: every sample of every antenna gains
+        // coupling × the other cell's sample at the same band position,
+        // and zero past the other cell's last user.
+        let configs = [0, 1].map(|id| CellConfig::with_identity(4, id));
+        let mut rng = Xoshiro256::seed_from_u64(9);
+        let clean: Vec<Vec<UserInput>> = configs
+            .iter()
+            .zip([[3, 2], [2, 2]])
+            .map(|(cell, widths)| {
+                widths
+                    .iter()
+                    .map(|&prbs| {
+                        let user = UserConfig::new(prbs, 1, Modulation::Qpsk);
+                        let turbo = TurboMode::Passthrough;
+                        synthesize_user_with_mode(cell, &user, turbo, 30.0, &mut rng)
+                    })
+                    .collect()
+            })
+            .collect();
+        let d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
+        let coupling = 0.25;
+        let mixed = interfere(&d, &configs, clean.clone(), coupling).unwrap();
+        // Symbol `sym` of a slot: 0 is the reference, 1.. the data.
+        let samples = |input: &UserInput, slot: usize, sym: usize, rx: usize| {
+            let slot = &input.slots[slot];
+            let symbol = if sym == 0 {
+                &slot.reference
+            } else {
+                &slot.data[sym - 1]
+            };
+            symbol.antenna(rx).to_vec()
+        };
+        let radiated = |cell: &[UserInput], slot, sym, rx, at: usize| {
+            let mut start = 0;
+            for input in cell {
+                let n_sc = input.config.subcarriers();
+                if at < start + n_sc {
+                    return samples(input, slot, sym, rx)[at - start];
+                }
+                start += n_sc;
+            }
+            Complex32::ZERO
+        };
+        for c in 0..2 {
+            let mut offset = 0;
+            for (before, after) in clean[c].iter().zip(&mixed[c]) {
+                for slot in 0..SLOTS_PER_SUBFRAME {
+                    for sym in 0..=DATA_SYMBOLS_PER_SLOT {
+                        for rx in 0..4 {
+                            let (x, y) = (
+                                samples(before, slot, sym, rx),
+                                samples(after, slot, sym, rx),
+                            );
+                            for (k, (&x, &y)) in x.iter().zip(&y).enumerate() {
+                                let other = radiated(&clean[1 - c], slot, sym, rx, offset + k);
+                                assert_eq!(
+                                    y,
+                                    x + other * coupling,
+                                    "cell {c} ({slot}, {sym}, {rx}, {k})"
+                                );
+                            }
+                        }
+                    }
+                }
+                offset += before.config.subcarriers();
+            }
+        }
+        let last_antenna = |cells: &[Vec<UserInput>]| samples(&cells[0][0], 1, 3, 3);
+        assert_ne!(last_antenna(&clean), last_antenna(&mixed));
     }
 
     #[test]

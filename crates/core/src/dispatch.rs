@@ -7,7 +7,10 @@
 //! a *row* — one subframe, or one tick of every cell — whose users each
 //! become one task graph (`spawn_user_graph`). A row is stamped at
 //! dispatch and when its last user lands; [`Dispatcher::finish`] hands
-//! back every row's results and stamps.
+//! back every row's results and stamps. Work that is not a user's
+//! receive graph — the deployment's per-user synthesis and per-cell
+//! interference — goes through [`Dispatcher::run_tasks`] as plain
+//! closures that each return a value.
 //!
 //! A user's completion is a guard whose `Drop` closes the user, so a
 //! graph lost to a panicking task (which the pool counts and drops)
@@ -15,7 +18,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use lte_dsp::fft::FftPlanner;
@@ -237,6 +240,36 @@ impl Dispatcher {
         }
         self.rows.push(state);
         self.rows.len() - 1
+    }
+
+    /// Runs each of `tasks` as one pool task, spawned as the iterator
+    /// yields it, and waits asleep until every one has finished. The
+    /// calling thread runs none of them, so the pool's worker count stays
+    /// the run's thread count. Slot `i` holds task `i`'s value, or `None`
+    /// where the task panicked (the pool counts and drops it).
+    pub(crate) fn run_tasks<T, F>(&self, tasks: impl IntoIterator<Item = F>) -> Vec<Option<T>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (done, landed) = mpsc::channel();
+        let mut slots = Vec::new();
+        for (i, task) in tasks.into_iter().enumerate() {
+            let done = done.clone();
+            self.pool.spawn(move || {
+                let value = task();
+                done.send((i, value))
+                    .expect("the receiver outlives every task");
+            });
+            slots.push(None);
+        }
+        drop(done);
+        // Ends when the last task's sender is gone: sent, or dropped by
+        // the unwinding of a task that panicked.
+        for (i, value) in landed {
+            slots[i] = Some(value);
+        }
+        slots
     }
 
     /// Waits until fewer than `window` rows are open, asleep on a condvar
@@ -618,6 +651,36 @@ mod tests {
                 assert!(open <= window, "{open} rows open under window {window}");
             }
         }
+    }
+
+    #[test]
+    fn run_tasks_returns_values_in_task_order_and_loses_only_panics() {
+        lte_sched::silence_injected_panics();
+        let d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
+        let values = d.run_tasks((0..40u64).map(|i| {
+            move || {
+                if i == 17 {
+                    std::panic::panic_any(lte_sched::InjectedPanic);
+                }
+                (i, std::thread::current().name().map(str::to_owned))
+            }
+        }));
+        assert_eq!(values.len(), 40);
+        for (i, value) in values.iter().enumerate() {
+            match value {
+                None => assert_eq!(i, 17, "only the panicking task is lost"),
+                Some((k, thread)) => {
+                    assert_eq!(*k, i as u64);
+                    let thread = thread.as_deref().unwrap_or_default();
+                    assert!(
+                        thread.starts_with("lte-worker-"),
+                        "task {i} ran on {thread}"
+                    );
+                }
+            }
+        }
+        assert!(values[17].is_none());
+        assert!(d.run_tasks(Vec::<fn() -> u8>::new()).is_empty());
     }
 
     #[test]

@@ -25,15 +25,26 @@ fn report_is_byte_identical_across_worker_counts() {
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8);
-    let jsons: Vec<String> = [1usize, 2, max]
-        .iter()
-        .map(|&w| {
-            let report = run_deploy(&base(3, 3000, w)).expect("deploy runs");
-            report.to_json()
-        })
-        .collect();
-    assert_eq!(jsons[0], jsons[1], "1 vs 2 workers diverged");
-    assert_eq!(jsons[0], jsons[2], "1 vs {max} workers diverged");
+    // Uncoupled macro cells, and coupled NB-IoT cells: users synthesized
+    // on the pool with their repetitions, then fields and injection.
+    let mut nbiot = base(2, 3000, 1);
+    nbiot.kind = CellKind::NbIot;
+    nbiot.coupling_milli = 20;
+    for cfg in [base(3, 3000, 1), nbiot] {
+        let jsons: Vec<String> = [1usize, 2, max]
+            .iter()
+            .map(|&workers| {
+                let cfg = DeployConfig {
+                    workers,
+                    ..cfg.clone()
+                };
+                run_deploy(&cfg).expect("deploy runs").to_json()
+            })
+            .collect();
+        let kind = cfg.kind.name();
+        assert_eq!(jsons[0], jsons[1], "{kind}: 1 vs 2 workers diverged");
+        assert_eq!(jsons[0], jsons[2], "{kind}: 1 vs {max} workers diverged");
+    }
 }
 
 #[test]

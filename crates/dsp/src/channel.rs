@@ -130,12 +130,48 @@ impl MimoChannel {
     /// static per subframe, so callers applying the channel to many
     /// symbols should hoist this once (see [`apply_with`]).
     ///
+    /// Every path has the same tap count (each constructor draws a
+    /// uniform tap vector), so the `(tap, subcarrier)` twiddle table is
+    /// built once per call rather than once per path; each response is
+    /// then bit-identical to [`frequency_response`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_sc == 0`.
+    ///
     /// [`apply_with`]: MimoChannel::apply_with
+    /// [`frequency_response`]: MimoChannel::frequency_response
     pub fn responses(&self, n_sc: usize) -> Vec<Vec<Vec<Complex32>>> {
-        (0..self.n_rx)
-            .map(|rx| {
-                (0..self.n_layers)
-                    .map(|l| self.frequency_response(rx, l, n_sc))
+        assert!(n_sc > 0, "need at least one subcarrier");
+        let n_taps = self.taps[0][0].len();
+        // The same expression, in the same order, as frequency_response.
+        let twiddles: Vec<Complex32> = (0..n_sc)
+            .flat_map(|k| {
+                (0..n_taps).map(move |t| {
+                    let theta = -std::f64::consts::TAU * (t as f64) * (k as f64)
+                        / (n_sc.max(2 * n_taps)) as f64;
+                    Complex32::new(theta.cos() as f32, theta.sin() as f32)
+                })
+            })
+            .collect();
+        self.taps
+            .iter()
+            .map(|per_layer| {
+                per_layer
+                    .iter()
+                    .map(|taps| {
+                        debug_assert_eq!(taps.len(), n_taps, "uniform tap count");
+                        twiddles
+                            .chunks_exact(n_taps)
+                            .map(|row| {
+                                let mut h = Complex32::ZERO;
+                                for (&tap, &w) in taps.iter().zip(row) {
+                                    h += tap * w;
+                                }
+                                h
+                            })
+                            .collect()
+                    })
                     .collect()
             })
             .collect()
@@ -262,6 +298,35 @@ mod tests {
         for z in &h {
             assert!((z.abs() - h[0].abs()).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn responses_equal_frequency_response_bit_for_bit() {
+        // Every PRB width 1–100 × 1–4 layers × {1, 2, 4} antennas: 7 000
+        // paths, tap counts 1–6, each through the shared twiddle table.
+        let mut rng = Xoshiro256::seed_from_u64(15);
+        let mut paths = 0;
+        for prbs in 1..=100 {
+            let n_sc = 12 * prbs;
+            let n_taps = (n_sc / 16).clamp(1, 6);
+            for n_layers in 1..=4 {
+                for n_rx in [1, 2, 4] {
+                    let ch = MimoChannel::randomize(n_rx, n_layers, n_taps, &mut rng);
+                    let all = ch.responses(n_sc);
+                    for (rx, per_layer) in all.iter().enumerate() {
+                        for (layer, h) in per_layer.iter().enumerate() {
+                            let direct = ch.frequency_response(rx, layer, n_sc);
+                            let bits = |v: &[Complex32]| -> Vec<(u32, u32)> {
+                                v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                            };
+                            assert_eq!(bits(h), bits(&direct), "{n_sc} sc, ({rx}, {layer})");
+                            paths += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(paths, 7000);
     }
 
     #[test]

@@ -109,6 +109,16 @@ impl Xoshiro256 {
         (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
     }
 
+    /// Advances the generator past its next `n` outputs, as `n` calls to
+    /// [`next_u64`](Xoshiro256::next_u64) would. Every draw method takes
+    /// whole `next_u64` outputs, so a caller that knows how many a
+    /// computation takes can hand it a clone and skip ahead of it.
+    pub fn discard(&mut self, n: u64) {
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
+
     /// Derives an independent generator, advancing `self`.
     ///
     /// The child is seeded from fresh output of the parent, so parent and
@@ -204,6 +214,19 @@ mod tests {
             .filter(|_| parent.next_u64() == child.next_u64())
             .count();
         assert_eq!(equal, 0);
+    }
+
+    #[test]
+    fn discard_skips_exactly_n_outputs() {
+        for n in [0u64, 1, 2, 7, 1000] {
+            let mut skipped = Xoshiro256::seed_from_u64(21);
+            skipped.discard(n);
+            let mut stepped = Xoshiro256::seed_from_u64(21);
+            for _ in 0..n {
+                stepped.next_u64();
+            }
+            assert_eq!(skipped, stepped, "n = {n}");
+        }
     }
 
     #[test]

@@ -252,6 +252,35 @@ pub fn split_bits<'a>(user: &UserConfig, bits: &'a [u8]) -> Vec<&'a [u8]> {
     bits.chunks_exact(chunk).collect()
 }
 
+/// Taps of the random channel [`synthesize_user_with_mode`] and
+/// [`synthesize_retransmission`] draw for a user.
+fn channel_taps(user: &UserConfig) -> usize {
+    (user.subcarriers() / 16).clamp(1, 6)
+}
+
+/// How many generator outputs ([`Xoshiro256::next_u64`] calls) a user's
+/// first transmission plus `transmissions − 1` retransmissions take:
+/// one per payload bit, then per transmission two Box–Muller Gaussians
+/// (two outputs each) for every channel tap of every `(rx, layer)` path
+/// and two more for every noisy sample (`n_rx` rows of `n_sc` in each of
+/// the 2 × 7 symbols).
+///
+/// A caller that advances a generator clone by this count lands exactly
+/// where synthesizing from the generator itself would leave it, so users
+/// of one stream can be synthesized independently, each from its own
+/// offset.
+pub fn synthesis_draws(
+    cell: &CellConfig,
+    user: &UserConfig,
+    mode: TurboMode,
+    transmissions: usize,
+) -> u64 {
+    let (n_rx, layers, n_sc) = (cell.n_rx, user.layers, user.subcarriers());
+    let symbols = SLOTS_PER_SUBFRAME * (1 + DATA_SYMBOLS_PER_SLOT);
+    let per_transmission = 4 * n_rx * layers * channel_taps(user) + 4 * symbols * n_rx * n_sc;
+    (FramePlan::for_user(user, mode).payload_bits() + transmissions * per_transmission) as u64
+}
+
 /// Synthesises one user's received subframe over a random MIMO channel at
 /// the given SNR, using the paper's default pass-through framing.
 pub fn synthesize_user(
@@ -271,9 +300,7 @@ pub fn synthesize_user_with_mode(
     snr_db: f64,
     rng: &mut Xoshiro256,
 ) -> UserInput {
-    let n_sc = user.subcarriers();
-    let n_taps = (n_sc / 16).clamp(1, 6);
-    let channel = MimoChannel::randomize(cell.n_rx, user.layers, n_taps, rng);
+    let channel = MimoChannel::randomize(cell.n_rx, user.layers, channel_taps(user), rng);
     synthesize_user_over_channel(cell, user, mode, snr_db, &channel, rng)
 }
 
@@ -312,9 +339,7 @@ pub fn synthesize_retransmission(
     snr_db: f64,
     rng: &mut Xoshiro256,
 ) -> UserInput {
-    let n_sc = user.subcarriers();
-    let n_taps = (n_sc / 16).clamp(1, 6);
-    let channel = MimoChannel::randomize(cell.n_rx, user.layers, n_taps, rng);
+    let channel = MimoChannel::randomize(cell.n_rx, user.layers, channel_taps(user), rng);
     synthesize_payload_over_channel(cell, user, mode, payload, snr_db, &channel, rng)
 }
 
@@ -348,7 +373,7 @@ pub fn synthesize_payload_over_channel(
     // Per-layer reference sequences (transmitted simultaneously by all
     // layers during the reference symbol).
     let references: Vec<Vec<Complex32>> = (0..user.layers)
-        .map(|l| reference_for_layer(cell, user, l).samples().to_vec())
+        .map(|l| reference_for_layer_cached(cell, user, l).samples().to_vec())
         .collect();
 
     // The channel is static over the subframe: compute every (rx, layer)
@@ -540,6 +565,45 @@ mod tests {
             retx.slots[0].data[0].antenna(0)[0],
             first.slots[0].data[0].antenna(0)[0]
         );
+    }
+
+    #[test]
+    fn synthesis_draws_counts_every_generator_output() {
+        // Every user PRB width 2–100 × 1–4 layers × {1, 2, 4} antennas
+        // (tap counts 1–6), for one and for four transmissions (a first
+        // plus three retransmissions of its payload): a clone advanced by
+        // the count lands where synthesis leaves the generator.
+        // Unoptimised builds take every 24th width to stay short.
+        let stride = if cfg!(debug_assertions) { 24 } else { 1 };
+        let modulations = [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64];
+        let mut rng = Xoshiro256::seed_from_u64(29);
+        for prbs in (2..=100).step_by(stride) {
+            for layers in 1..=4 {
+                for n_rx in [1, 2, 4] {
+                    let cell = CellConfig::with_antennas(n_rx);
+                    let user = UserConfig::new(prbs, layers, modulations[prbs % 3]);
+                    let mode = if layers % 2 == 1 {
+                        TurboMode::Passthrough
+                    } else {
+                        TurboMode::Decode { iterations: 1 }
+                    };
+                    let walk = |transmissions| {
+                        let mut walked = rng.clone();
+                        walked.discard(synthesis_draws(&cell, &user, mode, transmissions));
+                        walked
+                    };
+                    let (after_one, after_four) = (walk(1), walk(4));
+                    let first = synthesize_user_with_mode(&cell, &user, mode, 10.0, &mut rng);
+                    let shape = format!("{prbs} PRB x{layers} on {n_rx} rx");
+                    assert_eq!(after_one, rng, "{shape}, one transmission");
+                    for _ in 1..4 {
+                        let payload = &first.ground_truth;
+                        synthesize_retransmission(&cell, &user, mode, payload, 10.0, &mut rng);
+                    }
+                    assert_eq!(after_four, rng, "{shape}, four transmissions");
+                }
+            }
+        }
     }
 
     #[test]

@@ -195,20 +195,32 @@ echo "==> deploy smoke (lte-sim deploy)"
 # A multi-cell deployment must complete and write a byte-deterministic
 # DEPLOY.json: the report is a pure function of the seed, so two runs
 # at *different worker counts* must produce cmp-identical artifacts.
-cargo run -q --offline --release -p lte-uplink --bin lte-sim -- \
-    deploy --cells 3 --ues 10000 --subframes 8 --seed 7 --workers 2 \
-    --out target/deploy-smoke-a | tail -n 4 \
-    || { echo "deploy smoke: first run failed"; exit 1; }
-cargo run -q --offline --release -p lte-uplink --bin lte-sim -- \
-    deploy --cells 3 --ues 10000 --subframes 8 --seed 7 --workers 1 \
-    --out target/deploy-smoke-b >/dev/null \
-    || { echo "deploy smoke: second run failed"; exit 1; }
-for f in DEPLOY.json DEPLOY.om; do
-    cmp -s "target/deploy-smoke-a/$f" "target/deploy-smoke-b/$f" \
-        || { echo "deploy smoke: $f differs across worker counts"; exit 1; }
-done
-grep -q '"schema": "lte-sim-deploy-v1"' target/deploy-smoke-a/DEPLOY.json \
-    || { echo "deploy smoke: DEPLOY.json has the wrong schema"; exit 1; }
+# Both configurations couple their cells, so users synthesized on the
+# pool and the interference fields and injection run at both counts;
+# the fingerprints are pinned to the values the coordinator-serial
+# synthesis produced.
+deploy_smoke() {
+    local name="$1" fingerprint="$2"
+    shift 2
+    for workers in 2 1; do
+        cargo run -q --offline --release -p lte-uplink --bin lte-sim -- \
+            deploy "$@" --workers "$workers" --out "target/deploy-smoke-$name-w$workers" \
+            | tail -n 4 \
+            || { echo "deploy smoke: $name at $workers workers failed"; exit 1; }
+    done
+    for f in DEPLOY.json DEPLOY.om; do
+        cmp -s "target/deploy-smoke-$name-w2/$f" "target/deploy-smoke-$name-w1/$f" \
+            || { echo "deploy smoke: $name $f differs across worker counts"; exit 1; }
+    done
+    grep -q '"schema": "lte-sim-deploy-v1"' "target/deploy-smoke-$name-w2/DEPLOY.json" \
+        || { echo "deploy smoke: $name DEPLOY.json has the wrong schema"; exit 1; }
+    grep -q "\"fingerprint\": \"$fingerprint\"," "target/deploy-smoke-$name-w2/DEPLOY.json" \
+        || { echo "deploy smoke: $name fingerprint is not $fingerprint"; exit 1; }
+}
+deploy_smoke macro 17b2ae15eaa2fc7e \
+    --cells 3 --ues 10000 --subframes 8 --seed 7 --coupling-milli 5
+deploy_smoke nbiot 8734bfb27b753adb \
+    --cells 2 --ues 3000 --subframes 6 --seed 3 --cell-kind nbiot --coupling-milli 20
 
 echo "==> serve smoke (lte-sim serve)"
 # A short governed serve campaign under the seeded ingest chaos plan
