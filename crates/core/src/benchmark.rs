@@ -118,17 +118,13 @@ pub struct DegradationReport {
 
 /// Scheduler activity totals for one run, snapshotted from the pool the
 /// run executed on — the observable face of the low-overhead stealing
-/// machinery (LIFO slot, batched steals, parking).
+/// machinery (LIFO slot, single-task steals, parking).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolActivity {
     /// Tasks executed across all workers.
     pub executed_tasks: u64,
     /// Successful steals from other workers' deques.
     pub steals: u64,
-    /// Steals that moved more than one task (steal-half batches).
-    pub steal_batches: u64,
-    /// Extra tasks moved by batched steals (beyond the popped one).
-    pub batch_stolen_tasks: u64,
     /// Tasks executed straight from a worker's bounded LIFO slot.
     pub lifo_slot_hits: u64,
     /// Times any worker parked on the idle condvar.
@@ -140,8 +136,6 @@ impl PoolActivity {
         PoolActivity {
             executed_tasks: pool.executed_tasks(),
             steals: pool.steal_count(),
-            steal_batches: pool.steal_batches(),
-            batch_stolen_tasks: pool.batch_stolen_tasks(),
             lifo_slot_hits: pool.lifo_slot_hits(),
             parks: pool.parks(),
         }

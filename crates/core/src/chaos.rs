@@ -48,9 +48,9 @@ pub const CHAOS_SUBFRAME_CAP: usize = 400;
 const POOL_WORKERS: usize = 4;
 /// Subframes driven through the real pool.
 const POOL_SUBFRAMES: usize = 64;
-/// Jobs fanned out per pool subframe.
+/// Jobs per pool subframe, each one root task spawned by the coordinator.
 const POOL_JOBS: usize = 4;
-/// Tasks scoped per pool job.
+/// Tasks each pool job's root task spawns.
 const POOL_TASKS: usize = 8;
 /// Subframes in the link-level HARQ campaign.
 const LINK_SUBFRAMES: usize = 40;
@@ -233,28 +233,30 @@ fn run_pool_campaign(
                     ordinal += 1;
                 }
             }
+            // The job's root task enters the global queue; on its worker
+            // it spawns the job's tasks into that worker's LIFO slot and
+            // deque, where the other workers can steal all but the newest.
             let started = Arc::clone(&started);
             let plan = plan.clone();
-            pool.submit_job(move |p| {
-                let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = (0..POOL_TASKS)
-                    .map(|task| {
-                        let started = Arc::clone(&started);
-                        let panics = plan.task_panics(sf, job * POOL_TASKS + task);
-                        Box::new(move || {
-                            started.fetch_add(1, Ordering::SeqCst);
-                            if panics {
-                                std::panic::panic_any(InjectedPanic);
-                            }
-                        }) as Box<dyn FnOnce() + Send + 'static>
-                    })
-                    .collect();
-                p.scope(tasks);
+            let handle = pool.handle();
+            pool.spawn(move || {
+                for task in 0..POOL_TASKS {
+                    let started = Arc::clone(&started);
+                    let panics = plan.task_panics(sf, job * POOL_TASKS + task);
+                    handle.spawn(move || {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        if panics {
+                            std::panic::panic_any(InjectedPanic);
+                        }
+                    });
+                }
             });
         }
         pool.wait_all();
     }
-    // Kill tasks ride the overflow queue; give idle workers a bounded
-    // window to pick each one up and the supervisor to respawn them.
+    // `wait_all` covered the kill tasks themselves; the supervisor counts
+    // each respawn a moment after its kill is released, so give it a
+    // bounded window.
     let deadline = Instant::now() + Duration::from_secs(10);
     while pool.worker_respawns() < summary.kills_injected && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));

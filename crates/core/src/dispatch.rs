@@ -333,8 +333,12 @@ struct SharedBuf<T> {
 }
 
 // SAFETY: writers touch disjoint ranges (enforced by the dispatcher's
-// index arithmetic), and readers only run after the pool scope joins
-// all writers, which synchronises the stores.
+// index arithmetic), and a buffer is read only by the last writer to
+// finish — the task whose `SeqCst` `fetch_sub` takes the buffer's
+// completion counter (`est_remaining[slot]`, `combine_remaining`) to
+// zero — or by a task it spawns after that. Every writer's decrement is
+// a release that this read-modify-write acquires, so the stores happen
+// before the reads.
 unsafe impl<T: Send> Sync for SharedBuf<T> {}
 
 impl<T: Copy> SharedBuf<T> {

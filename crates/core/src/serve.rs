@@ -1206,6 +1206,21 @@ mod tests {
     }
 
     #[test]
+    fn params_at_their_maxima_build_a_bucket_that_never_refuses() {
+        let max = u64::MAX;
+        let p = ServeParams::parse(&format!("rate_milli={max}\nburst={max}\n"))
+            .expect("u64 maxima parse");
+        let mut bucket = TokenBucket::per_tick(p.rate_milli, p.burst);
+        for _ in 0..1000 {
+            bucket.tick();
+            for _ in 0..4 {
+                assert!(bucket.try_take());
+            }
+        }
+        assert_eq!(bucket.refused(), 0);
+    }
+
+    #[test]
     fn watchdog_verdict_waits_restarts_then_aborts() {
         let t = Duration::from_secs(1);
         // Progress happened: wait, regardless of elapsed time.

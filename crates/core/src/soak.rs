@@ -23,7 +23,7 @@
 //! OpenMetrics export derives from the seeded simulation and bit-exact
 //! receiver decodes — two identical soaks serialize byte-identical
 //! artefacts at any host worker count. Wall-clock host telemetry
-//! (per-stage decode histograms, pool steal/park/queue-depth
+//! (per-stage decode histograms, pool park/queue-depth
 //! distributions) is collected by a separate bounded burst on the real
 //! pool and written to its own host-metrics file, excluded from the
 //! determinism contract.
@@ -636,7 +636,7 @@ pub fn run_soak_with_stop(
 
 /// A bounded wall-clock burst on the real pool: decodes the steady-state
 /// users repeatedly with per-stage timing into [`StageHists`] and the
-/// pool's steal/park/queue-depth telemetry attached, then serializes
+/// pool's park/queue-depth telemetry attached, then serializes
 /// both. Host-time measurements live here and only here — they never
 /// touch the deterministic soak artefacts.
 fn host_metrics_burst(workers: usize) -> Result<String, PoolError> {
@@ -659,7 +659,7 @@ fn host_metrics_burst(workers: usize) -> Result<String, PoolError> {
             let hists = Arc::clone(&hists);
             let planner = Arc::clone(&planner);
             let input = Arc::clone(input);
-            pool.submit_job(move |_| {
+            pool.spawn(move || {
                 let timer = StageTimer::histograms_only(&hists);
                 let result =
                     process_user_traced(&cell, &input, TurboMode::Passthrough, &planner, &timer);
@@ -681,8 +681,7 @@ fn host_metrics_burst(workers: usize) -> Result<String, PoolError> {
     }
     out.push_str("},\"pool\":{");
     out.push_str(&format!(
-        "\"steal_batch_tasks\":{},\"park_nanos\":{},\"queue_depth\":{}",
-        telemetry.steal_batch_tasks.snapshot().to_json(),
+        "\"park_nanos\":{},\"queue_depth\":{}",
         telemetry.park_nanos.snapshot().to_json(),
         telemetry.queue_depth.snapshot().to_json(),
     ));

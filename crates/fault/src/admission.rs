@@ -297,14 +297,18 @@ impl TokenBucket {
     }
 
     /// Convenience: a bucket allowing a sustained `rate_milli`/1000
-    /// admissions per tick with a burst allowance of `burst` admissions.
+    /// admissions per tick with a burst allowance of `burst` admissions
+    /// (a capacity past `u64::MAX` milli-tokens saturates there).
     pub fn per_tick(rate_milli: u64, burst: u64) -> Self {
-        TokenBucket::new(burst.max(1) * 1000, rate_milli)
+        TokenBucket::new(burst.max(1).saturating_mul(1000), rate_milli)
     }
 
     /// Advances one tick, refilling the bucket (saturating at capacity).
     pub fn tick(&mut self) {
-        self.level_milli = (self.level_milli + self.refill_milli).min(self.capacity_milli);
+        self.level_milli = self
+            .level_milli
+            .saturating_add(self.refill_milli)
+            .min(self.capacity_milli);
     }
 
     /// Tries to take one admission's worth of tokens.
@@ -628,6 +632,21 @@ mod tests {
         assert!(b.try_take());
         assert_eq!(b.taken(), 4);
         assert_eq!(b.refused(), 2);
+    }
+
+    #[test]
+    fn token_bucket_saturates_instead_of_overflowing() {
+        // A hostile config's maxima: the capacity and every refill
+        // saturate at u64::MAX milli-tokens rather than overflowing, so
+        // the bucket keeps admitting tick after tick.
+        let mut b = TokenBucket::per_tick(u64::MAX, u64::MAX);
+        for _ in 0..1000 {
+            b.tick();
+            assert!(b.try_take());
+            assert!(b.try_take());
+        }
+        assert_eq!(b.refused(), 0);
+        assert_eq!(b.level_milli(), u64::MAX - 2000);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! * [`pool`] — a real work-stealing thread pool (one OS thread per
 //!   worker, mutex-guarded `VecDeque` queues on `std` — not lock-free)
 //!   mirroring the paper's Pthreads runtime: a global user queue checked
-//!   before stealing, per-scope task sets, and cycle-accounting
-//!   instrumentation (the `get_cycle_count()` analogue). This is what
-//!   the *benchmark* deliverable runs on.
+//!   before stealing, per-worker task deques that detached tasks spawn
+//!   their successors onto, and cycle-accounting instrumentation (the
+//!   `get_cycle_count()` analogue). This is what the *benchmark*
+//!   deliverable runs on.
 //!
 //! * [`sim`] — a deterministic discrete-event simulator of a 64-core tile
 //!   processor (the TILEPro64 substitute): per-core queues, work stealing

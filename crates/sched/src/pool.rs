@@ -2,45 +2,39 @@
 //!
 //! Structure (§IV-B/C of the paper):
 //!
-//! * a **global user queue** of jobs — idle workers check it *before*
-//!   stealing fine-grained tasks, so new subframes start promptly;
-//! * **per-worker task deques** — a user thread (the worker that dequeued
-//!   a job) spawns its tasks onto *its own* deque and pops them LIFO;
-//!   idle workers steal FIFO from other workers' deques — the paper's
-//!   "each worker thread has a local task queue, and if no work exists
-//!   in its own queue, it tries to steal work from another worker
-//!   thread". Every queue here, the global one included, is a
-//!   mutex-guarded `VecDeque` on `std` (the private `deque` module), as
-//!   plain as the paper's Pthreads queues: correct and ordered, not
-//!   lock-free;
+//! * a **global user queue** — each user's root task enters it from the
+//!   coordinator (any thread that is not one of this pool's workers),
+//!   and idle workers check it *before* stealing fine-grained tasks, so
+//!   new subframes start promptly;
+//! * **per-worker task deques** — a task running on a worker spawns its
+//!   successors onto *that worker's* deque, which the owner pops LIFO;
+//!   idle workers steal FIFO from other workers' deques, one task at a
+//!   time — the paper's "each worker thread has a local task queue, and
+//!   if no work exists in its own queue, it tries to steal work from
+//!   another worker thread". Both queue kinds are the private `deque`
+//!   module's mutex-guarded `VecDeque` on `std`, as plain as the
+//!   paper's Pthreads queues: correct and ordered, not lock-free;
 //! * **a bounded per-worker LIFO slot** — the most recently spawned
 //!   continuation task is kept in a one-element slot private to the
 //!   worker, so a dependency chain (estimate → weights → combine →
 //!   finish) runs back-to-back on one core with hot caches instead of
 //!   round-tripping through the deque;
-//! * **batched steals** — a thief takes up to half the victim's deque in
-//!   one operation (at most 32 tasks), amortising the steal
-//!   synchronisation over many fine-grained tasks;
 //! * **spin-then-park idling** — a worker that finds no work anywhere
 //!   retries briefly, then parks on a condvar with exponentially growing
-//!   timeouts instead of burning a core, and is woken by the next
-//!   submit/spawn;
-//! * **task scopes** ([`TaskPool::scope`]) — the fork-join barrier
-//!   between pipeline phases: the caller helps execute until all tasks
-//!   of the scope complete;
-//! * **detached tasks** ([`TaskPool::spawn`], [`PoolHandle::spawn`]) —
-//!   dependency-graph continuations that block no thread: a task's
-//!   completion spawns its successors, and [`TaskPool::wait_all`] counts
-//!   every spawned task, so a whole subframe pipeline can drain without
-//!   any user thread standing at a barrier;
-//! * **cycle accounting** — every executed task is timed, the analogue of
-//!   the paper's `get_cycle_count()` instrumentation, so the activity
-//!   metric (Eq. 2) can be computed for real runs too.
+//!   timeouts instead of burning a core, and is woken by the next spawn;
+//! * **one kind of work, the detached task** ([`TaskPool::spawn`],
+//!   [`PoolHandle::spawn`]) — dependency-graph continuations that block
+//!   no thread: a task's completion spawns its successors, and
+//!   [`TaskPool::wait_all`] counts every spawned task, so a whole
+//!   subframe pipeline drains without any thread standing at a barrier;
+//! * **cycle accounting** — every executed task is timed on the worker
+//!   that ran it, the analogue of the paper's `get_cycle_count()`
+//!   instrumentation, so the activity metric (Eq. 2) can be computed for
+//!   real runs too. Only workers run tasks, so every pool-wide total is
+//!   the sum of the per-worker counters.
 //!
-//! One deliberate difference from the paper's implementation is noted on
-//! [`TaskPool::scope`]: a waiting user thread here may help execute other
-//! users' tasks instead of pure spinning, which only improves utilisation
-//! and cannot change results (tasks write disjoint outputs).
+//! A worker's work search is: LIFO slot → own deque → global queue →
+//! round-robin steal from the other workers' deques.
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,26 +47,7 @@ use lte_obs::{Histogram, MetricsRegistry};
 
 use crate::deque::Deque;
 
-type Job = Box<dyn FnOnce(&TaskPool) + Send + 'static>;
 type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// What a finished task releases. [`run_timed`] does the release *after*
-/// the task's accounting, so whoever it unblocks — `wait_all`, a scope
-/// barrier — reads counters that already include the task.
-enum Release {
-    /// A detached task: one unit of `pending_jobs`.
-    Pending,
-    /// A scope member: one unit of that scope's barrier.
-    Barrier(Arc<AtomicUsize>),
-    /// Nobody waits on it (the injected worker kill).
-    Nothing,
-}
-
-/// A task as the deques hold it.
-struct Queued {
-    run: Task,
-    release: Release,
-}
 
 /// Consecutive empty work searches a worker tolerates (yielding between
 /// attempts) before it parks on the idle condvar.
@@ -166,21 +141,16 @@ thread_local! {
     /// The bounded (one-element) LIFO slot holding this worker's most
     /// recently spawned task. Private to the worker — never stolen — so
     /// a continuation chain keeps its working set in cache.
-    static LIFO_SLOT: RefCell<Option<Queued>> = const { RefCell::new(None) };
+    static LIFO_SLOT: RefCell<Option<Task>> = const { RefCell::new(None) };
     /// `(pool, index)` of the worker thread currently running, if any —
     /// the pool as the address of its [`Inner`], which the worker keeps
     /// alive (and so unique) for as long as the thread runs. Read only
     /// through [`worker_of`].
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-    /// Nanoseconds this thread has spent inside [`TaskPool::scope`] for
-    /// the job currently executing — subtracted from the job's own
-    /// elapsed time so barrier waits and helping are not double-counted
-    /// as useful work.
-    static SCOPE_NANOS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Per-worker activity counters, all updated with relaxed atomics from
-/// the worker's own thread (plus foreign threads helping via `scope`).
+/// the worker's own thread. The pool-wide totals are their sums.
 #[derive(Default)]
 struct WorkerStats {
     busy_nanos: AtomicU64,
@@ -188,7 +158,6 @@ struct WorkerStats {
     steals: AtomicU64,
     steal_failures: AtomicU64,
     slot_hits: AtomicU64,
-    steal_batches: AtomicU64,
     parks: AtomicU64,
 }
 
@@ -205,8 +174,6 @@ pub struct WorkerSnapshot {
     pub steal_failures: u64,
     /// Tasks this worker took from its bounded LIFO slot.
     pub slot_hits: u64,
-    /// Steals that moved more than one task in a batch.
-    pub steal_batches: u64,
     /// Times this worker parked on the idle condvar.
     pub parks: u64,
 }
@@ -217,13 +184,11 @@ pub struct WorkerSnapshot {
 /// atomic load per potential record site and nothing else.
 #[derive(Default)]
 pub struct PoolTelemetry {
-    /// Tasks moved per successful batched steal (the popped task plus
-    /// the batch unloaded onto the thief's deque).
-    pub steal_batch_tasks: Histogram,
     /// Nanoseconds per worker park: idle-backoff parks and governor
     /// naps alike.
     pub park_nanos: Histogram,
-    /// Global job-queue depth sampled at every job submission.
+    /// Global-queue depth sampled at every push from a thread that is
+    /// not one of the pool's workers.
     pub queue_depth: Histogram,
 }
 
@@ -235,28 +200,20 @@ impl PoolTelemetry {
 }
 
 struct Inner {
-    /// The global user queue.
-    jobs: Deque<Job>,
-    /// Tasks submitted from threads that are not workers of this pool.
-    overflow: Deque<Queued>,
+    /// The global user queue, fed by every thread that is not one of
+    /// this pool's workers.
+    global: Deque<Task>,
     /// Every worker's local deque, indexed by worker.
-    deques: Vec<Deque<Queued>>,
+    deques: Vec<Deque<Task>>,
     shutdown: AtomicBool,
-    pending_jobs: AtomicUsize,
-    busy_nanos: AtomicU64,
-    executed_tasks: AtomicU64,
-    steal_count: AtomicU64,
-    steal_failures: AtomicU64,
-    steal_batches: AtomicU64,
-    batch_stolen_tasks: AtomicU64,
-    lifo_slot_hits: AtomicU64,
-    parks: AtomicU64,
+    /// Spawned tasks not yet finished: what [`TaskPool::wait_all`]
+    /// waits on.
+    pending: AtomicUsize,
     poisoned_tasks: AtomicU64,
-    poisoned_jobs: AtomicU64,
     worker_respawns: AtomicU64,
     worker_stats: Vec<WorkerStats>,
     /// Workers currently parked (or about to park) on `idle_cv`; wakeups
-    /// are skipped entirely while this is zero, so the submit hot path
+    /// are skipped entirely while this is zero, so the spawn hot path
     /// pays no condvar traffic when every worker is busy.
     idle_workers: AtomicUsize,
     /// Governor cap: only workers with `index < active_limit` search for
@@ -278,16 +235,16 @@ struct Inner {
 }
 
 impl Inner {
-    /// Drops one unit of `pending_jobs`, waking `wait_all` on the last.
-    /// Callers account the finished job or task *before* this.
+    /// Drops one unit of `pending`, waking `wait_all` on the last.
+    /// Callers account the finished task *before* this.
     fn finish_pending(&self) {
-        if self.pending_jobs.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // `wait_all` holds `done_lock` from its read of
-            // `pending_jobs` until the condvar wait releases it. So the
-            // decrement above either precedes that read (the waiter sees
-            // zero and never parks) or falls inside that span — then
-            // this acquire blocks until the waiter is parked, and the
-            // notify below cannot be missed.
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // `wait_all` holds `done_lock` from its read of `pending`
+            // until the condvar wait releases it. So the decrement above
+            // either precedes that read (the waiter sees zero and never
+            // parks) or falls inside that span — then this acquire
+            // blocks until the waiter is parked, and the notify below
+            // cannot be missed.
             drop(lock(&self.done_lock));
             self.done_cv.notify_all();
         }
@@ -300,49 +257,37 @@ impl Inner {
         }
     }
 
-    /// Grabs one task from anywhere: the overflow queue, then the
-    /// workers' deques (round-robin from `start`). A steal from a deque
-    /// takes up to half the victim's queue when the calling thread is a
-    /// worker of this pool, with a deque of its own to unload the batch
-    /// into.
-    fn steal_task(&self, start: usize) -> Option<Queued> {
-        if let Some(t) = self.overflow.steal() {
-            return Some(t);
-        }
-        let me = worker_of(self);
-        let n = self.deques.len();
-        for i in 0..n {
-            let victim = &self.deques[(start + i) % n];
-            let stolen = match me {
-                // Batched steal: the oldest task comes back for
-                // immediate execution, the rest of the batch lands on
-                // our own deque.
-                Some(w) => victim.steal_half_into(&self.deques[w]),
-                None => victim.steal().map(|t| (t, 0)),
-            };
-            let Some((task, moved)) = stolen else {
-                continue;
-            };
-            self.steal_count.fetch_add(1, Ordering::Relaxed);
-            if moved > 0 {
-                self.steal_batches.fetch_add(1, Ordering::Relaxed);
-                self.batch_stolen_tasks
-                    .fetch_add(moved as u64, Ordering::Relaxed);
-            }
-            if let Some(t) = self.telemetry.get() {
-                t.steal_batch_tasks.record(moved as u64 + 1);
-            }
-            if let Some(w) = me {
-                self.worker_stats[w].steals.fetch_add(1, Ordering::Relaxed);
-                if moved > 0 {
-                    self.worker_stats[w]
-                        .steal_batches
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    /// Sums one counter over the workers.
+    fn total(&self, counter: impl Fn(&WorkerStats) -> &AtomicU64) -> u64 {
+        self.worker_stats
+            .iter()
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Worker `w`'s local work: its LIFO slot (hot continuation), then
+    /// its own deque.
+    fn pop_local(&self, w: usize) -> Option<Task> {
+        if let Some(task) = LIFO_SLOT.with(|slot| slot.borrow_mut().take()) {
+            self.worker_stats[w]
+                .slot_hits
+                .fetch_add(1, Ordering::Relaxed);
             return Some(task);
         }
-        None
+        self.deques[w].pop()
+    }
+
+    /// Worker `w`'s work search: its local work, the global user queue
+    /// (§IV-C: checked before stealing), then one task stolen from the
+    /// other workers' deques, round-robin from `w + 1`.
+    fn find_task(&self, w: usize) -> Option<Task> {
+        if let Some(task) = self.pop_local(w).or_else(|| self.global.steal()) {
+            return Some(task);
+        }
+        let n = self.deques.len();
+        let task = (1..n).find_map(|i| self.deques[(w + i) % n].steal())?;
+        self.worker_stats[w].steals.fetch_add(1, Ordering::Relaxed);
+        Some(task)
     }
 }
 
@@ -368,33 +313,14 @@ fn worker_of(inner: &Inner) -> Option<usize> {
     (pool == inner as *const Inner as usize).then_some(index)
 }
 
-/// Takes the next locally available task: the LIFO slot first (hot
-/// continuation), then the worker's own deque.
-fn pop_local(inner: &Inner) -> Option<Queued> {
-    let w = worker_of(inner)?;
-    if let Some(task) = LIFO_SLOT.with(|slot| slot.borrow_mut().take()) {
-        inner.lifo_slot_hits.fetch_add(1, Ordering::Relaxed);
-        inner.worker_stats[w]
-            .slot_hits
-            .fetch_add(1, Ordering::Relaxed);
-        return Some(task);
-    }
-    inner.deques[w].pop()
-}
-
 /// Enqueues a detached task: into the calling worker's LIFO slot when on
 /// one of this pool's worker threads (displacing any previous occupant
-/// onto the stealable deque), or onto the shared overflow queue
-/// otherwise.
+/// onto the stealable deque), or onto the global user queue otherwise.
 fn spawn_inner(inner: &Inner, task: Task) {
-    inner.pending_jobs.fetch_add(1, Ordering::SeqCst);
-    let wrapped = Queued {
-        run: task,
-        release: Release::Pending,
-    };
+    inner.pending.fetch_add(1, Ordering::SeqCst);
     match worker_of(inner) {
         Some(w) => {
-            let displaced = LIFO_SLOT.with(|slot| slot.borrow_mut().replace(wrapped));
+            let displaced = LIFO_SLOT.with(|slot| slot.borrow_mut().replace(task));
             if let Some(old) = displaced {
                 // The displaced task becomes stealable: other workers may
                 // be hungry for it.
@@ -404,7 +330,10 @@ fn spawn_inner(inner: &Inner, task: Task) {
             // A task in the slot needs no wakeup: this worker is running.
         }
         None => {
-            inner.overflow.push(wrapped);
+            inner.global.push(task);
+            if let Some(t) = inner.telemetry.get() {
+                t.queue_depth.record(inner.global.len() as u64);
+            }
             inner.wake_idle();
         }
     }
@@ -434,8 +363,8 @@ impl PoolHandle {
     }
 }
 
-/// A work-stealing thread pool with a global user-job queue and
-/// per-worker task deques.
+/// A work-stealing thread pool with a global user queue and per-worker
+/// task deques.
 ///
 /// # Example
 ///
@@ -447,18 +376,16 @@ impl PoolHandle {
 /// let pool = TaskPool::new(4).expect("spawn workers");
 /// let counter = Arc::new(AtomicUsize::new(0));
 /// for _ in 0..10 {
-///     let c = Arc::clone(&counter);
-///     pool.submit_job(move |pool| {
-///         // A job fans out tasks and joins them.
-///         let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..8)
-///             .map(|_| {
-///                 let c = Arc::clone(&c);
-///                 Box::new(move || {
-///                     c.fetch_add(1, Ordering::Relaxed);
-///                 }) as Box<dyn FnOnce() + Send>
-///             })
-///             .collect();
-///         pool.scope(tasks);
+///     // One root task per user enters the global queue; running on a
+///     // worker, it fans its children out onto that worker's deque.
+///     let (c, handle) = (Arc::clone(&counter), pool.handle());
+///     pool.spawn(move || {
+///         for _ in 0..8 {
+///             let c = Arc::clone(&c);
+///             handle.spawn(move || {
+///                 c.fetch_add(1, Ordering::Relaxed);
+///             });
+///         }
 ///     });
 /// }
 /// pool.wait_all();
@@ -483,21 +410,11 @@ impl TaskPool {
             return Err(PoolError::ZeroWorkers);
         }
         let inner = Arc::new(Inner {
-            jobs: Deque::new(),
-            overflow: Deque::new(),
+            global: Deque::new(),
             deques: (0..n_workers).map(|_| Deque::new()).collect(),
             shutdown: AtomicBool::new(false),
-            pending_jobs: AtomicUsize::new(0),
-            busy_nanos: AtomicU64::new(0),
-            executed_tasks: AtomicU64::new(0),
-            steal_count: AtomicU64::new(0),
-            steal_failures: AtomicU64::new(0),
-            steal_batches: AtomicU64::new(0),
-            batch_stolen_tasks: AtomicU64::new(0),
-            lifo_slot_hits: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
+            pending: AtomicUsize::new(0),
             poisoned_tasks: AtomicU64::new(0),
-            poisoned_jobs: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
             worker_stats: (0..n_workers).map(|_| WorkerStats::default()).collect(),
             idle_workers: AtomicUsize::new(0),
@@ -548,21 +465,9 @@ impl TaskPool {
         }
     }
 
-    /// Enqueues a user job on the global queue. The job runs on some
-    /// worker (its "user thread") and receives a pool handle for nested
-    /// [`scope`](TaskPool::scope) fan-outs.
-    pub fn submit_job(&self, job: impl FnOnce(&TaskPool) + Send + 'static) {
-        self.inner.pending_jobs.fetch_add(1, Ordering::SeqCst);
-        self.inner.jobs.push(Box::new(job));
-        if let Some(t) = self.inner.telemetry.get() {
-            t.queue_depth.record(self.inner.jobs.len() as u64);
-        }
-        self.inner.wake_idle();
-    }
-
-    /// Attaches distribution telemetry (steal-batch sizes, park
-    /// durations, queue depth). At most one sink per pool; a second
-    /// attach returns `false` and the original keeps recording.
+    /// Attaches distribution telemetry (park durations, global-queue
+    /// depth). At most one sink per pool; a second attach returns
+    /// `false` and the original keeps recording.
     pub fn attach_telemetry(&self, telemetry: Arc<PoolTelemetry>) -> bool {
         self.inner.telemetry.set(telemetry).is_ok()
     }
@@ -571,100 +476,52 @@ impl TaskPool {
     /// [`TaskPool::wait_all`] counts it. On one of this pool's worker
     /// threads the task goes into the worker's bounded LIFO slot
     /// (displacing any previous occupant onto the stealable deque), on
-    /// any other thread onto the overflow queue — the building block of
-    /// dependency-ordered task graphs where each task spawns its
+    /// any other thread onto the global user queue — the building block
+    /// of dependency-ordered task graphs where each task spawns its
     /// successors instead of a user thread standing at a barrier.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
         spawn_inner(&self.inner, Box::new(task));
     }
 
-    /// Runs a set of tasks to completion, helping execute them from the
-    /// calling thread (fork-join barrier).
-    ///
-    /// When called from one of this pool's worker threads the tasks go
-    /// onto *that worker's* deque (LIFO for the owner, stealable FIFO by
-    /// others), as in the paper; from any other thread, onto the overflow
-    /// queue. The caller may also pick up *other* pending tasks while it
-    /// waits — a benign deviation from the paper's pure spin wait that
-    /// can only improve core utilisation.
-    pub fn scope(&self, tasks: Vec<Task>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let remaining = Arc::new(AtomicUsize::new(tasks.len()));
-        let queue = match worker_of(&self.inner) {
-            Some(w) => &self.inner.deques[w],
-            None => &self.inner.overflow,
-        };
-        for task in tasks {
-            queue.push(Queued {
-                run: task,
-                release: Release::Barrier(Arc::clone(&remaining)),
-            });
-        }
-        self.inner.wake_idle();
-        // Help until the barrier resolves: slot and own deque first,
-        // then steal.
-        let scope_start = Instant::now();
-        while remaining.load(Ordering::SeqCst) > 0 {
-            let task = pop_local(&self.inner).or_else(|| self.inner.steal_task(0));
-            match task {
-                Some(t) => run_timed(&self.inner, t),
-                None => std::hint::spin_loop(),
-            }
-        }
-        SCOPE_NANOS.with(|c| c.set(c.get() + scope_start.elapsed().as_nanos() as u64));
-    }
-
-    /// Blocks until every submitted job and spawned task has completed.
+    /// Blocks until every spawned task has completed.
     pub fn wait_all(&self) {
         let inner = &self.inner;
         let mut guard = lock(&inner.done_lock);
-        while inner.pending_jobs.load(Ordering::SeqCst) > 0 {
+        while inner.pending.load(Ordering::SeqCst) > 0 {
             // `finish_pending` wakes this wait; the timeout is a backstop.
             guard = wait(&inner.done_cv, guard, Duration::from_millis(10));
         }
     }
 
-    /// Total nanoseconds of useful task/job execution so far — the
+    /// Total nanoseconds of useful task execution so far — the
     /// `get_cycle_count()` sum of Eq. 1.
     pub fn busy_nanos(&self) -> u64 {
-        self.inner.busy_nanos.load(Ordering::Relaxed)
+        self.inner.total(|s| &s.busy_nanos)
     }
 
     /// Total tasks executed so far.
     pub fn executed_tasks(&self) -> u64 {
-        self.inner.executed_tasks.load(Ordering::Relaxed)
+        self.inner.total(|s| &s.executed_tasks)
     }
 
     /// Number of successful steals from other workers' deques so far.
     pub fn steal_count(&self) -> u64 {
-        self.inner.steal_count.load(Ordering::Relaxed)
+        self.inner.total(|s| &s.steals)
     }
 
     /// Number of work searches that found nothing anywhere so far.
     pub fn steal_failures(&self) -> u64 {
-        self.inner.steal_failures.load(Ordering::Relaxed)
-    }
-
-    /// Steals that moved more than one task (steal-half batches).
-    pub fn steal_batches(&self) -> u64 {
-        self.inner.steal_batches.load(Ordering::Relaxed)
-    }
-
-    /// Extra tasks moved by batched steals (beyond the popped one).
-    pub fn batch_stolen_tasks(&self) -> u64 {
-        self.inner.batch_stolen_tasks.load(Ordering::Relaxed)
+        self.inner.total(|s| &s.steal_failures)
     }
 
     /// Tasks executed straight from a worker's bounded LIFO slot.
     pub fn lifo_slot_hits(&self) -> u64 {
-        self.inner.lifo_slot_hits.load(Ordering::Relaxed)
+        self.inner.total(|s| &s.slot_hits)
     }
 
     /// Times any worker parked on the idle condvar.
     pub fn parks(&self) -> u64 {
-        self.inner.parks.load(Ordering::Relaxed)
+        self.inner.total(|s| &s.parks)
     }
 
     /// Tasks that panicked and were contained by the pool.
@@ -672,25 +529,18 @@ impl TaskPool {
         self.inner.poisoned_tasks.load(Ordering::Relaxed)
     }
 
-    /// Job bodies that panicked and were contained by the pool.
-    pub fn poisoned_jobs(&self) -> u64 {
-        self.inner.poisoned_jobs.load(Ordering::Relaxed)
-    }
-
     /// Workers revived after a [`WorkerKill`] fail-stop.
     pub fn worker_respawns(&self) -> u64 {
         self.inner.worker_respawns.load(Ordering::Relaxed)
     }
 
-    /// Chaos injection: enqueues a task that fail-stops whichever worker
-    /// executes it. The supervision loop revives the worker in place
-    /// (same deque, so no queued task is lost) and counts the respawn.
+    /// Chaos injection: spawns a task that fail-stops whichever worker
+    /// executes it. Like every task it counts toward
+    /// [`wait_all`](TaskPool::wait_all); the supervision loop revives
+    /// the worker in place (same deque, so no queued task is lost) and
+    /// counts the respawn just after the task is released.
     pub fn inject_worker_kill(&self) {
-        self.inner.overflow.push(Queued {
-            run: Box::new(|| std::panic::panic_any(WorkerKill)),
-            release: Release::Nothing,
-        });
-        self.inner.idle_cv.notify_all();
+        self.spawn(|| std::panic::panic_any(WorkerKill));
     }
 
     /// A point-in-time copy of worker `i`'s counters.
@@ -706,7 +556,6 @@ impl TaskPool {
             steals: s.steals.load(Ordering::Relaxed),
             steal_failures: s.steal_failures.load(Ordering::Relaxed),
             slot_hits: s.slot_hits.load(Ordering::Relaxed),
-            steal_batches: s.steal_batches.load(Ordering::Relaxed),
             parks: s.parks.load(Ordering::Relaxed),
         }
     }
@@ -718,12 +567,9 @@ impl TaskPool {
         metrics.set_counter("pool.executed_tasks", self.executed_tasks());
         metrics.set_counter("pool.steals", self.steal_count());
         metrics.set_counter("pool.steal_failures", self.steal_failures());
-        metrics.set_counter("pool.steal_batches", self.steal_batches());
-        metrics.set_counter("pool.batch_stolen_tasks", self.batch_stolen_tasks());
         metrics.set_counter("pool.lifo_slot_hits", self.lifo_slot_hits());
         metrics.set_counter("pool.parks", self.parks());
         metrics.set_counter("pool.poisoned_tasks", self.poisoned_tasks());
-        metrics.set_counter("pool.poisoned_jobs", self.poisoned_jobs());
         metrics.set_counter("pool.worker_respawns", self.worker_respawns());
         metrics.set_counter("pool.workers", self.n_workers as u64);
         metrics.set_counter("pool.active_workers", self.active_workers() as u64);
@@ -742,7 +588,6 @@ impl TaskPool {
             metrics.set_counter(&format!("pool.worker.{i}.steals"), s.steals);
             metrics.set_counter(&format!("pool.worker.{i}.steal_failures"), s.steal_failures);
             metrics.set_counter(&format!("pool.worker.{i}.slot_hits"), s.slot_hits);
-            metrics.set_counter(&format!("pool.worker.{i}.steal_batches"), s.steal_batches);
             metrics.set_counter(&format!("pool.worker.{i}.parks"), s.parks);
         }
     }
@@ -792,14 +637,6 @@ impl TaskPool {
 
 impl Drop for TaskPool {
     fn drop(&mut self) {
-        // Only the owning pool (the one holding the worker join handles)
-        // may initiate shutdown. `worker_loop` builds a borrowed handle
-        // with no threads for jobs to fan out through; that handle is
-        // dropped on every worker exit — including a WorkerKill unwind —
-        // and must not tear down the pool it borrows.
-        if self.workers.is_empty() {
-            return;
-        }
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.idle_cv.notify_all();
         for w in self.workers.drain(..) {
@@ -808,41 +645,33 @@ impl Drop for TaskPool {
     }
 }
 
-/// Executes one task with cycle accounting and panic containment: a
-/// panicking task is counted under `poisoned_tasks` and swallowed — the
-/// worker (or helping user thread) survives. Accounting comes first,
-/// then the task's [`Release`] (which therefore happens even when the
-/// task panicked, so a poisoned task can hang neither a scope nor
-/// `wait_all`), and last the one exception to containment: the
-/// [`WorkerKill`] chaos payload is re-raised so it fail-stops the
-/// executing worker (the supervision loop in [`worker_entry`] then
-/// revives it).
-fn run_timed(inner: &Inner, task: Queued) {
+/// Executes one task on worker `w` with cycle accounting and panic
+/// containment: a panicking task is counted under `poisoned_tasks` and
+/// swallowed — the worker survives. Accounting comes first, then the
+/// task's unit of `pending` (released even when the task panicked, so a
+/// poisoned task cannot hang `wait_all`, and only after the accounting,
+/// so `wait_all` returns to counters that include the task). The one
+/// exception to containment is the [`WorkerKill`] chaos payload: not
+/// counted as poisoned, it is re-raised last so it fail-stops the worker
+/// (the supervision loop in [`worker_entry`] then revives it).
+fn run_timed(inner: &Inner, w: usize, task: Task) {
     let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(task.run));
+    let result = catch_unwind(AssertUnwindSafe(task));
+    let stats = &inner.worker_stats[w];
     let nanos = start.elapsed().as_nanos() as u64;
-    inner.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-    inner.executed_tasks.fetch_add(1, Ordering::Relaxed);
-    let me = worker_of(inner);
-    if let Some(w) = me {
-        let s = &inner.worker_stats[w];
-        s.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-        s.executed_tasks.fetch_add(1, Ordering::Relaxed);
-    }
-    if result.is_err() {
-        inner.poisoned_tasks.fetch_add(1, Ordering::Relaxed);
-    }
-    match task.release {
-        Release::Pending => inner.finish_pending(),
-        Release::Barrier(remaining) => {
-            remaining.fetch_sub(1, Ordering::SeqCst);
+    stats.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+    stats.executed_tasks.fetch_add(1, Ordering::Relaxed);
+    let kill = match result {
+        Ok(()) => None,
+        Err(payload) if payload.is::<WorkerKill>() => Some(payload),
+        Err(_) => {
+            inner.poisoned_tasks.fetch_add(1, Ordering::Relaxed);
+            None
         }
-        Release::Nothing => {}
-    }
-    if let Err(payload) = result {
-        if payload.is::<WorkerKill>() && me.is_some() {
-            resume_unwind(payload);
-        }
+    };
+    inner.finish_pending();
+    if let Some(payload) = kill {
+        resume_unwind(payload);
     }
 }
 
@@ -853,24 +682,13 @@ fn run_timed(inner: &Inner, task: Queued) {
 /// queued tasks survive the "death".
 fn worker_entry(inner: Arc<Inner>, index: usize) {
     WORKER.with(|w| w.set(Some((Arc::as_ptr(&inner) as usize, index))));
-    loop {
-        let result = catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index)));
-        match result {
-            Ok(()) => return, // clean shutdown
-            Err(_) => {
-                inner.worker_respawns.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    while catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index))).is_err() {
+        inner.worker_respawns.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>, index: usize) {
-    let n_workers = inner.deques.len();
-    let pool_handle = TaskPool {
-        inner: Arc::clone(inner),
-        workers: Vec::new(), // handle owns no threads; Drop join is a no-op
-        n_workers,
-    };
+fn worker_loop(inner: &Inner, index: usize) {
+    let stats = &inner.worker_stats[index];
     // Consecutive failed work searches; reset by any successful find.
     let mut idle_streak: u32 = 0;
     loop {
@@ -880,14 +698,14 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
         // Governor gate: a worker at or above the active limit drains
         // its local work (slot + own deque — the remainder of the
         // subframe it was already running), then parks until the limit
-        // rises. It never takes a new job or steals, so a target applied
-        // at a subframe boundary changes where work runs, never what is
-        // computed. Its deque stays stealable throughout, so nothing it
-        // holds can be stranded.
+        // rises. It never takes from the global queue or steals, so a
+        // target applied at a subframe boundary changes where work runs,
+        // never what is computed. Its deque stays stealable throughout,
+        // so nothing it holds can be stranded.
         if index >= inner.active_limit.load(Ordering::SeqCst) {
-            if let Some(t) = pop_local(inner) {
+            if let Some(t) = inner.pop_local(index) {
                 idle_streak = 0;
-                run_timed(inner, t);
+                run_timed(inner, index, t);
                 continue;
             }
             let park_start = Instant::now();
@@ -909,54 +727,16 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
             }
             continue;
         }
-        // LIFO slot and own deque first, …
-        if let Some(t) = pop_local(inner) {
+        if let Some(t) = inner.find_task(index) {
             idle_streak = 0;
-            run_timed(inner, t);
-            continue;
-        }
-        // … then the global user queue (§IV-C: checked before stealing), …
-        if let Some(job) = inner.jobs.steal() {
-            idle_streak = 0;
-            let scope_before = SCOPE_NANOS.with(Cell::get);
-            let start = Instant::now();
-            // Contain job panics so one poisoned user cannot hang
-            // `wait_all`: the pending count always drops (after the
-            // accounting, as in `run_timed`), then a WorkerKill (raised
-            // while this job helped at a barrier) still fail-stops the
-            // worker.
-            let result = catch_unwind(AssertUnwindSafe(|| job(&pool_handle)));
-            let scoped = SCOPE_NANOS.with(Cell::get) - scope_before;
-            let useful = (start.elapsed().as_nanos() as u64).saturating_sub(scoped);
-            inner.busy_nanos.fetch_add(useful, Ordering::Relaxed);
-            let kill = match result {
-                Err(payload) if payload.is::<WorkerKill>() => Some(payload),
-                Err(_) => {
-                    inner.poisoned_jobs.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-                Ok(()) => None,
-            };
-            inner.finish_pending();
-            if let Some(payload) = kill {
-                resume_unwind(payload);
-            }
-            continue;
-        }
-        // … then steal tasks from anyone (batched when possible).
-        if let Some(t) = inner.steal_task(index + 1) {
-            idle_streak = 0;
-            run_timed(inner, t);
+            run_timed(inner, index, t);
             continue;
         }
         // Nothing to do: count the failed search, then back off — a few
         // cheap yields first (work often arrives within microseconds),
         // then park on the idle condvar with exponentially growing
         // timeouts (the IDLE policy analogue).
-        inner.steal_failures.fetch_add(1, Ordering::Relaxed);
-        inner.worker_stats[index]
-            .steal_failures
-            .fetch_add(1, Ordering::Relaxed);
+        stats.steal_failures.fetch_add(1, Ordering::Relaxed);
         idle_streak = idle_streak.saturating_add(1);
         if idle_streak <= SPIN_RETRIES {
             std::thread::yield_now();
@@ -966,14 +746,8 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
         let timeout = PARK_MAX.min(PARK_BASE * 2u32.saturating_pow(exp));
         inner.idle_workers.fetch_add(1, Ordering::SeqCst);
         let mut guard = lock(&inner.idle_lock);
-        if inner.jobs.is_empty()
-            && inner.overflow.is_empty()
-            && !inner.shutdown.load(Ordering::SeqCst)
-        {
-            inner.parks.fetch_add(1, Ordering::Relaxed);
-            inner.worker_stats[index]
-                .parks
-                .fetch_add(1, Ordering::Relaxed);
+        if inner.global.is_empty() && !inner.shutdown.load(Ordering::SeqCst) {
+            stats.parks.fetch_add(1, Ordering::Relaxed);
             let park_start = Instant::now();
             guard = wait(&inner.idle_cv, guard, timeout);
             if let Some(t) = inner.telemetry.get() {
@@ -990,6 +764,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Spawns one root task from the calling (non-worker) thread; on its
+    /// worker the root spawns `children` copies of `child`, the shape of
+    /// a user's task graph.
+    fn fan_out(pool: &TaskPool, children: usize, child: impl Fn() + Send + Sync + 'static) {
+        let handle = pool.handle();
+        let child = Arc::new(child);
+        pool.spawn(move || {
+            for _ in 0..children {
+                let child = Arc::clone(&child);
+                handle.spawn(move || child());
+            }
+        });
+    }
+
     #[test]
     fn telemetry_observes_queue_depth_and_steals() {
         let pool = TaskPool::new(4).unwrap();
@@ -998,16 +786,14 @@ mod tests {
         // Second sink is refused; the first keeps recording.
         assert!(!pool.attach_telemetry(Arc::new(PoolTelemetry::new())));
         for _ in 0..64 {
-            pool.submit_job(|p| {
-                let tasks: Vec<Task> = (0..8)
-                    .map(|_| Box::new(|| std::hint::black_box(())) as Task)
-                    .collect();
-                p.scope(tasks);
-            });
+            fan_out(&pool, 8, || std::hint::black_box(()));
         }
         pool.wait_all();
         let depth = telemetry.queue_depth.snapshot();
-        assert_eq!(depth.count, 64, "one depth sample per submitted job");
+        assert_eq!(
+            depth.count, 64,
+            "one depth sample per root task; children spawned on workers add none"
+        );
         // Parks/steals depend on timing; the histograms must simply be
         // well-formed (recording crashed nothing, counts are coherent).
         let parks = telemetry.park_nanos.snapshot();
@@ -1015,108 +801,27 @@ mod tests {
     }
 
     #[test]
-    fn executes_all_jobs() {
+    fn executes_every_root_task_and_child() {
         let pool = TaskPool::new(4).unwrap();
         let counter = Arc::new(AtomicU32::new(0));
         for _ in 0..100 {
             let c = Arc::clone(&counter);
-            pool.submit_job(move |_| {
+            fan_out(&pool, 3, move || {
                 c.fetch_add(1, Ordering::SeqCst);
             });
         }
         pool.wait_all();
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn scope_runs_every_task_exactly_once() {
-        let pool = TaskPool::new(4).unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let h = Arc::clone(&hits);
-        pool.submit_job(move |p| {
-            let tasks: Vec<Task> = (0..64)
-                .map(|_| {
-                    let h = Arc::clone(&h);
-                    Box::new(move || {
-                        h.fetch_add(1, Ordering::SeqCst);
-                    }) as Task
-                })
-                .collect();
-            p.scope(tasks);
-            assert_eq!(h.load(Ordering::SeqCst), 64, "barrier must be complete");
-        });
-        pool.wait_all();
-        assert_eq!(hits.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn scope_from_non_worker_thread_works() {
-        // Calling scope() from the main thread (no local deque) routes
-        // through the overflow queue.
-        let pool = TaskPool::new(2).unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let tasks: Vec<Task> = (0..16)
-            .map(|_| {
-                let h = Arc::clone(&hits);
-                Box::new(move || {
-                    h.fetch_add(1, Ordering::SeqCst);
-                }) as Task
-            })
-            .collect();
-        pool.scope(tasks);
-        assert_eq!(hits.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn nested_phases_preserve_order() {
-        // Phase 2 tasks must observe every phase 1 effect.
-        let pool = TaskPool::new(8).unwrap();
-        let phase1 = Arc::new(AtomicU32::new(0));
-        let violations = Arc::new(AtomicU32::new(0));
-        for _ in 0..20 {
-            let p1 = Arc::clone(&phase1);
-            let bad = Arc::clone(&violations);
-            pool.submit_job(move |p| {
-                let before = p1.load(Ordering::SeqCst);
-                let mine = 8;
-                let tasks: Vec<Task> = (0..mine)
-                    .map(|_| {
-                        let p1 = Arc::clone(&p1);
-                        Box::new(move || {
-                            p1.fetch_add(1, Ordering::SeqCst);
-                        }) as Task
-                    })
-                    .collect();
-                p.scope(tasks);
-                if p1.load(Ordering::SeqCst) < before + mine {
-                    bad.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-        }
-        pool.wait_all();
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
+        assert_eq!(counter.load(Ordering::SeqCst), 300);
+        assert_eq!(pool.executed_tasks(), 400);
     }
 
     #[test]
     fn accounting_accumulates() {
         let pool = TaskPool::new(2).unwrap();
-        pool.submit_job(|p| {
-            let tasks: Vec<Task> = (0..4)
-                .map(|_| {
-                    Box::new(|| {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }) as Task
-                })
-                .collect();
-            p.scope(tasks);
-        });
+        fan_out(&pool, 4, || std::thread::sleep(Duration::from_millis(5)));
         pool.wait_all();
-        assert!(
-            pool.busy_nanos() >= 4 * 5_000_000 / 2,
-            "{}",
-            pool.busy_nanos()
-        );
-        assert_eq!(pool.executed_tasks(), 4);
+        assert!(pool.busy_nanos() >= 4 * 5_000_000, "{}", pool.busy_nanos());
+        assert_eq!(pool.executed_tasks(), 5, "the root and its four children");
     }
 
     #[test]
@@ -1125,12 +830,7 @@ mod tests {
         // 160 ms serial time.
         let pool = TaskPool::new(8).unwrap();
         let start = Instant::now();
-        pool.submit_job(|p| {
-            let tasks: Vec<Task> = (0..8)
-                .map(|_| Box::new(|| std::thread::sleep(Duration::from_millis(20))) as Task)
-                .collect();
-            p.scope(tasks);
-        });
+        fan_out(&pool, 8, || std::thread::sleep(Duration::from_millis(20)));
         pool.wait_all();
         let elapsed = start.elapsed();
         assert!(
@@ -1141,15 +841,10 @@ mod tests {
 
     #[test]
     fn stealing_happens_under_load() {
-        // With several workers and sleeping tasks spawned on one user
-        // thread, other workers must steal to overlap the sleeps.
+        // With several workers and sleeping tasks spawned by one root
+        // task, other workers must steal to overlap the sleeps.
         let pool = TaskPool::new(4).unwrap();
-        pool.submit_job(|p| {
-            let tasks: Vec<Task> = (0..12)
-                .map(|_| Box::new(|| std::thread::sleep(Duration::from_millis(3))) as Task)
-                .collect();
-            p.scope(tasks);
-        });
+        fan_out(&pool, 12, || std::thread::sleep(Duration::from_millis(3)));
         pool.wait_all();
         assert!(
             pool.steal_count() > 0,
@@ -1158,36 +853,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_scope_returns_immediately() {
-        let pool = TaskPool::new(1).unwrap();
-        pool.submit_job(|p| p.scope(Vec::new()));
-        pool.wait_all();
-    }
-
-    #[test]
     fn drop_shuts_down_cleanly() {
         let pool = TaskPool::new(4).unwrap();
-        pool.submit_job(|_| {});
+        fan_out(&pool, 4, || ());
         pool.wait_all();
         drop(pool); // must not hang
     }
 
     #[test]
-    fn many_jobs_stress() {
+    fn many_root_tasks_stress() {
         let pool = TaskPool::new(4).unwrap();
         let total = Arc::new(AtomicU32::new(0));
         for j in 0..200 {
-            let total = Arc::clone(&total);
-            pool.submit_job(move |p| {
-                let tasks: Vec<Task> = (0..(j % 7 + 1))
-                    .map(|_| {
-                        let t = Arc::clone(&total);
-                        Box::new(move || {
-                            t.fetch_add(1, Ordering::SeqCst);
-                        }) as Task
-                    })
-                    .collect();
-                p.scope(tasks);
+            let t = Arc::clone(&total);
+            fan_out(&pool, j % 7 + 1, move || {
+                t.fetch_add(1, Ordering::SeqCst);
             });
         }
         pool.wait_all();
@@ -1246,54 +926,19 @@ mod tests {
         // Spawning twice in a row from one worker displaces the first
         // task from the slot to the deque; both must still run.
         let pool = TaskPool::new(1).unwrap();
-        let handle = pool.handle();
         let hits = Arc::new(AtomicU32::new(0));
         let h = Arc::clone(&hits);
-        pool.spawn(move || {
-            for _ in 0..10 {
-                let h = Arc::clone(&h);
-                handle.spawn(move || {
-                    h.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+        fan_out(&pool, 10, move || {
+            h.fetch_add(1, Ordering::SeqCst);
         });
         pool.wait_all();
         assert_eq!(hits.load(Ordering::SeqCst), 10);
     }
 
     #[test]
-    fn batched_steals_move_multiple_tasks() {
-        // A single job floods its worker's deque with slow tasks; the
-        // other three workers have no job of their own, so their steals
-        // hit a deep deque and must move batches.
-        let pool = TaskPool::new(4).unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let h = Arc::clone(&hits);
-        pool.submit_job(move |p| {
-            let tasks: Vec<Task> = (0..128)
-                .map(|_| {
-                    let h = Arc::clone(&h);
-                    Box::new(move || {
-                        h.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(Duration::from_micros(300));
-                    }) as Task
-                })
-                .collect();
-            p.scope(tasks);
-        });
-        pool.wait_all();
-        assert_eq!(hits.load(Ordering::SeqCst), 128);
-        assert!(
-            pool.steal_batches() > 0,
-            "a flooded deque must trigger batch steals"
-        );
-        assert!(pool.batch_stolen_tasks() >= pool.steal_batches());
-    }
-
-    #[test]
     fn idle_workers_park_instead_of_spinning() {
         let pool = TaskPool::new(4).unwrap();
-        pool.submit_job(|_| {});
+        pool.spawn(|| ());
         pool.wait_all();
         // Give the workers time to exhaust their spin retries.
         std::thread::sleep(Duration::from_millis(30));
@@ -1301,22 +946,19 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_task_does_not_hang_the_scope() {
+    fn poisoned_child_task_does_not_hang_wait_all() {
         silence_injected_panics();
         let pool = TaskPool::new(4).unwrap();
         let hits = Arc::new(AtomicU32::new(0));
-        let h = Arc::clone(&hits);
-        pool.submit_job(move |p| {
-            let mut tasks: Vec<Task> = (0..15)
-                .map(|_| {
-                    let h = Arc::clone(&h);
-                    Box::new(move || {
-                        h.fetch_add(1, Ordering::SeqCst);
-                    }) as Task
-                })
-                .collect();
-            tasks.push(Box::new(|| std::panic::panic_any(InjectedPanic)) as Task);
-            p.scope(tasks);
+        let (h, handle) = (Arc::clone(&hits), pool.handle());
+        pool.spawn(move || {
+            for _ in 0..15 {
+                let h = Arc::clone(&h);
+                handle.spawn(move || {
+                    h.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            handle.spawn(|| std::panic::panic_any(InjectedPanic));
         });
         pool.wait_all();
         assert_eq!(hits.load(Ordering::SeqCst), 15);
@@ -1326,47 +968,41 @@ mod tests {
     }
 
     /// Regression for the accounting race: a task used to release its
-    /// scope barrier (or its `pending_jobs` unit) *before* `run_timed`
-    /// counted it, so `wait_all` could return while a stolen task's
-    /// `poisoned_tasks` / `executed_tasks` adds were still in flight and
-    /// the caller read counters one task short. Each round is the
-    /// seeded-panic property case (jobs fanning scopes out over 4
-    /// workers) plus detached spawns; the counters must be exact the
-    /// moment `wait_all` returns, every round.
+    /// unit of `pending` *before* `run_timed` counted it, so `wait_all`
+    /// could return while a stolen task's `poisoned_tasks` /
+    /// `executed_tasks` adds were still in flight and the caller read
+    /// counters one task short. Each round is the seeded-panic property
+    /// case (root tasks fanning children out over 4 workers); the
+    /// counters must be exact the moment `wait_all` returns, every round.
     #[test]
     fn accounting_lands_before_wait_all_returns_under_seeded_panics() {
         use lte_fault::FaultPlan;
         silence_injected_panics();
         const ROUNDS: usize = 250;
-        const JOBS: usize = 4;
+        const ROOTS: usize = 4;
         const TASKS: usize = 8;
         let plan = FaultPlan {
             task_panic_permille: 150,
             ..FaultPlan::quiet(0xFA17)
         };
         let pool = TaskPool::new(4).unwrap();
-        let body = |panics: bool| {
-            move || {
-                if panics {
-                    std::panic::panic_any(InjectedPanic);
-                }
-            }
-        };
         let (mut planned, mut executed) = (0u64, 0u64);
         for round in 0..ROUNDS {
-            for job in 0..JOBS {
+            for root in 0..ROOTS {
                 let panics: Vec<bool> = (0..TASKS)
-                    .map(|task| plan.task_panics(round, job * TASKS + task))
+                    .map(|task| plan.task_panics(round, root * TASKS + task))
                     .collect();
                 planned += panics.iter().filter(|&&p| p).count() as u64;
-                executed += TASKS as u64;
-                // The job's last task goes out detached instead of
-                // through the scope, so both release kinds are covered.
-                let detached = panics[TASKS - 1];
-                pool.spawn(body(detached));
-                pool.submit_job(move |p| {
-                    let scoped = &panics[..TASKS - 1];
-                    p.scope(scoped.iter().map(|&x| Box::new(body(x)) as Task).collect());
+                executed += 1 + TASKS as u64;
+                let handle = pool.handle();
+                pool.spawn(move || {
+                    for panics in panics {
+                        handle.spawn(move || {
+                            if panics {
+                                std::panic::panic_any(InjectedPanic);
+                            }
+                        });
+                    }
                 });
             }
             pool.wait_all();
@@ -1374,7 +1010,6 @@ mod tests {
             assert_eq!(pool.executed_tasks(), executed, "round {round}");
         }
         assert!(planned > 0, "the plan must actually inject panics");
-        assert_eq!(pool.poisoned_jobs(), 0);
     }
 
     #[test]
@@ -1397,25 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_job_does_not_hang_wait_all() {
-        silence_injected_panics();
-        let pool = TaskPool::new(2).unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        for i in 0..10 {
-            let h = Arc::clone(&hits);
-            pool.submit_job(move |_| {
-                if i == 3 {
-                    std::panic::panic_any(InjectedPanic);
-                }
-                h.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.wait_all();
-        assert_eq!(hits.load(Ordering::SeqCst), 9);
-        assert_eq!(pool.poisoned_jobs(), 1);
-    }
-
-    #[test]
     fn killed_worker_respawns_without_losing_tasks() {
         silence_injected_panics();
         let pool = TaskPool::new(4).unwrap();
@@ -1424,9 +1040,9 @@ mod tests {
             if round == 3 || round == 5 {
                 pool.inject_worker_kill();
             }
-            for _ in 0..25 {
+            for _ in 0..5 {
                 let h = Arc::clone(&hits);
-                pool.submit_job(move |_| {
+                fan_out(&pool, 5, move || {
                     h.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -1437,8 +1053,8 @@ mod tests {
             8 * 25,
             "no task lost or doubled"
         );
-        // Kills travel through the overflow queue, which `wait_all` does
-        // not track — give the workers a moment to consume them.
+        // `wait_all` covered the kill tasks themselves; the supervisor
+        // counts each respawn a moment later.
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.worker_respawns() < 2 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
@@ -1446,7 +1062,7 @@ mod tests {
         assert_eq!(pool.worker_respawns(), 2);
         // The pool is still fully functional after both revivals.
         let h = Arc::clone(&hits);
-        pool.submit_job(move |_| {
+        fan_out(&pool, 1, move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         pool.wait_all();
@@ -1457,39 +1073,33 @@ mod tests {
     fn per_worker_counters_sum_to_totals() {
         let pool = TaskPool::new(4).unwrap();
         for _ in 0..8 {
-            pool.submit_job(|p| {
-                let tasks: Vec<Task> = (0..16)
-                    .map(|_| Box::new(|| std::thread::sleep(Duration::from_micros(200))) as Task)
-                    .collect();
-                p.scope(tasks);
-            });
+            fan_out(&pool, 16, || std::thread::sleep(Duration::from_micros(200)));
         }
         pool.wait_all();
+        // Idle workers keep searching and parking after `wait_all`, so
+        // those two totals are bracketed by reads before and after the
+        // snapshots; every other counter stands still and must be exact.
+        let (failures_before, parks_before) = (pool.steal_failures(), pool.parks());
         let per_worker: Vec<WorkerSnapshot> = (0..pool.n_workers())
             .map(|i| pool.worker_snapshot(i))
             .collect();
-        let tasks: u64 = per_worker.iter().map(|s| s.executed_tasks).sum();
-        assert_eq!(tasks, pool.executed_tasks());
-        assert_eq!(tasks, 8 * 16);
-        let steals: u64 = per_worker.iter().map(|s| s.steals).sum();
-        assert_eq!(steals, pool.steal_count());
-        let batches: u64 = per_worker.iter().map(|s| s.steal_batches).sum();
-        assert_eq!(batches, pool.steal_batches());
-        let busy: u64 = per_worker.iter().map(|s| s.busy_nanos).sum();
-        // Worker task time is a subset of total busy time (which also
-        // counts job bodies run outside any single task).
-        assert!(busy > 0 && busy <= pool.busy_nanos());
+        let sum = |field: fn(&WorkerSnapshot) -> u64| per_worker.iter().map(field).sum::<u64>();
+        assert_eq!(sum(|s| s.executed_tasks), pool.executed_tasks());
+        assert_eq!(pool.executed_tasks(), 8 * (1 + 16));
+        assert_eq!(sum(|s| s.busy_nanos), pool.busy_nanos());
+        assert!(pool.busy_nanos() >= 8 * 16 * 200_000);
+        assert_eq!(sum(|s| s.steals), pool.steal_count());
+        assert_eq!(sum(|s| s.slot_hits), pool.lifo_slot_hits());
+        let failures = sum(|s| s.steal_failures);
+        assert!(failures_before <= failures && failures <= pool.steal_failures());
+        let parks = sum(|s| s.parks);
+        assert!(parks_before <= parks && parks <= pool.parks());
     }
 
     #[test]
     fn metrics_export_covers_every_worker() {
         let pool = TaskPool::new(3).unwrap();
-        pool.submit_job(|p| {
-            let tasks: Vec<Task> = (0..6)
-                .map(|_| Box::new(|| std::thread::sleep(Duration::from_micros(100))) as Task)
-                .collect();
-            p.scope(tasks);
-        });
+        fan_out(&pool, 6, || std::thread::sleep(Duration::from_micros(100)));
         pool.wait_all();
         let metrics = lte_obs::MetricsRegistry::new();
         pool.export_metrics(&metrics);
@@ -1498,10 +1108,10 @@ mod tests {
             Some(lte_obs::MetricValue::Counter(3))
         );
         for key in [
-            "pool.steal_batches",
-            "pool.batch_stolen_tasks",
+            "pool.steals",
             "pool.lifo_slot_hits",
             "pool.parks",
+            "pool.poisoned_tasks",
         ] {
             assert!(metrics.get(key).is_some(), "missing {key}");
         }
@@ -1515,7 +1125,6 @@ mod tests {
                 "steals",
                 "steal_failures",
                 "slot_hits",
-                "steal_batches",
                 "parks",
             ] {
                 let full = format!("pool.worker.{i}.{key}");
@@ -1527,8 +1136,9 @@ mod tests {
             }
         }
         let json = metrics.to_json();
-        assert!(json.contains("\"pool.executed_tasks\": 6"), "{json}");
+        assert!(json.contains("\"pool.executed_tasks\": 7"), "{json}");
     }
+
     #[test]
     fn governor_cap_clamps_and_parks() {
         let pool = TaskPool::new(4).unwrap();
@@ -1552,22 +1162,22 @@ mod tests {
         let counter = Arc::new(AtomicU32::new(0));
         for _ in 0..50 {
             let c = Arc::clone(&counter);
-            pool.submit_job(move |pool| {
-                let c2 = Arc::clone(&c);
-                pool.spawn(move || {
-                    c2.fetch_add(1, Ordering::SeqCst);
-                });
+            fan_out(&pool, 2, move || {
                 c.fetch_add(1, Ordering::SeqCst);
             });
         }
         pool.wait_all();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
+        // Only the one active worker took root tasks off the global queue.
+        for i in 1..4 {
+            assert_eq!(pool.worker_snapshot(i).executed_tasks, 0, "worker {i}");
+        }
         pool.set_active_workers(4);
     }
 
     /// Worker identity is per pool: a task on pool A that spawns through
     /// B's handle used to land in A's LIFO slot — A's worker then
-    /// finished it against A's `pending_jobs` (which wrapped below zero)
+    /// finished it against A's pending count (which wrapped below zero)
     /// while B's never dropped, and neither `wait_all` returned. The
     /// pools run on a helper thread so that hang fails the test instead.
     #[test]
@@ -1575,15 +1185,18 @@ mod tests {
         let (done, finished) = std::sync::mpsc::channel();
         let helper = std::thread::spawn(move || {
             let a = TaskPool::new(4).unwrap();
-            let b = Arc::new(TaskPool::new(2).unwrap());
-            let handle = b.handle();
-            a.spawn(move || handle.spawn(|| ()));
-            // From A's worker 2 or 3 this also used to index B's
-            // two-entry per-worker stats out of range.
-            let scoped = Arc::clone(&b);
-            a.submit_job(move |_| {
-                scoped.scope((0..8).map(|_| Box::new(|| ()) as Task).collect());
-            });
+            let b = TaskPool::new(2).unwrap();
+            // From A's worker 2 or 3 a spawn onto B also used to index
+            // B's two-entry per-worker state out of range: four roots
+            // on A, so every A worker is likely to run one.
+            for _ in 0..4 {
+                let handle = b.handle();
+                a.spawn(move || {
+                    for _ in 0..2 {
+                        handle.spawn(|| ());
+                    }
+                });
+            }
             a.wait_all();
             b.wait_all();
             let _ = done.send((a.executed_tasks(), b.executed_tasks()));
@@ -1592,8 +1205,8 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("a cross-pool spawn must strand neither pool's wait_all");
         helper.join().unwrap();
-        assert_eq!(on_a, 1, "A ran its own task and nothing of B's");
-        assert_eq!(on_b, 9, "B's spawned task and its 8 scoped tasks");
+        assert_eq!(on_a, 4, "A ran its own roots and nothing of B's");
+        assert_eq!(on_b, 8, "B ran every task spawned onto it from A");
     }
 
     #[test]
@@ -1607,7 +1220,7 @@ mod tests {
         };
         assert!(idle < 0.5, "idle window must read (near) zero: {idle}");
         for _ in 0..4 {
-            pool.submit_job(|_| {
+            pool.spawn(|| {
                 let start = Instant::now();
                 while start.elapsed() < Duration::from_millis(2) {
                     std::hint::spin_loop();

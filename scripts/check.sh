@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, five budgets (receiver entry points, one subframe
+# benchmark harness, six budgets (receiver entry points, one subframe
 # dispatcher, one performance harness, a first-party std-only
-# workspace, one paper-artifact table), conformance vectors on both
-# dispatch paths, the fuzz corpus, the paper artifacts at reduced scale,
-# and a smoke run of every driver (chaos, govern, lte_bench, soak,
-# deploy, serve) plus the two cost gates among the `crates/bench`
-# micro-benchmarks.
+# workspace, one paper-artifact table, one kind of pool work),
+# conformance vectors on both dispatch paths, the fuzz corpus, the
+# paper artifacts at reduced scale, and a smoke run of every driver
+# (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
+# gates among the `crates/bench` micro-benchmarks.
 #
 #   scripts/check.sh            # everything, tests over the workspace
 #   scripts/check.sh --tier1    # same, tests over the root package only
@@ -85,6 +85,20 @@ echo "==> one paper-artifact table budget"
 ! grep -q 'to_text\|from_text' crates/phy/src/verify.rs \
     || { echo "crates/phy/src/verify.rs grew a golden-record text format"; exit 1; }
 
+echo "==> one kind of pool work budget"
+# The pool runs detached tasks only: one global user queue, one deque
+# per worker, single-task steals. A job queue, a fork-join scope or a
+# batched steal growing back is a second execution model, and the two
+# files must stay within the line count that deleting those left.
+pool_lines=0
+for f in crates/sched/src/pool.rs crates/sched/src/deque.rs; do
+    pool_lines=$((pool_lines + $(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n }' "$f")))
+done
+[[ "$pool_lines" -le 821 ]] \
+    || { echo "pool.rs + deque.rs have $pool_lines non-test lines (budget 821)"; exit 1; }
+[[ -z "$(grep -rn 'submit_job\|fn scope\|steal_half_into\|SCOPE_NANOS' crates/sched/src || true)" ]] \
+    || { echo "crates/sched/src names submit_job, fn scope, steal_half_into or SCOPE_NANOS"; exit 1; }
+
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
 # against conformance/golden.json, once on the runtime-detected SIMD
@@ -129,9 +143,18 @@ for target in gold-word crc-table descramble mmse-fixed fft-prime fft-order turb
     done
 done
 
-echo "==> chaos smoke (lte-sim chaos)"
+echo "==> chaos smoke (lte-sim chaos, twice)"
+# Every chaos counter is a pure function of the seed, so two runs must
+# write byte-identical trace and metrics artifacts.
 chaos_out="$(cargo run -q --offline -p lte-uplink --bin lte-sim -- \
     chaos --quick --subframes 120 --out target/chaos-smoke)"
+cargo run -q --offline -p lte-uplink --bin lte-sim -- \
+    chaos --quick --subframes 120 --out target/chaos-smoke-b >/dev/null \
+    || { echo "chaos smoke: second run failed"; exit 1; }
+for f in chaos.metrics.json chaos.perfetto.json; do
+    cmp -s "target/chaos-smoke/$f" "target/chaos-smoke-b/$f" \
+        || { echo "chaos smoke: $f differs between identical runs"; exit 1; }
+done
 echo "$chaos_out" | tail -n 6
 echo "$chaos_out" | grep -q "^lost tasks: 0$" \
     || { echo "chaos smoke: tasks were lost"; exit 1; }

@@ -208,59 +208,119 @@ fn simulator_conserves_work() {
 #[test]
 fn pool_conserves_tasks_under_seeded_panics() {
     use lte_uplink_repro::fault::FaultPlan;
-    use lte_uplink_repro::sched::{silence_injected_panics, InjectedPanic, TaskPool};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use lte_uplink_repro::sched::{silence_injected_panics, InjectedPanic, PoolHandle, TaskPool};
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// One task of a two-level fan-out: it marks its own run, spawns its
+    /// children (a root spawns `fan[0]` mids, a mid `fan[1]` leaves),
+    /// then panics if the plan says so — after the spawns, so a poisoned
+    /// parent strands none of its children.
+    struct Node {
+        handle: PoolHandle,
+        plan: Arc<FaultPlan>,
+        runs: Arc<Vec<AtomicU32>>,
+        sf: usize,
+        /// First plan index of this root's tasks within the subframe.
+        base: usize,
+        /// First slot of this root's tasks in `runs`.
+        slot: usize,
+        fan: [usize; 2],
+    }
+    impl Node {
+        fn run(self: Arc<Self>, id: usize, level: usize) {
+            self.runs[self.slot + id].fetch_add(1, Ordering::SeqCst);
+            if level < 2 {
+                // Ids: root 0, mids 1..=fan[0], then each mid's leaves.
+                let first = if level == 0 {
+                    1
+                } else {
+                    1 + self.fan[0] + (id - 1) * self.fan[1]
+                };
+                for child in first..first + self.fan[level] {
+                    let node = Arc::clone(&self);
+                    self.handle.spawn(move || node.run(child, level + 1));
+                }
+            }
+            if self.plan.task_panics(self.sf, self.base + id) {
+                std::panic::panic_any(InjectedPanic);
+            }
+        }
+    }
+
     silence_injected_panics();
     for_cases(6, 0xFA17, |rng, case| {
         let workers = draw(rng, 2, 4) as usize;
         let subframes = draw(rng, 4, 12) as usize;
-        let jobs = draw(rng, 2, 4) as usize;
-        let tasks = draw(rng, 4, 8) as usize;
-        let plan = FaultPlan {
+        let roots = draw(rng, 2, 4) as usize;
+        let fan = [draw(rng, 2, 4) as usize, draw(rng, 1, 4) as usize];
+        let plan = Arc::new(FaultPlan {
             task_panic_permille: 150,
+            worker_kills: draw(rng, 1, 3) as usize,
             ..FaultPlan::quiet(0xFA17 + case as u64)
-        };
+        });
+        let per_root = 1 + fan[0] + fan[0] * fan[1];
+        let per_sf = roots * per_root;
+        let runs: Arc<Vec<AtomicU32>> =
+            Arc::new((0..subframes * per_sf).map(|_| AtomicU32::new(0)).collect());
         let pool = TaskPool::new(workers).expect("spawn pool");
-        let started = Arc::new(AtomicU64::new(0));
-        let mut planned = 0u64;
+        let (mut planned, mut kills) = (0u64, 0u64);
         for sf in 0..subframes {
-            for job in 0..jobs {
-                for task in 0..tasks {
-                    if plan.task_panics(sf, job * tasks + task) {
-                        planned += 1;
-                    }
-                }
-                let started = Arc::clone(&started);
-                let plan = plan.clone();
-                pool.submit_job(move |p| {
-                    let list: Vec<Box<dyn FnOnce() + Send + 'static>> = (0..tasks)
-                        .map(|task| {
-                            let started = Arc::clone(&started);
-                            let panics = plan.task_panics(sf, job * tasks + task);
-                            Box::new(move || {
-                                started.fetch_add(1, Ordering::SeqCst);
-                                if panics {
-                                    std::panic::panic_any(InjectedPanic);
-                                }
-                            }) as Box<dyn FnOnce() + Send + 'static>
-                        })
-                        .collect();
-                    p.scope(list);
+            if plan.worker_kill_at(sf, subframes, workers).is_some() {
+                pool.inject_worker_kill();
+                kills += 1;
+            }
+            for root in 0..roots {
+                let base = root * per_root;
+                planned += (0..per_root)
+                    .filter(|&id| plan.task_panics(sf, base + id))
+                    .count() as u64;
+                let node = Arc::new(Node {
+                    handle: pool.handle(),
+                    plan: Arc::clone(&plan),
+                    runs: Arc::clone(&runs),
+                    sf,
+                    base,
+                    slot: sf * per_sf + base,
+                    fan,
                 });
+                pool.spawn(move || node.run(0, 0));
             }
             pool.wait_all();
         }
-        let expected = (subframes * jobs * tasks) as u64;
-        assert_eq!(
-            started.load(Ordering::SeqCst),
-            expected,
-            "no task may be lost or double-run (case {case})"
-        );
+        let expected = (subframes * per_sf) as u64;
+        for (slot, n) in runs.iter().enumerate() {
+            assert_eq!(
+                n.load(Ordering::SeqCst),
+                1,
+                "task {slot} must run exactly once (case {case})"
+            );
+        }
         assert_eq!(
             pool.poisoned_tasks(),
             planned,
             "every seeded panic is caught and accounted (case {case})"
+        );
+        assert_eq!(
+            pool.executed_tasks(),
+            expected + kills,
+            "the kill tasks run too (case {case})"
+        );
+        // `wait_all` covered the kill tasks; each respawn is counted by
+        // the worker's supervisor a moment after its kill is released.
+        assert!(
+            kills > 0,
+            "the plan must actually kill workers (case {case})"
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.worker_respawns() < kills && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            pool.worker_respawns(),
+            kills,
+            "every killed worker respawns, once (case {case})"
         );
     });
 }
