@@ -530,7 +530,7 @@ fn run_soak_cmd(opts: &Options) {
         cfg.subframes,
         cfg.window,
         cfg.policy,
-        cfg.overload.name(),
+        soak::OVERLOAD.name(),
         cfg.chaos,
         cfg.seed,
     );
@@ -638,7 +638,7 @@ fn run_serve_cmd(opts: &Options) {
         cfg.ticks,
         cfg.params.traffic.name(),
         cfg.workers,
-        cfg.queue_capacity,
+        serve::QUEUE_CAPACITY,
         cfg.window,
         cfg.policy,
         cfg.faults.is_some(),

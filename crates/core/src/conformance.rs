@@ -28,7 +28,7 @@ use lte_dsp::channel::MimoChannel;
 use lte_dsp::crc::{CRC16, CRC24A, CRC24B, CRC8};
 use lte_dsp::fft::FftPlan;
 use lte_dsp::fft::FftPlanner;
-use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
+use lte_dsp::llr::{demap_block_exact, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
@@ -378,10 +378,10 @@ fn demap_vector(exact: bool) -> KernelVector {
         for n in [3, 8, 37, 300, 1200] {
             let symbols = random_block(&mut rng, n);
             let noise_var = 0.05 + rng.next_f32() * 0.5;
-            out.clear();
             if exact {
-                demap_block_exact_into(modulation, &symbols, noise_var, &mut out);
+                out = demap_block_exact(modulation, &symbols, noise_var);
             } else {
+                out.clear();
                 demap_block_into(modulation, &symbols, noise_var, &mut out);
             }
             h.write_u64(n as u64);

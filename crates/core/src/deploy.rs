@@ -752,10 +752,7 @@ fn dispatch_tick(
 ) -> Finished {
     let counts: Vec<usize> = inputs.iter().map(Vec::len).collect();
     let order = interleave_shards(&counts);
-    d.dispatch(
-        order.iter().map(|&(c, u)| (&configs[c], &inputs[c][u])),
-        false,
-    );
+    d.dispatch(order.iter().map(|&(c, u)| (&configs[c], &inputs[c][u])));
     d.finish().pop().expect("one row per tick")
 }
 

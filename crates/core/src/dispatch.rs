@@ -22,7 +22,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use lte_dsp::fft::FftPlanner;
-use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
+use lte_dsp::llr::demap_block_into;
 use lte_dsp::Complex32;
 use lte_obs::Histogram;
 use lte_phy::combiner::{combine_symbol_into, CombinerWeights};
@@ -43,8 +43,6 @@ pub(crate) struct Dispatcher {
     turbo: TurboMode,
     shared: Arc<Shared>,
     rows: Vec<Arc<Row>>,
-    /// Every row before this index has closed.
-    oldest: usize,
 }
 
 /// What the completion guards report into.
@@ -162,18 +160,12 @@ impl Dispatcher {
             turbo,
             shared: Arc::new(shared),
             rows: Vec::new(),
-            oldest: 0,
         })
     }
 
     /// The run's pool (for governance, chaos drills and counters).
     pub(crate) fn pool(&self) -> &TaskPool {
         &self.pool
-    }
-
-    /// The run's FFT planner.
-    pub(crate) fn planner(&self) -> &FftPlanner {
-        &self.planner
     }
 
     /// Nanoseconds since the run's start.
@@ -209,14 +201,13 @@ impl Dispatcher {
         self.shared.closed_rows.load(Ordering::Relaxed)
     }
 
-    /// Spawns one task graph per `(cell, input)` of `row`, in row order
-    /// and demapped exactly when `exact`, and returns the row's index in
-    /// the next [`finish`](Dispatcher::finish). A row without users
-    /// closes at once and holds no window slot.
+    /// Spawns one task graph per `(cell, input)` of `row`, in row
+    /// order, and returns the row's index in the next
+    /// [`finish`](Dispatcher::finish). A row without users closes at
+    /// once and holds no window slot.
     pub(crate) fn dispatch<'a>(
         &mut self,
         row: impl ExactSizeIterator<Item = (&'a CellConfig, &'a Arc<UserInput>)>,
-        exact: bool,
     ) -> usize {
         let now = self.shared.now_ns();
         // The open count is in place before any graph can finish.
@@ -236,7 +227,7 @@ impl Dispatcher {
                 row: Arc::clone(&state),
                 user,
             };
-            spawn_user_graph(&handle, cell, input, self.turbo, &self.planner, exact, done);
+            spawn_user_graph(&handle, cell, input, self.turbo, &self.planner, done);
         }
         self.rows.push(state);
         self.rows.len() - 1
@@ -282,24 +273,10 @@ impl Dispatcher {
         !waited.unwrap_or_else(PoisonError::into_inner).1.timed_out()
     }
 
-    /// The dispatch stamp of the oldest row still open. Stamps grow in
-    /// dispatch order, so that is the first open row, and rows never
-    /// reopen, so each scan resumes where the last one stopped.
-    pub(crate) fn oldest_open(&mut self) -> Option<u64> {
-        while let Some(row) = self.rows.get(self.oldest) {
-            if row.open.load(Ordering::SeqCst) > 0 {
-                return Some(row.dispatched_ns);
-            }
-            self.oldest += 1;
-        }
-        None
-    }
-
     /// Waits for the pool to drain and hands back every row dispatched
     /// since the last call, in dispatch order.
     pub(crate) fn finish(&mut self) -> Vec<Finished> {
         self.pool.wait_all();
-        self.oldest = 0;
         let finished = |row: Arc<Row>| {
             let row = Arc::into_inner(row).expect("a drained pool holds no completion guard");
             Finished {
@@ -388,7 +365,6 @@ struct UserGraph {
     cell: CellConfig,
     input: Arc<UserInput>,
     turbo: TurboMode,
-    exact_demap: bool,
     planner: Arc<FftPlanner>,
     /// Flat `[slot][rx][layer][subcarrier]` channel-estimate buffer.
     est_buf: SharedBuf<Complex32>,
@@ -411,8 +387,6 @@ struct UserGraph {
 /// result is ready. [`TaskPool::wait_all`] covers every task of the
 /// graph, including ones spawned after the call returns.
 ///
-/// `exact_demap` selects the log-sum-exp demapper over max-log.
-///
 /// Steady-state allocation discipline: every task draws its working
 /// buffers from its worker's thread-local [`UserScratch`] arena and
 /// writes results into a shared flat buffer; the per-user cost is the
@@ -423,7 +397,6 @@ fn spawn_user_graph(
     input: &Arc<UserInput>,
     turbo: TurboMode,
     planner: &Arc<FftPlanner>,
-    exact_demap: bool,
     done: Completion,
 ) {
     // The graph (and its two flat buffers) is built by a small *root*
@@ -446,7 +419,6 @@ fn spawn_user_graph(
             cell,
             input,
             turbo,
-            exact_demap,
             planner,
             est_buf: SharedBuf::new(SLOTS_PER_SUBFRAME * n_rx * n_layers * n_sc, Complex32::ZERO),
             est_remaining: std::array::from_fn(|_| AtomicUsize::new(n_rx * n_layers)),
@@ -550,11 +522,7 @@ fn combine_task(
             &mut combined,
         );
         let mut llrs = s.arena.take_f32(chunk_bits);
-        if graph.exact_demap {
-            demap_block_exact_into(user.modulation, &combined, graph.input.noise_var, &mut llrs);
-        } else {
-            demap_block_into(user.modulation, &combined, graph.input.noise_var, &mut llrs);
-        }
+        demap_block_into(user.modulation, &combined, graph.input.noise_var, &mut llrs);
         out.copy_from_slice(&llrs);
         s.arena.recycle_f32(llrs);
         s.arena.recycle_c32(combined);
@@ -635,7 +603,7 @@ mod tests {
             let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
             for _ in 0..12 {
                 d.wait_below(window, Duration::MAX);
-                d.dispatch(inputs.iter().map(|i| (&cell, i)), false);
+                d.dispatch(inputs.iter().map(|i| (&cell, i)));
             }
             let rows = d.finish();
             for row in &rows {
@@ -691,13 +659,15 @@ mod tests {
     fn a_row_without_users_closes_at_dispatch() {
         let (cell, inputs) = small_inputs(1);
         let mut d = Dispatcher::new(1, TurboMode::Passthrough, &[]).unwrap();
-        d.dispatch(std::iter::empty(), false);
-        assert_eq!(d.oldest_open(), None, "an empty row is never open");
-        assert!(d.wait_below(1, Duration::ZERO), "nor does it hold a slot");
+        d.dispatch(std::iter::empty());
+        assert!(
+            d.wait_below(1, Duration::ZERO),
+            "an empty row holds no slot"
+        );
         // One real row fills a window of one; the empty row beside it
         // still neither waits nor counts.
-        let busy = d.dispatch(inputs.iter().map(|i| (&cell, i)), false);
-        d.dispatch(std::iter::empty(), false);
+        let busy = d.dispatch(inputs.iter().map(|i| (&cell, i)));
+        d.dispatch(std::iter::empty());
         d.wait_below(1, Duration::MAX);
         let rows = d.finish();
         assert_eq!(busy, 1);
@@ -707,36 +677,5 @@ mod tests {
             assert_eq!(rows[i].done_ns, rows[i].dispatched_ns);
         }
         assert!(rows[1].results[0].is_some());
-    }
-
-    #[test]
-    fn oldest_open_agrees_with_a_scan_of_every_earlier_row() {
-        let mut rng = Xoshiro256::seed_from_u64(0x01D);
-        for case in 0..200 {
-            let mut d = Dispatcher::new(1, TurboMode::Passthrough, &[]).unwrap();
-            let mut stamp = 0u64;
-            for _ in 0..1 + rng.next_below(24) {
-                stamp += rng.next_below(4);
-                d.rows.push(Arc::new(Row {
-                    slots: Vec::new(),
-                    open: AtomicUsize::new(rng.next_below(3) as usize),
-                    dispatched_ns: stamp,
-                    done_ns: AtomicU64::new(stamp),
-                }));
-            }
-            // Rows close in any order between scans.
-            for _ in 0..4 {
-                let now = stamp + rng.next_below(8);
-                let budget = rng.next_below(16);
-                let scan = d
-                    .rows
-                    .iter()
-                    .any(|r| r.open.load(Ordering::SeqCst) > 0 && now - r.dispatched_ns >= budget);
-                let behind = d.oldest_open().is_some_and(|t| now - t >= budget);
-                assert_eq!(behind, scan, "case {case}");
-                let row = &d.rows[rng.next_below(d.rows.len() as u64) as usize];
-                row.open.store(0, Ordering::SeqCst);
-            }
-        }
     }
 }

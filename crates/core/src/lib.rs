@@ -75,9 +75,7 @@ pub mod soak;
 pub mod svg;
 pub mod trace;
 
-pub use benchmark::{
-    BenchmarkConfig, BenchmarkRun, DegradationReport, PoolActivity, UplinkBenchmark,
-};
+pub use benchmark::{BenchmarkConfig, BenchmarkRun, PoolActivity, UplinkBenchmark};
 pub use chaos::{ChaosArtifacts, ChaosSummary};
 pub use conformance::{compute_vectors, diff_vectors, parse_golden, render_golden, KernelVector};
 pub use deploy::{run_deploy, CellKind, CellReport, DeployConfig, DeployReport};

@@ -12,10 +12,11 @@
 //!   ([`lte_fault::TokenBucket`]), malformed-arrival refusal, and the
 //!   reject tier of the escalation ladder at the front door.
 //! * **Backpressure escalation** — [`lte_fault::EscalationState`]
-//!   walks reject → shed → degrade as an overload episode persists,
-//!   reusing the batch path's shed-cheapest-users and degrade-demap
-//!   mitigations so every admitted subframe still decodes through the
-//!   identical kernels.
+//!   walks reject → shed → degrade as an overload episode persists.
+//!   The shed tier drops a subframe's cheapest users
+//!   ([`kept_after_shed`]); the degrade tier only counts the subframes
+//!   dispatched while it is engaged. Every admitted user still decodes
+//!   through the identical max-log kernels.
 //! * **Power coupling** — the per-tick governor is the paper's
 //!   [`lte_power::PolicyGovernor`] wrapped in a
 //!   [`lte_power::PressureGovernor`]: queue occupancy raises the core
@@ -55,7 +56,7 @@ use lte_power::{
 use lte_sched::pool::TaskPool;
 use lte_sched::IngestQueue;
 
-use crate::benchmark::{kept_after_shed, BenchmarkConfig, UplinkBenchmark};
+use crate::benchmark::{BenchmarkConfig, UplinkBenchmark};
 use crate::dispatch::Dispatcher;
 use crate::fingerprint::fingerprint_results;
 
@@ -258,8 +259,8 @@ impl ServeParams {
                 "degrade_fill" => degrade = value.parse().map_err(|e| bad(&e))?,
                 "shed_after" => p.shed_after = value.parse().map_err(|e| bad(&e))?,
                 "degrade_after" => p.degrade_after = value.parse().map_err(|e| bad(&e))?,
-                "max_miss_rate" => p.spec.max_miss_rate = value.parse().map_err(|e| bad(&e))?,
-                "max_shed_rate" => p.spec.max_shed_rate = value.parse().map_err(|e| bad(&e))?,
+                "max_miss_rate" => p.spec.max_miss_rate = parse_rate(value).map_err(|e| bad(&e))?,
+                "max_shed_rate" => p.spec.max_shed_rate = parse_rate(value).map_err(|e| bad(&e))?,
                 "p99_budget_ns" => {
                     p.spec.p99_latency_budget = Some(value.parse().map_err(|e| bad(&e))?);
                 }
@@ -268,6 +269,19 @@ impl ServeParams {
         }
         p.ladder = EscalationLadder::new(reject, shed, degrade)?;
         Ok(p)
+    }
+}
+
+/// A rate budget: a finite fraction in `[0, 1]`. A NaN budget would
+/// pass every window and a negative one fail every window.
+fn parse_rate(value: &str) -> Result<f64, String> {
+    let rate: f64 = value
+        .parse()
+        .map_err(|e: std::num::ParseFloatError| e.to_string())?;
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err(format!("{rate} is not a rate in [0, 1]"))
     }
 }
 
@@ -374,6 +388,20 @@ pub fn watchdog_verdict(
     }
 }
 
+/// Ingest ring capacity in subframes.
+pub(crate) const QUEUE_CAPACITY: usize = 16;
+/// Queue-wait budget in ticks before a subframe counts as a deadline
+/// miss.
+const DEADLINE_TICKS: u64 = 3;
+/// Dispatch-slot wait beyond which the watchdog calls the pipeline
+/// stalled.
+const STALL_TIMEOUT: Duration = Duration::from_secs(5);
+/// Watchdog restarts allowed before the run aborts.
+const MAX_RESTARTS: u64 = 3;
+/// Dispatched-but-incomplete subframes allowed before dispatch blocks
+/// (bounds memory on slow hosts).
+const MAX_IN_FLIGHT: usize = 8;
+
 /// Static configuration of one serve campaign (the hot-reloadable half
 /// lives in [`ServeParams`]).
 #[derive(Clone, Debug)]
@@ -386,8 +414,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Worker threads in the receive pool.
     pub workers: usize,
-    /// Ingest ring capacity in subframes.
-    pub queue_capacity: usize,
     /// SLO evaluation window in ticks.
     pub window: u64,
     /// Power-governance policy for the pressure-wrapped governor.
@@ -399,25 +425,11 @@ pub struct ServeConfig {
     /// Inject a worker kill at this tick (self-healing drill).
     pub kill_worker_at: Option<u64>,
     /// Force a watchdog restart at this tick (restart drill; the live
-    /// detection path uses `stall_timeout`).
+    /// detection path uses the stall timeout).
     pub force_restart_at: Option<u64>,
     /// Apply these parameters at this tick (programmatic hot reload;
     /// the CLI reloads from `--config` instead).
     pub reload_at: Option<(u64, ServeParams)>,
-    /// Queue-wait budget in ticks before a subframe counts as a
-    /// deadline miss.
-    pub deadline_ticks: u64,
-    /// Dispatch-slot wait beyond which the watchdog calls the pipeline
-    /// stalled.
-    pub stall_timeout: Duration,
-    /// Watchdog restarts allowed before the run aborts.
-    pub max_restarts: u64,
-    /// Use the exact log-sum-exp demapper until degraded (the batch
-    /// path's default is max-log, `false`).
-    pub exact_demap: bool,
-    /// Dispatched-but-incomplete subframes allowed before dispatch
-    /// blocks (bounds memory on slow hosts).
-    pub max_in_flight: usize,
     /// Verify decoded bytes against the serial golden reference at
     /// drain time.
     pub verify: bool,
@@ -431,7 +443,6 @@ impl ServeConfig {
             delta: Duration::ZERO,
             seed,
             workers: 4,
-            queue_capacity: 16,
             window: 40,
             policy: NapPolicy::NapIdle,
             params: ServeParams::default(),
@@ -439,11 +450,6 @@ impl ServeConfig {
             kill_worker_at: None,
             force_restart_at: None,
             reload_at: None,
-            deadline_ticks: 3,
-            stall_timeout: Duration::from_secs(5),
-            max_restarts: 3,
-            exact_demap: false,
-            max_in_flight: 8,
             verify: true,
         }
     }
@@ -562,7 +568,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     let mut bucket = TokenBucket::per_tick(params.rate_milli, params.burst);
     let mut tracker = SloTracker::new(params.spec);
 
-    let queue: IngestQueue<Admitted> = IngestQueue::new(cfg.queue_capacity);
+    let queue: IngestQueue<Admitted> = IngestQueue::new(QUEUE_CAPACITY);
     let counters = ServiceCounters::new();
     let faults = cfg
         .faults
@@ -600,7 +606,6 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
 
     // The inputs each dispatched row decoded, for the golden check.
     let mut rows: Vec<Vec<Arc<UserInput>>> = Vec::new();
-    let mut all_max_log = true;
     let mut windows: Vec<ServeWindow> = Vec::new();
     let mut accum = WindowAccum::default();
     let mut lifecycle = vec![LifecycleEvent {
@@ -610,7 +615,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             "traffic={} workers={} queue={}",
             params.traffic.name(),
             cfg.workers,
-            cfg.queue_capacity
+            QUEUE_CAPACITY
         ),
     }];
     let mut first_tier_tick: [Option<u64>; 3] = [None; 3];
@@ -684,7 +689,9 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         // waits out a full escalation's worth of ticks before it
         // declares the service stuck on a stale backlog.
         let fill = queue.fill();
-        let stuck_after = cfg.deadline_ticks + params.shed_after + params.degrade_after;
+        let stuck_after = DEADLINE_TICKS
+            .saturating_add(params.shed_after)
+            .saturating_add(params.degrade_after);
         let pressure = tick_pressure(fill, miss_streak, stuck_after, params.ladder.reject_fill());
         let decision = escalation.observe(pressure);
         for (slot, engaged) in first_tier_tick.iter_mut().zip([
@@ -747,7 +754,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             counters.set_queue_depth(queue.depth() as u64);
             accum.subframes += 1;
             let waited_ticks = tick.saturating_sub(item.arrival_tick);
-            if waited_ticks > cfg.deadline_ticks {
+            if waited_ticks > DEADLINE_TICKS {
                 counters.deadline_miss();
                 accum.misses += 1;
                 miss_streak += 1;
@@ -755,7 +762,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                 miss_streak = 0;
             }
 
-            // The batch path's `ShedUsers` policy, cheapest-first.
+            // The `ShedUsers` policy, cheapest-first.
             let submit = if decision.shed_users {
                 kept_after_shed(&item.sf.users, None)
             } else {
@@ -764,7 +771,6 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             let shed = (item.sf.n_users() - submit.len()) as u64;
             counters.shed(shed);
             accum.shed_jobs += shed;
-            let exact = cfg.exact_demap && !decision.degrade_demap;
             if decision.degrade_demap {
                 counters.degraded();
             }
@@ -785,16 +791,16 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             loop {
                 let progress = d.closed_rows();
                 let waited_from = Instant::now();
-                if d.wait_below(cfg.max_in_flight.max(1), cfg.stall_timeout) {
+                if d.wait_below(MAX_IN_FLIGHT, STALL_TIMEOUT) {
                     break;
                 }
                 match watchdog_verdict(
                     waited_from.elapsed(),
-                    cfg.stall_timeout,
+                    STALL_TIMEOUT,
                     progress,
                     d.closed_rows(),
                     counters.snapshot().watchdog_restarts,
-                    cfg.max_restarts,
+                    MAX_RESTARTS,
                 ) {
                     WatchdogVerdict::Wait => {}
                     WatchdogVerdict::Restart => {
@@ -803,14 +809,13 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                         lifecycle.push(LifecycleEvent {
                             tick,
                             state: "watchdog-restart".into(),
-                            reason: format!("no completion progress in {:?}", cfg.stall_timeout),
+                            reason: format!("no completion progress in {STALL_TIMEOUT:?}"),
                         });
                     }
                     WatchdogVerdict::Abort => {
                         return Err(format!(
-                            "pipeline stalled: no completion progress after {} \
-                             watchdog restarts",
-                            cfg.max_restarts
+                            "pipeline stalled: no completion progress after \
+                             {MAX_RESTARTS} watchdog restarts"
                         ));
                     }
                 }
@@ -821,9 +826,8 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                 .map(|&i| inputs.input_for(&item.sf.users[i]))
                 .collect();
             accum.jobs += row.len() as u64;
-            d.dispatch(row.iter().map(|input| (&cell, input)), exact);
+            d.dispatch(row.iter().map(|input| (&cell, input)));
             rows.push(row);
-            all_max_log &= !exact;
         }
 
         // ---- Window close. -----------------------------------------
@@ -871,8 +875,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     let decodes = || result_rows.iter().flatten();
 
     let mut verify_error = None;
-    let verified = cfg.verify && all_max_log;
-    if verified {
+    if cfg.verify {
         let golden_inputs: Vec<Vec<UserInput>> = rows
             .iter()
             .map(|row| row.iter().map(|i| (**i).clone()).collect())
@@ -893,7 +896,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         lifecycle,
         fingerprint,
         verify_error,
-        verified,
+        verified: cfg.verify,
         drain_reason,
         ticks_run: tick,
         dispatched: rows.len() as u64,
@@ -961,11 +964,11 @@ fn render_json(cfg: &ServeConfig, o: &ServeOutcome) -> String {
         cfg.ticks,
         cfg.seed,
         cfg.workers,
-        cfg.queue_capacity,
+        QUEUE_CAPACITY,
         cfg.window,
         cfg.policy.name(),
         cfg.params.traffic.name(),
-        cfg.deadline_ticks,
+        DEADLINE_TICKS,
         cfg.params.rate_milli,
         cfg.params.burst,
         f64_json(cfg.params.ladder.reject_fill()),
@@ -1075,6 +1078,33 @@ fn render_openmetrics(o: &ServeOutcome) -> String {
     om.render()
 }
 
+/// The `ShedUsers` overload policy: the users of a subframe that survive
+/// a shed, as ascending indices. Users go cheapest-first — lowest PRB
+/// count, then lowest index. With `count = None` the policy decides how
+/// many: until at most half the PRB load remains, always at least one,
+/// never the last one. `Some(n)` sheds `n` (at most everyone) in the same
+/// order, for the soak, whose DES has already decided the count from its
+/// cycle capacity.
+pub(crate) fn kept_after_shed(users: &[UserConfig], count: Option<usize>) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..users.len()).collect();
+    order.sort_by_key(|&i| (users[i].prbs, i));
+    let n_shed = match count {
+        Some(n) => n.min(users.len()),
+        None => {
+            let total: usize = users.iter().map(|u| u.prbs).sum();
+            let (mut kept, mut shed) = (total, 0);
+            while users.len() - shed > 1 && (shed == 0 || kept * 2 > total) {
+                kept -= users[order[shed]].prbs;
+                shed += 1;
+            }
+            shed
+        }
+    };
+    order.drain(..n_shed);
+    order.sort_unstable();
+    order
+}
+
 /// The escalation pressure observed for one tick: the raw queue fill,
 /// boosted to at least the reject watermark only once the consecutive
 /// deadline-miss streak *exceeds* `stuck_after` (a full escalation's
@@ -1094,6 +1124,68 @@ fn tick_pressure(fill: f64, miss_streak: u64, stuck_after: u64, reject_fill: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn users_with_prbs(prbs: &[usize]) -> Vec<UserConfig> {
+        prbs.iter()
+            .map(|&p| UserConfig::new(p, 1, lte_dsp::Modulation::Qpsk))
+            .collect()
+    }
+
+    #[test]
+    fn shed_policy_invariants_hold_on_random_subframes() {
+        let mut rng = Xoshiro256::seed_from_u64(0x5ED);
+        for case in 0..200 {
+            let n = 2 + rng.next_below(9) as usize;
+            let prbs: Vec<usize> = (0..n).map(|_| 2 + rng.next_below(40) as usize).collect();
+            let users = users_with_prbs(&prbs);
+            let kept = kept_after_shed(&users, None);
+            let total: usize = prbs.iter().sum();
+            let kept_prbs: usize = kept.iter().map(|&i| prbs[i]).sum();
+            // Always shed one, always keep one.
+            assert!(
+                !kept.is_empty() && kept.len() < n,
+                "case {case}: {prbs:?} -> {kept:?}"
+            );
+            assert!(kept.windows(2).all(|w| w[0] < w[1]), "ascending indices");
+            // At most half the PRB load remains, unless only one is left.
+            assert!(
+                kept_prbs * 2 <= total || kept.len() == 1,
+                "case {case}: {prbs:?}"
+            );
+            // Cheapest first: every shed user sorts before every kept one,
+            // and shedding stopped as soon as the rule allowed.
+            let key = |i: usize| (prbs[i], i);
+            let cheapest_kept = kept.iter().map(|&i| key(i)).min().unwrap();
+            let shed: Vec<usize> = (0..n).filter(|i| !kept.contains(i)).collect();
+            let dearest_shed = shed.iter().map(|&i| key(i)).max().unwrap();
+            assert!(
+                dearest_shed < cheapest_kept,
+                "case {case}: {prbs:?} -> {kept:?}"
+            );
+            assert!(
+                shed.len() == 1 || (kept_prbs + dearest_shed.0) * 2 > total,
+                "case {case}: shed more than needed, {prbs:?} -> {kept:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shed_policy_edges() {
+        // A single user (or none) is never shed.
+        assert_eq!(kept_after_shed(&users_with_prbs(&[7]), None), [0]);
+        assert!(kept_after_shed(&[], None).is_empty());
+        // All-equal PRBs: the index breaks the tie, half the load goes.
+        assert_eq!(kept_after_shed(&users_with_prbs(&[5; 4]), None), [2, 3]);
+        assert_eq!(kept_after_shed(&users_with_prbs(&[5; 5]), None), [3, 4]);
+        // Two users: one is shed even though half the load already fits.
+        assert_eq!(kept_after_shed(&users_with_prbs(&[9, 9]), None), [1]);
+        // A count decided elsewhere sheds exactly that many, same order.
+        let users = users_with_prbs(&[8, 2, 8, 2, 30]);
+        assert_eq!(kept_after_shed(&users, Some(0)), [0, 1, 2, 3, 4]);
+        assert_eq!(kept_after_shed(&users, Some(3)), [2, 4]);
+        assert!(kept_after_shed(&users, Some(9)).is_empty());
+        assert_eq!(kept_after_shed(&users, None), [4]);
+    }
 
     #[test]
     fn miss_streak_guard_boundary_is_strictly_greater() {
@@ -1203,6 +1295,15 @@ mod tests {
         assert!(ServeParams::parse("bogus_key=1").is_err());
         assert!(ServeParams::parse("reject_fill=0.9\nshed_fill=0.5").is_err());
         assert!(ServeParams::parse("traffic=warp-drive").is_err());
+        for key in ["max_miss_rate", "max_shed_rate"] {
+            for bad in ["NaN", "inf", "-0.1", "1.5"] {
+                let err = ServeParams::parse(&format!("\n{key}={bad}")).unwrap_err();
+                assert!(err.starts_with(&format!("line 2: {key}: ")), "{err}");
+            }
+            for edge in ["0", "1"] {
+                assert!(ServeParams::parse(&format!("{key}={edge}")).is_ok());
+            }
+        }
     }
 
     #[test]

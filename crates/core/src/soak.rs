@@ -12,7 +12,7 @@
 //!   or to DTX when the overload policy sheds it; the accumulated
 //!   surface mirrors the R&S `FetchStruct` shape (ack/nack/dtx %, BLER,
 //!   per-stream throughput).
-//! * **SLO** — each window is judged against an [`SloSpec`]
+//! * **SLO** — each window is judged against [`SloSpec::default_budgets`]
 //!   (deadline-miss rate, shed rate, optional p99 budget) with SRE-style
 //!   burn rates; any violating window makes the run exit nonzero.
 //! * **Power** — the calibrated power model converts the run's occupancy
@@ -47,8 +47,8 @@ use lte_sched::sim::{SessionProgress, Simulator};
 use lte_sched::{PoolError, PoolTelemetry, TaskPool};
 use std::sync::Arc;
 
-use crate::benchmark::kept_after_shed;
 use crate::experiments::ExperimentContext;
+use crate::serve::kept_after_shed;
 
 /// EBLER streams: one per layer count, so the surface separates
 /// single-layer from spatially-multiplexed users like the instrument's
@@ -69,6 +69,9 @@ const BURST_SNR_DB: f32 = -12.0;
 /// Decode repetitions per user in the host-metrics burst.
 const HOST_BURST_REPS: usize = 32;
 
+/// Overload policy behind the per-subframe deadline budget.
+pub(crate) const OVERLOAD: OverloadPolicy = OverloadPolicy::ShedUsers;
+
 /// Everything the soak needs to know up front.
 #[derive(Clone, Copy, Debug)]
 pub struct SoakConfig {
@@ -80,14 +83,10 @@ pub struct SoakConfig {
     pub seed: u64,
     /// Nap policy governing the simulated machine.
     pub policy: NapPolicy,
-    /// Overload policy behind the per-subframe deadline budget.
-    pub overload: OverloadPolicy,
     /// Inject the seeded fault plan (noise bursts, dead core, panics).
     pub chaos: bool,
     /// Host workers for the wall-clock telemetry burst (0 = skip).
     pub host_workers: usize,
-    /// The budgets each window is judged against.
-    pub spec: SloSpec,
 }
 
 impl SoakConfig {
@@ -103,10 +102,8 @@ impl SoakConfig {
             // subframes by design and shed under the overload policy —
             // select them explicitly to soak that regime.
             policy: NapPolicy::NoNap,
-            overload: OverloadPolicy::ShedUsers,
             chaos: false,
             host_workers: 0,
-            spec: SloSpec::default_budgets(),
         }
     }
 }
@@ -206,7 +203,7 @@ impl SoakReport {
         out.push_str(&format!(
             "  \"policy\": \"{}\",\n  \"overload\": \"{}\",\n  \"chaos\": {},\n",
             self.config.policy,
-            self.config.overload.name(),
+            OVERLOAD.name(),
             self.config.chaos
         ));
         out.push_str(&format!("  \"clock_hz\": {},\n", f64_json(self.clock_hz)));
@@ -443,7 +440,7 @@ pub fn run_soak_with_stop(
     // as deadline misses.
     let mut sim = Simulator::new(sim_cfg).with_degradation(DeadlineBudget {
         budget: 3 * sim_cfg.dispatch_period,
-        policy: cfg.overload,
+        policy: OVERLOAD,
     });
     if let Some(p) = &plan {
         sim = sim.with_chaos(p.clone());
@@ -454,7 +451,7 @@ pub fn run_soak_with_stop(
     let latency_live = Histogram::new();
     let ebler_live = EblerAccumulator::new(EBLER_STREAMS);
     let ebler_total = EblerAccumulator::new(EBLER_STREAMS);
-    let mut tracker = SloTracker::new(cfg.spec);
+    let mut tracker = SloTracker::new(SloSpec::default_budgets());
     let mut windows: Vec<SoakWindow> = Vec::new();
     let mut jsonl = String::new();
     let mut consumed = 0usize;

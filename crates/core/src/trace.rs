@@ -99,7 +99,7 @@ pub fn run_trace(ctx: &ExperimentContext) -> TraceArtifacts {
     let mut d =
         Dispatcher::new(4, TurboMode::Passthrough, &[]).expect("spawn the trace sample pool");
     let shared = std::sync::Arc::new(input);
-    d.dispatch((0..8).map(|_| (&cell, &shared)), false);
+    d.dispatch((0..8).map(|_| (&cell, &shared)));
     d.finish();
     d.pool().export_metrics(&metrics);
 

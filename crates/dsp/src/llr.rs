@@ -109,8 +109,8 @@ pub fn demap_block_into(
 }
 
 /// Demaps a block of symbols with the exact log-sum-exp demapper — the
-/// high-fidelity path the `DegradeDemap` overload policy falls back
-/// from when a subframe is behind its deadline budget.
+/// reference the max-log approximation is measured against. Every
+/// receiver decode runs max-log.
 pub fn demap_block_exact(
     modulation: Modulation,
     symbols: &[Complex32],

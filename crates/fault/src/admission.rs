@@ -262,7 +262,7 @@ impl EscalationState {
             reject_new: base.reject_new || self.pressured_ticks > 0,
             shed_users: base.shed_users || self.pressured_ticks > self.shed_after,
             degrade_demap: base.degrade_demap
-                || self.pressured_ticks > self.shed_after + self.degrade_after,
+                || self.pressured_ticks > self.shed_after.saturating_add(self.degrade_after),
         }
     }
 }
@@ -484,6 +484,17 @@ mod tests {
             reject < shed && shed < degrade,
             "escalation order violated: {reject} / {shed} / {degrade}"
         );
+    }
+
+    #[test]
+    fn a_maximal_shed_delay_never_sheds_or_degrades() {
+        // The degrade delay counts from the shed delay: their sum
+        // saturates instead of wrapping to a tiny threshold.
+        let mut state = EscalationState::with_delays(EscalationLadder::default(), u64::MAX, 4);
+        for _ in 0..1000 {
+            let d = state.observe(0.8);
+            assert!(d.reject_new && !d.shed_users && !d.degrade_demap);
+        }
     }
 
     #[test]

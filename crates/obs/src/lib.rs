@@ -18,8 +18,9 @@
 //!
 //! * [`hist`] — lock-free, zero-alloc-on-record HDR-style
 //!   [`Histogram`](hist::Histogram)s with mergeable snapshots.
-//! * [`window`] — [`RollingWindow`](window::RollingWindow) per-window
-//!   aggregation of histograms/counters/gauges off the hot path.
+//! * [`window`] — [`WindowAggregate`](window::WindowAggregate): live
+//!   histograms, counters and EBLER accumulators drained into
+//!   per-window snapshots off the hot path.
 //! * [`slo`] — [`SloSpec`](slo::SloSpec)/[`SloTracker`](slo::SloTracker)
 //!   budget evaluation with burn rates.
 //! * [`ebler`] — the R&S-`FetchStruct`-shaped
@@ -47,7 +48,7 @@ pub use perfetto::PerfettoExporter;
 pub use recorder::{event_json, JsonLinesRecorder, NoopRecorder, Recorder, RingRecorder};
 pub use service::{ServiceCounters, ServiceSnapshot};
 pub use slo::{SloSpec, SloTracker, SloViolation, WindowObservation, WindowVerdict};
-pub use window::{Counter, Gauge, RollingWindow, WindowAggregate};
+pub use window::{Counter, WindowAggregate};
 
 impl<R: Recorder> Recorder for &R {
     fn enabled(&self) -> bool {

@@ -71,7 +71,8 @@ impl ServiceCounters {
         self.shed_users.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// One admitted subframe dispatched with degraded demapping.
+    /// One admitted subframe dispatched while the degrade tier was
+    /// engaged.
     pub fn degraded(&self) {
         self.degraded_subframes.fetch_add(1, Ordering::Relaxed);
     }
@@ -145,7 +146,8 @@ pub struct ServiceSnapshot {
     pub rejected_malformed: u64,
     /// Users shed from admitted subframes.
     pub shed_users: u64,
-    /// Admitted subframes dispatched with degraded demapping.
+    /// Admitted subframes dispatched while the degrade tier was
+    /// engaged. The tier counts them; it changes no decoded bit.
     pub degraded_subframes: u64,
     /// Subframes fully decoded.
     pub completed_subframes: u64,

@@ -1,11 +1,10 @@
-//! Rolling-window aggregation.
+//! Window aggregation.
 //!
 //! The hot path records into live, lock-free aggregates ([`Histogram`],
-//! [`Counter`], [`Gauge`]); a control thread calls
-//! [`RollingWindow::tick`] once per item (subframe) and the window rolls
-//! itself every `window_len` items by snapshotting and resetting the
-//! live aggregate. The hot path never sees a window boundary — it only
-//! ever touches atomics.
+//! [`Counter`], the EBLER accumulator); at a window boundary a control
+//! thread drains each into a plain-data snapshot with
+//! [`WindowAggregate::snapshot_and_reset`]. The hot path never sees a
+//! window boundary — it only ever touches atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,147 +59,20 @@ impl WindowAggregate for Counter {
     }
 }
 
-/// A lock-free point-in-time gauge (f64 bits in an atomic word).
-///
-/// Unlike counters and histograms, a gauge is not cumulative, so a
-/// window snapshot reads the latest value and leaves it in place.
-#[derive(Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge reading 0.0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stores a new reading.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Latest reading.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-impl WindowAggregate for Gauge {
-    type Snapshot = f64;
-
-    fn snapshot_and_reset(&self) -> f64 {
-        self.get()
-    }
-}
-
-/// Per-window snapshots of a live aggregate.
-///
-/// Owns the live aggregate (hand the hot path a reference via
-/// [`live`](Self::live) — all aggregates record through `&self`) plus
-/// the history of completed windows.
-pub struct RollingWindow<T: WindowAggregate> {
-    live: T,
-    window_len: u64,
-    filled: u64,
-    snapshots: Vec<T::Snapshot>,
-}
-
-impl<T: WindowAggregate> RollingWindow<T> {
-    /// Wraps `live` with a boundary every `window_len` ticks.
-    pub fn new(window_len: u64, live: T) -> Self {
-        assert!(window_len > 0, "window length must be positive");
-        Self {
-            live,
-            window_len,
-            filled: 0,
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// The live aggregate the hot path records into.
-    pub fn live(&self) -> &T {
-        &self.live
-    }
-
-    /// Counts one item; when the window fills, rolls it and returns the
-    /// completed snapshot.
-    pub fn tick(&mut self) -> Option<&T::Snapshot> {
-        self.filled += 1;
-        if self.filled >= self.window_len {
-            Some(self.roll())
-        } else {
-            None
-        }
-    }
-
-    /// Forces a window boundary now (e.g. to flush a final partial
-    /// window) and returns the completed snapshot.
-    pub fn roll(&mut self) -> &T::Snapshot {
-        self.filled = 0;
-        self.snapshots.push(self.live.snapshot_and_reset());
-        self.snapshots.last().expect("just pushed")
-    }
-
-    /// Items recorded into the live (not yet rolled) window.
-    pub fn live_len(&self) -> u64 {
-        self.filled
-    }
-
-    /// Configured items per window.
-    pub fn window_len(&self) -> u64 {
-        self.window_len
-    }
-
-    /// Completed window snapshots, oldest first.
-    pub fn snapshots(&self) -> &[T::Snapshot] {
-        &self.snapshots
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn window_rolls_every_n_ticks() {
-        let mut w = RollingWindow::new(3, Counter::new());
-        for i in 1..=7u64 {
-            w.live().add(i);
-            let rolled = w.tick().copied();
-            match i {
-                3 => assert_eq!(rolled, Some(1 + 2 + 3)),
-                6 => assert_eq!(rolled, Some(4 + 5 + 6)),
-                _ => assert_eq!(rolled, None),
-            }
-        }
-        assert_eq!(w.live_len(), 1);
-        assert_eq!(*w.roll(), 7);
-        assert_eq!(w.snapshots(), &[6, 15, 7]);
-    }
-
-    #[test]
-    fn histogram_windows_are_independent() {
-        let mut w = RollingWindow::new(2, Histogram::new());
-        w.live().record(10);
-        w.tick();
-        w.live().record(1_000);
-        w.tick();
-        w.live().record(7);
-        w.roll();
-        assert_eq!(w.snapshots().len(), 2);
-        assert_eq!(w.snapshots()[0].count, 2);
-        assert_eq!(w.snapshots()[0].max, 1_000);
-        assert_eq!(w.snapshots()[1].count, 1);
-        assert_eq!(w.snapshots()[1].max, 7);
-    }
-
-    #[test]
-    fn gauge_persists_across_windows() {
-        let mut w = RollingWindow::new(1, Gauge::new());
-        w.live().set(2.5);
-        w.tick();
-        w.tick();
-        assert_eq!(w.snapshots(), &[2.5, 2.5]);
-        assert_eq!(w.live().get(), 2.5);
+    fn counter_snapshot_drains_the_live_window() {
+        let c = Counter::new();
+        c.add(3);
+        c.add(4);
+        assert_eq!(c.get(), 7);
+        assert_eq!(c.snapshot_and_reset(), 7);
+        assert_eq!(c.get(), 0, "the next window starts empty");
+        c.add(5);
+        assert_eq!(c.snapshot_and_reset(), 5);
+        assert_eq!(c.snapshot_and_reset(), 0);
     }
 }
