@@ -1,11 +1,11 @@
 //! The micro-benchmark timer, and nothing else.
 //!
 //! `examples/lte_bench` is the repository's performance yardstick. The
-//! five targets under `benches/` cover what it cannot name — per-kernel
-//! timings, the SIMD-vs-scalar turbo ratio, HARQ combining and the two
-//! cost gates `scripts/check.sh` greps — each a plain `fn main` over
-//! [`bench()`]. There are no statistics here: a line is for reading next
-//! to its neighbours on one host, not for claiming a gain.
+//! four targets under `benches/` cover what it cannot name — per-kernel
+//! timings, the SIMD-vs-scalar turbo ratio and the two cost gates
+//! `scripts/check.sh` greps — each a plain `fn main` over [`bench()`].
+//! There are no statistics here: a line is for reading next to its
+//! neighbours on one host, not for claiming a gain.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -1,7 +1,8 @@
 //! The paper-artifact table: one row per figure and table of the
 //! evaluation (Figs. 7–9 and 11–16, Tables I–II) plus the §IV-D
-//! serial/parallel check. A row names the files it writes and checks the
-//! paper's qualitative claim with the tolerance its doc comment states.
+//! serial/parallel check and §VIII's diurnal-load claim. A row names the
+//! files it writes and checks the paper's qualitative claim with the
+//! tolerance its doc comment states.
 //! `lte-sim <id>` runs one row; `lte-sim all` runs them all in order.
 //! Claims about the ramp peak need the whole 68 000-subframe ramp: a
 //! shorter run reports them as not checked instead of passing them.
@@ -14,7 +15,7 @@ use lte_model::{ParameterModel, RampModel, EVALUATION_SUBFRAMES, PROB_STEP_SUBFR
 use lte_phy::params::{CellConfig, MAX_PRB, MAX_USERS, MIN_USER_PRB};
 use lte_power::NapPolicy;
 
-use crate::experiments::{ExperimentContext, PowerRow, PowerStudy};
+use crate::experiments::{DiurnalStudy, ExperimentContext, PowerRow, PowerStudy};
 use crate::report;
 use crate::{BenchmarkConfig, UplinkBenchmark};
 
@@ -57,20 +58,26 @@ pub struct Inputs {
     ctx: ExperimentContext,
     trace: OnceLock<Trace>,
     study: OnceLock<PowerStudy>,
+    diurnal: OnceLock<DiurnalStudy>,
 }
 
 impl Inputs {
     /// Inputs for the evaluation run `ctx` describes; nothing runs yet.
     pub fn new(ctx: ExperimentContext) -> Self {
-        let (trace, study) = (OnceLock::new(), OnceLock::new());
-        Inputs { ctx, trace, study }
+        let (trace, study, diurnal) = (OnceLock::new(), OnceLock::new(), OnceLock::new());
+        Inputs {
+            ctx,
+            trace,
+            study,
+            diurnal,
+        }
     }
 
     fn trace(&self) -> &Trace {
         self.trace.get_or_init(|| self.ctx.trace())
     }
 
-    pub(crate) fn study(&self) -> &PowerStudy {
+    fn study(&self) -> &PowerStudy {
         self.study.get_or_init(|| {
             println!(
                 "running power study: {} subframes, calibration step {} PRBs …",
@@ -80,6 +87,23 @@ impl Inputs {
         })
     }
 
+    fn diurnal(&self) -> &DiurnalStudy {
+        self.diurnal.get_or_init(|| {
+            println!(
+                "running the diurnal-day study: {} subframes …",
+                self.ctx.n_subframes
+            );
+            self.ctx.run_diurnal_study()
+        })
+    }
+
+    /// No total-power row can fall below base power less what gating
+    /// every core saves.
+    fn power_floor(&self) -> f64 {
+        let g = self.ctx.gating;
+        self.ctx.power.base_watts - g.total_cores as f64 * g.static_per_core
+    }
+
     /// Seconds spanned by `buckets` dispatch periods.
     fn seconds(&self, buckets: usize) -> f64 {
         buckets as f64 * self.ctx.sim_config(NapPolicy::NoNap).dispatch_seconds()
@@ -87,7 +111,7 @@ impl Inputs {
 }
 
 /// Every row, in the order `lte-sim all` writes and checks them.
-pub static ARTIFACTS: [Artifact; 12] = [
+pub static ARTIFACTS: [Artifact; 13] = [
     Artifact {
         id: "fig7",
         paper: "Fig. 7",
@@ -190,12 +214,7 @@ pub static ARTIFACTS: [Artifact; 12] = [
             let md = report::table2_markdown(&i.study().table2());
             vec![("table2_total_power.md", md)]
         },
-        // No row can fall below base power less what gating every core saves.
-        check: |i| {
-            let (study, g) = (i.study(), i.ctx.gating);
-            let floor = study.base_watts - g.total_cores as f64 * g.static_per_core;
-            power_ordering(&study.table2(), 0.20, floor)
-        },
+        check: |i| power_ordering(&i.study().table2(), 0.20, i.power_floor()),
     },
     Artifact {
         id: "iv-d",
@@ -203,6 +222,16 @@ pub static ARTIFACTS: [Artifact; 12] = [
         needs: 0,
         produce: |_| Vec::new(),
         check: serial_parallel,
+    },
+    Artifact {
+        id: "diurnal",
+        paper: "§VIII",
+        needs: STEP,
+        produce: |i| {
+            let md = report::table2_markdown(&i.diurnal().rows);
+            vec![("diurnal_total_power.md", md)]
+        },
+        check: |i| diurnal_load(i.diurnal(), i.power_floor()),
     },
 ];
 
@@ -416,6 +445,25 @@ fn power_ordering(rows: &[PowerRow], saving: f64, floor: f64) -> Result<String, 
     )
 }
 
+/// §VIII: over a diurnal day the mean activity is "about 25 %" (20–30 %),
+/// and Table II's ordering holds with PowerGating saving at least the
+/// ramp study's upper figures: 26 % against NONAP and 11 % against IDLE.
+fn diurnal_load(day: &DiurnalStudy, floor: f64) -> Result<String, String> {
+    let (ordered, table) = match power_ordering(&day.rows, 0.26, floor) {
+        Ok(text) => (true, text),
+        Err(text) => (false, text),
+    };
+    let typical = (0.20..=0.30).contains(&day.mean_activity);
+    verdict(
+        typical && ordered && day.gated_saving_vs_idle >= 0.11,
+        format!(
+            "mean activity {:.1}% (20–30%); {table} and {:.0}% against IDLE (≥ 11%)",
+            100.0 * day.mean_activity,
+            100.0 * day.gated_saving_vs_idle
+        ),
+    )
+}
+
 /// §IV-D: ten ramp subframes decoded on the real pool match the serial
 /// reference ([`lte_phy::verify::GoldenRecord::build`]) bit for bit.
 fn serial_parallel(i: &Inputs) -> Result<String, String> {
@@ -480,6 +528,22 @@ mod tests {
         for gated in [&above, &napidle, &apart] {
             assert!(gating_converges(&napidle, gated).is_err());
         }
+    }
+
+    #[test]
+    fn a_busy_day_or_a_swapped_row_fails_diurnal() {
+        let ctx = ExperimentContext::quick();
+        let day = ctx.run_diurnal_study();
+        let floor = Inputs::new(ctx).power_floor();
+        assert!(diurnal_load(&day, floor).is_ok(), "{day:?}");
+        let busy = DiurnalStudy {
+            mean_activity: 0.5,
+            ..day.clone()
+        };
+        assert!(diurnal_load(&busy, floor).is_err(), "mean activity 50%");
+        let mut swapped = day;
+        swapped.rows.swap(1, 2);
+        assert!(diurnal_load(&swapped, floor).is_err(), "IDLE below NAP");
     }
 
     #[test]

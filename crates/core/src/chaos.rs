@@ -12,10 +12,10 @@
 //!    known task population while the plan injects task panics and
 //!    worker kills; every task must run exactly once and every killed
 //!    worker must respawn.
-//! 3. **Link recovery** — a small uplink user population is received
-//!    through the HARQ entity while the plan injects deep noise bursts
-//!    and resource-grid corruption; chase combining must recover the
-//!    damaged blocks.
+//! 3. **Link faults** — a small uplink user population is received
+//!    while the plan injects deep noise bursts and resource-grid
+//!    corruption; a bursted block must fail its CRC, and a corrupted
+//!    grid must decode or fail without a panic.
 //!
 //! Everything exported is derived from the seeded plan or from simulated
 //! time — never from wall-clock measurements — so two runs with the same
@@ -25,13 +25,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lte_dsp::fft::FftPlanner;
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_fault::{DeadlineBudget, FaultPlan, OverloadPolicy};
 use lte_obs::{Event, FaultKind, MetricsRegistry, PerfettoExporter, Recorder, RingRecorder};
-use lte_phy::harq::{HarqDecision, HarqEntity, HarqStats};
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
-use lte_phy::tx::{synthesize_retransmission, synthesize_user};
+use lte_phy::process_user;
+use lte_phy::tx::synthesize_user;
 use lte_power::NapPolicy;
 use lte_sched::sim::{SimReport, Simulator};
 use lte_sched::{silence_injected_panics, InjectedPanic, PoolError, TaskPool};
@@ -52,13 +51,11 @@ const POOL_SUBFRAMES: usize = 64;
 const POOL_JOBS: usize = 4;
 /// Tasks each pool job's root task spawns.
 const POOL_TASKS: usize = 8;
-/// Subframes in the link-level HARQ campaign.
+/// Subframes in the link-level campaign.
 const LINK_SUBFRAMES: usize = 40;
 /// Users received per link subframe.
 const LINK_USERS: usize = 2;
-/// HARQ retransmission budget in the link campaign.
-const LINK_HARQ_BUDGET: usize = 4;
-/// SNR (dB) of un-bursted transmissions and of every retransmission.
+/// SNR (dB) of un-bursted transmissions.
 const LINK_NOMINAL_SNR_DB: f64 = 10.0;
 
 /// Deterministic counters from all three campaigns.
@@ -92,14 +89,12 @@ pub struct ChaosSummary {
     pub worker_respawns: u64,
     /// Link: transport blocks received.
     pub link_blocks: u64,
-    /// Link: deep noise bursts injected on first transmissions.
+    /// Link: deep noise bursts injected.
     pub noise_bursts: u64,
     /// Link: resource-grid corruption events injected.
     pub grid_corruptions: u64,
     /// Link: blocks delivered with a passing CRC.
     pub delivered_ok: u64,
-    /// Link: the HARQ entity's transmission/recovery counters.
-    pub harq: HarqStats,
 }
 
 impl ChaosSummary {
@@ -128,8 +123,8 @@ pub fn run_chaos(
     policy: OverloadPolicy,
 ) -> Result<ChaosArtifacts, PoolError> {
     // The smoke plan's -2 dB bursts are survivable for well-conditioned
-    // antenna configurations; chaos wants single-shot failures that only
-    // chase combining digs out, so bursts go deeper here.
+    // antenna configurations; chaos wants every burst to fail its block,
+    // so bursts go deeper here.
     let plan = FaultPlan {
         burst_snr_db: -12.0,
         ..FaultPlan::smoke(ctx.seed)
@@ -282,10 +277,9 @@ fn run_pool_campaign(
     Ok(())
 }
 
-/// Campaign 3: link-level recovery. Bursted first transmissions arrive
-/// at the plan's deep-fade SNR and corrupted grids lose cells to
-/// garbage; the HARQ entity retransmits (at nominal SNR — bursts are
-/// transient) until chase combining delivers the block.
+/// Campaign 3: link-level faults. Bursted transmissions arrive at the
+/// plan's deep-fade SNR and corrupted grids lose cells to garbage; each
+/// block is decoded once.
 fn run_link_campaign(
     ctx: &ExperimentContext,
     plan: &FaultPlan,
@@ -295,9 +289,6 @@ fn run_link_campaign(
 ) {
     let cell = CellConfig::with_antennas(ctx.n_rx);
     let user = UserConfig::new(6, 1, Modulation::Qpsk);
-    let mode = TurboMode::Passthrough;
-    let planner = FftPlanner::new();
-    let mut entity = HarqEntity::new(LINK_HARQ_BUDGET);
     for sf in 0..LINK_SUBFRAMES {
         for u in 0..LINK_USERS {
             let t = sf as u64 * dispatch_period + u as u64;
@@ -327,43 +318,11 @@ fn run_link_campaign(
                 });
             }
             summary.link_blocks += 1;
-            let mut decision = entity.on_reception(u as u32, &cell, &input, mode, &planner);
-            while let HarqDecision::Retransmit { .. } = decision {
-                recorder.record(Event::Fault {
-                    kind: FaultKind::HarqRetransmit,
-                    core: u32::MAX,
-                    subframe: sf as u32,
-                    t,
-                });
-                let retx = synthesize_retransmission(
-                    &cell,
-                    &user,
-                    mode,
-                    &input.ground_truth,
-                    LINK_NOMINAL_SNR_DB,
-                    &mut rng,
-                );
-                decision = entity.on_reception(u as u32, &cell, &retx, mode, &planner);
-            }
-            if let HarqDecision::Delivered {
-                result, recovered, ..
-            } = decision
-            {
-                if recovered {
-                    recorder.record(Event::Fault {
-                        kind: FaultKind::HarqRecovery,
-                        core: u32::MAX,
-                        subframe: sf as u32,
-                        t,
-                    });
-                }
-                if result.crc_ok {
-                    summary.delivered_ok += 1;
-                }
+            if process_user(&cell, &input, TurboMode::Passthrough).crc_ok {
+                summary.delivered_ok += 1;
             }
         }
     }
-    summary.harq = entity.stats;
 }
 
 /// Overwrites `corrupt_cells` resource-grid cells with large garbage
@@ -417,10 +376,6 @@ fn fill_chaos_metrics(metrics: &MetricsRegistry, s: &ChaosSummary, n: usize) {
     metrics.set_counter("chaos.link.noise_bursts", s.noise_bursts);
     metrics.set_counter("chaos.link.grid_corruptions", s.grid_corruptions);
     metrics.set_counter("chaos.link.delivered_ok", s.delivered_ok);
-    metrics.set_counter("chaos.link.harq_transmissions", s.harq.transmissions);
-    metrics.set_counter("chaos.link.harq_retransmissions", s.harq.retransmissions);
-    metrics.set_counter("chaos.link.harq_recoveries", s.harq.recoveries);
-    metrics.set_counter("chaos.link.harq_failures", s.harq.failures);
 }
 
 #[cfg(test)]
@@ -435,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_campaign_conserves_tasks_and_recovers() {
+    fn chaos_campaign_conserves_tasks_and_fails_exactly_the_bursts() {
         let art = run_chaos(&quick_ctx(), OverloadPolicy::ShedUsers).expect("pool spawns");
         let s = &art.summary;
         assert!(
@@ -447,8 +402,11 @@ mod tests {
         assert_eq!(s.worker_respawns, s.kills_injected);
         assert!(s.task_panics > 0, "the smoke plan must inject panics");
         assert!(s.noise_bursts > 0, "the smoke plan must burst");
-        assert!(s.harq.recoveries > 0, "combining must recover bursts");
         assert_eq!(s.link_blocks, (LINK_SUBFRAMES * LINK_USERS) as u64);
+        // Every burst fails its block; every other block, corrupted or
+        // not, decodes.
+        assert_eq!(s.delivered_ok + s.noise_bursts, s.link_blocks);
+        assert!(s.delivered_ok < s.link_blocks);
         assert!(!art.metrics_json.is_empty() && !art.perfetto_json.is_empty());
     }
 

@@ -8,7 +8,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::ablation;
 use crate::artifacts::{Artifact, Inputs, ARTIFACTS};
 use crate::experiments::ExperimentContext;
 use lte_fault::OverloadPolicy;
@@ -67,16 +66,16 @@ COMMANDS:
     table1 table2     average dynamic / total power tables (markdown)
     iv-d              §IV-D: ten ramp subframes decoded on the real pool,
                       verified bit-exact against the serial reference
+    diurnal           §VIII: Table II over a diurnal day at about 25 %
+                      load (markdown)
     all               every artifact above, in order (default command)
-  Studies and drivers:
-    concurrency       subframe concurrency and job latency percentiles
-    ablation          sweep the design constants the paper fixes
-    diurnal           the diurnal-day power study
+  Drivers:
     trace             record an instrumented NAP+IDLE run: Perfetto
                       trace-event JSON plus a flat metrics snapshot
     chaos             deterministic fault-injection campaign: DES chaos
                       under an overload policy, real-pool conservation,
-                      link-level HARQ recovery (trace + metrics JSON)
+                      link-level noise bursts and grid corruption (trace
+                      + metrics JSON)
     govern            closed-loop power governance: governed DES bursts
                       with an estimated-vs-measured activity audit,
                       governed real-pool runs verified byte-identical,
@@ -207,7 +206,7 @@ fn parse_args() -> Options {
             "--calibration" => o.calibration = Some(value().into()),
             "--chaos" => o.chaos = true,
             "--workers" => o.workers = Some(positive(&value(), &arg)),
-            "--window" => o.window = Some(number(&value(), &arg)),
+            "--window" => o.window = Some(positive(&value(), &arg)),
             "--traffic" => o.traffic = Some(value()),
             "--config" => o.config = Some(value().into()),
             "--write" => o.write_vectors = true,
@@ -326,98 +325,6 @@ fn run_artifacts(opts: &Options, rows: &[Artifact]) {
     }
 }
 
-fn run_concurrency(opts: &Options) {
-    // The paper's "no more than two to three subframes concurrently"
-    // describes a real base station's responsiveness budget (1 ms
-    // dispatch, ~3 ms deadline); the benchmark's stress ramp deliberately
-    // drives the 5 ms-dispatch TILEPro64 model to saturation, where the
-    // backlog grows deeper at the load peak.
-    let inputs = Inputs::new(opts.ctx);
-    let study = inputs.study();
-    let clock = opts.ctx.sim_config(lte_power::NapPolicy::NoNap).clock_hz;
-    let to_ms = |c: u64| c as f64 / clock * 1e3;
-    for (label, policy) in [
-        ("NONAP", lte_power::NapPolicy::NoNap),
-        ("NAP+IDLE", lte_power::NapPolicy::NapIdle),
-    ] {
-        let report = &study.run(policy).report;
-        println!(
-            "{label}: max concurrent subframes {} | job latency p50 {:.1} ms, p95 {:.1} ms, max {:.1} ms",
-            report.max_concurrent_subframes,
-            to_ms(report.latency_percentile(50)),
-            to_ms(report.latency_percentile(95)),
-            to_ms(report.latency_percentile(100)),
-        );
-    }
-}
-
-fn run_ablations(opts: &Options) {
-    let ctx = ExperimentContext {
-        // Ablations sweep many runs; cap the per-run length.
-        n_subframes: opts.ctx.n_subframes.min(8_000),
-        ..opts.ctx
-    };
-    println!("Eq. 5 margin ablation (NAP+IDLE):");
-    println!("  margin |  power (W) | p95 latency | max latency");
-    for row in ablation::margin_ablation(&ctx, &[0, 1, 2, 4, 8, 16]) {
-        println!(
-            "  {:6} | {:9.2} | {:8.2} ms | {:8.2} ms",
-            row.margin, row.mean_watts, row.p95_latency_ms, row.max_latency_ms
-        );
-    }
-    let study = ctx.run_power_study();
-    println!("\npower-domain group-size ablation (Eq. 6):");
-    println!("  group |  gated (W) | saving (W)");
-    for row in ablation::gating_group_ablation(&study, &[1, 2, 4, 8, 16, 32, 64]) {
-        println!(
-            "  {:5} | {:9.2} | {:8.2}",
-            row.group_size, row.mean_watts, row.mean_saving
-        );
-    }
-    println!("\nnap wake-period ablation:");
-    println!("  period |  IDLE (W) |  NAP (W)");
-    for row in ablation::wake_period_ablation(&ctx, &[0.25, 0.5, 1.0, 2.0, 4.0]) {
-        println!(
-            "  {:4.2} ms | {:8.2} | {:7.2}",
-            row.period_ms, row.idle_watts, row.nap_watts
-        );
-    }
-    println!("\nDVFS extension (estimator-driven ladder on NAP+IDLE):");
-    let dvfs = ablation::dvfs_study(&ctx, &study, &lte_power::DvfsPolicy::default_ladder());
-    println!(
-        "  NAP+IDLE {:.2} W -> with DVFS {:.2} W ({:.0}% of subframes run below nominal f)",
-        dvfs.baseline_watts,
-        dvfs.dvfs_watts,
-        100.0 * dvfs.scaled_fraction
-    );
-}
-
-fn run_diurnal(opts: &Options) {
-    println!(
-        "running the diurnal-day study ({} subframes) …",
-        opts.ctx.n_subframes
-    );
-    let study = opts.ctx.run_diurnal_study();
-    println!(
-        "mean activity over the day: {:.1}% (paper: 'about 25%' is typical)",
-        100.0 * study.mean_activity
-    );
-    for row in &study.rows {
-        println!(
-            "  {:12} {:5.2} W  ({:+.0}% vs NONAP, {:+.0}% vs IDLE)",
-            row.technique,
-            row.watts,
-            100.0 * row.vs_nonap,
-            100.0 * row.vs_idle
-        );
-    }
-    println!(
-        "power-gated saving: {:.0}% vs NONAP, {:.0}% vs IDLE (ramp study: 24-26% / 9-11%)",
-        100.0 * study.gated_saving_vs_nonap,
-        100.0 * study.gated_saving_vs_idle
-    );
-}
-
 fn run_trace_cmd(opts: &Options) {
     use crate::trace;
     println!(
@@ -498,11 +405,6 @@ fn run_chaos_cmd(opts: &Options) {
         "link: {} blocks, noise bursts {}, grid corruptions {}, delivered ok {}",
         s.link_blocks, s.noise_bursts, s.grid_corruptions, s.delivered_ok,
     );
-    println!(
-        "harq transmissions: {} (retransmissions {}, failures {})",
-        s.harq.transmissions, s.harq.retransmissions, s.harq.failures,
-    );
-    println!("harq recoveries: {}", s.harq.recoveries);
     println!("lost tasks: {}", s.lost_tasks);
     println!("duplicated tasks: {}", s.duplicated_tasks);
     if !s.conserved() {
@@ -517,7 +419,7 @@ fn run_soak_cmd(opts: &Options) {
     let mut cfg = SoakConfig::new(
         opts.subframes_override
             .unwrap_or(if opts.quick { 2_000 } else { 20_000 }),
-        opts.window.unwrap_or(1_000).max(1),
+        opts.window.unwrap_or(1_000),
         opts.ctx.seed,
     );
     cfg.chaos = opts.chaos;
@@ -617,7 +519,7 @@ fn run_serve_cmd(opts: &Options) {
     // dispatch opportunity per millisecond. (The library default is
     // free-running for tests and drills.)
     cfg.delta = Duration::from_millis(1);
-    cfg.window = opts.window.unwrap_or(40).max(1) as u64;
+    cfg.window = opts.window.unwrap_or(40) as u64;
     cfg.workers = pool_workers(opts);
     if let Some(text) = opts.policy.as_deref() {
         cfg.policy = text.parse().or_exit("--policy", 2);
@@ -1068,8 +970,7 @@ pub fn run() {
         crate::signals::install_termination_handlers();
     }
     // The power study needs at least one subframe.
-    let power_study =
-        "fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 all concurrency diurnal ablation";
+    let power_study = "fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 diurnal all";
     if opts.ctx.n_subframes == 0 && power_study.split(' ').any(|c| c == opts.command) {
         let command = &opts.command;
         fail(
@@ -1081,7 +982,6 @@ pub fn run() {
         return run_artifacts(&opts, std::slice::from_ref(row));
     }
     match opts.command.as_str() {
-        "concurrency" => run_concurrency(&opts),
         "trace" => run_trace_cmd(&opts),
         "chaos" => run_chaos_cmd(&opts),
         "govern" => run_govern_cmd(&opts),
@@ -1090,8 +990,6 @@ pub fn run() {
         "deploy" => run_deploy_cmd(&opts),
         "fingerprint" => run_fingerprint_cmd(&opts),
         "vectors" => run_vectors_cmd(&opts),
-        "ablation" => run_ablations(&opts),
-        "diurnal" => run_diurnal(&opts),
         "all" => run_artifacts(&opts, &ARTIFACTS),
         other => fail(
             2,

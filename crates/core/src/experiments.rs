@@ -522,40 +522,3 @@ impl ExperimentContext {
         }
     }
 }
-
-#[cfg(test)]
-mod diurnal_tests {
-    use super::*;
-
-    #[test]
-    fn diurnal_study_is_light_and_ordered() {
-        // The full "greater benefits at realistic load" comparison needs
-        // the 68 000-subframe ramp (50 % average) and runs via
-        // `lte-sim diurnal`; at unit scale we check the study's internal
-        // properties: the day is light, the orderings hold, and the
-        // estimate-guided saving is substantial.
-        let ctx = ExperimentContext {
-            n_subframes: 1_500,
-            cal_subframes: 16,
-            cal_prb_step: 50,
-            ..ExperimentContext::paper()
-        };
-        let diurnal = ctx.run_diurnal_study();
-        assert!(
-            diurnal.mean_activity < 0.45,
-            "diurnal day should be light: {:.2}",
-            diurnal.mean_activity
-        );
-        assert_eq!(diurnal.rows.len(), 5);
-        // NONAP worst, PowerGating best.
-        let watts: Vec<f64> = diurnal.rows.iter().map(|r| r.watts).collect();
-        assert!(watts[0] > watts[3], "NONAP must exceed NAP+IDLE");
-        assert!(watts[4] < watts[3], "gating must beat NAP+IDLE");
-        assert!(
-            diurnal.gated_saving_vs_nonap > 0.2,
-            "saving {:.2}",
-            diurnal.gated_saving_vs_nonap
-        );
-        assert!(diurnal.gated_saving_vs_idle > 0.0);
-    }
-}

@@ -14,19 +14,17 @@
 //! * [`experiments`] — deterministic reproductions of every figure and
 //!   table in the paper's evaluation, driven by the 64-core discrete-
 //!   event simulator and the calibrated power model.
-//! * [`artifacts`] — the paper-artifact table: one row per figure, table
-//!   and the §IV-D check, each with the files it writes and the paper's
-//!   claim it is checked against.
-//! * [`ablation`] — sweeps of the design constants the paper fixes
-//!   (Eq. 5 margin, power-domain group size, nap wake period) plus the
-//!   estimator-driven DVFS extension the paper names as future work.
+//! * [`artifacts`] — the paper-artifact table: one row per figure, table,
+//!   the §IV-D check and §VIII's diurnal-load claim, each with the files
+//!   it writes and the paper's claim it is checked against.
 //! * [`govern`] — the closed power-governance loop on both substrates:
 //!   governed DES bursts with a per-subframe estimated-vs-measured
 //!   audit, governed real-pool runs verified byte-identical against
 //!   ungoverned ones, and Eq. 3 slope re-calibration from real runs.
 //! * [`chaos`] — the deterministic fault-injection campaign: seeded
 //!   chaos in the DES, conservation proofs on the real pool, and
-//!   link-level HARQ recovery, all exported as one trace + metrics pair.
+//!   link-level noise bursts and grid corruption, all exported as one
+//!   trace + metrics pair.
 //! * [`soak`] — continuous telemetry over a long governed run: rolling
 //!   latency/EBLER/power windows judged against SLO budgets, exported
 //!   as a deterministic snapshot stream plus an OpenMetrics exposition.
@@ -56,7 +54,6 @@
 //! lte-sim iv-d                   # §IV-D serial/parallel verification
 //! ```
 
-pub mod ablation;
 pub mod artifacts;
 pub mod benchmark;
 pub mod chaos;

@@ -39,7 +39,6 @@ fn help_lists_every_command_and_flag() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         let rows = ARTIFACTS.iter().map(|row| row.id);
         for cmd in rows.chain([
-            "concurrency",
             "trace",
             "chaos",
             "govern",
@@ -48,8 +47,6 @@ fn help_lists_every_command_and_flag() {
             "deploy",
             "fingerprint",
             "vectors",
-            "ablation",
-            "diurnal",
             "all",
         ]) {
             assert!(
@@ -87,7 +84,7 @@ fn help_lists_every_command_and_flag() {
         for gone in ["baseline", "--pin"] {
             assert!(!stdout.contains(gone), "help still lists {gone}");
         }
-        for gone in ["perf", "bench", "golden"] {
+        for gone in ["perf", "bench", "golden", "concurrency", "ablation"] {
             let entry = format!("    {gone} ");
             assert!(
                 !stdout.lines().any(|l| l.starts_with(&entry)),
@@ -96,9 +93,11 @@ fn help_lists_every_command_and_flag() {
         }
     }
     // Gone: `perf` and `bench` (examples/lte_bench measures and, in
-    // ramp200, verifies ramp subframes) and `golden` (the iv-d row
-    // verifies against the serial reference).
-    for gone in ["perf", "bench", "golden"] {
+    // ramp200, verifies ramp subframes), `golden` (the iv-d row verifies
+    // against the serial reference), `concurrency` (trace's
+    // `sim.max_concurrent_subframes` reports it) and `ablation` (no paper
+    // claim).
+    for gone in ["perf", "bench", "golden", "concurrency", "ablation"] {
         let out = lte_sim().arg(gone).output().expect("run lte-sim");
         assert_eq!(out.status.code(), Some(2), "{gone} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -124,6 +123,8 @@ fn parse_errors_exit_status_2() {
         vec!["serve", "--workers", "0"],
         vec!["serve", "--workers", "2,4"],
         vec!["soak", "--window", "soon"],
+        vec!["soak", "--window", "0"],
+        vec!["serve", "--window", "0"],
         vec!["serve", "--traffic", "nonsense"],
         vec!["serve", "--config"],
         // 2^32 + 1 would wrap to a coupling of 1 if truncated to u32.
@@ -134,7 +135,7 @@ fn parse_errors_exit_status_2() {
         vec!["fig16", "--quick", "--subframes", "0"],
         vec!["table1", "--subframes", "0"],
         vec!["table2", "--subframes", "0", "--quick"],
-        vec!["concurrency", "--subframes", "0"],
+        vec!["diurnal", "--subframes", "0"],
         vec!["all", "--subframes", "0"],
     ] {
         let out = lte_sim().args(&args).output().expect("run lte-sim");
@@ -365,7 +366,7 @@ fn all_quick_writes_every_file_once_and_judges_every_row() {
         .expect("run lte-sim");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    assert_eq!(std::fs::read_dir(&dir).expect("out dir").count(), 12);
+    assert_eq!(std::fs::read_dir(&dir).expect("out dir").count(), 13);
     for row in &ARTIFACTS {
         let verdict = if row.needs > 400 {
             "not checked: needs 68 000 subframes"

@@ -145,30 +145,6 @@ pub fn hard_decisions_into(llrs: &[f32], out: &mut Vec<u8>) {
     out.extend(llrs.iter().map(|&l| if l >= 0.0 { 0u8 } else { 1 }));
 }
 
-/// HARQ chase combining: accumulates a retransmission's LLRs into the
-/// running per-bit sums.
-///
-/// Chase combining retransmits the identical encoded block; under
-/// independent noise the per-bit LLRs of the attempts add, so the
-/// combined stream carries the energy of every transmission. The kernel
-/// is deliberately a plain element-wise add — the `harq_combining` bench
-/// guards its cost.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length (retransmissions of one
-/// transport block always demap to the same bit count).
-pub fn combine_llrs(acc: &mut [f32], update: &[f32]) {
-    assert_eq!(
-        acc.len(),
-        update.len(),
-        "chase combining requires identical LLR lengths"
-    );
-    for (a, &u) in acc.iter_mut().zip(update) {
-        *a += u;
-    }
-}
-
 /// Per-axis Gray-coded 2-bit PAM max-log LLRs (16-QAM axis with levels
 /// ±d, ±3d): closed-form piecewise-linear expressions.
 fn axis_llr_2bit(x: f32, d: f32, noise_var: f32, out: &mut Vec<f32>) {
@@ -342,28 +318,5 @@ mod tests {
     #[test]
     fn hard_decisions_threshold() {
         assert_eq!(hard_decisions(&[1.0, -0.5, 0.0, -0.0]), vec![0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn combine_llrs_is_elementwise_addition() {
-        let mut acc = vec![1.0, -2.0, 0.5, 0.0];
-        combine_llrs(&mut acc, &[0.5, -1.0, -2.0, 3.0]);
-        assert_eq!(acc, vec![1.5, -3.0, -1.5, 3.0]);
-    }
-
-    #[test]
-    fn combining_opposed_weak_llrs_follows_the_stronger_vote() {
-        // A weak wrong decision is outvoted by a stronger correct one —
-        // the essence of chase combining.
-        let mut acc = vec![-0.2]; // wrong lean for a transmitted 0
-        combine_llrs(&mut acc, &[0.9]); // confident correct retransmission
-        assert_eq!(hard_decisions(&acc), vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical LLR lengths")]
-    fn combine_llrs_rejects_length_mismatch() {
-        let mut acc = vec![0.0; 3];
-        combine_llrs(&mut acc, &[0.0; 4]);
     }
 }

@@ -111,48 +111,23 @@ impl RateMatcher {
     /// Panics if the codeword's block size differs from the matcher's or
     /// `e == 0`.
     pub fn match_bits(&self, code: &TurboCodeword, e: usize) -> Vec<u8> {
-        self.match_bits_rv(code, e, 0)
-    }
-
-    /// Circular-buffer start offset for a redundancy version (0..=3):
-    /// HARQ retransmissions read from different points so combining
-    /// recovers more of the mother code.
-    pub fn rv_offset(&self, rv: u8) -> usize {
-        (rv as usize % 4) * self.buffer.len() / 4
-    }
-
-    /// [`match_bits`](Self::match_bits) starting at redundancy version
-    /// `rv`'s buffer offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the codeword's block size differs from the matcher's or
-    /// `e == 0`.
-    pub fn match_bits_rv(&self, code: &TurboCodeword, e: usize, rv: u8) -> Vec<u8> {
         assert_eq!(code.systematic.len(), self.k, "block size mismatch");
         assert!(e > 0, "output length must be positive");
         let streams = self.streams(code);
-        let k0 = self.rv_offset(rv);
-        self.buffer[k0..]
+        self.buffer
             .iter()
-            .chain(self.buffer.iter().cycle())
+            .cycle()
             .take(e)
             .map(|&(s, i)| streams[s as usize][i as usize])
             .collect()
     }
 
     /// Calls `f(item, entry)` for `items[j]` and circular-buffer entry
-    /// `(k0 + j) % len`, `j = 0, 1, …` in order — walking the buffer
-    /// slice by slice (the rest of the first lap from `k0`, then whole
-    /// laps) instead of dividing per element.
+    /// `j % len`, `j = 0, 1, …` in order — walking the buffer lap by lap
+    /// instead of dividing per element.
     #[inline]
-    fn zip_circular<T>(&self, items: &[T], k0: usize, mut f: impl FnMut(&T, (u8, u32))) {
-        let len = self.buffer.len();
-        let (first_lap, laps) = items.split_at(items.len().min(len - k0));
-        for (x, &entry) in first_lap.iter().zip(&self.buffer[k0..]) {
-            f(x, entry);
-        }
-        for lap in laps.chunks(len) {
+    fn zip_circular<T>(&self, items: &[T], mut f: impl FnMut(&T, (u8, u32))) {
+        for lap in items.chunks(self.buffer.len()) {
             for (x, &entry) in lap.iter().zip(&self.buffer) {
                 f(x, entry);
             }
@@ -166,18 +141,8 @@ impl RateMatcher {
     ///
     /// Panics if `llrs` is empty.
     pub fn accumulate_llrs(&self, llrs: &[f32]) -> TurboLlrs {
-        self.accumulate_llrs_rv(&[(llrs, 0)])
-    }
-
-    /// Soft-combines one or more (LLR block, redundancy version)
-    /// transmissions into mother-code LLRs — the HARQ combining buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every block is empty.
-    pub fn accumulate_llrs_rv(&self, transmissions: &[(&[f32], u8)]) -> TurboLlrs {
         let mut out = TurboLlrs::default();
-        self.accumulate_llrs_rv_into(transmissions, &mut out);
+        self.accumulate_llrs_into(llrs, &mut out);
         out
     }
 
@@ -185,11 +150,25 @@ impl RateMatcher {
     /// buffer: with a warm `out` (capacity from a previous block of the
     /// same size) this allocates nothing — the receiver's turbo hot path.
     ///
+    /// The three stream vectors double as the length-`k+4` accumulators
+    /// during the scatter-add and are truncated to `k` once the four tail
+    /// positions have been extracted, so no scratch allocation is needed.
+    ///
     /// # Panics
     ///
     /// Panics if `llrs` is empty.
     pub fn accumulate_llrs_into(&self, llrs: &[f32], out: &mut TurboLlrs) {
-        self.accumulate_llrs_rv_into(&[(llrs, 0)], out)
+        assert!(!llrs.is_empty(), "need at least one LLR");
+        let d = stream_len(self.k);
+        for stream in [&mut out.systematic, &mut out.parity1, &mut out.parity2] {
+            stream.clear();
+            stream.resize(d, 0.0);
+        }
+        let acc = [&mut out.systematic, &mut out.parity1, &mut out.parity2];
+        self.zip_circular(llrs, |&l, (s, i)| {
+            acc[s as usize][i as usize] += l;
+        });
+        self.extract_tails(out);
     }
 
     /// Fused deinterleave + rate-match accumulation: equivalent to
@@ -219,7 +198,7 @@ impl RateMatcher {
             stream.resize(d, 0.0);
         }
         let acc = [&mut out.systematic, &mut out.parity1, &mut out.parity2];
-        self.zip_circular(gather, 0, |&g, (s, i)| {
+        self.zip_circular(gather, |&g, (s, i)| {
             acc[s as usize][i as usize] += src[g as usize];
         });
         self.extract_tails(out);
@@ -242,37 +221,6 @@ impl RateMatcher {
         out.systematic.truncate(k);
         out.parity1.truncate(k);
         out.parity2.truncate(k);
-    }
-
-    /// [`accumulate_llrs_rv`](Self::accumulate_llrs_rv) into a
-    /// caller-provided buffer (see [`accumulate_llrs_into`]).
-    ///
-    /// The three stream vectors double as the length-`k+4` accumulators
-    /// during the scatter-add and are truncated to `k` once the four tail
-    /// positions have been extracted, so no scratch allocation is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every block is empty.
-    ///
-    /// [`accumulate_llrs_into`]: Self::accumulate_llrs_into
-    pub fn accumulate_llrs_rv_into(&self, transmissions: &[(&[f32], u8)], out: &mut TurboLlrs) {
-        assert!(
-            transmissions.iter().any(|(l, _)| !l.is_empty()),
-            "need at least one LLR"
-        );
-        let d = stream_len(self.k);
-        for stream in [&mut out.systematic, &mut out.parity1, &mut out.parity2] {
-            stream.clear();
-            stream.resize(d, 0.0);
-        }
-        let acc = [&mut out.systematic, &mut out.parity1, &mut out.parity2];
-        for &(llrs, rv) in transmissions {
-            self.zip_circular(llrs, self.rv_offset(rv), |&l, (s, i)| {
-                acc[s as usize][i as usize] += l;
-            });
-        }
-        self.extract_tails(out);
     }
 }
 
@@ -438,15 +386,12 @@ mod tests {
     fn circular_walk_visits_modulo_positions_in_order() {
         let rm = RateMatcher::new(40);
         let len = rm.buffer_len();
-        for rv in 0..4 {
-            let k0 = rm.rv_offset(rv);
-            for e in [1, len - k0 - 1, len - k0, len - k0 + 1, len, 2 * len + 7] {
-                let items: Vec<usize> = (0..e).collect();
-                let mut visited = Vec::new();
-                rm.zip_circular(&items, k0, |&j, entry| visited.push((j, entry)));
-                let expect: Vec<_> = (0..e).map(|j| (j, rm.buffer[(k0 + j) % len])).collect();
-                assert_eq!(visited, expect, "rv {rv} e {e}");
-            }
+        for e in [1, len - 1, len, len + 1, 2 * len + 7] {
+            let items: Vec<usize> = (0..e).collect();
+            let mut visited = Vec::new();
+            rm.zip_circular(&items, |&j, entry| visited.push((j, entry)));
+            let expect: Vec<_> = (0..e).map(|j| (j, rm.buffer[j % len])).collect();
+            assert_eq!(visited, expect, "e {e}");
         }
     }
 
@@ -455,102 +400,5 @@ mod tests {
     fn wrong_block_size_rejected() {
         let code = TurboEncoder::new(40).encode(&random_bits(40, 6));
         RateMatcher::new(64).match_bits(&code, 10);
-    }
-}
-
-#[cfg(test)]
-mod harq_tests {
-    use super::*;
-    use crate::rng::Xoshiro256;
-    use crate::turbo::{TurboDecoder, TurboEncoder};
-
-    fn noisy_llrs(bits: &[u8], sigma: f32, rng: &mut Xoshiro256) -> Vec<f32> {
-        bits.iter()
-            .map(|&b| {
-                let tx = if b == 0 { 1.0f32 } else { -1.0 };
-                let y = tx + sigma * rng.next_gaussian() as f32;
-                2.0 * y / (sigma * sigma)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn rv_offsets_are_distinct_quarters() {
-        let rm = RateMatcher::new(128);
-        let offsets: Vec<usize> = (0..4).map(|rv| rm.rv_offset(rv)).collect();
-        assert_eq!(offsets[0], 0);
-        for w in offsets.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        assert_eq!(rm.rv_offset(4), rm.rv_offset(0), "rv wraps mod 4");
-    }
-
-    #[test]
-    fn different_rvs_transmit_different_bits() {
-        let k = 64;
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        let bits: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
-        let code = TurboEncoder::new(k).encode(&bits);
-        let rm = RateMatcher::new(k);
-        let e = k; // heavily punctured single transmission
-        let rv0 = rm.match_bits_rv(&code, e, 0);
-        let rv2 = rm.match_bits_rv(&code, e, 2);
-        assert_ne!(rv0, rv2, "redundancy versions must differ");
-    }
-
-    #[test]
-    fn harq_combining_rescues_failed_first_transmissions() {
-        // A punctured rate-1/2 first transmission through a noisy
-        // channel sometimes fails; whenever it does, combining a second
-        // transmission at rv 2 must rescue the block. Deterministic
-        // seeds; we require at least one genuine first-attempt failure
-        // across the sweep so the combining path is actually exercised.
-        let k = 512;
-        let sigma = 1.05f32;
-        let decoder = TurboDecoder::new(k, 8);
-        let rm = RateMatcher::new(k);
-        let e = (3 * (k + 4)) / 2; // rate ≈ 1/2 transmission
-        let mut first_failures = 0;
-        for seed in 30..38u64 {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            let bits: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
-            let code = TurboEncoder::new(k).encode(&bits);
-            let tx1_bits = rm.match_bits_rv(&code, e, 0);
-            let tx1 = noisy_llrs(&tx1_bits, sigma, &mut rng);
-            let first_alone = decoder.decode(&rm.accumulate_llrs_rv(&[(&tx1, 0)]));
-            if first_alone == bits {
-                continue; // this channel realisation got through
-            }
-            first_failures += 1;
-            let tx2_bits = rm.match_bits_rv(&code, e, 2);
-            let tx2 = noisy_llrs(&tx2_bits, sigma, &mut rng);
-            let combined = decoder.decode(&rm.accumulate_llrs_rv(&[(&tx1, 0), (&tx2, 2)]));
-            assert_eq!(combined, bits, "seed {seed}: HARQ combining must recover");
-        }
-        assert!(
-            first_failures >= 1,
-            "the sweep must contain at least one first-attempt failure"
-        );
-    }
-
-    #[test]
-    fn chase_combining_same_rv_also_helps() {
-        // Retransmitting the SAME rv doubles every received LLR.
-        let k = 64;
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        let bits: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
-        let code = TurboEncoder::new(k).encode(&bits);
-        let rm = RateMatcher::new(k);
-        let e = rm.buffer_len();
-        let tx = rm.match_bits_rv(&code, e, 0);
-        let llrs: Vec<f32> = tx
-            .iter()
-            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let once = rm.accumulate_llrs_rv(&[(&llrs, 0)]);
-        let twice = rm.accumulate_llrs_rv(&[(&llrs, 0), (&llrs, 0)]);
-        for (a, b) in once.systematic.iter().zip(&twice.systematic) {
-            assert!((2.0 * a - b).abs() < 1e-6);
-        }
     }
 }

@@ -1,12 +1,12 @@
 //! `lte-fault`: the fault-injection and graceful-degradation vocabulary.
 //!
-//! Real uplink receivers live with faults: decode failures are retried
-//! via HARQ, overload is shed before it breaks the subframe deadline,
-//! and dying cores must not take transport blocks with them. This crate
-//! holds the *specification* side of that story — seeded fault plans and
-//! overload policies — while the mechanisms live where the faults land
-//! (`lte-phy` HARQ, `lte-sched` shedding/self-healing, `lte-uplink`
-//! chaos campaigns).
+//! Real uplink receivers live with faults: noise bursts and corrupted
+//! grids fail a block's CRC, overload is shed before it breaks the
+//! subframe deadline, and dying cores must not take transport blocks with
+//! them. This crate holds the *specification* side of that story — seeded
+//! fault plans and overload policies — while the mechanisms live where
+//! the faults land (`lte-sched` shedding/self-healing, `lte-uplink` chaos
+//! campaigns).
 //!
 //! Everything here is a pure function of a seed: a [`FaultPlan`] decides
 //! whether subframe `s`, user `u`, task `t` is faulted by hashing the
@@ -27,7 +27,7 @@ pub use admission::{
 /// deadline budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OverloadPolicy {
-    /// Discard the whole subframe (HARQ will retransmit it).
+    /// Discard the whole subframe.
     DropSubframe,
     /// Shed users lowest-PRB-first until the remainder fits the budget.
     ShedUsers,

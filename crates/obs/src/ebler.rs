@@ -170,7 +170,7 @@ pub struct StreamEbler {
     pub dtx_pct: f64,
     /// Block error ratio in percent: (NACK + DTX) / scheduled.
     pub bler_pct: f64,
-    /// CRC passes (mirrors `ack` until HARQ feedback diverges them).
+    /// CRC passes (mirrors `ack`).
     pub crc_pass: u64,
     /// CRC failures (mirrors `nack`).
     pub crc_fail: u64,

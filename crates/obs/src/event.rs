@@ -53,10 +53,6 @@ pub enum FaultKind {
     WorkerRespawn,
     /// A core runs at a degraded frequency.
     SlowCore,
-    /// A transport block failed CRC and entered HARQ.
-    HarqRetransmit,
-    /// HARQ chase combining recovered a transport block.
-    HarqRecovery,
     /// A subframe missed its deadline budget.
     DeadlineOverrun,
     /// The overload policy dropped a whole subframe.
@@ -69,15 +65,13 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in a stable export order.
-    pub const ALL: [FaultKind; 12] = [
+    pub const ALL: [FaultKind; 10] = [
         FaultKind::NoiseBurst,
         FaultKind::GridCorruption,
         FaultKind::TaskPanic,
         FaultKind::CoreDeath,
         FaultKind::WorkerRespawn,
         FaultKind::SlowCore,
-        FaultKind::HarqRetransmit,
-        FaultKind::HarqRecovery,
         FaultKind::DeadlineOverrun,
         FaultKind::SubframeDropped,
         FaultKind::UserShed,
@@ -93,8 +87,6 @@ impl FaultKind {
             FaultKind::CoreDeath => "core_death",
             FaultKind::WorkerRespawn => "worker_respawn",
             FaultKind::SlowCore => "slow_core",
-            FaultKind::HarqRetransmit => "harq_retransmit",
-            FaultKind::HarqRecovery => "harq_recovery",
             FaultKind::DeadlineOverrun => "deadline_overrun",
             FaultKind::SubframeDropped => "subframe_dropped",
             FaultKind::UserShed => "user_shed",
@@ -343,6 +335,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), FaultKind::ALL.len());
-        assert_eq!(FaultKind::HarqRecovery.to_string(), "harq_recovery");
+        assert_eq!(FaultKind::NoiseBurst.to_string(), "noise_burst");
     }
 }

@@ -288,7 +288,7 @@ mod tests {
                     t: 700,
                 },
                 Event::Fault {
-                    kind: FaultKind::HarqRecovery,
+                    kind: FaultKind::NoiseBurst,
                     core: u32::MAX,
                     subframe: 9,
                     t: 1400,
@@ -298,7 +298,7 @@ mod tests {
         );
         assert!(doc.contains("\"name\":\"fault:core_death\""));
         assert!(doc.contains("\"tid\":5"));
-        assert!(doc.contains("\"name\":\"fault:harq_recovery\""));
+        assert!(doc.contains("\"name\":\"fault:noise_burst\""));
         assert!(doc.contains("\"subframe\":9"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }

@@ -50,7 +50,6 @@ pub mod combiner;
 pub mod estimator;
 pub mod frontend;
 pub mod grid;
-pub mod harq;
 mod linalg;
 pub mod params;
 pub mod receiver;
@@ -58,7 +57,6 @@ pub mod trace;
 pub mod tx;
 pub mod verify;
 
-pub use harq::{HarqDecision, HarqEntity, HarqProcess, HarqStats};
 pub use params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
 pub use receiver::{process_user, UserResult};
 pub use trace::{StageHists, StageTimer};

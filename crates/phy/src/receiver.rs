@@ -329,11 +329,8 @@ impl UserScratch {
 /// working state drawn from `scratch`, writing the raw (still
 /// scrambled/interleaved) LLRs in transmission order to `out`.
 ///
-/// This is the HARQ soft-combining boundary: retransmissions of one
-/// transport block are scrambled identically, so their raw LLR streams
-/// add element-wise ([`lte_dsp::llr::combine_llrs`]) before a single
-/// [`finish_user_with_arena`] pass descrambles and decodes the
-/// combination.
+/// [`finish_user_with_arena`] takes these LLRs through the decode tail,
+/// so the pair splits one user's serial body at the demapper.
 ///
 /// `out` is cleared and refilled; its capacity is reused.
 ///

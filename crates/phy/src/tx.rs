@@ -323,10 +323,10 @@ pub fn synthesize_user_over_channel(
     synthesize_payload_over_channel(cell, user, mode, &payload, snr_db, channel, rng)
 }
 
-/// Synthesises a HARQ retransmission: the *same* transport block
-/// (identical payload, hence identical encoded bits and scrambling) sent
-/// again over a freshly drawn channel with fresh noise. Chase combining
-/// on the receive side adds the attempts' LLRs together.
+/// Synthesises a retransmission: the *same* transport block (identical
+/// payload, hence identical encoded bits and scrambling) sent again over
+/// a freshly drawn channel with fresh noise — an NB-IoT coverage
+/// repetition.
 ///
 /// # Panics
 ///
@@ -345,7 +345,7 @@ pub fn synthesize_retransmission(
 
 /// Synthesises one user's received subframe for an explicit payload over
 /// an explicit channel realisation — the primitive behind both the
-/// first transmission and HARQ retransmissions.
+/// first transmission and its retransmissions.
 ///
 /// # Panics
 ///

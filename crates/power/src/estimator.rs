@@ -139,7 +139,8 @@ impl WorkloadEstimator {
     /// # Errors
     ///
     /// Returns a description when the schema tag is missing or foreign,
-    /// or when the slope table does not hold exactly 4×3 finite numbers.
+    /// or when the slope table is not 4 rows (layers) of 3 slopes
+    /// (modulations), each finite and positive.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let tag = format!("\"{}\"", Self::SCHEMA);
         if !text.contains(&tag) {
@@ -173,9 +174,12 @@ impl WorkloadEstimator {
             }
         }
         let end = end.ok_or_else(|| "unterminated slope table".to_string())?;
-        let numbers: Result<Vec<f64>, String> = text[open + 1..end]
-            .split(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .filter(|s| !s.is_empty())
+        let table = &text[open + 1..end];
+        fn tokens(s: &str) -> impl Iterator<Item = &str> {
+            s.split(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                .filter(|s| !s.is_empty())
+        }
+        let numbers: Result<Vec<f64>, String> = tokens(table)
             .map(|s| {
                 s.parse::<f64>()
                     .map_err(|e| format!("bad slope `{s}`: {e}"))
@@ -188,6 +192,15 @@ impl WorkloadEstimator {
                 numbers.len()
             ));
         }
+        // Twelve numbers laid out 3×4 would otherwise read as 4×3.
+        let rows: Vec<usize> = (table.split('[').skip(1))
+            .map(|row| row.split(']').next().map_or(0, |r| tokens(r).count()))
+            .collect();
+        if rows != [3; 4] {
+            return Err(format!(
+                "slope table rows hold {rows:?} slopes, expected 4 rows of 3"
+            ));
+        }
         if numbers.iter().any(|v| !v.is_finite()) {
             return Err("slope table holds non-finite values".to_string());
         }
@@ -195,7 +208,18 @@ impl WorkloadEstimator {
         for (i, v) in numbers.into_iter().enumerate() {
             k[i / 3][i % 3] = v;
         }
-        Ok(WorkloadEstimator { k })
+        let est = WorkloadEstimator { k };
+        for layers in 1..=4 {
+            for m in Modulation::ALL {
+                let slope = est.k(layers, m);
+                if slope <= 0.0 {
+                    return Err(format!(
+                        "slope k({layers} layers, {m}) = {slope} is not positive"
+                    ));
+                }
+            }
+        }
+        Ok(est)
     }
 
     /// Version tag of the calibration file format.
@@ -381,6 +405,34 @@ mod tests {
         assert!(WorkloadEstimator::from_json(&json).is_ok());
         let err = WorkloadEstimator::from_json(&truncated).unwrap_err();
         assert!(err.contains("expected 12"), "{err}");
+    }
+
+    #[test]
+    fn calibration_json_rejects_slopes_that_are_not_positive() {
+        let good = calibrated().to_json();
+        let cell = format!("{:?}", calibrated().k(2, Modulation::Qam16));
+        for bad in ["-0.001", "0.0"] {
+            let err = WorkloadEstimator::from_json(&good.replace(&cell, bad)).unwrap_err();
+            assert!(err.contains("k(2 layers, 16QAM)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn calibration_json_rejects_a_3x4_table() {
+        let slopes: Vec<String> = (1..=12)
+            .map(|i| format!("{:?}", 0.001 * i as f64))
+            .collect();
+        let rows: Vec<String> = slopes
+            .chunks(4)
+            .map(|row| format!("[{}]", row.join(", ")))
+            .collect();
+        let json = format!(
+            "{{\"schema\": \"{}\", \"k\": [{}]}}",
+            WorkloadEstimator::SCHEMA,
+            rows.join(", ")
+        );
+        let err = WorkloadEstimator::from_json(&json).unwrap_err();
+        assert!(err.contains("expected 4 rows of 3"), "{err}");
     }
 
     #[test]

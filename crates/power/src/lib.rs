@@ -15,15 +15,12 @@
 //! * [`gating`] — the analytical power-gating model (Eqs. 6–9): groups of
 //!   eight cores, a five-subframe look-around window, 55 mW static power
 //!   per core and 15 mW switching overhead.
-//! * [`dvfs`] — the paper's stated future work: a voltage/frequency
-//!   ladder governed by the same workload estimate.
 //! * [`governor`] — the substrate-agnostic control loop: the single
 //!   [`NapPolicy`] definition (NONAP/IDLE/NAP/NAP+IDLE), the
 //!   [`Governor`] trait turning per-subframe workload observations into
 //!   [`CoreTarget`]s, and the [`ExecutionSubstrate`] trait implemented
 //!   by both the DES simulator session and the real task pool.
 
-pub mod dvfs;
 pub mod estimator;
 pub mod gating;
 pub mod governor;
@@ -32,7 +29,6 @@ pub mod model;
 pub mod pressure;
 pub mod windows;
 
-pub use dvfs::DvfsPolicy;
 pub use estimator::{CoreController, WorkloadEstimator};
 pub use gating::PowerGating;
 pub use governor::{

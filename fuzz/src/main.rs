@@ -261,19 +261,18 @@ fn fuzz_rate_match(seed: u64) {
     let code = TurboEncoder::new(k).encode(&bits);
     let matcher = RateMatcher::new(k);
     let e = 1 + rng.next_below(4 * k as u64) as usize;
-    let rv = (rng.next_below(4)) as u8;
-    let matched = matcher.match_bits_rv(&code, e, rv);
-    assert_eq!(matched.len(), e, "k={k} e={e} rv={rv}: wrong output length");
+    let matched = matcher.match_bits(&code, e);
+    assert_eq!(matched.len(), e, "k={k} e={e}: wrong output length");
     let llrs: Vec<f32> = matched
         .iter()
         .map(|&b| if b == 0 { 4.0 } else { -4.0 })
         .collect();
-    let acc = matcher.accumulate_llrs_rv(&[(&llrs, rv)]);
+    let acc = matcher.accumulate_llrs(&llrs);
     // When the whole circular buffer was transmitted at least once the
     // decode must recover the block exactly.
     if e >= matcher.buffer_len() {
         let decoded = TurboDecoder::new(k, 4).decode(&acc);
-        assert_eq!(decoded, bits, "k={k} e={e} rv={rv}: decode diverged");
+        assert_eq!(decoded, bits, "k={k} e={e}: decode diverged");
     }
 }
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, seven budgets (receiver entry points, one subframe
+# benchmark harness, eight budgets (receiver entry points, one subframe
 # dispatcher, one performance harness, a first-party std-only
 # workspace, one paper-artifact table, one kind of pool work, one
-# overload path),
+# overload path, paper artifacts only),
 # conformance vectors on both dispatch paths, the fuzz corpus, the
 # paper artifacts at reduced scale, and a smoke run of every driver
 # (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
@@ -81,8 +81,8 @@ echo "==> one paper-artifact table budget"
 # checked through crates/core/src/artifacts.rs: hand-written figure arms
 # growing back push cli.rs past its budget, and the golden record has no
 # text format to store.
-[[ "$(wc -l < crates/core/src/cli.rs)" -le 1200 ]] \
-    || { echo "crates/core/src/cli.rs exceeds 1 200 lines"; exit 1; }
+[[ "$(wc -l < crates/core/src/cli.rs)" -le 999 ]] \
+    || { echo "crates/core/src/cli.rs exceeds 999 lines"; exit 1; }
 ! grep -q 'to_text\|from_text' crates/phy/src/verify.rs \
     || { echo "crates/phy/src/verify.rs grew a golden-record text format"; exit 1; }
 
@@ -103,8 +103,8 @@ done
 echo "==> one overload path budget"
 # The benchmark loop dispatches every user with one demapper, as the
 # paper's does; overload handling lives in serve's escalation ladder and
-# the DES, HARQ recovery in chaos's link campaign. A deadline policy, a
-# HARQ pass or an exact-demap switch growing back into the benchmark, or
+# the DES. A deadline policy, a HARQ pass or an exact-demap switch
+# growing back into the benchmark, or
 # the pooled exact demapper or the oldest-open scan into the drivers, is
 # a second decode path.
 bench_lines="$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n }' crates/core/src/benchmark.rs)"
@@ -115,6 +115,17 @@ bench_lines="$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n }' crates
     || { echo "BenchmarkConfig names deadline, harq or exact_demap"; exit 1; }
 [[ -z "$(grep -rn 'oldest_open\|demap_block_exact_into' crates/core/src || true)" ]] \
     || { echo "crates/core/src names oldest_open or demap_block_exact_into"; exit 1; }
+
+echo "==> paper artifacts only budget"
+# The paper's receiver has no HARQ and names DVFS only as future work,
+# and every number lte-sim prints outside its drivers is a checked row
+# of the artifact table. HARQ combining, the redundancy-version rate
+# matcher, the DVFS ladder or the ablation sweeps growing back, or a
+# command printing unchecked numbers beside the table, fails here.
+[[ -z "$(grep -rn 'HarqEntity\|combine_llrs\|match_bits_rv\|DvfsPolicy\|mod ablation' crates fuzz || true)" ]] \
+    || { echo "crates/ or fuzz/ names HarqEntity, combine_llrs, match_bits_rv, DvfsPolicy or mod ablation"; exit 1; }
+[[ -z "$(grep -n '"\(concurrency\|ablation\|diurnal\)" =>' crates/core/src/cli.rs || true)" ]] \
+    || { echo "crates/core/src/cli.rs dispatches concurrency, ablation or diurnal outside the artifact table"; exit 1; }
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
@@ -129,8 +140,8 @@ cargo run -q --offline --release -p lte-uplink --bin lte-sim -- vectors --check 
 
 echo "==> paper artifacts (lte-sim all --quick, twice)"
 # Every artifact-table row at reduced scale: each check passes (the four
-# claims about the ramp peak report "not checked"), and the twelve files
-# are identical across two runs.
+# claims about the ramp peak report "not checked"), and the thirteen
+# files are identical across two runs.
 for run in a b; do
     rm -rf "target/all-smoke-$run"
     cargo run -q --offline --release -p lte-uplink --bin lte-sim -- \
@@ -162,7 +173,9 @@ done
 
 echo "==> chaos smoke (lte-sim chaos, twice)"
 # Every chaos counter is a pure function of the seed, so two runs must
-# write byte-identical trace and metrics artifacts.
+# write byte-identical trace and metrics artifacts. Each block is decoded
+# once: exactly the noise-bursted blocks fail, and a corrupted grid
+# decodes or fails without a panic.
 chaos_out="$(cargo run -q --offline -p lte-uplink --bin lte-sim -- \
     chaos --quick --subframes 120 --out target/chaos-smoke)"
 cargo run -q --offline -p lte-uplink --bin lte-sim -- \
@@ -177,10 +190,13 @@ echo "$chaos_out" | grep -q "^lost tasks: 0$" \
     || { echo "chaos smoke: tasks were lost"; exit 1; }
 echo "$chaos_out" | grep -q "^duplicated tasks: 0$" \
     || { echo "chaos smoke: tasks ran twice"; exit 1; }
-echo "$chaos_out" | grep -q "^harq recoveries: 0$" \
-    && { echo "chaos smoke: no HARQ recoveries"; exit 1; }
-echo "$chaos_out" | grep -q "^harq recoveries: " \
-    || { echo "chaos smoke: missing recovery report"; exit 1; }
+link_line="$(echo "$chaos_out" | grep "^link: ")" \
+    || { echo "chaos smoke: missing link report"; exit 1; }
+link_blocks="$(echo "$link_line" | sed -n 's/^link: \([0-9]*\) blocks.*/\1/p')"
+link_bursts="$(echo "$link_line" | sed -n 's/.*noise bursts \([0-9]*\).*/\1/p')"
+link_ok="$(echo "$link_line" | sed -n 's/.*delivered ok \([0-9]*\)$/\1/p')"
+[[ -n "$link_ok" && "$link_ok" -eq $((link_blocks - link_bursts)) ]] \
+    || { echo "chaos smoke: delivered ok ${link_ok:-?} is not blocks minus noise bursts"; exit 1; }
 
 echo "==> governor smoke (lte-sim govern)"
 # Release: the governed pool runs pace real subframes, and a debug-built

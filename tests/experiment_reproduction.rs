@@ -76,6 +76,7 @@ rows! {
     table1_dynamic_power_ordering => "table1",
     table_orderings_reproduce => "table2",
     iv_d_pool_matches_the_serial_reference => "iv-d",
+    diurnal_day_saves_more_at_a_quarter_load => "diurnal",
 }
 
 #[test]
