@@ -7,7 +7,7 @@
 //! 1. **DES chaos** — the tile simulator runs the evaluation ramp with a
 //!    fail-stopped core, a slow core, seeded task panics and a subframe
 //!    deadline budget, exercising orphan adoption, retry-after-panic and
-//!    the overload policy (drop / shed / degrade).
+//!    shedding the cheapest users on overload.
 //! 2. **Pool conservation** — the real work-stealing pool executes a
 //!    known task population while the plan injects task panics and
 //!    worker kills; every task must run exactly once and every killed
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
-use lte_fault::{DeadlineBudget, FaultPlan, OverloadPolicy};
+use lte_fault::FaultPlan;
 use lte_obs::{Event, FaultKind, MetricsRegistry, PerfettoExporter, Recorder, RingRecorder};
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
 use lte_phy::process_user;
@@ -63,12 +63,8 @@ const LINK_NOMINAL_SNR_DB: f64 = 10.0;
 pub struct ChaosSummary {
     /// DES: subframes finishing past the deadline budget.
     pub overruns: u64,
-    /// DES: subframes discarded whole (`DropSubframe`).
-    pub dropped_subframes: u64,
-    /// DES: user jobs shed (`ShedUsers` / `DropSubframe`).
+    /// DES: user jobs shed on overload.
     pub shed_jobs: u64,
-    /// DES: subframes demapped at reduced fidelity (`DegradeDemap`).
-    pub degraded_subframes: u64,
     /// DES: tasks that hit a seeded panic and were retried.
     pub sim_poisoned_tasks: u64,
     /// DES: jobs adopted by survivors after their owner fail-stopped.
@@ -118,10 +114,7 @@ pub struct ChaosArtifacts {
 
 /// Runs the three chaos campaigns under one seeded plan and exports the
 /// shared trace and metrics artefacts.
-pub fn run_chaos(
-    ctx: &ExperimentContext,
-    policy: OverloadPolicy,
-) -> Result<ChaosArtifacts, PoolError> {
+pub fn run_chaos(ctx: &ExperimentContext) -> Result<ChaosArtifacts, PoolError> {
     // The smoke plan's -2 dB bursts are survivable for well-conditioned
     // antenna configurations; chaos wants every burst to fail its block,
     // so bursts go deeper here.
@@ -134,12 +127,10 @@ pub fn run_chaos(
     let capacity = (n * cfg.n_workers * 64).clamp(1024, 4_000_000);
     let recorder = RingRecorder::new(capacity);
 
-    let report = run_des_campaign(ctx, &plan, policy, n, &recorder);
+    let report = run_des_campaign(ctx, &plan, n, &recorder);
     let mut summary = ChaosSummary {
         overruns: report.overruns,
-        dropped_subframes: report.dropped_subframes,
         shed_jobs: report.shed_jobs,
-        degraded_subframes: report.degraded_subframes,
         sim_poisoned_tasks: report.poisoned_tasks,
         adopted_jobs: report.adopted_jobs,
         ..ChaosSummary::default()
@@ -169,7 +160,6 @@ pub fn run_chaos(
 fn run_des_campaign(
     ctx: &ExperimentContext,
     plan: &FaultPlan,
-    policy: OverloadPolicy,
     n: usize,
     recorder: &RingRecorder,
 ) -> SimReport {
@@ -178,10 +168,7 @@ fn run_des_campaign(
     let targets = vec![cfg.n_workers; n];
     let loads = ctx.loads(subframes, &targets);
     Simulator::with_recorder(cfg, recorder)
-        .with_degradation(DeadlineBudget {
-            budget: cfg.dispatch_period,
-            policy,
-        })
+        .with_deadline(cfg.dispatch_period)
         .with_chaos(plan.clone())
         .run(&loads)
 }
@@ -360,9 +347,7 @@ fn link_seed(seed: u64, sf: usize, u: usize) -> u64 {
 fn fill_chaos_metrics(metrics: &MetricsRegistry, s: &ChaosSummary, n: usize) {
     metrics.set_counter("chaos.sim.subframes", n as u64);
     metrics.set_counter("chaos.sim.overruns", s.overruns);
-    metrics.set_counter("chaos.sim.dropped_subframes", s.dropped_subframes);
     metrics.set_counter("chaos.sim.shed_jobs", s.shed_jobs);
-    metrics.set_counter("chaos.sim.degraded_subframes", s.degraded_subframes);
     metrics.set_counter("chaos.sim.poisoned_tasks", s.sim_poisoned_tasks);
     metrics.set_counter("chaos.sim.adopted_jobs", s.adopted_jobs);
     metrics.set_counter("chaos.pool.tasks_expected", s.pool_tasks_expected);
@@ -391,7 +376,7 @@ mod tests {
 
     #[test]
     fn chaos_campaign_conserves_tasks_and_fails_exactly_the_bursts() {
-        let art = run_chaos(&quick_ctx(), OverloadPolicy::ShedUsers).expect("pool spawns");
+        let art = run_chaos(&quick_ctx()).expect("pool spawns");
         let s = &art.summary;
         assert!(
             s.conserved(),
@@ -408,13 +393,5 @@ mod tests {
         assert_eq!(s.delivered_ok + s.noise_bursts, s.link_blocks);
         assert!(s.delivered_ok < s.link_blocks);
         assert!(!art.metrics_json.is_empty() && !art.perfetto_json.is_empty());
-    }
-
-    #[test]
-    fn chaos_counters_are_deterministic() {
-        let a = run_chaos(&quick_ctx(), OverloadPolicy::DropSubframe).expect("pool spawns");
-        let b = run_chaos(&quick_ctx(), OverloadPolicy::DropSubframe).expect("pool spawns");
-        assert_eq!(a.summary, b.summary);
-        assert_eq!(a.metrics_json, b.metrics_json);
     }
 }

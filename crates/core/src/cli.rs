@@ -10,7 +10,6 @@ use std::time::Duration;
 
 use crate::artifacts::{Artifact, Inputs, ARTIFACTS};
 use crate::experiments::ExperimentContext;
-use lte_fault::OverloadPolicy;
 
 #[derive(Default)]
 struct Options {
@@ -19,9 +18,9 @@ struct Options {
     out: PathBuf,
     perfetto: Option<PathBuf>,
     metrics: Option<PathBuf>,
-    /// Raw `--policy` value: an overload policy for `chaos`, a nap
-    /// policy (or `all`) for `govern`. Parsed at the use site because
-    /// the two commands accept different vocabularies.
+    /// Raw `--policy` value: a nap policy for soak and serve, or `all`
+    /// as well for `govern`. Parsed at the use site because the
+    /// commands accept different vocabularies.
     policy: Option<String>,
     calibration: Option<PathBuf>,
     chaos: bool,
@@ -73,7 +72,7 @@ COMMANDS:
     trace             record an instrumented NAP+IDLE run: Perfetto
                       trace-event JSON plus a flat metrics snapshot
     chaos             deterministic fault-injection campaign: DES chaos
-                      under an overload policy, real-pool conservation,
+                      shedding on overload, real-pool conservation,
                       link-level noise bursts and grid corruption (trace
                       + metrics JSON)
     govern            closed-loop power governance: governed DES bursts
@@ -85,8 +84,8 @@ COMMANDS:
                       telemetry (SOAK.json, SOAK.jsonl, SOAK.om; exits 1
                       when a window violates its SLO)
     serve             continuously-running ingest service: bounded ring,
-                      token-bucket admission, reject → shed → degrade
-                      escalation, governor on live queue depth, hot
+                      token-bucket admission, reject → shed escalation,
+                      governor on live queue depth, hot
                       reload of --config, watchdog (SERVE.json +
                       SERVE.om; exits 1 when a calm window violates its
                       SLO, 3 when drained by a signal)
@@ -111,9 +110,7 @@ FLAGS:
                       (default: <out>/trace.perfetto.json)
     --metrics FILE    trace: write the metrics snapshot here
                       (default: <out>/metrics.json)
-    --policy P        chaos: overload policy — drop | shed | degrade
-                      (default: shed)
-                      govern: nap policy — nonap | idle | nap | nap+idle
+    --policy P        govern: nap policy — nonap | idle | nap | nap+idle
                       | all (default: all)
                       soak: nap policy — nonap | idle | nap | nap+idle
                       (default: nonap)
@@ -362,25 +359,14 @@ fn run_trace_cmd(opts: &Options) {
     println!("open the trace in https://ui.perfetto.dev or chrome://tracing");
 }
 
-/// The `chaos` reading of `--policy`: an overload policy, shed by
-/// default.
-fn overload_policy(opts: &Options) -> OverloadPolicy {
-    match opts.policy.as_deref() {
-        None => OverloadPolicy::ShedUsers,
-        Some(text) => text.parse().or_exit("--policy", 2),
-    }
-}
-
 fn run_chaos_cmd(opts: &Options) {
     use crate::chaos;
-    let policy = overload_policy(opts);
     println!(
-        "running the chaos campaign ({} DES subframes, policy {}, seed {}) …",
+        "running the chaos campaign ({} DES subframes, seed {}) …",
         opts.ctx.n_subframes.min(chaos::CHAOS_SUBFRAME_CAP),
-        policy.name(),
         opts.ctx.seed,
     );
-    let art = chaos::run_chaos(&opts.ctx, policy).or_exit("error", 1);
+    let art = chaos::run_chaos(&opts.ctx).or_exit("error", 1);
     write_trace_pair(
         opts,
         ["chaos.perfetto.json", "chaos.metrics.json"],
@@ -388,14 +374,8 @@ fn run_chaos_cmd(opts: &Options) {
     );
     let s = &art.summary;
     println!(
-        "DES ({} subframes): overruns {}, dropped subframes {}, shed jobs {}, degraded subframes {}, poisoned tasks {}, adopted jobs {}",
-        art.subframes,
-        s.overruns,
-        s.dropped_subframes,
-        s.shed_jobs,
-        s.degraded_subframes,
-        s.sim_poisoned_tasks,
-        s.adopted_jobs,
+        "DES ({} subframes): overruns {}, shed jobs {}, poisoned tasks {}, adopted jobs {}",
+        art.subframes, s.overruns, s.shed_jobs, s.sim_poisoned_tasks, s.adopted_jobs,
     );
     println!(
         "pool: {} tasks expected, {} run, {} panics injected, kills {}, worker respawns {}",
@@ -428,13 +408,8 @@ fn run_soak_cmd(opts: &Options) {
     }
     cfg.host_workers = pool_workers(opts);
     println!(
-        "soaking {} subframes in windows of {} (policy {}, overload {}, chaos {}, seed {}) …",
-        cfg.subframes,
-        cfg.window,
-        cfg.policy,
-        soak::OVERLOAD.name(),
-        cfg.chaos,
-        cfg.seed,
+        "soaking {} subframes in windows of {} (policy {}, chaos {}, seed {}) …",
+        cfg.subframes, cfg.window, cfg.policy, cfg.chaos, cfg.seed,
     );
 
     // Stream each closed window into SOAK.jsonl as it happens, and echo
@@ -604,21 +579,19 @@ fn run_serve_cmd(opts: &Options) {
         s.rejected_malformed,
     );
     println!(
-        "  completed {} subframes ({} jobs, {} CRC pass), shed {} users, degraded {} subframes, drain-shed {}",
+        "  completed {} subframes ({} jobs, {} CRC pass), shed {} users, drain-shed {}",
         s.completed_subframes,
         outcome.jobs_completed,
         outcome.crc_pass,
         s.shed_users,
-        s.degraded_subframes,
         s.drain_shed_subframes,
     );
     let tier = |t: Option<u64>| t.map_or("never".to_string(), |t| format!("tick {t}"));
     println!(
-        "  escalation: {} episode(s); reject {} / shed {} / degrade {}; deadline misses {}",
+        "  escalation: {} episode(s); reject {} / shed {}; deadline misses {}",
         outcome.episodes,
         tier(outcome.first_tier_tick[0]),
         tier(outcome.first_tier_tick[1]),
-        tier(outcome.first_tier_tick[2]),
         s.deadline_misses,
     );
     println!(

@@ -30,7 +30,7 @@
 //!   as a deterministic snapshot stream plus an OpenMetrics exposition.
 //! * [`serve`] — the continuously-running ingest service: subframe work
 //!   arrives through a bounded ring, admission control and the
-//!   reject → shed → degrade escalation ladder manage overload, the
+//!   reject → shed escalation ladder manage overload, the
 //!   pressure-wrapped governor closes its loop on live queue depth, and
 //!   the lifecycle machinery (graceful drain, hot reload, watchdog
 //!   restart) keeps the receiver long-running.

@@ -9,7 +9,7 @@
 //!   snapshot carries p50/p99/p999.
 //! * **EBLER** — every dispatched user resolves to a real receiver
 //!   decode (cached per distinct configuration, bit-exact and seeded),
-//!   or to DTX when the overload policy sheds it; the accumulated
+//!   or to DTX when overload sheds it; the accumulated
 //!   surface mirrors the R&S `FetchStruct` shape (ack/nack/dtx %, BLER,
 //!   per-stream throughput).
 //! * **SLO** — each window is judged against [`SloSpec::default_budgets`]
@@ -32,7 +32,7 @@ use std::collections::HashMap;
 
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::Xoshiro256;
-use lte_fault::{DeadlineBudget, FaultPlan, OverloadPolicy};
+use lte_fault::FaultPlan;
 use lte_obs::{
     f64_json, EblerAccumulator, EblerSurface, Histogram, HistogramSnapshot, MetricsRegistry,
     OpenMetrics, SloSpec, SloTracker, WindowAggregate, WindowObservation, WindowVerdict,
@@ -43,12 +43,12 @@ use lte_phy::trace::StageHists;
 use lte_phy::tx::synthesize_user;
 use lte_phy::StageTimer;
 use lte_power::{NapPolicy, PowerWindows};
-use lte_sched::sim::{SessionProgress, Simulator};
+use lte_sched::cycles::shed_order;
+use lte_sched::sim::{SessionProgress, Simulator, SubframeLoad};
 use lte_sched::{PoolError, PoolTelemetry, TaskPool};
 use std::sync::Arc;
 
 use crate::experiments::ExperimentContext;
-use crate::serve::kept_after_shed;
 
 /// EBLER streams: one per layer count, so the surface separates
 /// single-layer from spatially-multiplexed users like the instrument's
@@ -68,9 +68,6 @@ const BURST_SNR_DB: f32 = -12.0;
 
 /// Decode repetitions per user in the host-metrics burst.
 const HOST_BURST_REPS: usize = 32;
-
-/// Overload policy behind the per-subframe deadline budget.
-pub(crate) const OVERLOAD: OverloadPolicy = OverloadPolicy::ShedUsers;
 
 /// Everything the soak needs to know up front.
 #[derive(Clone, Copy, Debug)]
@@ -99,7 +96,7 @@ impl SoakConfig {
             // NONAP default: the ungoverned receiver meets its deadline
             // at every load the ramp offers headroom for, so a healthy
             // soak is actually healthy. Governed policies overlap
-            // subframes by design and shed under the overload policy —
+            // subframes by design and shed under overload —
             // select them explicitly to soak that regime.
             policy: NapPolicy::NoNap,
             chaos: false,
@@ -119,12 +116,8 @@ pub struct SoakWindow {
     pub latency: HistogramSnapshot,
     /// Subframes past the deadline budget.
     pub deadline_misses: u64,
-    /// User jobs shed or dropped.
+    /// User jobs shed.
     pub shed_jobs: u64,
-    /// Subframes discarded whole.
-    pub dropped_subframes: u64,
-    /// Subframes demapped at reduced fidelity.
-    pub degraded_subframes: u64,
     /// The window's EBLER surface.
     pub ebler: EblerSurface,
     /// The SLO evaluation of this window.
@@ -140,7 +133,6 @@ impl SoakWindow {
              \"p50_cycles\":{},\"p99_cycles\":{},\"p999_cycles\":{},\
              \"p50_ms\":{},\"p99_ms\":{},\"p999_ms\":{},\
              \"deadline_misses\":{},\"shed_jobs\":{},\
-             \"dropped_subframes\":{},\"degraded_subframes\":{},\
              \"slo\":{},\"ebler\":{}}}",
             self.index,
             self.subframes,
@@ -153,8 +145,6 @@ impl SoakWindow {
             to_ms(self.latency.quantile(0.999)),
             self.deadline_misses,
             self.shed_jobs,
-            self.dropped_subframes,
-            self.degraded_subframes,
             self.verdict.to_json(),
             self.ebler.to_json(),
         )
@@ -201,10 +191,8 @@ impl SoakReport {
             self.config.subframes, self.config.window, self.config.seed
         ));
         out.push_str(&format!(
-            "  \"policy\": \"{}\",\n  \"overload\": \"{}\",\n  \"chaos\": {},\n",
-            self.config.policy,
-            OVERLOAD.name(),
-            self.config.chaos
+            "  \"policy\": \"{}\",\n  \"chaos\": {},\n",
+            self.config.policy, self.config.chaos
         ));
         out.push_str(&format!("  \"clock_hz\": {},\n", f64_json(self.clock_hz)));
         out.push_str("  \"windows\": [\n");
@@ -247,17 +235,13 @@ impl SoakReport {
         let registry = MetricsRegistry::new();
         registry.set_counter("soak.subframes", self.config.subframes as u64);
         registry.set_counter("soak.jobs", self.latency.count);
-        let (mut misses, mut shed, mut dropped, mut degraded) = (0u64, 0u64, 0u64, 0u64);
+        let (mut misses, mut shed) = (0u64, 0u64);
         for w in &self.windows {
             misses += w.deadline_misses;
             shed += w.shed_jobs;
-            dropped += w.dropped_subframes;
-            degraded += w.degraded_subframes;
         }
         registry.set_counter("soak.deadline_misses", misses);
         registry.set_counter("soak.shed_jobs", shed);
-        registry.set_counter("soak.dropped_subframes", dropped);
-        registry.set_counter("soak.degraded_subframes", degraded);
         registry.set_counter("soak.slo.violating_windows", self.violating_windows);
         registry.set_gauge("soak.energy_joules", self.energy_joules);
         registry.set_gauge("soak.mean_power_watts", self.mean_power_watts);
@@ -353,20 +337,24 @@ impl DecodeCache {
 }
 
 /// Feeds one dispatched subframe's users into the EBLER accumulators:
-/// `shed` of them (cheapest-first, the shed policy's order) as DTX,
-/// the rest as their cached receiver decode.
+/// the first `shed` of the DES's [`shed_order`] over `load` as DTX, the
+/// rest as their cached receiver decode.
 fn record_subframe_ebler(
     sf: &SubframeConfig,
+    load: &SubframeLoad,
     shed: u64,
     plan: Option<&FaultPlan>,
     sf_idx: usize,
     cache: &mut DecodeCache,
     sinks: [&EblerAccumulator; 2],
 ) {
-    let kept = kept_after_shed(&sf.users, Some(shed as usize));
+    let mut dtx = vec![false; sf.users.len()];
+    for i in shed_order(&load.jobs).into_iter().take(shed as usize) {
+        dtx[i] = true;
+    }
     for (user_idx, user) in sf.users.iter().enumerate() {
         let stream = (user.layers - 1).min(EBLER_STREAMS - 1);
-        if !kept.contains(&user_idx) {
+        if dtx[user_idx] {
             for sink in sinks {
                 sink.record_dtx(stream);
             }
@@ -438,10 +426,7 @@ pub fn run_soak_with_stop(
     // dispatch periods (the receiver legitimately works on 2-3
     // subframes concurrently), so only completions beyond that count
     // as deadline misses.
-    let mut sim = Simulator::new(sim_cfg).with_degradation(DeadlineBudget {
-        budget: 3 * sim_cfg.dispatch_period,
-        policy: OVERLOAD,
-    });
+    let mut sim = Simulator::new(sim_cfg).with_deadline(3 * sim_cfg.dispatch_period);
     if let Some(p) = &plan {
         sim = sim.with_chaos(p.clone());
     }
@@ -481,8 +466,6 @@ pub fn run_soak_with_stop(
         *window_start = dispatched;
         let misses = progress.overruns - at_window.overruns;
         let shed = progress.shed_jobs - at_window.shed_jobs;
-        let dropped = progress.dropped_subframes - at_window.dropped_subframes;
-        let degraded = progress.degraded_subframes - at_window.degraded_subframes;
         *at_window = progress;
         let verdict = tracker.observe(&WindowObservation {
             subframes: n_subframes,
@@ -497,8 +480,6 @@ pub fn run_soak_with_stop(
             latency,
             deadline_misses: misses,
             shed_jobs: shed,
-            dropped_subframes: dropped,
-            degraded_subframes: degraded,
             ebler,
             verdict,
         };
@@ -530,6 +511,7 @@ pub fn run_soak_with_stop(
             at_boundary = progress;
             record_subframe_ebler(
                 &subframes[boundary.subframe - 1],
+                &loads[boundary.subframe - 1],
                 shed,
                 plan.as_ref(),
                 boundary.subframe - 1,
@@ -563,6 +545,7 @@ pub fn run_soak_with_stop(
         let shed = progress.shed_jobs - at_boundary.shed_jobs;
         record_subframe_ebler(
             &subframes[dispatched - 1],
+            &loads[dispatched - 1],
             shed,
             plan.as_ref(),
             dispatched - 1,
@@ -753,6 +736,30 @@ mod tests {
         assert_eq!(a.report.to_json(), b.report.to_json());
         assert_eq!(a.jsonl, b.jsonl);
         assert_eq!(a.openmetrics, b.openmetrics);
+    }
+
+    #[test]
+    fn dtx_lands_on_the_user_the_des_sheds() {
+        // 6 PRB × 4 layers × 64-QAM costs more cycles than 8 PRB × 1
+        // layer × QPSK: the DES sheds the wider, cheaper user, so its
+        // stream (single-layer, stream 0) records the DTX.
+        let ctx = ExperimentContext::paper();
+        let sf = SubframeConfig::new(vec![
+            UserConfig::new(6, 4, lte_dsp::Modulation::Qam64),
+            UserConfig::new(8, 1, lte_dsp::Modulation::Qpsk),
+        ]);
+        let load = SubframeLoad {
+            jobs: sf.users.iter().map(|u| ctx.job_for(u)).collect(),
+            active_target: 1,
+        };
+        let mut cache = DecodeCache::new(ctx.n_rx, 7);
+        let ebler = EblerAccumulator::new(EBLER_STREAMS);
+        record_subframe_ebler(&sf, &load, 1, None, 0, &mut cache, [&ebler, &ebler]);
+        let surface = ebler.snapshot();
+        assert_eq!(surface.streams[0].dtx, 2, "both sinks record the shed user");
+        assert_eq!(surface.streams[0].measured(), 2);
+        assert_eq!(surface.streams[3].dtx, 0, "the 4-layer user is decoded");
+        assert_eq!(surface.streams[3].measured(), 2);
     }
 
     #[test]

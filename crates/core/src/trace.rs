@@ -146,9 +146,7 @@ pub fn fill_sim_metrics(
         );
     }
     metrics.set_counter("sim.overruns", report.overruns);
-    metrics.set_counter("sim.dropped_subframes", report.dropped_subframes);
     metrics.set_counter("sim.shed_jobs", report.shed_jobs);
-    metrics.set_counter("sim.degraded_subframes", report.degraded_subframes);
     metrics.set_counter("sim.poisoned_tasks", report.poisoned_tasks);
     metrics.set_counter("sim.adopted_jobs", report.adopted_jobs);
     let mut stage_total = 0;

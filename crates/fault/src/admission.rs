@@ -1,17 +1,16 @@
 //! Admission control for the streaming ingest path.
 //!
-//! Where [`crate::DeadlineBudget`] decides what happens to a subframe
-//! that is *already dispatched* and running late, this module decides
-//! what happens *at the front door* while the ingest queue is filling:
+//! Where the DES's deadline sheds users from a subframe that is
+//! *already dispatched* and running late, this module decides what
+//! happens *at the front door* while the ingest queue is filling:
 //!
 //! * [`TokenBucket`] — per-source rate limiting: a source that offers
 //!   work faster than its contracted rate is refused before its traffic
 //!   can crowd out well-behaved sources.
 //! * [`EscalationLadder`] — maps queue occupancy to an
 //!   [`EscalationDecision`]: as the backlog deepens past each watermark
-//!   the service escalates **reject → shed → degrade**, reusing the
-//!   [`crate::OverloadPolicy`] vocabulary but compounding the tiers
-//!   instead of picking one.
+//!   the service escalates **reject → shed**, compounding the two
+//!   tiers instead of picking one.
 //! * [`IngestFaults`] — seeded ingest-side chaos: source stalls, burst
 //!   floods and malformed arrivals, order-independent like
 //!   [`crate::FaultPlan`] so two same-seed campaigns see byte-identical
@@ -24,91 +23,38 @@
 
 use lte_dsp::Xoshiro256;
 
-/// Escalation tiers in engagement order. Comparison order is the
-/// severity order: `Reject < Shed < Degrade`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EscalationTier {
-    /// Refuse new arrivals (cheapest: work not yet invested).
-    Reject,
-    /// Shed the cheapest users from admitted subframes.
-    Shed,
-    /// Degrade demapping (exact → max-log) on admitted subframes.
-    Degrade,
-}
-
-impl EscalationTier {
-    /// Every tier, in engagement order.
-    pub const ALL: [EscalationTier; 3] = [
-        EscalationTier::Reject,
-        EscalationTier::Shed,
-        EscalationTier::Degrade,
-    ];
-
-    /// Stable snake_case name used in exports and metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            EscalationTier::Reject => "reject",
-            EscalationTier::Shed => "shed",
-            EscalationTier::Degrade => "degrade",
-        }
-    }
-}
-
-impl std::fmt::Display for EscalationTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Which mitigation tiers are engaged at one instant. Tiers compound:
-/// at the deepest fill all three are active at once.
+/// at the deepest fill both are active at once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EscalationDecision {
     /// Refuse new arrivals at the front door.
     pub reject_new: bool,
     /// Shed cheapest users from subframes being dispatched.
     pub shed_users: bool,
-    /// Degrade demapping on subframes being dispatched.
-    pub degrade_demap: bool,
 }
 
 impl EscalationDecision {
-    /// The most severe engaged tier, if any.
-    pub fn severest(self) -> Option<EscalationTier> {
-        if self.degrade_demap {
-            Some(EscalationTier::Degrade)
-        } else if self.shed_users {
-            Some(EscalationTier::Shed)
-        } else if self.reject_new {
-            Some(EscalationTier::Reject)
-        } else {
-            None
-        }
-    }
-
     /// `true` when no mitigation is engaged.
     pub fn calm(self) -> bool {
-        !(self.reject_new || self.shed_users || self.degrade_demap)
+        !(self.reject_new || self.shed_users)
     }
 }
 
 /// Occupancy watermarks (fractions of queue capacity) at which each
 /// mitigation tier engages. Construction enforces
-/// `reject_fill <= shed_fill <= degrade_fill`, which is what guarantees
-/// the reject → shed → degrade engagement *order* under a monotonically
-/// deepening flood.
+/// `reject_fill <= shed_fill`, which is what guarantees the reject →
+/// shed engagement *order* under a monotonically deepening flood.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EscalationLadder {
     reject_fill: f64,
     shed_fill: f64,
-    degrade_fill: f64,
 }
 
 impl Default for EscalationLadder {
     fn default() -> Self {
         // Reject early (the cheapest mitigation), shed when the backlog
-        // keeps growing anyway, degrade only near saturation.
-        EscalationLadder::new(0.70, 0.85, 0.95).unwrap()
+        // keeps growing anyway.
+        EscalationLadder::new(0.70, 0.85).unwrap()
     }
 }
 
@@ -118,27 +64,22 @@ impl EscalationLadder {
     /// # Errors
     ///
     /// When a watermark is outside `(0, 1]` or the ordering invariant
-    /// `reject <= shed <= degrade` does not hold.
-    pub fn new(reject_fill: f64, shed_fill: f64, degrade_fill: f64) -> Result<Self, String> {
-        for (name, v) in [
-            ("reject", reject_fill),
-            ("shed", shed_fill),
-            ("degrade", degrade_fill),
-        ] {
+    /// `reject <= shed` does not hold.
+    pub fn new(reject_fill: f64, shed_fill: f64) -> Result<Self, String> {
+        for (name, v) in [("reject", reject_fill), ("shed", shed_fill)] {
             if !(v > 0.0 && v <= 1.0) {
                 return Err(format!("{name} watermark {v} outside (0, 1]"));
             }
         }
-        if !(reject_fill <= shed_fill && shed_fill <= degrade_fill) {
+        if reject_fill > shed_fill {
             return Err(format!(
-                "watermarks must be ordered reject <= shed <= degrade \
-                 (got {reject_fill} / {shed_fill} / {degrade_fill})"
+                "watermarks must be ordered reject <= shed \
+                 (got {reject_fill} / {shed_fill})"
             ));
         }
         Ok(EscalationLadder {
             reject_fill,
             shed_fill,
-            degrade_fill,
         })
     }
 
@@ -152,17 +93,11 @@ impl EscalationLadder {
         self.shed_fill
     }
 
-    /// The fill at which demap degradation starts.
-    pub fn degrade_fill(&self) -> f64 {
-        self.degrade_fill
-    }
-
     /// The tiers engaged at queue occupancy `fill` (`[0, 1]`).
     pub fn decide(&self, fill: f64) -> EscalationDecision {
         EscalationDecision {
             reject_new: fill >= self.reject_fill,
             shed_users: fill >= self.shed_fill,
-            degrade_demap: fill >= self.degrade_fill,
         }
     }
 }
@@ -170,8 +105,8 @@ impl EscalationLadder {
 /// The ladder tracked over time: an overload-*episode* state machine
 /// with hysteresis on top of the instantaneous fill watermarks.
 ///
-/// This is the piece that makes reject → shed → degrade an actual
-/// *sequence* under a steady flood. Once the reject tier engages, new
+/// This is the piece that makes reject → shed an actual *sequence*
+/// under a steady flood. Once the reject tier engages, new
 /// arrivals bounce off the front door, so the fill immediately drops
 /// back below the reject watermark — it can never climb to the shed
 /// watermark on its own, and a naive per-tick decision would flap
@@ -180,15 +115,13 @@ impl EscalationLadder {
 /// backlog has actually drained (fill ≤ `release_fill`). While the
 /// episode is open the reject tier stays engaged, and if rejection
 /// alone has not drained the backlog after `shed_after` ticks the
-/// service starts shedding users; after `degrade_after` more it
-/// degrades demapping too. A deep instantaneous spike still engages
-/// the deeper tiers immediately through the fill watermarks.
+/// service starts shedding users. A deep instantaneous spike still
+/// engages shedding immediately through the fill watermark.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EscalationState {
     ladder: EscalationLadder,
     release_fill: f64,
     shed_after: u64,
-    degrade_after: u64,
     pressured_ticks: u64,
     episodes: u64,
 }
@@ -199,34 +132,17 @@ impl EscalationState {
     pub const DEFAULT_RELEASE_FILL: f64 = 0.05;
     /// Episode ticks before shedding engages.
     pub const DEFAULT_SHED_AFTER: u64 = 4;
-    /// Further episode ticks before demap degradation engages.
-    pub const DEFAULT_DEGRADE_AFTER: u64 = 4;
-
-    /// Tracks `ladder` with the default hysteresis and delays.
-    pub fn new(ladder: EscalationLadder) -> Self {
-        Self::with_delays(
-            ladder,
-            Self::DEFAULT_SHED_AFTER,
-            Self::DEFAULT_DEGRADE_AFTER,
-        )
-    }
 
     /// Tracks `ladder`, escalating to shed after `shed_after` episode
-    /// ticks and to degrade after `degrade_after` more.
-    pub fn with_delays(ladder: EscalationLadder, shed_after: u64, degrade_after: u64) -> Self {
+    /// ticks.
+    pub fn new(ladder: EscalationLadder, shed_after: u64) -> Self {
         EscalationState {
             ladder,
             release_fill: Self::DEFAULT_RELEASE_FILL.min(ladder.reject_fill()),
             shed_after,
-            degrade_after,
             pressured_ticks: 0,
             episodes: 0,
         }
-    }
-
-    /// The underlying fill ladder.
-    pub fn ladder(&self) -> &EscalationLadder {
-        &self.ladder
     }
 
     /// Ticks the current overload episode has lasted (0 = calm).
@@ -237,11 +153,6 @@ impl EscalationState {
     /// Overload episodes opened so far (including any still open).
     pub fn episodes(&self) -> u64 {
         self.episodes
-    }
-
-    /// `true` while an overload episode is open.
-    pub fn in_episode(&self) -> bool {
-        self.pressured_ticks > 0
     }
 
     /// Observes one tick's queue occupancy and returns the engaged
@@ -261,8 +172,6 @@ impl EscalationState {
         EscalationDecision {
             reject_new: base.reject_new || self.pressured_ticks > 0,
             shed_users: base.shed_users || self.pressured_ticks > self.shed_after,
-            degrade_demap: base.degrade_demap
-                || self.pressured_ticks > self.shed_after.saturating_add(self.degrade_after),
         }
     }
 }
@@ -426,87 +335,71 @@ mod tests {
         assert!(ladder.decide(0.5).calm());
 
         let reject_only = ladder.decide(0.75);
-        assert!(reject_only.reject_new && !reject_only.shed_users && !reject_only.degrade_demap);
-        assert_eq!(reject_only.severest(), Some(EscalationTier::Reject));
+        assert!(reject_only.reject_new && !reject_only.shed_users);
 
-        let reject_shed = ladder.decide(0.90);
-        assert!(reject_shed.reject_new && reject_shed.shed_users && !reject_shed.degrade_demap);
-        assert_eq!(reject_shed.severest(), Some(EscalationTier::Shed));
-
-        let all = ladder.decide(1.0);
-        assert!(all.reject_new && all.shed_users && all.degrade_demap);
-        assert_eq!(all.severest(), Some(EscalationTier::Degrade));
+        let both = ladder.decide(1.0);
+        assert!(both.reject_new && both.shed_users);
     }
 
     #[test]
     fn ladder_engagement_is_monotone_in_fill() {
         // Property: a deeper fill never disengages a tier — the formal
-        // statement behind "reject engages first, then shed, then
-        // degrade" for any monotonically growing backlog.
-        let ladder = EscalationLadder::new(0.3, 0.6, 0.9).unwrap();
+        // statement behind "reject engages first, then shed" for any
+        // monotonically growing backlog.
+        let ladder = EscalationLadder::new(0.3, 0.6).unwrap();
         let mut prev = EscalationDecision::default();
         for step in 0..=100 {
             let d = ladder.decide(f64::from(step) / 100.0);
             assert!(d.reject_new >= prev.reject_new);
             assert!(d.shed_users >= prev.shed_users);
-            assert!(d.degrade_demap >= prev.degrade_demap);
-            // Compounding invariant: degrade implies shed implies reject.
-            assert!(!d.degrade_demap || d.shed_users);
+            // Compounding invariant: shed implies reject.
             assert!(!d.shed_users || d.reject_new);
             prev = d;
         }
     }
 
     #[test]
-    fn sustained_pressure_escalates_reject_then_shed_then_degrade() {
+    fn sustained_pressure_escalates_reject_then_shed() {
         // A plateau exactly at the reject watermark: fill alone would
-        // never engage the deeper tiers, persistence must.
-        let mut state = EscalationState::with_delays(EscalationLadder::default(), 3, 3);
-        let mut first = [None::<u64>; 3];
+        // never engage shedding, persistence must.
+        let mut state = EscalationState::new(EscalationLadder::default(), 3);
+        let mut first = [None::<u64>; 2];
         for tick in 0..20u64 {
             let d = state.observe(0.72);
-            for (slot, engaged) in
-                first
-                    .iter_mut()
-                    .zip([d.reject_new, d.shed_users, d.degrade_demap])
-            {
+            for (slot, engaged) in first.iter_mut().zip([d.reject_new, d.shed_users]) {
                 if engaged && slot.is_none() {
                     *slot = Some(tick);
                 }
             }
         }
-        let (reject, shed, degrade) = (
-            first[0].expect("reject"),
-            first[1].expect("shed"),
-            first[2].expect("degrade"),
-        );
+        let (reject, shed) = (first[0].expect("reject"), first[1].expect("shed"));
         assert!(
-            reject < shed && shed < degrade,
-            "escalation order violated: {reject} / {shed} / {degrade}"
+            reject < shed,
+            "escalation order violated: {reject} / {shed}"
         );
     }
 
     #[test]
-    fn a_maximal_shed_delay_never_sheds_or_degrades() {
-        // The degrade delay counts from the shed delay: their sum
-        // saturates instead of wrapping to a tiny threshold.
-        let mut state = EscalationState::with_delays(EscalationLadder::default(), u64::MAX, 4);
+    fn a_maximal_shed_delay_never_sheds() {
+        // `pressured_ticks > u64::MAX` can never hold: the episode
+        // rejects forever without wrapping into a tiny threshold.
+        let mut state = EscalationState::new(EscalationLadder::default(), u64::MAX);
         for _ in 0..1000 {
             let d = state.observe(0.8);
-            assert!(d.reject_new && !d.shed_users && !d.degrade_demap);
+            assert!(d.reject_new && !d.shed_users);
         }
     }
 
     #[test]
     fn episode_persists_until_drained_then_resets() {
-        let mut state = EscalationState::with_delays(EscalationLadder::default(), 2, 2);
+        let mut state = EscalationState::new(EscalationLadder::default(), 2);
         state.observe(0.72);
         state.observe(0.72);
         assert!(state.observe(0.72).shed_users, "escalated past shed_after");
         // Fill has dropped below every watermark, but the backlog has
         // not drained: the episode (and rejection) persists.
         assert!(state.observe(0.2).reject_new);
-        assert!(state.in_episode());
+        assert!(state.pressured_ticks() > 0);
         // Fully drained: the episode closes and decisions calm down.
         assert!(state.observe(0.0).calm());
         assert_eq!(state.pressured_ticks(), 0);
@@ -522,13 +415,9 @@ mod tests {
         // Engagement is `fill >= watermark`: a queue depth that lands
         // exactly on a watermark engages that tier, and the largest
         // representable fill below it does not.
-        let ladder = EscalationLadder::new(0.25, 0.5, 0.75).unwrap();
+        let ladder = EscalationLadder::new(0.25, 0.5).unwrap();
         type Check = (f64, fn(EscalationDecision) -> bool);
-        let checks: [Check; 3] = [
-            (0.25, |d| d.reject_new),
-            (0.5, |d| d.shed_users),
-            (0.75, |d| d.degrade_demap),
-        ];
+        let checks: [Check; 2] = [(0.25, |d| d.reject_new), (0.5, |d| d.shed_users)];
         for (watermark, check) in checks {
             assert!(
                 check(ladder.decide(watermark)),
@@ -541,9 +430,9 @@ mod tests {
             );
         }
         // A watermark at exactly 1.0 is reachable by a full queue.
-        let saturating = EscalationLadder::new(0.5, 0.75, 1.0).unwrap();
-        assert!(saturating.decide(1.0).degrade_demap);
-        assert!(!saturating.decide(0.999_999).degrade_demap);
+        let saturating = EscalationLadder::new(0.5, 1.0).unwrap();
+        assert!(saturating.decide(1.0).shed_users);
+        assert!(!saturating.decide(0.999_999).shed_users);
     }
 
     #[test]
@@ -554,39 +443,37 @@ mod tests {
         let release = EscalationState::DEFAULT_RELEASE_FILL;
         let just_above = f64::from_bits(release.to_bits() + 1);
 
-        let mut state = EscalationState::new(EscalationLadder::default());
+        let mut state = EscalationState::new(
+            EscalationLadder::default(),
+            EscalationState::DEFAULT_SHED_AFTER,
+        );
         state.observe(0.72);
-        assert!(state.in_episode());
+        assert_eq!(state.pressured_ticks(), 1);
         assert!(!state.observe(just_above).calm(), "above release: open");
-        assert!(state.in_episode());
+        assert_eq!(state.pressured_ticks(), 2);
         assert!(state.observe(release).calm(), "at release: closed");
-        assert!(!state.in_episode());
+        assert_eq!(state.pressured_ticks(), 0);
         assert_eq!(state.episodes(), 1);
     }
 
     #[test]
-    fn shed_and_degrade_engage_one_tick_after_their_thresholds() {
-        // Escalation is `pressured_ticks > shed_after` (and
-        // `> shed_after + degrade_after`): pin down the exact ticks so
-        // an off-by-one in either comparison fails loudly.
-        let (shed_after, degrade_after) = (3, 2);
+    fn shed_engages_one_tick_after_its_threshold() {
+        // Escalation is `pressured_ticks > shed_after`: pin down the
+        // exact tick so an off-by-one in the comparison fails loudly.
+        let shed_after = 3;
         let ladder = EscalationLadder::default();
-        let mut state = EscalationState::with_delays(ladder, shed_after, degrade_after);
+        let mut state = EscalationState::new(ladder, shed_after);
         // Plateau at the reject watermark: fill alone never engages
-        // shed or degrade, persistence must.
+        // shed, persistence must.
         let fill = ladder.reject_fill();
-        for tick in 1..=(shed_after + degrade_after + 1) {
+        for tick in 1..=(shed_after + 2) {
             let d = state.observe(fill);
             assert_eq!(state.pressured_ticks(), tick);
+            assert!(d.reject_new);
             assert_eq!(
                 d.shed_users,
                 tick > shed_after,
                 "shed at episode tick {tick}"
-            );
-            assert_eq!(
-                d.degrade_demap,
-                tick > shed_after + degrade_after,
-                "degrade at episode tick {tick}"
             );
         }
     }
@@ -598,7 +485,7 @@ mod tests {
         // restarts from 1: shedding again takes shed_after + 1 ticks,
         // with no carry-over from the aborted episode.
         let shed_after = 4;
-        let mut state = EscalationState::with_delays(EscalationLadder::default(), shed_after, 2);
+        let mut state = EscalationState::new(EscalationLadder::default(), shed_after);
         for _ in 0..shed_after {
             assert!(!state.observe(0.72).shed_users);
         }
@@ -615,18 +502,21 @@ mod tests {
     }
 
     #[test]
-    fn deep_spike_engages_deeper_tiers_immediately() {
-        let mut state = EscalationState::new(EscalationLadder::default());
+    fn deep_spike_engages_shedding_immediately() {
+        let mut state = EscalationState::new(
+            EscalationLadder::default(),
+            EscalationState::DEFAULT_SHED_AFTER,
+        );
         let d = state.observe(1.0);
-        assert!(d.reject_new && d.shed_users && d.degrade_demap);
+        assert!(d.reject_new && d.shed_users);
     }
 
     #[test]
     fn ladder_rejects_bad_watermarks() {
-        assert!(EscalationLadder::new(0.9, 0.5, 0.95).is_err());
-        assert!(EscalationLadder::new(0.0, 0.5, 0.9).is_err());
-        assert!(EscalationLadder::new(0.5, 0.6, 1.1).is_err());
-        assert!(EscalationLadder::new(0.5, 0.5, 0.5).is_ok());
+        assert!(EscalationLadder::new(0.9, 0.5).is_err());
+        assert!(EscalationLadder::new(0.0, 0.5).is_err());
+        assert!(EscalationLadder::new(0.5, 1.1).is_err());
+        assert!(EscalationLadder::new(0.5, 0.5).is_ok());
     }
 
     #[test]

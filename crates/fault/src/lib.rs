@@ -4,9 +4,10 @@
 //! grids fail a block's CRC, overload is shed before it breaks the
 //! subframe deadline, and dying cores must not take transport blocks with
 //! them. This crate holds the *specification* side of that story — seeded
-//! fault plans and overload policies — while the mechanisms live where
-//! the faults land (`lte-sched` shedding/self-healing, `lte-uplink` chaos
-//! campaigns).
+//! fault plans and the admission/escalation vocabulary — while the
+//! mechanisms live where the faults land (`lte-sched` shedding and
+//! self-healing, `lte-uplink` chaos campaigns). Shedding the cheapest
+//! users is the one overload response.
 //!
 //! Everything here is a pure function of a seed: a [`FaultPlan`] decides
 //! whether subframe `s`, user `u`, task `t` is faulted by hashing the
@@ -19,75 +20,8 @@ use lte_dsp::Xoshiro256;
 pub mod admission;
 
 pub use admission::{
-    EscalationDecision, EscalationLadder, EscalationState, EscalationTier, IngestFaults,
-    TokenBucket,
+    EscalationDecision, EscalationLadder, EscalationState, IngestFaults, TokenBucket,
 };
-
-/// What the scheduler does with a subframe that cannot meet its
-/// deadline budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OverloadPolicy {
-    /// Discard the whole subframe.
-    DropSubframe,
-    /// Shed users lowest-PRB-first until the remainder fits the budget.
-    ShedUsers,
-    /// Keep every user but degrade demapping (exact → max-log), trading
-    /// LLR fidelity for cycles.
-    DegradeDemap,
-}
-
-impl OverloadPolicy {
-    /// Every policy, in a stable export order.
-    pub const ALL: [OverloadPolicy; 3] = [
-        OverloadPolicy::DropSubframe,
-        OverloadPolicy::ShedUsers,
-        OverloadPolicy::DegradeDemap,
-    ];
-
-    /// Stable snake_case name used in exports, metrics and the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            OverloadPolicy::DropSubframe => "drop_subframe",
-            OverloadPolicy::ShedUsers => "shed_users",
-            OverloadPolicy::DegradeDemap => "degrade_demap",
-        }
-    }
-}
-
-impl std::fmt::Display for OverloadPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for OverloadPolicy {
-    type Err = String;
-
-    /// Accepts the export names plus the short CLI aliases
-    /// `drop` / `shed` / `degrade`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "drop" | "drop_subframe" => Ok(OverloadPolicy::DropSubframe),
-            "shed" | "shed_users" => Ok(OverloadPolicy::ShedUsers),
-            "degrade" | "degrade_demap" => Ok(OverloadPolicy::DegradeDemap),
-            other => Err(format!(
-                "unknown overload policy '{other}' (expected drop|shed|degrade)"
-            )),
-        }
-    }
-}
-
-/// A per-subframe deadline budget and the policy applied on overload.
-///
-/// The unit of `budget` is the caller's timebase: simulated cycles in
-/// the DES, nanoseconds in the real benchmark loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeadlineBudget {
-    /// Time allowed from dispatch to subframe completion.
-    pub budget: u64,
-    /// What happens to new work while the receiver is behind.
-    pub policy: OverloadPolicy,
-}
 
 /// A DES core that fail-stops mid-campaign.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,19 +200,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::str::FromStr;
-
-    #[test]
-    fn policy_names_parse_back() {
-        for p in OverloadPolicy::ALL {
-            assert_eq!(OverloadPolicy::from_str(p.name()), Ok(p));
-        }
-        assert_eq!(
-            OverloadPolicy::from_str("shed"),
-            Ok(OverloadPolicy::ShedUsers)
-        );
-        assert!(OverloadPolicy::from_str("panic-harder").is_err());
-    }
 
     #[test]
     fn quiet_plan_never_faults() {

@@ -55,17 +55,13 @@ pub enum FaultKind {
     SlowCore,
     /// A subframe missed its deadline budget.
     DeadlineOverrun,
-    /// The overload policy dropped a whole subframe.
-    SubframeDropped,
-    /// The overload policy shed a user job.
+    /// Overload shed a user job.
     UserShed,
-    /// The overload policy degraded demapping for a subframe.
-    DemapDegraded,
 }
 
 impl FaultKind {
     /// Every kind, in a stable export order.
-    pub const ALL: [FaultKind; 10] = [
+    pub const ALL: [FaultKind; 8] = [
         FaultKind::NoiseBurst,
         FaultKind::GridCorruption,
         FaultKind::TaskPanic,
@@ -73,9 +69,7 @@ impl FaultKind {
         FaultKind::WorkerRespawn,
         FaultKind::SlowCore,
         FaultKind::DeadlineOverrun,
-        FaultKind::SubframeDropped,
         FaultKind::UserShed,
-        FaultKind::DemapDegraded,
     ];
 
     /// Stable snake_case name used in exports and metrics keys.
@@ -88,9 +82,7 @@ impl FaultKind {
             FaultKind::WorkerRespawn => "worker_respawn",
             FaultKind::SlowCore => "slow_core",
             FaultKind::DeadlineOverrun => "deadline_overrun",
-            FaultKind::SubframeDropped => "subframe_dropped",
             FaultKind::UserShed => "user_shed",
-            FaultKind::DemapDegraded => "demap_degraded",
         }
     }
 }

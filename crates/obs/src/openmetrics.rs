@@ -164,8 +164,8 @@ mod tests {
             "pool_worker_0_steals"
         );
         assert_eq!(
-            sanitize_metric_name("chaos.sim.dropped_subframes"),
-            "chaos_sim_dropped_subframes"
+            sanitize_metric_name("chaos.sim.shed_jobs"),
+            "chaos_sim_shed_jobs"
         );
         assert_eq!(sanitize_metric_name("9lives"), "_9lives");
         assert_eq!(sanitize_metric_name("a-b c"), "a_b_c");

@@ -24,7 +24,6 @@ pub struct ServiceCounters {
     rejected_rate_limited: AtomicU64,
     rejected_malformed: AtomicU64,
     shed_users: AtomicU64,
-    degraded_subframes: AtomicU64,
     completed_subframes: AtomicU64,
     deadline_misses: AtomicU64,
     drain_shed_subframes: AtomicU64,
@@ -71,12 +70,6 @@ impl ServiceCounters {
         self.shed_users.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// One admitted subframe dispatched while the degrade tier was
-    /// engaged.
-    pub fn degraded(&self) {
-        self.degraded_subframes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// One subframe fully decoded.
     pub fn completed(&self) {
         self.completed_subframes.fetch_add(1, Ordering::Relaxed);
@@ -119,7 +112,7 @@ impl ServiceCounters {
             rejected_rate_limited: self.rejected_rate_limited.load(Ordering::Relaxed),
             rejected_malformed: self.rejected_malformed.load(Ordering::Relaxed),
             shed_users: self.shed_users.load(Ordering::Relaxed),
-            degraded_subframes: self.degraded_subframes.load(Ordering::Relaxed),
+            degraded_subframes: 0,
             completed_subframes: self.completed_subframes.load(Ordering::Relaxed),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             drain_shed_subframes: self.drain_shed_subframes.load(Ordering::Relaxed),
@@ -146,8 +139,9 @@ pub struct ServiceSnapshot {
     pub rejected_malformed: u64,
     /// Users shed from admitted subframes.
     pub shed_users: u64,
-    /// Admitted subframes dispatched while the degrade tier was
-    /// engaged. The tier counts them; it changes no decoded bit.
+    /// Always 0: shedding is the service's one overload response, so
+    /// nothing degrades. Kept for readers that still name the field; no
+    /// export writes it.
     pub degraded_subframes: u64,
     /// Subframes fully decoded.
     pub completed_subframes: u64,
@@ -182,7 +176,7 @@ impl ServiceSnapshot {
         format!(
             "{{\"arrivals\":{},\"admitted\":{},\"rejected_backpressure\":{},\
              \"rejected_rate_limited\":{},\"rejected_malformed\":{},\
-             \"shed_users\":{},\"degraded_subframes\":{},\
+             \"shed_users\":{},\
              \"completed_subframes\":{},\"deadline_misses\":{},\
              \"drain_shed_subframes\":{},\"watchdog_restarts\":{},\
              \"reloads\":{},\"queue_depth\":{},\"queue_high_watermark\":{}}}",
@@ -192,7 +186,6 @@ impl ServiceSnapshot {
             self.rejected_rate_limited,
             self.rejected_malformed,
             self.shed_users,
-            self.degraded_subframes,
             self.completed_subframes,
             self.deadline_misses,
             self.drain_shed_subframes,
@@ -214,7 +207,6 @@ impl ServiceSnapshot {
             ("rejected_rate_limited", self.rejected_rate_limited),
             ("rejected_malformed", self.rejected_malformed),
             ("shed_users", self.shed_users),
-            ("degraded_subframes", self.degraded_subframes),
             ("completed_subframes", self.completed_subframes),
             ("deadline_misses", self.deadline_misses),
             ("drain_shed_subframes", self.drain_shed_subframes),
@@ -249,7 +241,6 @@ mod tests {
         c.reject_rate_limited();
         c.reject_malformed();
         c.shed(3);
-        c.degraded();
         for _ in 0..5 {
             c.completed();
         }
@@ -266,7 +257,7 @@ mod tests {
         assert_eq!(s.rejected_total(), 4);
         assert!(s.balanced());
         assert_eq!(s.shed_users, 3);
-        assert_eq!(s.degraded_subframes, 1);
+        assert_eq!(s.degraded_subframes, 0);
         assert_eq!(s.completed_subframes, 5);
         assert_eq!(s.deadline_misses, 1);
         assert_eq!(s.drain_shed_subframes, 1);

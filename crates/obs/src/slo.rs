@@ -6,9 +6,8 @@
 //! against them, computing SRE-style **burn rates** (observed error rate
 //! over budgeted error rate; > 1 means the window consumed budget faster
 //! than allowed). The spec carries plain numbers, so the tracker stays
-//! dependency-free: callers map their own counters (`lte-fault`'s
-//! `DeadlineBudget` overruns, `OverloadPolicy` shed/drop counts) into an
-//! observation.
+//! dependency-free: callers map their own counters (deadline overruns,
+//! shed users) into an observation.
 
 use crate::metrics::f64_json;
 
@@ -18,7 +17,7 @@ use crate::metrics::f64_json;
 pub struct SloSpec {
     /// Max fraction of subframes that may miss their deadline budget.
     pub max_miss_rate: f64,
-    /// Max fraction of user jobs that may be shed or dropped.
+    /// Max fraction of offered user jobs that may be shed.
     pub max_shed_rate: f64,
     /// p99 completion-latency bound, in the unit the caller's latency
     /// histogram records (cycles for the simulator).
@@ -44,9 +43,9 @@ pub struct WindowObservation {
     pub subframes: u64,
     /// Subframes that missed their deadline budget.
     pub deadline_misses: u64,
-    /// User jobs dispatched in the window.
+    /// User jobs offered in the window: those that ran plus those shed.
     pub jobs: u64,
-    /// User jobs shed or dropped by the overload policy.
+    /// User jobs shed by overload.
     pub shed_jobs: u64,
     /// The window's p99 completion latency (same unit as the spec).
     pub p99_latency: u64,

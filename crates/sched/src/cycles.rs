@@ -170,6 +170,16 @@ impl SimJob {
     }
 }
 
+/// The order in which overload sheds a subframe's users: cheapest
+/// first by [`SimJob::total_cycles`], ties broken by index. The DES's
+/// shed loop and soak's EBLER bookkeeping both walk this one order, so
+/// the users a run sheds are the users it records as shed.
+pub fn shed_order(jobs: &[SimJob]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| (jobs[i].total_cycles(), i));
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +266,18 @@ mod tests {
         let serial = job.weights_cost + job.finish_cost;
         let frac = serial as f64 / job.total_cycles() as f64;
         assert!(frac < 0.5, "serial fraction {frac:.2}");
+    }
+
+    #[test]
+    fn shed_order_is_by_cycles_not_by_prbs() {
+        // 6 PRB × 4 layers × 64-QAM out-costs 8 PRB × 1 layer × QPSK, so
+        // the narrower user sheds last.
+        let jobs = [MODEL.user_job(6, 4, 6, 4), MODEL.user_job(8, 1, 2, 4)];
+        assert!(jobs[0].total_cycles() > jobs[1].total_cycles());
+        assert_eq!(shed_order(&jobs), [1, 0]);
+        // Equal costs fall back to index order.
+        let twins = [MODEL.user_job(5, 1, 2, 4), MODEL.user_job(5, 1, 2, 4)];
+        assert_eq!(shed_order(&twins), [0, 1]);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use lte_fault::{DeadlineBudget, FaultPlan, OverloadPolicy};
+use lte_fault::FaultPlan;
 use lte_obs::{Event as TraceEvent, FaultKind, NoopRecorder, Recorder, Stage};
 
 use super::config::{SimConfig, SubframeLoad};
 use super::report::{BucketStats, SimReport};
-use crate::cycles::SimJob;
+use crate::cycles::{shed_order, SimJob};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
@@ -132,8 +132,8 @@ pub struct Simulator<R: Recorder = NoopRecorder> {
     wake_pulses_per_core: Vec<u64>,
     open_subframes: usize,
     max_concurrent_subframes: usize,
-    /// Per-subframe deadline budget and overload policy, if attached.
-    degradation: Option<DeadlineBudget>,
+    /// Per-subframe deadline budget in cycles, if attached.
+    deadline: Option<u64>,
     /// Seeded chaos plan (core death, slow cores, task poisoning).
     chaos: Option<FaultPlan>,
     /// Jobs whose user core died mid-flight, bundled with their stranded
@@ -143,9 +143,7 @@ pub struct Simulator<R: Recorder = NoopRecorder> {
     /// deterministic task ordinal for `FaultPlan::task_panics`).
     tasks_drawn_per_subframe: Vec<usize>,
     overruns: u64,
-    dropped_subframes: u64,
     shed_jobs: u64,
-    degraded_subframes: u64,
     poisoned_tasks: u64,
     adopted_jobs: u64,
     /// Per-subframe active-core targets injected by a governor through
@@ -215,14 +213,12 @@ impl<R: Recorder> Simulator<R> {
             wake_pulses_per_core: vec![0; cfg.n_workers],
             open_subframes: 0,
             max_concurrent_subframes: 0,
-            degradation: None,
+            deadline: None,
             chaos: None,
             orphan_owners: VecDeque::new(),
             tasks_drawn_per_subframe: Vec::new(),
             overruns: 0,
-            dropped_subframes: 0,
             shed_jobs: 0,
-            degraded_subframes: 0,
             poisoned_tasks: 0,
             adopted_jobs: 0,
             target_overrides: Vec::new(),
@@ -230,13 +226,13 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// Attaches a per-subframe deadline budget: subframes finishing past
-    /// `budget.budget` cycles after dispatch count as overruns, and new
+    /// `budget_cycles` after dispatch count as overruns, and new
     /// subframes dispatched while an older subframe is already past its
-    /// deadline are subjected to `budget.policy` (drop / shed / degrade).
-    /// Benign pipelining — a subframe or two in flight but still inside
-    /// the budget — does not engage the policy.
-    pub fn with_degradation(mut self, budget: DeadlineBudget) -> Self {
-        self.degradation = Some(budget);
+    /// deadline shed their cheapest users. Benign pipelining — a
+    /// subframe or two in flight but still inside the budget — sheds
+    /// nothing.
+    pub fn with_deadline(mut self, budget_cycles: u64) -> Self {
+        self.deadline = Some(budget_cycles);
         self
     }
 
@@ -403,77 +399,47 @@ impl<R: Recorder> Simulator<R> {
             && self.now - self.subframe_dispatched_at[self.oldest_open_subframe] >= budget_cycles
     }
 
-    /// Applies the attached overload policy to an incoming subframe when
-    /// the receiver is behind (an older subframe already past its
-    /// deadline budget at dispatch). Returns the job list that actually
-    /// runs.
-    fn apply_overload_policy(&mut self, subframe: usize, jobs: Vec<SimJob>) -> Vec<SimJob> {
-        let Some(budget) = self.degradation else {
+    /// Sheds the cheapest users of an incoming subframe when the
+    /// receiver is behind (an older subframe already past its deadline
+    /// budget at dispatch). Returns the job list that actually runs.
+    fn shed_if_behind(&mut self, subframe: usize, jobs: Vec<SimJob>) -> Vec<SimJob> {
+        let Some(budget) = self.deadline else {
             return jobs;
         };
         if self.open_subframes == 0 || jobs.is_empty() {
             return jobs;
         }
-        if !self.deadline_pressure(subframe, budget.budget) {
+        if !self.deadline_pressure(subframe, budget) {
             return jobs;
         }
-        let record_fault = |sim: &mut Self, kind: FaultKind| {
-            if sim.recorder.enabled() {
-                sim.recorder.record(TraceEvent::Fault {
-                    kind,
+        // Shed cheapest users until the remainder fits the budget's
+        // cycle capacity; always shed at least one and always keep at
+        // least one.
+        let capacity = budget.saturating_mul(self.target as u64);
+        let mut total: u64 = jobs.iter().map(|j| j.total_cycles()).sum();
+        let mut shed = vec![false; jobs.len()];
+        let mut n_shed = 0;
+        for i in shed_order(&jobs) {
+            if (total <= capacity && n_shed > 0) || n_shed + 1 == jobs.len() {
+                break;
+            }
+            total -= jobs[i].total_cycles();
+            shed[i] = true;
+            n_shed += 1;
+            if self.recorder.enabled() {
+                self.recorder.record(TraceEvent::Fault {
+                    kind: FaultKind::UserShed,
                     core: u32::MAX,
                     subframe: subframe as u32,
-                    t: sim.now,
+                    t: self.now,
                 });
             }
-        };
-        match budget.policy {
-            OverloadPolicy::DropSubframe => {
-                self.dropped_subframes += 1;
-                self.shed_jobs += jobs.len() as u64;
-                record_fault(self, FaultKind::SubframeDropped);
-                Vec::new()
-            }
-            OverloadPolicy::ShedUsers => {
-                // Shed lowest-cost (lowest-PRB) users until the remainder
-                // fits the budget's cycle capacity; always shed at least
-                // one and always keep at least one.
-                let capacity = budget.budget.saturating_mul(self.target as u64);
-                let mut order: Vec<usize> = (0..jobs.len()).collect();
-                order.sort_by_key(|&i| (jobs[i].total_cycles(), i));
-                let mut total: u64 = jobs.iter().map(|j| j.total_cycles()).sum();
-                let mut shed = vec![false; jobs.len()];
-                let mut n_shed = 0;
-                for &i in &order {
-                    if (total <= capacity && n_shed > 0) || n_shed + 1 == jobs.len() {
-                        break;
-                    }
-                    total -= jobs[i].total_cycles();
-                    shed[i] = true;
-                    n_shed += 1;
-                    record_fault(self, FaultKind::UserShed);
-                }
-                self.shed_jobs += n_shed as u64;
-                jobs.into_iter()
-                    .zip(shed)
-                    .filter_map(|(j, s)| (!s).then_some(j))
-                    .collect()
-            }
-            OverloadPolicy::DegradeDemap => {
-                // Max-log demapping costs ~70% of the exact kernel; the
-                // subframe keeps every user at reduced combine cost.
-                self.degraded_subframes += 1;
-                record_fault(self, FaultKind::DemapDegraded);
-                jobs.into_iter()
-                    .map(|mut j| {
-                        for c in &mut j.combine_tasks {
-                            *c = *c * 7 / 10;
-                        }
-                        j
-                    })
-                    .collect()
-            }
         }
+        self.shed_jobs += n_shed as u64;
+        jobs.into_iter()
+            .zip(shed)
+            .filter_map(|(j, s)| (!s).then_some(j))
+            .collect()
     }
 
     fn handle_dispatch(&mut self, subframe: usize, subframes: &[SubframeLoad]) {
@@ -487,7 +453,7 @@ impl<R: Recorder> Simulator<R> {
         let idx = self.bucket_idx(self.now);
         self.buckets[idx].active_target = self.target;
         self.subframe_dispatched_at[subframe] = self.now;
-        let jobs = self.apply_overload_policy(subframe, load.jobs.clone());
+        let jobs = self.shed_if_behind(subframe, load.jobs.clone());
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent::Dispatch {
                 subframe: subframe as u32,
@@ -789,8 +755,8 @@ impl<R: Recorder> Simulator<R> {
                 self.open_jobs_per_subframe[sf] -= 1;
                 if self.open_jobs_per_subframe[sf] == 0 {
                     self.open_subframes -= 1;
-                    if let Some(budget) = self.degradation {
-                        if self.now - self.subframe_dispatched_at[sf] > budget.budget {
+                    if let Some(budget) = self.deadline {
+                        if self.now - self.subframe_dispatched_at[sf] > budget {
                             self.overruns += 1;
                             if self.recorder.enabled() {
                                 self.recorder.record(TraceEvent::Fault {
@@ -950,14 +916,6 @@ pub struct SimBoundary {
     pub t: u64,
 }
 
-/// A stepping handle over a prepared simulation that pauses just before
-/// every subframe dispatch, so a governor can observe the machine and
-/// inject a per-subframe active-core target.
-///
-/// The session pops events in exactly the order [`Simulator::run`] does;
-/// a session that never calls [`SimSession::set_target`] produces a
-/// byte-identical report and trace. Boundary measurements are
-/// non-destructive: they never split accounting buckets or trace spans.
 /// Cumulative counters of a paused [`SimSession`] — the same quantities
 /// the final [`SimReport`] carries, observable mid-run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -966,14 +924,18 @@ pub struct SessionProgress {
     pub jobs_done: u64,
     /// Subframes past their deadline budget so far.
     pub overruns: u64,
-    /// Subframes discarded whole by the `DropSubframe` policy so far.
-    pub dropped_subframes: u64,
     /// User jobs shed so far.
     pub shed_jobs: u64,
-    /// Subframes with degraded demap work so far.
-    pub degraded_subframes: u64,
 }
 
+/// A stepping handle over a prepared simulation that pauses just before
+/// every subframe dispatch, so a governor can observe the machine and
+/// inject a per-subframe active-core target.
+///
+/// The session pops events in exactly the order [`Simulator::run`] does;
+/// a session that never calls [`SimSession::set_target`] produces a
+/// byte-identical report and trace. Boundary measurements are
+/// non-destructive: they never split accounting buckets or trace spans.
 pub struct SimSession<'a, R: Recorder = NoopRecorder> {
     sim: Simulator<R>,
     subframes: &'a [SubframeLoad],
@@ -1087,15 +1049,13 @@ impl<'a, R: Recorder> SimSession<'a, R> {
         &self.sim.job_latencies
     }
 
-    /// Cumulative degradation counters so far — read at a boundary to
+    /// Cumulative overload counters so far — read at a boundary to
     /// build per-window deltas without waiting for the final report.
     pub fn progress(&self) -> SessionProgress {
         SessionProgress {
             jobs_done: self.sim.job_latencies.len() as u64,
             overruns: self.sim.overruns,
-            dropped_subframes: self.sim.dropped_subframes,
             shed_jobs: self.sim.shed_jobs,
-            degraded_subframes: self.sim.degraded_subframes,
         }
     }
 
@@ -1166,9 +1126,7 @@ impl<'a, R: Recorder> SimSession<'a, R> {
             tasks_per_core: sim.tasks_per_core,
             wake_pulses_per_core: sim.wake_pulses_per_core,
             overruns: sim.overruns,
-            dropped_subframes: sim.dropped_subframes,
             shed_jobs: sim.shed_jobs,
-            degraded_subframes: sim.degraded_subframes,
             poisoned_tasks: sim.poisoned_tasks,
             adopted_jobs: sim.adopted_jobs,
         }

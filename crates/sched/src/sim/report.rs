@@ -65,15 +65,12 @@ pub struct SimReport {
     /// Nap wake pulses taken per core.
     pub wake_pulses_per_core: Vec<u64>,
     /// Subframes that completed after their deadline budget (only
-    /// counted when a [`lte_fault::DeadlineBudget`] is attached).
+    /// counted when [`Simulator::with_deadline`] attached one).
+    ///
+    /// [`Simulator::with_deadline`]: super::Simulator::with_deadline
     pub overruns: u64,
-    /// Subframes discarded whole by the `DropSubframe` overload policy.
-    pub dropped_subframes: u64,
-    /// User jobs shed by the `ShedUsers` / `DropSubframe` policies.
+    /// User jobs shed because an older subframe was past its deadline.
     pub shed_jobs: u64,
-    /// Subframes whose demap work was degraded (exact → max-log) by the
-    /// `DegradeDemap` policy.
-    pub degraded_subframes: u64,
     /// Tasks that hit a seeded panic and were re-executed (chaos runs).
     pub poisoned_tasks: u64,
     /// Jobs whose user-thread ownership was adopted by a surviving core

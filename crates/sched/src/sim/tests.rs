@@ -3,7 +3,7 @@
 
 pub use super::*;
 pub use crate::cycles::SimJob;
-pub use lte_fault::{DeadlineBudget, FaultPlan, OverloadPolicy};
+pub use lte_fault::FaultPlan;
 pub use lte_obs::FaultKind;
 
 #[cfg(test)]
@@ -254,73 +254,69 @@ mod chaos_tests {
             .collect()
     }
 
-    fn budget(policy: OverloadPolicy) -> DeadlineBudget {
-        DeadlineBudget {
-            budget: 100_000,
-            policy,
-        }
-    }
+    /// One dispatch period of deadline budget.
+    const BUDGET: u64 = 100_000;
 
     #[test]
-    fn overruns_are_counted_against_the_budget() {
-        let report = Simulator::new(cfg(NapMode::NONE))
-            .with_degradation(budget(OverloadPolicy::DegradeDemap))
-            .run(&overload(10));
+    fn overruns_are_counted_and_the_cheapest_users_shed() {
+        // Reverse each subframe's users so index order is not cost order.
+        let loads: Vec<SubframeLoad> = overload(10)
+            .into_iter()
+            .map(|mut l| {
+                l.jobs.reverse();
+                l
+            })
+            .collect();
+        let recorder = lte_obs::RingRecorder::new(1 << 20);
+        let report = Simulator::with_recorder(cfg(NapMode::NONE), &recorder)
+            .with_deadline(BUDGET)
+            .run(&loads);
         assert!(report.overruns > 0, "overloaded run must overrun");
-        assert!(report.degraded_subframes > 0, "policy must have engaged");
-        // Degradation keeps every job: nothing shed or dropped.
-        assert_eq!(report.shed_jobs, 0);
-        assert_eq!(report.dropped_subframes, 0);
-        assert_eq!(report.jobs_total, 30);
-    }
-
-    #[test]
-    fn drop_policy_sacrifices_whole_subframes() {
-        let report = Simulator::new(cfg(NapMode::NONE))
-            .with_degradation(budget(OverloadPolicy::DropSubframe))
-            .run(&overload(10));
-        assert!(report.dropped_subframes > 0);
-        assert_eq!(report.shed_jobs, 3 * report.dropped_subframes);
+        assert!(report.shed_jobs > 0, "shedding must have engaged");
         assert_eq!(
             report.jobs_total as u64,
             30 - report.shed_jobs,
-            "dropped jobs never enter the machine"
+            "shed jobs never enter the machine"
         );
         assert_eq!(report.job_latencies.len(), report.jobs_total);
+
+        // Each shed subframe keeps at least one user and loses its k
+        // cheapest: the finish stage then burns exactly the kept users'
+        // finish costs (one task overhead each).
+        let overhead = cfg(NapMode::NONE).task_overhead;
+        let mut shed_per_subframe = vec![0usize; loads.len()];
+        for e in recorder.events() {
+            if let lte_obs::Event::Fault {
+                kind: FaultKind::UserShed,
+                subframe,
+                ..
+            } = e
+            {
+                shed_per_subframe[subframe as usize] += 1;
+            }
+        }
+        let mut expected_finish = 0;
+        for (load, &k) in loads.iter().zip(&shed_per_subframe) {
+            assert!(k < load.jobs.len(), "at least one user survives");
+            let mut finish: Vec<u64> = load.jobs.iter().map(|j| j.finish_cost).collect();
+            finish.sort_unstable();
+            expected_finish += finish[k..].iter().map(|c| c + overhead).sum::<u64>();
+        }
+        assert_eq!(report.stage_cycles[3], expected_finish);
     }
 
     #[test]
-    fn shed_policy_drops_cheapest_users_first() {
-        let report = Simulator::new(cfg(NapMode::NONE))
-            .with_degradation(budget(OverloadPolicy::ShedUsers))
-            .run(&overload(10));
-        assert!(report.shed_jobs > 0);
-        assert_eq!(
-            report.dropped_subframes, 0,
-            "shedding never drops whole subframes"
-        );
-        assert!(
-            report.jobs_total as u64 >= 30 - report.shed_jobs,
-            "at least one user survives every shed subframe"
-        );
-        assert_eq!(report.job_latencies.len(), report.jobs_total);
-    }
-
-    #[test]
-    fn degradation_reduces_overruns_versus_no_policy() {
-        let baseline = Simulator::new(cfg(NapMode::NONE))
-            .with_degradation(DeadlineBudget {
-                budget: u64::MAX,
-                policy: OverloadPolicy::DropSubframe,
-            })
+    fn shedding_ends_the_campaign_sooner_than_running_every_user() {
+        let unbounded = Simulator::new(cfg(NapMode::NONE))
+            .with_deadline(u64::MAX)
             .run(&overload(12));
-        assert_eq!(baseline.overruns, 0, "infinite budget never overruns");
-        let dropping = Simulator::new(cfg(NapMode::NONE))
-            .with_degradation(budget(OverloadPolicy::DropSubframe))
+        assert_eq!(unbounded.overruns, 0, "infinite budget never overruns");
+        assert_eq!(unbounded.shed_jobs, 0, "infinite budget never sheds");
+        let shedding = Simulator::new(cfg(NapMode::NONE))
+            .with_deadline(BUDGET)
             .run(&overload(12));
-        // Dropping load must finish the campaign sooner than running it all.
         let full = Simulator::new(cfg(NapMode::NONE)).run(&overload(12));
-        assert!(dropping.end_time < full.end_time);
+        assert!(shedding.end_time < full.end_time);
     }
 
     #[test]
@@ -412,7 +408,7 @@ mod chaos_tests {
         let run = || {
             Simulator::new(cfg(NapMode::NAP_IDLE))
                 .with_chaos(FaultPlan::smoke(42))
-                .with_degradation(budget(OverloadPolicy::ShedUsers))
+                .with_deadline(BUDGET)
                 .run(&overload(20))
         };
         assert_eq!(run(), run());
@@ -435,7 +431,7 @@ mod chaos_tests {
         };
         Simulator::with_recorder(cfg(NapMode::NONE), &recorder)
             .with_chaos(plan)
-            .with_degradation(budget(OverloadPolicy::DropSubframe))
+            .with_deadline(BUDGET)
             .run(&overload(10));
         let events = recorder.events();
         let kinds: Vec<FaultKind> = events
@@ -449,7 +445,7 @@ mod chaos_tests {
             FaultKind::TaskPanic,
             FaultKind::CoreDeath,
             FaultKind::SlowCore,
-            FaultKind::SubframeDropped,
+            FaultKind::UserShed,
         ] {
             assert!(kinds.contains(&expect), "missing fault kind {expect}");
         }

@@ -103,14 +103,13 @@ fn chaos_campaigns_are_byte_identical() {
     // same-seed runs — including the real pool's kills and respawns and
     // the link-level noise bursts and grid corruption — export
     // byte-identical artefacts.
-    use lte_uplink_repro::fault::OverloadPolicy;
     use lte_uplink_repro::uplink::chaos::run_chaos;
     let small = || ExperimentContext {
         n_subframes: 120,
         ..ctx()
     };
-    let a = run_chaos(&small(), OverloadPolicy::ShedUsers).expect("pool spawns");
-    let b = run_chaos(&small(), OverloadPolicy::ShedUsers).expect("pool spawns");
+    let a = run_chaos(&small()).expect("pool spawns");
+    let b = run_chaos(&small()).expect("pool spawns");
     assert_eq!(a.summary, b.summary, "campaign counters must match");
     assert_eq!(
         a.perfetto_json, b.perfetto_json,
