@@ -11,8 +11,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use lte_bench::bench;
-use lte_obs::{Histogram, NoopRecorder, RingRecorder, Stage};
-use lte_phy::trace::{StageHists, StageTimer};
+use lte_obs::{Histogram, NoopRecorder, Recorder, RingRecorder, Stage};
+use lte_phy::trace::StageTimer;
 use lte_power::NapPolicy;
 use lte_sched::sim::Simulator;
 use lte_uplink::experiments::ExperimentContext;
@@ -62,7 +62,8 @@ fn main() {
     // Telemetry-record gates. A single enabled `Histogram::record` is
     // two relaxed atomic adds and must stay under 50 ns; the disabled
     // stage-timer path skips even the clock read, so timing a stage
-    // through it must cost within noise of the raw closure (< 1%).
+    // through it must cost within noise of the raw closure (< 1%),
+    // printed next to a timer recording every span into a ring.
     let n = 1_000_000u64;
     let record_ns = {
         let hist = Histogram::new();
@@ -74,7 +75,7 @@ fn main() {
         black_box(hist.snapshot().count);
         ns
     };
-    fn timed(n: u64, timer: &StageTimer<'_, NoopRecorder>) -> std::time::Duration {
+    fn timed<R: Recorder>(n: u64, timer: &StageTimer<'_, R>) -> std::time::Duration {
         let start = Instant::now();
         let mut acc = 0u64;
         for v in 0..n {
@@ -83,14 +84,14 @@ fn main() {
         black_box(acc);
         start.elapsed()
     }
-    let hists = StageHists::new();
-    // Warm both paths, then compare disabled vs histogram-recording.
+    let ring = RingRecorder::new(1 << 16);
+    // Warm both paths, then compare disabled vs span-recording.
     for _ in 0..2 {
         black_box(timed(n, &StageTimer::disabled()));
-        black_box(timed(n, &StageTimer::histograms_only(&hists)));
+        black_box(timed(n, &StageTimer::new(&ring)));
     }
     let disabled = timed(n, &StageTimer::disabled());
-    let recording = timed(n, &StageTimer::histograms_only(&hists));
+    let recording = timed(n, &StageTimer::new(&ring));
     println!(
         "hist_record: enabled {record_ns:.1} ns/op (gate < 50), disabled stage timer \
          {:.2} ns/op vs recording {:.2} ns/op",

@@ -123,7 +123,7 @@ FLAGS:
                       govern: load the estimator's fitted slopes from
                       this JSON file when it exists; otherwise fit the
                       Fig. 11 sweep and save the table here
-    --workers N       soak, serve, deploy: worker threads of the real
+    --workers N       serve, deploy: worker threads of the real
                       pool, one positive count (default: the host's
                       available parallelism, at most 4)
     --window N        soak: telemetry window length in subframes
@@ -406,7 +406,6 @@ fn run_soak_cmd(opts: &Options) {
     if let Some(text) = opts.policy.as_deref() {
         cfg.policy = text.parse().or_exit("--policy", 2);
     }
-    cfg.host_workers = pool_workers(opts);
     println!(
         "soaking {} subframes in windows of {} (policy {}, chaos {}, seed {}) …",
         cfg.subframes, cfg.window, cfg.policy, cfg.chaos, cfg.seed,
@@ -440,15 +439,12 @@ fn run_soak_cmd(opts: &Options) {
     println!("wrote {}", jsonl_path.display());
     write(&opts.out.join("SOAK.json"), &art.report.to_json());
     write(&opts.out.join("SOAK.om"), &art.openmetrics);
-    if let Some(host) = &art.host_json {
-        write(&opts.out.join("SOAK_HOST.json"), host);
-    }
     let r = &art.report;
     println!(
         "soak totals: {} jobs, energy {:.1} J ({:.1} mJ/subframe), mean power {:.2} W",
         r.latency.count,
         r.energy_joules,
-        1e3 * r.energy_joules / cfg.subframes.max(1) as f64,
+        1e3 * r.energy_joules / r.subframes().max(1) as f64,
         r.mean_power_watts,
     );
     println!(

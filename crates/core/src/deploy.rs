@@ -515,7 +515,7 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     let mut d = Dispatcher::new(cfg.workers, turbo, &warm)
         .map_err(|e| format!("failed to start the worker pool: {e}"))?;
 
-    let bank = EblerBank::new(cells.iter().map(|c| format!("cell{}", c.config.cell_id)), 1);
+    let bank = EblerBank::new(cells.len(), 1);
     // Eq. 3 slopes: the flat library calibration serve uses; the Eq. 5
     // controller stays on the paper's 62-core machine so the estimate —
     // and hence the report — is independent of the host's worker count.

@@ -331,7 +331,7 @@ impl GovernReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lte_obs::{JsonLinesRecorder, NoopRecorder};
+    use lte_obs::{event_json, NoopRecorder, RingRecorder};
 
     fn tiny_ctx() -> ExperimentContext {
         ExperimentContext {
@@ -381,15 +381,21 @@ mod tests {
     fn des_decisions_are_recorded_as_events() {
         let ctx = tiny_ctx();
         let (_curves, estimator) = ctx.run_calibration();
-        let recorder = JsonLinesRecorder::new();
+        let recorder = RingRecorder::new(1 << 20);
         let run = run_des_governed(&ctx, &estimator, NapPolicy::Nap, &recorder);
-        let log = recorder.into_string();
+        let events = recorder.events();
+        assert_eq!(
+            events.len() as u64,
+            recorder.total_recorded(),
+            "the ring kept every event"
+        );
+        let log: Vec<String> = events.iter().map(event_json).collect();
         let decisions = log
-            .lines()
+            .iter()
             .filter(|l| l.contains("\"ev\":\"governor\""))
             .count();
         assert_eq!(decisions, run.subframes, "one decision per subframe");
-        assert!(log.contains("\"policy\":\"NAP\""));
+        assert!(log.iter().any(|l| l.contains("\"policy\":\"NAP\"")));
     }
 
     #[test]

@@ -22,11 +22,9 @@
 //! Everything in `SOAK.json`, the rolling `SOAK.jsonl` stream and the
 //! OpenMetrics export derives from the seeded simulation and bit-exact
 //! receiver decodes — two identical soaks serialize byte-identical
-//! artefacts at any host worker count. Wall-clock host telemetry
-//! (per-stage decode histograms, pool park/queue-depth
-//! distributions) is collected by a separate bounded burst on the real
-//! pool and written to its own host-metrics file, excluded from the
-//! determinism contract.
+//! artefacts. A soak reads no wall clock and starts no worker pool:
+//! host time is measured on the real receiver workloads (`lte_bench`,
+//! `lte-sim trace --metrics`), not here.
 
 use std::collections::HashMap;
 
@@ -35,18 +33,14 @@ use lte_dsp::Xoshiro256;
 use lte_fault::FaultPlan;
 use lte_obs::{
     f64_json, EblerAccumulator, EblerSurface, Histogram, HistogramSnapshot, MetricsRegistry,
-    OpenMetrics, SloSpec, SloTracker, WindowAggregate, WindowObservation, WindowVerdict,
+    OpenMetrics, SloSpec, SloTracker, WindowObservation, WindowVerdict,
 };
 use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
-use lte_phy::receiver::{process_user_pooled, process_user_traced};
-use lte_phy::trace::StageHists;
+use lte_phy::receiver::process_user_pooled;
 use lte_phy::tx::synthesize_user;
-use lte_phy::StageTimer;
 use lte_power::{NapPolicy, PowerWindows};
 use lte_sched::cycles::shed_order;
 use lte_sched::sim::{SessionProgress, Simulator, SubframeLoad};
-use lte_sched::{PoolError, PoolTelemetry, TaskPool};
-use std::sync::Arc;
 
 use crate::experiments::ExperimentContext;
 
@@ -66,15 +60,12 @@ const NOMINAL_SNR_DB: f64 = 30.0;
 /// fail here, so chaos soaks measure a real nonzero BLER.
 const BURST_SNR_DB: f32 = -12.0;
 
-/// Decode repetitions per user in the host-metrics burst.
-const HOST_BURST_REPS: usize = 32;
-
 /// Everything the soak needs to know up front.
 #[derive(Clone, Copy, Debug)]
 pub struct SoakConfig {
     /// Subframes to drive through the DES session.
     pub subframes: usize,
-    /// Window length in subframes.
+    /// Window length in subframes; [`run_soak`] rejects 0.
     pub window: usize,
     /// Parameter-model / fault-plan seed.
     pub seed: u64,
@@ -82,8 +73,6 @@ pub struct SoakConfig {
     pub policy: NapPolicy,
     /// Inject the seeded fault plan (noise bursts, dead core, panics).
     pub chaos: bool,
-    /// Host workers for the wall-clock telemetry burst (0 = skip).
-    pub host_workers: usize,
 }
 
 impl SoakConfig {
@@ -91,7 +80,7 @@ impl SoakConfig {
     pub fn new(subframes: usize, window: usize, seed: u64) -> Self {
         Self {
             subframes,
-            window: window.max(1),
+            window,
             seed,
             // NONAP default: the ungoverned receiver meets its deadline
             // at every load the ramp offers headroom for, so a healthy
@@ -100,7 +89,6 @@ impl SoakConfig {
             // select them explicitly to soak that regime.
             policy: NapPolicy::NoNap,
             chaos: false,
-            host_workers: 0,
         }
     }
 }
@@ -182,6 +170,12 @@ impl SoakReport {
         self.violating_windows == 0
     }
 
+    /// Subframes the closed windows cover: the configured length, or
+    /// fewer when the soak was stopped early.
+    pub(crate) fn subframes(&self) -> u64 {
+        self.windows.iter().map(|w| w.subframes).sum()
+    }
+
     /// Renders the full deterministic report.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -233,7 +227,7 @@ impl SoakReport {
     /// The deterministic OpenMetrics exposition of the whole run.
     pub fn to_openmetrics(&self) -> String {
         let registry = MetricsRegistry::new();
-        registry.set_counter("soak.subframes", self.config.subframes as u64);
+        registry.set_counter("soak.subframes", self.subframes());
         registry.set_counter("soak.jobs", self.latency.count);
         let (mut misses, mut shed) = (0u64, 0u64);
         for w in &self.windows {
@@ -268,9 +262,6 @@ pub struct SoakArtifacts {
     pub jsonl: String,
     /// The OpenMetrics exposition.
     pub openmetrics: String,
-    /// Wall-clock host telemetry (stage + pool histograms), when the
-    /// host burst ran. NOT part of the determinism contract.
-    pub host_json: Option<String>,
 }
 
 /// Outcome of one cached receiver decode.
@@ -376,8 +367,7 @@ pub type WindowSink<'a> = &'a mut dyn FnMut(&SoakWindow, &str);
 ///
 /// # Errors
 ///
-/// Returns the pool-spawn error message when the host-metrics burst
-/// cannot start its worker pool.
+/// Returns a message naming the field when `cfg.window` is 0.
 pub fn run_soak(
     cfg: &SoakConfig,
     on_window: Option<WindowSink<'_>>,
@@ -399,6 +389,9 @@ pub fn run_soak_with_stop(
     mut on_window: Option<WindowSink<'_>>,
     stop: &dyn Fn() -> bool,
 ) -> Result<SoakArtifacts, String> {
+    if cfg.window == 0 {
+        return Err("SoakConfig::window must be at least 1 subframe".into());
+    }
     let ctx = ExperimentContext {
         seed: cfg.seed,
         n_subframes: cfg.subframes,
@@ -601,72 +594,11 @@ pub fn run_soak_with_stop(
         mean_power_watts,
     };
     let openmetrics = soak.to_openmetrics();
-    let host_json = if cfg.host_workers > 0 {
-        Some(host_metrics_burst(cfg.host_workers).map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
     Ok(SoakArtifacts {
         jsonl,
         openmetrics,
-        host_json,
         report: soak,
     })
-}
-
-/// A bounded wall-clock burst on the real pool: decodes the steady-state
-/// users repeatedly with per-stage timing into [`StageHists`] and the
-/// pool's park/queue-depth telemetry attached, then serializes
-/// both. Host-time measurements live here and only here — they never
-/// touch the deterministic soak artefacts.
-fn host_metrics_burst(workers: usize) -> Result<String, PoolError> {
-    let pool = TaskPool::new(workers)?;
-    let telemetry = Arc::new(PoolTelemetry::new());
-    pool.attach_telemetry(Arc::clone(&telemetry));
-    let hists = Arc::new(StageHists::new());
-    let cell = CellConfig::default();
-    let planner = Arc::new(FftPlanner::new());
-    let inputs: Vec<Arc<lte_phy::grid::UserInput>> = crate::perf::steady_state_subframe()
-        .users
-        .iter()
-        .map(|u| {
-            let mut rng = Xoshiro256::seed_from_u64(u.prbs as u64);
-            Arc::new(synthesize_user(&cell, u, NOMINAL_SNR_DB, &mut rng))
-        })
-        .collect();
-    for _ in 0..HOST_BURST_REPS {
-        for input in &inputs {
-            let hists = Arc::clone(&hists);
-            let planner = Arc::clone(&planner);
-            let input = Arc::clone(input);
-            pool.spawn(move || {
-                let timer = StageTimer::histograms_only(&hists);
-                let result =
-                    process_user_traced(&cell, &input, TurboMode::Passthrough, &planner, &timer);
-                std::hint::black_box(&result);
-            });
-        }
-    }
-    pool.wait_all();
-
-    let mut out = String::from("{\"stages\":{");
-    let stages = hists.snapshot_nonempty();
-    for (i, (stage, snap)) in stages.iter().enumerate() {
-        out.push_str(&format!(
-            "\"{}\":{}{}",
-            stage.name(),
-            snap.to_json(),
-            if i + 1 < stages.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("},\"pool\":{");
-    out.push_str(&format!(
-        "\"park_nanos\":{},\"queue_depth\":{}",
-        telemetry.park_nanos.snapshot().to_json(),
-        telemetry.queue_depth.snapshot().to_json(),
-    ));
-    out.push_str("}}\n");
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -763,16 +695,17 @@ mod tests {
     }
 
     #[test]
-    fn host_burst_is_separate_and_optional() {
-        let cfg = SoakConfig {
-            host_workers: 2,
-            ..tiny(60, 30)
-        };
-        let art = run_soak(&cfg, None).expect("soak runs");
-        let host = art.host_json.expect("burst ran");
-        assert!(host.contains("\"stages\""));
-        assert!(host.contains("\"queue_depth\""));
-        // The deterministic artefacts never reference host time.
-        assert!(!art.report.to_json().contains("stages"));
+    fn zero_window_is_an_error_not_a_panic() {
+        // The struct literal and the constructor reject it alike.
+        for cfg in [
+            SoakConfig {
+                window: 0,
+                ..tiny(10, 1)
+            },
+            tiny(10, 0),
+        ] {
+            let err = run_soak(&cfg, None).err().expect("window 0 is rejected");
+            assert!(err.contains("window"), "{err}");
+        }
     }
 }

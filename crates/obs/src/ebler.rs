@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::metrics::f64_json;
-use crate::window::WindowAggregate;
 
 /// Live per-stream tallies. All updates are relaxed atomics.
 struct StreamAccum {
@@ -120,6 +119,11 @@ impl EblerAccumulator {
         self.build(false)
     }
 
+    /// Copies the surface and resets every stream for the next window.
+    pub fn snapshot_and_reset(&self) -> EblerSurface {
+        self.build(true)
+    }
+
     fn build(&self, reset: bool) -> EblerSurface {
         let streams: Vec<StreamEbler> = self.streams.iter().map(|s| s.snapshot(reset)).collect();
         let mut total_counts = (0u64, 0u64, 0u64, 0u64, u64::MAX, 0u64);
@@ -142,14 +146,6 @@ impl EblerAccumulator {
             total_counts.5,
         );
         EblerSurface { streams, total }
-    }
-}
-
-impl WindowAggregate for EblerAccumulator {
-    type Snapshot = EblerSurface;
-
-    fn snapshot_and_reset(&self) -> EblerSurface {
-        self.build(true)
     }
 }
 
@@ -266,42 +262,25 @@ impl EblerSurface {
     }
 }
 
-/// A labelled bank of EBLER accumulators — one per cell — plus a
-/// running aggregate, all recordable concurrently from worker threads.
-/// This is the multi-cell measurement surface: the deployment layer
-/// records each decode under its cell's label, and the snapshot yields
+/// A bank of EBLER accumulators — one per cell — plus a running
+/// aggregate, all recordable concurrently from worker threads. This is
+/// the multi-cell measurement surface: the deployment layer records
+/// each decode under its cell's index, and the snapshot yields
 /// one FetchStruct-shaped [`EblerSurface`] per cell plus the
 /// deployment-wide aggregate (the "all cells folded together" block a
 /// tester would read off the instrument).
 pub struct EblerBank {
-    cells: Vec<(String, EblerAccumulator)>,
+    cells: Vec<EblerAccumulator>,
     aggregate: EblerAccumulator,
 }
 
 impl EblerBank {
-    /// A bank with one accumulator of `streams` streams per label.
-    pub fn new<L: Into<String>>(labels: impl IntoIterator<Item = L>, streams: usize) -> Self {
+    /// A bank of `cells` accumulators of `streams` streams each.
+    pub fn new(cells: usize, streams: usize) -> Self {
         Self {
-            cells: labels
-                .into_iter()
-                .map(|l| (l.into(), EblerAccumulator::new(streams)))
-                .collect(),
+            cells: (0..cells).map(|_| EblerAccumulator::new(streams)).collect(),
             aggregate: EblerAccumulator::new(streams),
         }
-    }
-
-    /// Number of labelled cells.
-    pub fn cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The label of cell `cell`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn label(&self, cell: usize) -> &str {
-        &self.cells[cell].0
     }
 
     /// Records one decode outcome under `cell` and in the aggregate.
@@ -311,9 +290,7 @@ impl EblerBank {
     /// Panics if `cell` or `stream` is out of range.
     #[inline]
     pub fn record_decode(&self, cell: usize, stream: usize, crc_ok: bool, payload_bits: u64) {
-        self.cells[cell]
-            .1
-            .record_decode(stream, crc_ok, payload_bits);
+        self.cells[cell].record_decode(stream, crc_ok, payload_bits);
         self.aggregate.record_decode(stream, crc_ok, payload_bits);
     }
 
@@ -325,7 +302,7 @@ impl EblerBank {
     /// Panics if `cell` or `stream` is out of range.
     #[inline]
     pub fn record_dtx(&self, cell: usize, stream: usize) {
-        self.cells[cell].1.record_dtx(stream);
+        self.cells[cell].record_dtx(stream);
         self.aggregate.record_dtx(stream);
     }
 
@@ -335,32 +312,12 @@ impl EblerBank {
     ///
     /// Panics if `cell` is out of range.
     pub fn cell_snapshot(&self, cell: usize) -> EblerSurface {
-        self.cells[cell].1.snapshot()
+        self.cells[cell].snapshot()
     }
 
     /// The deployment-wide aggregate surface.
     pub fn aggregate_snapshot(&self) -> EblerSurface {
         self.aggregate.snapshot()
-    }
-
-    /// Deterministic JSON:
-    /// `{"aggregate":{...},"cells":[{"label":"...","ebler":{...}},...]}`.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|(label, acc)| {
-                format!(
-                    "{{\"label\":\"{label}\",\"ebler\":{}}}",
-                    acc.snapshot().to_json()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"aggregate\":{},\"cells\":[{}]}}",
-            self.aggregate.snapshot().to_json(),
-            cells.join(",")
-        )
     }
 }
 
@@ -412,12 +369,10 @@ mod tests {
 
     #[test]
     fn bank_splits_per_cell_and_aggregates() {
-        let bank = EblerBank::new(["cell0", "cell1"], 2);
+        let bank = EblerBank::new(2, 2);
         bank.record_decode(0, 0, true, 1_000);
         bank.record_decode(1, 0, false, 0);
         bank.record_dtx(1, 1);
-        assert_eq!(bank.cells(), 2);
-        assert_eq!(bank.label(1), "cell1");
         let c0 = bank.cell_snapshot(0);
         let c1 = bank.cell_snapshot(1);
         assert_eq!(c0.total.ack, 1);
@@ -428,10 +383,6 @@ mod tests {
         assert_eq!(agg.total.measured(), 3);
         assert_eq!(agg.total.ack, 1);
         assert_eq!(agg.total.crc_fail, 1);
-        let json = bank.to_json();
-        assert!(json.starts_with("{\"aggregate\":{\"total\":{\"ack\":1,"));
-        assert!(json.contains("\"label\":\"cell0\""));
-        assert!(json.contains("\"label\":\"cell1\""));
     }
 
     #[test]

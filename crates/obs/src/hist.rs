@@ -93,18 +93,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records `n` occurrences of `v` with the same cost as one.
-    #[inline]
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.read(|b| b.load(Ordering::Relaxed), false)
@@ -234,19 +222,6 @@ impl HistogramSnapshot {
             };
             self.max = self.max.max(other.max);
         }
-    }
-
-    /// Non-empty buckets as `(lower, upper, count)` triples, in value
-    /// order — the sparse form exporters iterate.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bucket_bounds(i);
-                (lo, hi, c)
-            })
     }
 
     /// One-line JSON summary with fixed keys and canonical quantiles —
@@ -392,19 +367,6 @@ mod tests {
             "{\"count\":2,\"sum\":30,\"min\":10,\"max\":20,\"mean\":15.0,\
              \"p50\":10,\"p90\":20,\"p99\":20,\"p999\":20}"
         );
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record_n(12_345, 4);
-        for _ in 0..4 {
-            b.record(12_345);
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
-        a.record_n(1, 0);
-        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]

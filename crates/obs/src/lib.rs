@@ -4,8 +4,9 @@
 //!
 //! * [`event`] / [`recorder`] — a flat [`Event`](event::Event) enum and
 //!   the [`Recorder`](recorder::Recorder) trait with a zero-overhead
-//!   [`NoopRecorder`](recorder::NoopRecorder) default plus ring-buffer
-//!   and JSON-lines sinks. Instrumented crates (`lte-sched`, `lte-phy`,
+//!   [`NoopRecorder`](recorder::NoopRecorder) default plus a
+//!   ring-buffer sink and the [`event_json`](recorder::event_json)
+//!   one-line rendering. Instrumented crates (`lte-sched`, `lte-phy`,
 //!   `lte-power`) are generic over `R: Recorder`, so disabled tracing
 //!   compiles away entirely.
 //! * [`metrics`] — a flat [`MetricsRegistry`](metrics::MetricsRegistry)
@@ -17,10 +18,9 @@
 //! The continuous-telemetry layer adds four more:
 //!
 //! * [`hist`] — lock-free, zero-alloc-on-record HDR-style
-//!   [`Histogram`](hist::Histogram)s with mergeable snapshots.
-//! * [`window`] — [`WindowAggregate`](window::WindowAggregate): live
-//!   histograms, counters and EBLER accumulators drained into
-//!   per-window snapshots off the hot path.
+//!   [`Histogram`](hist::Histogram)s with mergeable snapshots, drained
+//!   per window by `snapshot_and_reset` off the hot path (the EBLER
+//!   accumulator drains the same way).
 //! * [`slo`] — [`SloSpec`](slo::SloSpec)/[`SloTracker`](slo::SloTracker)
 //!   budget evaluation with burn rates.
 //! * [`ebler`] — the R&S-`FetchStruct`-shaped
@@ -37,7 +37,6 @@ pub mod perfetto;
 pub mod recorder;
 pub mod service;
 pub mod slo;
-pub mod window;
 
 pub use ebler::{EblerAccumulator, EblerBank, EblerSurface, StreamEbler};
 pub use event::{CoreState, Event, FaultKind, Stage};
@@ -45,10 +44,9 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{f64_json, MetricValue, MetricsRegistry};
 pub use openmetrics::{sanitize_metric_name, OpenMetrics};
 pub use perfetto::PerfettoExporter;
-pub use recorder::{event_json, JsonLinesRecorder, NoopRecorder, Recorder, RingRecorder};
+pub use recorder::{event_json, NoopRecorder, Recorder, RingRecorder};
 pub use service::{ServiceCounters, ServiceSnapshot};
 pub use slo::{SloSpec, SloTracker, SloViolation, WindowObservation, WindowVerdict};
-pub use window::{Counter, WindowAggregate};
 
 impl<R: Recorder> Recorder for &R {
     fn enabled(&self) -> bool {

@@ -54,18 +54,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to the counter `name`, creating it at zero first.
-    pub fn add_counter(&self, name: &str, delta: u64) {
-        let mut values = self.values.lock().unwrap_or_else(|e| e.into_inner());
-        match values
-            .entry(name.to_string())
-            .or_insert(MetricValue::Counter(0))
-        {
-            MetricValue::Counter(v) => *v += delta,
-            MetricValue::Gauge(_) => panic!("metric {name} is a gauge, not a counter"),
-        }
-    }
-
     /// Sets the counter `name` to an absolute value.
     pub fn set_counter(&self, name: &str, value: u64) {
         self.values
@@ -163,18 +151,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let m = MetricsRegistry::new();
-        m.add_counter("worker.0.steals", 2);
-        m.add_counter("worker.0.steals", 3);
-        assert_eq!(m.get("worker.0.steals"), Some(MetricValue::Counter(5)));
-    }
-
-    #[test]
     fn json_is_sorted_and_stable() {
         let m = MetricsRegistry::new();
         m.set_gauge("b.activity", 0.5);
-        m.add_counter("a.count", 7);
+        m.set_counter("a.count", 7);
         m.set_gauge("c.whole", 12.0);
         assert_eq!(
             m.to_json(),
@@ -221,13 +201,5 @@ mod tests {
         let m = MetricsRegistry::new();
         assert!(m.is_empty());
         assert_eq!(m.to_json(), "{\n}\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "gauge, not a counter")]
-    fn type_confusion_is_rejected() {
-        let m = MetricsRegistry::new();
-        m.set_gauge("x", 1.0);
-        m.add_counter("x", 1);
     }
 }

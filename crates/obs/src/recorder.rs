@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and its three implementations.
+//! The [`Recorder`] trait, its two implementations and [`event_json`].
 //!
 //! Instrumented code is generic over `R: Recorder` and guards every
 //! emission with [`Recorder::enabled`]; with the default
@@ -113,46 +113,6 @@ impl Recorder for RingRecorder {
     }
 }
 
-/// Formats every event as one JSON object per line, in memory.
-///
-/// The line format is stable and append-only; `into_string` yields the
-/// whole log for writing to a `.jsonl` file. Formatting uses only
-/// integer and shortest-round-trip float printing, so identical runs
-/// produce byte-identical logs.
-#[derive(Default)]
-pub struct JsonLinesRecorder {
-    lines: Mutex<String>,
-}
-
-impl JsonLinesRecorder {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated JSON-lines log.
-    pub fn into_string(self) -> String {
-        self.lines.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Number of lines recorded so far.
-    pub fn len(&self) -> usize {
-        self.lines
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lines()
-            .count()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lines
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
-    }
-}
-
 /// Renders one event as a single-line JSON object.
 pub fn event_json(event: &Event) -> String {
     match event {
@@ -237,19 +197,6 @@ pub fn event_json(event: &Event) -> String {
     }
 }
 
-impl Recorder for JsonLinesRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&self, event: Event) {
-        let line = event_json(&event);
-        let mut lines = self.lines.lock().unwrap_or_else(|e| e.into_inner());
-        lines.push_str(&line);
-        lines.push('\n');
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,20 +251,18 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_format_is_stable() {
-        let r = JsonLinesRecorder::new();
-        r.record(span(7));
-        r.record(Event::Sample {
-            series: "power",
-            index: 2,
-            value: 16.5,
-        });
-        assert_eq!(r.len(), 2);
-        let text = r.into_string();
+    fn event_json_format_is_stable() {
         assert_eq!(
-            text,
-            "{\"ev\":\"core\",\"core\":0,\"state\":\"busy\",\"start\":7,\"end\":8,\"stage\":\"combine\",\"subframe\":3}\n\
-             {\"ev\":\"sample\",\"series\":\"power\",\"index\":2,\"value\":16.5}\n"
+            event_json(&span(7)),
+            "{\"ev\":\"core\",\"core\":0,\"state\":\"busy\",\"start\":7,\"end\":8,\"stage\":\"combine\",\"subframe\":3}"
+        );
+        assert_eq!(
+            event_json(&Event::Sample {
+                series: "power",
+                index: 2,
+                value: 16.5,
+            }),
+            "{\"ev\":\"sample\",\"series\":\"power\",\"index\":2,\"value\":16.5}"
         );
     }
 

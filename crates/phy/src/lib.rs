@@ -59,4 +59,4 @@ pub mod verify;
 
 pub use params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
 pub use receiver::{process_user, UserResult};
-pub use trace::{StageHists, StageTimer};
+pub use trace::StageTimer;

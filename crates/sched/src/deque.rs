@@ -48,11 +48,6 @@ impl<T> Deque<T> {
         self.lock().pop_front()
     }
 
-    /// Queued items (a racy point-in-time sample).
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-
     pub(crate) fn is_empty(&self) -> bool {
         self.lock().is_empty()
     }

@@ -39,8 +39,8 @@ pub mod sim;
 pub use cycles::{CostModel, SimJob};
 pub use ingest::{IngestQueue, PushError};
 pub use pool::{
-    host_parallelism, silence_injected_panics, InjectedPanic, PoolError, PoolHandle, PoolTelemetry,
-    TaskPool, WorkerKill, WorkerSnapshot,
+    host_parallelism, silence_injected_panics, InjectedPanic, PoolError, PoolHandle, TaskPool,
+    WorkerKill, WorkerSnapshot,
 };
 pub use shard::interleave_shards;
 pub use sim::{NapMode, SimBoundary, SimConfig, SimReport, SimSession, Simulator, SubframeLoad};

@@ -39,11 +39,11 @@
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lte_obs::{Histogram, MetricsRegistry};
+use lte_obs::MetricsRegistry;
 
 use crate::deque::Deque;
 
@@ -178,27 +178,6 @@ pub struct WorkerSnapshot {
     pub parks: u64,
 }
 
-/// Distribution telemetry for the pool: lock-free histograms fed from
-/// the workers' hot paths once attached via
-/// [`TaskPool::attach_telemetry`]. Detached pools pay one relaxed
-/// atomic load per potential record site and nothing else.
-#[derive(Default)]
-pub struct PoolTelemetry {
-    /// Nanoseconds per worker park: idle-backoff parks and governor
-    /// naps alike.
-    pub park_nanos: Histogram,
-    /// Global-queue depth sampled at every push from a thread that is
-    /// not one of the pool's workers.
-    pub queue_depth: Histogram,
-}
-
-impl PoolTelemetry {
-    /// Empty histograms.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 struct Inner {
     /// The global user queue, fed by every thread that is not one of
     /// this pool's workers.
@@ -226,8 +205,6 @@ struct Inner {
     /// `(instant, busy_nanos)` at the previous boundary measurement, for
     /// [`TaskPool::boundary_activity`].
     boundary: Mutex<(Instant, u64)>,
-    /// Distribution telemetry, attached at most once after construction.
-    telemetry: OnceLock<Arc<PoolTelemetry>>,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
     done_lock: Mutex<()>,
@@ -331,9 +308,6 @@ fn spawn_inner(inner: &Inner, task: Task) {
         }
         None => {
             inner.global.push(task);
-            if let Some(t) = inner.telemetry.get() {
-                t.queue_depth.record(inner.global.len() as u64);
-            }
             inner.wake_idle();
         }
     }
@@ -421,7 +395,6 @@ impl TaskPool {
             active_limit: AtomicUsize::new(n_workers),
             governor_parked_nanos: AtomicU64::new(0),
             boundary: Mutex::new((Instant::now(), 0)),
-            telemetry: OnceLock::new(),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             done_lock: Mutex::new(()),
@@ -463,13 +436,6 @@ impl TaskPool {
             inner: Arc::clone(&self.inner),
             n_workers: self.n_workers,
         }
-    }
-
-    /// Attaches distribution telemetry (park durations, global-queue
-    /// depth). At most one sink per pool; a second attach returns
-    /// `false` and the original keeps recording.
-    pub fn attach_telemetry(&self, telemetry: Arc<PoolTelemetry>) -> bool {
-        self.inner.telemetry.set(telemetry).is_ok()
     }
 
     /// Spawns a detached task: no thread blocks on its completion, but
@@ -718,13 +684,9 @@ fn worker_loop(inner: &Inner, index: usize) {
             }
             drop(guard);
             inner.idle_workers.fetch_sub(1, Ordering::SeqCst);
-            let parked_ns = park_start.elapsed().as_nanos() as u64;
             inner
                 .governor_parked_nanos
-                .fetch_add(parked_ns, Ordering::Relaxed);
-            if let Some(t) = inner.telemetry.get() {
-                t.park_nanos.record(parked_ns);
-            }
+                .fetch_add(park_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             continue;
         }
         if let Some(t) = inner.find_task(index) {
@@ -748,11 +710,7 @@ fn worker_loop(inner: &Inner, index: usize) {
         let mut guard = lock(&inner.idle_lock);
         if inner.global.is_empty() && !inner.shutdown.load(Ordering::SeqCst) {
             stats.parks.fetch_add(1, Ordering::Relaxed);
-            let park_start = Instant::now();
             guard = wait(&inner.idle_cv, guard, timeout);
-            if let Some(t) = inner.telemetry.get() {
-                t.park_nanos.record(park_start.elapsed().as_nanos() as u64);
-            }
         }
         drop(guard);
         inner.idle_workers.fetch_sub(1, Ordering::SeqCst);
@@ -776,28 +734,6 @@ mod tests {
                 handle.spawn(move || child());
             }
         });
-    }
-
-    #[test]
-    fn telemetry_observes_queue_depth_and_steals() {
-        let pool = TaskPool::new(4).unwrap();
-        let telemetry = Arc::new(PoolTelemetry::new());
-        assert!(pool.attach_telemetry(Arc::clone(&telemetry)));
-        // Second sink is refused; the first keeps recording.
-        assert!(!pool.attach_telemetry(Arc::new(PoolTelemetry::new())));
-        for _ in 0..64 {
-            fan_out(&pool, 8, || std::hint::black_box(()));
-        }
-        pool.wait_all();
-        let depth = telemetry.queue_depth.snapshot();
-        assert_eq!(
-            depth.count, 64,
-            "one depth sample per root task; children spawned on workers add none"
-        );
-        // Parks/steals depend on timing; the histograms must simply be
-        // well-formed (recording crashed nothing, counts are coherent).
-        let parks = telemetry.park_nanos.snapshot();
-        assert!(parks.quantile(0.99) >= parks.min);
     }
 
     #[test]

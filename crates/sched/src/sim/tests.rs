@@ -590,7 +590,7 @@ mod per_core_tests {
 #[cfg(test)]
 mod obs_tests {
     use super::*;
-    use lte_obs::{JsonLinesRecorder, RingRecorder};
+    use lte_obs::{event_json, RingRecorder};
 
     fn cfg(policy: NapMode) -> SimConfig {
         SimConfig {
@@ -696,19 +696,25 @@ mod obs_tests {
     #[test]
     fn tracing_does_not_change_results() {
         let plain = Simulator::new(cfg(NapMode::NAP_IDLE)).run(&loads(20, 1_500, 3));
-        let recorder = JsonLinesRecorder::new();
+        let recorder = RingRecorder::new(1 << 20);
         let traced =
             Simulator::with_recorder(cfg(NapMode::NAP_IDLE), &recorder).run(&loads(20, 1_500, 3));
         assert_eq!(plain, traced);
-        assert!(!recorder.is_empty());
+        assert!(recorder.total_recorded() > 0);
     }
 
     #[test]
     fn identical_runs_record_identical_traces() {
         let trace_of = || {
-            let r = JsonLinesRecorder::new();
+            let r = RingRecorder::new(1 << 20);
             Simulator::with_recorder(cfg(NapMode::NAP_IDLE), &r).run(&loads(15, 1_500, 3));
-            r.into_string()
+            let events = r.events();
+            assert_eq!(
+                events.len() as u64,
+                r.total_recorded(),
+                "the ring kept every event"
+            );
+            events.iter().map(event_json).collect::<Vec<_>>()
         };
         assert_eq!(trace_of(), trace_of());
     }
