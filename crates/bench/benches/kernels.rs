@@ -12,6 +12,7 @@ use lte_dsp::fft::{Direction, FftPlan, FftPlanner};
 use lte_dsp::llr::demap_block;
 use lte_dsp::matched_filter::matched_filter;
 use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
+use lte_dsp::simd::force_scalar;
 use lte_dsp::turbo::{TurboDecoder, TurboEncoder};
 use lte_dsp::zadoff_chu::ReferenceSequence;
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
@@ -109,11 +110,14 @@ fn bench_serial_tail() {
     bench("gold_warmup", || GoldSequence::new(black_box(0x1234_5678)));
 }
 
-/// One slot's MMSE weights over 600 subcarriers (50 PRB) at 4 antennas.
+/// One slot's MMSE weights at 4 antennas: 600 subcarriers (50 PRB) at
+/// 1, 2, 4 and 3 layers, then 180 subcarriers at 4 layers (`steady100`'s
+/// 15-PRB user, whose last lane group is a 4-subcarrier tail). Each row
+/// runs on the vector dispatch, then forced scalar (`/scalar`).
 fn bench_mmse_weights() {
-    let (n_rx, n_sc) = (4, 600);
+    let n_rx = 4;
     let mut rng = Xoshiro256::seed_from_u64(15);
-    for layers in [1usize, 2, 4] {
+    for (layers, n_sc) in [(1usize, 600usize), (2, 600), (4, 600), (3, 600), (4, 180)] {
         let channel = MimoChannel::randomize(n_rx, layers, 3, &mut rng);
         let mut est = ChannelEstimate::empty(n_rx, layers, n_sc);
         for rx in 0..n_rx {
@@ -123,9 +127,14 @@ fn bench_mmse_weights() {
         }
         let mut weights = CombinerWeights::empty();
         let mut scratch = MmseScratch::new();
-        bench(&format!("mmse_weights_{layers}layer_600sc"), || {
-            weights.compute(black_box(&est), 0.05, &mut scratch)
-        });
+        for (scalar, suffix) in [(false, ""), (true, "/scalar")] {
+            force_scalar(scalar);
+            bench(
+                &format!("mmse_weights_{layers}layer_{n_sc}sc{suffix}"),
+                || weights.compute(black_box(&est), 0.05, &mut scratch),
+            );
+        }
+        force_scalar(false);
     }
 }
 

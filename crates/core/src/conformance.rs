@@ -257,6 +257,17 @@ fn estimate_vector() -> KernelVector {
     }
 }
 
+/// Every weight in (subcarrier, layer, antenna) order.
+fn hash_weights_by_subcarrier(h: &mut Fnv1a, weights: &CombinerWeights) {
+    for sc in 0..weights.n_sc() {
+        for layer in 0..weights.n_layers() {
+            for rx in 0..weights.n_rx() {
+                hash_c32(h, &weights.lane(layer, rx)[sc..=sc]);
+            }
+        }
+    }
+}
+
 fn mmse_vector() -> KernelVector {
     let (cell, input) = conformance_input();
     let planner = FftPlanner::new();
@@ -267,11 +278,7 @@ fn mmse_vector() -> KernelVector {
         let est = estimate_slot(&cell, &input, slot, &planner);
         weights.compute(&est, input.noise_var, &mut scratch);
         h.write_u64(slot as u64);
-        for sc in 0..weights.n_sc() {
-            for layer in 0..weights.n_layers() {
-                hash_c32(&mut h, weights.row(sc, layer));
-            }
-        }
+        hash_weights_by_subcarrier(&mut h, &weights);
     }
     KernelVector {
         kernel: "mmse-weights".to_string(),
@@ -305,11 +312,7 @@ fn mmse_shapes_vector() -> KernelVector {
                 weights.compute(est, noise_var, &mut scratch);
                 h.write_u64(n_rx as u64);
                 h.write_u64(n_layers as u64);
-                for sc in 0..n_sc {
-                    for layer in 0..n_layers {
-                        hash_c32(&mut h, weights.row(sc, layer));
-                    }
-                }
+                hash_weights_by_subcarrier(&mut h, &weights);
                 for layer in 0..n_layers {
                     for rx in 0..n_rx {
                         hash_c32(&mut h, weights.lane(layer, rx));
@@ -320,6 +323,51 @@ fn mmse_shapes_vector() -> KernelVector {
     }
     KernelVector {
         kernel: "mmse-weights-shapes".to_string(),
+        hash: h.finish(),
+    }
+}
+
+/// MMSE weights across the eight-subcarrier lane groups of the vector
+/// solve: widths whose last group is a 4-subcarrier tail and widths with
+/// none, at every antenna × layer shape, with one all-zero subcarrier and
+/// one overflowing (±1e20) subcarrier placed inside full groups and a
+/// zero subcarrier in the tail. Each estimate is solved at a seeded noise
+/// and at 1e-12, where the zero subcarrier takes the matched-filter
+/// fallback; the overflowing one yields non-finite weights at both.
+fn mmse_lanes_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x1A4E);
+    let mut h = Fnv1a::new();
+    let mut weights = CombinerWeights::empty();
+    let mut scratch = MmseScratch::new();
+    for n_sc in [12, 36, 48, 60, 180, 300] {
+        for n_rx in [1, 2, 4, 8] {
+            for n_layers in 1..=4 {
+                let channel = MimoChannel::randomize(n_rx, n_layers, 3, &mut rng);
+                let mut est = ChannelEstimate::empty(n_rx, n_layers, n_sc);
+                let overflow_sc = if n_sc > 16 { 13 } else { 5 };
+                for rx in 0..n_rx {
+                    for layer in 0..n_layers {
+                        let path = est.path_mut(rx, layer);
+                        *path = channel.frequency_response(rx, layer, n_sc);
+                        path[2] = Complex32::ZERO;
+                        path[n_sc - 1] = Complex32::ZERO;
+                        let sign = |bit: u32| if bit == 0 { 1.0e20 } else { -1.0e20 };
+                        let bits = rng.next_u32();
+                        path[overflow_sc] = Complex32::new(sign(bits & 1), sign(bits & 2));
+                    }
+                }
+                for noise_var in [0.01 + rng.next_f32() * 0.2, 1e-12] {
+                    weights.compute(&est, noise_var, &mut scratch);
+                    h.write_u64(n_sc as u64);
+                    h.write_u64(n_rx as u64);
+                    h.write_u64(n_layers as u64);
+                    hash_weights_by_subcarrier(&mut h, &weights);
+                }
+            }
+        }
+    }
+    KernelVector {
+        kernel: "mmse-weights-lanes".to_string(),
         hash: h.finish(),
     }
 }
@@ -691,6 +739,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         estimate_vector(),
         mmse_vector(),
         mmse_shapes_vector(),
+        mmse_lanes_vector(),
         demap_vector(false),
         demap_vector(true),
         segmentation_rate_match_vector(),

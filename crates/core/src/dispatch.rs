@@ -473,9 +473,7 @@ fn estimate_task(
         // SAFETY: the counter joined every writer of this slot's range;
         // other slots' writers touch disjoint ranges.
         let flat = unsafe { graph.est_buf.slice_mut(base, n_rx * n_layers * n_sc) };
-        let w = UserScratch::with(|s| {
-            s.weights_from_flat_estimate(n_rx, n_layers, n_sc, flat, graph.input.noise_var)
-        });
+        let w = CombinerWeights::from_flat(n_rx, n_layers, n_sc, flat, graph.input.noise_var);
         assert!(
             graph.weights[slot].set(w).is_ok(),
             "weights are computed once per slot"

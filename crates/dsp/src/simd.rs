@@ -318,6 +318,54 @@ pub(crate) fn demap_block_maxlog(
     }
 }
 
+/// MMSE combiner weights `W = (ĤᴴĤ + σ²I)⁻¹Ĥᴴ` for the eight subcarriers
+/// `sc..sc + 8`, one per vector lane: each lane runs the exact operation
+/// sequence of `lte_phy`'s scalar per-subcarrier solve (Gram matrix,
+/// Gauss–Jordan inverse with partial pivoting, weight product).
+/// `paths[rx][layer]` is one estimated channel path; the weight of
+/// (layer, rx) at subcarrier `s` goes to `wt[(layer·n_rx + rx)·n_sc + s]`
+/// with `n_rx = paths.len()` and `n_sc = wt.len() / (L·n_rx)`.
+///
+/// Returns `false`, having written nothing, when the vector path is off,
+/// when any lane's Gram matrix is numerically singular (a pivot power
+/// below `1e-20`), or when any weight comes out non-finite: the caller
+/// then solves the group with the scalar reference, which owns the
+/// matched-filter fallback and every NaN bit pattern.
+///
+/// # Panics
+///
+/// On the vector path, panics unless `1 <= L <= 4`,
+/// `1 <= paths.len() <= 8`, `wt` splits into `L·n_rx` equal lanes, and
+/// every path and lane covers `sc..sc + 8`.
+pub fn mmse_weights8<const L: usize>(
+    paths: &[[&[Complex32]; L]],
+    sc: usize,
+    noise_var: f32,
+    wt: &mut [Complex32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if !simd_enabled() {
+            return false;
+        }
+        let n_rx = paths.len();
+        assert!((1..=4).contains(&L), "1 to 4 layers");
+        assert!((1..=8).contains(&n_rx), "1 to 8 antennas");
+        assert!(
+            wt.len().is_multiple_of(L * n_rx),
+            "weight lanes of equal length"
+        );
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`; the
+        // kernel reaches paths and weights through bounds-checked slices.
+        unsafe { x86::mmse_weights8::<L>(paths, sc, noise_var, wt) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (paths, sc, noise_var, wt);
+        false
+    }
+}
+
 /// The AVX2+FMA kernels. Every function is a line-by-line vector
 /// transcription of the scalar reference it replaces; comments in each
 /// note the scalar expression being reproduced.
@@ -969,6 +1017,293 @@ pub(crate) mod x86 {
                 }
                 i += 8;
             }
+        }
+    }
+
+    // ---- lane-batched MMSE solve ----
+    //
+    // Eight subcarriers of one complex matrix entry live in a `Lanes`
+    // pair (re×8, im×8), lane `s` being subcarrier `sc + s`. Every lane
+    // performs the scalar solve's IEEE operations in its order: a
+    // `mul_add` is the same two FMAs per part, a complex product the same
+    // unfused mul/mul/sub and mul/mul/add, a `== ZERO` skip a blend that
+    // keeps the old value, and a pivot row swap a blend on the per-lane
+    // pivot index chosen by the same strict `>` scan.
+
+    /// One complex matrix entry for eight subcarriers.
+    #[derive(Clone, Copy)]
+    struct Lanes {
+        re: __m256,
+        im: __m256,
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_zero() -> Lanes {
+        Lanes {
+            re: _mm256_setzero_ps(),
+            im: _mm256_setzero_ps(),
+        }
+    }
+
+    /// `z.conj()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_conj(z: Lanes) -> Lanes {
+        Lanes {
+            re: z.re,
+            im: _mm256_xor_ps(z.im, _mm256_set1_ps(-0.0)),
+        }
+    }
+
+    /// `acc.mul_add(a, b)`: `re = fma(a.re, b.re, fma(−a.im, b.im,
+    /// acc.re))`, `im = fma(a.re, b.im, fma(a.im, b.re, acc.im))`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_mul_add(acc: Lanes, a: Lanes, b: Lanes) -> Lanes {
+        let neg_a_im = _mm256_xor_ps(a.im, _mm256_set1_ps(-0.0));
+        Lanes {
+            re: _mm256_fmadd_ps(a.re, b.re, _mm256_fmadd_ps(neg_a_im, b.im, acc.re)),
+            im: _mm256_fmadd_ps(a.re, b.im, _mm256_fmadd_ps(a.im, b.re, acc.im)),
+        }
+    }
+
+    /// `a * b`, unfused: `re = a.re·b.re − a.im·b.im`,
+    /// `im = a.re·b.im + a.im·b.re`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_mul(a: Lanes, b: Lanes) -> Lanes {
+        Lanes {
+            re: _mm256_sub_ps(_mm256_mul_ps(a.re, b.re), _mm256_mul_ps(a.im, b.im)),
+            im: _mm256_add_ps(_mm256_mul_ps(a.re, b.im), _mm256_mul_ps(a.im, b.re)),
+        }
+    }
+
+    /// `a - b`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_sub(a: Lanes, b: Lanes) -> Lanes {
+        Lanes {
+            re: _mm256_sub_ps(a.re, b.re),
+            im: _mm256_sub_ps(a.im, b.im),
+        }
+    }
+
+    /// `z.norm_sqr()`: `re·re + im·im`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_norm_sqr(z: Lanes) -> __m256 {
+        _mm256_add_ps(_mm256_mul_ps(z.re, z.re), _mm256_mul_ps(z.im, z.im))
+    }
+
+    /// `z.inv()`: `(re / d, −im / d)` with `d = z.norm_sqr()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_inv(z: Lanes) -> Lanes {
+        unsafe {
+            let d = lanes_norm_sqr(z);
+            Lanes {
+                re: _mm256_div_ps(z.re, d),
+                im: _mm256_div_ps(_mm256_xor_ps(z.im, _mm256_set1_ps(-0.0)), d),
+            }
+        }
+    }
+
+    /// All-ones in the lanes where `z == Complex32::ZERO` (either sign of
+    /// zero in both parts).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_is_zero(z: Lanes) -> __m256 {
+        let zero = _mm256_setzero_ps();
+        _mm256_and_ps(
+            _mm256_cmp_ps::<_CMP_EQ_OQ>(z.re, zero),
+            _mm256_cmp_ps::<_CMP_EQ_OQ>(z.im, zero),
+        )
+    }
+
+    /// `old` in the lanes where `keep` is set, `new` elsewhere.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_keep(keep: __m256, old: Lanes, new: Lanes) -> Lanes {
+        Lanes {
+            re: _mm256_blendv_ps(new.re, old.re, keep),
+            im: _mm256_blendv_ps(new.im, old.im, keep),
+        }
+    }
+
+    /// Exchanges `a` and `b` in the lanes where `sel` is set.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_swap(sel: __m256, a: &mut Lanes, b: &mut Lanes) {
+        unsafe {
+            let (old_a, old_b) = (*a, *b);
+            *a = lanes_keep(sel, old_b, old_a);
+            *b = lanes_keep(sel, old_a, old_b);
+        }
+    }
+
+    /// Loads `path[sc..sc + 8]` as (re×8, im×8).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_load(path: &[Complex32], sc: usize) -> Lanes {
+        unsafe {
+            let p = path[sc..sc + 8].as_ptr();
+            let (re, im) = deinterleave8(load(p), load(p.add(4)));
+            Lanes { re, im }
+        }
+    }
+
+    /// Stores `z` to `out[..8]` as eight interleaved complex values.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lanes_store(out: &mut [Complex32], z: Lanes) {
+        unsafe {
+            let out = &mut out[..8];
+            // lo = (r0 i0 r1 i1 | r4 i4 r5 i5), hi = (r2 i2 r3 i3 | r6 i6 r7 i7).
+            let lo = _mm256_unpacklo_ps(z.re, z.im);
+            let hi = _mm256_unpackhi_ps(z.re, z.im);
+            store(out.as_mut_ptr(), _mm256_permute2f128_ps::<0x20>(lo, hi));
+            store(
+                out.as_mut_ptr().add(4),
+                _mm256_permute2f128_ps::<0x31>(lo, hi),
+            );
+        }
+    }
+
+    /// `combiner::solve` for eight subcarriers at once, `L` layers and
+    /// `paths.len()` antennas; see [`super::mmse_weights8`] for the layout
+    /// and the `false` cases.
+    ///
+    /// The inverse skips the columns of `a` left of the pivot column: the
+    /// scalar code updates them too, but nothing reads them again, so no
+    /// output bit depends on them.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2+FMA support.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::needless_range_loop)] // (row, column) index notation throughout
+    pub(super) unsafe fn mmse_weights8<const L: usize>(
+        paths: &[[&[Complex32]; L]],
+        sc: usize,
+        noise_var: f32,
+        wt: &mut [Complex32],
+    ) -> bool {
+        unsafe {
+            let n_rx = paths.len();
+            debug_assert!((1..=4).contains(&L) && (1..=8).contains(&n_rx));
+            let n_sc = wt.len() / (L * n_rx);
+            // h[rx][layer]; hh = hᴴ is read through `lanes_conj`.
+            let mut h = [[lanes_zero(); L]; 8];
+            for (row, path_row) in h.iter_mut().zip(paths) {
+                for (z, path) in row.iter_mut().zip(path_row) {
+                    *z = lanes_load(path, sc);
+                }
+            }
+            // Gram = hᴴh, skipping zero factors.
+            let mut a = [[lanes_zero(); L]; L];
+            for r in 0..L {
+                for k in 0..n_rx {
+                    let f = lanes_conj(h[k][r]);
+                    let skip = lanes_is_zero(f);
+                    for c in 0..L {
+                        let next = lanes_mul_add(a[r][c], f, h[k][c]);
+                        a[r][c] = lanes_keep(skip, a[r][c], next);
+                    }
+                }
+            }
+            // + σ²·I, as `+= Complex32::new(noise_var, 0.0)`.
+            for (i, row) in a.iter_mut().enumerate() {
+                row[i].re = _mm256_add_ps(row[i].re, _mm256_set1_ps(noise_var));
+                row[i].im = _mm256_add_ps(row[i].im, _mm256_setzero_ps());
+            }
+            // Gauss–Jordan with partial pivoting (`linalg::inverse`).
+            let mut inv = [[lanes_zero(); L]; L];
+            for (i, row) in inv.iter_mut().enumerate() {
+                row[i].re = _mm256_set1_ps(1.0);
+            }
+            for col in 0..L {
+                let mut best = lanes_norm_sqr(a[col][col]);
+                let mut pivot = _mm256_set1_ps(col as f32);
+                for r in col + 1..L {
+                    let mag = lanes_norm_sqr(a[r][col]);
+                    let better = _mm256_cmp_ps::<_CMP_GT_OQ>(mag, best);
+                    best = _mm256_blendv_ps(best, mag, better);
+                    pivot = _mm256_blendv_ps(pivot, _mm256_set1_ps(r as f32), better);
+                }
+                let singular = _mm256_cmp_ps::<_CMP_LT_OQ>(best, _mm256_set1_ps(1e-20));
+                if _mm256_movemask_ps(singular) != 0 {
+                    return false;
+                }
+                for r in col + 1..L {
+                    let sel = _mm256_cmp_ps::<_CMP_EQ_OQ>(pivot, _mm256_set1_ps(r as f32));
+                    if _mm256_movemask_ps(sel) == 0 {
+                        continue;
+                    }
+                    let (upper, lower) = a.split_at_mut(r);
+                    for c in col..L {
+                        lanes_swap(sel, &mut upper[col][c], &mut lower[0][c]);
+                    }
+                    let (upper, lower) = inv.split_at_mut(r);
+                    for c in 0..L {
+                        lanes_swap(sel, &mut upper[col][c], &mut lower[0][c]);
+                    }
+                }
+                let scale = lanes_inv(a[col][col]);
+                for c in col + 1..L {
+                    a[col][c] = lanes_mul(a[col][c], scale);
+                }
+                for c in 0..L {
+                    inv[col][c] = lanes_mul(inv[col][c], scale);
+                }
+                for r in 0..L {
+                    if r == col {
+                        continue;
+                    }
+                    let factor = a[r][col];
+                    let skip = lanes_is_zero(factor);
+                    for c in col + 1..L {
+                        let next = lanes_sub(a[r][c], lanes_mul(factor, a[col][c]));
+                        a[r][c] = lanes_keep(skip, a[r][c], next);
+                    }
+                    for c in 0..L {
+                        let next = lanes_sub(inv[r][c], lanes_mul(factor, inv[col][c]));
+                        inv[r][c] = lanes_keep(skip, inv[r][c], next);
+                    }
+                }
+            }
+            // W = inv·hᴴ, skipping zero factors; any non-finite weight
+            // sends the group to the scalar solve.
+            let mut w = [[lanes_zero(); 8]; L];
+            let mut bad = _mm256_setzero_ps();
+            for r in 0..L {
+                for k in 0..L {
+                    let f = inv[r][k];
+                    let skip = lanes_is_zero(f);
+                    for c in 0..n_rx {
+                        let next = lanes_mul_add(w[r][c], f, lanes_conj(h[c][k]));
+                        w[r][c] = lanes_keep(skip, w[r][c], next);
+                    }
+                }
+                for z in &w[r][..n_rx] {
+                    // x − x is NaN exactly when x is ±∞ or NaN.
+                    let non_finite = _mm256_cmp_ps::<_CMP_UNORD_Q>(
+                        _mm256_sub_ps(z.re, z.re),
+                        _mm256_sub_ps(z.im, z.im),
+                    );
+                    bad = _mm256_or_ps(bad, non_finite);
+                }
+            }
+            if _mm256_movemask_ps(bad) != 0 {
+                return false;
+            }
+            for (layer, row) in w.iter().enumerate() {
+                for (rx, &z) in row[..n_rx].iter().enumerate() {
+                    let base = (layer * n_rx + rx) * n_sc + sc;
+                    lanes_store(&mut wt[base..base + 8], z);
+                }
+            }
+            true
         }
     }
 }

@@ -13,6 +13,8 @@
 //! undo the SC-FDMA DFT precoding) is the per-(symbol, layer) task of the
 //! demodulation stage.
 
+use std::ops::Range;
+
 use lte_dsp::arena::ScratchArena;
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::Complex32;
@@ -44,7 +46,11 @@ impl MmseScratch {
 /// matrix, or the matched-filter rows `Hᴴ` when the regularised Gram
 /// matrix is numerically singular. Zero factors are skipped, not
 /// multiplied: `0·∞` must not turn a weight into NaN.
+///
+/// Always inlined: called out of line, returning the weight array through
+/// memory made the scalar path about 1.4× slower.
 #[allow(clippy::needless_range_loop)] // (row, column) index notation throughout
+#[inline(always)]
 fn solve<const L: usize>(h: &[[Complex32; L]], noise_var: f32) -> [[Complex32; MAX_RX]; L] {
     let n_rx = h.len();
     let mut hh = [[Complex32::ZERO; MAX_RX]; L];
@@ -86,15 +92,13 @@ fn solve<const L: usize>(h: &[[Complex32; L]], noise_var: f32) -> [[Complex32; M
     weights
 }
 
-/// Per-subcarrier MMSE weights for one slot: row `(sc, layer)` holds the
-/// `n_rx` weights applied to the antenna samples of subcarrier `sc`.
+/// Per-subcarrier MMSE weights for one slot: the `n_rx` weights per
+/// layer applied to the antenna samples of each subcarrier.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CombinerWeights {
-    /// Flattened `[sc][layer][rx]`.
-    w: Vec<Complex32>,
-    /// The same weights transposed to `[layer][rx][sc]`, so combining one
-    /// layer walks each antenna's weights with unit stride — the layout
-    /// the SIMD combine kernel streams. Values are bit-copies of `w`.
+    /// Flattened `[layer][rx][sc]`, so combining one layer walks each
+    /// antenna's weights with unit stride — the layout the SIMD combine
+    /// kernel streams and the lane-batched solve stores.
     wt: Vec<Complex32>,
     n_sc: usize,
     n_layers: usize,
@@ -121,7 +125,6 @@ impl CombinerWeights {
     /// [`compute`](Self::compute) without reallocating across subframes.
     pub fn empty() -> Self {
         CombinerWeights {
-            w: Vec::new(),
             wt: Vec::new(),
             n_sc: 0,
             n_layers: 0,
@@ -143,59 +146,106 @@ impl CombinerWeights {
         noise_var: f32,
         _scratch: &mut MmseScratch,
     ) {
+        let (n_rx, n_layers, n_sc) = (estimate.n_rx(), estimate.n_layers(), estimate.n_sc());
+        self.compute_paths(n_rx, n_layers, n_sc, noise_var, |rx, layer| {
+            estimate.path(rx, layer)
+        });
+    }
+
+    /// The MMSE weights of one slot straight from a flat
+    /// `[rx][layer][subcarrier]` path buffer — the layout the parallel
+    /// runtime's estimation tasks write — with no copy into a
+    /// [`ChannelEstimate`] first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat.len() != n_rx * n_layers * n_sc`, and as
+    /// [`compute`](Self::compute) does.
+    pub fn from_flat(
+        n_rx: usize,
+        n_layers: usize,
+        n_sc: usize,
+        flat: &[Complex32],
+        noise_var: f32,
+    ) -> Self {
+        assert_eq!(flat.len(), n_rx * n_layers * n_sc, "path buffer mismatch");
+        let mut out = Self::empty();
+        out.compute_paths(n_rx, n_layers, n_sc, noise_var, |rx, layer| {
+            let base = (rx * n_layers + layer) * n_sc;
+            &flat[base..base + n_sc]
+        });
+        out
+    }
+
+    fn compute_paths<'a>(
+        &mut self,
+        n_rx: usize,
+        n_layers: usize,
+        n_sc: usize,
+        noise_var: f32,
+        path: impl Fn(usize, usize) -> &'a [Complex32],
+    ) {
         assert!(noise_var > 0.0, "noise variance must be positive");
-        assert!(estimate.n_rx() <= MAX_RX, "at most {MAX_RX} antennas");
-        match estimate.n_layers() {
-            1 => self.fill::<1>(estimate, noise_var),
-            2 => self.fill::<2>(estimate, noise_var),
-            3 => self.fill::<3>(estimate, noise_var),
-            4 => self.fill::<4>(estimate, noise_var),
+        assert!(n_rx <= MAX_RX, "at most {MAX_RX} antennas");
+        match n_layers {
+            1 => self.fill::<1>(n_rx, n_sc, noise_var, path),
+            2 => self.fill::<2>(n_rx, n_sc, noise_var, path),
+            3 => self.fill::<3>(n_rx, n_sc, noise_var, path),
+            4 => self.fill::<4>(n_rx, n_sc, noise_var, path),
             _ => panic!("at most {MAX_LAYERS} layers"),
         }
     }
 
-    fn fill<const L: usize>(&mut self, estimate: &ChannelEstimate, noise_var: f32) {
-        let n_rx = estimate.n_rx();
-        let n_sc = estimate.n_sc();
+    fn fill<'a, const L: usize>(
+        &mut self,
+        n_rx: usize,
+        n_sc: usize,
+        noise_var: f32,
+        path: impl Fn(usize, usize) -> &'a [Complex32],
+    ) {
         // Every element is overwritten below.
-        self.w.resize(n_sc * L * n_rx, Complex32::ZERO);
         self.wt.resize(n_sc * L * n_rx, Complex32::ZERO);
         self.n_sc = n_sc;
         self.n_layers = L;
         self.n_rx = n_rx;
         let mut paths: [[&[Complex32]; L]; MAX_RX] = [[&[]; L]; MAX_RX];
         for (rx, row) in paths.iter_mut().enumerate().take(n_rx) {
-            for (layer, path) in row.iter_mut().enumerate() {
-                *path = estimate.path(rx, layer);
+            for (layer, slot) in row.iter_mut().enumerate() {
+                *slot = path(rx, layer);
             }
         }
+        // The scalar solve, subcarrier by subcarrier over a range.
         let mut h = [[Complex32::ZERO; L]; MAX_RX];
-        for sc in 0..n_sc {
-            for (row, paths) in h.iter_mut().zip(&paths).take(n_rx) {
-                for (z, path) in row.iter_mut().zip(paths) {
-                    *z = path[sc];
+        let mut solve_range = |range: Range<usize>, wt: &mut [Complex32]| {
+            for sc in range {
+                for (row, paths) in h.iter_mut().zip(&paths).take(n_rx) {
+                    for (z, path) in row.iter_mut().zip(paths) {
+                        *z = path[sc];
+                    }
+                }
+                let weights = solve(&h[..n_rx], noise_var);
+                for (layer, row) in weights.iter().enumerate() {
+                    for (rx, &weight) in row.iter().enumerate().take(n_rx) {
+                        wt[(layer * n_rx + rx) * n_sc + sc] = weight;
+                    }
                 }
             }
-            let weights = solve(&h[..n_rx], noise_var);
-            for (layer, row) in weights.iter().enumerate() {
-                for (rx, &weight) in row.iter().enumerate().take(n_rx) {
-                    self.w[(sc * L + layer) * n_rx + rx] = weight;
-                    self.wt[(layer * n_rx + rx) * n_sc + sc] = weight;
-                }
+        };
+        // Eight subcarriers per vector solve. A group it hands back (the
+        // scalar dispatch, a singular lane, a non-finite weight) and the
+        // `n_sc % 8` tail take the scalar solve.
+        let mut sc = 0;
+        while sc + 8 <= n_sc {
+            if !lte_dsp::simd::mmse_weights8(&paths[..n_rx], sc, noise_var, &mut self.wt) {
+                solve_range(sc..sc + 8, &mut self.wt);
             }
+            sc += 8;
         }
-    }
-
-    /// The weight row for (subcarrier, layer).
-    #[inline]
-    pub fn row(&self, sc: usize, layer: usize) -> &[Complex32] {
-        let base = (sc * self.n_layers + layer) * self.n_rx;
-        &self.w[base..base + self.n_rx]
+        solve_range(sc..n_sc, &mut self.wt);
     }
 
     /// The per-subcarrier weight lane for (layer, antenna) — `n_sc`
-    /// contiguous weights, one per subcarrier, bit-identical to reading
-    /// `row(sc, layer)[rx]` for each `sc`.
+    /// contiguous weights, one per subcarrier.
     #[inline]
     pub fn lane(&self, layer: usize, rx: usize) -> &[Complex32] {
         let base = (layer * self.n_rx + rx) * self.n_sc;
@@ -314,8 +364,8 @@ mod tests {
         let w = CombinerWeights::mmse(&est, 1e-4);
         for sc in 0..n_sc {
             for layer in 0..2 {
-                let row = w.row(sc, layer);
-                for (rx, &wgt) in row.iter().enumerate() {
+                for rx in 0..2 {
+                    let wgt = w.lane(layer, rx)[sc];
                     let expect = if rx == layer { 1.0 } else { 0.0 };
                     assert!((wgt.re - expect).abs() < 1e-3 && wgt.im.abs() < 1e-3);
                 }
@@ -342,7 +392,7 @@ mod tests {
                     let mut acc = Complex32::ZERO;
                     for rx in 0..4 {
                         acc = acc.mul_add(
-                            w.row(sc, layer)[rx],
+                            w.lane(layer, rx)[sc],
                             channel.frequency_response(rx, other, n_sc)[sc],
                         );
                     }
@@ -358,10 +408,10 @@ mod tests {
 
     #[test]
     fn zero_estimate_falls_back_without_panicking() {
-        let est = ChannelEstimate::empty(2, 2, 4);
+        let est = ChannelEstimate::empty(2, 2, 12);
         let w = CombinerWeights::mmse(&est, 0.1);
-        for sc in 0..4 {
-            assert_eq!(w.row(sc, 0), &[Complex32::ZERO, Complex32::ZERO]);
+        for rx in 0..2 {
+            assert_eq!(w.lane(0, rx), &[Complex32::ZERO; 12]);
         }
     }
 
@@ -414,6 +464,46 @@ mod tests {
             // Same scratch and output across shapes: state must not leak.
             reused.compute(&est, 0.05, &mut scratch);
             assert_eq!(fresh, reused, "{n_rx}x{n_layers}x{n_sc}");
+        }
+    }
+
+    /// The lane-batched solve against the scalar dispatch, bit for bit,
+    /// at every layer count: 8-subcarrier groups mixing live subcarriers
+    /// with a zero one (the matched-filter fallback at 1e-12), an
+    /// overflowing one and a NaN one, then a 4-subcarrier tail.
+    #[test]
+    fn vector_and_scalar_dispatch_agree_bitwise() {
+        use lte_dsp::simd::force_scalar;
+
+        let mut rng = Xoshiro256::seed_from_u64(0x1A4E);
+        let n_sc = 36;
+        for n_rx in [1, 2, 3, 4, 8] {
+            for n_layers in 1..=4 {
+                let channel = MimoChannel::randomize(n_rx, n_layers, 3, &mut rng);
+                let mut est = ChannelEstimate::empty(n_rx, n_layers, n_sc);
+                for rx in 0..n_rx {
+                    for layer in 0..n_layers {
+                        let path = est.path_mut(rx, layer);
+                        *path = channel.frequency_response(rx, layer, n_sc);
+                        path[3] = Complex32::ZERO;
+                        path[12] = Complex32::new(1.0e20, -1.0e20);
+                        path[21].im = f32::NAN;
+                    }
+                }
+                for noise_var in [0.05, 1e-12] {
+                    force_scalar(true);
+                    let scalar = CombinerWeights::mmse(&est, noise_var);
+                    force_scalar(false);
+                    let vector = CombinerWeights::mmse(&est, noise_var);
+                    for (i, (v, s)) in vector.wt.iter().zip(&scalar.wt).enumerate() {
+                        assert_eq!(
+                            (v.re.to_bits(), v.im.to_bits()),
+                            (s.re.to_bits(), s.im.to_bits()),
+                            "{n_rx}x{n_layers} noise {noise_var:e} weight {i}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -202,17 +202,25 @@ fn finish_user_timed<R: Recorder>(
     let c_init = crate::tx::scrambling_init(cell, user);
     let (mut frame_bits, expected_len) = match (mode, FramePlan::for_user(user, mode)) {
         (TurboMode::Passthrough, FramePlan::Passthrough { payload_bits }) => {
-            let mut deinterleaved = arena.take_f32(total);
             timer.time(Stage::Deinterleave, || {
-                descramble_llrs_into(llrs, c_init, &mut descrambled);
-                deinterleaved.resize(total, 0.0);
-                interleaver.invert_into(&descrambled, &mut deinterleaved);
+                descramble_llrs_into(llrs, c_init, &mut descrambled)
             });
+            // The deinterleave is fused into the hard decision: bit `j`
+            // decides descrambled LLR `inverse[j]`, so the deinterleaved
+            // stream is never stored whole. The LLRs are gathered a block
+            // at a time into a stack array, where the decision vectorises
+            // (one decision per gathered LLR does not).
             let mut bits = arena.take_u8(total);
             timer.time(Stage::Turbo, || {
-                hard_decisions_into(&deinterleaved, &mut bits)
+                let mut block = [0.0f32; 256];
+                for chunk in interleaver.inverse_permutation().chunks(block.len()) {
+                    let block = &mut block[..chunk.len()];
+                    for (llr, &i) in block.iter_mut().zip(chunk) {
+                        *llr = descrambled[i as usize];
+                    }
+                    hard_decisions_into(block, &mut bits);
+                }
             });
-            arena.recycle_f32(deinterleaved);
             (bits, payload_bits + 24)
         }
         (TurboMode::Decode { iterations }, FramePlan::Coded { transport_bits, .. }) => {
@@ -288,39 +296,6 @@ impl UserScratch {
     /// work.
     pub fn with<T>(f: impl FnOnce(&mut UserScratch) -> T) -> T {
         USER_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-    }
-
-    /// Computes one slot's combiner weights from a flat
-    /// `[rx][layer][subcarrier]` path buffer through this scratch's
-    /// estimate storage — the parallel runtime's estimation tasks write
-    /// such a buffer, and the user thread turns it into weights here
-    /// without allocating any intermediates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat.len() != n_rx * n_layers * n_sc` or
-    /// `noise_var <= 0`.
-    pub fn weights_from_flat_estimate(
-        &mut self,
-        n_rx: usize,
-        n_layers: usize,
-        n_sc: usize,
-        flat: &[Complex32],
-        noise_var: f32,
-    ) -> CombinerWeights {
-        assert_eq!(flat.len(), n_rx * n_layers * n_sc, "path buffer mismatch");
-        self.est.reset(n_rx, n_layers, n_sc);
-        for rx in 0..n_rx {
-            for layer in 0..n_layers {
-                let base = (rx * n_layers + layer) * n_sc;
-                self.est
-                    .path_mut(rx, layer)
-                    .copy_from_slice(&flat[base..base + n_sc]);
-            }
-        }
-        let mut weights = CombinerWeights::empty();
-        weights.compute(&self.est, noise_var, &mut MmseScratch);
-        weights
     }
 }
 
@@ -651,7 +626,8 @@ mod tests {
             assert!(result.matches(&input.ground_truth));
             arena.recycle_u8(result.payload);
         }
-        assert!(arena.pooled_buffers() >= 3, "buffers must return to pool");
+        // The descramble buffer and the payload.
+        assert!(arena.pooled_buffers() >= 2, "buffers must return to pool");
     }
 
     #[test]

@@ -94,13 +94,13 @@ fn mmse_weights_are_independent_of_a_larger_previous_shape() {
         reused.compute(&est, 0.05, &mut scratch);
         let fresh = CombinerWeights::mmse(&est, 0.05);
         assert_eq!(reused, fresh, "{n_rx}x{n_layers}x{n_sc}");
+        // `==` on f32 equates ±0; the weights must match bit for bit.
         for layer in 0..n_layers {
             for rx in 0..n_rx {
-                for sc in 0..n_sc {
-                    let (lane, row) = (reused.lane(layer, rx)[sc], reused.row(sc, layer)[rx]);
+                for (w, f) in reused.lane(layer, rx).iter().zip(fresh.lane(layer, rx)) {
                     assert_eq!(
-                        (lane.re.to_bits(), lane.im.to_bits()),
-                        (row.re.to_bits(), row.im.to_bits())
+                        (w.re.to_bits(), w.im.to_bits()),
+                        (f.re.to_bits(), f.im.to_bits())
                     );
                 }
             }

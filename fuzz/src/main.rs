@@ -624,26 +624,61 @@ fn fuzz_descramble(seed: u64) {
     assert_bits_equal(&copied, &expect, "descramble into");
 }
 
-/// The fixed-size stack MMSE solve against the dynamic-matrix
-/// formulation it replaced, at every antenna × layer shape, on channels
-/// spanning 60 decades with exact zeros, rank-deficient columns and
-/// all-zero `H` (the matched-filter fallback) — compared as bits, the
-/// NaNs and infinities of overflowing solves included.
+/// The fixed-size stack MMSE solve, on both dispatch paths (the
+/// lane-batched vector solve with its scalar group fallback, and the
+/// scalar loop), against the dynamic-matrix formulation it replaced, at
+/// every antenna × layer shape, on channels spanning 60 decades with
+/// exact zeros, rank-deficient columns and all-zero `H` (the
+/// matched-filter fallback), and on moderate channels of one random scale
+/// (shapes 8–10, rank one at 8), whose groups the vector solve completes.
+/// A quarter of cases put a zero, ±∞ or NaN subcarrier inside an
+/// 8-subcarrier lane group. Compared as bits, the NaNs and infinities of
+/// overflowing solves included.
 fn fuzz_mmse_fixed(seed: u64) {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let n_rx = 1 + rng.next_below(8) as usize;
     let n_layers = 1 + rng.next_below(4) as usize;
     let n_sc = 1 + rng.next_below(40) as usize;
-    let shape = rng.next_below(8);
+    let shape = rng.next_below(11);
+    let moderate_scale = if shape >= 8 {
+        10f32.powi(rng.next_below(17) as i32 - 8)
+    } else {
+        0.0
+    };
     let mut est = ChannelEstimate::empty(n_rx, n_layers, n_sc);
     if shape != 0 {
         for rx in 0..n_rx {
             for layer in 0..n_layers {
-                *est.path_mut(rx, layer) = if shape == 1 && layer > 0 {
+                *est.path_mut(rx, layer) = if (shape == 1 || shape == 8) && layer > 0 {
                     est.path(rx, 0).to_vec() // rank one: every layer alike
+                } else if shape >= 8 {
+                    (0..n_sc)
+                        .map(|_| {
+                            let mut pick = || match rng.next_below(16) {
+                                0 => 0.0,
+                                _ => (rng.next_f32() * 2.0 - 1.0) * moderate_scale,
+                            };
+                            Complex32::new(pick(), pick())
+                        })
+                        .collect()
                 } else {
                     wild_symbols(&mut rng, n_sc)
                 };
+            }
+        }
+    }
+    let grouped = n_sc & !7;
+    if grouped > 0 && rng.next_below(4) == 0 {
+        let sc = rng.next_below(grouped as u64) as usize;
+        let value = match rng.next_below(4) {
+            0 => 0.0,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            _ => f32::from_bits(rng.next_u32() | 0x7F80_0001), // NaN, any payload/sign
+        };
+        for rx in 0..n_rx {
+            for layer in 0..n_layers {
+                est.path_mut(rx, layer)[sc] = Complex32::new(value, value);
             }
         }
     }
@@ -651,22 +686,25 @@ fn fuzz_mmse_fixed(seed: u64) {
     let noise_var = 10f32.powi(rng.next_below(61) as i32 - 30);
     let expect = mmse_weights_dynamic(&est, noise_var);
     let mut weights = CombinerWeights::empty();
-    weights.compute(&est, noise_var, &mut MmseScratch::new());
-    for sc in 0..n_sc {
-        for layer in 0..n_layers {
-            for rx in 0..n_rx {
-                let want = expect[(sc * n_layers + layer) * n_rx + rx];
-                for got in [weights.row(sc, layer)[rx], weights.lane(layer, rx)[sc]] {
+    for scalar in [false, true] {
+        force_scalar(scalar);
+        weights.compute(&est, noise_var, &mut MmseScratch::new());
+        for sc in 0..n_sc {
+            for layer in 0..n_layers {
+                for rx in 0..n_rx {
+                    let want = expect[(sc * n_layers + layer) * n_rx + rx];
+                    let got = weights.lane(layer, rx)[sc];
                     assert!(
                         got.re.to_bits() == want.re.to_bits()
                             && got.im.to_bits() == want.im.to_bits(),
                         "mmse {n_rx}x{n_layers} shape {shape} noise {noise_var:e} \
-                         sc {sc} layer {layer} rx {rx}: {got:?} vs {want:?}"
+                         scalar {scalar} sc {sc} layer {layer} rx {rx}: {got:?} vs {want:?}"
                     );
                 }
             }
         }
     }
+    force_scalar(false);
 }
 
 /// `FftPlan::process` on both dispatch paths against the recursive,
