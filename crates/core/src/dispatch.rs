@@ -12,6 +12,12 @@
 //! interference — goes through [`Dispatcher::run_tasks`] as plain
 //! closures that each return a value.
 //!
+//! A user's graph is a recycled node the dispatcher owns ([`UserGraph`]):
+//! its estimate, weights and LLR buffers outlive the user and serve the
+//! next one, so a warm run builds none of them. Every graph task is the
+//! pool's unboxed `(state, word)` task: a user's root is its row and its
+//! index, every later task its node and a packed [`Step`].
+//!
 //! A user's completion is a guard whose `Drop` closes the user, so a
 //! graph lost to a panicking task (which the pool counts and drops)
 //! closes its row with the slot empty instead of wedging its caller.
@@ -22,7 +28,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use lte_dsp::fft::FftPlanner;
-use lte_dsp::llr::demap_block_into;
+use lte_dsp::llr::demap_block_to;
 use lte_dsp::Complex32;
 use lte_obs::Histogram;
 use lte_phy::combiner::{combine_symbol_into, CombinerWeights};
@@ -33,19 +39,18 @@ use lte_phy::params::{
 };
 use lte_phy::receiver::{finish_user_with_arena, UserResult, UserScratch};
 use lte_phy::tx::prewarm_cell;
-use lte_sched::{PoolError, PoolHandle, TaskPool};
+use lte_sched::{PoolError, PoolHandle, TaskPool, TaskState};
 
 /// One run's pool, planner and clock, and the rows dispatched
 /// since the last [`finish`](Dispatcher::finish).
 pub(crate) struct Dispatcher {
     pool: TaskPool,
-    planner: Arc<FftPlanner>,
-    turbo: TurboMode,
     shared: Arc<Shared>,
     rows: Vec<Arc<Row>>,
 }
 
-/// What the completion guards report into.
+/// What every row and graph node of a run reads, and what the
+/// completion guards report into.
 struct Shared {
     start: Instant,
     /// Rows dispatched with users and not yet closed.
@@ -55,6 +60,13 @@ struct Shared {
     closed_rows: AtomicU64,
     /// Dispatch-to-close latency of every row with users, nanoseconds.
     latency: Histogram,
+    handle: PoolHandle,
+    planner: Arc<FftPlanner>,
+    turbo: TurboMode,
+    /// Every graph node built since the last [`Dispatcher::finish`], in
+    /// use or free: a node is free when this list holds its only count
+    /// (see [`Shared::graph`]).
+    graphs: Mutex<Vec<Arc<UserGraph>>>,
 }
 
 impl Shared {
@@ -69,17 +81,69 @@ impl Shared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// A graph node prepared for `done`'s user: the free node whose
+    /// buffers fit it most tightly, else the largest free node (the one
+    /// that grows least), else a new node. Best fit keeps a mixed-shape
+    /// run from growing every node to its largest user.
+    fn graph(&self, done: Completion) -> Arc<UserGraph> {
+        let user = &done.row.users[done.user];
+        let need = Capacity::of(&user.cell, &user.input.config);
+        let mut graphs = self.graphs.lock().unwrap_or_else(PoisonError::into_inner);
+        // `get_mut` succeeds only once every task of the node's last user
+        // has dropped its count, and it acquires their writes.
+        let free = graphs
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, graph)| Some((i, Arc::get_mut(graph)?.capacity())));
+        let best = free.max_by_key(|&(_, have)| match have.covers(need) {
+            true => (true, usize::MAX - have.total()),
+            false => (false, have.total()),
+        });
+        let i = match best {
+            Some((i, _)) => i,
+            None => {
+                graphs.push(Arc::new(UserGraph::new(self, user)));
+                graphs.len() - 1
+            }
+        };
+        let graph = &mut graphs[i];
+        Arc::get_mut(graph)
+            .expect("the chosen node is free")
+            .prepare(done);
+        Arc::clone(graph)
+    }
 }
 
 /// One dispatched row.
 struct Row {
-    slots: Vec<OnceLock<UserResult>>,
+    shared: Arc<Shared>,
+    users: Vec<RowUser>,
     /// Users neither landed nor lost.
     open: AtomicUsize,
     dispatched_ns: u64,
     /// Written by the guard that closes the row, read after the pool
     /// drained, which orders the write before the read.
     done_ns: AtomicU64,
+}
+
+/// One user of a row: what its graph receives and where its result lands.
+struct RowUser {
+    cell: CellConfig,
+    input: Arc<UserInput>,
+    result: OnceLock<UserResult>,
+}
+
+impl TaskState for Row {
+    /// User `user`'s root task: takes a graph node and fans out the
+    /// user's estimation tasks. It runs on whichever worker picks the
+    /// user up, not at dispatch: under a deep admission backlog the
+    /// dispatcher may queue hundreds of subframes ahead of the workers,
+    /// and only users a worker has started hold a node.
+    fn run(self: Arc<Self>, user: usize) {
+        let shared = Arc::clone(&self.shared);
+        spawn_user_graph(&shared, Completion { row: self, user });
+    }
 }
 
 /// A row handed back by [`Dispatcher::finish`].
@@ -99,14 +163,14 @@ pub(crate) struct Finished {
 /// the row's last one stamps it, records its latency and releases its
 /// window slot.
 struct Completion {
-    shared: Arc<Shared>,
     row: Arc<Row>,
     user: usize,
 }
 
 impl Completion {
     fn land(self, result: UserResult) {
-        self.row.slots[self.user]
+        self.row.users[self.user]
+            .result
             .set(result)
             .expect("each user slot is written once");
     }
@@ -117,13 +181,14 @@ impl Drop for Completion {
         if self.row.open.fetch_sub(1, Ordering::SeqCst) != 1 {
             return;
         }
-        let done = self.shared.now_ns();
+        let shared = &self.row.shared;
+        let done = shared.now_ns();
         self.row.done_ns.store(done, Ordering::Relaxed);
         let latency = done.saturating_sub(self.row.dispatched_ns);
-        self.shared.latency.record(latency);
-        self.shared.closed_rows.fetch_add(1, Ordering::Relaxed);
-        *self.shared.open_rows() -= 1;
-        self.shared.row_closed.notify_all();
+        shared.latency.record(latency);
+        shared.closed_rows.fetch_add(1, Ordering::Relaxed);
+        *shared.open_rows() -= 1;
+        shared.row_closed.notify_all();
     }
 }
 
@@ -153,11 +218,13 @@ impl Dispatcher {
             row_closed: Condvar::new(),
             closed_rows: AtomicU64::new(0),
             latency: Histogram::new(),
+            handle: pool.handle(),
+            planner,
+            turbo,
+            graphs: Mutex::new(Vec::new()),
         };
         Ok(Dispatcher {
             pool,
-            planner,
-            turbo,
             shared: Arc::new(shared),
             rows: Vec::new(),
         })
@@ -210,24 +277,26 @@ impl Dispatcher {
         row: impl ExactSizeIterator<Item = (&'a CellConfig, &'a Arc<UserInput>)>,
     ) -> usize {
         let now = self.shared.now_ns();
+        let users: Vec<RowUser> = row
+            .map(|(cell, input)| RowUser {
+                cell: *cell,
+                input: Arc::clone(input),
+                result: OnceLock::new(),
+            })
+            .collect();
         // The open count is in place before any graph can finish.
         let state = Arc::new(Row {
-            slots: (0..row.len()).map(|_| OnceLock::new()).collect(),
-            open: AtomicUsize::new(row.len()),
+            shared: Arc::clone(&self.shared),
+            open: AtomicUsize::new(users.len()),
+            users,
             dispatched_ns: now,
             done_ns: AtomicU64::new(now),
         });
-        if row.len() > 0 {
+        if !state.users.is_empty() {
             *self.shared.open_rows() += 1;
         }
-        let handle = self.pool.handle();
-        for (user, (cell, input)) in row.enumerate() {
-            let done = Completion {
-                shared: Arc::clone(&self.shared),
-                row: Arc::clone(&state),
-                user,
-            };
-            spawn_user_graph(&handle, cell, input, self.turbo, &self.planner, done);
+        for user in 0..state.users.len() {
+            self.shared.handle.spawn_on(Arc::clone(&state), user);
         }
         self.rows.push(state);
         self.rows.len() - 1
@@ -274,13 +343,23 @@ impl Dispatcher {
     }
 
     /// Waits for the pool to drain and hands back every row dispatched
-    /// since the last call, in dispatch order.
+    /// since the last call, in dispatch order. The drained graph nodes go
+    /// too: a driver that finishes between rows (deploy's tick) does not
+    /// hold their buffers through its serial phase, and one that finishes
+    /// once per run recycles them for the whole run.
     pub(crate) fn finish(&mut self) -> Vec<Finished> {
         self.pool.wait_all();
+        self.shared
+            .graphs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         let finished = |row: Arc<Row>| {
             let row = Arc::into_inner(row).expect("a drained pool holds no completion guard");
+            let mut results = Vec::with_capacity(row.users.len());
+            results.extend(row.users.into_iter().map(|u| u.result.into_inner()));
             Finished {
-                results: row.slots.into_iter().map(OnceLock::into_inner).collect(),
+                results,
                 dispatched_ns: row.dispatched_ns,
                 done_ns: row.done_ns.into_inner(),
             }
@@ -309,20 +388,42 @@ struct SharedBuf<T> {
     cells: Vec<UnsafeCell<T>>,
 }
 
-// SAFETY: writers touch disjoint ranges (enforced by the dispatcher's
-// index arithmetic), and a buffer is read only by the last writer to
-// finish — the task whose `SeqCst` `fetch_sub` takes the buffer's
-// completion counter (`est_remaining[slot]`, `combine_remaining`) to
-// zero — or by a task it spawns after that. Every writer's decrement is
-// a release that this read-modify-write acquires, so the stores happen
-// before the reads.
-unsafe impl<T: Send> Sync for SharedBuf<T> {}
+// SAFETY: writers touch disjoint ranges (enforced by the graph's index
+// arithmetic), and a range is read only after its writers are joined —
+// by the task whose `SeqCst` `fetch_sub` takes the range's completion
+// counter (`est_remaining[slot]`, `combine_remaining`) to zero, or by a
+// task it spawns after that. Every writer's decrement is a release that
+// this read-modify-write acquires, so the stores happen before the
+// reads. Across users a node is reused only once `Arc::get_mut` has
+// shown that no task of its previous user is left.
+unsafe impl<T: Send + Sync> Sync for SharedBuf<T> {}
 
-impl<T: Copy> SharedBuf<T> {
-    fn new(len: usize, fill: T) -> Self {
-        let mut cells = Vec::new();
-        cells.resize_with(len, || UnsafeCell::new(fill));
-        SharedBuf { cells }
+impl<T> SharedBuf<T> {
+    fn new() -> Self {
+        SharedBuf { cells: Vec::new() }
+    }
+
+    /// Grows the buffer to at least `len` elements made by `fill`, to
+    /// exactly `len` (a node keeps what it grows to). It never shrinks
+    /// and never rewrites an element it already has: a user's tasks
+    /// write every element of the prefix they use before the join that
+    /// reads it, so stale values from an earlier user are never read and
+    /// need no clearing.
+    fn grow(&mut self, len: usize, mut fill: impl FnMut() -> T) {
+        if let Some(more) = len.checked_sub(self.cells.len()) {
+            self.cells.reserve_exact(more);
+            self.cells.resize_with(len, || UnsafeCell::new(fill()));
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The first element of `start..start + len`, bounds-checked.
+    fn range(&self, start: usize, len: usize) -> *mut T {
+        let end = start.checked_add(len).expect("range end overflows");
+        UnsafeCell::raw_get(self.cells[start..end].as_ptr())
     }
 
     /// A mutable view of `start..start + len`.
@@ -333,13 +434,81 @@ impl<T: Copy> SharedBuf<T> {
     /// of the returned slice.
     #[allow(clippy::mut_from_ref)]
     unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        assert!(start + len <= self.cells.len(), "range out of bounds");
-        let base = UnsafeCell::raw_get(self.cells.as_ptr().add(start));
-        std::slice::from_raw_parts_mut(base, len)
+        let base = self.range(start, len);
+        // SAFETY: `range` checked the bounds; exclusivity is the caller's.
+        unsafe { std::slice::from_raw_parts_mut(base, len) }
+    }
+
+    /// A shared view of `start..start + len`.
+    ///
+    /// # Safety
+    ///
+    /// No mutable reference may overlap the range for the lifetime of
+    /// the returned slice.
+    unsafe fn slice(&self, start: usize, len: usize) -> &[T] {
+        let base = self.range(start, len);
+        // SAFETY: `range` checked the bounds; the absence of writers is
+        // the caller's.
+        unsafe { std::slice::from_raw_parts(base, len) }
     }
 }
 
-/// Shared state of one user's dependency-ordered task graph.
+/// Buffer lengths a user needs, or a node holds: the flat estimate and
+/// LLR buffers (each slot's weights hold half the estimate's length).
+#[derive(Clone, Copy)]
+struct Capacity {
+    est: usize,
+    llr: usize,
+}
+
+impl Capacity {
+    fn of(cell: &CellConfig, user: &UserConfig) -> Self {
+        Capacity {
+            est: SLOTS_PER_SUBFRAME * cell.n_rx * user.layers * user.subcarriers(),
+            llr: user.bits_per_subframe(),
+        }
+    }
+
+    fn covers(self, need: Capacity) -> bool {
+        self.est >= need.est && self.llr >= need.llr
+    }
+
+    fn total(self) -> usize {
+        self.est + self.llr
+    }
+}
+
+/// One task of a user's graph, packed into the pool task's word. An
+/// index names the task's (slot, rx, layer) or (slot, symbol, layer)
+/// tuple in row-major order, which is also the task's block of the flat
+/// buffer it writes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Step {
+    Estimate(usize),
+    Combine(usize),
+    Finish,
+}
+
+impl Step {
+    fn word(self) -> usize {
+        match self {
+            Step::Estimate(i) => i << 2,
+            Step::Combine(i) => (i << 2) | 1,
+            Step::Finish => 2,
+        }
+    }
+
+    fn of(word: usize) -> Self {
+        match word & 3 {
+            0 => Step::Estimate(word >> 2),
+            1 => Step::Combine(word >> 2),
+            _ => Step::Finish,
+        }
+    }
+}
+
+/// One user's dependency-ordered task graph: a node the dispatcher
+/// recycles from user to user (see [`Shared::graph`]).
 ///
 /// This replaces the old two-barrier design (estimate tasks → scope
 /// join → weights on the user thread → combine tasks → scope join →
@@ -361,200 +530,263 @@ impl<T: Copy> SharedBuf<T> {
 /// computes the same arithmetic on the same inputs into its own
 /// disjoint output range; the counters only decide *when* stages run,
 /// never *what* they compute.
+///
+/// The node's buffers belong to it, not to a user: a free node is
+/// prepared for the next user (inputs set, counters reset, buffers grown
+/// if they must be) and its tasks then write every element the user
+/// reads, so no subframe allocates them.
 struct UserGraph {
+    handle: PoolHandle,
+    planner: Arc<FftPlanner>,
+    turbo: TurboMode,
     cell: CellConfig,
     input: Arc<UserInput>,
-    turbo: TurboMode,
-    planner: Arc<FftPlanner>,
     /// Flat `[slot][rx][layer][subcarrier]` channel-estimate buffer.
     est_buf: SharedBuf<Complex32>,
     /// Estimation tasks still outstanding, per slot.
     est_remaining: [AtomicUsize; SLOTS_PER_SUBFRAME],
-    /// Per-slot combiner weights, set by the slot's last estimation task
-    /// before any of the slot's combine tasks exist.
-    weights: [OnceLock<CombinerWeights>; SLOTS_PER_SUBFRAME],
+    /// Per-slot combiner weights, solved in place by the slot's last
+    /// estimation task before any of the slot's combine tasks exist.
+    weights: SharedBuf<CombinerWeights>,
     /// Flat LLR buffer in the transmitter's bit order.
     llr_buf: SharedBuf<f32>,
     /// Combine tasks still outstanding across both slots.
     combine_remaining: AtomicUsize,
-    /// The user's completion, taken exactly once by the join task; a
-    /// graph dropped before its join closes the user as lost.
+    /// The user's completion, taken exactly once by the join task, or by
+    /// the task whose panic loses the graph.
     done: Mutex<Option<Completion>>,
 }
 
-/// Spawns one user's dependency-ordered task graph onto the pool and
-/// returns immediately; `done` lands on a worker thread once the user's
-/// result is ready. [`TaskPool::wait_all`] covers every task of the
-/// graph, including ones spawned after the call returns.
-///
-/// Steady-state allocation discipline: every task draws its working
-/// buffers from its worker's thread-local [`UserScratch`] arena and
-/// writes results into a shared flat buffer; the per-user cost is the
-/// graph node (two flat buffers) and the boxed task closures.
-fn spawn_user_graph(
-    handle: &PoolHandle,
-    cell: &CellConfig,
-    input: &Arc<UserInput>,
-    turbo: TurboMode,
-    planner: &Arc<FftPlanner>,
-    done: Completion,
-) {
-    // The graph (and its two flat buffers) is built by a small *root*
-    // task on whichever worker picks the user up, not at dispatch time:
-    // under a deep admission backlog the dispatcher may queue hundreds
-    // of subframes ahead of the workers, and eager construction would
-    // hold every queued user's estimate and LLR buffers live at once.
-    let cell = *cell;
-    let input = Arc::clone(input);
-    let planner = Arc::clone(planner);
-    let root = handle.clone();
-    handle.spawn(move || {
-        let user = input.config;
-        let n_rx = cell.n_rx;
-        let n_layers = user.layers;
-        let n_sc = user.subcarriers();
-        let chunk_bits = n_sc * user.modulation.bits_per_symbol();
-        let n_chunks = SLOTS_PER_SUBFRAME * DATA_SYMBOLS_PER_SLOT * n_layers;
-        let graph = Arc::new(UserGraph {
-            cell,
-            input,
-            turbo,
-            planner,
-            est_buf: SharedBuf::new(SLOTS_PER_SUBFRAME * n_rx * n_layers * n_sc, Complex32::ZERO),
-            est_remaining: std::array::from_fn(|_| AtomicUsize::new(n_rx * n_layers)),
-            weights: std::array::from_fn(|_| OnceLock::new()),
-            llr_buf: SharedBuf::new(n_chunks * chunk_bits, 0f32),
-            combine_remaining: AtomicUsize::new(n_chunks),
-            done: Mutex::new(Some(done)),
-        });
-        for slot in 0..SLOTS_PER_SUBFRAME {
-            for rx in 0..n_rx {
-                for layer in 0..n_layers {
-                    let graph = Arc::clone(&graph);
-                    let inner = root.clone();
-                    root.spawn(move || estimate_task(&inner, &graph, slot, rx, layer));
-                }
-            }
-        }
-    });
-}
-
-/// One channel-estimation task: (slot, rx, layer). The slot's last
-/// estimator also computes the combiner weights — cache-hot over the
-/// estimates it just joined — and fans out the slot's combine tasks.
-fn estimate_task(
-    handle: &PoolHandle,
-    graph: &Arc<UserGraph>,
-    slot: usize,
-    rx: usize,
-    layer: usize,
-) {
-    let user = &graph.input.config;
-    let n_rx = graph.cell.n_rx;
-    let n_layers = user.layers;
-    let n_sc = user.subcarriers();
-    let idx = (slot * n_rx + rx) * n_layers + layer;
-    // SAFETY: each (slot, rx, layer) tuple owns its range.
-    let out = unsafe { graph.est_buf.slice_mut(idx * n_sc, n_sc) };
-    UserScratch::with(|s| {
-        estimate_path_into(
-            &graph.cell,
-            &graph.input,
-            slot,
-            rx,
-            layer,
-            &graph.planner,
-            &mut s.arena,
-            out,
-        );
-    });
-    if graph.est_remaining[slot].fetch_sub(1, Ordering::SeqCst) == 1 {
-        let base = slot * n_rx * n_layers * n_sc;
-        // SAFETY: the counter joined every writer of this slot's range;
-        // other slots' writers touch disjoint ranges.
-        let flat = unsafe { graph.est_buf.slice_mut(base, n_rx * n_layers * n_sc) };
-        let w = CombinerWeights::from_flat(n_rx, n_layers, n_sc, flat, graph.input.noise_var);
-        assert!(
-            graph.weights[slot].set(w).is_ok(),
-            "weights are computed once per slot"
-        );
-        for sym in 0..DATA_SYMBOLS_PER_SLOT {
-            for layer in 0..n_layers {
-                let graph = Arc::clone(graph);
-                let inner = handle.clone();
-                handle.spawn(move || combine_task(&inner, &graph, slot, sym, layer));
-            }
-        }
-    }
-}
-
-/// One combine + demap task: (slot, symbol, layer), writing straight
-/// into the flat LLR buffer in the transmitter's bit order. The last
-/// one spawns the serial join.
-fn combine_task(
-    handle: &PoolHandle,
-    graph: &Arc<UserGraph>,
-    slot: usize,
-    sym: usize,
-    layer: usize,
-) {
-    let user = &graph.input.config;
-    let n_sc = user.subcarriers();
-    let chunk_bits = n_sc * user.modulation.bits_per_symbol();
-    let idx = (slot * DATA_SYMBOLS_PER_SLOT + sym) * user.layers + layer;
-    let weights = graph.weights[slot]
-        .get()
-        .expect("weights are set before the slot's combines are spawned");
-    // SAFETY: each (slot, symbol, layer) tuple owns its range.
-    let out = unsafe { graph.llr_buf.slice_mut(idx * chunk_bits, chunk_bits) };
-    UserScratch::with(|s| {
-        let mut combined = s.arena.take_c32(n_sc);
-        combine_symbol_into(
-            &graph.input,
+impl UserGraph {
+    /// An empty node for `user`'s shape, to be [`prepare`](Self::prepare)d.
+    fn new(shared: &Shared, user: &RowUser) -> Self {
+        let mut weights = SharedBuf::new();
+        weights.grow(SLOTS_PER_SUBFRAME, CombinerWeights::empty);
+        UserGraph {
+            handle: shared.handle.clone(),
+            planner: Arc::clone(&shared.planner),
+            turbo: shared.turbo,
+            cell: user.cell,
+            input: Arc::clone(&user.input),
+            est_buf: SharedBuf::new(),
+            est_remaining: std::array::from_fn(|_| AtomicUsize::new(0)),
             weights,
-            slot,
-            sym,
-            layer,
-            &graph.planner,
-            &mut s.arena,
-            &mut combined,
+            llr_buf: SharedBuf::new(),
+            combine_remaining: AtomicUsize::new(0),
+            done: Mutex::new(None),
+        }
+    }
+
+    fn capacity(&self) -> Capacity {
+        Capacity {
+            est: self.est_buf.len(),
+            llr: self.llr_buf.len(),
+        }
+    }
+
+    /// Readies this free node for `done`'s user: its inputs, counters and
+    /// completion, and buffers at least as long as the user needs.
+    fn prepare(&mut self, done: Completion) {
+        let user = &done.row.users[done.user];
+        self.cell = user.cell;
+        self.input = Arc::clone(&user.input);
+        let config = self.input.config;
+        let need = Capacity::of(&self.cell, &config);
+        let est_per_slot = self.cell.n_rx * config.layers;
+        let chunks = SLOTS_PER_SUBFRAME * DATA_SYMBOLS_PER_SLOT * config.layers;
+        // The task ranges tile each buffer's prefix exactly: every element
+        // a reader sees has one writer in this user's graph.
+        debug_assert_eq!(
+            SLOTS_PER_SUBFRAME * est_per_slot * config.subcarriers(),
+            need.est,
+            "estimation ranges cover 2·n_rx·L·n_sc"
         );
-        let mut llrs = s.arena.take_f32(chunk_bits);
-        demap_block_into(user.modulation, &combined, graph.input.noise_var, &mut llrs);
-        out.copy_from_slice(&llrs);
-        s.arena.recycle_f32(llrs);
-        s.arena.recycle_c32(combined);
-    });
-    if graph.combine_remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-        let graph = Arc::clone(graph);
-        handle.spawn(move || finish_task(&graph));
+        debug_assert_eq!(
+            chunks * self.chunk_bits(),
+            need.llr,
+            "combine ranges cover bits_per_subframe()"
+        );
+        for remaining in &mut self.est_remaining {
+            *remaining.get_mut() = est_per_slot;
+        }
+        *self.combine_remaining.get_mut() = chunks;
+        self.est_buf.grow(need.est, || Complex32::ZERO);
+        self.llr_buf.grow(need.llr, || 0.0);
+        *self.done.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(done);
+    }
+
+    /// LLRs one combine task writes: one symbol of one layer.
+    fn chunk_bits(&self) -> usize {
+        let user = &self.input.config;
+        user.subcarriers() * user.modulation.bits_per_symbol()
+    }
+
+    fn spawn(self: &Arc<Self>, step: Step) {
+        self.handle.spawn_on(Arc::clone(self), step.word());
+    }
+
+    /// One channel-estimation task: (slot, rx, layer). The slot's last
+    /// estimator also solves the slot's combiner weights — cache-hot over
+    /// the estimates it just joined — and fans out the slot's combine
+    /// tasks.
+    fn estimate(self: &Arc<Self>, idx: usize) {
+        let user = &self.input.config;
+        let (n_rx, n_layers, n_sc) = (self.cell.n_rx, user.layers, user.subcarriers());
+        let per_slot = n_rx * n_layers;
+        let (slot, rx, layer) = (idx / per_slot, idx / n_layers % n_rx, idx % n_layers);
+        debug_assert!(slot < SLOTS_PER_SUBFRAME, "estimation task {idx} exists");
+        // SAFETY: estimation task `idx` alone writes block `idx`, and no
+        // reader of the slot exists before its counter reaches zero below.
+        let out = unsafe { self.est_buf.slice_mut(idx * n_sc, n_sc) };
+        UserScratch::with(|s| {
+            estimate_path_into(
+                &self.cell,
+                &self.input,
+                slot,
+                rx,
+                layer,
+                &self.planner,
+                &mut s.arena,
+                out,
+            );
+        });
+        if self.est_remaining[slot].fetch_sub(1, Ordering::SeqCst) != 1 {
+            return;
+        }
+        let len = per_slot * n_sc;
+        // SAFETY: the counter joined every writer of this slot's blocks;
+        // the other slot's writers touch disjoint blocks.
+        let paths = unsafe { self.est_buf.slice(slot * len, len) };
+        let chunks = DATA_SYMBOLS_PER_SLOT * n_layers;
+        debug_assert!(
+            self.combine_remaining.load(Ordering::Relaxed) >= chunks,
+            "no combine of this slot has run"
+        );
+        // SAFETY: the slot's weights have one writer per user, this task,
+        // and their readers — the slot's combine tasks — are spawned
+        // below; the node's previous user has no task left.
+        let weights = unsafe { &mut self.weights.slice_mut(slot, 1)[0] };
+        weights.compute_flat(n_rx, n_layers, n_sc, paths, self.input.noise_var);
+        for chunk in slot * chunks..(slot + 1) * chunks {
+            self.spawn(Step::Combine(chunk));
+        }
+    }
+
+    /// One combine + demap task: (slot, symbol, layer), demapping straight
+    /// into its block of the LLR buffer in the transmitter's bit order.
+    /// The last one spawns the serial join.
+    fn combine(self: &Arc<Self>, idx: usize) {
+        let user = &self.input.config;
+        let n_sc = user.subcarriers();
+        let chunks = DATA_SYMBOLS_PER_SLOT * user.layers;
+        let (slot, sym, layer) = (
+            idx / chunks,
+            idx / user.layers % DATA_SYMBOLS_PER_SLOT,
+            idx % user.layers,
+        );
+        debug_assert!(slot < SLOTS_PER_SUBFRAME, "combine task {idx} exists");
+        debug_assert_eq!(
+            self.est_remaining[slot].load(Ordering::Relaxed),
+            0,
+            "a slot's combines run after its weights"
+        );
+        // SAFETY: the slot's weights were written before this task was
+        // spawned and are not written again for this user.
+        let weights = unsafe { &self.weights.slice(slot, 1)[0] };
+        let chunk_bits = self.chunk_bits();
+        // SAFETY: combine task `idx` alone writes block `idx`, and the
+        // join reads it only after the counter below reaches zero.
+        let out = unsafe { self.llr_buf.slice_mut(idx * chunk_bits, chunk_bits) };
+        UserScratch::with(|s| {
+            let mut combined = s.arena.take_c32(n_sc);
+            combine_symbol_into(
+                &self.input,
+                weights,
+                slot,
+                sym,
+                layer,
+                &self.planner,
+                &mut s.arena,
+                &mut combined,
+            );
+            demap_block_to(user.modulation, &combined, self.input.noise_var, out);
+            s.arena.recycle_c32(combined);
+        });
+        if self.combine_remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.spawn(Step::Finish);
+        }
+    }
+
+    /// The serial join: deinterleave → turbo (pass-through) → CRC on the
+    /// completed LLR buffer, then the user's completion.
+    fn finish(&self) {
+        debug_assert_eq!(
+            self.combine_remaining.load(Ordering::Relaxed),
+            0,
+            "the join runs after every combine"
+        );
+        let total = self.input.config.bits_per_subframe();
+        // SAFETY: the combine counter joined every writer; this task is
+        // the graph's only one left.
+        let llrs = unsafe { self.llr_buf.slice(0, total) };
+        let result = UserScratch::with(|s| {
+            finish_user_with_arena(
+                &self.cell,
+                &self.input,
+                self.turbo,
+                llrs,
+                &mut s.arena,
+                &mut s.turbo,
+            )
+        });
+        self.take_done()
+            .expect("the join task runs once")
+            .land(result);
+    }
+
+    fn take_done(&self) -> Option<Completion> {
+        self.done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 }
 
-/// The serial join: deinterleave → turbo (pass-through) → CRC on the
-/// completed LLR buffer, then the user's completion.
-fn finish_task(graph: &UserGraph) {
-    let total = graph.input.config.bits_per_subframe();
-    // SAFETY: the combine counter joined every writer; this task is the
-    // only remaining accessor.
-    let llrs = unsafe { graph.llr_buf.slice_mut(0, total) };
-    let result = UserScratch::with(|s| {
-        finish_user_with_arena(
-            &graph.cell,
-            &graph.input,
-            graph.turbo,
-            llrs,
-            &mut s.arena,
-            &mut s.turbo,
-        )
-    });
-    graph
-        .done
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-        .expect("the join task runs once")
-        .land(result);
+impl TaskState for UserGraph {
+    fn run(self: Arc<Self>, word: usize) {
+        let lost = LoseOnUnwind(&self);
+        #[cfg(test)]
+        tests::inject_panic(&self, word);
+        match Step::of(word) {
+            Step::Estimate(idx) => self.estimate(idx),
+            Step::Combine(idx) => self.combine(idx),
+            Step::Finish => self.finish(),
+        }
+        std::mem::forget(lost);
+    }
+}
+
+/// Armed while a graph task runs: dropped only by a panic's unwinding,
+/// it closes the user as lost at once. The node itself stays in use
+/// until the user's other tasks have dropped their counts.
+struct LoseOnUnwind<'a>(&'a UserGraph);
+
+impl Drop for LoseOnUnwind<'_> {
+    fn drop(&mut self) {
+        drop(self.0.take_done());
+    }
+}
+
+/// Starts `done`'s user: takes a recycled graph node for it and spawns
+/// the user's estimation tasks, which spawn the rest of the graph.
+/// [`TaskPool::wait_all`] covers every task of the graph, and the
+/// completion lands on a worker thread once the user's result is ready.
+fn spawn_user_graph(shared: &Shared, done: Completion) {
+    let graph = shared.graph(done);
+    let user = &graph.input.config;
+    for idx in 0..SLOTS_PER_SUBFRAME * graph.cell.n_rx * user.layers {
+        graph.spawn(Step::Estimate(idx));
+    }
 }
 
 #[cfg(test)]
@@ -562,6 +794,157 @@ mod tests {
     use super::*;
     use lte_dsp::{Modulation, Xoshiro256};
     use lte_phy::tx::synthesize_user_with_mode;
+    use lte_phy::verify::GoldenRecord;
+    use lte_sched::InjectedPanic;
+
+    /// `(input, step)` pairs whose graph task panics with
+    /// [`InjectedPanic`] before doing its work. Keyed by the input's
+    /// address, so concurrent tests never hit each other's entries.
+    static POISONED: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+
+    pub(super) fn inject_panic(graph: &UserGraph, word: usize) {
+        let key = (Arc::as_ptr(&graph.input) as usize, word);
+        if POISONED.lock().unwrap().contains(&key) {
+            std::panic::panic_any(InjectedPanic);
+        }
+    }
+
+    /// Synthesizes `users` on the default cell, one input each.
+    fn inputs_for(users: &[UserConfig], seed: u64) -> (CellConfig, Vec<UserInput>) {
+        let cell = CellConfig::default();
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let inputs = users
+            .iter()
+            .map(|u| synthesize_user_with_mode(&cell, u, TurboMode::Passthrough, 30.0, &mut rng))
+            .collect();
+        (cell, inputs)
+    }
+
+    /// Users of changing shapes: the second is larger than any before
+    /// it, the rest smaller, with other layer counts and modulations.
+    fn mixed_users() -> Vec<UserConfig> {
+        vec![
+            UserConfig::new(6, 1, Modulation::Qpsk),
+            UserConfig::new(50, 2, Modulation::Qam64),
+            UserConfig::new(25, 4, Modulation::Qam16),
+            UserConfig::new(10, 1, Modulation::Qpsk),
+            UserConfig::new(15, 3, Modulation::Qam64),
+            UserConfig::new(4, 2, Modulation::Qam16),
+            UserConfig::new(50, 2, Modulation::Qam64),
+            UserConfig::new(2, 1, Modulation::Qpsk),
+        ]
+    }
+
+    /// A node recycled from a larger user to smaller ones (and back) is
+    /// never cleared, yet every result matches the serial golden record
+    /// byte for byte: each user's tasks write every element they read.
+    #[test]
+    fn recycled_graphs_leak_no_stale_bytes_across_shapes() {
+        let (cell, inputs) = inputs_for(&mixed_users(), 21);
+        let golden =
+            GoldenRecord::build(&cell, std::slice::from_ref(&inputs), TurboMode::Passthrough);
+        let shared: Vec<Arc<UserInput>> = inputs.into_iter().map(Arc::new).collect();
+        for workers in [1, 2] {
+            let mut d = Dispatcher::new(workers, TurboMode::Passthrough, &[]).unwrap();
+            // One user per row, each admitted after the last closed: at one
+            // worker every user reuses the run's single node.
+            for input in &shared {
+                d.wait_below(1, Duration::MAX);
+                d.dispatch(std::iter::once((&cell, input)));
+            }
+            // Then all of them at once, so two workers overlap users.
+            for _ in 0..3 {
+                d.dispatch(shared.iter().map(|input| (&cell, input)));
+            }
+            d.pool().wait_all();
+            let nodes = d.shared.graphs.lock().unwrap().len();
+            if workers == 1 {
+                assert_eq!(nodes, 1, "one worker recycles one node");
+            } else {
+                assert!(
+                    nodes <= shared.len(),
+                    "{nodes} nodes for {} users",
+                    shared.len()
+                );
+            }
+            let rows = d.finish();
+            assert!(
+                d.shared.graphs.lock().unwrap().is_empty(),
+                "finish drops the nodes"
+            );
+            let results: Vec<UserResult> = rows
+                .into_iter()
+                .flat_map(|row| row.results)
+                .map(|r| r.expect("no user is lost"))
+                .collect();
+            let expected = golden.subframe(0);
+            for (i, result) in results.iter().enumerate() {
+                let user = i % expected.len();
+                assert_eq!(result, &expected[user], "{workers} workers, result {i}");
+            }
+        }
+    }
+
+    /// A graph lost to an [`InjectedPanic`] — in an estimation task, in a
+    /// slot-1 combine after slot 0's LLRs landed, or in the join — closes
+    /// its user as lost at once, so a window of one still admits the next
+    /// row, and the users that later reuse its node decode byte-exact.
+    #[test]
+    fn a_graph_lost_to_an_injected_panic_neither_wedges_nor_corrupts_its_node() {
+        lte_sched::silence_injected_panics();
+        let users = mixed_users();
+        let (cell, inputs) = inputs_for(&users, 22);
+        let golden =
+            GoldenRecord::build(&cell, std::slice::from_ref(&inputs), TurboMode::Passthrough);
+        let shared: Vec<Arc<UserInput>> = inputs.into_iter().map(Arc::new).collect();
+        // Users 1, 2 and 4 lose their graphs at three different steps.
+        let slot1_combine = DATA_SYMBOLS_PER_SLOT * users[2].layers + 1;
+        let poisoned = [
+            (1, Step::Estimate(3)),
+            (2, Step::Combine(slot1_combine)),
+            (4, Step::Finish),
+        ];
+        POISONED.lock().unwrap().extend(
+            poisoned
+                .iter()
+                .map(|&(u, step)| (Arc::as_ptr(&shared[u]) as usize, step.word())),
+        );
+        let mut d = Dispatcher::new(1, TurboMode::Passthrough, &[]).unwrap();
+        for input in &shared {
+            assert!(
+                d.wait_below(1, Duration::from_secs(10)),
+                "a lost graph must not hold its row open"
+            );
+            d.dispatch(std::iter::once((&cell, input)));
+        }
+        d.pool().wait_all();
+        assert_eq!(d.shared.graphs.lock().unwrap().len(), 1);
+        let rows = d.finish();
+        assert_eq!(d.pool().poisoned_tasks(), poisoned.len() as u64);
+        for (u, row) in rows.iter().enumerate() {
+            let lost = poisoned.iter().any(|&(p, _)| p == u);
+            match &row.results[0] {
+                None => assert!(lost, "user {u} was lost"),
+                Some(result) => {
+                    assert!(!lost, "user {u} should have been lost");
+                    assert_eq!(result, &golden.subframe(0)[u], "user {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn steps_round_trip_through_the_task_word() {
+        for step in [
+            Step::Estimate(0),
+            Step::Estimate(63),
+            Step::Combine(0),
+            Step::Combine(47),
+            Step::Finish,
+        ] {
+            assert_eq!(Step::of(step.word()), step);
+        }
+    }
 
     fn small_inputs(n: usize) -> (CellConfig, Vec<Arc<UserInput>>) {
         let cell = CellConfig::with_antennas(2);

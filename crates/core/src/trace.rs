@@ -102,6 +102,13 @@ pub fn run_trace(ctx: &ExperimentContext) -> TraceArtifacts {
     d.dispatch((0..8).map(|_| (&cell, &shared)));
     d.finish();
     d.pool().export_metrics(&metrics);
+    // Scratch-arena traffic (process-wide): `fresh` counts buffers that
+    // had to grow, `reused` counts pool hits. In steady state `fresh`
+    // must stop moving — the observable form of the zero-allocation
+    // guarantee.
+    let arena = lte_dsp::arena::stats();
+    metrics.set_counter("pool.arena.fresh", arena.fresh);
+    metrics.set_counter("pool.arena.reused", arena.reused);
 
     let events = recorder.events();
     let dropped = recorder.total_recorded() - events.len() as u64;

@@ -16,8 +16,8 @@
 //! place and grows monotonically to the largest transform seen.
 //!
 //! Global [`stats`] counters (fresh allocations vs. reuses) are shared
-//! by all arenas and exported by the worker pool as `pool.arena.*`
-//! metrics.
+//! by all arenas and exported next to the worker pool's counters as
+//! `pool.arena.*` metrics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

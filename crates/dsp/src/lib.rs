@@ -12,7 +12,6 @@
 //!   ([`modulation`], [`llr`]),
 //! * block (de)interleaving ([`interleave`]),
 //! * CRC-8/16/24A/24B generators used by LTE transport channels ([`crc`]),
-//! * FIR filtering for the receive front-end ([`fir`]),
 //! * Gold-sequence scrambling ([`scrambling`]), transport-block
 //!   code-block segmentation ([`segmentation`]) and circular-buffer rate
 //!   matching ([`rate_match`]),
@@ -41,7 +40,6 @@ pub mod channel;
 pub mod complex;
 pub mod crc;
 pub mod fft;
-pub mod fir;
 pub mod interleave;
 pub mod llr;
 pub mod matched_filter;

@@ -38,46 +38,45 @@ pub fn exact_llr(modulation: Modulation, y: Complex32, noise_var: f32, out: &mut
 }
 
 /// Max-log LLRs for one equalised symbol: replaces the log-sum-exp with a
-/// max, the standard receiver approximation.
+/// max, the standard receiver approximation. Appends
+/// [`Modulation::bits_per_symbol`] values.
 ///
 /// # Panics
 ///
 /// Panics if `noise_var <= 0`.
 pub fn maxlog_llr(modulation: Modulation, y: Complex32, noise_var: f32, out: &mut Vec<f32>) {
+    let start = out.len();
+    out.resize(start + modulation.bits_per_symbol(), 0.0);
+    maxlog_llr_to(modulation, y, noise_var, &mut out[start..]);
+}
+
+/// [`maxlog_llr`] into `out`, which holds exactly
+/// [`Modulation::bits_per_symbol`] values.
+pub(crate) fn maxlog_llr_to(modulation: Modulation, y: Complex32, noise_var: f32, out: &mut [f32]) {
     assert!(noise_var > 0.0, "noise variance must be positive");
     match modulation {
         // QPSK max-log is exactly linear in y.
         Modulation::Qpsk => {
             let a = 2.0 * std::f32::consts::SQRT_2 / noise_var;
-            out.push(a * y.re);
-            out.push(a * y.im);
+            out[0] = a * y.re;
+            out[1] = a * y.im;
         }
         Modulation::Qam16 => {
             let d = modulation.norm();
-            axis_llr_2bit(y.re, d, noise_var, out);
-            let i = out.len();
-            axis_llr_2bit(y.im, d, noise_var, out);
+            let (i, q) = out.split_at_mut(2);
+            axis_llr_2bit(y.re, d, noise_var, i);
+            axis_llr_2bit(y.im, d, noise_var, q);
             // Interleave: produced [i0 i1 q0 q1], need [b0=i0 b1=q0 b2=i1 b3=q1].
-            let q0 = out[i];
-            let i1 = out[i - 1];
-            out[i - 1] = q0;
-            out[i] = i1;
+            out.swap(1, 2);
         }
         Modulation::Qam64 => {
             let d = modulation.norm();
-            let base = out.len();
-            axis_llr_3bit(y.re, d, noise_var, out);
-            axis_llr_3bit(y.im, d, noise_var, out);
+            let (i, q) = out.split_at_mut(3);
+            axis_llr_3bit(y.re, d, noise_var, i);
+            axis_llr_3bit(y.im, d, noise_var, q);
             // Reorder [i0 i1 i2 q0 q1 q2] → [i0 q0 i1 q1 i2 q2].
-            let tmp = [
-                out[base],
-                out[base + 3],
-                out[base + 1],
-                out[base + 4],
-                out[base + 2],
-                out[base + 5],
-            ];
-            out[base..base + 6].copy_from_slice(&tmp);
+            let tmp = [out[0], out[3], out[1], out[4], out[2], out[5]];
+            out.copy_from_slice(&tmp);
         }
     }
 }
@@ -89,22 +88,42 @@ pub fn demap_block(modulation: Modulation, symbols: &[Complex32], noise_var: f32
     out
 }
 
-/// [`demap_block`] appending into a caller-owned buffer — the
-/// zero-allocation hot path writes straight into an arena slice.
-///
-/// Dispatches to the AVX2 demapper when available (see [`crate::simd`]);
-/// the vector path is bit-identical to the scalar loop below.
+/// [`demap_block`] appending into a caller-owned buffer: grows `out` by
+/// the block's LLR count and runs [`demap_block_to`] on the new tail.
 pub fn demap_block_into(
     modulation: Modulation,
     symbols: &[Complex32],
     noise_var: f32,
     out: &mut Vec<f32>,
 ) {
+    let start = out.len();
+    out.resize(start + symbols.len() * modulation.bits_per_symbol(), 0.0);
+    demap_block_to(modulation, symbols, noise_var, &mut out[start..]);
+}
+
+/// The max-log demap kernel: writes every LLR of `symbols` into `out`,
+/// which holds exactly `symbols.len() · bits_per_symbol` values — the
+/// zero-allocation hot path hands it a range of its LLR buffer.
+///
+/// Dispatches to the AVX2 demapper when available (see [`crate::simd`]);
+/// the vector path is bit-identical to the scalar loop below.
+///
+/// # Panics
+///
+/// Panics if `out` has the wrong length or `noise_var <= 0`.
+pub fn demap_block_to(
+    modulation: Modulation,
+    symbols: &[Complex32],
+    noise_var: f32,
+    out: &mut [f32],
+) {
+    let bits = modulation.bits_per_symbol();
+    assert_eq!(out.len(), symbols.len() * bits, "one LLR per bit");
     if crate::simd::demap_block_maxlog(modulation, symbols, noise_var, out) {
         return;
     }
-    for &y in symbols {
-        maxlog_llr(modulation, y, noise_var, out);
+    for (&y, llrs) in symbols.iter().zip(out.chunks_exact_mut(bits)) {
+        maxlog_llr_to(modulation, y, noise_var, llrs);
     }
 }
 
@@ -147,13 +166,13 @@ pub fn hard_decisions_into(llrs: &[f32], out: &mut Vec<u8>) {
 
 /// Per-axis Gray-coded 2-bit PAM max-log LLRs (16-QAM axis with levels
 /// ±d, ±3d): closed-form piecewise-linear expressions.
-fn axis_llr_2bit(x: f32, d: f32, noise_var: f32, out: &mut Vec<f32>) {
+fn axis_llr_2bit(x: f32, d: f32, noise_var: f32, out: &mut [f32]) {
     let levels = [(0b00, d), (0b01, 3.0 * d), (0b10, -d), (0b11, -3.0 * d)];
-    push_axis_llrs::<2>(x, &levels, 1.0 / noise_var, out);
+    axis_llrs::<2>(x, &levels, 1.0 / noise_var, out);
 }
 
 /// Per-axis Gray-coded 3-bit PAM max-log LLRs (64-QAM axis).
-fn axis_llr_3bit(x: f32, d: f32, noise_var: f32, out: &mut Vec<f32>) {
+fn axis_llr_3bit(x: f32, d: f32, noise_var: f32, out: &mut [f32]) {
     let inv = 1.0 / noise_var;
     let levels = [
         (0b000, 3.0 * d),
@@ -165,17 +184,13 @@ fn axis_llr_3bit(x: f32, d: f32, noise_var: f32, out: &mut Vec<f32>) {
         (0b110, -5.0 * d),
         (0b111, -7.0 * d),
     ];
-    push_axis_llrs::<3>(x, &levels, inv, out);
+    axis_llrs::<3>(x, &levels, inv, out);
 }
 
-/// Shared max-log PAM demapper over an explicit (label, level) table.
-fn push_axis_llrs<const BITS: usize>(
-    x: f32,
-    levels: &[(usize, f32)],
-    inv_noise: f32,
-    out: &mut Vec<f32>,
-) {
-    for k in 0..BITS {
+/// Shared max-log PAM demapper over an explicit (label, level) table,
+/// into `out[..BITS]`.
+fn axis_llrs<const BITS: usize>(x: f32, levels: &[(usize, f32)], inv_noise: f32, out: &mut [f32]) {
+    for (k, llr) in out[..BITS].iter_mut().enumerate() {
         let mask = 1usize << (BITS - 1 - k);
         let mut best0 = f32::INFINITY;
         let mut best1 = f32::INFINITY;
@@ -187,7 +202,7 @@ fn push_axis_llrs<const BITS: usize>(
                 best1 = best1.min(dist);
             }
         }
-        out.push((best1 - best0) * inv_noise);
+        *llr = (best1 - best0) * inv_noise;
     }
 }
 

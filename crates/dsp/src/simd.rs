@@ -263,9 +263,10 @@ pub(crate) fn turbo_extrinsic8(
     }
 }
 
-/// Max-log demap of a whole symbol block, appending LLRs to `out`.
-/// Returns `false` when the caller should run the scalar loop instead
-/// (vector path unavailable or block too short).
+/// Max-log demap of a whole symbol block into `out`, which holds
+/// exactly `symbols.len() · bits_per_symbol` LLRs. Returns `false`,
+/// having written nothing, when the caller should run the scalar loop
+/// instead (vector path unavailable or block too short).
 ///
 /// # Panics
 ///
@@ -274,7 +275,7 @@ pub(crate) fn demap_block_maxlog(
     modulation: Modulation,
     symbols: &[Complex32],
     noise_var: f32,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -283,15 +284,10 @@ pub(crate) fn demap_block_maxlog(
         }
         assert!(noise_var > 0.0, "noise variance must be positive");
         let bits = modulation.bits_per_symbol();
-        // Reserve the whole block up front so the scalar-tail pushes below
-        // never reallocate (the hot path's output buffers are reused
-        // across subframes, so steady state stays allocation-free).
-        out.reserve(symbols.len() * bits);
-        let start = out.len();
         let split = symbols.len() & !7;
-        out.resize(start + split * bits, 0.0);
-        let dst = &mut out[start..];
-        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`.
+        let (dst, tail) = out.split_at_mut(split * bits);
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`, and
+        // `dst` holds `bits` LLRs for each of the `split` symbols.
         unsafe {
             match modulation {
                 Modulation::Qpsk => {
@@ -305,9 +301,9 @@ pub(crate) fn demap_block_maxlog(
                 }
             }
         }
-        // Scalar tail, appended with the reference demapper.
-        for &y in &symbols[split..] {
-            crate::llr::maxlog_llr(modulation, y, noise_var, out);
+        // Scalar tail, with the reference demapper.
+        for (&y, llrs) in symbols[split..].iter().zip(tail.chunks_exact_mut(bits)) {
+            crate::llr::maxlog_llr_to(modulation, y, noise_var, llrs);
         }
         true
     }

@@ -88,8 +88,6 @@ const QPP_TABLE: &[(usize, usize, usize)] = &[
 #[derive(Clone, Debug)]
 pub struct QppInterleaver {
     inner: Interleaver,
-    f1: usize,
-    f2: usize,
 }
 
 impl QppInterleaver {
@@ -146,8 +144,6 @@ impl QppInterleaver {
         }
         Some(QppInterleaver {
             inner: Interleaver::from_permutation(perm),
-            f1,
-            f2,
         })
     }
 
@@ -159,11 +155,6 @@ impl QppInterleaver {
     /// `true` if the block size is zero (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
-    }
-
-    /// `(f1, f2)` in use.
-    pub fn coefficients(&self) -> (usize, usize) {
-        (self.f1, self.f2)
     }
 
     /// Interleaves a block.

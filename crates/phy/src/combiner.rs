@@ -152,29 +152,29 @@ impl CombinerWeights {
         });
     }
 
-    /// The MMSE weights of one slot straight from a flat
+    /// [`compute`](Self::compute) straight from a flat
     /// `[rx][layer][subcarrier]` path buffer — the layout the parallel
     /// runtime's estimation tasks write — with no copy into a
-    /// [`ChannelEstimate`] first.
+    /// [`ChannelEstimate`] first, solved in place into this value's
+    /// storage.
     ///
     /// # Panics
     ///
     /// Panics if `flat.len() != n_rx * n_layers * n_sc`, and as
     /// [`compute`](Self::compute) does.
-    pub fn from_flat(
+    pub fn compute_flat(
+        &mut self,
         n_rx: usize,
         n_layers: usize,
         n_sc: usize,
         flat: &[Complex32],
         noise_var: f32,
-    ) -> Self {
+    ) {
         assert_eq!(flat.len(), n_rx * n_layers * n_sc, "path buffer mismatch");
-        let mut out = Self::empty();
-        out.compute_paths(n_rx, n_layers, n_sc, noise_var, |rx, layer| {
+        self.compute_paths(n_rx, n_layers, n_sc, noise_var, |rx, layer| {
             let base = (rx * n_layers + layer) * n_sc;
             &flat[base..base + n_sc]
         });
-        out
     }
 
     fn compute_paths<'a>(
@@ -203,8 +203,11 @@ impl CombinerWeights {
         noise_var: f32,
         path: impl Fn(usize, usize) -> &'a [Complex32],
     ) {
-        // Every element is overwritten below.
-        self.wt.resize(n_sc * L * n_rx, Complex32::ZERO);
+        // Every element is overwritten below. Storage that outlives a
+        // user (a pooled graph node's) grows to exactly what it holds.
+        let len = n_sc * L * n_rx;
+        self.wt.reserve_exact(len.saturating_sub(self.wt.len()));
+        self.wt.resize(len, Complex32::ZERO);
         self.n_sc = n_sc;
         self.n_layers = L;
         self.n_rx = n_rx;

@@ -48,7 +48,6 @@
 
 pub mod combiner;
 pub mod estimator;
-pub mod frontend;
 pub mod grid;
 mod linalg;
 pub mod params;

@@ -11,6 +11,11 @@
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+/// Items every queue has room for from the start — more than a few
+/// subframes of users or one user's task fan-out — so a warm run's
+/// queues never grow at whatever moment a backlog first peaks.
+const CAPACITY: usize = 256;
+
 /// Cache-line aligned: the workers' deques are adjacent elements of one
 /// `Vec`, and unaligned (40 bytes each) two workers' lock words would
 /// share a line and bounce it on every local push and pop.
@@ -22,7 +27,7 @@ pub(crate) struct Deque<T> {
 impl<T> Deque<T> {
     pub(crate) fn new() -> Self {
         Deque {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(VecDeque::with_capacity(CAPACITY)),
         }
     }
 

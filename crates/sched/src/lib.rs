@@ -40,7 +40,7 @@ pub use cycles::{CostModel, SimJob};
 pub use ingest::{IngestQueue, PushError};
 pub use pool::{
     host_parallelism, silence_injected_panics, InjectedPanic, PoolError, PoolHandle, TaskPool,
-    WorkerKill, WorkerSnapshot,
+    TaskState, WorkerKill,
 };
 pub use shard::interleave_shards;
 pub use sim::{NapMode, SimBoundary, SimConfig, SimReport, SimSession, Simulator, SubframeLoad};

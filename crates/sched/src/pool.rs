@@ -6,38 +6,34 @@
 //!   coordinator (any thread that is not one of this pool's workers),
 //!   and idle workers check it *before* stealing fine-grained tasks, so
 //!   new subframes start promptly;
-//! * **per-worker task deques** — a task running on a worker spawns its
-//!   successors onto *that worker's* deque, which the owner pops LIFO;
-//!   idle workers steal FIFO from other workers' deques, one task at a
-//!   time — the paper's "each worker thread has a local task queue, and
-//!   if no work exists in its own queue, it tries to steal work from
-//!   another worker thread". Both queue kinds are the private `deque`
-//!   module's mutex-guarded `VecDeque` on `std`, as plain as the
-//!   paper's Pthreads queues: correct and ordered, not lock-free;
-//! * **a bounded per-worker LIFO slot** — the most recently spawned
-//!   continuation task is kept in a one-element slot private to the
-//!   worker, so a dependency chain (estimate → weights → combine →
-//!   finish) runs back-to-back on one core with hot caches instead of
-//!   round-tripping through the deque;
+//! * **per-worker task deques** — a worker's tasks spawn their
+//!   successors onto its deque, which the owner pops LIFO and idle
+//!   workers steal from FIFO, one task at a time (the paper's "if no work
+//!   exists in its own queue, it tries to steal work from another worker
+//!   thread"). Both queue kinds are the private `deque` module's
+//!   mutex-guarded `VecDeque`: correct and ordered, not lock-free;
+//! * **a bounded per-worker LIFO slot** — the most recently spawned task
+//!   waits in a one-element slot private to the worker, so a dependency
+//!   chain runs back-to-back on one core with hot caches;
 //! * **spin-then-park idling** — a worker that finds no work anywhere
 //!   retries briefly, then parks on a condvar with exponentially growing
 //!   timeouts instead of burning a core, and is woken by the next spawn;
-//! * **one kind of work, the detached task** ([`TaskPool::spawn`],
-//!   [`PoolHandle::spawn`]) — dependency-graph continuations that block
-//!   no thread: a task's completion spawns its successors, and
-//!   [`TaskPool::wait_all`] counts every spawned task, so a whole
-//!   subframe pipeline drains without any thread standing at a barrier;
-//! * **cycle accounting** — every executed task is timed on the worker
-//!   that ran it, the analogue of the paper's `get_cycle_count()`
-//!   instrumentation, so the activity metric (Eq. 2) can be computed for
-//!   real runs too. Only workers run tasks, so every pool-wide total is
+//! * **one kind of work, the detached task** — a closure or a
+//!   [`TaskState`] word, one representation either way — that blocks no
+//!   thread: a task spawns its successors, and [`TaskPool::wait_all`]
+//!   counts every spawned task, so a subframe drains with no barrier;
+//! * **cycle accounting** — every task is timed on the worker that ran
+//!   it, the analogue of the paper's `get_cycle_count()`, so Eq. 2
+//!   activity is computed for real runs too; every pool-wide total is
 //!   the sum of the per-worker counters.
 //!
 //! A worker's work search is: LIFO slot → own deque → global queue →
 //! round-robin steal from the other workers' deques.
 
 use std::cell::{Cell, RefCell};
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -47,7 +43,83 @@ use lte_obs::MetricsRegistry;
 
 use crate::deque::Deque;
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// State that pool tasks run on with no allocation per task: the task
+/// `(Arc<S>, word)` ([`PoolHandle::spawn_on`]) calls `S::run(state, word)`.
+pub trait TaskState: Send + Sync + 'static {
+    /// Runs the task that `word` names.
+    fn run(self: Arc<Self>, word: usize);
+}
+
+/// The pool's one task representation: an owned state — a closure's
+/// `Box` or a [`TaskState`]'s `Arc` — behind an erased pointer, one word,
+/// and the function that rebuilds the state and runs it or drops it.
+pub(crate) struct Task {
+    state: NonNull<()>,
+    word: usize,
+    consume: unsafe fn(NonNull<()>, usize, bool),
+}
+
+// SAFETY: a task owns its state, which is `Send`: a closure `F: Send` or
+// an `Arc<S>` with `S: Send + Sync`.
+unsafe impl Send for Task {}
+
+impl Task {
+    fn closure<F: FnOnce() + Send + 'static>(f: F) -> Self {
+        /// # Safety
+        ///
+        /// `state` is the `Box<F>` that `Task::closure` leaked, consumed once.
+        unsafe fn consume<F: FnOnce()>(state: NonNull<()>, _: usize, run: bool) {
+            let f = state.cast::<F>().as_ptr();
+            debug_assert!(f.is_aligned(), "a task's state pointer is its own");
+            // SAFETY: the contract above.
+            let f = unsafe { Box::from_raw(f) };
+            if run {
+                f();
+            }
+        }
+        let state = NonNull::from(Box::leak(Box::new(f))).cast();
+        Task {
+            state,
+            word: 0,
+            consume: consume::<F>,
+        }
+    }
+
+    fn shared<S: TaskState>(state: Arc<S>, word: usize) -> Self {
+        /// # Safety
+        ///
+        /// `state` is the count that `Task::shared` leaked, consumed once.
+        unsafe fn consume<S: TaskState>(state: NonNull<()>, word: usize, run: bool) {
+            let s = state.cast::<S>().as_ptr().cast_const();
+            debug_assert!(s.is_aligned(), "a task's state pointer is its own");
+            // SAFETY: the contract above.
+            let s = unsafe { Arc::from_raw(s) };
+            if run {
+                s.run(word);
+            }
+        }
+        let state = NonNull::new(Arc::into_raw(state).cast_mut()).expect("an Arc is non-null");
+        Task {
+            state: state.cast(),
+            word,
+            consume: consume::<S>,
+        }
+    }
+
+    fn run(self) {
+        let task = ManuallyDrop::new(self);
+        // SAFETY: `consume` and `state` come from one constructor, and
+        // `ManuallyDrop` keeps `Drop` from consuming the state again.
+        unsafe { (task.consume)(task.state, task.word, true) }
+    }
+}
+
+impl Drop for Task {
+    fn drop(&mut self) {
+        // SAFETY: as in `run`; a task runs or drops, never both.
+        unsafe { (self.consume)(self.state, self.word, false) }
+    }
+}
 
 /// Consecutive empty work searches a worker tolerates (yielding between
 /// attempts) before it parks on the idle condvar.
@@ -93,15 +165,8 @@ impl std::error::Error for PoolError {
 }
 
 /// The host's available hardware parallelism, falling back to **1**
-/// when it cannot be determined.
-///
-/// This is the single source of truth for every default-worker
-/// decision — pool defaults, benchmark defaults and the CLI all route
-/// through here, so two layers can never disagree on the worker count
-/// when `available_parallelism` fails.
-/// The fallback is 1 (not some optimistic core count): on a host whose
-/// parallelism is unknowable, spawning extra threads only adds
-/// contention noise to the measurements the pool exists to make.
+/// (extra threads on an unknowable host only add contention noise): the
+/// one source of every default worker count, so no two layers disagree.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -142,10 +207,9 @@ thread_local! {
     /// recently spawned task. Private to the worker — never stolen — so
     /// a continuation chain keeps its working set in cache.
     static LIFO_SLOT: RefCell<Option<Task>> = const { RefCell::new(None) };
-    /// `(pool, index)` of the worker thread currently running, if any —
-    /// the pool as the address of its [`Inner`], which the worker keeps
-    /// alive (and so unique) for as long as the thread runs. Read only
-    /// through [`worker_of`].
+    /// `(pool, index)` of this worker thread — the pool as the address of
+    /// its [`Inner`], which the worker keeps alive (and so unique). Read
+    /// only through [`worker_of`].
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
@@ -161,23 +225,6 @@ struct WorkerStats {
     parks: AtomicU64,
 }
 
-/// A point-in-time copy of one worker's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerSnapshot {
-    /// Nanoseconds of useful task execution on this worker.
-    pub busy_nanos: u64,
-    /// Tasks this worker executed (its own plus stolen ones).
-    pub executed_tasks: u64,
-    /// Successful steals from other workers' deques.
-    pub steals: u64,
-    /// Work searches that found nothing anywhere.
-    pub steal_failures: u64,
-    /// Tasks this worker took from its bounded LIFO slot.
-    pub slot_hits: u64,
-    /// Times this worker parked on the idle condvar.
-    pub parks: u64,
-}
-
 struct Inner {
     /// The global user queue, fed by every thread that is not one of
     /// this pool's workers.
@@ -191,9 +238,8 @@ struct Inner {
     poisoned_tasks: AtomicU64,
     worker_respawns: AtomicU64,
     worker_stats: Vec<WorkerStats>,
-    /// Workers currently parked (or about to park) on `idle_cv`; wakeups
-    /// are skipped entirely while this is zero, so the spawn hot path
-    /// pays no condvar traffic when every worker is busy.
+    /// Workers parked (or about to park) on `idle_cv`; while it is zero
+    /// a spawn skips the condvar entirely.
     idle_workers: AtomicUsize,
     /// Governor cap: only workers with `index < active_limit` search for
     /// new work; the rest drain their local deque and park (the paper's
@@ -217,11 +263,8 @@ impl Inner {
     fn finish_pending(&self) {
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
             // `wait_all` holds `done_lock` from its read of `pending`
-            // until the condvar wait releases it. So the decrement above
-            // either precedes that read (the waiter sees zero and never
-            // parks) or falls inside that span — then this acquire
-            // blocks until the waiter is parked, and the notify below
-            // cannot be missed.
+            // until its wait releases it, so either it reads zero or this
+            // acquire blocks until it is parked: no notify is missed.
             drop(lock(&self.done_lock));
             self.done_cv.notify_all();
         }
@@ -281,10 +324,8 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> Mut
         .0
 }
 
-/// The calling thread's worker index in *this* pool. `None` on every
-/// foreign thread — another pool's worker included, which must not put
-/// this pool's tasks in its own LIFO slot or index this pool's
-/// per-worker state with its own index.
+/// The calling thread's worker index in *this* pool: `None` on every
+/// other thread, another pool's worker included.
 fn worker_of(inner: &Inner) -> Option<usize> {
     let (pool, index) = WORKER.with(Cell::get)?;
     (pool == inner as *const Inner as usize).then_some(index)
@@ -299,8 +340,7 @@ fn spawn_inner(inner: &Inner, task: Task) {
         Some(w) => {
             let displaced = LIFO_SLOT.with(|slot| slot.borrow_mut().replace(task));
             if let Some(old) = displaced {
-                // The displaced task becomes stealable: other workers may
-                // be hungry for it.
+                // The displaced task becomes stealable.
                 inner.deques[w].push(old);
                 inner.wake_idle();
             }
@@ -314,26 +354,23 @@ fn spawn_inner(inner: &Inner, task: Task) {
 }
 
 /// A cloneable, `'static` handle for spawning detached tasks onto the
-/// pool — the edge type of dependency-graph continuations: a task
-/// captures a handle and spawns its successors when it completes.
-///
-/// Handles keep the pool's shared state alive but own no worker threads;
-/// dropping the owning [`TaskPool`] still shuts the workers down.
+/// pool, from which a task spawns its successors. It owns no worker
+/// threads: dropping the [`TaskPool`] still shuts the workers down.
 #[derive(Clone)]
 pub struct PoolHandle {
     inner: Arc<Inner>,
-    n_workers: usize,
 }
 
 impl PoolHandle {
-    /// Number of worker threads in the pool this handle points at.
-    pub fn n_workers(&self) -> usize {
-        self.n_workers
-    }
-
     /// Spawns a detached task (see [`TaskPool::spawn`]).
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        spawn_inner(&self.inner, Box::new(task));
+        spawn_inner(&self.inner, Task::closure(task));
+    }
+
+    /// Spawns the detached task `(state, word)` (see [`TaskState`]), with
+    /// no allocation: the task holds one more count on `state`.
+    pub fn spawn_on<S: TaskState>(&self, state: Arc<S>, word: usize) {
+        spawn_inner(&self.inner, Task::shared(state, word));
     }
 }
 
@@ -434,19 +471,14 @@ impl TaskPool {
     pub fn handle(&self) -> PoolHandle {
         PoolHandle {
             inner: Arc::clone(&self.inner),
-            n_workers: self.n_workers,
         }
     }
 
     /// Spawns a detached task: no thread blocks on its completion, but
-    /// [`TaskPool::wait_all`] counts it. On one of this pool's worker
-    /// threads the task goes into the worker's bounded LIFO slot
-    /// (displacing any previous occupant onto the stealable deque), on
-    /// any other thread onto the global user queue — the building block
-    /// of dependency-ordered task graphs where each task spawns its
-    /// successors instead of a user thread standing at a barrier.
+    /// [`TaskPool::wait_all`] counts it. It enters the spawning worker's
+    /// LIFO slot, or the global user queue from any other thread.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        spawn_inner(&self.inner, Box::new(task));
+        spawn_inner(&self.inner, Task::closure(task));
     }
 
     /// Blocks until every spawned task has completed.
@@ -475,11 +507,6 @@ impl TaskPool {
         self.inner.total(|s| &s.steals)
     }
 
-    /// Number of work searches that found nothing anywhere so far.
-    pub fn steal_failures(&self) -> u64 {
-        self.inner.total(|s| &s.steal_failures)
-    }
-
     /// Tasks executed straight from a worker's bounded LIFO slot.
     pub fn lifo_slot_hits(&self) -> u64 {
         self.inner.total(|s| &s.slot_hits)
@@ -501,29 +528,10 @@ impl TaskPool {
     }
 
     /// Chaos injection: spawns a task that fail-stops whichever worker
-    /// executes it. Like every task it counts toward
-    /// [`wait_all`](TaskPool::wait_all); the supervision loop revives
-    /// the worker in place (same deque, so no queued task is lost) and
-    /// counts the respawn just after the task is released.
+    /// executes it. [`wait_all`](TaskPool::wait_all) counts it; the
+    /// worker revives in place and counts the respawn just after.
     pub fn inject_worker_kill(&self) {
         self.spawn(|| std::panic::panic_any(WorkerKill));
-    }
-
-    /// A point-in-time copy of worker `i`'s counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n_workers()`.
-    pub fn worker_snapshot(&self, i: usize) -> WorkerSnapshot {
-        let s = &self.inner.worker_stats[i];
-        WorkerSnapshot {
-            busy_nanos: s.busy_nanos.load(Ordering::Relaxed),
-            executed_tasks: s.executed_tasks.load(Ordering::Relaxed),
-            steals: s.steals.load(Ordering::Relaxed),
-            steal_failures: s.steal_failures.load(Ordering::Relaxed),
-            slot_hits: s.slot_hits.load(Ordering::Relaxed),
-            parks: s.parks.load(Ordering::Relaxed),
-        }
     }
 
     /// Publishes pool totals and per-worker counters into `metrics`
@@ -532,7 +540,8 @@ impl TaskPool {
         metrics.set_counter("pool.busy_nanos", self.busy_nanos());
         metrics.set_counter("pool.executed_tasks", self.executed_tasks());
         metrics.set_counter("pool.steals", self.steal_count());
-        metrics.set_counter("pool.steal_failures", self.steal_failures());
+        let failures = self.inner.total(|s| &s.steal_failures);
+        metrics.set_counter("pool.steal_failures", failures);
         metrics.set_counter("pool.lifo_slot_hits", self.lifo_slot_hits());
         metrics.set_counter("pool.parks", self.parks());
         metrics.set_counter("pool.poisoned_tasks", self.poisoned_tasks());
@@ -540,21 +549,17 @@ impl TaskPool {
         metrics.set_counter("pool.workers", self.n_workers as u64);
         metrics.set_counter("pool.active_workers", self.active_workers() as u64);
         metrics.set_counter("pool.governor_parked_nanos", self.governor_parked_nanos());
-        // Scratch-arena traffic (process-wide): `fresh` counts buffers
-        // that had to grow, `reused` counts pool hits. In steady state
-        // `fresh` must stop moving — the observable form of the
-        // zero-allocation guarantee.
-        let arena = lte_dsp::arena::stats();
-        metrics.set_counter("pool.arena.fresh", arena.fresh);
-        metrics.set_counter("pool.arena.reused", arena.reused);
-        for i in 0..self.n_workers {
-            let s = self.worker_snapshot(i);
-            metrics.set_counter(&format!("pool.worker.{i}.busy_nanos"), s.busy_nanos);
-            metrics.set_counter(&format!("pool.worker.{i}.executed_tasks"), s.executed_tasks);
-            metrics.set_counter(&format!("pool.worker.{i}.steals"), s.steals);
-            metrics.set_counter(&format!("pool.worker.{i}.steal_failures"), s.steal_failures);
-            metrics.set_counter(&format!("pool.worker.{i}.slot_hits"), s.slot_hits);
-            metrics.set_counter(&format!("pool.worker.{i}.parks"), s.parks);
+        for (i, s) in self.inner.worker_stats.iter().enumerate() {
+            let set = |key: &str, counter: &AtomicU64| {
+                let value = counter.load(Ordering::Relaxed);
+                metrics.set_counter(&format!("pool.worker.{i}.{key}"), value);
+            };
+            set("busy_nanos", &s.busy_nanos);
+            set("executed_tasks", &s.executed_tasks);
+            set("steals", &s.steals);
+            set("steal_failures", &s.steal_failures);
+            set("slot_hits", &s.slot_hits);
+            set("parks", &s.parks);
         }
     }
 
@@ -582,11 +587,9 @@ impl TaskPool {
         self.inner.governor_parked_nanos.load(Ordering::Relaxed)
     }
 
-    /// Eq. 2 activity over the wall-clock window since the previous call
-    /// (or since pool construction): Δ`busy_nanos` over
-    /// `n_workers × Δt`. Designed for subframe-boundary sampling, where
-    /// it is the measured side of the Fig. 12 estimated-vs-measured
-    /// comparison.
+    /// Eq. 2 activity since the previous call (or construction):
+    /// Δ`busy_nanos` over `n_workers × Δt` — the measured side of the
+    /// Fig. 12 estimated-vs-measured comparison at subframe boundaries.
     pub fn boundary_activity(&self) -> f64 {
         let mut last = lock(&self.inner.boundary);
         let now = Instant::now();
@@ -613,16 +616,13 @@ impl Drop for TaskPool {
 
 /// Executes one task on worker `w` with cycle accounting and panic
 /// containment: a panicking task is counted under `poisoned_tasks` and
-/// swallowed — the worker survives. Accounting comes first, then the
-/// task's unit of `pending` (released even when the task panicked, so a
-/// poisoned task cannot hang `wait_all`, and only after the accounting,
-/// so `wait_all` returns to counters that include the task). The one
-/// exception to containment is the [`WorkerKill`] chaos payload: not
-/// counted as poisoned, it is re-raised last so it fail-stops the worker
-/// (the supervision loop in [`worker_entry`] then revives it).
+/// swallowed. The task's unit of `pending` is released after the
+/// accounting (so `wait_all` returns to counters that include it) and
+/// even on a panic. A [`WorkerKill`] payload is re-raised last, so it
+/// fail-stops the worker (which [`worker_entry`] revives).
 fn run_timed(inner: &Inner, w: usize, task: Task) {
     let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(task));
+    let result = catch_unwind(AssertUnwindSafe(|| task.run()));
     let stats = &inner.worker_stats[w];
     let nanos = start.elapsed().as_nanos() as u64;
     stats.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -642,10 +642,8 @@ fn run_timed(inner: &Inner, w: usize, task: Task) {
 }
 
 /// Worker thread body: a supervision loop around [`worker_loop`]. A
-/// [`WorkerKill`] unwinding out of the work loop models a core dying;
-/// the supervisor counts the respawn and re-enters the loop on the same
-/// thread with the same LIFO slot and — by index — the same deque, so
-/// queued tasks survive the "death".
+/// [`WorkerKill`] models a core dying; the loop is re-entered with the
+/// same LIFO slot and deque, so queued tasks survive the "death".
 fn worker_entry(inner: Arc<Inner>, index: usize) {
     WORKER.with(|w| w.set(Some((Arc::as_ptr(&inner) as usize, index))));
     while catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index))).is_err() {
@@ -662,12 +660,10 @@ fn worker_loop(inner: &Inner, index: usize) {
             return;
         }
         // Governor gate: a worker at or above the active limit drains
-        // its local work (slot + own deque — the remainder of the
-        // subframe it was already running), then parks until the limit
-        // rises. It never takes from the global queue or steals, so a
-        // target applied at a subframe boundary changes where work runs,
-        // never what is computed. Its deque stays stealable throughout,
-        // so nothing it holds can be stranded.
+        // its local work, then parks until the limit rises. It never
+        // takes from the global queue or steals, so a target changes
+        // where work runs, never what is computed; its deque stays
+        // stealable, so nothing it holds is stranded.
         if index >= inner.active_limit.load(Ordering::SeqCst) {
             if let Some(t) = inner.pop_local(index) {
                 idle_streak = 0;
@@ -749,6 +745,53 @@ mod tests {
         pool.wait_all();
         assert_eq!(counter.load(Ordering::SeqCst), 300);
         assert_eq!(pool.executed_tasks(), 400);
+    }
+
+    /// A [`TaskState`] task is `(Arc<S>, word)`: it runs with its word and
+    /// holds one count while queued. A task dropped unrun — a pool shut
+    /// down with work queued, closure or state — releases what it owns.
+    #[test]
+    fn state_tasks_run_with_their_word_and_unrun_tasks_release_their_state() {
+        struct Sum(AtomicUsize);
+        impl TaskState for Sum {
+            fn run(self: Arc<Self>, word: usize) {
+                self.0.fetch_add(word, Ordering::SeqCst);
+            }
+        }
+        let sum = Arc::new(Sum(AtomicUsize::new(0)));
+        let pool = TaskPool::new(2).unwrap();
+        let handle = pool.handle();
+        for word in 1..=100 {
+            handle.spawn_on(Arc::clone(&sum), word);
+        }
+        pool.wait_all();
+        assert_eq!(sum.0.load(Ordering::SeqCst), 5050);
+        assert_eq!(Arc::strong_count(&sum), 1, "a run task released its count");
+
+        // The one worker holds a task until shutdown, so what is queued
+        // behind it is dropped unrun with the pool.
+        let pool = TaskPool::new(1).unwrap();
+        let (inner, (started, running)) = (Arc::clone(&pool.inner), std::sync::mpsc::channel());
+        pool.spawn(move || {
+            started.send(()).unwrap();
+            while !inner.shutdown.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        running.recv().unwrap();
+        for word in 0..10 {
+            pool.handle().spawn_on(Arc::clone(&sum), word);
+            let held = Arc::clone(&sum);
+            pool.spawn(move || drop(held));
+        }
+        assert_eq!(Arc::strong_count(&sum), 21);
+        drop(pool);
+        assert_eq!(sum.0.load(Ordering::SeqCst), 5050, "no queued task ran");
+        assert_eq!(
+            Arc::strong_count(&sum),
+            1,
+            "unrun tasks released their state"
+        );
     }
 
     #[test]
@@ -1014,21 +1057,29 @@ mod tests {
         pool.wait_all();
         // Idle workers keep searching and parking after `wait_all`, so
         // those two totals are bracketed by reads before and after the
-        // snapshots; every other counter stands still and must be exact.
-        let (failures_before, parks_before) = (pool.steal_failures(), pool.parks());
-        let per_worker: Vec<WorkerSnapshot> = (0..pool.n_workers())
-            .map(|i| pool.worker_snapshot(i))
-            .collect();
-        let sum = |field: fn(&WorkerSnapshot) -> u64| per_worker.iter().map(field).sum::<u64>();
-        assert_eq!(sum(|s| s.executed_tasks), pool.executed_tasks());
+        // per-worker sums; every other counter stands still and must be
+        // exact. The exported per-worker keys are what is summed.
+        let failures = || pool.inner.total(|s| &s.steal_failures);
+        let (failures_before, parks_before) = (failures(), pool.parks());
+        let metrics = lte_obs::MetricsRegistry::new();
+        pool.export_metrics(&metrics);
+        let sum = |key: &str| {
+            (0..pool.n_workers())
+                .map(|i| match metrics.get(&format!("pool.worker.{i}.{key}")) {
+                    Some(lte_obs::MetricValue::Counter(v)) => v,
+                    other => panic!("pool.worker.{i}.{key} is {other:?}"),
+                })
+                .sum::<u64>()
+        };
+        assert_eq!(sum("executed_tasks"), pool.executed_tasks());
         assert_eq!(pool.executed_tasks(), 8 * (1 + 16));
-        assert_eq!(sum(|s| s.busy_nanos), pool.busy_nanos());
+        assert_eq!(sum("busy_nanos"), pool.busy_nanos());
         assert!(pool.busy_nanos() >= 8 * 16 * 200_000);
-        assert_eq!(sum(|s| s.steals), pool.steal_count());
-        assert_eq!(sum(|s| s.slot_hits), pool.lifo_slot_hits());
-        let failures = sum(|s| s.steal_failures);
-        assert!(failures_before <= failures && failures <= pool.steal_failures());
-        let parks = sum(|s| s.parks);
+        assert_eq!(sum("steals"), pool.steal_count());
+        assert_eq!(sum("slot_hits"), pool.lifo_slot_hits());
+        let summed = sum("steal_failures");
+        assert!(failures_before <= summed && summed <= failures());
+        let parks = sum("parks");
         assert!(parks_before <= parks && parks <= pool.parks());
     }
 
@@ -1106,7 +1157,10 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 100);
         // Only the one active worker took root tasks off the global queue.
         for i in 1..4 {
-            assert_eq!(pool.worker_snapshot(i).executed_tasks, 0, "worker {i}");
+            let executed = pool.inner.worker_stats[i]
+                .executed_tasks
+                .load(Ordering::Relaxed);
+            assert_eq!(executed, 0, "worker {i}");
         }
         pool.set_active_workers(4);
     }

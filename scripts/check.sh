@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, ten budgets (receiver entry points, one subframe
+# benchmark harness, eleven budgets (receiver entry points, one subframe
 # dispatcher, one performance harness, a first-party std-only
 # workspace, one paper-artifact table, one kind of pool work, one
 # overload path, paper artifacts only, one overload response, one
-# host-telemetry path),
+# host-telemetry path, paper pipeline only),
 # conformance vectors on both dispatch paths, the fuzz corpus, the
 # paper artifacts at reduced scale, and a smoke run of every driver
 # (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
@@ -146,6 +146,14 @@ echo "==> one host-telemetry path budget"
 [[ -z "$(grep -rn 'StageHists\|PoolTelemetry\|attach_telemetry\|histograms_only\|JsonLinesRecorder\|WindowAggregate\|SOAK_HOST\|host_metrics_burst' \
     crates fuzz src tests || true)" ]] \
     || { echo "crates/, fuzz/, src/ or tests/ name StageHists, PoolTelemetry, attach_telemetry, histograms_only, JsonLinesRecorder, WindowAggregate, SOAK_HOST or host_metrics_burst"; exit 1; }
+
+echo "==> paper pipeline only budget"
+# The paper's benchmark starts at the post-FFT subframe grid (§IV: "We
+# exclude the computations of the frontend from our benchmark"). A
+# time-domain front-end model or its receive filter growing back is code
+# no driver, artifact or harness path runs.
+[[ -z "$(grep -rn 'FrontEnd\|FirFilter' crates fuzz src tests || true)" ]] \
+    || { echo "crates/, fuzz/, src/ or tests/ name FrontEnd or FirFilter"; exit 1; }
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
