@@ -1,6 +1,7 @@
 //! Decode-tail micro-benchmark: the state-parallel max-log-MAP turbo
-//! decoder across QPP block sizes, scalar vs SIMD dispatch, with and
-//! without deterministic early termination, plus lockstep group decodes.
+//! decoder across QPP block sizes, scalar vs SIMD dispatch, plus
+//! lockstep group decodes. Every row runs all its iterations (no stop
+//! rule), so it times the cost per SISO pass.
 //!
 //! The SIMD rows exercise the AVX2 path (when the host has it) through
 //! the allocation-free `decode_into` entry point — a one-block
@@ -31,8 +32,7 @@ fn encoded_llrs(k: usize, seed: u64) -> TurboLlrs {
     let bits: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
     let code = TurboEncoder::new(k).encode(&bits);
     let mut llrs = code.to_llrs(4.0);
-    // Mild noise so early termination converges in a realistic number
-    // of half-iterations instead of on the first agreement check.
+    // Mild noise, as a received block carries.
     for v in llrs
         .systematic
         .iter_mut()
@@ -49,15 +49,10 @@ fn bench_dispatch(label: &str, scalar: bool) {
     for &k in &SIZES {
         let llrs = encoded_llrs(k, k as u64);
         let decoder = TurboDecoder::new(k, ITERATIONS);
-        let early = TurboDecoder::new(k, ITERATIONS).with_early_termination();
         let mut ws = TurboWorkspace::new();
         let mut out = Vec::new();
         bench(&format!("turbo_decode/{label}/full/{k}"), || {
             decoder.decode_into(&llrs, &mut ws, &mut out);
-            out.first().copied()
-        });
-        bench(&format!("turbo_decode/{label}/early-term/{k}"), || {
-            early.decode_into(&llrs, &mut ws, &mut out);
             out.first().copied()
         });
     }

@@ -395,13 +395,12 @@ pub struct TurboWorkspace {
     apriori2: Vec<f32>,
     extrinsic1: Vec<f32>,
     extrinsic2: Vec<f32>,
-    next_apriori: Vec<f32>,
     half_sys: Vec<f32>,
     half_par: Vec<f32>,
     alpha: Vec<f32>,
     beta: Vec<f32>,
     app: Vec<f32>,
-    converged: bool,
+    stopped: bool,
 }
 
 impl TurboWorkspace {
@@ -411,16 +410,17 @@ impl TurboWorkspace {
     }
 
     /// The a-posteriori LLRs of the information bits left by the last
-    /// [`TurboDecoder::decode_group`] that used this workspace.
+    /// decode that used this workspace.
     pub fn app(&self) -> &[f32] {
         &self.app
     }
 
     /// Hard decisions on [`app`](Self::app) into `out` (`0` where the
-    /// LLR is `>= 0`, else `1`), replacing its contents.
+    /// LLR is `>= 0`, else `1`: [`crate::llr::hard_decisions_into`]),
+    /// replacing its contents.
     pub fn hard_bits_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        out.extend(self.app.iter().map(|&l| if l >= 0.0 { 0u8 } else { 1 }));
+        crate::llr::hard_decisions_into(&self.app, out);
     }
 
     fn prepare(&mut self, k: usize) {
@@ -429,10 +429,9 @@ impl TurboWorkspace {
         self.apriori2.resize(k, 0.0);
         self.extrinsic1.resize(k, 0.0);
         self.extrinsic2.resize(k, 0.0);
-        self.next_apriori.resize(k, 0.0);
         self.half_sys.resize(k, 0.0);
         self.half_par.resize(k, 0.0);
-        self.converged = false;
+        self.stopped = false;
         // alpha/beta are sized inside the SISO pass.
     }
 
@@ -499,12 +498,12 @@ pub fn lockstep_group_len(remaining: usize) -> usize {
 pub struct TurboDecoder {
     interleaver: QppInterleaver,
     iterations: usize,
-    early_termination: bool,
 }
 
 impl TurboDecoder {
     /// Creates a decoder for block size `k` running `iterations` full
-    /// (two-SISO) iterations.
+    /// (two-SISO) iterations, or at most that many under a stop rule
+    /// ([`decode_group_until`](Self::decode_group_until)).
     ///
     /// # Panics
     ///
@@ -514,26 +513,7 @@ impl TurboDecoder {
         TurboDecoder {
             interleaver: QppInterleaver::new(k),
             iterations,
-            early_termination: false,
         }
-    }
-
-    /// Enables deterministic early termination: the iteration loop exits
-    /// as soon as the deinterleaved extrinsic feedback reaches a bitwise
-    /// fixed point (`apriori1` identical, bit for bit, to the previous
-    /// iteration's). Because each iteration is a pure function of
-    /// `(channel LLRs, apriori1)`, a repeated `apriori1` reproduces the
-    /// same `extrinsic1` and `apriori1` for every remaining iteration, so
-    /// the final APP — `sys + apriori1 + extrinsic1` — is provably
-    /// identical to running all `iterations`.
-    pub fn with_early_termination(mut self) -> Self {
-        self.early_termination = true;
-        self
-    }
-
-    /// Whether deterministic early termination is enabled.
-    pub fn early_termination(&self) -> bool {
-        self.early_termination
     }
 
     /// Configured full-iteration count.
@@ -594,20 +574,53 @@ impl TurboDecoder {
         out.extend_from_slice(&ws.app);
     }
 
+    /// Decodes a group of equal-K blocks in lockstep for every configured
+    /// iteration: [`decode_group_until`](Self::decode_group_until) with no
+    /// stop rule, so the APP is assembled once, after the last pass.
+    ///
+    /// # Panics
+    ///
+    /// As [`decode_group_until`](Self::decode_group_until).
+    pub fn decode_group(&self, llrs: &[TurboLlrs], ws: &mut [TurboWorkspace]) {
+        self.decode_group_with(llrs, ws, None::<fn(usize, &[f32]) -> bool>);
+    }
+
     /// Decodes a group of equal-K blocks in lockstep, block `b` from
     /// `llrs[b]` in workspace `ws[b]`, leaving its a-posteriori LLRs in
     /// [`TurboWorkspace::app`]. Each SISO pass advances the blocks
     /// together ([`lockstep_group_len`] blocks per vector loop), but no
     /// block reads another's state, so every block's output is bit for
-    /// bit its one-block decode. With early termination each block stops
-    /// at its own bitwise fixed point and the group at the last of them.
-    /// With warm workspaces this allocates nothing.
+    /// bit its one-block decode.
+    ///
+    /// After every SISO pass each running block's APP is assembled as
+    /// `sys + apriori1 + extrinsic1` and handed to `stop(b, app)`; a
+    /// block for which it returns `true` leaves the group's passes with
+    /// that APP as its output. After pass 1 that is decoder 1's APP;
+    /// after pass 2 of iteration `n` it is bit for bit the output of
+    /// `TurboDecoder::new(k, n)`. The configured iteration count is the
+    /// cap. With warm workspaces this allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if a block's LLR lengths do not match `k`, or if there are
     /// fewer workspaces than blocks.
-    pub fn decode_group(&self, llrs: &[TurboLlrs], ws: &mut [TurboWorkspace]) {
+    pub fn decode_group_until(
+        &self,
+        llrs: &[TurboLlrs],
+        ws: &mut [TurboWorkspace],
+        stop: impl FnMut(usize, &[f32]) -> bool,
+    ) {
+        self.decode_group_with(llrs, ws, Some(stop));
+    }
+
+    /// The one lockstep loop: with `stop` the APP is checked after every
+    /// pass, without it only after the last.
+    fn decode_group_with<F: FnMut(usize, &[f32]) -> bool>(
+        &self,
+        llrs: &[TurboLlrs],
+        ws: &mut [TurboWorkspace],
+        mut stop: Option<F>,
+    ) {
         let k = self.block_size();
         assert!(ws.len() >= llrs.len(), "one workspace per block");
         let ws = &mut ws[..llrs.len()];
@@ -621,38 +634,50 @@ impl TurboDecoder {
             w.apriori1.fill(0.0);
         }
 
-        for _ in 0..self.iterations {
+        for iteration in 1..=self.iterations {
             siso_pass(llrs, ws, false);
-            for w in ws.iter_mut().filter(|w| !w.converged) {
+            if stop.is_some() && stop_check(llrs, ws, &mut stop) {
+                return;
+            }
+            for w in ws.iter_mut().filter(|w| !w.stopped) {
                 self.interleaver.apply_into(&w.extrinsic1, &mut w.apriori2);
             }
             siso_pass(llrs, ws, true);
-            for w in ws.iter_mut().filter(|w| !w.converged) {
-                self.interleaver
-                    .invert_into(&w.extrinsic2, &mut w.next_apriori);
-                w.converged = self.early_termination
-                    && w.next_apriori
-                        .iter()
-                        .zip(&w.apriori1)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                std::mem::swap(&mut w.apriori1, &mut w.next_apriori);
+            for w in ws.iter_mut().filter(|w| !w.stopped) {
+                self.interleaver.invert_into(&w.extrinsic2, &mut w.apriori1);
             }
-            if ws.iter().all(|w| w.converged) {
-                break;
+            let last = iteration == self.iterations;
+            if (stop.is_some() || last) && stop_check(llrs, ws, &mut stop) {
+                return;
             }
-        }
-
-        for (w, l) in ws.iter_mut().zip(llrs) {
-            w.app.clear();
-            w.app.extend(
-                l.systematic
-                    .iter()
-                    .zip(&w.apriori1)
-                    .zip(&w.extrinsic1)
-                    .map(|((&s, &a), &e)| s + a + e),
-            );
         }
     }
+}
+
+/// Assembles the APP of every block still running and retires the
+/// blocks `stop` accepts; `true` once none is left running.
+fn stop_check<F: FnMut(usize, &[f32]) -> bool>(
+    llrs: &[TurboLlrs],
+    ws: &mut [TurboWorkspace],
+    stop: &mut Option<F>,
+) -> bool {
+    let mut running = false;
+    for (b, (w, l)) in ws.iter_mut().zip(llrs).enumerate() {
+        if w.stopped {
+            continue;
+        }
+        w.app.clear();
+        w.app.extend(
+            l.systematic
+                .iter()
+                .zip(&w.apriori1)
+                .zip(&w.extrinsic1)
+                .map(|((&s, &a), &e)| s + a + e),
+        );
+        w.stopped = stop.as_mut().is_some_and(|stop| stop(b, &w.app));
+        running |= !w.stopped;
+    }
+    !running
 }
 
 /// Runs one SISO pass with zero a-priori input and exposes the raw
@@ -688,13 +713,13 @@ pub(crate) struct SisoBlock<'a> {
 }
 
 /// SISO pass 1 (`second == false`) or 2 over every block of the group
-/// that has not converged, [`lockstep_group_len`] blocks at a time.
+/// that has not stopped, [`lockstep_group_len`] blocks at a time.
 fn siso_pass(llrs: &[TurboLlrs], ws: &mut [TurboWorkspace], second: bool) {
-    let mut remaining = ws.iter().filter(|w| !w.converged).count();
+    let mut remaining = ws.iter().filter(|w| !w.stopped).count();
     let mut blocks = ws
         .iter_mut()
         .zip(llrs)
-        .filter(|(w, _)| !w.converged)
+        .filter(|(w, _)| !w.stopped)
         .map(|(w, l)| w.siso_view(l, second));
     let mut next = || blocks.next().expect("counted above");
     while remaining > 0 {
@@ -1199,25 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn early_termination_is_output_preserving() {
-        // Saturated noiseless inputs converge in a couple of iterations,
-        // so the early-exit path is definitely taken; the soft outputs
-        // must still match the full run bit for bit.
-        let k = 104;
-        let bits = random_bits(k, 21);
-        let llrs = TurboEncoder::new(k).encode(&bits).to_llrs(8.0);
-        let full = TurboDecoder::new(k, 8);
-        let early = TurboDecoder::new(k, 8).with_early_termination();
-        assert!(early.early_termination());
-        let a = full.decode_soft(&llrs);
-        let b = early.decode_soft(&llrs);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(early.decode(&llrs), bits);
-    }
-
-    #[test]
     fn lockstep_groups_are_pairs_with_one_three_for_odd_counts() {
         for n in 1..=12 {
             let mut groups = Vec::new();
@@ -1239,13 +1245,96 @@ mod tests {
         }
     }
 
+    fn assert_soft_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: LLR {i}: {x:e} vs {y:e}");
+        }
+    }
+
+    /// A stop rule that fires for block `b` at its `stop_at[b]`-th SISO
+    /// pass (`0`: never), counting the passes in `calls`.
+    fn stop_at_pass<'a>(
+        stop_at: &'a [usize],
+        calls: &'a mut [usize],
+    ) -> impl FnMut(usize, &[f32]) -> bool + 'a {
+        move |b, _| {
+            calls[b] += 1;
+            calls[b] == stop_at[b]
+        }
+    }
+
+    #[test]
+    fn a_stop_rule_that_never_fires_runs_every_pass_of_decode_group() {
+        let mut ws = vec![TurboWorkspace::new(); 3];
+        for k in [40, 100, 1088] {
+            let llrs: Vec<TurboLlrs> = (0..3u64).map(|b| noisy_llrs(k, 0.8, b).1).collect();
+            let dec = TurboDecoder::new(k, 4);
+            dec.decode_group(&llrs, &mut ws);
+            let want: Vec<Vec<f32>> = ws.iter().map(|w| w.app().to_vec()).collect();
+            let mut calls = [0; 3];
+            dec.decode_group_until(&llrs, &mut ws, stop_at_pass(&[0; 3], &mut calls));
+            assert_eq!(calls, [8; 3], "k={k}: one check per SISO pass");
+            for (w, want) in ws.iter().zip(&want) {
+                assert_soft_eq(w.app(), want, &format!("k={k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn stopping_after_pass_1_is_decoder_1s_app() {
+        // With zero a-priori input the first pass's APP is the channel
+        // systematic LLR plus decoder 1's extrinsic output.
+        let mut ws = [TurboWorkspace::new()];
+        let mut probe = TurboWorkspace::new();
+        for k in [40, 104, 1088] {
+            let (_, llrs) = noisy_llrs(k, 0.9, 5 ^ k as u64);
+            let mut calls = [0];
+            TurboDecoder::new(k, 4).decode_group_until(
+                std::slice::from_ref(&llrs),
+                &mut ws,
+                stop_at_pass(&[1], &mut calls),
+            );
+            let (_, _, extrinsic1) = siso_probe(&llrs, &mut probe);
+            let want: Vec<f32> = llrs
+                .systematic
+                .iter()
+                .zip(extrinsic1)
+                .map(|(&s, &e)| s + 0.0 + e)
+                .collect();
+            assert_soft_eq(ws[0].app(), &want, &format!("k={k}"));
+        }
+    }
+
+    #[test]
+    fn stopping_after_iteration_n_is_the_n_iteration_decode() {
+        let mut ws = [TurboWorkspace::new()];
+        for k in [40, 104, 1088] {
+            let (_, llrs) = noisy_llrs(k, 0.9, 7 ^ k as u64);
+            let cap = TurboDecoder::new(k, 6);
+            for n in 1..=4 {
+                let mut calls = [0];
+                cap.decode_group_until(
+                    std::slice::from_ref(&llrs),
+                    &mut ws,
+                    stop_at_pass(&[2 * n], &mut calls),
+                );
+                assert_eq!(calls, [2 * n], "k={k} n={n}: no check after the stop");
+                let want = TurboDecoder::new(k, n).decode_soft(&llrs);
+                assert_soft_eq(ws[0].app(), &want, &format!("k={k} n={n}"));
+            }
+        }
+    }
+
     #[test]
     fn group_decodes_match_one_block_decodes() {
-        // Noiseless blocks reach their fixed point within a few
-        // iterations, noisy ones never do, so with early termination
-        // the blocks of one group stop at different iterations. 100 is
-        // not a multiple of 8: its last four steps take the scalar tail.
+        // The blocks of one group stop at different passes (after pass
+        // 1, mid-iteration, after a full iteration, never), so each pass
+        // runs a different subset of the group. 100 is not a multiple of
+        // 8: its last four steps take the scalar tail.
+        const STOP_AT: [usize; 5] = [3, 0, 1, 6, 4];
         let mut ws = vec![TurboWorkspace::new(); 5];
+        let mut alone = [TurboWorkspace::new()];
         for k in [40, 100, 1088] {
             let llrs: Vec<TurboLlrs> = (0..5u64)
                 .map(|b| {
@@ -1256,19 +1345,23 @@ mod tests {
                     }
                 })
                 .collect();
-            for dec in [
-                TurboDecoder::new(k, 6),
-                TurboDecoder::new(k, 6).with_early_termination(),
-            ] {
-                for group in 1..=5 {
-                    dec.decode_group(&llrs[..group], &mut ws);
-                    for (b, (l, w)) in llrs.iter().zip(&ws[..group]).enumerate() {
-                        let alone = dec.decode_soft(l);
-                        assert_eq!(w.app().len(), k);
-                        for (x, y) in w.app().iter().zip(&alone) {
-                            assert_eq!(x.to_bits(), y.to_bits(), "k={k} group={group} block {b}");
-                        }
-                    }
+            let dec = TurboDecoder::new(k, 4);
+            for group in 1..=5 {
+                let stop_at = &STOP_AT[..group];
+                let mut calls = [0; 5];
+                dec.decode_group_until(&llrs[..group], &mut ws, stop_at_pass(stop_at, &mut calls));
+                for (b, (l, w)) in llrs.iter().zip(&ws[..group]).enumerate() {
+                    let mut calls = [0];
+                    dec.decode_group_until(
+                        std::slice::from_ref(l),
+                        &mut alone,
+                        stop_at_pass(&stop_at[b..=b], &mut calls),
+                    );
+                    assert_soft_eq(
+                        w.app(),
+                        alone[0].app(),
+                        &format!("k={k} group={group} block {b}"),
+                    );
                 }
             }
         }

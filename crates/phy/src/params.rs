@@ -177,9 +177,12 @@ pub enum TurboMode {
     /// default.
     #[default]
     Passthrough,
-    /// Run the real max-log-MAP turbo decoder with this many iterations.
+    /// Run the real max-log-MAP turbo decoder, at most this many
+    /// iterations per code block.
     Decode {
-        /// Full decoder iterations (two SISO passes each).
+        /// The cap on full decoder iterations (two SISO passes each). A
+        /// code block stops at the first SISO pass whose hard decisions
+        /// pass its CRC; one that never passes runs all of them.
         iterations: usize,
     },
 }

@@ -15,13 +15,13 @@
 use std::cell::RefCell;
 
 use lte_dsp::arena::ScratchArena;
-use lte_dsp::crc::CRC24A;
+use lte_dsp::crc::{CRC24A, CRC24B};
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::interleave::{subblock_cached, Interleaver};
 use lte_dsp::llr::{demap_block_into, hard_decisions_into};
 use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::descramble_llrs_into;
-use lte_dsp::segmentation::Segmentation;
+use lte_dsp::segmentation::{Segmentation, SegmentationShape};
 use lte_dsp::turbo::{lockstep_group_len, TurboDecoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::Complex32;
 use lte_obs::{Recorder, Stage};
@@ -53,7 +53,8 @@ impl UserResult {
 /// decoder/rate-matcher pairs keyed on `(block size, iterations)` (QPP
 /// interleaver construction is far too expensive to repeat per subframe),
 /// one SISO workspace and LLR staging buffer per block of the largest
-/// lockstep group seen, and the bit staging buffer. With a warm cache
+/// lockstep group seen, and the bit staging buffer (the stop rule's hard
+/// decisions, then each block's output bits). With a warm cache
 /// the whole decode tail allocates nothing, so turbo mode keeps the
 /// receiver's zero-allocation guarantee.
 #[derive(Default)]
@@ -99,6 +100,11 @@ impl TurboScratch {
 /// ever materialised, which removes a full store/reload pass over the
 /// allocation from the decode tail. The code blocks (all of one size)
 /// are decoded in lockstep groups of [`lockstep_group_len`] blocks.
+///
+/// Each block stops at the first SISO pass whose hard decisions
+/// `stop(shape, block)` accepts — the receiver passes
+/// [`block_passes_crc`] — and otherwise runs every pass of
+/// `iterations`. The hard decisions reuse `TurboScratch::block_bits`.
 /// Per-block CRC-24B failures are absorbed here (a failed block CRC
 /// implies the transport CRC-24A will fail too, matching `desegment`'s
 /// contract).
@@ -109,6 +115,7 @@ fn decode_transport(
     iterations: usize,
     transport_bits: usize,
     bits: &mut Vec<u8>,
+    stop: fn(&SegmentationShape, &[u8]) -> bool,
 ) {
     let shape = Segmentation::shape_for_len(transport_bits);
     let (n_blocks, k) = (shape.n_blocks, shape.block_size);
@@ -147,12 +154,29 @@ fn decode_transport(
             );
             cursor += e;
         }
-        decoder.decode_group(&llrs[..group], &mut workspaces[..group]);
+        decoder.decode_group_until(&llrs[..group], &mut workspaces[..group], |_, app| {
+            block_bits.clear();
+            hard_decisions_into(app, block_bits);
+            stop(&shape, block_bits)
+        });
         for (b, ws) in (first..).zip(&workspaces[..group]) {
             ws.hard_bits_into(block_bits);
             let _block_ok = shape.desegment_block_into(b, block_bits, bits);
         }
         first += group;
+    }
+}
+
+/// Whether a code block's hard decisions are a CRC-valid word: CRC-24B
+/// over the whole block when the transport block is segmented (the check
+/// [`SegmentationShape::desegment_block_into`] makes), else the transport
+/// block's CRC-24A over the bits after the filler (the receiver's final
+/// check).
+fn block_passes_crc(shape: &SegmentationShape, block: &[u8]) -> bool {
+    if shape.n_blocks == 1 {
+        CRC24A.check_bits(&block[shape.filler..])
+    } else {
+        CRC24B.check_bits(block)
     }
 }
 
@@ -227,8 +251,8 @@ fn finish_user_timed<R: Recorder>(
             // Descramble only: the deinterleave is fused into each
             // block's rate-match gather inside `decode_transport`. With a
             // warm codec cache the whole tail — gather-dematch, SISO
-            // iterations, desegmentation — reuses held buffers and
-            // allocates nothing.
+            // passes up to each block's CRC stop, desegmentation — reuses
+            // held buffers and allocates nothing.
             timer.time(Stage::Deinterleave, || {
                 descramble_llrs_into(llrs, c_init, &mut descrambled)
             });
@@ -241,6 +265,7 @@ fn finish_user_timed<R: Recorder>(
                     iterations,
                     transport_bits,
                     &mut bits,
+                    block_passes_crc,
                 )
             });
             (bits, transport_bits)
@@ -567,6 +592,133 @@ mod tests {
             failures_coded <= failures_plain,
             "coded {failures_coded} vs plain {failures_plain}"
         );
+    }
+
+    /// [`finish_user_with_arena`]'s coded tail with every code block
+    /// run for all its passes: the same LLRs, a stop rule that never
+    /// fires.
+    fn finish_all_passes(
+        cell: &CellConfig,
+        input: &UserInput,
+        iterations: usize,
+        llrs: &[f32],
+    ) -> UserResult {
+        let user = &input.config;
+        let total = user.bits_per_subframe();
+        let FramePlan::Coded { transport_bits, .. } =
+            FramePlan::for_user(user, TurboMode::Decode { iterations })
+        else {
+            unreachable!("decode mode plans a coded frame")
+        };
+        let mut descrambled = Vec::new();
+        descramble_llrs_into(
+            llrs,
+            crate::tx::scrambling_init(cell, user),
+            &mut descrambled,
+        );
+        let mut bits = Vec::new();
+        decode_transport(
+            &mut TurboScratch::new(),
+            &descrambled,
+            &subblock_cached(total),
+            iterations,
+            transport_bits,
+            &mut bits,
+            |_, _| false,
+        );
+        bits.truncate(transport_bits);
+        let crc_ok = CRC24A.check_bits(&bits);
+        bits.truncate(transport_bits - 24);
+        UserResult {
+            payload: bits,
+            crc_ok,
+        }
+    }
+
+    #[test]
+    fn block_crc_accepts_the_transmitted_blocks_and_rejects_a_flipped_bit() {
+        let mut rng = Xoshiro256::seed_from_u64(3);
+        // One block with filler (CRC-24A), then three blocks (CRC-24B).
+        for len in [1000, 15_000] {
+            let mut transport: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 1) as u8).collect();
+            CRC24A.append_bits(&mut transport);
+            let seg = Segmentation::segment(&transport);
+            let shape = seg.shape();
+            for (b, block) in seg.blocks.iter().enumerate() {
+                assert!(block_passes_crc(&shape, block), "len={len} block {b}");
+                let mut flipped = block.clone();
+                let i = block.len() - 1 - b * 7;
+                flipped[i] ^= 1;
+                assert!(!block_passes_crc(&shape, &flipped), "len={len} block {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc_stop_loses_no_user_across_the_coded_waterfall() {
+        // Each modulation's SNR grid spans its waterfall: at the lowest
+        // point some users fail, at the highest every user decodes. The
+        // same seeds (payload and channel) recur at every SNR.
+        const ITERATIONS: usize = 4;
+        const SEEDS: u64 = 4;
+        let mode = TurboMode::Decode {
+            iterations: ITERATIONS,
+        };
+        let cell = CellConfig::default();
+        let planner = FftPlanner::new();
+        let mut scratch = UserScratch::new();
+        let mut llrs = Vec::new();
+        let mut delivered = [0usize; 2];
+        for (modulation, snrs, multi_block) in [
+            (
+                Modulation::Qpsk,
+                [-14.0, -12.0, -10.0, -8.0, -6.0],
+                UserConfig::new(33, 2, Modulation::Qpsk),
+            ),
+            (
+                Modulation::Qam16,
+                [-4.0, -2.0, 0.0, 2.0, 4.0],
+                UserConfig::new(33, 1, Modulation::Qam16),
+            ),
+            (
+                Modulation::Qam64,
+                [0.0, 2.0, 4.0, 6.0, 8.0],
+                UserConfig::new(22, 1, Modulation::Qam64),
+            ),
+        ] {
+            // A 6-PRB user is one code block; the 19 008-bit allocations
+            // carry a 6 320-bit transport block in two.
+            for (user, blocks) in [(UserConfig::new(6, 1, modulation), 1), (multi_block, 2)] {
+                let plan = FramePlan::for_user(&user, mode);
+                assert!(matches!(plan, FramePlan::Coded { n_blocks, .. } if n_blocks == blocks));
+                let mut waterfall = Vec::new();
+                for snr_db in snrs {
+                    let mut all_passes_ok = 0;
+                    for seed in 0..SEEDS {
+                        let mut rng = Xoshiro256::seed_from_u64(seed);
+                        let input = synthesize_user_with_mode(&cell, &user, mode, snr_db, &mut rng);
+                        demodulate_user_into(&cell, &input, &planner, &mut scratch, &mut llrs);
+                        let UserScratch { arena, turbo, .. } = &mut scratch;
+                        let stopped =
+                            finish_user_with_arena(&cell, &input, mode, &llrs, arena, turbo);
+                        let full = finish_all_passes(&cell, &input, ITERATIONS, &llrs);
+                        let case = format!("{modulation} {blocks}-block {snr_db} dB seed {seed}");
+                        let truth = &input.ground_truth;
+                        if full.matches(truth) || (!full.crc_ok && !stopped.crc_ok) {
+                            assert_eq!(stopped, full, "{case}");
+                        }
+                        all_passes_ok += usize::from(full.matches(truth));
+                        delivered[0] += usize::from(full.matches(truth));
+                        delivered[1] += usize::from(stopped.matches(truth));
+                    }
+                    waterfall.push(all_passes_ok);
+                }
+                let case = format!("{modulation} {blocks}-block waterfall {waterfall:?}");
+                assert!(waterfall[0] < SEEDS as usize, "{case}");
+                assert_eq!(waterfall[snrs.len() - 1], SEEDS as usize, "{case}");
+            }
+        }
+        assert!(delivered[1] >= delivered[0], "{delivered:?}");
     }
 
     #[test]

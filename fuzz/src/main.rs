@@ -26,7 +26,7 @@
 //! ```text
 //! lte-fuzz [TARGET] [--iters N] [--seed S]
 //! TARGET: demap | fft | segmentation | rate-match | turbo |
-//!         turbo-simd | turbo-early-term | turbo-group |
+//!         turbo-simd | turbo-group |
 //!         matched-filter | calibration | gold-word | crc-table |
 //!         descramble | mmse-fixed | fft-prime | fft-order |
 //!         all (default)
@@ -64,7 +64,6 @@ const TARGETS: &[Target] = &[
     ("rate-match", fuzz_rate_match),
     ("turbo", fuzz_turbo),
     ("turbo-simd", fuzz_turbo_simd),
-    ("turbo-early-term", fuzz_turbo_early_term),
     ("turbo-group", fuzz_turbo_group),
     ("matched-filter", fuzz_matched_filter),
     ("calibration", fuzz_calibration),
@@ -146,9 +145,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
-         turbo-early-term|turbo-group|matched-filter|calibration|gold-word|\
-         crc-table|descramble|mmse-fixed|fft-prime|fft-order|all] [--iters N] \
-         [--seed S]"
+         turbo-group|matched-filter|calibration|gold-word|crc-table|\
+         descramble|mmse-fixed|fft-prime|fft-order|all] [--iters N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -356,38 +354,6 @@ fn fuzz_turbo_simd(seed: u64) {
     );
 }
 
-/// Deterministic early termination: the opt-in convergence check may
-/// stop iterating early but must never change a single output bit
-/// relative to running every configured iteration.
-fn fuzz_turbo_early_term(seed: u64) {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let k = fuzz_turbo_size(&mut rng);
-    let bits: Vec<u8> = (0..k).map(|_| (rng.next_u32() & 1) as u8).collect();
-    let code = TurboEncoder::new(k).encode(&bits);
-    let mag = 0.25 + rng.next_f32() * 8.0;
-    let mut llrs = code.to_llrs(mag);
-    // Mix in noise up to the signal magnitude so some cases converge
-    // early (clean) and others keep iterating (marginal).
-    let sigma = rng.next_f32() * mag;
-    let mut perturb = |v: &mut f32| *v += (rng.next_f32() * 2.0 - 1.0) * sigma;
-    llrs.systematic.iter_mut().for_each(&mut perturb);
-    llrs.parity1.iter_mut().for_each(&mut perturb);
-    llrs.parity2.iter_mut().for_each(&mut perturb);
-    let iterations = 2 + rng.next_below(5) as usize;
-    let full = TurboDecoder::new(k, iterations);
-    let early = TurboDecoder::new(k, iterations).with_early_termination();
-    assert_bits_equal(
-        &early.decode_soft(&llrs),
-        &full.decode_soft(&llrs),
-        "turbo-early-term soft",
-    );
-    assert_eq!(
-        early.decode(&llrs),
-        full.decode(&llrs),
-        "turbo-early-term: hard decisions diverged (k={k} iters={iterations})"
-    );
-}
-
 /// Lockstep group decodes against one-block decodes: a group of 1–5
 /// equal-K blocks decoded together on the vector dispatch must give each
 /// block the soft output of its own decode on the scalar reference,
@@ -395,11 +361,12 @@ fn fuzz_turbo_early_term(seed: u64) {
 /// propagates whichever NaN operand sits first in the instruction, and
 /// the compiler picks that order). K comes from the whole supported
 /// ladder plus a few sizes that are not a multiple of 8, whose last
-/// `k % 8` steps take the extrinsic pass's scalar tail; iterations 1–6,
-/// early termination on or off, and each block either wild LLRs (half
-/// of them salted with a few infinities and NaNs) or a codeword with
-/// noise from none (a block that converges early) up to its own
-/// magnitude.
+/// `k % 8` steps take the extrinsic pass's scalar tail; iterations 1–6;
+/// each block its own seeded stop pass (any of its SISO passes, or
+/// never), so the blocks of a group leave it at different passes; and
+/// each block either wild LLRs (half of them salted with a few
+/// infinities and NaNs) or a codeword with noise from none up to its
+/// own magnitude.
 fn fuzz_turbo_group(seed: u64) {
     const RAGGED: [usize; 4] = [12, 44, 100, 1020];
     let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -411,13 +378,11 @@ fn fuzz_turbo_group(seed: u64) {
     };
     let group = 1 + rng.next_below(5) as usize;
     let iterations = 1 + rng.next_below(6) as usize;
-    let early = rng.next_below(2) == 0;
     let decoder = TurboDecoder::new(k, iterations);
-    let decoder = if early {
-        decoder.with_early_termination()
-    } else {
-        decoder
-    };
+    // Pass p (1-based) of 2·iterations, or 0: never.
+    let stop_at: Vec<usize> = (0..group)
+        .map(|_| rng.next_below(2 * iterations as u64 + 1) as usize)
+        .collect();
     let llrs: Vec<TurboLlrs> = (0..group)
         .map(|_| {
             if rng.next_below(2) == 0 {
@@ -460,11 +425,26 @@ fn fuzz_turbo_group(seed: u64) {
             llrs
         })
         .collect();
+    let decode_until = |llrs: &[TurboLlrs], stop_at: &[usize], ws: &mut [TurboWorkspace]| {
+        let mut passes = vec![0; llrs.len()];
+        decoder.decode_group_until(llrs, ws, |b, _| {
+            passes[b] += 1;
+            passes[b] == stop_at[b]
+        });
+    };
     let mut ws = vec![TurboWorkspace::new(); group];
     force_scalar(false);
-    decoder.decode_group(&llrs, &mut ws);
+    decode_until(&llrs, &stop_at, &mut ws);
     force_scalar(true);
-    let alone: Vec<Vec<f32>> = llrs.iter().map(|l| decoder.decode_soft(l)).collect();
+    let alone: Vec<Vec<f32>> = llrs
+        .iter()
+        .zip(&stop_at)
+        .map(|(l, s)| {
+            let mut one = [TurboWorkspace::new()];
+            decode_until(std::slice::from_ref(l), std::slice::from_ref(s), &mut one);
+            one[0].app().to_vec()
+        })
+        .collect();
     force_scalar(false);
     let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
     for (b, (w, want)) in ws.iter().zip(&alone).enumerate() {
@@ -472,7 +452,7 @@ fn fuzz_turbo_group(seed: u64) {
         for (i, (&x, &y)) in w.app().iter().zip(want).enumerate() {
             assert!(
                 same(x, y),
-                "turbo-group k={k} group={group} iterations={iterations} early={early}: \
+                "turbo-group k={k} group={group} iterations={iterations} stop_at={stop_at:?}: \
                  block {b} diverged at {i}: {x:e} ({:08x}) vs {y:e} ({:08x})",
                 x.to_bits(),
                 y.to_bits()

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, eleven budgets (receiver entry points, one subframe
+# benchmark harness, twelve budgets (receiver entry points, one subframe
 # dispatcher, one performance harness, a first-party std-only
 # workspace, one paper-artifact table, one kind of pool work, one
 # overload path, paper artifacts only, one overload response, one
-# host-telemetry path, paper pipeline only),
+# host-telemetry path, paper pipeline only, one turbo stop rule),
 # conformance vectors on both dispatch paths, the fuzz corpus, the
 # paper artifacts at reduced scale, and a smoke run of every driver
 # (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
@@ -154,6 +154,14 @@ echo "==> paper pipeline only budget"
 # no driver, artifact or harness path runs.
 [[ -z "$(grep -rn 'FrontEnd\|FirFilter' crates fuzz src tests || true)" ]] \
     || { echo "crates/, fuzz/, src/ or tests/ name FrontEnd or FirFilter"; exit 1; }
+
+echo "==> one turbo stop rule budget"
+# A code block stops at the first SISO pass whose hard decisions pass its
+# CRC (`TurboDecoder::decode_group_until`); without a stop rule it runs
+# every iteration. The bitwise fixed-point early termination growing
+# back is a second stop rule beside it.
+[[ -z "$(grep -rn 'early_termination' crates fuzz src tests || true)" ]] \
+    || { echo "crates/, fuzz/, src/ or tests/ name with_early_termination or early_termination"; exit 1; }
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
