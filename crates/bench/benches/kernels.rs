@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the DSP kernels the receiver pipeline is built
 //! from: FFTs across LTE sizes, the matched filter, soft demapping,
-//! MMSE weights, turbo decoding, the serial tail's CRC and Gold-sequence
-//! descrambling, and the full serial per-user receive.
+//! MMSE weights, turbo decoding, the serial tail's CRC, Gold-sequence
+//! descrambling and one-pass pass-through tail, and the full serial
+//! per-user receive.
 
 use std::hint::black_box;
 
@@ -11,6 +12,7 @@ use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::{Direction, FftPlan, FftPlanner};
 use lte_dsp::llr::demap_block;
 use lte_dsp::matched_filter::matched_filter;
+use lte_dsp::passthrough::PassthroughTail;
 use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
 use lte_dsp::simd::force_scalar;
 use lte_dsp::turbo::{TurboDecoder, TurboEncoder};
@@ -97,7 +99,9 @@ fn bench_turbo() {
 }
 
 /// The serial tail at the 100-PRB 64-QAM single-layer allocation size
-/// (86 400 bits), and the per-user Gold warm-up on its own.
+/// (86 400 bits), and the per-user Gold warm-up on its own. The
+/// pass-through tail (descramble, deinterleave, decide, CRC, payload)
+/// runs on the vector dispatch, then forced scalar (`/scalar`).
 fn bench_serial_tail() {
     let n = 86_400;
     let mut rng = Xoshiro256::seed_from_u64(14);
@@ -108,6 +112,15 @@ fn bench_serial_tail() {
         descramble_llrs(black_box(&mut llrs), 0x1234_5678)
     });
     bench("gold_warmup", || GoldSequence::new(black_box(0x1234_5678)));
+    let mut tail = PassthroughTail::new();
+    let mut payload = Vec::new();
+    for (scalar, suffix) in [(false, ""), (true, "/scalar")] {
+        force_scalar(scalar);
+        bench(&format!("passthrough_tail_86400{suffix}"), || {
+            tail.decode_into(black_box(&llrs), 0x1234_5678, n, &mut payload)
+        });
+    }
+    force_scalar(false);
 }
 
 /// One slot's MMSE weights at 4 antennas: 600 subcarriers (50 PRB) at

@@ -28,10 +28,12 @@ use lte_dsp::channel::MimoChannel;
 use lte_dsp::crc::{CRC16, CRC24A, CRC24B, CRC8};
 use lte_dsp::fft::FftPlan;
 use lte_dsp::fft::FftPlanner;
+use lte_dsp::interleave::Interleaver;
 use lte_dsp::llr::{demap_block_exact, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
+use lte_dsp::passthrough::PassthroughTail;
 use lte_dsp::rate_match::RateMatcher;
-use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
+use lte_dsp::scrambling::{descramble_llrs, scramble_bits, GoldSequence};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::turbo::{siso_probe, TurboDecoder, TurboEncoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::zadoff_chu::{layer_cyclic_shift, ReferenceSequence};
@@ -658,6 +660,71 @@ fn crc_vector() -> KernelVector {
     }
 }
 
+/// The pass-through decode tail (descramble, deinterleave, hard
+/// decision, CRC-24A over the first `crc_len` bits, payload out) at
+/// lengths with `n % 32` zero and not (so with and without leading
+/// dummies), the four `steady100` allocations, CRC spans shorter than the
+/// allocation and shorter than the CRC, LLRs salted with ±0, ±∞ and NaN,
+/// and two CRC-valid frames (one with leading dummies) sent clean and
+/// with one LLR flipped. The hash was first taken with the four-pass
+/// path (descramble, inverse-permutation gather, `hard_decisions_into`,
+/// `CRC24A.check_bits`) that the one-pass kernel replaced.
+fn passthrough_tail_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x7A11);
+    let mut h = Fnv1a::new();
+    let mut cases: Vec<(Vec<f32>, u32, usize)> = Vec::new();
+    for n in [
+        1, 23, 24, 31, 32, 33, 100, 1024, 1025, 2880, 28_800, 34_560, 86_400,
+    ] {
+        let llrs: Vec<f32> = (0..n)
+            .map(|_| match rng.next_below(12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => f32::from_bits(rng.next_u32() | 0x7F80_0001), // NaN, either sign
+                5 => f32::from_bits(rng.next_u32() & 0x807F_FFFF), // subnormal
+                _ => rng.next_f32() * 8.0 - 4.0,
+            })
+            .collect();
+        let c_init = rng.next_u32();
+        for crc_len in [n, n / 2, n.min(23)] {
+            cases.push((llrs.clone(), c_init, crc_len));
+        }
+    }
+    // CRC-24A frames through the transmitter's interleave and
+    // scrambling, without and with leading dummies, as noiseless LLRs of
+    // random magnitude: sent clean, then with one LLR flipped.
+    for n in [2880, 1000] {
+        let mut frame = random_bits(&mut rng, n - 24);
+        CRC24A.append_bits(&mut frame);
+        let mut sent = Interleaver::subblock(n).apply(&frame);
+        let c_init = rng.next_u32();
+        scramble_bits(&mut sent, c_init);
+        let mut llrs: Vec<f32> = sent
+            .iter()
+            .map(|&b| (0.5 + rng.next_f32()) * (1.0 - 2.0 * f32::from(b)))
+            .collect();
+        cases.push((llrs.clone(), c_init, n));
+        llrs[n / 3] = -llrs[n / 3];
+        cases.push((llrs, c_init, n));
+    }
+    let mut tail = PassthroughTail::new();
+    let mut payload = Vec::new();
+    for (llrs, c_init, crc_len) in &cases {
+        let crc_ok = tail.decode_into(llrs, *c_init, *crc_len, &mut payload);
+        h.write_u64(llrs.len() as u64);
+        h.write_u64(u64::from(*c_init));
+        h.write_u64(*crc_len as u64);
+        h.write(&[u8::from(crc_ok)]);
+        h.write(&payload);
+    }
+    KernelVector {
+        kernel: "passthrough-tail".to_string(),
+        hash: h.finish(),
+    }
+}
+
 fn hash_user_input(h: &mut Fnv1a, input: &UserInput) {
     for slot in &input.slots {
         for symbol in std::iter::once(&slot.reference).chain(&slot.data) {
@@ -744,6 +811,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         matched_filter_vector(),
         crc_vector(),
         scrambling_vector(),
+        passthrough_tail_vector(),
         tx_synthesis_vector(),
         receiver_vector(),
     ]

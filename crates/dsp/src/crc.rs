@@ -16,9 +16,10 @@ pub struct Crc {
     poly: u32,
     /// CRC width in bits.
     width: u32,
-    /// `table[b]`: the register after shifting byte `b` (MSB first) into
-    /// a zero register.
-    table: &'static [u32; 256],
+    /// Slicing-by-4 tables: `tables[j][b]` is the register after shifting
+    /// byte `b` (MSB first) and then `j` zero bytes into a zero register,
+    /// so `tables[0]` is the byte table.
+    tables: &'static [[u32; 256]; 4],
 }
 
 /// Advances a `width`-bit register by one message bit, MSB-first.
@@ -33,9 +34,10 @@ const fn shift_bit(reg: u32, bit: bool, poly: u32, width: u32) -> u32 {
     }
 }
 
-const fn byte_table(poly: u32, width: u32) -> [u32; 256] {
+const fn slicing_tables(poly: u32, width: u32) -> [[u32; 256]; 4] {
     assert!(width >= 8 && width <= 24, "width must be in 8..=24");
-    let mut table = [0u32; 256];
+    let mask = (1u32 << width) - 1;
+    let mut tables = [[0u32; 256]; 4];
     let mut byte = 0;
     while byte < 256 {
         let mut reg = 0;
@@ -44,23 +46,35 @@ const fn byte_table(poly: u32, width: u32) -> [u32; 256] {
             k -= 1;
             reg = shift_bit(reg, (byte >> k) & 1 != 0, poly, width);
         }
-        table[byte] = reg;
+        tables[0][byte] = reg;
         byte += 1;
     }
-    table
+    // One more zero byte: the register's top byte goes through the byte
+    // table, the rest shifts up.
+    let mut j = 1;
+    while j < 4 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[j - 1][byte];
+            tables[j][byte] = ((prev << 8) & mask) ^ tables[0][(prev >> (width - 8)) as usize];
+            byte += 1;
+        }
+        j += 1;
+    }
+    tables
 }
 
-// One const-evaluated table per polynomial, in read-only data shared by
-// every thread.
+// One const-evaluated table set per polynomial, in read-only data shared
+// by every thread.
 macro_rules! lte_crc {
     ($(#[$doc:meta])* $name:ident = ($poly:expr, $width:expr)) => {
         $(#[$doc])*
         pub const $name: Crc = {
-            static TABLE: [u32; 256] = byte_table($poly, $width);
+            static TABLES: [[u32; 256]; 4] = slicing_tables($poly, $width);
             Crc {
                 poly: $poly,
                 width: $width,
-                table: &TABLE,
+                tables: &TABLES,
             }
         };
     };
@@ -94,6 +108,25 @@ fn pack_bits(bits: &[u8; 8]) -> u8 {
     (lows.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
 }
 
+/// Packs up to 32 one-bit-per-byte elements MSB-first into the top of a
+/// word (the first element in bit 31), low bits of each element only.
+#[inline]
+fn pack_word(bits: &[u8]) -> u32 {
+    debug_assert!(bits.len() <= 32);
+    let (octets, tail) = bits.as_chunks::<8>();
+    let mut word = 0u32;
+    let mut shift = 32;
+    for octet in octets {
+        shift -= 8;
+        word |= u32::from(pack_bits(octet)) << shift;
+    }
+    for &b in tail {
+        shift -= 1;
+        word |= u32::from(b & 1) << shift;
+    }
+    word
+}
+
 impl Crc {
     /// CRC width in bits.
     pub const fn width(&self) -> u32 {
@@ -105,27 +138,76 @@ impl Crc {
     fn shift_byte(&self, reg: u32, byte: u8) -> u32 {
         let mask = (1u32 << self.width) - 1;
         let index = (reg >> (self.width - 8)) as u8 ^ byte;
-        ((reg << 8) & mask) ^ self.table[index as usize]
+        ((reg << 8) & mask) ^ self.tables[0][index as usize]
+    }
+
+    /// Advances the register by 32 message bits, the first in bit 31.
+    /// The register, left-aligned in the word, meets the next 32 bits
+    /// head on (`width <= 32`), so the step is the CRC of `reg ^ word`
+    /// from a zero register: by linearity, each of its bytes through
+    /// the table for the zero bytes that follow it.
+    #[inline]
+    pub(crate) fn shift_word(&self, reg: u32, word: u32) -> u32 {
+        let x = (reg << (32 - self.width)) ^ word;
+        self.tables[3][(x >> 24) as usize]
+            ^ self.tables[2][(x >> 16) as usize & 0xFF]
+            ^ self.tables[1][(x >> 8) as usize & 0xFF]
+            ^ self.tables[0][x as usize & 0xFF]
+    }
+
+    /// Advances the register by the top `len < 32` bits of `word`.
+    #[inline]
+    fn shift_partial(&self, mut reg: u32, word: u32, len: usize) -> u32 {
+        debug_assert!(len < 32);
+        let bytes = len / 8;
+        for byte in word.to_be_bytes().into_iter().take(bytes) {
+            reg = self.shift_byte(reg, byte);
+        }
+        for i in 8 * bytes..len {
+            reg = shift_bit(reg, (word >> (31 - i)) & 1 != 0, self.poly, self.width);
+        }
+        reg
+    }
+
+    /// Advances the register `reg` over the first `len` bits of an
+    /// MSB-first packed stream: bit `i` is bit `31 − i % 32` of
+    /// `words[i / 32]`. From `reg = 0` this is the stream's CRC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` holds fewer than `len` bits.
+    pub(crate) fn update_words(&self, reg: u32, words: &[u32], len: usize) -> u32 {
+        let (full, rest) = (len / 32, len % 32);
+        let reg = words[..full]
+            .iter()
+            .fold(reg, |reg, &word| self.shift_word(reg, word));
+        if rest == 0 {
+            reg
+        } else {
+            self.shift_partial(reg, words[full], rest)
+        }
     }
 
     /// Computes the CRC of a bit slice (one bit per element, MSB-first).
     /// Only the low bit of each element is read.
     pub fn compute_bits(&self, bits: &[u8]) -> u32 {
-        let (octets, tail) = bits.as_chunks::<8>();
-        let reg = octets
+        let (words, tail) = bits.as_chunks::<32>();
+        let reg = words
             .iter()
-            .fold(0, |reg, octet| self.shift_byte(reg, pack_bits(octet)));
-        tail.iter().fold(reg, |reg, &b| {
-            shift_bit(reg, b & 1 != 0, self.poly, self.width)
-        })
+            .fold(0, |reg, word| self.shift_word(reg, pack_word(word)));
+        self.shift_partial(reg, pack_word(tail), tail.len())
     }
 
     /// Computes the CRC of a byte slice (bits taken MSB-first within each
     /// byte).
     pub fn compute_bytes(&self, bytes: &[u8]) -> u32 {
-        bytes
-            .iter()
-            .fold(0, |reg, &byte| self.shift_byte(reg, byte))
+        let (words, tail) = bytes.as_chunks::<4>();
+        let reg = words.iter().fold(0, |reg, &word| {
+            self.shift_word(reg, u32::from_be_bytes(word))
+        });
+        let mut last = [0u8; 4];
+        last[..tail.len()].copy_from_slice(tail);
+        self.shift_partial(reg, u32::from_be_bytes(last), 8 * tail.len())
     }
 
     /// Appends the CRC parity bits (MSB-first) to a bit vector.
@@ -201,6 +283,28 @@ mod tests {
             for len in (0..=70).chain([511, 512, 513, 6143, 6144, 6200]) {
                 let bits: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 1) as u8).collect();
                 assert_eq!(crc.compute_bits(&bits), bit_loop(&crc, &bits), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_words_match_the_bit_loop_at_every_length() {
+        let mut rng = Xoshiro256::seed_from_u64(8);
+        for crc in [CRC24A, CRC24B, CRC16, CRC8] {
+            for len in (0..=100usize).chain([1023, 1024, 1025, 6144, 6200]) {
+                let bits: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 1) as u8).collect();
+                // Bits past `len` in the last word must not count.
+                let mut words = vec![u32::MAX; len.div_ceil(32)];
+                for (word, chunk) in words.iter_mut().zip(bits.chunks(32)) {
+                    for (i, &b) in chunk.iter().enumerate() {
+                        *word ^= u32::from(b ^ 1) << (31 - i);
+                    }
+                }
+                assert_eq!(
+                    crc.update_words(0, &words, len),
+                    bit_loop(&crc, &bits),
+                    "len {len}"
+                );
             }
         }
     }

@@ -10,7 +10,9 @@
 //!   ([`matched_filter`], [`window`]),
 //! * QPSK/16-QAM/64-QAM symbol mapping and exact/max-log soft demapping
 //!   ([`modulation`], [`llr`]),
-//! * block (de)interleaving ([`interleave`]),
+//! * block (de)interleaving ([`interleave`]), and the pass-through
+//!   decode tail — descramble, deinterleave, decide and CRC in one pass
+//!   over the LLRs ([`passthrough`]),
 //! * CRC-8/16/24A/24B generators used by LTE transport channels ([`crc`]),
 //! * Gold-sequence scrambling ([`scrambling`]), transport-block
 //!   code-block segmentation ([`segmentation`]) and circular-buffer rate
@@ -45,6 +47,7 @@ pub mod llr;
 pub mod matched_filter;
 pub mod math;
 pub mod modulation;
+pub mod passthrough;
 pub mod rate_match;
 pub mod rng;
 pub mod scrambling;

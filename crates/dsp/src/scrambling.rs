@@ -96,6 +96,20 @@ impl GoldSequence {
         c
     }
 
+    /// The next `n <= 64` scrambling bits, earliest in bit 0.
+    #[inline]
+    pub(crate) fn take64(&mut self, n: usize) -> u64 {
+        debug_assert!(n <= 64);
+        let mut bits = 0u64;
+        let mut filled = 0;
+        while filled < n {
+            let k = (n - filled).min(WORD);
+            bits |= u64::from(self.take(k)) << filled;
+            filled += k;
+        }
+        bits
+    }
+
     /// The next scrambling bit.
     #[inline]
     pub fn next_bit(&mut self) -> u8 {
@@ -138,7 +152,7 @@ pub fn scramble_bits(bits: &mut [u8], c_init: u32) {
 /// `-llr` for every input, ±0 and NaN payloads included, with no branch
 /// for a 50/50 sequence to mispredict.
 #[inline]
-fn flip_sign(llr: f32, c: u32) -> f32 {
+pub(crate) fn flip_sign(llr: f32, c: u32) -> f32 {
     f32::from_bits(llr.to_bits() ^ (c << 31))
 }
 

@@ -39,34 +39,34 @@ impl SegmentationShape {
     /// Panics if `decoded` disagrees with this shape.
     pub fn desegment(&self, decoded: &[Vec<u8>]) -> (Vec<u8>, bool) {
         assert_eq!(decoded.len(), self.n_blocks, "block count mismatch");
-        let mut ok = true;
         let mut out = Vec::new();
         for (i, d) in decoded.iter().enumerate() {
-            ok &= self.desegment_block_into(i, d, &mut out);
+            out.extend_from_slice(self.block_payload(i, d));
         }
+        let ok = self.n_blocks == 1 || decoded.iter().all(|d| CRC24B.check_bits(d));
         (out, ok)
     }
 
-    /// Streaming variant of [`desegment`](Self::desegment): appends one
-    /// decoded block's payload to `out`, returning whether its per-block
-    /// CRC passed (single-block shapes carry no block CRC and always
-    /// return `true`). Decoding block-by-block into one reused buffer is
-    /// what keeps the receiver's turbo path allocation-free.
+    /// The transport-block bits one decoded code block carries: the
+    /// block without the first block's filler and, when segmented,
+    /// without its CRC-24B. Appending each block's payload in order into
+    /// one reused buffer is how the receiver reassembles a transport
+    /// block without allocating; it checks each block's CRC itself, as
+    /// its stop rule.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range or `block` has the wrong size.
-    pub fn desegment_block_into(&self, index: usize, block: &[u8], out: &mut Vec<u8>) -> bool {
+    pub fn block_payload<'a>(&self, index: usize, block: &'a [u8]) -> &'a [u8] {
         assert!(index < self.n_blocks, "block index out of range");
         assert_eq!(block.len(), self.block_size, "block size mismatch");
-        if self.n_blocks == 1 {
-            out.extend_from_slice(&block[self.filler..]);
-            return true;
-        }
-        let ok = CRC24B.check_bits(block);
         let start = if index == 0 { self.filler } else { 0 };
-        out.extend_from_slice(&block[start..block.len() - BLOCK_CRC_BITS]);
-        ok
+        let crc = if self.n_blocks == 1 {
+            0
+        } else {
+            BLOCK_CRC_BITS
+        };
+        &block[start..block.len() - crc]
     }
 }
 

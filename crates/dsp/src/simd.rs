@@ -4,7 +4,10 @@
 //! counterpart: the SIMD code performs the same per-element operation DAG
 //! (the same multiplies, adds and fused multiply-adds, in the same order)
 //! and only parallelises across independent elements, so for finite
-//! inputs the vector and scalar paths produce byte-identical output. The
+//! inputs the vector and scalar paths produce byte-identical output. (The
+//! pass-through decision kernel outputs bits, not floats: it reaches the
+//! scalar loop's bits through an equivalent predicate, derived at the
+//! kernel.) The
 //! conformance suite (`lte-sim vectors --check`) and the differential
 //! fuzz targets enforce that contract on every build.
 //!
@@ -26,6 +29,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::complex::Complex32;
 use crate::modulation::Modulation;
+use crate::scrambling::GoldSequence;
 use crate::turbo::SisoBlock;
 #[cfg(target_arch = "x86_64")]
 use crate::turbo::STATES;
@@ -362,6 +366,39 @@ pub fn mmse_weights8<const L: usize>(
     }
 }
 
+/// Pass-through hard decisions, 64 LLRs per word: `words[w]` gets the
+/// decisions of `chunks[w]` against the next 64 bits of `gold` (LLR `i`
+/// in bit `i`) — bit `i` set unless the LLR with its sign flipped by
+/// scrambling bit `i` is `>= 0.0`, the predicate of the scalar loop in
+/// [`crate::passthrough`]. Returns `false`, having taken no scrambling
+/// bit and written nothing, on the scalar dispatch.
+///
+/// # Panics
+///
+/// On the vector path, panics unless there is one word per chunk.
+pub(crate) fn decide_flipped64(
+    chunks: &[[f32; 64]],
+    gold: &mut GoldSequence,
+    words: &mut [u64],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if !simd_enabled() {
+            return false;
+        }
+        assert_eq!(chunks.len(), words.len(), "one word per 64 LLRs");
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`; the
+        // kernel reads each 64-LLR chunk through its array reference.
+        unsafe { x86::decide_flipped64(chunks, gold, words) };
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (chunks, gold, words);
+        false
+    }
+}
+
 /// The AVX2+FMA kernels. Every function is a line-by-line vector
 /// transcription of the scalar reference it replaces; comments in each
 /// note the scalar expression being reproduced.
@@ -371,6 +408,7 @@ pub(crate) mod x86 {
 
     use crate::complex::Complex32;
     use crate::modulation::Modulation;
+    use crate::scrambling::GoldSequence;
 
     /// Sign mask that negates the *even* (real) lane of each complex pair.
     #[inline]
@@ -446,6 +484,57 @@ pub(crate) mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn mul_i(z: __m256) -> __m256 {
         unsafe { _mm256_xor_ps(_mm256_permute_ps(z, 0xB1), even_sign()) }
+    }
+
+    /// The sign bits of 32 compare masks, lane order kept: two
+    /// saturating packs narrow each all-ones/all-zeros lane to a byte, but
+    /// per 128-bit half, so the dword permute restores lane order before
+    /// one byte `movemask`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn movemask32(m: [__m256; 4]) -> u32 {
+        let [a, b, c, d] = m.map(|v| _mm256_castps_si256(v));
+        let bytes = _mm256_packs_epi16(_mm256_packs_epi32(a, b), _mm256_packs_epi32(c, d));
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        _mm256_movemask_epi8(_mm256_permutevar8x32_epi32(bytes, order)) as u32
+    }
+
+    /// Thirty-two LLRs per pair of mask words. A flipped sign is exact
+    /// negation, and negation inverts the decision of every ordered
+    /// nonzero LLR while ±0 decide `0` and NaN `1` either way, so with
+    /// `d` the decisions of the LLRs as they are (`_CMP_NGE_UQ`: not
+    /// `>= 0.0`, true for NaN, false for −0) and `nz` their ordered
+    /// nonzero lanes (`_CMP_NEQ_OQ`), the decisions after descrambling
+    /// are `d ^ (nz & c)`. The scrambling words are generated in the
+    /// same loop, so their register chain overlaps the compares.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support and `chunks.len() ==
+    /// words.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn decide_flipped64(
+        chunks: &[[f32; 64]],
+        gold: &mut GoldSequence,
+        words: &mut [u64],
+    ) {
+        unsafe {
+            let zero = _mm256_setzero_ps();
+            for (chunk, word) in chunks.iter().zip(words.iter_mut()) {
+                let c = gold.take64(64);
+                let mut d = 0u64;
+                let mut nz = 0u64;
+                for half in 0..2 {
+                    let llrs: [__m256; 4] = std::array::from_fn(|j| {
+                        _mm256_loadu_ps(chunk.as_ptr().add(32 * half + 8 * j))
+                    });
+                    let not_ge = llrs.map(|l| _mm256_cmp_ps::<_CMP_NGE_UQ>(l, zero));
+                    let nonzero = llrs.map(|l| _mm256_cmp_ps::<_CMP_NEQ_OQ>(l, zero));
+                    d |= u64::from(movemask32(not_ge)) << (32 * half);
+                    nz |= u64::from(movemask32(nonzero)) << (32 * half);
+                }
+                *word = d ^ (nz & c);
+            }
+        }
     }
 
     /// `acc[i] = acc[i].mul_add(w[i], x[i])` over length-multiple-of-4

@@ -118,11 +118,13 @@ pub enum Stage {
     Combining,
     /// Soft demapping to LLRs.
     Demap,
-    /// Deinterleave + descramble.
+    /// Start of the decode tail: the descramble (turbo mode), or the
+    /// descramble and packed hard decision (pass-through).
     Deinterleave,
-    /// Turbo decode (or pass-through hard decision).
+    /// Turbo decode with its fused deinterleave, or the pass-through
+    /// bit-transpose deinterleave.
     Turbo,
-    /// Transport-block CRC check.
+    /// Transport-block CRC check (pass-through: with the payload unpack).
     Crc,
 }
 

@@ -19,6 +19,7 @@ use lte_dsp::crc::{CRC24A, CRC24B};
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::interleave::{subblock_cached, Interleaver};
 use lte_dsp::llr::{demap_block_into, hard_decisions_into};
+use lte_dsp::passthrough::PassthroughTail;
 use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::descramble_llrs_into;
 use lte_dsp::segmentation::{Segmentation, SegmentationShape};
@@ -49,20 +50,22 @@ impl UserResult {
     }
 }
 
-/// Per-worker turbo-decode state: a small cache of constructed
-/// decoder/rate-matcher pairs keyed on `(block size, iterations)` (QPP
-/// interleaver construction is far too expensive to repeat per subframe),
-/// one SISO workspace and LLR staging buffer per block of the largest
-/// lockstep group seen, and the bit staging buffer (the stop rule's hard
-/// decisions, then each block's output bits). With a warm cache
-/// the whole decode tail allocates nothing, so turbo mode keeps the
-/// receiver's zero-allocation guarantee.
+/// Per-worker decode-tail state. For turbo mode: a small cache of
+/// constructed decoder/rate-matcher pairs keyed on `(block size,
+/// iterations)` (QPP interleaver construction is far too expensive to
+/// repeat per subframe), and per block of the largest lockstep group
+/// seen a SISO workspace, an LLR staging buffer, and the hard decisions
+/// and CRC verdict of the block's last stop-rule check — its output.
+/// For pass-through mode: the one-pass tail's packed buffers. With a
+/// warm cache the whole decode tail allocates nothing, in either mode.
 #[derive(Default)]
 pub struct TurboScratch {
     codecs: Vec<(usize, usize, TurboDecoder, RateMatcher)>,
     workspaces: Vec<TurboWorkspace>,
     llrs: Vec<TurboLlrs>,
-    block_bits: Vec<u8>,
+    block_bits: Vec<Vec<u8>>,
+    verdicts: Vec<bool>,
+    passthrough: PassthroughTail,
 }
 
 impl TurboScratch {
@@ -104,10 +107,16 @@ impl TurboScratch {
 /// Each block stops at the first SISO pass whose hard decisions
 /// `stop(shape, block)` accepts — the receiver passes
 /// [`block_passes_crc`] — and otherwise runs every pass of
-/// `iterations`. The hard decisions reuse `TurboScratch::block_bits`.
-/// Per-block CRC-24B failures are absorbed here (a failed block CRC
-/// implies the transport CRC-24A will fail too, matching `desegment`'s
-/// contract).
+/// `iterations`. The rule runs after the last pass too, so every block
+/// leaves a verdict, and the hard decisions it judged last are the
+/// block's output: they are kept per block and appended as they are,
+/// with nothing decided or checked twice. A failed CRC-24B is absorbed
+/// here (it almost surely fails the transport CRC-24A too, which the
+/// caller checks over the reassembled bits).
+///
+/// Returns the rule's verdict on a one-block transport, whose block
+/// check under [`block_passes_crc`] *is* the transport CRC-24A, and
+/// `None` for a segmented one.
 fn decode_transport(
     turbo: &mut TurboScratch,
     descrambled: &[f32],
@@ -116,7 +125,7 @@ fn decode_transport(
     transport_bits: usize,
     bits: &mut Vec<u8>,
     stop: fn(&SegmentationShape, &[u8]) -> bool,
-) {
+) -> Option<bool> {
     let shape = Segmentation::shape_for_len(transport_bits);
     let (n_blocks, k) = (shape.n_blocks, shape.block_size);
     // The per-block shares of crate::tx::rate_match_shares, computed
@@ -132,6 +141,8 @@ fn decode_transport(
         workspaces,
         llrs,
         block_bits,
+        verdicts,
+        ..
     } = turbo;
     let (_, _, decoder, matcher) = &codecs[pos];
     let mut cursor = 0usize;
@@ -141,6 +152,8 @@ fn decode_transport(
         if llrs.len() < group {
             llrs.resize_with(group, TurboLlrs::default);
             workspaces.resize_with(group, TurboWorkspace::new);
+            block_bits.resize_with(group, Vec::new);
+            verdicts.resize(group, false);
         }
         // The deinterleave is fused into the rate-match scatter-add:
         // each block's `gather` is its slice of the allocation
@@ -154,24 +167,25 @@ fn decode_transport(
             );
             cursor += e;
         }
-        decoder.decode_group_until(&llrs[..group], &mut workspaces[..group], |_, app| {
-            block_bits.clear();
-            hard_decisions_into(app, block_bits);
-            stop(&shape, block_bits)
+        decoder.decode_group_until(&llrs[..group], &mut workspaces[..group], |b, app| {
+            let decided = &mut block_bits[b];
+            decided.clear();
+            hard_decisions_into(app, decided);
+            verdicts[b] = stop(&shape, decided);
+            verdicts[b]
         });
-        for (b, ws) in (first..).zip(&workspaces[..group]) {
-            ws.hard_bits_into(block_bits);
-            let _block_ok = shape.desegment_block_into(b, block_bits, bits);
+        for (b, decided) in (first..).zip(&block_bits[..group]) {
+            bits.extend_from_slice(shape.block_payload(b, decided));
         }
         first += group;
     }
+    (n_blocks == 1).then_some(verdicts[0])
 }
 
 /// Whether a code block's hard decisions are a CRC-valid word: CRC-24B
 /// over the whole block when the transport block is segmented (the check
-/// [`SegmentationShape::desegment_block_into`] makes), else the transport
-/// block's CRC-24A over the bits after the filler (the receiver's final
-/// check).
+/// [`SegmentationShape::desegment`] makes), else the transport block's
+/// CRC-24A over the bits after the filler (the receiver's final check).
 fn block_passes_crc(shape: &SegmentationShape, block: &[u8]) -> bool {
     if shape.n_blocks == 1 {
         CRC24A.check_bits(&block[shape.filler..])
@@ -183,10 +197,11 @@ fn block_passes_crc(shape: &SegmentationShape, block: &[u8]) -> bool {
 /// Runs the final, non-parallelisable tail of the pipeline on LLRs the
 /// soft demapper produced in transmission order: descramble →
 /// deinterleave → turbo decode (or pass-through hard decision) → CRC.
-/// Every working buffer is drawn from `arena`, so the steady-state tail
-/// allocates nothing. The returned payload's storage also comes from the
-/// arena; callers that want a fully allocation-free loop hand it back
-/// with [`ScratchArena::recycle_u8`] once they are done with it.
+/// Every working buffer is drawn from `arena` or held in `turbo`, so the
+/// steady-state tail allocates nothing. The returned payload's storage
+/// comes from the arena; callers that want a fully allocation-free loop
+/// hand it back with [`ScratchArena::recycle_u8`] once they are done
+/// with it.
 ///
 /// `llrs` must be ordered exactly as the transmitter's
 /// [`crate::tx::split_bits`] chunks: slot-major, then symbol, then layer.
@@ -207,6 +222,15 @@ pub fn finish_user_with_arena(
 }
 
 /// The one decode tail, with deinterleave / turbo / CRC spans on `timer`.
+///
+/// In pass-through mode the three spans time the three phases of the
+/// one-pass [`PassthroughTail`]: `deinterleave` the descramble and
+/// packed hard decision over the raw LLRs, `turbo` the column walk and
+/// bit transpose that deinterleave the decisions, `crc` the word-step
+/// CRC-24A and the payload unpack. In turbo mode `deinterleave` times
+/// the descramble, `turbo` the fused deinterleave/rate-match gather,
+/// the SISO passes and desegmentation, and `crc` the transport CRC-24A
+/// of a segmented block (a one-block transport's was the stop rule's).
 fn finish_user_timed<R: Recorder>(
     cell: &CellConfig,
     input: &UserInput,
@@ -219,33 +243,19 @@ fn finish_user_timed<R: Recorder>(
     let user = &input.config;
     let total = user.bits_per_subframe();
     assert_eq!(llrs.len(), total, "LLR count must match the allocation");
-    let interleaver = subblock_cached(total);
-    // Gold-sequence sign flips, straight from the caller's stream into
-    // an arena buffer.
-    let mut descrambled = arena.take_f32(total);
     let c_init = crate::tx::scrambling_init(cell, user);
-    let (mut frame_bits, expected_len) = match (mode, FramePlan::for_user(user, mode)) {
+    match (mode, FramePlan::for_user(user, mode)) {
         (TurboMode::Passthrough, FramePlan::Passthrough { payload_bits }) => {
-            timer.time(Stage::Deinterleave, || {
-                descramble_llrs_into(llrs, c_init, &mut descrambled)
+            // One pass over the raw LLRs: descramble, decide, deinterleave
+            // and CRC on packed bits (lte_dsp::passthrough).
+            let tail = &mut turbo.passthrough;
+            timer.time(Stage::Deinterleave, || tail.decide(llrs, c_init));
+            timer.time(Stage::Turbo, || tail.deinterleave());
+            let mut payload = arena.take_u8(payload_bits);
+            let crc_ok = timer.time(Stage::Crc, || {
+                tail.check_into(payload_bits + 24, &mut payload)
             });
-            // The deinterleave is fused into the hard decision: bit `j`
-            // decides descrambled LLR `inverse[j]`, so the deinterleaved
-            // stream is never stored whole. The LLRs are gathered a block
-            // at a time into a stack array, where the decision vectorises
-            // (one decision per gathered LLR does not).
-            let mut bits = arena.take_u8(total);
-            timer.time(Stage::Turbo, || {
-                let mut block = [0.0f32; 256];
-                for chunk in interleaver.inverse_permutation().chunks(block.len()) {
-                    let block = &mut block[..chunk.len()];
-                    for (llr, &i) in block.iter_mut().zip(chunk) {
-                        *llr = descrambled[i as usize];
-                    }
-                    hard_decisions_into(block, &mut bits);
-                }
-            });
-            (bits, payload_bits + 24)
+            UserResult { payload, crc_ok }
         }
         (TurboMode::Decode { iterations }, FramePlan::Coded { transport_bits, .. }) => {
             // Descramble only: the deinterleave is fused into each
@@ -253,34 +263,34 @@ fn finish_user_timed<R: Recorder>(
             // warm codec cache the whole tail — gather-dematch, SISO
             // passes up to each block's CRC stop, desegmentation — reuses
             // held buffers and allocates nothing.
+            let mut descrambled = arena.take_f32(total);
             timer.time(Stage::Deinterleave, || {
                 descramble_llrs_into(llrs, c_init, &mut descrambled)
             });
             let mut bits = arena.take_u8(transport_bits);
-            timer.time(Stage::Turbo, || {
+            let verdict = timer.time(Stage::Turbo, || {
                 decode_transport(
                     turbo,
                     &descrambled,
-                    &interleaver,
+                    &subblock_cached(total),
                     iterations,
                     transport_bits,
                     &mut bits,
                     block_passes_crc,
                 )
             });
-            (bits, transport_bits)
+            arena.recycle_f32(descrambled);
+            debug_assert_eq!(bits.len(), transport_bits);
+            let crc_ok = timer.time(Stage::Crc, || {
+                verdict.unwrap_or_else(|| CRC24A.check_bits(&bits))
+            });
+            bits.truncate(transport_bits - 24);
+            UserResult {
+                payload: bits,
+                crc_ok,
+            }
         }
         _ => unreachable!("plan always matches mode"),
-    };
-    arena.recycle_f32(descrambled);
-    let crc_ok = timer.time(Stage::Crc, || {
-        frame_bits.truncate(expected_len);
-        CRC24A.check_bits(&frame_bits)
-    });
-    frame_bits.truncate(expected_len - 24);
-    UserResult {
-        payload: frame_bits,
-        crc_ok,
     }
 }
 
@@ -722,6 +732,46 @@ mod tests {
     }
 
     #[test]
+    fn the_transport_crc_fails_when_only_a_later_block_fails() {
+        // A two-block transport whose first block decodes while the
+        // second's LLRs are noise: the first block's payload comes
+        // through, and the verdict is the transport CRC, not any block's.
+        let cell = CellConfig::default();
+        let user = UserConfig::new(33, 2, Modulation::Qpsk);
+        let mode = TurboMode::Decode { iterations: 4 };
+        let FramePlan::Coded {
+            n_blocks: 2,
+            transport_bits,
+            ..
+        } = FramePlan::for_user(&user, mode)
+        else {
+            unreachable!("a 19 008-bit QPSK allocation carries two blocks")
+        };
+        let mut rng = Xoshiro256::seed_from_u64(37);
+        let input = synthesize_user_with_mode(&cell, &user, mode, 20.0, &mut rng);
+        let mut scratch = UserScratch::new();
+        let mut llrs = Vec::new();
+        demodulate_user_into(&cell, &input, &FftPlanner::new(), &mut scratch, &mut llrs);
+        let UserScratch { arena, turbo, .. } = &mut scratch;
+        let clean = finish_user_with_arena(&cell, &input, mode, &llrs, arena, turbo);
+        assert!(clean.matches(&input.ground_truth));
+        // The second block's share of the deinterleaved stream.
+        let total = llrs.len();
+        let first_share = crate::tx::rate_match_shares(total, 2)[0];
+        for &i in &subblock_cached(total).inverse_permutation()[first_share..] {
+            llrs[i as usize] = rng.next_f32() - 0.5;
+        }
+        let broken = finish_user_with_arena(&cell, &input, mode, &llrs, arena, turbo);
+        assert!(!broken.crc_ok);
+        let shape = Segmentation::shape_for_len(transport_bits);
+        let first_block_bits = shape.block_size - 24 - shape.filler;
+        assert_eq!(
+            broken.payload[..first_block_bits],
+            input.ground_truth[..first_block_bits]
+        );
+    }
+
+    #[test]
     fn corrupted_input_fails_crc() {
         let cell = CellConfig::default();
         let user = UserConfig::new(4, 1, Modulation::Qpsk);
@@ -778,8 +828,9 @@ mod tests {
             assert!(result.matches(&input.ground_truth));
             arena.recycle_u8(result.payload);
         }
-        // The descramble buffer and the payload.
-        assert!(arena.pooled_buffers() >= 2, "buffers must return to pool");
+        // The payload, the one arena buffer the pass-through tail takes
+        // (its packed scratch is held in `turbo`).
+        assert!(arena.pooled_buffers() >= 1, "buffers must return to pool");
     }
 
     #[test]

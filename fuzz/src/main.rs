@@ -17,7 +17,9 @@
 //!   --check --scalar` gates at coarser granularity; the serial-tail
 //!   targets (`gold-word`, `crc-table`, `descramble`, `mmse-fixed`) hold
 //!   the word-parallel, table-driven and fixed-size kernels to the
-//!   one-step-at-a-time forms kept in [`oracle`], and `fft-prime` and
+//!   one-step-at-a-time forms kept in [`oracle`], `passthrough-tail`
+//!   holds the one-pass pass-through tail to the four-pass path it
+//!   replaced, on both dispatch paths, and `fft-prime` and
 //!   `fft-order` hold the FFT's generic butterfly and its iterative
 //!   driver to the recursive, one-chain-per-output form; `turbo-group`
 //!   holds the turbo decoder's lockstep group decode (vector path) to
@@ -29,7 +31,7 @@
 //!         turbo-simd | turbo-group |
 //!         matched-filter | calibration | gold-word | crc-table |
 //!         descramble | mmse-fixed | fft-prime | fft-order |
-//!         all (default)
+//!         passthrough-tail | all (default)
 //! ```
 
 mod oracle;
@@ -39,10 +41,12 @@ use std::process::ExitCode;
 
 use lte_dsp::crc::{CRC16, CRC24A, CRC24B, CRC8};
 use lte_dsp::fft::{Direction, FftPlan};
+use lte_dsp::interleave::Interleaver;
 use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
+use lte_dsp::passthrough::PassthroughTail;
 use lte_dsp::rate_match::RateMatcher;
-use lte_dsp::scrambling::{descramble_llrs, descramble_llrs_into, GoldSequence};
+use lte_dsp::scrambling::{descramble_llrs, descramble_llrs_into, scramble_bits, GoldSequence};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::simd::force_scalar;
 use lte_dsp::turbo::{
@@ -53,7 +57,7 @@ use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::ChannelEstimate;
 use lte_power::WorkloadEstimator;
 
-use oracle::{crc_bit_loop, mmse_weights_dynamic, BitStepGold, ChainFft};
+use oracle::{crc_bit_loop, mmse_weights_dynamic, passthrough_four_pass, BitStepGold, ChainFft};
 
 type Target = (&'static str, fn(u64));
 
@@ -73,6 +77,7 @@ const TARGETS: &[Target] = &[
     ("mmse-fixed", fuzz_mmse_fixed),
     ("fft-prime", fuzz_fft_prime),
     ("fft-order", fuzz_fft_order),
+    ("passthrough-tail", fuzz_passthrough_tail),
 ];
 
 fn main() -> ExitCode {
@@ -146,7 +151,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
          turbo-group|matched-filter|calibration|gold-word|crc-table|\
-         descramble|mmse-fixed|fft-prime|fft-order|all] [--iters N] [--seed S]"
+         descramble|mmse-fixed|fft-prime|fft-order|passthrough-tail|all] [--iters N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -766,4 +771,74 @@ fn fuzz_fft_order(seed: u64) {
         _ => 1 + rng.next_below(1400) as usize,
     };
     check_fft_against_chain("fft-order", &mut rng, n);
+}
+
+/// The one-pass pass-through tail against the four-pass path it
+/// replaced ([`oracle::passthrough_four_pass`]), on the vector and the
+/// forced-scalar dispatch: any length (a third of them whole 32-bit
+/// rows, so no leading dummies), a CRC span of the whole allocation,
+/// part of it or less than the CRC, LLRs salted with ±0, ±∞ and NaN
+/// payloads — or, one case in four, a CRC-valid frame through the
+/// transmitter's interleave and scrambling, clean or with a few LLRs
+/// flipped. Payload and verdict must match exactly.
+fn fuzz_passthrough_tail(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let mut n = 1 + rng.next_below(6000) as usize;
+    if rng.next_below(3) == 0 {
+        n = n.next_multiple_of(32);
+    }
+    let c_init = rng.next_u32();
+    let (llrs, crc_len) = if n >= 24 && rng.next_below(4) == 0 {
+        let mut frame: Vec<u8> = (0..n - 24).map(|_| (rng.next_u64() & 1) as u8).collect();
+        CRC24A.append_bits(&mut frame);
+        let mut sent = Interleaver::subblock(n).apply(&frame);
+        scramble_bits(&mut sent, c_init);
+        let mut llrs: Vec<f32> = sent
+            .iter()
+            .map(|&b| (rng.next_f32() + 0.01) * (1.0 - 2.0 * f32::from(b)))
+            .collect();
+        for _ in 0..rng.next_below(3) {
+            let i = rng.next_below(n as u64) as usize;
+            llrs[i] = -llrs[i];
+        }
+        (llrs, n)
+    } else {
+        let mut llrs = wild_llrs(&mut rng, n);
+        for l in llrs.iter_mut() {
+            match rng.next_below(10) {
+                0 => *l = -0.0,
+                1 => *l = f32::INFINITY,
+                2 => *l = f32::NEG_INFINITY,
+                3 => *l = f32::from_bits(rng.next_u32() | 0x7F80_0001), // NaN, any payload/sign
+                _ => {}
+            }
+        }
+        let crc_len = match rng.next_below(3) {
+            0 => n,
+            1 => rng.next_below(n as u64 + 1) as usize,
+            _ => rng.next_below(24.min(n) as u64 + 1) as usize,
+        };
+        (llrs, crc_len)
+    };
+    let (want, want_ok) = passthrough_four_pass(&llrs, c_init, crc_len);
+    let mut tail = PassthroughTail::new();
+    for scalar in [false, true] {
+        force_scalar(scalar);
+        let mut payload = vec![9; rng.next_below(8) as usize];
+        let ok = tail.decode_into(&llrs, c_init, crc_len, &mut payload);
+        force_scalar(false);
+        assert_eq!(
+            ok, want_ok,
+            "passthrough-tail n={n} crc_len={crc_len} scalar={scalar}: CRC verdict diverged"
+        );
+        if let Some(i) = (0..want.len().max(payload.len())).find(|&i| payload.get(i) != want.get(i))
+        {
+            panic!(
+                "passthrough-tail n={n} crc_len={crc_len} scalar={scalar}: payload diverged at \
+                 {i} of {} (want {})",
+                payload.len(),
+                want.len()
+            );
+        }
+    }
 }

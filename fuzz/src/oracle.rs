@@ -1,13 +1,18 @@
 //! Differential oracles: the serial-tail kernels as they stood before
-//! their word-parallel / table-driven / fixed-size rewrites, and the FFT
-//! as it stood before its generic butterfly advanced all output chains
-//! together and before its recursion became a leaf stage plus one pass
-//! per level, moved here verbatim so the fuzzer can hold the fast forms
-//! to the old bits.
+//! their word-parallel / table-driven / fixed-size rewrites, the
+//! receiver's four-pass pass-through tail as it stood before the one-pass
+//! kernel, and the FFT as it stood before its generic butterfly advanced
+//! all output chains together and before its recursion became a leaf
+//! stage plus one pass per level, moved here verbatim so the fuzzer can
+//! hold the fast forms to the old bits.
 
 use std::f64::consts::TAU;
 
+use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::Direction;
+use lte_dsp::interleave::subblock_cached;
+use lte_dsp::llr::hard_decisions_into;
+use lte_dsp::scrambling::descramble_llrs_into;
 use lte_dsp::Complex32;
 use lte_phy::estimator::ChannelEstimate;
 
@@ -256,6 +261,32 @@ pub fn crc_bit_loop(poly: u32, width: u32, bits: &[u8]) -> u32 {
         }
     }
     reg
+}
+
+/// The receiver's pass-through tail in four passes: descramble into an
+/// `f32` buffer, gather it through the sub-block interleaver's inverse
+/// permutation a block at a time, hard-decide, then CRC-24A over the
+/// first `crc_len` one-byte bits. Returns the bits before the CRC (none
+/// when `crc_len < 24`) and the verdict.
+pub fn passthrough_four_pass(llrs: &[f32], c_init: u32, crc_len: usize) -> (Vec<u8>, bool) {
+    let mut descrambled = Vec::new();
+    descramble_llrs_into(llrs, c_init, &mut descrambled);
+    let mut bits = Vec::with_capacity(llrs.len());
+    let mut block = [0.0f32; 256];
+    for chunk in subblock_cached(llrs.len())
+        .inverse_permutation()
+        .chunks(block.len())
+    {
+        let block = &mut block[..chunk.len()];
+        for (llr, &i) in block.iter_mut().zip(chunk) {
+            *llr = descrambled[i as usize];
+        }
+        hard_decisions_into(block, &mut bits);
+    }
+    bits.truncate(crc_len);
+    let crc_ok = CRC24A.check_bits(&bits);
+    bits.truncate(crc_len.saturating_sub(24));
+    (bits, crc_ok)
 }
 
 /// A dense row-major complex matrix on the heap.

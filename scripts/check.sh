@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, twelve budgets (receiver entry points, one subframe
-# dispatcher, one performance harness, a first-party std-only
+# benchmark harness, thirteen budgets (receiver entry points, one
+# subframe dispatcher, one performance harness, a first-party std-only
 # workspace, one paper-artifact table, one kind of pool work, one
 # overload path, paper artifacts only, one overload response, one
-# host-telemetry path, paper pipeline only, one turbo stop rule),
+# host-telemetry path, paper pipeline only, one turbo stop rule, one
+# pass-through tail),
 # conformance vectors on both dispatch paths, the fuzz corpus, the
 # paper artifacts at reduced scale, and a smoke run of every driver
 # (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
@@ -163,6 +164,20 @@ echo "==> one turbo stop rule budget"
 [[ -z "$(grep -rn 'early_termination' crates fuzz src tests || true)" ]] \
     || { echo "crates/, fuzz/, src/ or tests/ name with_early_termination or early_termination"; exit 1; }
 
+echo "==> one pass-through tail budget"
+# The receiver's pass-through arm is the one-pass kernel
+# (lte_dsp::passthrough): descramble, deinterleave, decide and CRC on
+# packed bits. The four-pass form — an f32 descramble buffer, a gather
+# through the inverse permutation, one byte per decision — growing back
+# beside it is a second tail. The turbo arm still descrambles and
+# gathers, so only the pass-through arm is searched.
+passthrough_arm="$(awk '/\(TurboMode::Passthrough, FramePlan::Passthrough/,/\(TurboMode::Decode/' \
+    crates/phy/src/receiver.rs)"
+[[ -n "$passthrough_arm" ]] \
+    || { echo "crates/phy/src/receiver.rs has no pass-through arm to search"; exit 1; }
+! grep -q 'inverse_permutation\|descramble_llrs_into\|hard_decisions_into' <<< "$passthrough_arm" \
+    || { echo "the receiver's pass-through arm names inverse_permutation, descramble_llrs_into or hard_decisions_into"; exit 1; }
+
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
 # against conformance/golden.json, once on the runtime-detected SIMD
@@ -194,13 +209,14 @@ echo "==> fuzz smoke (lte-fuzz)"
 cargo run -q --offline --release -p lte-fuzz -- all --iters 120 \
     || { echo "fuzz smoke: a kernel panicked or the SIMD/scalar paths diverged"; exit 1; }
 # The serial-tail rewrites (word-parallel Gold sequence, table CRC,
-# branch-free descramble, fixed-size MMSE solve), the FFT's generic
-# butterfly (all output chains advanced together) and its iterative
-# driver (vectorized leaf stage, one pass per level) against the
-# one-at-a-time oracles in fuzz/src/oracle.rs, and the turbo decoder's
-# lockstep group decode against one-block scalar decodes, by name and
-# deeper.
-for target in gold-word crc-table descramble mmse-fixed fft-prime fft-order turbo-group; do
+# branch-free descramble, fixed-size MMSE solve, one-pass pass-through
+# tail), the FFT's generic butterfly (all output chains advanced
+# together) and its iterative driver (vectorized leaf stage, one pass
+# per level) against the one-at-a-time oracles in fuzz/src/oracle.rs,
+# and the turbo decoder's lockstep group decode against one-block scalar
+# decodes, by name and deeper.
+for target in gold-word crc-table descramble mmse-fixed fft-prime fft-order turbo-group \
+    passthrough-tail; do
     for seed in 1 2 3; do
         cargo run -q --offline --release -p lte-fuzz -- "$target" --iters 2000 --seed "$seed" \
             || { echo "fuzz: $target diverged from its oracle (seed $seed)"; exit 1; }
