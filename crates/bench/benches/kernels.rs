@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the DSP kernels the receiver pipeline is built
 //! from: FFTs across LTE sizes, the matched filter, soft demapping,
 //! MMSE weights, turbo decoding, the serial tail's CRC, Gold-sequence
-//! descrambling and one-pass pass-through tail, and the full serial
-//! per-user receive.
+//! descrambling, the one-pass pass-through tail and the coded tail's
+//! descramble, deinterleave and dematch, and the full serial per-user
+//! receive.
 
 use std::hint::black_box;
 
@@ -10,19 +11,22 @@ use lte_bench::bench;
 use lte_dsp::channel::MimoChannel;
 use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::{Direction, FftPlan, FftPlanner};
+use lte_dsp::interleave::DeinterleavedLlrs;
 use lte_dsp::llr::demap_block;
 use lte_dsp::matched_filter::matched_filter;
 use lte_dsp::passthrough::PassthroughTail;
+use lte_dsp::rate_match::RateMatcher;
 use lte_dsp::scrambling::{descramble_llrs, GoldSequence};
+use lte_dsp::segmentation::Segmentation;
 use lte_dsp::simd::force_scalar;
-use lte_dsp::turbo::{TurboDecoder, TurboEncoder};
+use lte_dsp::turbo::{TurboDecoder, TurboEncoder, TurboLlrs};
 use lte_dsp::zadoff_chu::ReferenceSequence;
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::ChannelEstimate;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
 use lte_phy::receiver::process_user_pooled;
-use lte_phy::tx::synthesize_user;
+use lte_phy::tx::{rate_match_shares, synthesize_user, FramePlan};
 
 fn random_block(n: usize, seed: u64) -> Vec<Complex32> {
     let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -101,7 +105,9 @@ fn bench_turbo() {
 /// The serial tail at the 100-PRB 64-QAM single-layer allocation size
 /// (86 400 bits), and the per-user Gold warm-up on its own. The
 /// pass-through tail (descramble, deinterleave, decide, CRC, payload)
-/// runs on the vector dispatch, then forced scalar (`/scalar`).
+/// and the coded tail up to the SISO (descramble, deinterleave and the
+/// dematch of each of the allocation's 4-iteration turbo code blocks)
+/// run on the vector dispatch, then forced scalar (`/scalar`).
 fn bench_serial_tail() {
     let n = 86_400;
     let mut rng = Xoshiro256::seed_from_u64(14);
@@ -114,10 +120,30 @@ fn bench_serial_tail() {
     bench("gold_warmup", || GoldSequence::new(black_box(0x1234_5678)));
     let mut tail = PassthroughTail::new();
     let mut payload = Vec::new();
+    let user = UserConfig::new(100, 1, Modulation::Qam64);
+    let mode = TurboMode::Decode { iterations: 4 };
+    let FramePlan::Coded { transport_bits, .. } = FramePlan::for_user(&user, mode) else {
+        unreachable!("decode mode plans a coded frame")
+    };
+    let shape = Segmentation::shape_for_len(transport_bits);
+    let matcher = RateMatcher::new(shape.block_size);
+    let mut deinterleaved = DeinterleavedLlrs::new();
+    let mut blocks = vec![TurboLlrs::default(); shape.n_blocks];
+    let shares = rate_match_shares(n, shape.n_blocks);
     for (scalar, suffix) in [(false, ""), (true, "/scalar")] {
         force_scalar(scalar);
         bench(&format!("passthrough_tail_86400{suffix}"), || {
             tail.decode_into(black_box(&llrs), 0x1234_5678, n, &mut payload)
+        });
+        bench(&format!("coded_tail_86400{suffix}"), || {
+            deinterleaved.fill(black_box(&llrs), 0x1234_5678);
+            let stream = deinterleaved.stream();
+            let mut cursor = 0;
+            for (block, &e) in blocks.iter_mut().zip(&shares) {
+                matcher.accumulate_llrs_into(&stream[cursor..cursor + e], block);
+                cursor += e;
+            }
+            blocks[0].systematic[0]
         });
     }
     force_scalar(false);

@@ -28,7 +28,7 @@ use lte_dsp::channel::MimoChannel;
 use lte_dsp::crc::{CRC16, CRC24A, CRC24B, CRC8};
 use lte_dsp::fft::FftPlan;
 use lte_dsp::fft::FftPlanner;
-use lte_dsp::interleave::Interleaver;
+use lte_dsp::interleave::{DeinterleavedLlrs, Interleaver};
 use lte_dsp::llr::{demap_block_exact, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::passthrough::PassthroughTail;
@@ -44,7 +44,7 @@ use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig, MAX_PRB};
 use lte_phy::tx::{
     scrambling_init, synthesize_retransmission, synthesize_user_over_channel,
-    synthesize_user_with_mode,
+    synthesize_user_with_mode, FramePlan,
 };
 
 /// Schema tag written into the golden file.
@@ -725,6 +725,74 @@ fn passthrough_tail_vector() -> KernelVector {
     }
 }
 
+/// The coded decode tail up to the SISO: descramble, sub-block
+/// deinterleave and the rate-match dematch of every code block, over
+/// the four `turbo100` allocations split into their code blocks as the
+/// receiver splits them, then punctured, exact and repeated blocks and
+/// allocations with and without leading dummies. LLRs are salted with
+/// ±0, ±∞ and subnormals (no NaN payloads: where two meet in a
+/// repetition, x86 keeps whichever operand the compiler put first). The
+/// hash was first taken with the descramble-and-gather path (an `f32`
+/// descramble copy, then each block's gather through the allocation
+/// interleaver's inverse permutation) that the column walk replaced.
+fn coded_tail_vector() -> KernelVector {
+    let mode = TurboMode::Decode { iterations: 4 };
+    let mut cases: Vec<(usize, usize, usize)> = Vec::new();
+    for user in &crate::perf::steady_state_subframe().users {
+        if let FramePlan::Coded { transport_bits, .. } = FramePlan::for_user(user, mode) {
+            let shape = Segmentation::shape_for_len(transport_bits);
+            cases.push((shape.block_size, shape.n_blocks, user.bits_per_subframe()));
+        }
+    }
+    cases.extend([
+        (40, 1, 500),
+        (40, 1, 100),
+        (512, 1, 4000),
+        (6144, 1, 10_000),
+        (40, 3, 3 * 132 + 2),
+        (1024, 2, 2 * 3096),
+    ]);
+    let mut rng = Xoshiro256::seed_from_u64(0xC0DE);
+    let mut h = Fnv1a::new();
+    let mut deinterleaved = DeinterleavedLlrs::new();
+    let mut block = TurboLlrs::default();
+    for (k, n_blocks, total) in cases {
+        let llrs: Vec<f32> = (0..total)
+            .map(|_| match rng.next_below(16) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => f32::from_bits(rng.next_u32() & 0x807F_FFFF), // subnormal
+                _ => rng.next_f32() * 8.0 - 4.0,
+            })
+            .collect();
+        let c_init = rng.next_u32();
+        let matcher = RateMatcher::new(k);
+        for v in [k, n_blocks, total, c_init as usize] {
+            h.write_u64(v as u64);
+        }
+        deinterleaved.fill(&llrs, c_init);
+        let stream = deinterleaved.stream();
+        let mut cursor = 0;
+        for b in 0..n_blocks {
+            let e = total / n_blocks + usize::from(b < total % n_blocks);
+            matcher.accumulate_llrs_into(&stream[cursor..cursor + e], &mut block);
+            cursor += e;
+            hash_f32(&mut h, &block.systematic);
+            hash_f32(&mut h, &block.parity1);
+            hash_f32(&mut h, &block.parity2);
+            for (s, p) in block.tail1.iter().chain(block.tail2.iter()) {
+                hash_f32(&mut h, &[*s, *p]);
+            }
+        }
+    }
+    KernelVector {
+        kernel: "coded-tail".to_string(),
+        hash: h.finish(),
+    }
+}
+
 fn hash_user_input(h: &mut Fnv1a, input: &UserInput) {
     for slot in &input.slots {
         for symbol in std::iter::once(&slot.reference).chain(&slot.data) {
@@ -812,6 +880,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         crc_vector(),
         scrambling_vector(),
         passthrough_tail_vector(),
+        coded_tail_vector(),
         tx_synthesis_vector(),
         receiver_vector(),
     ]

@@ -13,8 +13,37 @@ pub const COLUMN_PERMUTATION: [usize; 32] = [
     11, 27, 7, 23, 15, 31,
 ];
 
+/// Interleaver columns.
+pub const COLS: usize = COLUMN_PERMUTATION.len();
+
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
+
+use crate::scrambling::{flip_sign, GoldSequence};
+
+/// The sub-block interleaver as a column walk: row count, leading dummy
+/// count, and the stream position of row 0 of each column for `n`
+/// interleaved elements whose first sits at position `origin`.
+///
+/// The interleaver sends 32 contiguous column runs in
+/// [`COLUMN_PERMUTATION`] order, so row `r` of column `c` sits at
+/// `row0[c] + r`. A column below `dummy` is one shorter: its row 0 is a
+/// dummy and not sent, and its `row0` is the position one before its
+/// run — so `origin` must be at least 1 when `n` is not a multiple of
+/// 32. Padded position `32·r + c` is deinterleaved index
+/// `32·r + c − dummy`.
+pub fn column_walk(n: usize, origin: usize) -> (usize, usize, [usize; COLS]) {
+    let rows = n.div_ceil(COLS);
+    let dummy = rows * COLS - n;
+    let mut row0 = [0; COLS];
+    let mut start = origin;
+    for &col in &COLUMN_PERMUTATION {
+        let skip = usize::from(col < dummy);
+        row0[col] = start - skip;
+        start += rows - skip;
+    }
+    (rows, dummy, row0)
+}
 
 fn subblock_cache() -> &'static RwLock<HashMap<usize, Arc<Interleaver>>> {
     static CACHE: OnceLock<RwLock<HashMap<usize, Arc<Interleaver>>>> = OnceLock::new();
@@ -211,9 +240,142 @@ impl Interleaver {
     }
 }
 
+/// Phase A of the coded decode tail: one allocation's raw LLRs
+/// descrambled and sub-block deinterleaved in one pass over held
+/// buffers, so a warm instance allocates nothing.
+///
+/// The interleaver sends contiguous column runs ([`column_walk`]), so
+/// undoing it is a transpose, not a gather:
+/// [`fill`](Self::fill) reads each column run in transmission order,
+/// flips each LLR's sign with its scrambling bit (the XOR of
+/// [`crate::scrambling::descramble_llrs`]) and stores the padded matrix
+/// row by row, whose rows after the leading dummies are the
+/// deinterleaved stream. The vector dispatch moves 8 × 8 tiles; the
+/// scalar walk is the reference and takes row 0 (the dummies) and the
+/// rows after the last whole tile. Values are moved and sign-flipped,
+/// never computed, so [`stream`](Self::stream) equals
+/// `descramble_llrs` followed by [`Interleaver::invert`] bit for bit.
+#[derive(Clone, Debug, Default)]
+pub struct DeinterleavedLlrs {
+    /// Scrambling bit `t` in bit `t % 64` of word `t / 64`, and one
+    /// more word, so eight bits read from any LLR's position stay in
+    /// range.
+    gold: Vec<u64>,
+    /// The padded matrix row by row: padded position `p` at
+    /// `matrix[p]`, the first `dummy` entries unspecified.
+    matrix: Vec<f32>,
+    dummy: usize,
+    len: usize,
+}
+
+impl DeinterleavedLlrs {
+    /// An empty tail; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Descrambles `llrs` with the Gold sequence of `c_init` and
+    /// deinterleaves them through the `llrs.len()`-element sub-block
+    /// interleaver into the held matrix.
+    pub fn fill(&mut self, llrs: &[f32], c_init: u32) {
+        let n = llrs.len();
+        let (rows, dummy, row0) = column_walk(n, 1);
+        (self.dummy, self.len) = (dummy, n);
+        let words = n.div_ceil(64);
+        self.gold.clear();
+        self.gold.resize(words + 1, 0);
+        let mut sequence = GoldSequence::new(c_init);
+        for word in &mut self.gold[..words] {
+            *word = sequence.take64(64);
+        }
+        if self.matrix.len() < COLS * rows {
+            self.matrix.resize(COLS * rows, 0.0);
+        }
+        let matrix = &mut self.matrix[..COLS * rows];
+        let end = crate::simd::flip_transpose_rows(llrs, &self.gold, &row0, rows, matrix);
+        for row in (0..rows.min(1)).chain(end..rows) {
+            let first = if row == 0 { dummy } else { 0 };
+            for (col, &start) in row0.iter().enumerate().skip(first) {
+                let t = start + row - 1;
+                let c = (self.gold[t / 64] >> (t % 64)) as u32;
+                matrix[COLS * row + col] = flip_sign(llrs[t], c);
+            }
+        }
+    }
+
+    /// The descrambled, deinterleaved stream of the last
+    /// [`fill`](Self::fill).
+    pub fn stream(&self) -> &[f32] {
+        &self.matrix[self.dummy..self.dummy + self.len]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256;
+    use crate::scrambling::descramble_llrs;
+    use crate::simd::force_scalar;
+
+    /// The steady-state subframe's four allocations.
+    const STEADY_SIZES: [usize; 4] = [28_800, 2_880, 86_400, 34_560];
+
+    #[test]
+    fn column_walk_reproduces_the_subblock_permutation() {
+        for n in (1..=4100).chain(STEADY_SIZES) {
+            let (rows, dummy, row0) = column_walk(n, 1);
+            // Transmission position of every deinterleaved index.
+            let mut forward = vec![u32::MAX; n];
+            for col in 0..COLS {
+                for row in usize::from(col < dummy)..rows {
+                    forward[row0[col] + row - 1] = (row * COLS + col - dummy) as u32;
+                }
+            }
+            assert_eq!(forward, Interleaver::subblock(n).permutation(), "n {n}");
+        }
+    }
+
+    /// Random LLRs salted with ±0, ±∞ and NaN payloads of either sign.
+    fn edgy_llrs(rng: &mut Xoshiro256, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.next_below(10) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => f32::from_bits(rng.next_u32() | 0x7F80_0001),
+                _ => rng.next_f32() - 0.5,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_deinterleave_matches_descramble_then_invert() {
+        let mut rng = Xoshiro256::seed_from_u64(39);
+        let mut tail = DeinterleavedLlrs::new();
+        for n in (1..=4100).chain(STEADY_SIZES).chain([0]) {
+            let llrs = edgy_llrs(&mut rng, n);
+            let c_init = rng.next_u32();
+            let mut descrambled = llrs.clone();
+            descramble_llrs(&mut descrambled, c_init);
+            let want: Vec<u32> = if n == 0 {
+                Vec::new()
+            } else {
+                let il = Interleaver::subblock(n);
+                il.invert(&descrambled)
+                    .iter()
+                    .map(|l| l.to_bits())
+                    .collect()
+            };
+            for scalar in [false, true] {
+                force_scalar(scalar);
+                tail.fill(&llrs, c_init);
+                force_scalar(false);
+                let got: Vec<u32> = tail.stream().iter().map(|l| l.to_bits()).collect();
+                assert_eq!(got, want, "n {n} scalar {scalar}");
+            }
+        }
+    }
 
     #[test]
     fn column_permutation_is_a_permutation() {

@@ -14,8 +14,8 @@
 //!    word in transmission order (eight per AVX2 compare on the vector
 //!    path);
 //! 2. [`deinterleave`](PassthroughTail::deinterleave): the interleaver
-//!    sends 32 contiguous column runs in [`COLUMN_PERMUTATION`] order,
-//!    so 32 rows of one column are one unaligned 32-bit read, and a
+//!    sends 32 contiguous column runs
+//!    ([`column_walk`](crate::interleave::column_walk)), so 32 rows of one column are one unaligned 32-bit read, and a
 //!    32 × 32 bit transpose turns 32 column words into 32 row words —
 //!    the deinterleaved stream, MSB first;
 //! 3. [`check_into`](PassthroughTail::check_into): CRC-24A over the
@@ -26,11 +26,9 @@
 //! four-pass path's bit for bit (DESIGN.md §17).
 
 use crate::crc::CRC24A;
-use crate::interleave::COLUMN_PERMUTATION;
+use crate::interleave::{column_walk, COLS};
 use crate::scrambling::{flip_sign, GoldSequence};
 
-/// Interleaver columns.
-const COLS: usize = COLUMN_PERMUTATION.len();
 /// Transport-block CRC bits at the end of the checked span.
 const CRC_BITS: usize = 24;
 /// Zero bits ahead of the first decision, so a dummy column's row 0
@@ -52,23 +50,6 @@ pub struct PassthroughTail {
     rows: Vec<u32>,
     /// LLR count of the last [`decide`](Self::decide).
     len: usize,
-}
-
-/// Row count, leading dummy count and the stream bit of row 0 of each
-/// column, for `n` interleaved elements: column `COLUMN_PERMUTATION[k]`
-/// is the `k`-th run of the transmission, `rows` long, one shorter for a
-/// column below `dummy`, whose row 0 is a dummy and not sent.
-fn column_walk(n: usize) -> (usize, usize, [usize; COLS]) {
-    let rows = n.div_ceil(COLS);
-    let dummy = rows * COLS - n;
-    let mut row0 = [0; COLS];
-    let mut start = PREFIX;
-    for &col in &COLUMN_PERMUTATION {
-        let skip = usize::from(col < dummy);
-        row0[col] = start - skip;
-        start += rows - skip;
-    }
-    (rows, dummy, row0)
 }
 
 /// The 32 stream bits from bit `pos` on, the first in bit 0.
@@ -184,7 +165,7 @@ impl PassthroughTail {
     /// row 0 is cleared, which makes the rows the padded stream with
     /// `dummy` leading zeros.
     pub fn deinterleave(&mut self) {
-        let (rows, dummy, row0) = column_walk(self.len);
+        let (rows, dummy, row0) = column_walk(self.len, PREFIX);
         self.rows.clear();
         self.rows.resize(rows.next_multiple_of(32), 0);
         for (w, block) in self.rows.as_chunks_mut::<32>().0.iter_mut().enumerate() {
@@ -268,15 +249,15 @@ mod tests {
     use crate::interleave::Interleaver;
     use crate::llr::hard_decisions_into;
     use crate::rng::Xoshiro256;
-    use crate::scrambling::descramble_llrs_into;
+    use crate::scrambling::descramble_llrs;
 
     /// The steady-state subframe's four allocations.
     const STEADY_SIZES: [usize; 4] = [28_800, 2_880, 86_400, 34_560];
 
     /// Descramble, gather through the inverse permutation, decide, CRC.
     fn four_pass(llrs: &[f32], c_init: u32, crc_len: usize) -> (Vec<u8>, bool) {
-        let mut descrambled = Vec::new();
-        descramble_llrs_into(llrs, c_init, &mut descrambled);
+        let mut descrambled = llrs.to_vec();
+        descramble_llrs(&mut descrambled, c_init);
         let gathered = Interleaver::subblock(llrs.len()).invert(&descrambled);
         let mut bits = Vec::new();
         hard_decisions_into(&gathered, &mut bits);
@@ -298,21 +279,6 @@ mod tests {
                 _ => rng.next_f32() - 0.5,
             })
             .collect()
-    }
-
-    #[test]
-    fn column_walk_reproduces_the_subblock_permutation() {
-        for n in (1..=4100).chain(STEADY_SIZES) {
-            let (rows, dummy, row0) = column_walk(n);
-            // Transmission position of every deinterleaved index.
-            let mut forward = vec![u32::MAX; n];
-            for col in 0..COLS {
-                for row in usize::from(col < dummy)..rows {
-                    forward[row0[col] + row - PREFIX] = (row * COLS + col - dummy) as u32;
-                }
-            }
-            assert_eq!(forward, Interleaver::subblock(n).permutation(), "n {n}");
-        }
     }
 
     #[test]

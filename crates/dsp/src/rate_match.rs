@@ -13,7 +13,7 @@
 //! convention documented on [`RateMatcher::new`]; encoder and decoder
 //! agree by construction.
 
-use crate::interleave::Interleaver;
+use crate::interleave::{column_walk, Interleaver, COLS};
 use crate::turbo::{TurboCodeword, TurboLlrs};
 
 /// Precomputed rate-matching maps for one turbo block size.
@@ -151,8 +151,19 @@ impl RateMatcher {
     /// same size) this allocates nothing — the receiver's turbo hot path.
     ///
     /// The three stream vectors double as the length-`k+4` accumulators
-    /// during the scatter-add and are truncated to `k` once the four tail
-    /// positions have been extracted, so no scratch allocation is needed.
+    /// and are truncated to `k` once the four tail positions have been
+    /// extracted, so no scratch allocation is needed.
+    ///
+    /// Each stream's sub-block interleaver sends contiguous column runs
+    /// ([`column_walk`]), so a lap of the circular buffer is undone by
+    /// two transposes rather than a scatter through the buffer table:
+    /// the systematic third, and the interlaced parity pair. Laps are
+    /// added in order, each position once per lap, so every accumulator
+    /// is `0.0 + lap₀ + lap₁ + …` exactly as the table walk adds it; a
+    /// partial last lap adds nothing where it has no entry. The vector
+    /// dispatch moves 8 × 8 tiles; the scalar walk takes row 0 (the
+    /// dummies) and the rows after the last whole tile, and is the
+    /// reference.
     ///
     /// # Panics
     ///
@@ -164,10 +175,29 @@ impl RateMatcher {
             stream.clear();
             stream.resize(d, 0.0);
         }
-        let acc = [&mut out.systematic, &mut out.parity1, &mut out.parity2];
-        self.zip_circular(llrs, |&l, (s, i)| {
-            acc[s as usize][i as usize] += l;
-        });
+        let (rows, dummy, row0) = column_walk(d, 1);
+        for lap in llrs.chunks(self.buffer.len()) {
+            let (sys, par) = lap.split_at(lap.len().min(d));
+            let (s0, s1, s2) = (&mut out.systematic, &mut out.parity1, &mut out.parity2);
+            let acc = [&mut s0[..], &mut s1[..], &mut s2[..]];
+            let end = crate::simd::accumulate_transposed_rows(sys, par, &row0, rows, dummy, acc);
+            for row in (0..1).chain(end..rows) {
+                let first = if row == 0 { dummy } else { 0 };
+                for (col, &start) in row0.iter().enumerate().skip(first) {
+                    let m = start + row - 1;
+                    let i = COLS * row + col - dummy;
+                    if let Some(&l) = sys.get(m) {
+                        s0[i] += l;
+                    }
+                    if let Some(&l) = par.get(2 * m) {
+                        s1[i] += l;
+                    }
+                    if let Some(&l) = par.get(2 * m + 1) {
+                        s2[i] += l;
+                    }
+                }
+            }
+        }
         self.extract_tails(out);
     }
 
@@ -177,9 +207,12 @@ impl RateMatcher {
     /// [`accumulate_llrs_into`](Self::accumulate_llrs_into) on the
     /// result, but without ever materialising the deinterleaved buffer.
     /// The scatter-add visits positions in the same order with the same
-    /// f32 values, so the output is bit-exact versus the two-step path —
-    /// this removes the separate deinterleave pass (and its store/reload
-    /// of the whole allocation) from the turbo decode tail.
+    /// f32 values, so the output is bit-exact versus the two-step path.
+    /// The receiver's coded tail deinterleaves by transposes instead
+    /// ([`crate::interleave::DeinterleavedLlrs`] and
+    /// [`accumulate_llrs_into`](Self::accumulate_llrs_into)); this
+    /// table walk is what the benchmark harness's rate-match layer
+    /// times.
     ///
     /// `gather` is one code block's slice of the allocation
     /// interleaver's inverse permutation
@@ -378,6 +411,68 @@ mod tests {
                 assert_eq!(two_step.tail1, fused.tail1, "k={k}");
                 assert_eq!(two_step.tail2, fused.tail2, "k={k}");
                 cursor += share;
+            }
+        }
+    }
+
+    /// The table walk the column walk replaced: one scatter-add per
+    /// entry through the circular-buffer table.
+    fn scatter(rm: &RateMatcher, llrs: &[f32]) -> TurboLlrs {
+        let mut out = TurboLlrs::default();
+        for stream in [&mut out.systematic, &mut out.parity1, &mut out.parity2] {
+            stream.resize(stream_len(rm.k), 0.0);
+        }
+        let acc = [&mut out.systematic, &mut out.parity1, &mut out.parity2];
+        rm.zip_circular(llrs, |&l, (s, i)| acc[s as usize][i as usize] += l);
+        rm.extract_tails(&mut out);
+        out
+    }
+
+    /// Every float of the block, tails last, as bits; any NaN as one
+    /// value (when two NaN laps meet, x86 keeps whichever operand the
+    /// compiler put first).
+    fn block_bits(llrs: &TurboLlrs) -> Vec<u32> {
+        let tails = llrs
+            .tail1
+            .iter()
+            .chain(&llrs.tail2)
+            .flat_map(|&(s, p)| [s, p]);
+        let streams = [&llrs.systematic, &llrs.parity1, &llrs.parity2];
+        let all = streams.into_iter().flatten().copied().chain(tails);
+        all.map(|l| if l.is_nan() { u32::MAX } else { l.to_bits() })
+            .collect()
+    }
+
+    #[test]
+    fn column_walk_matches_the_table_scatter_for_every_block_size() {
+        use crate::simd::force_scalar;
+        use crate::turbo::supported_block_sizes;
+        let mut rng = Xoshiro256::seed_from_u64(0x39);
+        let mut edgy = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| match rng.next_below(12) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4 => f32::from_bits(rng.next_u32() | 0x7F80_0001),
+                    _ => rng.next_f32() * 8.0 - 4.0,
+                })
+                .collect()
+        };
+        let mut out = TurboLlrs::default();
+        for k in supported_block_sizes() {
+            let rm = RateMatcher::new(k);
+            let (d, lap) = (stream_len(k), rm.buffer_len());
+            for e in [1, d - 1, d + 1, lap - 12, lap, 2 * lap + d + 5, 3 * lap + 1] {
+                let llrs = edgy(e);
+                let want = block_bits(&scatter(&rm, &llrs));
+                for scalar in [false, true] {
+                    force_scalar(scalar);
+                    rm.accumulate_llrs_into(&llrs, &mut out);
+                    force_scalar(false);
+                    assert!(block_bits(&out) == want, "k {k} e {e} scalar {scalar}");
+                }
             }
         }
     }

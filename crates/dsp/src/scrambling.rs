@@ -5,24 +5,33 @@
 //! spectrum and decorrelating inter-cell interference. The receiver
 //! descrambles by flipping the signs of the corresponding LLRs.
 //!
-//! Both 31-bit shift registers advance up to [`WORD`] = 28 positions per
-//! step: every feedback tap sits at most 3 above the bit it produces, so
-//! one register value already holds the inputs of its next 28 bits and a
-//! step is three shifts and a few XORs (DESIGN.md §17).
+//! Both shift registers advance up to [`WORD`] = 56 positions per step,
+//! on a 62-bit window of their sequence. Over GF(2) squaring a
+//! polynomial squares each term, so `x1`'s recurrence `x³¹ + x³ + 1`
+//! also obeys `x⁶² + x⁶ + 1`, and `x2`'s obeys `x⁶² + x⁶ + x⁴ + x² + 1`.
+//! Every tap of the squared recurrences sits at most 6 above the bit it
+//! produces, so one window already holds the inputs of its next 56 bits
+//! and a step is a few shifts and XORs (DESIGN.md §17).
 
 /// Offset discarding the Gold sequence's low-correlation warm-up
 /// (`N_C` in the standard).
 const NC: usize = 1600;
 
-/// Sequence bits one register step produces: 31 register bits minus the
-/// highest feedback tap (3).
-const WORD: usize = 28;
+/// Sequence bits one register step produces: 62 window bits minus the
+/// highest feedback tap (6).
+const WORD: usize = 56;
 
-/// `x1` after the `N_C` warm-up. Its seed (0…01) is the same for every
-/// `c_init`, so the state is a constant of the standard.
-const X1_AFTER_NC: u32 = 0x5E48_5840;
+/// Sequence bits a register window holds.
+const WINDOW: usize = 62;
 
+/// `x1`'s window after the `N_C` warm-up. Its seed (0…01) is the same
+/// for every `c_init`, so the state is a constant of the standard.
+const X1_AFTER_NC: u64 = 0x2AC0_A9A4_5E48_5840;
+
+/// The 31 bits of `c_init` that seed `x2`.
 const REGISTER_MASK: u32 = 0x7FFF_FFFF;
+
+const WINDOW_MASK: u64 = (1 << WINDOW) - 1;
 
 #[cfg(test)]
 thread_local! {
@@ -30,25 +39,47 @@ thread_local! {
     static REGISTER_STEPS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// `x1(n+31) = x1(n+3) + x1(n)`: bit `j ≤ 27` of the result is
-/// `x1(n+31+j)` when bit `i` of `x` is `x1(n+i)`.
 #[inline]
-fn x1_feedback(x: u32) -> u32 {
-    x ^ (x >> 3)
-}
-
-/// `x2(n+31) = x2(n+3) + x2(n+2) + x2(n+1) + x2(n)`, same layout.
-#[inline]
-fn x2_feedback(x: u32) -> u32 {
-    x ^ (x >> 1) ^ (x >> 2) ^ (x >> 3)
-}
-
-/// Shifts a register `k ∈ 1..=WORD` positions, filling from `feedback`.
-#[inline]
-fn advance(x: u32, feedback: u32, k: usize) -> u32 {
+fn count_step() {
     #[cfg(test)]
     REGISTER_STEPS.with(|s| s.set(s.get() + 1));
-    ((x >> k) | (feedback << (31 - k))) & REGISTER_MASK
+}
+
+/// `x1(n+62) = x1(n+6) + x1(n)`: bit `j ≤ 55` of the result is
+/// `x1(n+62+j)` when bit `i` of `x` is `x1(n+i)`.
+#[inline]
+fn x1_feedback(x: u64) -> u64 {
+    x ^ (x >> 6)
+}
+
+/// `x2(n+62) = x2(n+6) + x2(n+4) + x2(n+2) + x2(n)`, same layout.
+#[inline]
+fn x2_feedback(x: u64) -> u64 {
+    x ^ (x >> 2) ^ (x >> 4) ^ (x >> 6)
+}
+
+/// Shifts a window `k ∈ 1..=WORD` positions, filling from `feedback`.
+#[inline]
+fn advance(x: u64, feedback: u64, k: usize) -> u64 {
+    count_step();
+    ((x >> k) | (feedback << (WINDOW - k))) & WINDOW_MASK
+}
+
+/// `x2`'s first window from its 31-bit seed, by the standard's own
+/// recurrence `x2(n+31) = x2(n+3) + x2(n+2) + x2(n+1) + x2(n)`: a
+/// 31-bit register yields its next 28 bits at once, so two steps.
+fn x2_window(seed: u32) -> u64 {
+    let mut window = u64::from(seed & REGISTER_MASK);
+    let mut filled = 31;
+    while filled < WINDOW {
+        count_step();
+        let register = window >> (filled - 31);
+        let feedback = register ^ (register >> 1) ^ (register >> 2) ^ (register >> 3);
+        let k = (WINDOW - filled).min(28);
+        window |= (feedback & ((1 << k) - 1)) << filled;
+        filled += k;
+    }
+    window
 }
 
 /// The LTE pseudo-random (Gold) sequence generator.
@@ -66,15 +97,15 @@ fn advance(x: u32, feedback: u32, k: usize) -> u32 {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GoldSequence {
-    x1: u32,
-    x2: u32,
+    x1: u64,
+    x2: u64,
 }
 
 impl GoldSequence {
     /// Creates the generator with initialisation value `c_init`
     /// (truncated to 31 bits), advanced past the `N_C = 1600` warm-up.
     pub fn new(c_init: u32) -> Self {
-        let mut x2 = c_init & REGISTER_MASK;
+        let mut x2 = x2_window(c_init);
         for _ in 0..NC / WORD {
             x2 = advance(x2, x2_feedback(x2), WORD);
         }
@@ -88,7 +119,7 @@ impl GoldSequence {
     /// The next `k ∈ 1..=WORD` scrambling bits `c(n) = (x1(n) + x2(n))
     /// mod 2`, earliest in bit 0.
     #[inline]
-    fn take(&mut self, k: usize) -> u32 {
+    fn take(&mut self, k: usize) -> u64 {
         debug_assert!((1..=WORD).contains(&k));
         let c = (self.x1 ^ self.x2) & ((1 << k) - 1);
         self.x1 = advance(self.x1, x1_feedback(self.x1), k);
@@ -104,7 +135,7 @@ impl GoldSequence {
         let mut filled = 0;
         while filled < n {
             let k = (n - filled).min(WORD);
-            bits |= u64::from(self.take(k)) << filled;
+            bits |= self.take(k) << filled;
             filled += k;
         }
         bits
@@ -163,25 +194,8 @@ pub fn descramble_llrs(llrs: &mut [f32], c_init: u32) {
     for chunk in llrs.chunks_mut(WORD) {
         let word = g.take(chunk.len());
         for (i, l) in chunk.iter_mut().enumerate() {
-            *l = flip_sign(*l, word >> i);
+            *l = flip_sign(*l, (word >> i) as u32);
         }
-    }
-}
-
-/// [`descramble_llrs`] from `llrs` into `out` (cleared first, capacity
-/// reused) in one pass, for callers that must keep the scrambled stream.
-pub fn descramble_llrs_into(llrs: &[f32], c_init: u32, out: &mut Vec<f32>) {
-    let mut g = GoldSequence::new(c_init);
-    out.clear();
-    out.reserve(llrs.len());
-    for chunk in llrs.chunks(WORD) {
-        let word = g.take(chunk.len());
-        out.extend(
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| flip_sign(l, word >> i)),
-        );
     }
 }
 
@@ -236,11 +250,14 @@ mod tests {
 
     #[test]
     fn x1_constant_is_the_warmed_up_seed() {
-        let mut x1 = 1u32;
-        for _ in 0..NC {
-            x1 = advance(x1, x1_feedback(x1), 1);
+        // The standard's recurrence from the seed 0…01, one bit per step.
+        let mut x1 = vec![0u8; NC + WINDOW];
+        x1[0] = 1;
+        for i in 0..NC + WINDOW - 31 {
+            x1[i + 31] = x1[i + 3] ^ x1[i];
         }
-        assert_eq!(x1, X1_AFTER_NC);
+        let window = (0..WINDOW).fold(0u64, |w, j| w | (u64::from(x1[NC + j]) << j));
+        assert_eq!(window, X1_AFTER_NC);
     }
 
     #[test]
@@ -271,7 +288,7 @@ mod tests {
     #[test]
     fn descrambling_is_negation_for_every_bit_pattern() {
         let mut rng = Xoshiro256::seed_from_u64(31);
-        for n in [0, 1, 27, 28, 29, 56, 1000] {
+        for n in [0, 1, 27, 28, 29, 55, 56, 57, 112, 1000] {
             let c_init = rng.next_u32();
             let llrs = wild_llrs(&mut rng, n);
             let expect: Vec<u32> = llrs
@@ -279,14 +296,10 @@ mod tests {
                 .zip(spec_sequence(c_init, n))
                 .map(|(&l, c)| if c == 1 { (-l).to_bits() } else { l.to_bits() })
                 .collect();
-            let mut in_place = llrs.clone();
-            descramble_llrs(&mut in_place, c_init);
-            let mut copied = vec![f32::NAN; 7]; // dirty, wrong-sized
-            descramble_llrs_into(&llrs, c_init, &mut copied);
-            for got in [&in_place, &copied] {
-                let got: Vec<u32> = got.iter().map(|l| l.to_bits()).collect();
-                assert_eq!(got, expect, "n {n}");
-            }
+            let mut got = llrs.clone();
+            descramble_llrs(&mut got, c_init);
+            let got: Vec<u32> = got.iter().map(|l| l.to_bits()).collect();
+            assert_eq!(got, expect, "n {n}");
         }
     }
 

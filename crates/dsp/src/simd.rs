@@ -399,6 +399,87 @@ pub(crate) fn decide_flipped64(
     }
 }
 
+/// Phase A of the coded tail in 8 × 8 tiles: for rows `1..end` of the
+/// padded sub-block matrix, `matrix[32·r + c]` gets `llrs[t]` with its
+/// sign flipped by scrambling bit `t` (bit `t % 64` of `gold[t / 64]`),
+/// `t = row0[c] + r − 1` — the scalar walk in
+/// [`crate::interleave::DeinterleavedLlrs`]. Returns
+/// `end = 1 + 8·⌊(rows − 1) / 8⌋`, or `1`, having written nothing, on
+/// the scalar dispatch or when no whole tile fits.
+///
+/// # Panics
+///
+/// Panics on the vector path if a column's last row lies past `llrs`,
+/// `gold` has no word after the last LLR's, or `matrix` is shorter than
+/// `32·rows`.
+pub(crate) fn flip_transpose_rows(
+    llrs: &[f32],
+    gold: &[u64],
+    row0: &[usize; 32],
+    rows: usize,
+    matrix: &mut [f32],
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() && rows > 8 {
+        let last_row0 = llrs.len().checked_sub(rows - 1);
+        assert!(
+            last_row0.is_some_and(|max| row0.iter().all(|&r| r <= max)),
+            "column past the LLRs"
+        );
+        assert!(64 * gold.len() >= llrs.len() + 64, "scrambling words short");
+        assert!(matrix.len() >= 32 * rows, "matrix short");
+        let tiles = (rows - 1) / 8;
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`; the
+        // asserts bound every read (row `r < rows` of column `c` is LLR
+        // `row0[c] + r − 1`, its scrambling bits two words from
+        // `gold[t / 64]`) and every write (row `r < rows` of `matrix`).
+        unsafe { x86::flip_transpose_tiles(llrs, gold, row0, tiles, matrix) };
+        return 1 + 8 * tiles;
+    }
+    let _ = (llrs, gold, row0, rows, matrix);
+    1
+}
+
+/// Phase B of the coded tail in 8 × 8 tiles: for rows `1..end` of a
+/// `rows`-row sub-block matrix with `dummy` leading dummies, adds lap
+/// entry `m = row0[c] + r − 1` — `sys[m]` into `acc[0]`, `par[2m]` into
+/// `acc[1]`, `par[2m + 1]` into `acc[2]` — at index `32·r + c − dummy`,
+/// an absent entry (past the end of a partial lap) adding nothing, as
+/// the scalar walk in [`crate::rate_match`] does. Returns `end = 1 +
+/// 8·⌊(rows − 1) / 8⌋`, or `1`, having added nothing, on the scalar
+/// dispatch or when no whole tile fits.
+///
+/// # Panics
+///
+/// Panics on the vector path unless `dummy < 32` and each accumulator
+/// holds `32·rows − dummy` entries.
+pub(crate) fn accumulate_transposed_rows(
+    sys: &[f32],
+    par: &[f32],
+    row0: &[usize; 32],
+    rows: usize,
+    dummy: usize,
+    acc: [&mut [f32]; 3],
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() && rows > 8 {
+        assert!(dummy < 32, "at most 31 leading dummies");
+        assert!(
+            acc.iter().all(|a| a.len() == 32 * rows - dummy),
+            "accumulator length"
+        );
+        let tiles = (rows - 1) / 8;
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`; lap
+        // reads are bounds-checked per load, and the accumulator
+        // writes, at `32·r + c − dummy` for `1 ≤ r < rows`, lie inside
+        // the asserted length.
+        unsafe { x86::accumulate_transposed_tiles(sys, par, row0, tiles, dummy, acc) };
+        return 1 + 8 * tiles;
+    }
+    let _ = (sys, par, row0, rows, dummy, acc);
+    1
+}
+
 /// The AVX2+FMA kernels. Every function is a line-by-line vector
 /// transcription of the scalar reference it replaces; comments in each
 /// note the scalar expression being reproduced.
@@ -533,6 +614,172 @@ pub(crate) mod x86 {
                     nz |= u64::from(movemask32(nonzero)) << (32 * half);
                 }
                 *word = d ^ (nz & c);
+            }
+        }
+    }
+
+    /// Transposes an 8 × 8 `f32` tile: lane `i` of output `j` is lane
+    /// `j` of input `i`. Unpacks pair the inputs, shuffles gather four
+    /// rows per 128-bit half, and the lane permutes join the halves.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
+    }
+
+    /// Phase A tiles: see [`super::flip_transpose_rows`]. Each column's
+    /// eight rows are one load in transmission order; their eight
+    /// scrambling bits, shifted so bit `i` lands in lane `i`'s sign, flip
+    /// the signs by XOR ([`crate::scrambling::flip_sign`]); the transpose
+    /// turns eight columns into eight row segments.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support and the bounds
+    /// [`super::flip_transpose_rows`] asserts.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn flip_transpose_tiles(
+        llrs: &[f32],
+        gold: &[u64],
+        row0: &[usize; 32],
+        tiles: usize,
+        matrix: &mut [f32],
+    ) {
+        let to_sign = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+        let sign = _mm256_set1_epi32(i32::MIN);
+        let (src, dst) = (llrs.as_ptr(), matrix.as_mut_ptr());
+        for tile in 0..tiles {
+            let r0 = 1 + 8 * tile;
+            for g in 0..4 {
+                let columns: [__m256; 8] = std::array::from_fn(|i| {
+                    let t = row0[8 * g + i] + r0 - 1;
+                    let pair = u128::from(gold[t / 64]) | (u128::from(gold[t / 64 + 1]) << 64);
+                    let bits = _mm256_set1_epi32((pair >> (t % 64)) as i32);
+                    let flips = _mm256_and_si256(_mm256_sllv_epi32(bits, to_sign), sign);
+                    // SAFETY: rows `r0..r0 + 8` of the column are in `llrs`.
+                    let v = unsafe { _mm256_loadu_ps(src.add(t)) };
+                    _mm256_xor_ps(v, _mm256_castsi256_ps(flips))
+                });
+                for (j, row) in transpose8(columns).into_iter().enumerate() {
+                    // SAFETY: row `r0 + j < rows` of `matrix`.
+                    unsafe { _mm256_storeu_ps(dst.add(32 * (r0 + j) + 8 * g), row) };
+                }
+            }
+        }
+    }
+
+    /// Eight lap entries from `off`, zeros past the end of `lap`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn load8_or_zero(lap: &[f32], off: usize) -> __m256 {
+        match lap.get(off..off + 8) {
+            // SAFETY: the slice holds eight floats.
+            Some(v) => unsafe { _mm256_loadu_ps(v.as_ptr()) },
+            None => {
+                let mut v = [0.0f32; 8];
+                let rest = lap.get(off..).unwrap_or_default();
+                v[..rest.len()].copy_from_slice(rest);
+                // SAFETY: `v` holds eight floats.
+                unsafe { _mm256_loadu_ps(v.as_ptr()) }
+            }
+        }
+    }
+
+    /// `acc[at..at + 8] += v`, lane by lane (`acc + v`, as the scalar
+    /// walk adds).
+    ///
+    /// # Safety
+    ///
+    /// `at + 8` must not exceed the accumulator's length.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn add8(acc: *mut f32, at: usize, v: __m256) {
+        unsafe {
+            let p = acc.add(at);
+            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), v));
+        }
+    }
+
+    /// Phase B tiles: see [`super::accumulate_transposed_rows`]. Stream
+    /// 0 is one transpose per eight columns. The interlaced parity pair
+    /// of eight rows is sixteen entries, two loads; shuffling their even
+    /// and odd lanes apart leaves rows in the order `[0, 1, 4, 5, 2, 3,
+    /// 6, 7]`, which the transposes keep, so each output row is added at
+    /// its own row from that order. A zero-padded absent entry adds
+    /// `+0.0`, which leaves every accumulator as it is: they start at
+    /// `+0.0` and a sum is `−0.0` only when both addends are, so none is
+    /// ever `−0.0`, and a NaN one is already quiet.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support and the accumulator
+    /// lengths [`super::accumulate_transposed_rows`] asserts.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn accumulate_transposed_tiles(
+        sys: &[f32],
+        par: &[f32],
+        row0: &[usize; 32],
+        tiles: usize,
+        dummy: usize,
+        acc: [&mut [f32]; 3],
+    ) {
+        const PAIR_ROWS: [usize; 8] = [0, 1, 4, 5, 2, 3, 6, 7];
+        let [s0, s1, s2] = acc.map(|a| a.as_mut_ptr());
+        for tile in 0..tiles {
+            let r0 = 1 + 8 * tile;
+            for g in 0..4 {
+                let at = |row: usize| 32 * row + 8 * g - dummy;
+                let first = |i: usize| row0[8 * g + i] + r0 - 1;
+                let columns: [__m256; 8] = std::array::from_fn(|i| load8_or_zero(sys, first(i)));
+                for (j, row) in transpose8(columns).into_iter().enumerate() {
+                    // SAFETY: row `r0 + j < rows`, inside the accumulator.
+                    unsafe { add8(s0, at(r0 + j), row) };
+                }
+                if par.is_empty() {
+                    continue;
+                }
+                let pairs: [(__m256, __m256); 8] = std::array::from_fn(|i| {
+                    let a = load8_or_zero(par, 2 * first(i));
+                    let b = load8_or_zero(par, 2 * first(i) + 8);
+                    (
+                        _mm256_shuffle_ps::<0x88>(a, b),
+                        _mm256_shuffle_ps::<0xDD>(a, b),
+                    )
+                });
+                let p1 = transpose8(pairs.map(|p| p.0));
+                let p2 = transpose8(pairs.map(|p| p.1));
+                for (j, &row) in PAIR_ROWS.iter().enumerate() {
+                    // SAFETY: row `r0 + row < rows`, inside the accumulators.
+                    unsafe {
+                        add8(s1, at(r0 + row), p1[j]);
+                        add8(s2, at(r0 + row), p2[j]);
+                    }
+                }
             }
         }
     }

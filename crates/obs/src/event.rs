@@ -118,11 +118,13 @@ pub enum Stage {
     Combining,
     /// Soft demapping to LLRs.
     Demap,
-    /// Start of the decode tail: the descramble (turbo mode), or the
-    /// descramble and packed hard decision (pass-through).
+    /// Start of the decode tail: the one-pass descramble and
+    /// deinterleave and the rate-match dematch of every code block
+    /// (turbo mode), or the descramble and packed hard decision
+    /// (pass-through).
     Deinterleave,
-    /// Turbo decode with its fused deinterleave, or the pass-through
-    /// bit-transpose deinterleave.
+    /// The turbo SISO passes, CRC stop rule and desegmentation, or the
+    /// pass-through bit-transpose deinterleave.
     Turbo,
     /// Transport-block CRC check (pass-through: with the payload unpack).
     Crc,

@@ -17,11 +17,10 @@ use std::cell::RefCell;
 use lte_dsp::arena::ScratchArena;
 use lte_dsp::crc::{CRC24A, CRC24B};
 use lte_dsp::fft::FftPlanner;
-use lte_dsp::interleave::{subblock_cached, Interleaver};
+use lte_dsp::interleave::DeinterleavedLlrs;
 use lte_dsp::llr::{demap_block_into, hard_decisions_into};
 use lte_dsp::passthrough::PassthroughTail;
 use lte_dsp::rate_match::RateMatcher;
-use lte_dsp::scrambling::descramble_llrs_into;
 use lte_dsp::segmentation::{Segmentation, SegmentationShape};
 use lte_dsp::turbo::{lockstep_group_len, TurboDecoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::Complex32;
@@ -53,16 +52,19 @@ impl UserResult {
 /// Per-worker decode-tail state. For turbo mode: a small cache of
 /// constructed decoder/rate-matcher pairs keyed on `(block size,
 /// iterations)` (QPP interleaver construction is far too expensive to
-/// repeat per subframe), and per block of the largest lockstep group
-/// seen a SISO workspace, an LLR staging buffer, and the hard decisions
-/// and CRC verdict of the block's last stop-rule check — its output.
-/// For pass-through mode: the one-pass tail's packed buffers. With a
-/// warm cache the whole decode tail allocates nothing, in either mode.
+/// repeat per subframe), the descrambled, deinterleaved allocation and
+/// its scrambling words, one dematched LLR staging buffer per code
+/// block, and per block of the largest lockstep group seen a SISO
+/// workspace and the hard decisions and CRC verdict of the block's last
+/// stop-rule check — its output. For pass-through mode: the one-pass
+/// tail's packed buffers. With a warm cache the whole decode tail
+/// allocates nothing, in either mode.
 #[derive(Default)]
 pub struct TurboScratch {
     codecs: Vec<(usize, usize, TurboDecoder, RateMatcher)>,
-    workspaces: Vec<TurboWorkspace>,
+    deinterleaved: DeinterleavedLlrs,
     llrs: Vec<TurboLlrs>,
+    workspaces: Vec<TurboWorkspace>,
     block_bits: Vec<Vec<u8>>,
     verdicts: Vec<bool>,
     passthrough: PassthroughTail,
@@ -95,14 +97,49 @@ impl TurboScratch {
     }
 }
 
-/// Undoes rate matching, turbo-decodes and desegments one transport
-/// block straight from the *descrambled* (still interleaved) LLR
-/// stream, appending the reassembled bits to `bits`. The allocation
-/// deinterleave is fused into each block's rate-match gather through
-/// `interleaver`'s inverse permutation — no deinterleaved buffer is
-/// ever materialised, which removes a full store/reload pass over the
-/// allocation from the decode tail. The code blocks (all of one size)
-/// are decoded in lockstep groups of [`lockstep_group_len`] blocks.
+/// Descrambles and deinterleaves one allocation's raw LLRs in one pass
+/// ([`DeinterleavedLlrs`]), then undoes rate matching of each code block
+/// of a `transport_bits` transport into its own staging buffer in
+/// `turbo` — the input of [`decode_transport`]. Both permutations are
+/// the 32-column sub-block interleaver, so each is undone by streaming
+/// transposes over held buffers, not a gather through a table.
+fn dematch_transport(
+    turbo: &mut TurboScratch,
+    llrs: &[f32],
+    c_init: u32,
+    iterations: usize,
+    transport_bits: usize,
+) {
+    let shape = Segmentation::shape_for_len(transport_bits);
+    let (n_blocks, k) = (shape.n_blocks, shape.block_size);
+    let pos = turbo.codec(k, iterations);
+    let TurboScratch {
+        codecs,
+        deinterleaved,
+        llrs: blocks,
+        ..
+    } = turbo;
+    deinterleaved.fill(llrs, c_init);
+    let matcher = &codecs[pos].3;
+    if blocks.len() < n_blocks {
+        blocks.resize_with(n_blocks, TurboLlrs::default);
+    }
+    // The per-block shares of crate::tx::rate_match_shares, computed
+    // inline to keep this path allocation-free.
+    let stream = deinterleaved.stream();
+    let (base, rem) = (stream.len() / n_blocks, stream.len() % n_blocks);
+    let mut cursor = 0;
+    for (b, block_llrs) in blocks[..n_blocks].iter_mut().enumerate() {
+        let e = base + usize::from(b < rem);
+        matcher.accumulate_llrs_into(&stream[cursor..cursor + e], block_llrs);
+        cursor += e;
+    }
+}
+
+/// Turbo-decodes and desegments the code blocks [`dematch_transport`]
+/// staged, appending the reassembled bits to `bits`. The code blocks
+/// (all of one size) are decoded in lockstep groups of
+/// [`lockstep_group_len`] blocks.
 ///
 /// Each block stops at the first SISO pass whose hard decisions
 /// `stop(shape, block)` accepts — the receiver passes
@@ -119,8 +156,6 @@ impl TurboScratch {
 /// `None` for a segmented one.
 fn decode_transport(
     turbo: &mut TurboScratch,
-    descrambled: &[f32],
-    interleaver: &Interleaver,
     iterations: usize,
     transport_bits: usize,
     bits: &mut Vec<u8>,
@@ -128,46 +163,26 @@ fn decode_transport(
 ) -> Option<bool> {
     let shape = Segmentation::shape_for_len(transport_bits);
     let (n_blocks, k) = (shape.n_blocks, shape.block_size);
-    // The per-block shares of crate::tx::rate_match_shares, computed
-    // inline to keep this path allocation-free.
-    let inverse = interleaver.inverse_permutation();
-    let total = descrambled.len();
-    debug_assert_eq!(inverse.len(), total);
-    let base = total / n_blocks;
-    let rem = total % n_blocks;
     let pos = turbo.codec(k, iterations);
     let TurboScratch {
         codecs,
-        workspaces,
         llrs,
+        workspaces,
         block_bits,
         verdicts,
         ..
     } = turbo;
-    let (_, _, decoder, matcher) = &codecs[pos];
-    let mut cursor = 0usize;
+    let decoder = &codecs[pos].2;
     let mut first = 0usize;
     while first < n_blocks {
         let group = lockstep_group_len(n_blocks - first);
-        if llrs.len() < group {
-            llrs.resize_with(group, TurboLlrs::default);
+        if workspaces.len() < group {
             workspaces.resize_with(group, TurboWorkspace::new);
             block_bits.resize_with(group, Vec::new);
             verdicts.resize(group, false);
         }
-        // The deinterleave is fused into the rate-match scatter-add:
-        // each block's `gather` is its slice of the allocation
-        // interleaver's inverse permutation.
-        for (b, block_llrs) in (first..).zip(&mut llrs[..group]) {
-            let e = base + usize::from(b < rem);
-            matcher.accumulate_llrs_gather_into(
-                descrambled,
-                &inverse[cursor..cursor + e],
-                block_llrs,
-            );
-            cursor += e;
-        }
-        decoder.decode_group_until(&llrs[..group], &mut workspaces[..group], |b, app| {
+        let blocks = &llrs[first..first + group];
+        decoder.decode_group_until(blocks, &mut workspaces[..group], |b, app| {
             let decided = &mut block_bits[b];
             decided.clear();
             hard_decisions_into(app, decided);
@@ -228,9 +243,11 @@ pub fn finish_user_with_arena(
 /// packed hard decision over the raw LLRs, `turbo` the column walk and
 /// bit transpose that deinterleave the decisions, `crc` the word-step
 /// CRC-24A and the payload unpack. In turbo mode `deinterleave` times
-/// the descramble, `turbo` the fused deinterleave/rate-match gather,
-/// the SISO passes and desegmentation, and `crc` the transport CRC-24A
-/// of a segmented block (a one-block transport's was the stop rule's).
+/// [`dematch_transport`] — the one-pass descramble and deinterleave and
+/// the rate-match dematch of every code block — `turbo` only the SISO
+/// passes, the CRC stop rule and desegmentation, and `crc` the
+/// transport CRC-24A of a segmented block (a one-block transport's was
+/// the stop rule's).
 fn finish_user_timed<R: Recorder>(
     cell: &CellConfig,
     input: &UserInput,
@@ -258,28 +275,23 @@ fn finish_user_timed<R: Recorder>(
             UserResult { payload, crc_ok }
         }
         (TurboMode::Decode { iterations }, FramePlan::Coded { transport_bits, .. }) => {
-            // Descramble only: the deinterleave is fused into each
-            // block's rate-match gather inside `decode_transport`. With a
-            // warm codec cache the whole tail — gather-dematch, SISO
-            // passes up to each block's CRC stop, desegmentation — reuses
-            // held buffers and allocates nothing.
-            let mut descrambled = arena.take_f32(total);
+            // Descramble, deinterleave and dematch by streaming
+            // transposes into held buffers, then the SISO passes up to
+            // each block's CRC stop. With a warm codec cache the whole
+            // tail allocates nothing but the arena's payload buffer.
             timer.time(Stage::Deinterleave, || {
-                descramble_llrs_into(llrs, c_init, &mut descrambled)
+                dematch_transport(turbo, llrs, c_init, iterations, transport_bits)
             });
             let mut bits = arena.take_u8(transport_bits);
             let verdict = timer.time(Stage::Turbo, || {
                 decode_transport(
                     turbo,
-                    &descrambled,
-                    &subblock_cached(total),
                     iterations,
                     transport_bits,
                     &mut bits,
                     block_passes_crc,
                 )
             });
-            arena.recycle_f32(descrambled);
             debug_assert_eq!(bits.len(), transport_bits);
             let crc_ok = timer.time(Stage::Crc, || {
                 verdict.unwrap_or_else(|| CRC24A.check_bits(&bits))
@@ -520,6 +532,7 @@ mod tests {
     use crate::params::UserConfig;
     use crate::tx::{synthesize_user, synthesize_user_over_channel, synthesize_user_with_mode};
     use lte_dsp::channel::MimoChannel;
+    use lte_dsp::interleave::subblock_cached;
     use lte_dsp::{Modulation, Xoshiro256};
 
     #[test]
@@ -614,28 +627,16 @@ mod tests {
         llrs: &[f32],
     ) -> UserResult {
         let user = &input.config;
-        let total = user.bits_per_subframe();
         let FramePlan::Coded { transport_bits, .. } =
             FramePlan::for_user(user, TurboMode::Decode { iterations })
         else {
             unreachable!("decode mode plans a coded frame")
         };
-        let mut descrambled = Vec::new();
-        descramble_llrs_into(
-            llrs,
-            crate::tx::scrambling_init(cell, user),
-            &mut descrambled,
-        );
+        let turbo = &mut TurboScratch::new();
+        let c_init = crate::tx::scrambling_init(cell, user);
+        dematch_transport(turbo, llrs, c_init, iterations, transport_bits);
         let mut bits = Vec::new();
-        decode_transport(
-            &mut TurboScratch::new(),
-            &descrambled,
-            &subblock_cached(total),
-            iterations,
-            transport_bits,
-            &mut bits,
-            |_, _| false,
-        );
+        decode_transport(turbo, iterations, transport_bits, &mut bits, |_, _| false);
         bits.truncate(transport_bits);
         let crc_ok = CRC24A.check_bits(&bits);
         bits.truncate(transport_bits - 24);

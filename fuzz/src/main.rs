@@ -19,7 +19,9 @@
 //!   the word-parallel, table-driven and fixed-size kernels to the
 //!   one-step-at-a-time forms kept in [`oracle`], `passthrough-tail`
 //!   holds the one-pass pass-through tail to the four-pass path it
-//!   replaced, on both dispatch paths, and `fft-prime` and
+//!   replaced, on both dispatch paths, `coded-tail` holds the coded
+//!   tail's column-walk descramble, deinterleave and dematch to the
+//!   gather it replaced, on both dispatch paths, and `fft-prime` and
 //!   `fft-order` hold the FFT's generic butterfly and its iterative
 //!   driver to the recursive, one-chain-per-output form; `turbo-group`
 //!   holds the turbo decoder's lockstep group decode (vector path) to
@@ -31,7 +33,7 @@
 //!         turbo-simd | turbo-group |
 //!         matched-filter | calibration | gold-word | crc-table |
 //!         descramble | mmse-fixed | fft-prime | fft-order |
-//!         passthrough-tail | all (default)
+//!         passthrough-tail | coded-tail | all (default)
 //! ```
 
 mod oracle;
@@ -41,12 +43,12 @@ use std::process::ExitCode;
 
 use lte_dsp::crc::{CRC16, CRC24A, CRC24B, CRC8};
 use lte_dsp::fft::{Direction, FftPlan};
-use lte_dsp::interleave::Interleaver;
+use lte_dsp::interleave::{DeinterleavedLlrs, Interleaver};
 use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::passthrough::PassthroughTail;
 use lte_dsp::rate_match::RateMatcher;
-use lte_dsp::scrambling::{descramble_llrs, descramble_llrs_into, scramble_bits, GoldSequence};
+use lte_dsp::scrambling::{descramble_llrs, scramble_bits, GoldSequence};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::simd::force_scalar;
 use lte_dsp::turbo::{
@@ -57,7 +59,10 @@ use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::ChannelEstimate;
 use lte_power::WorkloadEstimator;
 
-use oracle::{crc_bit_loop, mmse_weights_dynamic, passthrough_four_pass, BitStepGold, ChainFft};
+use oracle::{
+    coded_tail_gather, crc_bit_loop, mmse_weights_dynamic, passthrough_four_pass, BitStepGold,
+    ChainFft,
+};
 
 type Target = (&'static str, fn(u64));
 
@@ -78,6 +83,7 @@ const TARGETS: &[Target] = &[
     ("fft-prime", fuzz_fft_prime),
     ("fft-order", fuzz_fft_order),
     ("passthrough-tail", fuzz_passthrough_tail),
+    ("coded-tail", fuzz_coded_tail),
 ];
 
 fn main() -> ExitCode {
@@ -151,7 +157,8 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
          turbo-group|matched-filter|calibration|gold-word|crc-table|\
-         descramble|mmse-fixed|fft-prime|fft-order|passthrough-tail|all] [--iters N] [--seed S]"
+         descramble|mmse-fixed|fft-prime|fft-order|passthrough-tail|coded-tail|all] \
+         [--iters N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -579,9 +586,9 @@ fn fuzz_crc_table(seed: u64) {
     }
 }
 
-/// The branch-free sign flip against `if bit { -l }`, in place and
-/// copying, over wild LLRs salted with signed zeros, infinities and NaN
-/// payloads — compared as bits.
+/// The branch-free sign flip against `if bit { -l }` over wild LLRs
+/// salted with signed zeros, infinities and NaN payloads — compared as
+/// bits.
 fn fuzz_descramble(seed: u64) {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let c_init = rng.next_u32();
@@ -604,9 +611,6 @@ fn fuzz_descramble(seed: u64) {
     let mut in_place = llrs.clone();
     descramble_llrs(&mut in_place, c_init);
     assert_bits_equal(&in_place, &expect, "descramble in place");
-    let mut copied = vec![1.0; rng.next_below(8) as usize];
-    descramble_llrs_into(&llrs, c_init, &mut copied);
-    assert_bits_equal(&copied, &expect, "descramble into");
 }
 
 /// The fixed-size stack MMSE solve, on both dispatch paths (the
@@ -840,5 +844,72 @@ fn fuzz_passthrough_tail(seed: u64) {
                 want.len()
             );
         }
+    }
+}
+
+/// The coded tail's one-pass descramble and deinterleave plus the
+/// column-walk dematch of each code block against the receiver's
+/// earlier descramble-and-gather arm ([`oracle::coded_tail_gather`]),
+/// on the vector and the forced-scalar dispatch: any supported block
+/// size, one to four blocks sharing the allocation as the receiver
+/// splits it, each from one LLR (heavy puncturing) to past three laps
+/// of the circular buffer (repetition), and a third of allocations whole
+/// 32-bit rows, so no leading dummies. LLRs are salted with ±0, ±∞ and
+/// NaN payloads. Compared as bits, any NaN equal to any NaN: when two
+/// NaN laps meet, x86 keeps whichever operand the compiler put first.
+fn fuzz_coded_tail(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let sizes = supported_block_sizes();
+    let k = sizes[rng.next_below(sizes.len() as u64) as usize];
+    let matcher = RateMatcher::new(k);
+    let n_blocks = 1 + rng.next_below(4) as usize;
+    let per_block = 1 + rng.next_below(7 * matcher.buffer_len() as u64 / 2) as usize;
+    let mut total = n_blocks * per_block + rng.next_below(n_blocks as u64) as usize;
+    if rng.next_below(3) == 0 {
+        total = total.next_multiple_of(32);
+    }
+    let shares: Vec<usize> = (0..n_blocks)
+        .map(|b| total / n_blocks + usize::from(b < total % n_blocks))
+        .collect();
+    let mut llrs = wild_llrs(&mut rng, total);
+    for l in llrs.iter_mut() {
+        match rng.next_below(10) {
+            0 => *l = -0.0,
+            1 => *l = f32::INFINITY,
+            2 => *l = f32::NEG_INFINITY,
+            3 => *l = f32::from_bits(rng.next_u32() | 0x7F80_0001), // NaN, any payload/sign
+            _ => {}
+        }
+    }
+    let c_init = rng.next_u32();
+    let want = coded_tail_gather(&llrs, c_init, &matcher, &shares);
+    let as_bits = |block: &TurboLlrs| -> Vec<u32> {
+        let tails = block
+            .tail1
+            .iter()
+            .chain(&block.tail2)
+            .flat_map(|&(s, p)| [s, p]);
+        let streams = [&block.systematic, &block.parity1, &block.parity2];
+        let all = streams.into_iter().flatten().copied().chain(tails);
+        all.map(|l| if l.is_nan() { u32::MAX } else { l.to_bits() })
+            .collect()
+    };
+    let mut deinterleaved = DeinterleavedLlrs::new();
+    let mut got = TurboLlrs::default();
+    for scalar in [false, true] {
+        force_scalar(scalar);
+        deinterleaved.fill(&llrs, c_init);
+        let stream = deinterleaved.stream();
+        let mut cursor = 0;
+        for (b, (&e, want)) in shares.iter().zip(&want).enumerate() {
+            matcher.accumulate_llrs_into(&stream[cursor..cursor + e], &mut got);
+            cursor += e;
+            assert!(
+                as_bits(&got) == as_bits(want),
+                "coded-tail k={k} total={total} block {b} of {n_blocks} scalar={scalar}: \
+                 dematched LLRs diverged"
+            );
+        }
+        force_scalar(false);
     }
 }

@@ -12,7 +12,9 @@ use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::Direction;
 use lte_dsp::interleave::subblock_cached;
 use lte_dsp::llr::hard_decisions_into;
-use lte_dsp::scrambling::descramble_llrs_into;
+use lte_dsp::rate_match::RateMatcher;
+use lte_dsp::scrambling::descramble_llrs;
+use lte_dsp::turbo::TurboLlrs;
 use lte_dsp::Complex32;
 use lte_phy::estimator::ChannelEstimate;
 
@@ -269,8 +271,8 @@ pub fn crc_bit_loop(poly: u32, width: u32, bits: &[u8]) -> u32 {
 /// first `crc_len` one-byte bits. Returns the bits before the CRC (none
 /// when `crc_len < 24`) and the verdict.
 pub fn passthrough_four_pass(llrs: &[f32], c_init: u32, crc_len: usize) -> (Vec<u8>, bool) {
-    let mut descrambled = Vec::new();
-    descramble_llrs_into(llrs, c_init, &mut descrambled);
+    let mut descrambled = llrs.to_vec();
+    descramble_llrs(&mut descrambled, c_init);
     let mut bits = Vec::with_capacity(llrs.len());
     let mut block = [0.0f32; 256];
     for chunk in subblock_cached(llrs.len())
@@ -287,6 +289,37 @@ pub fn passthrough_four_pass(llrs: &[f32], c_init: u32, crc_len: usize) -> (Vec<
     let crc_ok = CRC24A.check_bits(&bits);
     bits.truncate(crc_len.saturating_sub(24));
     (bits, crc_ok)
+}
+
+/// The receiver's coded-tail dematch as it stood before the column
+/// walk: descramble into an `f32` copy of the allocation, then per code
+/// block (`shares` LLRs each, in order) the rate-match gather through
+/// the allocation interleaver's inverse permutation and a scatter-add
+/// through the circular-buffer table.
+pub fn coded_tail_gather(
+    llrs: &[f32],
+    c_init: u32,
+    matcher: &RateMatcher,
+    shares: &[usize],
+) -> Vec<TurboLlrs> {
+    let total = llrs.len();
+    let mut descrambled = llrs.to_vec();
+    descramble_llrs(&mut descrambled, c_init);
+    let interleaver = subblock_cached(total);
+    let inverse = interleaver.inverse_permutation();
+    let mut cursor = 0usize;
+    let mut blocks = Vec::new();
+    for &e in shares {
+        let mut block_llrs = TurboLlrs::default();
+        matcher.accumulate_llrs_gather_into(
+            &descrambled,
+            &inverse[cursor..cursor + e],
+            &mut block_llrs,
+        );
+        cursor += e;
+        blocks.push(block_llrs);
+    }
+    blocks
 }
 
 /// A dense row-major complex matrix on the heap.

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, thirteen budgets (receiver entry points, one
+# benchmark harness, fourteen budgets (receiver entry points, one
 # subframe dispatcher, one performance harness, a first-party std-only
 # workspace, one paper-artifact table, one kind of pool work, one
 # overload path, paper artifacts only, one overload response, one
 # host-telemetry path, paper pipeline only, one turbo stop rule, one
-# pass-through tail),
+# pass-through tail, one coded tail),
 # conformance vectors on both dispatch paths, the fuzz corpus, the
 # paper artifacts at reduced scale, and a smoke run of every driver
 # (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
@@ -169,14 +169,29 @@ echo "==> one pass-through tail budget"
 # (lte_dsp::passthrough): descramble, deinterleave, decide and CRC on
 # packed bits. The four-pass form — an f32 descramble buffer, a gather
 # through the inverse permutation, one byte per decision — growing back
-# beside it is a second tail. The turbo arm still descrambles and
-# gathers, so only the pass-through arm is searched.
+# beside it is a second tail. The turbo arm keeps f32 LLRs, so its
+# decisions are the next budget's business.
 passthrough_arm="$(awk '/\(TurboMode::Passthrough, FramePlan::Passthrough/,/\(TurboMode::Decode/' \
     crates/phy/src/receiver.rs)"
 [[ -n "$passthrough_arm" ]] \
     || { echo "crates/phy/src/receiver.rs has no pass-through arm to search"; exit 1; }
 ! grep -q 'inverse_permutation\|descramble_llrs_into\|hard_decisions_into' <<< "$passthrough_arm" \
     || { echo "the receiver's pass-through arm names inverse_permutation, descramble_llrs_into or hard_decisions_into"; exit 1; }
+
+echo "==> one coded tail budget"
+# The receiver's turbo arm descrambles and deinterleaves in one pass
+# (lte_dsp::interleave::DeinterleavedLlrs) and dematches each code block
+# by column-walk transposes (RateMatcher::accumulate_llrs_into). An f32
+# descramble copy, the inverse permutation or the table gather growing
+# back in the arm or in the two functions it calls is a second tail.
+coded_arm="$(awk '/\(TurboMode::Decode \{ iterations \}, FramePlan::Coded/,/unreachable!\("plan always matches mode"\)/' \
+    crates/phy/src/receiver.rs
+    awk '/^fn (dematch|decode)_transport/,/^}/' crates/phy/src/receiver.rs)"
+[[ "$(grep -c '^fn \(dematch\|decode\)_transport' <<< "$coded_arm")" -eq 2 ]] \
+    && grep -q 'FramePlan::Coded' <<< "$coded_arm" \
+    || { echo "crates/phy/src/receiver.rs has no coded arm, dematch_transport or decode_transport to search"; exit 1; }
+! grep -q 'inverse_permutation\|accumulate_llrs_gather_into\|descramble_llrs' <<< "$coded_arm" \
+    || { echo "the receiver's coded arm names inverse_permutation, accumulate_llrs_gather_into or descramble_llrs"; exit 1; }
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
@@ -210,13 +225,13 @@ cargo run -q --offline --release -p lte-fuzz -- all --iters 120 \
     || { echo "fuzz smoke: a kernel panicked or the SIMD/scalar paths diverged"; exit 1; }
 # The serial-tail rewrites (word-parallel Gold sequence, table CRC,
 # branch-free descramble, fixed-size MMSE solve, one-pass pass-through
-# tail), the FFT's generic butterfly (all output chains advanced
+# tail, column-walk coded tail), the FFT's generic butterfly (all output chains advanced
 # together) and its iterative driver (vectorized leaf stage, one pass
 # per level) against the one-at-a-time oracles in fuzz/src/oracle.rs,
 # and the turbo decoder's lockstep group decode against one-block scalar
 # decodes, by name and deeper.
 for target in gold-word crc-table descramble mmse-fixed fft-prime fft-order turbo-group \
-    passthrough-tail; do
+    passthrough-tail coded-tail; do
     for seed in 1 2 3; do
         cargo run -q --offline --release -p lte-fuzz -- "$target" --iters 2000 --seed "$seed" \
             || { echo "fuzz: $target diverged from its oracle (seed $seed)"; exit 1; }
