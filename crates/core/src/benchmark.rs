@@ -84,14 +84,14 @@ impl Default for BenchmarkConfig {
 
 /// Scheduler activity totals for one run, snapshotted from the pool the
 /// run executed on — the observable face of the low-overhead stealing
-/// machinery (LIFO slot, single-task steals, parking).
+/// machinery (single-task steals, parking).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolActivity {
     /// Tasks executed across all workers.
     pub executed_tasks: u64,
     /// Successful steals from other workers' deques.
     pub steals: u64,
-    /// Tasks executed straight from a worker's bounded LIFO slot.
+    /// Always 0: the pool has no LIFO slot (kept for existing readers).
     pub lifo_slot_hits: u64,
     /// Times any worker parked on the idle condvar.
     pub parks: u64,
@@ -102,7 +102,7 @@ impl PoolActivity {
         PoolActivity {
             executed_tasks: pool.executed_tasks(),
             steals: pool.steal_count(),
-            lifo_slot_hits: pool.lifo_slot_hits(),
+            lifo_slot_hits: 0,
             parks: pool.parks(),
         }
     }

@@ -216,8 +216,8 @@ fn run_pool_campaign(
                 }
             }
             // The job's root task enters the global queue; on its worker
-            // it spawns the job's tasks into that worker's LIFO slot and
-            // deque, where the other workers can steal all but the newest.
+            // it spawns the job's tasks onto that worker's deque, where
+            // the other workers can steal them.
             let started = Arc::clone(&started);
             let plan = plan.clone();
             let handle = pool.handle();

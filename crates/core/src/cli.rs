@@ -43,8 +43,6 @@ struct Options {
     ues: Option<usize>,
     /// deploy: inter-cell coupling amplitude in thousandths.
     coupling_milli: Option<u32>,
-    /// deploy: cell kind — macro | nbiot.
-    cell_kind: Option<String>,
 }
 
 const USAGE: &str = "\
@@ -144,10 +142,6 @@ FLAGS:
     --coupling-milli N
                       deploy: inter-cell coupling amplitude in
                       thousandths (default 0 = isolated cells)
-    --cell-kind KIND  deploy: macro | nbiot (default macro); nbiot
-                      squeezes grants to 2-3 PRB single-layer QPSK
-                      with 4 coverage repetitions and selection
-                      combining
     --config FILE     serve: key=value service parameters (traffic,
                       rate_milli, burst, fill watermarks, SLO budgets);
                       the file is watched while serving and re-applied
@@ -215,7 +209,6 @@ fn parse_args() -> Options {
             "--cells" => o.cells = Some(positive(&value(), &arg)),
             "--ues" => o.ues = Some(number(&value(), &arg)),
             "--coupling-milli" => o.coupling_milli = Some(number(&value(), &arg)),
-            "--cell-kind" => o.cell_kind = Some(value()),
             flag if flag.starts_with('-') => fail(
                 2,
                 format!("unknown flag: {flag}\nrun 'lte-sim --help' for the full flag list"),
@@ -696,14 +689,10 @@ fn run_deploy_cmd(opts: &Options) {
     if let Some(text) = opts.traffic.as_deref() {
         cfg.traffic = text.parse().or_exit("--traffic", 2);
     }
-    if let Some(text) = opts.cell_kind.as_deref() {
-        cfg.kind = text.parse().or_exit("--cell-kind", 2);
-    }
 
     println!(
-        "deploying {} {} cells, {} UEs, {} ticks of {} traffic (coupling {}/1000, {} workers, seed {}) …",
+        "deploying {} cells, {} UEs, {} ticks of {} traffic (coupling {}/1000, {} workers, seed {}) …",
         cfg.cells,
-        cfg.kind.name(),
         cfg.ues,
         cfg.ticks,
         cfg.traffic.name(),

@@ -10,10 +10,9 @@
 //! the per-cell scheduler grants at most [`MAX_USERS`] allocations
 //! within the cell's PRB budget, and the rest of the offered load is
 //! counted as deferred (DTX at the measurement box). One receiver runs
-//! per cell; all of them shard onto the *same* work-stealing pool: each
-//! tick of every cell is one dispatcher row, released round-robin across
-//! cells by [`interleave_shards`] so no wide cell monopolises the queue
-//! head, and the row's open count proves every `(cell, user)` drained.
+//! per cell; all of them share the *same* work-stealing pool: each tick
+//! of every cell is one dispatcher row in `(cell, user)` order, and the
+//! row's open count proves every `(cell, user)` drained.
 //!
 //! # Determinism
 //!
@@ -36,9 +35,9 @@
 //!   runs one task per cell after every field exists; each task writes
 //!   only its own cell's inputs and sums neighbours in cell order, the
 //!   serial order of every sample's sum;
-//! * each `(cell, user)` decode writes its own result slot, and results
-//!   are harvested in `(cell, user)` order after the pool drains, so
-//!   counters and fingerprints never see a worker interleaving;
+//! * each `(cell, user)` decode writes its own result slot, and the row
+//!   is split back by cell after the pool drains, so counters and
+//!   fingerprints never see a worker interleaving;
 //! * the report deliberately excludes the worker count, and the Eq. 3/5
 //!   power estimate uses the paper's 62-core controller rather than the
 //!   host's — `DEPLOY.json` from a 1-worker and a 64-worker run must be
@@ -56,22 +55,10 @@
 //! and is *skipped entirely* at zero coupling, so an isolated deployment
 //! is bit-identical to independent single-cell runs (the equivalence the
 //! zero-coupling test proves).
-//!
-//! # NB-IoT cells
-//!
-//! [`CellKind::NbIot`] models a narrowband machine-type cell: every
-//! grant is squeezed to a 2–3-PRB single-layer QPSK allocation, the
-//! per-subframe budget drops to [`NBIOT_PRB_BUDGET`] PRBs, and each
-//! grant is transmitted [`NBIOT_REPETITIONS`] times (same transport
-//! block, fresh channel and noise — the coverage-enhancement repetition
-//! of NB-IoT). The receiver applies selection combining: the first
-//! repetition whose CRC passes is the user's result. For interference
-//! purposes the repetitions occupy distinct narrowband carriers
-//! (multi-tone first-fit), keeping the field construction uniform.
 
 use std::sync::Arc;
 
-use lte_dsp::{Complex32, Modulation, Xoshiro256};
+use lte_dsp::{Complex32, Xoshiro256};
 use lte_obs::{f64_json, EblerBank, EblerSurface, OpenMetrics};
 use lte_phy::grid::UserInput;
 use lte_phy::params::{
@@ -79,9 +66,8 @@ use lte_phy::params::{
     N_CELL_IDENTITIES, SLOTS_PER_SUBFRAME,
 };
 use lte_phy::receiver::UserResult;
-use lte_phy::tx::{synthesis_draws, synthesize_retransmission, synthesize_user_with_mode};
+use lte_phy::tx::{synthesis_draws, synthesize_user_with_mode};
 use lte_power::{CoreController, WorkloadEstimator};
-use lte_sched::interleave_shards;
 
 use crate::dispatch::{Dispatcher, Finished};
 use crate::fingerprint::Fnv1a;
@@ -100,48 +86,8 @@ const DEPLOY_SNR_DB: f64 = 30.0;
 /// budget, and the surplus is deferred.
 const POP_UNIT: usize = 1000;
 
-/// Coverage-enhancement repetitions per NB-IoT grant.
-pub const NBIOT_REPETITIONS: usize = 4;
-
-/// Narrowband PRB budget of an NB-IoT cell's subframe.
-const NBIOT_PRB_BUDGET: usize = 12;
-
-/// The kind of cell a deployment provisions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CellKind {
-    /// A wideband macro cell: the paper's 2-antenna receiver with the
-    /// full [`MAX_PRB`] budget.
-    #[default]
-    Macro,
-    /// A narrowband machine-type cell: tiny single-layer QPSK grants,
-    /// a [`NBIOT_PRB_BUDGET`]-PRB budget, [`NBIOT_REPETITIONS`]
-    /// repetitions with selection combining.
-    NbIot,
-}
-
-impl CellKind {
-    /// Stable name used in flags and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CellKind::Macro => "macro",
-            CellKind::NbIot => "nbiot",
-        }
-    }
-}
-
-impl std::str::FromStr for CellKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "macro" => Ok(CellKind::Macro),
-            "nbiot" | "nb-iot" | "nb_iot" => Ok(CellKind::NbIot),
-            other => Err(format!("unknown cell kind '{other}' (macro, nbiot)")),
-        }
-    }
-}
-
-/// Parameters of one deployment campaign.
+/// Parameters of one deployment campaign: every cell is the paper's
+/// wideband 2-antenna cell with the full [`MAX_PRB`] budget.
 #[derive(Clone, Debug)]
 pub struct DeployConfig {
     /// Number of cells to provision.
@@ -157,8 +103,6 @@ pub struct DeployConfig {
     pub workers: usize,
     /// Per-cell traffic generator.
     pub traffic: TrafficModel,
-    /// Cell kind (uniform across the deployment).
-    pub kind: CellKind,
     /// Inter-cell coupling amplitude in thousandths (0 = isolated).
     pub coupling_milli: u32,
     /// Physical-cell identity of cell 0; cell `i` gets
@@ -177,7 +121,6 @@ impl DeployConfig {
             seed,
             workers: 2,
             traffic: TrafficModel::FullBuffer,
-            kind: CellKind::Macro,
             coupling_milli: 0,
             first_cell: 0,
         }
@@ -205,30 +148,14 @@ struct TickSchedule {
     deferred: u64,
 }
 
-/// Squeezes a macro grant into an NB-IoT allocation: 2–3 single-layer
-/// QPSK PRBs, deterministically derived from the original width.
-fn nbiot_grant(user: UserConfig) -> UserConfig {
-    UserConfig::new(2 + user.prbs % 2, 1, Modulation::Qpsk)
-}
-
 /// The per-tick scheduler: the traffic model's arrival palette, scaled
 /// by population, granted first-come within the cell's PRB and user
 /// budgets. A pure function of its arguments.
-fn schedule_tick(
-    kind: CellKind,
-    traffic: TrafficModel,
-    population: usize,
-    seed: u64,
-    tick: u64,
-) -> TickSchedule {
+fn schedule_tick(traffic: TrafficModel, population: usize, seed: u64, tick: u64) -> TickSchedule {
     let palette: Vec<UserConfig> = traffic
         .arrivals(seed, tick)
         .iter()
         .flat_map(|sf| sf.users.iter().copied())
-        .map(|u| match kind {
-            CellKind::Macro => u,
-            CellKind::NbIot => nbiot_grant(u),
-        })
         .collect();
     if palette.is_empty() || population == 0 {
         return TickSchedule {
@@ -239,10 +166,6 @@ fn schedule_tick(
     }
     let factor = population.div_ceil(POP_UNIT).max(1) as u64;
     let offered = palette.len() as u64 * factor;
-    let budget = match kind {
-        CellKind::Macro => MAX_PRB,
-        CellKind::NbIot => NBIOT_PRB_BUDGET,
-    };
     let mut users = Vec::new();
     let mut prbs = 0usize;
     for i in 0..offered {
@@ -250,7 +173,7 @@ fn schedule_tick(
             break;
         }
         let u = palette[(i as usize) % palette.len()];
-        if prbs + u.prbs > budget {
+        if prbs + u.prbs > MAX_PRB {
             break;
         }
         prbs += u.prbs;
@@ -262,23 +185,6 @@ fn schedule_tick(
         offered,
         deferred,
     }
-}
-
-/// Every user configuration a traffic model can emit under a cell kind —
-/// the prewarm set, so reference/interleaver/FFT caches are populated
-/// before the first tick.
-fn prewarm_palette(kind: CellKind, traffic: TrafficModel) -> Vec<UserConfig> {
-    let mut out: Vec<UserConfig> = Vec::new();
-    for u in traffic.palette() {
-        let u = match kind {
-            CellKind::Macro => u,
-            CellKind::NbIot => nbiot_grant(u),
-        };
-        if !out.contains(&u) {
-            out.push(u);
-        }
-    }
-    out
 }
 
 /// One cell's radiated frequency-domain field for one tick:
@@ -358,13 +264,11 @@ pub struct CellReport {
     pub population: usize,
     /// Grants offered by the population across the campaign.
     pub offered: u64,
-    /// Grants scheduled (decode attempts; NB-IoT repetitions count as
-    /// one grant).
+    /// Grants scheduled (decode attempts).
     pub scheduled: u64,
     /// Offered grants deferred past the budget (DTX).
     pub deferred: u64,
-    /// FNV-1a 64 over the cell's selected decode results in tick/user
-    /// order.
+    /// FNV-1a 64 over the cell's decode results in tick/user order.
     pub fingerprint: u64,
     /// The cell's R&S-shaped measurement surface.
     pub ebler: EblerSurface,
@@ -406,7 +310,6 @@ impl DeployReport {
             "  \"traffic\": \"{}\",\n",
             self.config.traffic.name()
         ));
-        out.push_str(&format!("  \"kind\": \"{}\",\n", self.config.kind.name()));
         out.push_str(&format!(
             "  \"coupling_milli\": {},\n",
             self.config.coupling_milli
@@ -469,30 +372,25 @@ struct CellState {
 /// # Errors
 ///
 /// Returns a description when the configuration is out of range, the
-/// pool cannot be spawned, or the shard accounting fails to drain.
+/// pool cannot be spawned, or a decode is lost.
 pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     if cfg.cells == 0 {
         return Err("a deployment needs at least one cell".into());
     }
-    if cfg.first_cell + cfg.cells > N_CELL_IDENTITIES {
+    let end = cfg.first_cell.checked_add(cfg.cells);
+    if end.is_none_or(|end| end > N_CELL_IDENTITIES) {
         return Err(format!(
-            "cell identities {}..{} exceed the {} physical-cell identities",
-            cfg.first_cell,
-            cfg.first_cell + cfg.cells,
-            N_CELL_IDENTITIES
+            "cell identities from {} for {} cells exceed the {} physical-cell identities",
+            cfg.first_cell, cfg.cells, N_CELL_IDENTITIES
         ));
     }
     if cfg.workers == 0 {
         return Err("a deployment needs at least one worker".into());
     }
     let turbo = TurboMode::Passthrough;
-    let reps = match cfg.kind {
-        CellKind::Macro => 1,
-        CellKind::NbIot => NBIOT_REPETITIONS,
-    };
     let coupling = cfg.coupling_milli as f32 / 1000.0;
 
-    let palette = prewarm_palette(cfg.kind, cfg.traffic);
+    let palette = cfg.traffic.palette();
     let mut cells: Vec<CellState> = (0..cfg.cells)
         .map(|i| {
             let cell_id = cfg.first_cell + i;
@@ -530,12 +428,12 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
             .iter()
             .map(|cell| {
                 let seed = cell_seed(cfg.seed, cell.config.cell_id as u64);
-                schedule_tick(cfg.kind, cfg.traffic, cell.population, seed, tick)
+                schedule_tick(cfg.traffic, cell.population, seed, tick)
             })
             .collect();
 
         // ---- Synthesis: one pool task per scheduled user. -----------
-        let mut tick_inputs = synthesize_tick(&d, &mut cells, &tick_sched, turbo, reps)
+        let mut tick_inputs = synthesize_tick(&d, &mut cells, &tick_sched, turbo)
             .map_err(|e| format!("tick {tick}: {e}"))?;
 
         // ---- Inter-cell interference (skipped when isolated). -------
@@ -554,14 +452,14 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
         target_sum += target as u64;
         target_max = target_max.max(target);
 
-        // ---- Sharded dispatch onto the shared pool. -----------------
+        // ---- Dispatch onto the shared pool. -------------------------
         let inputs: Vec<Vec<Arc<UserInput>>> = tick_inputs
             .into_iter()
             .map(|inputs| inputs.into_iter().map(Arc::new).collect())
             .collect();
         let row = dispatch_tick(&mut d, &configs, &inputs);
-        let tick_results = harvest_tick(&inputs, row)
-            .ok_or_else(|| format!("tick {tick}: shard accounting failed to drain"))?;
+        let tick_results =
+            harvest_tick(&inputs, row).ok_or_else(|| format!("tick {tick}: a decode was lost"))?;
 
         // ---- Deterministic harvest, (cell, user) order. -------------
         for (ci, (cell, results)) in cells.iter_mut().zip(&tick_results).enumerate() {
@@ -569,16 +467,13 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
             cell.offered += sched.offered;
             cell.deferred += sched.deferred;
             cell.scheduled += sched.subframe.users.len() as u64;
-            for (ui, copies) in results.chunks_exact(reps).enumerate() {
-                // Selection combining: the first repetition that
-                // survives its CRC wins; otherwise report the first.
-                let selected = copies.iter().find(|r| r.crc_ok).unwrap_or(&copies[0]);
-                bank.record_decode(ci, 0, selected.crc_ok, selected.payload.len() as u64);
+            for (ui, result) in results.iter().enumerate() {
+                bank.record_decode(ci, 0, result.crc_ok, result.payload.len() as u64);
                 cell.hash.write_u64(tick);
                 cell.hash.write_u64(ui as u64);
-                cell.hash.write(&[u8::from(selected.crc_ok)]);
-                cell.hash.write_u64(selected.payload.len() as u64);
-                cell.hash.write(&selected.payload);
+                cell.hash.write(&[u8::from(result.crc_ok)]);
+                cell.hash.write_u64(result.payload.len() as u64);
+                cell.hash.write(&result.payload);
             }
             for _ in 0..sched.deferred {
                 bank.record_dtx(ci, 0);
@@ -615,14 +510,13 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     })
 }
 
-/// Synthesizes one tick of every cell, one pool task per scheduled user
-/// (an NB-IoT user's repetitions run inside its task), and returns each
-/// cell's inputs in user order.
+/// Synthesizes one tick of every cell, one pool task per scheduled user,
+/// and returns each cell's inputs in user order.
 ///
 /// A cell draws from one generator. The coordinator walks it user by
 /// user: the user's task starts from a clone, and the generator skips
-/// [`synthesis_draws`] ahead — exactly the outputs that user's
-/// transmissions take — so every input is bit-identical to drawing the
+/// [`synthesis_draws`] ahead — exactly the outputs that user's one
+/// transmission takes — so every input is bit-identical to drawing the
 /// cell's users one after another from the one stream. Each task hands
 /// its generator back, and the walk is asserted to have landed where the
 /// task did.
@@ -631,7 +525,6 @@ fn synthesize_tick(
     cells: &mut [CellState],
     schedules: &[TickSchedule],
     turbo: TurboMode,
-    reps: usize,
 ) -> Result<Vec<Vec<UserInput>>, String> {
     let mut users = schedules
         .iter()
@@ -644,31 +537,22 @@ fn synthesize_tick(
         let cell = &mut cells[ci];
         let config = cell.config;
         let mut rng = cell.rng.clone();
-        cell.rng
-            .discard(synthesis_draws(&config, &user, turbo, reps));
+        cell.rng.discard(synthesis_draws(&config, &user, turbo, 1));
         walked.push((ci, cell.rng.clone()));
         Some(move || {
-            let snr = DEPLOY_SNR_DB;
-            let first = synthesize_user_with_mode(&config, &user, turbo, snr, &mut rng);
-            let payload = first.ground_truth.clone();
-            let mut inputs = vec![first];
-            for _ in 1..reps {
-                let again =
-                    synthesize_retransmission(&config, &user, turbo, &payload, snr, &mut rng);
-                inputs.push(again);
-            }
-            (inputs, rng)
+            let input = synthesize_user_with_mode(&config, &user, turbo, DEPLOY_SNR_DB, &mut rng);
+            (input, rng)
         })
     });
     let done = d.run_tasks(tasks);
     let mut out: Vec<Vec<UserInput>> = schedules
         .iter()
-        .map(|s| Vec::with_capacity(s.subframe.users.len() * reps))
+        .map(|s| Vec::with_capacity(s.subframe.users.len()))
         .collect();
     for ((ci, walked), done) in walked.into_iter().zip(done) {
-        let (inputs, rng) = done.ok_or("a synthesis task was lost")?;
+        let (input, rng) = done.ok_or("a synthesis task was lost")?;
         assert_eq!(rng, walked, "a user's synthesis left its stream offset");
-        out[ci].extend(inputs);
+        out[ci].push(input);
     }
     Ok(out)
 }
@@ -741,47 +625,42 @@ fn interfere(
         .collect()
 }
 
-/// Hands one tick of every cell to the pool as one dispatcher row and
-/// waits for it. Users are spawned in the fair [`interleave_shards`]
-/// order — user 0 of every cell, then user 1, … — and the row comes
-/// back in that order.
+/// Hands one tick of every cell to the pool as one dispatcher row, in
+/// `(cell, user)` order, and waits for it.
 fn dispatch_tick(
     d: &mut Dispatcher,
     configs: &[CellConfig],
     inputs: &[Vec<Arc<UserInput>>],
 ) -> Finished {
-    let counts: Vec<usize> = inputs.iter().map(Vec::len).collect();
-    let order = interleave_shards(&counts);
-    d.dispatch(order.iter().map(|&(c, u)| (&configs[c], &inputs[c][u])));
+    d.dispatch(
+        configs
+            .iter()
+            .zip(inputs)
+            .flat_map(|(config, inputs)| inputs.iter().map(move |input| (config, input))),
+    );
     d.finish().pop().expect("one row per tick")
 }
 
-/// A tick's row back in `(cell, user)` order, whatever order the
-/// workers finished in. `None` when a decode was lost.
+/// A tick's row split back by cell, whatever order the workers finished
+/// in. `None` when a decode was lost.
 fn harvest_tick(inputs: &[Vec<Arc<UserInput>>], row: Finished) -> Option<Vec<Vec<UserResult>>> {
-    let counts: Vec<usize> = inputs.iter().map(Vec::len).collect();
-    let mut cells: Vec<Vec<Option<UserResult>>> = counts
+    let mut results = row.results.into_iter();
+    inputs
         .iter()
-        .map(|&n| (0..n).map(|_| None).collect())
-        .collect();
-    for ((c, u), result) in interleave_shards(&counts).into_iter().zip(row.results) {
-        cells[c][u] = result;
-    }
-    cells
-        .into_iter()
-        .map(|cell| cell.into_iter().collect())
+        .map(|cell| results.by_ref().take(cell.len()).collect())
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lte_dsp::Modulation;
 
     #[test]
     fn scheduler_defers_past_the_budget() {
         // A million-UE cell offers factor-1000 load; the grant budget
         // caps the subframe and the rest is deferred.
-        let s = schedule_tick(CellKind::Macro, TrafficModel::FullBuffer, 1_000_000, 7, 0);
+        let s = schedule_tick(TrafficModel::FullBuffer, 1_000_000, 7, 0);
         assert!(s.subframe.users.len() <= MAX_USERS);
         assert!(s.subframe.total_prbs() <= MAX_PRB);
         assert_eq!(
@@ -791,19 +670,8 @@ mod tests {
         );
         assert!(s.deferred > 0);
         // The schedule is a pure function of its arguments.
-        let again = schedule_tick(CellKind::Macro, TrafficModel::FullBuffer, 1_000_000, 7, 0);
+        let again = schedule_tick(TrafficModel::FullBuffer, 1_000_000, 7, 0);
         assert_eq!(s.subframe, again.subframe);
-    }
-
-    #[test]
-    fn nbiot_schedule_is_narrowband() {
-        let s = schedule_tick(CellKind::NbIot, TrafficModel::FullBuffer, 10_000, 7, 0);
-        assert!(s.subframe.total_prbs() <= NBIOT_PRB_BUDGET);
-        for u in &s.subframe.users {
-            assert!(u.prbs <= 3);
-            assert_eq!(u.layers, 1);
-            assert_eq!(u.modulation, Modulation::Qpsk);
-        }
     }
 
     #[test]
@@ -830,47 +698,33 @@ mod tests {
     fn users_synthesized_on_the_pool_draw_one_stream_in_order() {
         // Every pooled input equals the one drawn by synthesizing the
         // cell's users one after another from the cell's one generator,
-        // NB-IoT repetitions included, and the walk ends where that
-        // serial draw does.
+        // and the walk ends where that serial draw does.
         let turbo = TurboMode::Passthrough;
         let d = Dispatcher::new(2, turbo, &[]).unwrap();
-        for (kind, reps) in [(CellKind::Macro, 1), (CellKind::NbIot, NBIOT_REPETITIONS)] {
-            let mut cells: Vec<CellState> = (0..2)
-                .map(|id| cell_state(CellConfig::with_identity(2, id), 3000, 5))
+        let mut cells: Vec<CellState> = (0..2)
+            .map(|id| cell_state(CellConfig::with_identity(2, id), 3000, 5))
+            .collect();
+        let mut streams: Vec<Xoshiro256> = cells.iter().map(|c| c.rng.clone()).collect();
+        for tick in 0..2 {
+            let schedules: Vec<TickSchedule> = cells
+                .iter()
+                .map(|c| schedule_tick(TrafficModel::FullBuffer, c.population, 5, tick))
                 .collect();
-            let mut streams: Vec<Xoshiro256> = cells.iter().map(|c| c.rng.clone()).collect();
-            for tick in 0..2 {
-                let schedules: Vec<TickSchedule> = cells
+            let pooled = synthesize_tick(&d, &mut cells, &schedules, turbo).unwrap();
+            for ((cell, sched), (inputs, rng)) in cells
+                .iter()
+                .zip(&schedules)
+                .zip(pooled.iter().zip(&mut streams))
+            {
+                let drawn: Vec<UserInput> = sched
+                    .subframe
+                    .users
                     .iter()
-                    .map(|c| schedule_tick(kind, TrafficModel::FullBuffer, c.population, 5, tick))
+                    .map(|user| synthesize_user_with_mode(&cell.config, user, turbo, 30.0, rng))
                     .collect();
-                let pooled = synthesize_tick(&d, &mut cells, &schedules, turbo, reps).unwrap();
-                for ((cell, sched), (inputs, rng)) in cells
-                    .iter()
-                    .zip(&schedules)
-                    .zip(pooled.iter().zip(&mut streams))
-                {
-                    let mut drawn = Vec::new();
-                    for user in &sched.subframe.users {
-                        let first = synthesize_user_with_mode(&cell.config, user, turbo, 30.0, rng);
-                        let payload = first.ground_truth.clone();
-                        drawn.push(first);
-                        for _ in 1..reps {
-                            let again = synthesize_retransmission(
-                                &cell.config,
-                                user,
-                                turbo,
-                                &payload,
-                                30.0,
-                                rng,
-                            );
-                            drawn.push(again);
-                        }
-                    }
-                    assert!(!drawn.is_empty());
-                    assert!(*inputs == drawn, "{kind:?} tick {tick}");
-                    assert_eq!(cell.rng, *rng, "{kind:?} tick {tick}");
-                }
+                assert!(!drawn.is_empty());
+                assert!(*inputs == drawn, "tick {tick}");
+                assert_eq!(cell.rng, *rng, "tick {tick}");
             }
         }
     }
@@ -949,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn ticks_spawn_interleaved_and_harvest_by_cell() {
+    fn ticks_spawn_in_cell_order_and_harvest_by_cell() {
         // Three cells with 2, 0 and 3 users, each user's payload its own:
         // a result matches only the input it was decoded from.
         let configs = [0, 1, 2].map(|id| CellConfig::with_identity(2, id));
@@ -971,9 +825,10 @@ mod tests {
             .collect();
         let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
         let row = dispatch_tick(&mut d, &configs, &inputs);
-        // Slot k of the row is the k-th user spawned.
-        let spawned = interleave_shards(&[2, 0, 3]);
-        assert_eq!(spawned, [(0, 0), (2, 0), (0, 1), (2, 1), (2, 2)]);
+        // Slot k of the row is the k-th user spawned: cell by cell, each
+        // cell's users in order.
+        let spawned = [(0, 0), (0, 1), (2, 0), (2, 1), (2, 2)];
+        assert_eq!(row.results.len(), spawned.len());
         for (&(c, u), result) in spawned.iter().zip(&row.results) {
             let result = result.as_ref().expect("nothing lost");
             assert!(
@@ -988,14 +843,5 @@ mod tests {
                 assert!(result.matches(&input.ground_truth), "harvest of ({c}, {u})");
             }
         }
-    }
-
-    #[test]
-    fn prewarm_palette_is_deduplicated() {
-        let p = prewarm_palette(CellKind::NbIot, TrafficModel::FullBuffer);
-        for (i, a) in p.iter().enumerate() {
-            assert!(!p[i + 1..].contains(a));
-        }
-        assert!(!p.is_empty());
     }
 }

@@ -274,7 +274,7 @@ impl Dispatcher {
     /// once and holds no window slot.
     pub(crate) fn dispatch<'a>(
         &mut self,
-        row: impl ExactSizeIterator<Item = (&'a CellConfig, &'a Arc<UserInput>)>,
+        row: impl Iterator<Item = (&'a CellConfig, &'a Arc<UserInput>)>,
     ) -> usize {
         let now = self.shared.now_ns();
         let users: Vec<RowUser> = row

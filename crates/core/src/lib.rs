@@ -35,8 +35,8 @@
 //!   the lifecycle machinery (graceful drain, hot reload, watchdog
 //!   restart) keeps the receiver long-running.
 //! * [`deploy`] — the multi-cell deployment engine: N cells with their
-//!   own identities and mMTC-scale UE populations shard one shared
-//!   pool, with deterministic inter-cell interference and per-cell
+//!   own identities and mMTC-scale UE populations share one pool,
+//!   with deterministic inter-cell interference and per-cell
 //!   fingerprints proving isolation at zero coupling.
 //! * [`fingerprint`] — one-line FNV-1a 64 fingerprints of decoded
 //!   bytes and of the canonical trace-event stream, for cheap
@@ -75,7 +75,7 @@ pub mod trace;
 pub use benchmark::{BenchmarkConfig, BenchmarkRun, PoolActivity, UplinkBenchmark};
 pub use chaos::{ChaosArtifacts, ChaosSummary};
 pub use conformance::{compute_vectors, diff_vectors, parse_golden, render_golden, KernelVector};
-pub use deploy::{run_deploy, CellKind, CellReport, DeployConfig, DeployReport};
+pub use deploy::{run_deploy, CellReport, DeployConfig, DeployReport};
 pub use experiments::ExperimentContext;
 pub use fingerprint::{
     canonical_fingerprint, canonical_trace_fingerprint, fingerprint_line, fingerprint_results,

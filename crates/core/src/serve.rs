@@ -3,10 +3,10 @@
 //! The batch drivers (the benchmark, `soak`) process a subframe
 //! sequence that is fully known before the first dispatch. `serve`
 //! removes that assumption: subframe work *arrives* — from a built-in
-//! deterministic traffic generator or a localhost socket — flows
-//! through a bounded ingest ring ([`lte_sched::IngestQueue`]), and the
-//! service has to decide, live, what to admit, what to refuse and how
-//! hard to mitigate:
+//! deterministic traffic generator, a pure function of the seed and the
+//! tick — flows through a bounded ingest ring
+//! ([`lte_sched::IngestQueue`]), and the service has to decide, live,
+//! what to admit, what to refuse and how hard to mitigate:
 //!
 //! * **Admission control** — per-source token-bucket rate limiting
 //!   ([`lte_fault::TokenBucket`]), malformed-arrival refusal, and the

@@ -75,7 +75,6 @@ fn help_lists_every_command_and_flag() {
             "--cells",
             "--ues",
             "--coupling-milli",
-            "--cell-kind",
         ] {
             assert!(stdout.contains(f), "help missing flag {f}:\n{stdout}");
         }
@@ -130,6 +129,8 @@ fn parse_errors_exit_status_2() {
         // 2^32 + 1 would wrap to a coupling of 1 if truncated to u32.
         vec!["deploy", "--coupling-milli", "4294967297"],
         vec!["deploy", "--coupling-milli", "-1"],
+        // Every deployment cell is the paper's macro cell.
+        vec!["deploy", "--cell-kind", "nbiot"],
         // The power study needs at least one subframe.
         vec!["fig11", "--subframes", "0"],
         vec!["fig16", "--quick", "--subframes", "0"],

@@ -10,7 +10,7 @@
 //!   per-cell fingerprints and measurement surfaces of cell `i` match a
 //!   1-cell run homed on the same identity with the same population.
 
-use lte_uplink::deploy::{run_deploy, CellKind, DeployConfig};
+use lte_uplink::deploy::{run_deploy, DeployConfig};
 use lte_uplink::TrafficModel;
 
 fn base(cells: usize, ues: usize, workers: usize) -> DeployConfig {
@@ -25,12 +25,11 @@ fn report_is_byte_identical_across_worker_counts() {
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8);
-    // Uncoupled macro cells, and coupled NB-IoT cells: users synthesized
-    // on the pool with their repetitions, then fields and injection.
-    let mut nbiot = base(2, 3000, 1);
-    nbiot.kind = CellKind::NbIot;
-    nbiot.coupling_milli = 20;
-    for cfg in [base(3, 3000, 1), nbiot] {
+    // Uncoupled cells, and coupled cells: users synthesized on the pool,
+    // then the interference fields and their injection.
+    let mut coupled = base(3, 3000, 1);
+    coupled.coupling_milli = 20;
+    for cfg in [base(3, 3000, 1), coupled] {
         let jsons: Vec<String> = [1usize, 2, max]
             .iter()
             .map(|&workers| {
@@ -41,9 +40,12 @@ fn report_is_byte_identical_across_worker_counts() {
                 run_deploy(&cfg).expect("deploy runs").to_json()
             })
             .collect();
-        let kind = cfg.kind.name();
-        assert_eq!(jsons[0], jsons[1], "{kind}: 1 vs 2 workers diverged");
-        assert_eq!(jsons[0], jsons[2], "{kind}: 1 vs {max} workers diverged");
+        let c = cfg.coupling_milli;
+        assert_eq!(jsons[0], jsons[1], "coupling {c}: 1 vs 2 workers diverged");
+        assert_eq!(
+            jsons[0], jsons[2],
+            "coupling {c}: 1 vs {max} workers diverged"
+        );
     }
 }
 
@@ -85,14 +87,13 @@ fn coupling_perturbs_the_received_field() {
 }
 
 #[test]
-fn nbiot_deployment_defers_mmtc_load() {
+fn mmtc_deployment_defers_past_the_grant_budget() {
     let mut cfg = base(2, 40_000, 2);
-    cfg.kind = CellKind::NbIot;
     cfg.traffic = TrafficModel::BurstyIot;
-    let report = run_deploy(&cfg).expect("nbiot run");
+    let report = run_deploy(&cfg).expect("mMTC run");
     let json = report.to_json();
     assert!(json.contains("\"schema\": \"lte-sim-deploy-v1\""));
-    assert!(json.contains("\"kind\": \"nbiot\""));
+    assert!(json.contains("\"traffic\": \"bursty-iot\""));
     assert_eq!(report.per_cell.len(), 2);
     let offered: u64 = report.per_cell.iter().map(|c| c.offered).sum();
     let deferred: u64 = report.per_cell.iter().map(|c| c.deferred).sum();
@@ -100,13 +101,25 @@ fn nbiot_deployment_defers_mmtc_load() {
     assert_eq!(offered, deferred + scheduled);
     assert!(
         deferred > scheduled,
-        "a 40k-UE narrowband deployment must defer most of its offered load"
+        "a 40k-UE machine-type deployment must defer most of its offered load"
     );
     // Deferred grants surface as DTX on the measurement box.
     assert_eq!(report.aggregate.total.dtx, deferred);
-    // Selection combining over repetitions still decodes the clean
-    // channel: no NACKs at the synthesis SNR.
+    // The clean channel decodes: no NACKs at the synthesis SNR.
     assert_eq!(report.aggregate.total.nack, 0);
+}
+
+#[test]
+fn identity_ranges_past_usize_are_errors_not_panics() {
+    // `first_cell + cells` overflows in the first two: the run must
+    // refuse the configuration, never wrap past the identity check or
+    // panic.
+    for (first_cell, cells) in [(usize::MAX, 1), (1, usize::MAX), (0, usize::MAX)] {
+        let mut cfg = base(cells, 10, 1);
+        cfg.first_cell = first_cell;
+        let err = run_deploy(&cfg).expect_err("an identity range past the 504 identities");
+        assert!(err.contains("physical-cell identities"), "{err}");
+    }
 }
 
 #[test]

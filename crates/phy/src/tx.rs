@@ -325,8 +325,7 @@ pub fn synthesize_user_over_channel(
 
 /// Synthesises a retransmission: the *same* transport block (identical
 /// payload, hence identical encoded bits and scrambling) sent again over
-/// a freshly drawn channel with fresh noise — an NB-IoT coverage
-/// repetition.
+/// a freshly drawn channel with fresh noise.
 ///
 /// # Panics
 ///

@@ -20,10 +20,6 @@
 //! explicit rejection and close-to-drain semantics, feeding the pool
 //! from live sources instead of a closed batch loop.
 //!
-//! [`shard`] adds the fair round-robin dispatch order the deployment
-//! layer uses to release every cell's work onto one shared pool without
-//! a wide cell monopolising the queue head.
-//!
 //! [`cycles`] supplies the per-kernel cycle cost model that converts a
 //! user's subframe parameters into the simulator's task costs, calibrated
 //! so a maximally loaded subframe occupies 62 workers for ≈ 5 ms — the
@@ -33,7 +29,6 @@ pub mod cycles;
 mod deque;
 pub mod ingest;
 pub mod pool;
-pub mod shard;
 pub mod sim;
 
 pub use cycles::{CostModel, SimJob};
@@ -42,5 +37,4 @@ pub use pool::{
     host_parallelism, silence_injected_panics, InjectedPanic, PoolError, PoolHandle, TaskPool,
     TaskState, WorkerKill,
 };
-pub use shard::interleave_shards;
 pub use sim::{NapMode, SimBoundary, SimConfig, SimReport, SimSession, Simulator, SubframeLoad};

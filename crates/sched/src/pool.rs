@@ -7,14 +7,13 @@
 //!   and idle workers check it *before* stealing fine-grained tasks, so
 //!   new subframes start promptly;
 //! * **per-worker task deques** — a worker's tasks spawn their
-//!   successors onto its deque, which the owner pops LIFO and idle
-//!   workers steal from FIFO, one task at a time (the paper's "if no work
-//!   exists in its own queue, it tries to steal work from another worker
-//!   thread"). Both queue kinds are the private `deque` module's
-//!   mutex-guarded `VecDeque`: correct and ordered, not lock-free;
-//! * **a bounded per-worker LIFO slot** — the most recently spawned task
-//!   waits in a one-element slot private to the worker, so a dependency
-//!   chain runs back-to-back on one core with hot caches;
+//!   successors onto its deque, which the owner pops newest first (so a
+//!   dependency chain runs back-to-back on one core with hot caches) and
+//!   idle workers steal from oldest first, one task at a time (the
+//!   paper's "if no work exists in its own queue, it tries to steal work
+//!   from another worker thread"). Both queue kinds are the private
+//!   `deque` module's mutex-guarded `VecDeque`: correct and ordered, not
+//!   lock-free;
 //! * **spin-then-park idling** — a worker that finds no work anywhere
 //!   retries briefly, then parks on a condvar with exponentially growing
 //!   timeouts instead of burning a core, and is woken by the next spawn;
@@ -27,10 +26,11 @@
 //!   activity is computed for real runs too; every pool-wide total is
 //!   the sum of the per-worker counters.
 //!
-//! A worker's work search is: LIFO slot → own deque → global queue →
-//! round-robin steal from the other workers' deques.
+//! A worker's work search is: own deque → global queue → round-robin
+//! steal of one task from the other workers' deques — the discipline the
+//! discrete-event simulator models.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
@@ -203,10 +203,6 @@ pub fn silence_injected_panics() {
 }
 
 thread_local! {
-    /// The bounded (one-element) LIFO slot holding this worker's most
-    /// recently spawned task. Private to the worker — never stolen — so
-    /// a continuation chain keeps its working set in cache.
-    static LIFO_SLOT: RefCell<Option<Task>> = const { RefCell::new(None) };
     /// `(pool, index)` of this worker thread — the pool as the address of
     /// its [`Inner`], which the worker keeps alive (and so unique). Read
     /// only through [`worker_of`].
@@ -221,7 +217,6 @@ struct WorkerStats {
     executed_tasks: AtomicU64,
     steals: AtomicU64,
     steal_failures: AtomicU64,
-    slot_hits: AtomicU64,
     parks: AtomicU64,
 }
 
@@ -285,23 +280,11 @@ impl Inner {
             .sum()
     }
 
-    /// Worker `w`'s local work: its LIFO slot (hot continuation), then
-    /// its own deque.
-    fn pop_local(&self, w: usize) -> Option<Task> {
-        if let Some(task) = LIFO_SLOT.with(|slot| slot.borrow_mut().take()) {
-            self.worker_stats[w]
-                .slot_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return Some(task);
-        }
-        self.deques[w].pop()
-    }
-
-    /// Worker `w`'s work search: its local work, the global user queue
-    /// (§IV-C: checked before stealing), then one task stolen from the
-    /// other workers' deques, round-robin from `w + 1`.
+    /// Worker `w`'s work search: its own deque (newest first), the global
+    /// user queue (§IV-C: checked before stealing), then one task stolen
+    /// from the other workers' deques, round-robin from `w + 1`.
     fn find_task(&self, w: usize) -> Option<Task> {
-        if let Some(task) = self.pop_local(w).or_else(|| self.global.steal()) {
+        if let Some(task) = self.deques[w].pop().or_else(|| self.global.steal()) {
             return Some(task);
         }
         let n = self.deques.len();
@@ -331,26 +314,16 @@ fn worker_of(inner: &Inner) -> Option<usize> {
     (pool == inner as *const Inner as usize).then_some(index)
 }
 
-/// Enqueues a detached task: into the calling worker's LIFO slot when on
-/// one of this pool's worker threads (displacing any previous occupant
-/// onto the stealable deque), or onto the global user queue otherwise.
+/// Enqueues a detached task: onto the calling worker's own deque when on
+/// one of this pool's worker threads, or onto the global user queue
+/// otherwise.
 fn spawn_inner(inner: &Inner, task: Task) {
     inner.pending.fetch_add(1, Ordering::SeqCst);
     match worker_of(inner) {
-        Some(w) => {
-            let displaced = LIFO_SLOT.with(|slot| slot.borrow_mut().replace(task));
-            if let Some(old) = displaced {
-                // The displaced task becomes stealable.
-                inner.deques[w].push(old);
-                inner.wake_idle();
-            }
-            // A task in the slot needs no wakeup: this worker is running.
-        }
-        None => {
-            inner.global.push(task);
-            inner.wake_idle();
-        }
+        Some(w) => inner.deques[w].push(task),
+        None => inner.global.push(task),
     }
+    inner.wake_idle();
 }
 
 /// A cloneable, `'static` handle for spawning detached tasks onto the
@@ -476,7 +449,7 @@ impl TaskPool {
 
     /// Spawns a detached task: no thread blocks on its completion, but
     /// [`TaskPool::wait_all`] counts it. It enters the spawning worker's
-    /// LIFO slot, or the global user queue from any other thread.
+    /// deque, or the global user queue from any other thread.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
         spawn_inner(&self.inner, Task::closure(task));
     }
@@ -505,11 +478,6 @@ impl TaskPool {
     /// Number of successful steals from other workers' deques so far.
     pub fn steal_count(&self) -> u64 {
         self.inner.total(|s| &s.steals)
-    }
-
-    /// Tasks executed straight from a worker's bounded LIFO slot.
-    pub fn lifo_slot_hits(&self) -> u64 {
-        self.inner.total(|s| &s.slot_hits)
     }
 
     /// Times any worker parked on the idle condvar.
@@ -542,7 +510,6 @@ impl TaskPool {
         metrics.set_counter("pool.steals", self.steal_count());
         let failures = self.inner.total(|s| &s.steal_failures);
         metrics.set_counter("pool.steal_failures", failures);
-        metrics.set_counter("pool.lifo_slot_hits", self.lifo_slot_hits());
         metrics.set_counter("pool.parks", self.parks());
         metrics.set_counter("pool.poisoned_tasks", self.poisoned_tasks());
         metrics.set_counter("pool.worker_respawns", self.worker_respawns());
@@ -558,7 +525,6 @@ impl TaskPool {
             set("executed_tasks", &s.executed_tasks);
             set("steals", &s.steals);
             set("steal_failures", &s.steal_failures);
-            set("slot_hits", &s.slot_hits);
             set("parks", &s.parks);
         }
     }
@@ -643,7 +609,7 @@ fn run_timed(inner: &Inner, w: usize, task: Task) {
 
 /// Worker thread body: a supervision loop around [`worker_loop`]. A
 /// [`WorkerKill`] models a core dying; the loop is re-entered with the
-/// same LIFO slot and deque, so queued tasks survive the "death".
+/// same deque, so queued tasks survive the "death".
 fn worker_entry(inner: Arc<Inner>, index: usize) {
     WORKER.with(|w| w.set(Some((Arc::as_ptr(&inner) as usize, index))));
     while catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index))).is_err() {
@@ -665,7 +631,7 @@ fn worker_loop(inner: &Inner, index: usize) {
         // where work runs, never what is computed; its deque stays
         // stealable, so nothing it holds is stranded.
         if index >= inner.active_limit.load(Ordering::SeqCst) {
-            if let Some(t) = inner.pop_local(index) {
+            if let Some(t) = inner.deques[index].pop() {
                 idle_streak = 0;
                 run_timed(inner, index, t);
                 continue;
@@ -874,9 +840,9 @@ mod tests {
     }
 
     #[test]
-    fn spawned_chains_complete_and_hit_the_lifo_slot() {
-        // Each chain link spawns the next from inside a worker: the
-        // continuation should ride the LIFO slot, not the deque.
+    fn spawned_chains_complete() {
+        // Each chain link spawns the next from inside a worker, onto that
+        // worker's deque.
         let pool = TaskPool::new(2).unwrap();
         let handle = pool.handle();
         let hits = Arc::new(AtomicU32::new(0));
@@ -894,16 +860,12 @@ mod tests {
         }
         pool.wait_all();
         assert_eq!(hits.load(Ordering::SeqCst), 4 * 25);
-        assert!(
-            pool.lifo_slot_hits() > 0,
-            "continuations must use the LIFO slot"
-        );
     }
 
     #[test]
-    fn lifo_slot_displacement_loses_no_task() {
-        // Spawning twice in a row from one worker displaces the first
-        // task from the slot to the deque; both must still run.
+    fn a_fan_out_from_one_worker_loses_no_task() {
+        // One worker spawns ten tasks in a row onto its own deque; every
+        // one must run.
         let pool = TaskPool::new(1).unwrap();
         let hits = Arc::new(AtomicU32::new(0));
         let h = Arc::clone(&hits);
@@ -1076,7 +1038,6 @@ mod tests {
         assert_eq!(sum("busy_nanos"), pool.busy_nanos());
         assert!(pool.busy_nanos() >= 8 * 16 * 200_000);
         assert_eq!(sum("steals"), pool.steal_count());
-        assert_eq!(sum("slot_hits"), pool.lifo_slot_hits());
         let summed = sum("steal_failures");
         assert!(failures_before <= summed && summed <= failures());
         let parks = sum("parks");
@@ -1094,12 +1055,7 @@ mod tests {
             metrics.get("pool.workers"),
             Some(lte_obs::MetricValue::Counter(3))
         );
-        for key in [
-            "pool.steals",
-            "pool.lifo_slot_hits",
-            "pool.parks",
-            "pool.poisoned_tasks",
-        ] {
+        for key in ["pool.steals", "pool.parks", "pool.poisoned_tasks"] {
             assert!(metrics.get(key).is_some(), "missing {key}");
         }
         for i in 0..3 {
@@ -1111,7 +1067,6 @@ mod tests {
                 "executed_tasks",
                 "steals",
                 "steal_failures",
-                "slot_hits",
                 "parks",
             ] {
                 let full = format!("pool.worker.{i}.{key}");
@@ -1166,7 +1121,7 @@ mod tests {
     }
 
     /// Worker identity is per pool: a task on pool A that spawns through
-    /// B's handle used to land in A's LIFO slot — A's worker then
+    /// B's handle used to land in A's local queue — A's worker then
     /// finished it against A's pending count (which wrapped below zero)
     /// while B's never dropped, and neither `wait_all` returned. The
     /// pools run on a helper thread so that hang fails the test instead.
