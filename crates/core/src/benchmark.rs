@@ -16,7 +16,9 @@
 //! *spawns* the next stage (see the `dispatch` module, the one path from
 //! the benchmark, serve and deploy loops to the pool), so independent
 //! users — and independent subframes — pipeline freely through the pool.
-//! The maintenance loop bounds that freedom with a configurable
+//! The maintenance loop is the `dispatch` module's tick loop, which serve
+//! runs too; the benchmark is that loop with a fixed source, its
+//! pre-synthesised rows. It bounds the pipelining with a configurable
 //! in-flight window ([`BenchmarkConfig::max_in_flight`]) so latency
 //! percentiles stay honest under backlog.
 //!
@@ -36,7 +38,7 @@ use lte_phy::tx::synthesize_user_with_mode;
 use lte_phy::verify::{GoldenRecord, VerifyError};
 use lte_sched::{PoolError, TaskPool};
 
-use crate::dispatch::Dispatcher;
+use crate::dispatch::{Dispatcher, Tick};
 
 /// A power-governance hook invoked at every subframe dispatch boundary,
 /// before the subframe's jobs are submitted (see
@@ -244,22 +246,17 @@ impl UplinkBenchmark {
 
         let window = self.cfg.max_in_flight.map(|w| w.max(1));
         let busy_start = d.pool().busy_nanos();
-        // Maintenance loop: dispatch each subframe at its deadline.
-        for (sf_idx, (sf, sf_inputs)) in subframes.iter().zip(&inputs).enumerate() {
-            d.pace(self.cfg.delta, sf_idx as u64);
-            // In-flight window: hold this subframe at the door until
-            // fewer than `window` earlier subframes remain open. The
-            // wait lands in the dispatch stamp, so the latency
-            // percentiles see the queueing delay instead of hiding it.
-            if let Some(window) = window {
-                d.wait_below(window, Duration::MAX);
-            }
+        // The maintenance loop over the pre-synthesised rows, with no stall
+        // timeout; the hook governs each boundary before its dispatch.
+        let (delta, ticks) = (self.cfg.delta, inputs.len() as u64);
+        let ticked = d.run_ticks(&cell, delta, ticks, window, Duration::MAX, |d, b| {
+            let sf_idx = b.tick as usize;
             if let Some(hook) = governed.as_deref_mut() {
-                hook(d.pool(), sf_idx, sf);
+                hook(d.pool(), sf_idx, &subframes[sf_idx]);
             }
-            d.dispatch(sf_inputs.iter().map(|input| (&cell, input)));
-        }
-        let finished = d.finish();
+            Tick::Row(&inputs[sf_idx][..])
+        });
+        let finished = ticked.expect("a wait without a timeout never stalls").rows;
         if governed.is_some() {
             d.pool().set_active_workers(self.cfg.workers);
         }
@@ -280,18 +277,13 @@ impl UplinkBenchmark {
             .into_iter()
             .map(|row| row.results.into_iter().flatten().collect())
             .collect();
-        let total_users: usize = results.iter().map(|r| r.len()).sum();
-        let passed: usize = results
-            .iter()
-            .flat_map(|r| r.iter())
-            .filter(|r| r.crc_ok)
-            .count();
+        let decoded = || results.iter().flatten();
+        let crc_pass_rate = match decoded().count() {
+            0 => 1.0,
+            users => decoded().filter(|r| r.crc_ok).count() as f64 / users as f64,
+        };
         Ok(BenchmarkRun {
-            crc_pass_rate: if total_users == 0 {
-                1.0
-            } else {
-                passed as f64 / total_users as f64
-            },
+            crc_pass_rate,
             results,
             elapsed,
             busy,
@@ -313,17 +305,22 @@ impl UplinkBenchmark {
         subframes: &[SubframeConfig],
         run: &BenchmarkRun,
     ) -> Result<(), VerifyError> {
+        self.verify_rows(subframes, &run.results)
+    }
+
+    /// [`verify`](Self::verify) over bare result rows: `results[i]` holds
+    /// `subframes[i]`'s users, decoded from this benchmark's inputs.
+    pub(crate) fn verify_rows(
+        &mut self,
+        subframes: &[SubframeConfig],
+        results: &[Vec<UserResult>],
+    ) -> Result<(), VerifyError> {
+        let mut input = |u| (*self.input_for(u)).clone();
         let inputs: Vec<Vec<UserInput>> = subframes
             .iter()
-            .map(|sf| {
-                sf.users
-                    .iter()
-                    .map(|u| (*self.input_for(u)).clone())
-                    .collect()
-            })
+            .map(|sf| sf.users.iter().map(&mut input).collect())
             .collect();
-        let golden = GoldenRecord::build(&self.cell, &inputs, self.cfg.turbo);
-        golden.verify(&run.results)
+        GoldenRecord::build(&self.cell, &inputs, self.cfg.turbo).verify(results)
     }
 }
 

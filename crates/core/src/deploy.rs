@@ -414,10 +414,10 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
         .map_err(|e| format!("failed to start the worker pool: {e}"))?;
 
     let bank = EblerBank::new(cells.len(), 1);
-    // Eq. 3 slopes: the flat library calibration serve uses; the Eq. 5
-    // controller stays on the paper's 62-core machine so the estimate —
-    // and hence the report — is independent of the host's worker count.
-    let estimator = WorkloadEstimator::from_slopes([[0.002, 0.003, 0.004]; 4]);
+    // The Eq. 5 controller stays on the paper's 62-core machine so the
+    // estimate — and hence the report — is independent of the host's
+    // worker count.
+    let estimator = WorkloadEstimator::library_calibration();
     let controller = CoreController::paper();
     let mut activity_sum = 0.0f64;
     let mut target_sum = 0u64;

@@ -1,16 +1,22 @@
 //! The one path from the benchmark, serve and deploy loops to the pool.
 //!
 //! The paper's maintenance loop (§IV-B) dispatches each subframe to the
-//! worker pool every DELTA. The benchmark, the serve loop and the
-//! multi-cell deployment all do it through a [`Dispatcher`], which owns
-//! the run's [`TaskPool`], [`FftPlanner`] and start instant. Its unit is
-//! a *row* — one subframe, or one tick of every cell — whose users each
-//! become one task graph (`spawn_user_graph`). A row is stamped at
-//! dispatch and when its last user lands; [`Dispatcher::finish`] hands
-//! back every row's results and stamps. Work that is not a user's
-//! receive graph — the deployment's per-user synthesis and per-cell
-//! interference — goes through [`Dispatcher::run_tasks`] as plain
-//! closures that each return a value.
+//! worker pool every DELTA. That loop lives here, once:
+//! [`Dispatcher::run_ticks`] paces each tick, bounds the rows in flight
+//! (with a stall watchdog), asks the driver's per-tick source for the
+//! tick's row and dispatches it. The benchmark runs it over a fixed list
+//! of pre-synthesised rows; serve runs it with its front door (admission,
+//! escalation, shedding, governance) as the source. Deploy, which neither
+//! paces nor bounds, dispatches and finishes one row per tick itself.
+//!
+//! A [`Dispatcher`] owns the run's [`TaskPool`], [`FftPlanner`] and start
+//! instant. Its unit is a *row* — one subframe, or one tick of every
+//! cell — whose users each become one task graph (`spawn_user_graph`). A
+//! row is stamped at dispatch and when its last user lands;
+//! [`Dispatcher::finish`] hands back every row's results and stamps. Work
+//! that is not a user's receive graph — the deployment's per-user
+//! synthesis and per-cell interference — goes through
+//! [`Dispatcher::run_tasks`] as plain closures that each return a value.
 //!
 //! A user's graph is a recycled node the dispatcher owns ([`UserGraph`]):
 //! its estimate, weights and LLR buffers outlive the user and serve the
@@ -22,7 +28,7 @@
 //! graph lost to a panicking task (which the pool counts and drops)
 //! closes its row with the slot empty instead of wedging its caller.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -41,12 +47,17 @@ use lte_phy::receiver::{finish_user_with_arena, UserResult, UserScratch};
 use lte_phy::tx::prewarm_cell;
 use lte_sched::{PoolError, PoolHandle, TaskPool, TaskState};
 
+/// Watchdog restarts a run may force before a stalled slot wait gives up.
+const MAX_RESTARTS: u64 = 3;
+
 /// One run's pool, planner and clock, and the rows dispatched
 /// since the last [`finish`](Dispatcher::finish).
 pub(crate) struct Dispatcher {
     pool: TaskPool,
     shared: Arc<Shared>,
     rows: Vec<Arc<Row>>,
+    /// Watchdog restarts forced so far, by stalls and drills alike.
+    restarts: Cell<u64>,
 }
 
 /// What every row and graph node of a run reads, and what the
@@ -56,8 +67,6 @@ struct Shared {
     /// Rows dispatched with users and not yet closed.
     open_rows: Mutex<usize>,
     row_closed: Condvar,
-    /// Rows closed so far: a progress count that publishes nothing.
-    closed_rows: AtomicU64,
     /// Dispatch-to-close latency of every row with users, nanoseconds.
     latency: Histogram,
     handle: PoolHandle,
@@ -186,10 +195,36 @@ impl Drop for Completion {
         self.row.done_ns.store(done, Ordering::Relaxed);
         let latency = done.saturating_sub(self.row.dispatched_ns);
         shared.latency.record(latency);
-        shared.closed_rows.fetch_add(1, Ordering::Relaxed);
         *shared.open_rows() -= 1;
         shared.row_closed.notify_all();
     }
+}
+
+/// What a driver's source hands [`Dispatcher::run_ticks`] for one tick.
+pub(crate) enum Tick<R> {
+    /// The run is over: no later tick is paced or dispatched.
+    Stop,
+    /// Nothing to dispatch this tick.
+    Idle,
+    /// This tick's row: one user graph per input.
+    Row(R),
+}
+
+/// One tick's dispatch boundary: the tick, counted from the run's start,
+/// and the watchdog restarts its wait for a row slot forced.
+#[derive(Clone, Copy)]
+pub(crate) struct Boundary {
+    pub(crate) tick: u64,
+    pub(crate) stalls: u64,
+}
+
+/// What a tick loop hands back once the pool drained.
+pub(crate) struct Ticked {
+    /// The tick limit, or the tick whose source said stop.
+    pub(crate) ticks: u64,
+    /// Nanoseconds from the run's start to the end of the last tick.
+    pub(crate) stopped_ns: u64,
+    pub(crate) rows: Vec<Finished>,
 }
 
 impl Dispatcher {
@@ -216,7 +251,6 @@ impl Dispatcher {
             start: Instant::now(),
             open_rows: Mutex::new(0),
             row_closed: Condvar::new(),
-            closed_rows: AtomicU64::new(0),
             latency: Histogram::new(),
             handle: pool.handle(),
             planner,
@@ -227,6 +261,7 @@ impl Dispatcher {
             pool,
             shared: Arc::new(shared),
             rows: Vec::new(),
+            restarts: Cell::new(0),
         })
     }
 
@@ -244,7 +279,7 @@ impl Dispatcher {
     /// pegging a host CPU: sleeps to within `SPIN_SLACK` of it (OS timers
     /// overshoot by up to a timer tick), then spins the final stretch for
     /// precision.
-    pub(crate) fn pace(&self, delta: Duration, tick: u64) {
+    fn pace(&self, delta: Duration, tick: u64) {
         const SPIN_SLACK: Duration = Duration::from_micros(200);
         let deadline = self.shared.start + tick_offset(delta, tick);
         while let Some(left) = deadline.checked_duration_since(Instant::now()) {
@@ -263,9 +298,69 @@ impl Dispatcher {
         &self.shared.latency
     }
 
-    /// Rows with users closed so far.
-    pub(crate) fn closed_rows(&self) -> u64 {
-        self.shared.closed_rows.load(Ordering::Relaxed)
+    /// The paper's maintenance loop, the one every pacing driver runs.
+    /// Each of up to `ticks` ticks waits for its boundary at interval
+    /// `delta`, then until fewer than `window` rows are open, then asks
+    /// `source` for the tick and dispatches the row it returns on `cell`.
+    /// The loop ends early when the source says stop, and drains the pool
+    /// once at the end.
+    ///
+    /// The loop opens no row while it waits, so a wait for a slot that
+    /// passes `stall` has seen no row close: the watchdog answers it with
+    /// a [`restart`](Self::restart) and waits again, up to
+    /// [`MAX_RESTARTS`] restarts a run.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a wait stalls with the restart budget spent; the rows
+    /// in flight are left to the pool.
+    pub(crate) fn run_ticks<R: AsRef<[Arc<UserInput>]>>(
+        &mut self,
+        cell: &CellConfig,
+        delta: Duration,
+        ticks: u64,
+        window: Option<usize>,
+        stall: Duration,
+        mut source: impl FnMut(&Self, Boundary) -> Tick<R>,
+    ) -> Result<Ticked, String> {
+        let mut tick = 0;
+        while tick < ticks {
+            self.pace(delta, tick);
+            let mut stalls = 0;
+            while window.is_some_and(|window| !self.wait_below(window, stall)) {
+                if self.restarts.get() >= MAX_RESTARTS {
+                    return Err(format!(
+                        "pipeline stalled: no completion progress after \
+                         {MAX_RESTARTS} watchdog restarts"
+                    ));
+                }
+                self.restart();
+                stalls += 1;
+            }
+            match source(self, Boundary { tick, stalls }) {
+                Tick::Stop => break,
+                Tick::Idle => {}
+                Tick::Row(row) => {
+                    self.dispatch(row.as_ref().iter().map(|input| (cell, input)));
+                }
+            }
+            tick += 1;
+        }
+        Ok(Ticked {
+            ticks: tick,
+            stopped_ns: self.now_ns(),
+            rows: self.finish(),
+        })
+    }
+
+    /// Forces one watchdog restart, drawing on the run's budget: kills one
+    /// worker (the pool's supervisor respawns it, shaking loose a wedged
+    /// deque) and restores the pool to full width in case a governor had
+    /// parked cores.
+    pub(crate) fn restart(&self) {
+        self.pool.inject_worker_kill();
+        self.pool.set_active_workers(self.pool.n_workers());
+        self.restarts.set(self.restarts.get() + 1);
     }
 
     /// Spawns one task graph per `(cell, input)` of `row`, in row
@@ -335,7 +430,7 @@ impl Dispatcher {
     /// Waits until fewer than `window` rows are open, asleep on a condvar
     /// so the wait takes no CPU from the workers. `false` when `timeout`
     /// passes first; what that stall means is the caller's decision.
-    pub(crate) fn wait_below(&self, window: usize, timeout: Duration) -> bool {
+    fn wait_below(&self, window: usize, timeout: Duration) -> bool {
         let open = self.shared.open_rows();
         let cv = &self.shared.row_closed;
         let waited = cv.wait_timeout_while(open, timeout, |open| *open >= window);
@@ -796,6 +891,7 @@ mod tests {
     use lte_phy::tx::synthesize_user_with_mode;
     use lte_phy::verify::GoldenRecord;
     use lte_sched::InjectedPanic;
+    use std::sync::{Barrier, RwLock};
 
     /// `(input, step)` pairs whose graph task panics with
     /// [`InjectedPanic`] before doing its work. Keyed by the input's
@@ -977,16 +1073,38 @@ mod tests {
         assert_eq!(tick_offset(Duration::MAX, 0), Duration::ZERO);
     }
 
+    /// The tick loop asks its source once per tick until it says stop,
+    /// opens a row on loaded ticks only, and runs the source — so the
+    /// dispatch after it — only while fewer than `window` rows are open.
     #[test]
     fn open_rows_never_exceed_the_window() {
         let (cell, inputs) = small_inputs(3);
         for window in [1, 2, 3] {
             let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
-            for _ in 0..12 {
-                d.wait_below(window, Duration::MAX);
-                d.dispatch(inputs.iter().map(|i| (&cell, i)));
-            }
-            let rows = d.finish();
+            let shared = Arc::clone(&d.shared);
+            let mut asked = Vec::new();
+            let ticked = d.run_ticks(
+                &cell,
+                Duration::ZERO,
+                100,
+                Some(window),
+                Duration::MAX,
+                |_, b| {
+                    let open = *shared.open_rows();
+                    assert!(open < window, "tick {}: {open} rows open", b.tick);
+                    asked.push(b.tick);
+                    match b.tick {
+                        18 => Tick::Stop,
+                        t if t % 3 == 1 => Tick::Idle,
+                        _ => Tick::Row(&inputs[..]),
+                    }
+                },
+            );
+            let ticked = ticked.expect("no wait stalls");
+            assert_eq!(asked, (0..=18).collect::<Vec<u64>>());
+            assert_eq!(ticked.ticks, 18);
+            let rows = ticked.rows;
+            assert_eq!(rows.len(), 12, "the six idle ticks open no row");
             for row in &rows {
                 assert!(row
                     .results
@@ -1004,6 +1122,98 @@ mod tests {
                 assert!(open <= window, "{open} rows open under window {window}");
             }
         }
+    }
+
+    /// Holds worker `i` of `d`'s two-worker pool in a task until
+    /// `gates[i]`'s write guard drops, and returns once both are held.
+    fn hold_both_workers(d: &Dispatcher, gates: &Arc<[RwLock<()>; 2]>) {
+        let inside = Arc::new(Barrier::new(3));
+        for _ in 0..2 {
+            let (gates, inside) = (Arc::clone(gates), Arc::clone(&inside));
+            d.pool().spawn(move || {
+                let name = std::thread::current().name().map(str::to_owned);
+                let worker = name.and_then(|n| n.strip_prefix("lte-worker-")?.parse().ok());
+                let worker: usize = worker.expect("runs on a pool worker");
+                // A worker waiting here takes no other task, so each of
+                // the two blockers holds its own worker.
+                inside.wait();
+                drop(gates[worker].read());
+            });
+        }
+        inside.wait();
+    }
+
+    /// With every worker held, no row closes: each slot wait stalls, the
+    /// watchdog restarts the pipeline `MAX_RESTARTS` times and the next
+    /// stall ends the run. Released, the pool runs the restarts' worker
+    /// kills and the row, and drops without hanging.
+    #[test]
+    fn a_stalled_pipeline_restarts_then_gives_up() {
+        lte_sched::silence_injected_panics();
+        let (cell, inputs) = small_inputs(1);
+        let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
+        let gates = Arc::new([RwLock::new(()), RwLock::new(())]);
+        let held = gates.each_ref().map(|gate| gate.write().unwrap());
+        hold_both_workers(&d, &gates);
+        let stall = Duration::from_millis(20);
+        let mut asked = Vec::new();
+        let ticked = d.run_ticks(&cell, Duration::ZERO, 10, Some(1), stall, |_, b| {
+            asked.push(b.tick);
+            Tick::Row(&inputs[..])
+        });
+        let err = ticked.err().expect("a held pool stalls the run");
+        assert_eq!(
+            err,
+            format!(
+                "pipeline stalled: no completion progress after {MAX_RESTARTS} watchdog restarts"
+            )
+        );
+        assert_eq!(asked, [0], "tick 1 never got a slot");
+        drop(held);
+        d.pool().wait_all();
+        // A killed worker counts its respawn a moment after its task.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while d.pool().worker_respawns() < MAX_RESTARTS && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(d.pool().worker_respawns(), MAX_RESTARTS);
+        let closed = d.latency().snapshot().count;
+        assert_eq!(closed, 1, "the stalled row closes once released");
+    }
+
+    /// A governor that parked the one worker left free stalls the
+    /// pipeline; the watchdog's restart restores the pool to full width,
+    /// the row closes, and the tick that waited tells its source.
+    #[test]
+    fn a_restart_clears_a_parked_pool_and_the_waiting_tick_reports_it() {
+        lte_sched::silence_injected_panics();
+        let (cell, inputs) = small_inputs(1);
+        let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
+        let gates = Arc::new([RwLock::new(()), RwLock::new(())]);
+        let [held0, held1] = gates.each_ref().map(|gate| gate.write().unwrap());
+        hold_both_workers(&d, &gates);
+        // Released above the cap, worker 1 parks; worker 0 stays held.
+        d.pool().set_active_workers(1);
+        drop(held1);
+        let mut held0 = Some(held0);
+        let stall = Duration::from_millis(200);
+        let mut stalls = Vec::new();
+        let ticked = d.run_ticks(&cell, Duration::ZERO, 2, Some(1), stall, |_, b| {
+            stalls.push(b.stalls);
+            if b.tick == 1 {
+                // Free worker 0 so the final drain completes.
+                held0.take();
+            }
+            Tick::Row(&inputs[..])
+        });
+        let ticked = ticked.expect("the restart clears the stall");
+        assert_eq!(ticked.rows.len(), 2);
+        assert_eq!(stalls[0], 0);
+        assert!(
+            (1..=MAX_RESTARTS).contains(&stalls[1]),
+            "tick 1 reports {} restarts",
+            stalls[1]
+        );
     }
 
     #[test]
@@ -1052,7 +1262,8 @@ mod tests {
         d.wait_below(1, Duration::MAX);
         let rows = d.finish();
         assert_eq!(busy, 1);
-        assert_eq!(d.closed_rows(), 1, "only the row with a user closed late");
+        let closed = d.latency().snapshot().count;
+        assert_eq!(closed, 1, "only the row with a user closed late");
         for i in [0, 2] {
             assert!(rows[i].results.is_empty());
             assert_eq!(rows[i].done_ns, rows[i].dispatched_ns);

@@ -26,6 +26,13 @@
 //!   recovery via the self-healing pool, and a watchdog that forces a
 //!   bounded restart of the receive path when the pipeline stalls.
 //!
+//! Serve owns none of the tick loop. It runs the `dispatch` module's
+//! tick loop — the benchmark's — which paces each tick, bounds the rows
+//! in flight, runs the stall watchdog and dispatches; serve's front door
+//! (control plane, reload, drills, escalation, arrivals, pop, shed,
+//! governor) is that loop's per-tick source. The drain, the golden check
+//! (through [`UplinkBenchmark`]'s) and the report stay here.
+//!
 //! Everything that decides *what is computed* — arrivals, admission,
 //! escalation, shedding, deadline accounting — is a pure function of
 //! `(seed, tick, queue depth)`, independent of worker count and wall
@@ -36,27 +43,25 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lte_dsp::{Modulation, Xoshiro256};
 use lte_fault::{EscalationLadder, EscalationState, IngestFaults, TokenBucket};
 use lte_obs::{
-    f64_json, Histogram, MetricsRegistry, OpenMetrics, ServiceCounters, ServiceSnapshot, SloSpec,
-    SloTracker, WindowObservation, WindowVerdict,
+    f64_json, Histogram, MetricsRegistry, OpenMetrics, ServiceSnapshot, SloSpec, SloTracker,
+    WindowObservation, WindowVerdict,
 };
 use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
 use lte_phy::receiver::UserResult;
-use lte_phy::verify::GoldenRecord;
 use lte_power::{
     governed_boundary, CoreController, NapPolicy, PolicyGovernor, PressureGovernor, UserLoad,
     WorkloadEstimator,
 };
-use lte_sched::pool::TaskPool;
 use lte_sched::IngestQueue;
 
 use crate::benchmark::{BenchmarkConfig, UplinkBenchmark};
-use crate::dispatch::Dispatcher;
+use crate::dispatch::{Dispatcher, Tick};
 use crate::fingerprint::fingerprint_results;
 
 /// Built-in deterministic traffic generators.
@@ -344,36 +349,13 @@ pub struct LifecycleEvent {
     pub reason: String,
 }
 
-/// The watchdog's verdict about a pipeline that has not made progress.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WatchdogVerdict {
-    /// Progress resumed or the wait is still within the stall budget.
-    Wait,
-    /// Stalled: force a bounded restart of the receive path.
-    Restart,
-    /// Stalled and the restart budget is exhausted: give up.
-    Abort,
-}
-
-/// Decides what a stalled dispatch slot wait means. Pure, so the
-/// policy is unit-testable without staging an actual hang: restart
-/// while the budget lasts, abort once `restarts` reaches
-/// `max_restarts`.
-pub fn watchdog_verdict(
-    waited: Duration,
-    stall_timeout: Duration,
-    progress_before: u64,
-    progress_now: u64,
-    restarts: u64,
-    max_restarts: u64,
-) -> WatchdogVerdict {
-    if progress_now != progress_before || waited < stall_timeout {
-        return WatchdogVerdict::Wait;
-    }
-    if restarts >= max_restarts {
-        WatchdogVerdict::Abort
-    } else {
-        WatchdogVerdict::Restart
+impl LifecycleEvent {
+    fn new(tick: u64, state: &str, reason: impl Into<String>) -> Self {
+        LifecycleEvent {
+            tick,
+            state: state.into(),
+            reason: reason.into(),
+        }
     }
 }
 
@@ -388,8 +370,6 @@ const STUCK_GRACE_TICKS: u64 = 4;
 /// Dispatch-slot wait beyond which the watchdog calls the pipeline
 /// stalled.
 const STALL_TIMEOUT: Duration = Duration::from_secs(5);
-/// Watchdog restarts allowed before the run aborts.
-const MAX_RESTARTS: u64 = 3;
 /// Dispatched-but-incomplete subframes allowed before dispatch blocks
 /// (bounds memory on slow hosts).
 const MAX_IN_FLIGHT: usize = 8;
@@ -560,25 +540,27 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     let mut tracker = SloTracker::new(params.spec);
 
     let queue: IngestQueue<Admitted> = IngestQueue::new(QUEUE_CAPACITY);
-    let counters = ServiceCounters::new();
+    // The loop runs on this thread alone, so it counts straight into the
+    // snapshot it reports.
+    let mut service = ServiceSnapshot::default();
     let faults = cfg
         .faults
         .clone()
         .unwrap_or_else(|| IngestFaults::quiet(cfg.seed));
 
-    // The paper's Eq. 3 slopes, fitted offline once: serve reuses a
-    // flat library calibration rather than re-running the estimator's
-    // calibration campaign at startup (the governor's *composition*
-    // with backpressure is what serve exercises; absolute walltime
-    // fidelity stays with `lte-sim govern`).
-    let estimator = WorkloadEstimator::from_slopes([[0.002, 0.003, 0.004]; 4]);
+    // The governor's *composition* with backpressure is what serve
+    // exercises; absolute walltime fidelity stays with `lte-sim govern`.
     let controller = CoreController {
         max_cores: cfg.workers,
         min_cores: 1,
         margin: 1,
     };
     let mut governor = PressureGovernor::new(
-        PolicyGovernor::new(cfg.policy, estimator, controller),
+        PolicyGovernor::new(
+            cfg.policy,
+            WorkloadEstimator::library_calibration(),
+            controller,
+        ),
         cfg.workers,
     );
 
@@ -595,20 +577,17 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         },
     );
 
-    // The inputs each dispatched row decoded, for the golden check.
-    let mut rows: Vec<Vec<Arc<UserInput>>> = Vec::new();
+    // What each dispatched row decoded, after shedding, for the golden
+    // check.
+    let mut dispatched: Vec<SubframeConfig> = Vec::new();
     let mut windows: Vec<ServeWindow> = Vec::new();
     let mut accum = WindowAccum::default();
-    let mut lifecycle = vec![LifecycleEvent {
-        tick: 0,
-        state: "running".into(),
-        reason: format!(
-            "traffic={} workers={} queue={}",
-            params.traffic.name(),
-            cfg.workers,
-            QUEUE_CAPACITY
-        ),
-    }];
+    let traffic = params.traffic.name();
+    let running = format!(
+        "traffic={traffic} workers={} queue={QUEUE_CAPACITY}",
+        cfg.workers
+    );
+    let mut lifecycle = vec![LifecycleEvent::new(0, "running", running)];
     let mut first_tier_tick: [Option<u64>; 2] = [None; 2];
     // Consecutive deadline-missed pops. With service rate equal to the
     // nominal arrival rate, a flood leaves a stale backlog at constant
@@ -617,21 +596,23 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     // until the backlog drains and pops are fresh again.
     let mut miss_streak: u64 = 0;
     let window_len = cfg.window.max(1);
+    let mut drain_reason = DrainReason::CampaignComplete;
 
-    let mut tick: u64 = 0;
-    let drain_reason;
-    loop {
+    let ticks = if cfg.ticks == 0 { u64::MAX } else { cfg.ticks };
+    let window = Some(MAX_IN_FLIGHT);
+    let ticked = d.run_ticks(&cell, cfg.delta, ticks, window, STALL_TIMEOUT, |d, b| {
+        let tick = b.tick;
+        for _ in 0..b.stalls {
+            service.watchdog_restarts += 1;
+            let reason = format!("no completion progress in {STALL_TIMEOUT:?}");
+            lifecycle.push(LifecycleEvent::new(tick, "watchdog-restart", reason));
+        }
+
         // ---- Tick boundary: control plane first. -------------------
         if control.drain_requested() {
             drain_reason = DrainReason::Requested;
-            break;
+            return Tick::Stop;
         }
-        if cfg.ticks > 0 && tick >= cfg.ticks {
-            drain_reason = DrainReason::CampaignComplete;
-            break;
-        }
-        d.pace(cfg.delta, tick);
-
         let staged = control.take_reload().or_else(|| {
             cfg.reload_at
                 .as_ref()
@@ -646,12 +627,9 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             escalation = EscalationState::new(params.ladder, params.shed_after);
             bucket = TokenBucket::per_tick(params.rate_milli, params.burst);
             tracker = SloTracker::new(params.spec);
-            counters.reload();
-            lifecycle.push(LifecycleEvent {
-                tick,
-                state: "reload".into(),
-                reason: format!("traffic={}", params.traffic.name()),
-            });
+            service.reloads += 1;
+            let reason = format!("traffic={}", params.traffic.name());
+            lifecycle.push(LifecycleEvent::new(tick, "reload", reason));
         }
 
         if cfg.kill_worker_at == Some(tick) {
@@ -660,13 +638,13 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             d.pool().inject_worker_kill();
         }
         if cfg.force_restart_at == Some(tick) {
-            restart_pipeline(d.pool(), cfg.workers);
-            counters.watchdog_restart();
-            lifecycle.push(LifecycleEvent {
+            d.restart();
+            service.watchdog_restarts += 1;
+            lifecycle.push(LifecycleEvent::new(
                 tick,
-                state: "watchdog-restart".into(),
-                reason: "forced (drill)".into(),
-            });
+                "watchdog-restart",
+                "forced (drill)",
+            ));
         }
 
         // ---- Escalation decision for this tick. --------------------
@@ -700,19 +678,19 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             // the same tick; the queue treats every copy as new work.
             for _round in 0..flood {
                 for sf in &base {
-                    counters.arrival();
+                    service.arrivals += 1;
                     let malformed = faults.malformed(tick, index);
                     index += 1;
                     if malformed {
-                        counters.reject_malformed();
+                        service.rejected_malformed += 1;
                         continue;
                     }
                     if !bucket.try_take() {
-                        counters.reject_rate_limited();
+                        service.rejected_rate_limited += 1;
                         continue;
                     }
                     if decision.reject_new {
-                        counters.reject_backpressure();
+                        service.rejected_backpressure += 1;
                         continue;
                     }
                     let item = Admitted {
@@ -720,15 +698,15 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                         sf: sf.clone(),
                     };
                     if queue.try_push(item).is_err() {
-                        counters.reject_backpressure();
+                        service.rejected_backpressure += 1;
                     } else {
-                        counters.admit();
+                        service.admitted += 1;
                     }
                 }
             }
         }
         bucket.tick();
-        counters.set_queue_depth(queue.depth() as u64);
+        service.set_queue_depth(queue.depth() as u64);
 
         // ---- Service: pop and dispatch at most one subframe. -------
         if queue.depth() == 0 {
@@ -736,12 +714,13 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             // recent history says.
             miss_streak = 0;
         }
+        let mut row: Tick<Vec<Arc<UserInput>>> = Tick::Idle;
         if let Some(item) = queue.try_pop() {
-            counters.set_queue_depth(queue.depth() as u64);
+            service.set_queue_depth(queue.depth() as u64);
             accum.subframes += 1;
             let waited_ticks = tick.saturating_sub(item.arrival_tick);
             if waited_ticks > DEADLINE_TICKS {
-                counters.deadline_miss();
+                service.deadline_misses += 1;
                 accum.misses += 1;
                 miss_streak += 1;
             } else {
@@ -756,134 +735,76 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                 (0..item.sf.n_users()).collect()
             };
             let shed = (item.sf.n_users() - submit.len()) as u64;
-            counters.shed(shed);
+            service.shed_users += shed;
             accum.shed_jobs += shed;
             accum.jobs += item.sf.n_users() as u64;
+            let sf = SubframeConfig::new(submit.iter().map(|&i| item.sf.users[i]).collect());
 
             // Pressure-coupled governance at the dispatch boundary:
             // the inner PolicyGovernor sees the submitted users (Eq. 4)
             // while the wrapper floors the target by queue occupancy.
-            let loads: Vec<UserLoad> = submit
-                .iter()
-                .map(|&i| UserLoad::from(&item.sf.users[i]))
-                .collect();
+            let loads: Vec<UserLoad> = sf.users.iter().map(UserLoad::from).collect();
             governor.set_pressure(fill);
-            let mut substrate = d.pool();
-            governed_boundary(&mut substrate, &mut governor, tick as usize, &loads);
+            governed_boundary(&mut d.pool(), &mut governor, tick as usize, &loads);
 
-            // Bound the dispatch pipeline; a stall here is what the
-            // watchdog turns into a bounded restart.
-            loop {
-                let progress = d.closed_rows();
-                let waited_from = Instant::now();
-                if d.wait_below(MAX_IN_FLIGHT, STALL_TIMEOUT) {
-                    break;
-                }
-                match watchdog_verdict(
-                    waited_from.elapsed(),
-                    STALL_TIMEOUT,
-                    progress,
-                    d.closed_rows(),
-                    counters.snapshot().watchdog_restarts,
-                    MAX_RESTARTS,
-                ) {
-                    WatchdogVerdict::Wait => {}
-                    WatchdogVerdict::Restart => {
-                        restart_pipeline(d.pool(), cfg.workers);
-                        counters.watchdog_restart();
-                        lifecycle.push(LifecycleEvent {
-                            tick,
-                            state: "watchdog-restart".into(),
-                            reason: format!("no completion progress in {STALL_TIMEOUT:?}"),
-                        });
-                    }
-                    WatchdogVerdict::Abort => {
-                        return Err(format!(
-                            "pipeline stalled: no completion progress after \
-                             {MAX_RESTARTS} watchdog restarts"
-                        ));
-                    }
-                }
-            }
-
-            let row: Vec<Arc<UserInput>> = submit
-                .iter()
-                .map(|&i| inputs.input_for(&item.sf.users[i]))
-                .collect();
-            d.dispatch(row.iter().map(|input| (&cell, input)));
-            rows.push(row);
+            row = Tick::Row(sf.users.iter().map(|u| inputs.input_for(u)).collect());
+            dispatched.push(sf);
         }
 
         // ---- Window close. -----------------------------------------
-        tick += 1;
-        if tick.is_multiple_of(window_len) {
+        if (tick + 1).is_multiple_of(window_len) {
             close_window(&mut tracker, &mut windows, &mut accum, d.latency());
         }
-    }
+        row
+    });
+    let ticked = ticked?;
 
     // ---- Drain. ----------------------------------------------------
-    let drain_start = Instant::now();
-    lifecycle.push(LifecycleEvent {
-        tick,
-        state: "draining".into(),
-        reason: drain_reason.name().into(),
-    });
+    let tick = ticked.ticks;
+    lifecycle.push(LifecycleEvent::new(tick, "draining", drain_reason.name()));
     queue.close();
-    let leftover = queue.drain_remaining();
-    if !leftover.is_empty() {
-        // Admitted but never dispatched: shed whole subframes rather
-        // than overrun the drain deadline decoding a backlog.
-        counters.drain_shed(leftover.len() as u64);
-    }
-    let finished = d.finish();
+    // Admitted but never dispatched: shed whole subframes rather than
+    // overrun the drain deadline decoding a backlog.
+    let leftover = queue.drain_remaining().len();
+    service.drain_shed_subframes += leftover as u64;
     if accum.subframes > 0 || accum.jobs > 0 || accum.chaos_active {
         close_window(&mut tracker, &mut windows, &mut accum, d.latency());
     }
     governor.inner_mut().close(None);
-    let drain_elapsed = drain_start.elapsed();
     let elapsed = Duration::from_nanos(d.now_ns());
-    lifecycle.push(LifecycleEvent {
-        tick,
-        state: "drained".into(),
-        reason: format!("{} rows, {} leftover shed", rows.len(), leftover.len()),
-    });
+    let drain_elapsed = elapsed.saturating_sub(Duration::from_nanos(ticked.stopped_ns));
+    let drained = format!("{} rows, {leftover} leftover shed", dispatched.len());
+    lifecycle.push(LifecycleEvent::new(tick, "drained", drained));
 
     // ---- Assemble results, fingerprint, verify. --------------------
-    let mut result_rows: Vec<Vec<UserResult>> = Vec::with_capacity(finished.len());
-    for row in finished {
-        let results: Option<Vec<UserResult>> = row.results.into_iter().collect();
-        result_rows.push(results.ok_or("a user's task graph panicked and its decode was lost")?);
-        counters.completed();
-    }
+    let result_rows: Vec<Vec<UserResult>> = ticked
+        .rows
+        .into_iter()
+        .map(|row| row.results.into_iter().collect())
+        .collect::<Option<_>>()
+        .ok_or("a user's task graph panicked and its decode was lost")?;
+    service.completed_subframes = result_rows.len() as u64;
     let fingerprint = fingerprint_results(&result_rows);
     let decodes = || result_rows.iter().flatten();
 
-    let mut verify_error = None;
-    if cfg.verify {
-        let golden_inputs: Vec<Vec<UserInput>> = rows
-            .iter()
-            .map(|row| row.iter().map(|i| (**i).clone()).collect())
-            .collect();
-        let golden = GoldenRecord::build(&cell, &golden_inputs, turbo);
-        if let Err(e) = golden.verify(&result_rows) {
-            verify_error = Some(e.to_string());
-        }
-    }
+    let verify_error = match cfg.verify {
+        true => inputs.verify_rows(&dispatched, &result_rows).err(),
+        false => None,
+    };
 
     let latency_snapshot = d.latency().snapshot();
-    let snapshot = counters.snapshot();
-    let outcome = ServeOutcome {
-        snapshot,
+    let mut outcome = ServeOutcome {
+        snapshot: service,
         windows,
         first_tier_tick,
         episodes: escalation.episodes(),
         lifecycle,
         fingerprint,
-        verify_error,
+        verify_error: verify_error.map(|e| e.to_string()),
         verified: cfg.verify,
         drain_reason,
         ticks_run: tick,
-        dispatched: rows.len() as u64,
+        dispatched: dispatched.len() as u64,
         crc_pass: decodes().filter(|r| r.crc_ok).count() as u64,
         jobs_completed: decodes().count() as u64,
         worker_respawns: d.pool().worker_respawns(),
@@ -895,13 +816,9 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         json: String::new(),
         openmetrics: String::new(),
     };
-    let json = render_json(cfg, &outcome);
-    let om = render_openmetrics(&outcome);
-    Ok(ServeOutcome {
-        json,
-        openmetrics: om,
-        ..outcome
-    })
+    outcome.json = render_json(cfg, &outcome);
+    outcome.openmetrics = render_openmetrics(&outcome);
+    Ok(outcome)
 }
 
 /// Closes one SLO window: evaluates the tracker and resets the
@@ -925,14 +842,6 @@ fn close_window(
         chaos_active: accum.chaos_active,
     });
     *accum = WindowAccum::default();
-}
-
-/// The watchdog's bounded restart: kick one worker (the self-healing
-/// supervisor respawns it, shaking loose a wedged deque) and restore
-/// the pool to full width in case the governor had parked cores.
-fn restart_pipeline(pool: &TaskPool, workers: usize) {
-    pool.inject_worker_kill();
-    pool.set_active_workers(workers);
 }
 
 /// Renders SERVE.json (schema `lte-sim-serve-v1`). Everything outside
@@ -1295,23 +1204,6 @@ mod tests {
             }
         }
         assert_eq!(bucket.refused(), 0);
-    }
-
-    #[test]
-    fn watchdog_verdict_waits_restarts_then_aborts() {
-        let t = Duration::from_secs(1);
-        // Progress happened: wait, regardless of elapsed time.
-        assert_eq!(watchdog_verdict(t, t, 3, 4, 0, 3), WatchdogVerdict::Wait);
-        // No progress but within the stall budget: wait.
-        assert_eq!(
-            watchdog_verdict(Duration::from_millis(10), t, 3, 3, 0, 3),
-            WatchdogVerdict::Wait
-        );
-        // Stalled with restart budget: restart.
-        assert_eq!(watchdog_verdict(t, t, 3, 3, 0, 3), WatchdogVerdict::Restart);
-        assert_eq!(watchdog_verdict(t, t, 3, 3, 2, 3), WatchdogVerdict::Restart);
-        // Budget exhausted: abort.
-        assert_eq!(watchdog_verdict(t, t, 3, 3, 3, 3), WatchdogVerdict::Abort);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use metrics::{f64_json, MetricValue, MetricsRegistry};
 pub use openmetrics::{sanitize_metric_name, OpenMetrics};
 pub use perfetto::PerfettoExporter;
 pub use recorder::{event_json, NoopRecorder, Recorder, RingRecorder};
-pub use service::{ServiceCounters, ServiceSnapshot};
+pub use service::ServiceSnapshot;
 pub use slo::{SloSpec, SloTracker, SloViolation, WindowObservation, WindowVerdict};
 
 impl<R: Recorder> Recorder for &R {

@@ -65,6 +65,15 @@ impl WorkloadEstimator {
         WorkloadEstimator { k }
     }
 
+    /// The flat library calibration the serve and deploy drivers govern
+    /// by: 0.002, 0.003 and 0.004 activity per PRB for QPSK, 16-QAM and
+    /// 64-QAM at every layer count, fixed once offline instead of fitted
+    /// by a calibration campaign at startup. It measures no host; a
+    /// fitted calibration replaces it here, for both drivers at once.
+    pub fn library_calibration() -> Self {
+        Self::from_slopes([[0.002, 0.003, 0.004]; 4])
+    }
+
     /// Fits the slope for one (layers, modulation) pair from calibration
     /// samples (least squares through the origin, per Eq. 3).
     ///

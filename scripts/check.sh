@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, fifteen budgets (receiver entry points, one
+# benchmark harness, sixteen budgets (receiver entry points, one
 # subframe dispatcher, one performance harness, a first-party std-only
 # workspace, one paper-artifact table, one kind of pool work, one
 # overload path, paper artifacts only, one overload response, one
 # host-telemetry path, paper pipeline only, one turbo stop rule, one
-# pass-through tail, one coded tail, the paper's cell and queues),
+# pass-through tail, one coded tail, the paper's cell and queues, one
+# tick loop),
 # conformance vectors on both dispatch paths, the fuzz corpus, the
 # paper artifacts at reduced scale, and a smoke run of every driver
 # (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
@@ -203,6 +204,19 @@ echo "==> the paper's cell and queues budget"
     || { echo "crates/ names NbIot, interleave_shards or LIFO_SLOT"; exit 1; }
 ! grep -q -- '--cell-kind' crates/core/src/cli.rs \
     || { echo "crates/core/src/cli.rs names --cell-kind"; exit 1; }
+
+echo "==> one tick loop budget"
+# The paper's maintenance loop is written once, in dispatch.rs
+# (`Dispatcher::run_ticks`): the benchmark runs it over its fixed rows and
+# serve with its front door as the per-tick source. Another file pacing
+# ticks or waiting for a row slot, serve building its own golden record,
+# or the atomic service scoreboard growing back is a second tick loop.
+[[ -z "$(grep -rl '\.pace(\|\.wait_below(' crates/core/src | grep -vx 'crates/core/src/dispatch.rs' || true)" ]] \
+    || { echo "a file in crates/core/src other than dispatch.rs calls .pace( or .wait_below("; exit 1; }
+! grep -q 'GoldenRecord' crates/core/src/serve.rs \
+    || { echo "crates/core/src/serve.rs names GoldenRecord"; exit 1; }
+[[ -z "$(grep -rn 'ServiceCounters' crates || true)" ]] \
+    || { echo "crates/ names ServiceCounters"; exit 1; }
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
