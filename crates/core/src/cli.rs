@@ -426,13 +426,11 @@ fn run_soak_cmd(opts: &Options) {
             if w.verdict.ok() { "OK" } else { "SLO-VIOLATION" },
         );
     };
-    let art =
-        soak::run_soak_with_stop(&cfg, Some(&mut on_window), &interrupted).or_exit("error", 1);
+    let r = soak::run_soak(&cfg, Some(&mut on_window), &interrupted).or_exit("error", 1);
     drop(jsonl_file);
     println!("wrote {}", jsonl_path.display());
-    write(&opts.out.join("SOAK.json"), &art.report.to_json());
-    write(&opts.out.join("SOAK.om"), &art.openmetrics);
-    let r = &art.report;
+    write(&opts.out.join("SOAK.json"), &r.to_json());
+    write(&opts.out.join("SOAK.om"), &r.to_openmetrics());
     println!(
         "soak totals: {} jobs, energy {:.1} J ({:.1} mJ/subframe), mean power {:.2} W",
         r.latency.count,

@@ -353,12 +353,11 @@ impl Dispatcher {
         })
     }
 
-    /// Forces one watchdog restart, drawing on the run's budget: kills one
-    /// worker (the pool's supervisor respawns it, shaking loose a wedged
-    /// deque) and restores the pool to full width in case a governor had
-    /// parked cores.
+    /// Forces one watchdog restart, drawing on the run's budget: restores
+    /// the pool to full width in case a governor had parked cores. It
+    /// kills no worker: a kill would queue behind every waiting task, so
+    /// it could never reach a worker wedged inside one.
     pub(crate) fn restart(&self) {
-        self.pool.inject_worker_kill();
         self.pool.set_active_workers(self.pool.n_workers());
         self.restarts.set(self.restarts.get() + 1);
     }
@@ -1145,11 +1144,10 @@ mod tests {
 
     /// With every worker held, no row closes: each slot wait stalls, the
     /// watchdog restarts the pipeline `MAX_RESTARTS` times and the next
-    /// stall ends the run. Released, the pool runs the restarts' worker
-    /// kills and the row, and drops without hanging.
+    /// stall ends the run. The restarts kill no worker; released, the
+    /// pool runs the row and drops without hanging.
     #[test]
     fn a_stalled_pipeline_restarts_then_gives_up() {
-        lte_sched::silence_injected_panics();
         let (cell, inputs) = small_inputs(1);
         let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
         let gates = Arc::new([RwLock::new(()), RwLock::new(())]);
@@ -1171,12 +1169,7 @@ mod tests {
         assert_eq!(asked, [0], "tick 1 never got a slot");
         drop(held);
         d.pool().wait_all();
-        // A killed worker counts its respawn a moment after its task.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while d.pool().worker_respawns() < MAX_RESTARTS && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(d.pool().worker_respawns(), MAX_RESTARTS);
+        assert_eq!(d.pool().worker_respawns(), 0, "a restart kills no worker");
         let closed = d.latency().snapshot().count;
         assert_eq!(closed, 1, "the stalled row closes once released");
     }
@@ -1186,7 +1179,6 @@ mod tests {
     /// the row closes, and the tick that waited tells its source.
     #[test]
     fn a_restart_clears_a_parked_pool_and_the_waiting_tick_reports_it() {
-        lte_sched::silence_injected_panics();
         let (cell, inputs) = small_inputs(1);
         let mut d = Dispatcher::new(2, TurboMode::Passthrough, &[]).unwrap();
         let gates = Arc::new([RwLock::new(()), RwLock::new(())]);

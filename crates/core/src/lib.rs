@@ -86,4 +86,4 @@ pub use serve::{
     run_serve, DrainReason, LifecycleEvent, ServeConfig, ServeControl, ServeOutcome, ServeParams,
     ServeWindow, TrafficModel,
 };
-pub use soak::{SoakArtifacts, SoakConfig, SoakReport, SoakWindow};
+pub use soak::{SoakConfig, SoakReport, SoakWindow};

@@ -48,8 +48,8 @@ use std::time::Duration;
 use lte_dsp::{Modulation, Xoshiro256};
 use lte_fault::{EscalationLadder, EscalationState, IngestFaults, TokenBucket};
 use lte_obs::{
-    f64_json, Histogram, MetricsRegistry, OpenMetrics, ServiceSnapshot, SloSpec, SloTracker,
-    WindowObservation, WindowVerdict,
+    f64_json, MetricsRegistry, OpenMetrics, ServiceSnapshot, SloSpec, SloTracker, SloWindows,
+    WindowVerdict,
 };
 use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
@@ -502,16 +502,6 @@ struct Admitted {
     sf: SubframeConfig,
 }
 
-/// Deterministic per-tick accounting for one SLO window.
-#[derive(Default)]
-struct WindowAccum {
-    subframes: u64,
-    misses: u64,
-    jobs: u64,
-    shed_jobs: u64,
-    chaos_active: bool,
-}
-
 /// Runs one serve campaign to drain. See the module docs for the
 /// loop's structure.
 ///
@@ -537,7 +527,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     let mut params = cfg.params.clone();
     let mut escalation = EscalationState::new(params.ladder, params.shed_after);
     let mut bucket = TokenBucket::per_tick(params.rate_milli, params.burst);
-    let mut tracker = SloTracker::new(params.spec);
+    let mut slo = SloWindows::new(params.spec);
 
     let queue: IngestQueue<Admitted> = IngestQueue::new(QUEUE_CAPACITY);
     // The loop runs on this thread alone, so it counts straight into the
@@ -581,7 +571,8 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     // check.
     let mut dispatched: Vec<SubframeConfig> = Vec::new();
     let mut windows: Vec<ServeWindow> = Vec::new();
-    let mut accum = WindowAccum::default();
+    // Was ingest chaos active during the open window?
+    let mut window_chaos = false;
     let traffic = params.traffic.name();
     let running = format!(
         "traffic={traffic} workers={} queue={QUEUE_CAPACITY}",
@@ -622,11 +613,11 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         if let Some(next) = staged {
             // Apply at the boundary: escalation, rate limiting and SLO
             // budgets restart under the new parameters; nothing
-            // in-flight is dropped.
+            // in-flight is dropped, and the open window's counts carry.
             params = next;
             escalation = EscalationState::new(params.ladder, params.shed_after);
             bucket = TokenBucket::per_tick(params.rate_milli, params.burst);
-            tracker = SloTracker::new(params.spec);
+            slo.tracker = SloTracker::new(params.spec);
             service.reloads += 1;
             let reason = format!("traffic={}", params.traffic.name());
             lifecycle.push(LifecycleEvent::new(tick, "reload", reason));
@@ -669,7 +660,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         }
 
         // ---- Arrivals through the front door. ----------------------
-        accum.chaos_active |= faults.stalled(tick) || faults.flood_factor(tick) > 1;
+        window_chaos |= faults.stalled(tick) || faults.flood_factor(tick) > 1;
         if !faults.stalled(tick) {
             let base = params.traffic.arrivals(cfg.seed, tick);
             let flood = faults.flood_factor(tick);
@@ -717,11 +708,11 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         let mut row: Tick<Vec<Arc<UserInput>>> = Tick::Idle;
         if let Some(item) = queue.try_pop() {
             service.set_queue_depth(queue.depth() as u64);
-            accum.subframes += 1;
+            slo.open.subframes += 1;
             let waited_ticks = tick.saturating_sub(item.arrival_tick);
             if waited_ticks > DEADLINE_TICKS {
                 service.deadline_misses += 1;
-                accum.misses += 1;
+                slo.open.deadline_misses += 1;
                 miss_streak += 1;
             } else {
                 miss_streak = 0;
@@ -736,8 +727,8 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             };
             let shed = (item.sf.n_users() - submit.len()) as u64;
             service.shed_users += shed;
-            accum.shed_jobs += shed;
-            accum.jobs += item.sf.n_users() as u64;
+            slo.open.shed_jobs += shed;
+            slo.open.jobs += item.sf.n_users() as u64;
             let sf = SubframeConfig::new(submit.iter().map(|&i| item.sf.users[i]).collect());
 
             // Pressure-coupled governance at the dispatch boundary:
@@ -751,9 +742,14 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             dispatched.push(sf);
         }
 
-        // ---- Window close. -----------------------------------------
+        // ---- Window close: p99 over the rows closed since the last. -
         if (tick + 1).is_multiple_of(window_len) {
-            close_window(&mut tracker, &mut windows, &mut accum, d.latency());
+            let (_, _, verdict) = slo.close(d.latency());
+            let chaos_active = std::mem::take(&mut window_chaos);
+            windows.push(ServeWindow {
+                verdict,
+                chaos_active,
+            });
         }
         row
     });
@@ -767,8 +763,12 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     // overrun the drain deadline decoding a backlog.
     let leftover = queue.drain_remaining().len();
     service.drain_shed_subframes += leftover as u64;
-    if accum.subframes > 0 || accum.jobs > 0 || accum.chaos_active {
-        close_window(&mut tracker, &mut windows, &mut accum, d.latency());
+    if slo.open.subframes > 0 || slo.open.jobs > 0 || window_chaos {
+        let (_, _, verdict) = slo.close(d.latency());
+        windows.push(ServeWindow {
+            verdict,
+            chaos_active: window_chaos,
+        });
     }
     governor.inner_mut().close(None);
     let elapsed = Duration::from_nanos(d.now_ns());
@@ -792,7 +792,8 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         false => None,
     };
 
-    let latency_snapshot = d.latency().snapshot();
+    // Rows dispatched in the last window may close after its roll.
+    let latency_snapshot = slo.run_latency(d.latency());
     let mut outcome = ServeOutcome {
         snapshot: service,
         windows,
@@ -819,29 +820,6 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     outcome.json = render_json(cfg, &outcome);
     outcome.openmetrics = render_openmetrics(&outcome);
     Ok(outcome)
-}
-
-/// Closes one SLO window: evaluates the tracker and resets the
-/// accumulator.
-fn close_window(
-    tracker: &mut SloTracker,
-    windows: &mut Vec<ServeWindow>,
-    accum: &mut WindowAccum,
-    latency: &Histogram,
-) {
-    let p99 = latency.snapshot().quantile(0.99);
-    let verdict = tracker.observe(&WindowObservation {
-        subframes: accum.subframes,
-        deadline_misses: accum.misses,
-        jobs: accum.jobs,
-        shed_jobs: accum.shed_jobs,
-        p99_latency: p99,
-    });
-    windows.push(ServeWindow {
-        verdict,
-        chaos_active: accum.chaos_active,
-    });
-    *accum = WindowAccum::default();
 }
 
 /// Renders SERVE.json (schema `lte-sim-serve-v1`). Everything outside

@@ -33,12 +33,12 @@ use lte_dsp::Xoshiro256;
 use lte_fault::FaultPlan;
 use lte_obs::{
     f64_json, EblerAccumulator, EblerSurface, Histogram, HistogramSnapshot, MetricsRegistry,
-    OpenMetrics, SloSpec, SloTracker, WindowObservation, WindowVerdict,
+    OpenMetrics, SloSpec, SloWindows, WindowVerdict,
 };
 use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
 use lte_phy::receiver::process_user_pooled;
 use lte_phy::tx::synthesize_user;
-use lte_power::{NapPolicy, PowerWindows};
+use lte_power::{NapPolicy, PowerWindowSnapshot};
 use lte_sched::cycles::shed_order;
 use lte_sched::sim::{SessionProgress, Simulator, SubframeLoad};
 
@@ -149,7 +149,7 @@ pub struct SoakReport {
     /// Every closed window, oldest first.
     pub windows: Vec<SoakWindow>,
     /// Per-window power/governor aggregates, aligned with `windows`.
-    pub power: Vec<lte_power::PowerWindowSnapshot>,
+    pub power: Vec<PowerWindowSnapshot>,
     /// Whole-run completion-latency distribution.
     pub latency: HistogramSnapshot,
     /// Whole-run EBLER surface.
@@ -254,16 +254,6 @@ impl SoakReport {
     }
 }
 
-/// Everything `lte-sim soak` writes.
-pub struct SoakArtifacts {
-    /// The final report.
-    pub report: SoakReport,
-    /// The rolling per-window snapshot stream (JSON lines).
-    pub jsonl: String,
-    /// The OpenMetrics exposition.
-    pub openmetrics: String,
-}
-
 /// Outcome of one cached receiver decode.
 #[derive(Clone, Copy)]
 struct DecodeOutcome {
@@ -359,36 +349,24 @@ fn record_subframe_ebler(
     }
 }
 
-/// Callback invoked as each window closes, with the window and the JSON
-/// line just appended to the snapshot stream (see [`run_soak`]).
+/// Callback invoked as each window closes, with the window and its line
+/// of the `SOAK.jsonl` stream (see [`run_soak`]).
 pub type WindowSink<'a> = &'a mut dyn FnMut(&SoakWindow, &str);
 
-/// Runs the soak.
+/// Runs the soak, handing each window to `on_window` as it closes.
+/// `stop` is polled at every subframe boundary: when it returns `true`
+/// the soak stops dispatching, closes the final (partial) window over
+/// what ran, and reports the truncated run — the CLI wires a latched
+/// SIGINT/SIGTERM into it so an interrupted soak still flushes.
 ///
 /// # Errors
 ///
 /// Returns a message naming the field when `cfg.window` is 0.
 pub fn run_soak(
     cfg: &SoakConfig,
-    on_window: Option<WindowSink<'_>>,
-) -> Result<SoakArtifacts, String> {
-    run_soak_with_stop(cfg, on_window, &|| false)
-}
-
-/// [`run_soak`] with an early-stop hook, polled at every subframe
-/// boundary. When `stop` returns `true` the soak stops dispatching,
-/// closes the final (partial) window over what ran, and returns
-/// complete artifacts for the truncated run — the CLI wires a latched
-/// SIGINT/SIGTERM into this so an interrupted soak still flushes.
-///
-/// # Errors
-///
-/// Same as [`run_soak`].
-pub fn run_soak_with_stop(
-    cfg: &SoakConfig,
     mut on_window: Option<WindowSink<'_>>,
     stop: &dyn Fn() -> bool,
-) -> Result<SoakArtifacts, String> {
+) -> Result<SoakReport, String> {
     if cfg.window == 0 {
         return Err("SoakConfig::window must be at least 1 subframe".into());
     }
@@ -426,150 +404,97 @@ pub fn run_soak_with_stop(
     let mut session = sim.session(&loads);
 
     let mut cache = DecodeCache::new(ctx.n_rx, cfg.seed);
-    let latency_live = Histogram::new();
+    let live = Histogram::new();
     let ebler_live = EblerAccumulator::new(EBLER_STREAMS);
     let ebler_total = EblerAccumulator::new(EBLER_STREAMS);
-    let mut tracker = SloTracker::new(SloSpec::default_budgets());
+    let mut slo = SloWindows::new(SloSpec::default_budgets());
     let mut windows: Vec<SoakWindow> = Vec::new();
-    let mut jsonl = String::new();
+    // Job latencies already recorded, and the progress at the previous
+    // accounted subframe.
     let mut consumed = 0usize;
-    // Progress at the previous boundary (per-subframe shed attribution)
-    // and at the previous window close (per-window deltas).
     let mut at_boundary = SessionProgress::default();
-    let mut at_window = SessionProgress::default();
-    let mut window_start = 0usize;
-    let mut dispatched = 0usize;
 
-    let mut close_window = |dispatched: usize,
-                            window_start: &mut usize,
-                            progress: SessionProgress,
-                            at_window: &mut SessionProgress,
-                            tail: &[u64],
-                            consumed: &mut usize,
-                            windows: &mut Vec<SoakWindow>,
-                            jsonl: &mut String,
-                            on_window: &mut Option<WindowSink<'_>>| {
-        for &cycles in &tail[*consumed..] {
-            latency_live.record(cycles);
+    // Accounts subframe `sf`, whose dispatch the last advance executed:
+    // the jobs completed since the last call, the subframe's misses and
+    // shed users so far, and its users' decodes or DTX; then closes the
+    // window when `close`.
+    let mut account = |progress: SessionProgress, done: &[u64], sf: usize, close: bool| {
+        for &cycles in &done[consumed..] {
+            live.record(cycles);
         }
-        *consumed = tail.len();
-        let latency = latency_live.snapshot_and_reset();
-        let ebler = ebler_live.snapshot_and_reset();
-        let n_subframes = (dispatched - *window_start) as u64;
-        *window_start = dispatched;
-        let misses = progress.overruns - at_window.overruns;
-        let shed = progress.shed_jobs - at_window.shed_jobs;
-        *at_window = progress;
-        let verdict = tracker.observe(&WindowObservation {
-            subframes: n_subframes,
-            deadline_misses: misses,
-            jobs: latency.count + shed,
-            shed_jobs: shed,
-            p99_latency: latency.quantile(0.99),
-        });
-        let window = SoakWindow {
-            index: windows.len(),
-            subframes: n_subframes,
-            latency,
-            deadline_misses: misses,
-            shed_jobs: shed,
-            ebler,
-            verdict,
-        };
-        let line = window.to_json(sim_cfg.clock_hz);
-        jsonl.push_str(&line);
-        jsonl.push('\n');
-        if let Some(cb) = on_window.as_deref_mut() {
-            cb(&window, &line);
+        let shed = progress.shed_jobs - at_boundary.shed_jobs;
+        let open = &mut slo.open;
+        open.subframes += 1;
+        open.deadline_misses += progress.overruns - at_boundary.overruns;
+        open.jobs += (done.len() - consumed) as u64 + shed;
+        open.shed_jobs += shed;
+        consumed = done.len();
+        at_boundary = progress;
+        record_subframe_ebler(
+            &subframes[sf],
+            &loads[sf],
+            shed,
+            plan.as_ref(),
+            sf,
+            &mut cache,
+            [&ebler_live, &ebler_total],
+        );
+        if close {
+            let (counts, latency, verdict) = slo.close(&live);
+            let window = SoakWindow {
+                index: windows.len(),
+                subframes: counts.subframes,
+                latency,
+                deadline_misses: counts.deadline_misses,
+                shed_jobs: counts.shed_jobs,
+                ebler: ebler_live.snapshot_and_reset(),
+                verdict,
+            };
+            if let Some(cb) = on_window.as_deref_mut() {
+                cb(&window, &window.to_json(sim_cfg.clock_hz));
+            }
+            windows.push(window);
         }
-        windows.push(window);
     };
 
-    // `Some(n)` once `stop` fires: only the first `n` subframes count.
-    let mut truncated_at: Option<usize> = None;
+    let mut dispatched = 0usize;
     while let Some(boundary) = session.advance() {
         if stop() {
-            // The final-dispatch accounting below closes the partial
-            // window over everything dispatched so far; `finish` still
-            // drains the remaining DES events, so cap the power
-            // accounting at the truncation point.
-            truncated_at = Some(dispatched);
             break;
         }
         // The advance that returned this boundary executed the previous
         // subframe's dispatch; its shed decisions are now visible.
-        if boundary.subframe > 0 {
-            let progress = session.progress();
-            let shed = progress.shed_jobs - at_boundary.shed_jobs;
-            at_boundary = progress;
-            record_subframe_ebler(
-                &subframes[boundary.subframe - 1],
-                &loads[boundary.subframe - 1],
-                shed,
-                plan.as_ref(),
-                boundary.subframe - 1,
-                &mut cache,
-                [&ebler_live, &ebler_total],
-            );
-            if boundary.subframe % cfg.window == 0 {
-                close_window(
-                    dispatched,
-                    &mut window_start,
-                    progress,
-                    &mut at_window,
-                    session.job_latencies(),
-                    &mut consumed,
-                    &mut windows,
-                    &mut jsonl,
-                    &mut on_window,
-                );
-            }
+        if let Some(sf) = boundary.subframe.checked_sub(1) {
+            let close = boundary.subframe % cfg.window == 0;
+            account(session.progress(), session.job_latencies(), sf, close);
         }
         dispatched = boundary.subframe + 1;
-        for &cycles in &session.job_latencies()[consumed..] {
-            latency_live.record(cycles);
-        }
-        consumed = session.job_latencies().len();
     }
     // The draining advance executed the final dispatch; account it and
     // close the last (possibly partial) window over the full drain.
     if dispatched > 0 {
-        let progress = session.progress();
-        let shed = progress.shed_jobs - at_boundary.shed_jobs;
-        record_subframe_ebler(
-            &subframes[dispatched - 1],
-            &loads[dispatched - 1],
-            shed,
-            plan.as_ref(),
-            dispatched - 1,
-            &mut cache,
-            [&ebler_live, &ebler_total],
-        );
-        close_window(
-            dispatched,
-            &mut window_start,
-            progress,
-            &mut at_window,
+        account(
+            session.progress(),
             session.job_latencies(),
-            &mut consumed,
-            &mut windows,
-            &mut jsonl,
-            &mut on_window,
+            dispatched - 1,
+            true,
         );
     }
     let report = session.finish();
 
     // Power windows from the final occupancy buckets: one bucket per
-    // dispatch period, so bucket i is subframe i's power draw.
+    // dispatch period, so bucket i is subframe i's power draw. `finish`
+    // drains every DES event, so a stopped soak caps the series at the
+    // subframes it dispatched.
     let watts = ctx.power.power_trace(&report.buckets, &sim_cfg);
     let dt = sim_cfg.dispatch_seconds();
-    let mut power = PowerWindows::new(cfg.window as u64);
-    let n = truncated_at.unwrap_or(cfg.subframes).min(watts.len());
-    for i in 0..n {
-        let achieved = report.buckets[i].busy_cycles as f64 / sim_cfg.dispatch_period as f64;
-        power.record_subframe(watts[i], dt, targets[i] as f64, achieved);
-    }
-    power.flush();
+    let n = dispatched.min(watts.len());
+    let series: Vec<(f64, f64, f64)> = (0..n)
+        .map(|i| {
+            let achieved = report.buckets[i].busy_cycles as f64 / sim_cfg.dispatch_period as f64;
+            (watts[i], targets[i] as f64, achieved)
+        })
+        .collect();
     let energy_joules: f64 = watts.iter().take(n).map(|w| w * dt).sum();
     let mean_power_watts = if n > 0 {
         energy_joules / (n as f64 * dt)
@@ -577,27 +502,20 @@ pub fn run_soak_with_stop(
         0.0
     };
 
-    let mut latency_all = HistogramSnapshot::empty();
-    for w in &windows {
-        latency_all.merge(&w.latency);
-    }
-    let soak = SoakReport {
+    Ok(SoakReport {
         config: *cfg,
         clock_hz: sim_cfg.clock_hz,
         windows,
-        power: power.snapshots().to_vec(),
-        latency: latency_all,
+        power: series
+            .chunks(cfg.window)
+            .map(|w| PowerWindowSnapshot::fold(w, dt))
+            .collect(),
+        latency: slo.run_latency(&live),
         ebler: ebler_total.snapshot(),
-        violating_windows: tracker.violating_windows(),
-        violations: tracker.violations().len() as u64,
+        violating_windows: slo.tracker.violating_windows(),
+        violations: slo.tracker.violations(),
         energy_joules,
         mean_power_watts,
-    };
-    let openmetrics = soak.to_openmetrics();
-    Ok(SoakArtifacts {
-        jsonl,
-        openmetrics,
-        report: soak,
     })
 }
 
@@ -611,8 +529,7 @@ mod tests {
 
     #[test]
     fn soak_windows_cover_every_subframe_and_job() {
-        let art = run_soak(&tiny(300, 100), None).expect("soak runs");
-        let r = &art.report;
+        let r = run_soak(&tiny(300, 100), None, &|| false).expect("soak runs");
         assert_eq!(r.windows.len(), 3);
         assert_eq!(r.windows.iter().map(|w| w.subframes).sum::<u64>(), 300);
         // Every dispatched (non-shed) job's latency was recorded.
@@ -621,13 +538,12 @@ mod tests {
         assert!(r.latency.count > 0);
         assert!(r.energy_joules > 0.0);
         assert_eq!(r.power.len(), 3);
-        assert!(art.openmetrics.ends_with("# EOF\n"));
+        assert!(r.to_openmetrics().ends_with("# EOF\n"));
     }
 
     #[test]
     fn partial_final_window_is_flushed() {
-        let art = run_soak(&tiny(250, 100), None).expect("soak runs");
-        let r = &art.report;
+        let r = run_soak(&tiny(250, 100), None, &|| false).expect("soak runs");
         assert_eq!(r.windows.len(), 3);
         assert_eq!(r.windows[2].subframes, 50);
         assert_eq!(r.power.len(), 3);
@@ -637,10 +553,10 @@ mod tests {
     #[test]
     fn healthy_low_load_prefix_passes_slo() {
         // The opening stretch of the ramp is light: no misses, no sheds.
-        let art = run_soak(&tiny(200, 100), None).expect("soak runs");
-        assert!(art.report.healthy(), "low load must not violate");
-        assert_eq!(art.report.ebler.total.dtx, 0);
-        assert!((art.report.ebler.total.bler_pct).abs() < f64::EPSILON);
+        let r = run_soak(&tiny(200, 100), None, &|| false).expect("soak runs");
+        assert!(r.healthy(), "low load must not violate");
+        assert_eq!(r.ebler.total.dtx, 0);
+        assert!((r.ebler.total.bler_pct).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -649,12 +565,9 @@ mod tests {
             chaos: true,
             ..tiny(300, 100)
         };
-        let art = run_soak(&cfg, None).expect("soak runs");
-        assert!(
-            art.report.ebler.total.nack > 0,
-            "seeded bursts must fail CRC"
-        );
-        assert!(art.report.ebler.total.bler_pct > 0.0);
+        let r = run_soak(&cfg, None, &|| false).expect("soak runs");
+        assert!(r.ebler.total.nack > 0, "seeded bursts must fail CRC");
+        assert!(r.ebler.total.bler_pct > 0.0);
     }
 
     #[test]
@@ -663,11 +576,10 @@ mod tests {
             chaos: true,
             ..tiny(220, 64)
         };
-        let a = run_soak(&cfg, None).expect("soak runs");
-        let b = run_soak(&cfg, None).expect("soak runs");
-        assert_eq!(a.report.to_json(), b.report.to_json());
-        assert_eq!(a.jsonl, b.jsonl);
-        assert_eq!(a.openmetrics, b.openmetrics);
+        let a = run_soak(&cfg, None, &|| false).expect("soak runs");
+        let b = run_soak(&cfg, None, &|| false).expect("soak runs");
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_openmetrics(), b.to_openmetrics());
     }
 
     #[test]
@@ -704,7 +616,7 @@ mod tests {
             },
             tiny(10, 0),
         ] {
-            let err = run_soak(&cfg, None).err().expect("window 0 is rejected");
+            let err = run_soak(&cfg, None, &|| false).expect_err("window 0 is rejected");
             assert!(err.contains("window"), "{err}");
         }
     }

@@ -22,7 +22,9 @@
 //!   per window by `snapshot_and_reset` off the hot path (the EBLER
 //!   accumulator drains the same way).
 //! * [`slo`] — [`SloSpec`](slo::SloSpec)/[`SloTracker`](slo::SloTracker)
-//!   budget evaluation with burn rates.
+//!   budget evaluation with burn rates, and
+//!   [`SloWindows`](slo::SloWindows), the one window path the drivers
+//!   close their windows through.
 //! * [`ebler`] — the R&S-`FetchStruct`-shaped
 //!   [`EblerSurface`](ebler::EblerSurface) measurement surface.
 //! * [`openmetrics`] — Prometheus/OpenMetrics text exposition of all of
@@ -46,7 +48,7 @@ pub use openmetrics::{sanitize_metric_name, OpenMetrics};
 pub use perfetto::PerfettoExporter;
 pub use recorder::{event_json, NoopRecorder, Recorder, RingRecorder};
 pub use service::ServiceSnapshot;
-pub use slo::{SloSpec, SloTracker, SloViolation, WindowObservation, WindowVerdict};
+pub use slo::{SloSpec, SloTracker, SloViolation, SloWindows, WindowObservation, WindowVerdict};
 
 impl<R: Recorder> Recorder for &R {
     fn enabled(&self) -> bool {

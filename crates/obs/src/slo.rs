@@ -5,10 +5,16 @@
 //! and an [`SloTracker`] evaluates one [`WindowObservation`] per window
 //! against them, computing SRE-style **burn rates** (observed error rate
 //! over budgeted error rate; > 1 means the window consumed budget faster
-//! than allowed). The spec carries plain numbers, so the tracker stays
-//! dependency-free: callers map their own counters (deadline overruns,
-//! shed users) into an observation.
+//! than allowed). The spec carries plain numbers: callers map their own
+//! counters (deadline overruns, shed users) into an observation.
+//!
+//! [`SloWindows`] is the one window policy every long-running driver
+//! closes its windows through: it holds the open window's counts, takes
+//! each window's p99 from a roll of the driver's live latency
+//! [`Histogram`], keeps the merged run total of those rolls, and judges
+//! the window with its tracker.
 
+use crate::hist::{Histogram, HistogramSnapshot};
 use crate::metrics::f64_json;
 
 /// Budgets for one soak run. All rates are fractions in `[0, 1]` per
@@ -128,13 +134,13 @@ impl WindowVerdict {
     }
 }
 
-/// Evaluates window observations against an [`SloSpec`] and remembers
-/// every violation for the end-of-run exit status.
+/// Evaluates window observations against an [`SloSpec`] and counts the
+/// violations for the end-of-run exit status.
 pub struct SloTracker {
     spec: SloSpec,
     windows: u64,
     violating_windows: u64,
-    violations: Vec<(u64, SloViolation)>,
+    violations: u64,
 }
 
 /// Observed error rate over budgeted error rate; saturates to 0 when
@@ -159,13 +165,8 @@ impl SloTracker {
             spec,
             windows: 0,
             violating_windows: 0,
-            violations: Vec::new(),
+            violations: 0,
         }
-    }
-
-    /// The spec under evaluation.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
     }
 
     /// Evaluates one completed window.
@@ -213,8 +214,7 @@ impl SloTracker {
         };
         if !violations.is_empty() {
             self.violating_windows += 1;
-            self.violations
-                .extend(violations.iter().map(|v| (window, *v)));
+            self.violations += violations.len() as u64;
         }
         WindowVerdict {
             window,
@@ -225,24 +225,63 @@ impl SloTracker {
         }
     }
 
-    /// Windows evaluated so far.
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
     /// Windows that broke at least one objective.
     pub fn violating_windows(&self) -> u64 {
         self.violating_windows
     }
 
-    /// Every `(window, violation)` pair, in observation order.
-    pub fn violations(&self) -> &[(u64, SloViolation)] {
-        &self.violations
+    /// Objective violations across every window.
+    pub fn violations(&self) -> u64 {
+        self.violations
+    }
+}
+
+/// A driver's SLO windows: the open window's counts, the verdicts, and
+/// the run's latency as the merge of every window's roll.
+pub struct SloWindows {
+    /// The open window's counts, kept by the driver; its `p99_latency`
+    /// is taken from the roll when the window closes.
+    pub open: WindowObservation,
+    /// Judges each closed window. A reload replaces it: window numbering
+    /// and violations restart under the new budgets.
+    pub tracker: SloTracker,
+    total: HistogramSnapshot,
+}
+
+impl SloWindows {
+    /// No window closed yet, the first one open and empty.
+    pub fn new(spec: SloSpec) -> Self {
+        Self {
+            open: WindowObservation::default(),
+            tracker: SloTracker::new(spec),
+            total: HistogramSnapshot::empty(),
+        }
     }
 
-    /// `true` when no window ever violated an objective.
-    pub fn healthy(&self) -> bool {
-        self.violations.is_empty()
+    /// Closes the open window: rolls `latency` — everything the driver
+    /// recorded since the last roll — into the run total, judges the
+    /// window's counts on the roll's p99, and opens an empty window.
+    /// Returns the closed window's counts, latency and verdict.
+    pub fn close(
+        &mut self,
+        latency: &Histogram,
+    ) -> (WindowObservation, HistogramSnapshot, WindowVerdict) {
+        let window = latency.snapshot_and_reset();
+        self.total.merge(&window);
+        let counts = WindowObservation {
+            p99_latency: window.quantile(0.99),
+            ..std::mem::take(&mut self.open)
+        };
+        let verdict = self.tracker.observe(&counts);
+        (counts, window, verdict)
+    }
+
+    /// The run's latency: every closed window's roll, plus what `latency`
+    /// recorded after the last one.
+    pub fn run_latency(&self, latency: &Histogram) -> HistogramSnapshot {
+        let mut run = self.total.clone();
+        run.merge(&latency.snapshot());
+        run
     }
 }
 
@@ -272,7 +311,7 @@ mod tests {
         assert_eq!(v.miss_burn, 0.5);
         assert_eq!(v.shed_burn, 0.5);
         assert_eq!(v.latency_burn, 0.9);
-        assert!(t.healthy());
+        assert_eq!((t.violating_windows(), t.violations()), (0, 0));
     }
 
     #[test]
@@ -286,9 +325,8 @@ mod tests {
             p99_latency: 1_500,
         });
         assert_eq!(v.violations.len(), 3);
-        assert!(!t.healthy());
         assert_eq!(t.violating_windows(), 1);
-        assert_eq!(t.violations().len(), 3);
+        assert_eq!(t.violations(), 3);
         assert_eq!(v.miss_burn, 2.0);
         assert_eq!(v.latency_burn, 1.5);
     }
@@ -316,6 +354,60 @@ mod tests {
         });
         assert!(v.miss_burn.is_finite());
         assert!(!v.ok());
+    }
+
+    /// Each window is judged on the rows recorded since the last close,
+    /// not on every row since the start of the run.
+    #[test]
+    fn each_window_is_judged_on_its_own_rows() {
+        let mut slo = SloWindows::new(SloSpec {
+            p99_latency_budget: Some(100_000),
+            ..SloSpec::default_budgets()
+        });
+        let live = Histogram::new();
+        live.record(1_000_000);
+        let (_, _, first) = slo.close(&live);
+        assert_eq!(
+            first.violations,
+            [SloViolation::P99Latency {
+                observed: 1_000_000,
+                budget: 100_000
+            }]
+        );
+        live.record(10_000);
+        let (counts, latency, second) = slo.close(&live);
+        assert!(second.ok(), "window 1 judged on the run: {second:?}");
+        assert_eq!((second.window, latency.count), (1, 1));
+        assert_eq!(counts.p99_latency, 10_000);
+        assert_eq!(slo.tracker.violating_windows(), 1);
+    }
+
+    /// The open counts close into one window and start over; a value
+    /// recorded after the last close still reaches the run's latency.
+    #[test]
+    fn closing_moves_the_counts_and_the_run_total_keeps_every_row() {
+        let mut slo = SloWindows::new(spec());
+        let live = Histogram::new();
+        slo.open.subframes = 100;
+        slo.open.deadline_misses = 2;
+        slo.open.jobs = 400;
+        live.record(500);
+        let (counts, _, verdict) = slo.close(&live);
+        assert_eq!(
+            (counts.subframes, counts.deadline_misses, counts.jobs),
+            (100, 2, 400)
+        );
+        assert_eq!(verdict.miss_burn, 2.0);
+        assert_eq!(slo.open, WindowObservation::default());
+        live.record(700);
+        live.record(900);
+        let run = slo.run_latency(&live);
+        assert_eq!((run.count, run.min, run.max, run.sum), (3, 500, 900, 2_100));
+        assert_eq!(
+            live.snapshot().count,
+            2,
+            "reading the run total rolls nothing"
+        );
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use governor::{
 pub use meter::{record_series, rms_windows, rms_windows_recorded};
 pub use model::PowerModel;
 pub use pressure::PressureGovernor;
-pub use windows::{PowerWindowSnapshot, PowerWindows};
+pub use windows::PowerWindowSnapshot;

@@ -1,15 +1,14 @@
 //! Windowed power telemetry: energy-per-subframe and governor
 //! target-vs-achieved, aggregated per rolling window.
 //!
-//! The continuous-telemetry soak drives one [`PowerWindows`] alongside
-//! the simulator session: every subframe boundary feeds the bucket's
-//! modelled power draw, the governor's active-core target, and the
-//! *achieved* busy core-equivalents (Eq. 2 activity × workers). At each
-//! window boundary the accumulator folds into a plain
-//! [`PowerWindowSnapshot`] with energy in joules, energy-per-subframe in
-//! millijoules, and the target/achieved means — everything a pure
-//! function of the (deterministic) simulation, so two identical soaks
-//! serialize byte-identical power windows.
+//! The continuous-telemetry soak builds one per-subframe series from the
+//! finished simulation — each subframe's modelled power draw, the
+//! governor's active-core target, and the *achieved* busy
+//! core-equivalents (Eq. 2 activity × workers) — and folds each window's
+//! chunk of it into a plain [`PowerWindowSnapshot`] with energy in
+//! joules, energy-per-subframe in millijoules, and the target/achieved
+//! means: everything a pure function of the (deterministic) simulation,
+//! so two identical soaks serialize byte-identical power windows.
 
 use lte_obs::f64_json;
 
@@ -31,6 +30,29 @@ pub struct PowerWindowSnapshot {
 }
 
 impl PowerWindowSnapshot {
+    /// Folds one window's subframes, each `(watts, target_cores,
+    /// achieved_cores)`: the modelled power draw over its dispatch period
+    /// of `dt_seconds`, the governor's active-core target and the
+    /// achieved busy core-equivalents. `samples` must not be empty.
+    pub fn fold(samples: &[(f64, f64, f64)], dt_seconds: f64) -> Self {
+        let (mut energy, mut seconds, mut target, mut achieved) = (0.0, 0.0, 0.0, 0.0);
+        for &(watts, target_cores, achieved_cores) in samples {
+            energy += watts * dt_seconds;
+            seconds += dt_seconds;
+            target += target_cores;
+            achieved += achieved_cores;
+        }
+        let n = samples.len() as f64;
+        Self {
+            subframes: samples.len() as u64,
+            energy_joules: energy,
+            energy_per_subframe_mj: 1_000.0 * energy / n,
+            mean_power_watts: if seconds > 0.0 { energy / seconds } else { 0.0 },
+            mean_target_cores: target / n,
+            mean_achieved_cores: achieved / n,
+        }
+    }
+
     /// Flat deterministic JSON object (fixed key order).
     pub fn to_json(&self) -> String {
         format!(
@@ -47,103 +69,13 @@ impl PowerWindowSnapshot {
     }
 }
 
-/// Accumulates per-subframe power samples into rolling windows.
-pub struct PowerWindows {
-    window_len: u64,
-    // Live accumulation for the open window.
-    subframes: u64,
-    energy_joules: f64,
-    watt_seconds_weight: f64,
-    target_sum: f64,
-    achieved_sum: f64,
-    snapshots: Vec<PowerWindowSnapshot>,
-}
-
-impl PowerWindows {
-    /// A tracker rolling every `window_len` subframes.
-    pub fn new(window_len: u64) -> Self {
-        assert!(window_len > 0, "window length must be positive");
-        Self {
-            window_len,
-            subframes: 0,
-            energy_joules: 0.0,
-            watt_seconds_weight: 0.0,
-            target_sum: 0.0,
-            achieved_sum: 0.0,
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// Feeds one subframe: the modelled power draw over its dispatch
-    /// period (`watts` for `dt_seconds`), the governor's active-core
-    /// target, and the achieved busy core-equivalents. Returns the
-    /// completed snapshot when this subframe closes a window.
-    pub fn record_subframe(
-        &mut self,
-        watts: f64,
-        dt_seconds: f64,
-        target_cores: f64,
-        achieved_cores: f64,
-    ) -> Option<&PowerWindowSnapshot> {
-        self.subframes += 1;
-        self.energy_joules += watts * dt_seconds;
-        self.watt_seconds_weight += dt_seconds;
-        self.target_sum += target_cores;
-        self.achieved_sum += achieved_cores;
-        if self.subframes >= self.window_len {
-            Some(self.roll())
-        } else {
-            None
-        }
-    }
-
-    /// Closes the open window now (e.g. a final partial window); `None`
-    /// when it is empty.
-    pub fn flush(&mut self) -> Option<&PowerWindowSnapshot> {
-        if self.subframes == 0 {
-            return None;
-        }
-        Some(self.roll())
-    }
-
-    fn roll(&mut self) -> &PowerWindowSnapshot {
-        let n = self.subframes;
-        let snap = PowerWindowSnapshot {
-            subframes: n,
-            energy_joules: self.energy_joules,
-            energy_per_subframe_mj: 1_000.0 * self.energy_joules / n as f64,
-            mean_power_watts: if self.watt_seconds_weight > 0.0 {
-                self.energy_joules / self.watt_seconds_weight
-            } else {
-                0.0
-            },
-            mean_target_cores: self.target_sum / n as f64,
-            mean_achieved_cores: self.achieved_sum / n as f64,
-        };
-        self.subframes = 0;
-        self.energy_joules = 0.0;
-        self.watt_seconds_weight = 0.0;
-        self.target_sum = 0.0;
-        self.achieved_sum = 0.0;
-        self.snapshots.push(snap);
-        self.snapshots.last().expect("just pushed")
-    }
-
-    /// Completed windows, oldest first.
-    pub fn snapshots(&self) -> &[PowerWindowSnapshot] {
-        &self.snapshots
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn energy_integrates_power_over_window() {
-        let mut w = PowerWindows::new(2);
-        assert!(w.record_subframe(20.0, 0.005, 62.0, 31.0).is_none());
-        let snap = *w.record_subframe(24.0, 0.005, 62.0, 33.0).unwrap();
+        let snap = PowerWindowSnapshot::fold(&[(20.0, 62.0, 31.0), (24.0, 62.0, 33.0)], 0.005);
         assert_eq!(snap.subframes, 2);
         assert!((snap.energy_joules - (20.0 + 24.0) * 0.005).abs() < 1e-12);
         assert!((snap.energy_per_subframe_mj - 110.0).abs() < 1e-9);
@@ -153,19 +85,20 @@ mod tests {
     }
 
     #[test]
-    fn flush_emits_partial_window_once() {
-        let mut w = PowerWindows::new(10);
-        w.record_subframe(14.0, 0.005, 4.0, 1.0);
-        assert!(w.flush().is_some());
-        assert!(w.flush().is_none());
-        assert_eq!(w.snapshots().len(), 1);
-        assert_eq!(w.snapshots()[0].subframes, 1);
+    fn chunks_fold_a_partial_last_window() {
+        let series = [(14.0, 4.0, 1.0); 25];
+        let windows: Vec<_> = series
+            .chunks(10)
+            .map(|w| PowerWindowSnapshot::fold(w, 0.005))
+            .collect();
+        let subframes: Vec<u64> = windows.iter().map(|w| w.subframes).collect();
+        assert_eq!(subframes, [10, 10, 5]);
+        assert_eq!(windows[2].mean_target_cores, 4.0);
     }
 
     #[test]
     fn snapshot_json_is_stable() {
-        let mut w = PowerWindows::new(1);
-        let snap = *w.record_subframe(20.0, 0.005, 62.0, 31.0).unwrap();
+        let snap = PowerWindowSnapshot::fold(&[(20.0, 62.0, 31.0)], 0.005);
         assert_eq!(
             snap.to_json(),
             "{\"subframes\":1,\"energy_joules\":0.1,\

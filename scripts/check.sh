@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the test suite, the frozen
-# benchmark harness, sixteen budgets (receiver entry points, one
+# benchmark harness, seventeen budgets (receiver entry points, one
 # subframe dispatcher, one performance harness, a first-party std-only
 # workspace, one paper-artifact table, one kind of pool work, one
 # overload path, paper artifacts only, one overload response, one
 # host-telemetry path, paper pipeline only, one turbo stop rule, one
 # pass-through tail, one coded tail, the paper's cell and queues, one
-# tick loop),
+# tick loop, one window path),
 # conformance vectors on both dispatch paths, the fuzz corpus, the
 # paper artifacts at reduced scale, and a smoke run of every driver
 # (chaos, govern, lte_bench, soak, deploy, serve) plus the two cost
@@ -217,6 +217,21 @@ echo "==> one tick loop budget"
     || { echo "crates/core/src/serve.rs names GoldenRecord"; exit 1; }
 [[ -z "$(grep -rn 'ServiceCounters' crates || true)" ]] \
     || { echo "crates/ names ServiceCounters"; exit 1; }
+
+echo "==> one window path budget"
+# Serve and soak close their SLO windows through lte_obs::SloWindows: the
+# open window's counts, the roll of the live latency histogram, the run
+# total and the verdict live there once. A driver's own window
+# accumulator or close function, soak's second artifact stream, or the
+# power-window accumulator growing back is a second window path.
+[[ -z "$(grep -rn 'WindowAccum\|close_window\|SoakArtifacts' crates/core/src || true)" ]] \
+    || { echo "crates/core/src names WindowAccum, close_window or SoakArtifacts"; exit 1; }
+[[ -z "$(grep -rn 'PowerWindows' crates || true)" ]] \
+    || { echo "crates/ names PowerWindows"; exit 1; }
+for driver in serve soak; do
+    grep -q 'SloWindows::new' "crates/core/src/$driver.rs" \
+        || { echo "crates/core/src/$driver.rs does not close its windows through SloWindows"; exit 1; }
+done
 
 echo "==> conformance vectors (SIMD + forced-scalar)"
 # Golden kernel vectors: every DSP kernel's output hashed and diffed
